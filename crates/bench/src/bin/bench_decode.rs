@@ -50,12 +50,21 @@
 //! decoding against the plain engine on the same prompts at batch
 //! 1 / 4 / 16, with output bit-identity and the rollback leak check
 //! asserted outright. Each row carries two views of the same realized
-//! schedules: host wall-clock (this scalar simulator is compute-bound, so
-//! the ratio prices speculation's arithmetic overhead) and the OPAL
-//! reference platform roofline (`opal_hw`), where low-batch generation is
-//! memory-bound on the weight stream and the fused verify pass rides it
-//! for free — there the n-gram draft must clear a >= 1.5x tok/s floor at
-//! batch <= 4.
+//! schedules: host wall-clock and the OPAL reference platform roofline
+//! (`opal_hw`), where low-batch generation is memory-bound on the weight
+//! stream and the fused verify pass rides it for free — there the n-gram
+//! draft must clear a >= 1.5x tok/s floor at batch <= 4. On the host a
+//! verify row costs what a decode row costs (see [`bench_spec_decode`]),
+//! so the host ratio prices the rejected rows and the draft's own passes.
+//!
+//! The `kernels` section is the L0 floor under all of the above:
+//! `ops::dot` against a seed-style sequential `.sum::<f64>()` dot, timed
+//! in alternating slices in this process at d = 128 / 512 / 4096, raw
+//! GMAC/s plus the ratio. The ratio must be >= 2.0 at every width
+//! (measured 2.8-3.1x with the 4-lane kernel, 1.2-1.3x with the 8-wide
+//! body that regressed it). Next to it sit the headline floors: the
+//! `optimized-1t` decode rate must not fall below the seed engine's on any
+//! model x scheme x batch row, nor fused prefill below the seed reference.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -66,8 +75,8 @@ use std::sync::Arc;
 use opal_model::{BlockPool, KvScheme, Model, ModelConfig, QuantScheme};
 use opal_quant::{EncodeScratch, MxOpalQuantizer, Quantizer};
 use opal_scenario::{
-    replay_with, CancelStorm, ChurnPhase, DegradedConfig, FinishReason, ReplayOptions, RetryPolicy,
-    ScenarioReport, TraceConfig,
+    kernel_rates, replay_with, CancelStorm, ChurnPhase, DegradedConfig, FinishReason, KernelRates,
+    ReplayOptions, RetryPolicy, ScenarioReport, TraceConfig,
 };
 use opal_serve::{ServeConfig, ServeEngine, SpecConfig, StepMode};
 use opal_tensor::ops;
@@ -783,10 +792,10 @@ struct SpecRow {
     batch: usize,
     host_plain_tok_s: f64,
     host_spec_tok_s: f64,
-    /// Host wall ratio. The host simulator's `f64`-accumulating scalar
-    /// kernel is compute-bound, so every verify row costs one full GEMV
-    /// and speculation cannot win wall-clock here — this ratio prices the
-    /// *overhead* of drafting + fused verification on the host.
+    /// Host wall ratio, speculative over plain. A verify row costs the
+    /// host what a decode row costs, so below 1.0 this prices the rejected
+    /// rows plus the draft model's own passes, and above 1.0 the per-step
+    /// overhead that fewer, larger steps save.
     host_ratio: f64,
     steps_plain: u64,
     steps_spec: u64,
@@ -983,10 +992,16 @@ fn run_spec_engine(
 ///
 /// Two views per row, both from the same runs:
 ///
-/// - **host**: wall-clock decode tok/s of this scalar simulator. Its
-///   kernel is compute-bound (a fused k+1-row verify pass costs k+1
-///   GEMVs), so the host ratio prices speculation's arithmetic overhead —
-///   it cannot show a speedup by construction.
+/// - **host**: wall-clock decode tok/s of this simulator. A verify row
+///   costs the arithmetic of a decode row; what fusion saves is the
+///   weight stream: the proxy model's 3.2 MB stack comes from L3 once per
+///   sequence per step, and a bf16 decode step sustains ~2.6 GMAC/s
+///   against ~4.0 for the same kernel hot in L1, while the k+1 rows of a
+///   fused pass share each weight row while it is in L1. Measured on the
+///   4-lane kernel: n-gram 1.01-1.23x plain (free draft, 84-95%
+///   acceptance), truncated-1 0.74-0.85x (its draft passes cost more than
+///   the accepted tokens save). The floor below guards the overhead, not
+///   a speed-up.
 /// - **modeled**: the identical realized schedules priced on the OPAL
 ///   reference platform (`opal_hw`), where batch-1..4 generation is
 ///   memory-bound on the weight stream and a fused verify pass costs one
@@ -1213,6 +1228,30 @@ fn main() {
     }
     let new_tokens = if smoke { 6 } else { 32 };
 
+    // L0 kernel floor: `ops::dot` against the seed-style dot, same process,
+    // alternating slices. Every number below is measured on top of this
+    // kernel, so a slow one fails here, by name, before anything else runs.
+    let kernels: Vec<KernelRates> = [128usize, 512, 4096]
+        .iter()
+        .map(|&d| kernel_rates(d, if smoke { 0.1 } else { 0.5 }))
+        .collect();
+    opal_bench::header("Kernel floor (GMAC/s, hot in L1)");
+    for k in &kernels {
+        let ratio = k.dot_macs_per_s / k.seed_macs_per_s;
+        println!(
+            "ops::dot d={:<5} {:.2} GMAC/s vs seed-style {:.2} GMAC/s ({ratio:.2}x)",
+            k.d,
+            k.dot_macs_per_s / 1e9,
+            k.seed_macs_per_s / 1e9
+        );
+        assert!(
+            ratio >= 2.0,
+            "ops::dot must run at least 2x the seed-style sequential dot at d={} (got \
+             {ratio:.2}x): the 4-lane kernel is not vectorising",
+            k.d
+        );
+    }
+
     // The tiny unit-test config plus a mid-size Llama proxy (the accuracy
     // benches' stand-in for Llama2-7B) where per-token compute dominates
     // scheduler overhead.
@@ -1273,6 +1312,18 @@ fn main() {
         };
         find(engine) / find("seed-sequential")
     };
+    // Headline floor: the deployment configuration never decodes slower
+    // than the seed engine it replaced, on any row.
+    for r in rows.iter().filter(|r| r.engine == "seed-sequential") {
+        let s = speedup(&r.model, r.scheme, r.batch, "optimized-1t");
+        assert!(
+            s >= 1.0,
+            "optimized-1t decode fell below the seed engine on {}/{} batch {}: {s:.2}x",
+            r.model,
+            r.scheme,
+            r.batch
+        );
+    }
 
     println!();
     let mut headline = f64::NAN;
@@ -1344,6 +1395,12 @@ fn main() {
         pt.fused_tok_s / pt.tokenwise_tok_s,
         pt.reference_tok_s,
         pt.fused_tok_s / pt.reference_tok_s
+    );
+    assert!(
+        pt.fused_tok_s >= pt.reference_tok_s,
+        "fused prefill fell below the seed reference: {:.0} vs {:.0} tok/s",
+        pt.fused_tok_s,
+        pt.reference_tok_s
     );
     println!(
         "admission of {n_long} long prompts into a busy batch: chunked(8) p50/p99 \
@@ -1520,8 +1577,10 @@ fn main() {
             r.batch,
             r.modeled_speedup
         );
+        // Measured 1.01-1.23x over four full runs, 0.91x at worst over
+        // the smoke run's single unrepeated drains.
         assert!(
-            r.host_ratio >= 0.6,
+            r.host_ratio >= 0.8,
             "n-gram speculation host overhead out of bounds at batch {} ({:.2}x)",
             r.batch,
             r.host_ratio
@@ -1581,6 +1640,20 @@ fn main() {
         "  \"headline_batch16_4t_vs_seed\": {{ \"model\": \"llama7b-proxy128\", \
          \"scheme\": \"bf16\", \"speedup\": {headline:.3} }},"
     );
+    let kernel_json: Vec<String> = kernels
+        .iter()
+        .map(|k| {
+            format!(
+                "    {{ \"d\": {}, \"dot_gmacs\": {:.3}, \"seed_style_gmacs\": {:.3}, \
+                 \"dot_over_seed_style\": {:.3} }}",
+                k.d,
+                k.dot_macs_per_s / 1e9,
+                k.seed_macs_per_s / 1e9,
+                k.dot_macs_per_s / k.seed_macs_per_s
+            )
+        })
+        .collect();
+    let _ = writeln!(json, "  \"kernels\": [\n{}\n  ],", kernel_json.join(",\n"));
     let _ = writeln!(json, "  \"batch16_speedups\": [\n{}\n  ],", speedup_lines.join(",\n"));
     let _ = writeln!(json, "  \"batch16_pool_vs_scoped\": [\n{}\n  ],", pool_lines.join(",\n"));
     let encode_json: Vec<String> = encode_rows

@@ -12,14 +12,16 @@
 //! RNG seed every trace and model in the run derives from.
 //!
 //! The binary exits non-zero if trace regeneration is not bit-identical,
-//! if the Poisson roofline cross-check leaves its ±2× band, or if the
-//! emitted JSON report is malformed.
+//! if the calibrated host MAC rate falls below `MIN_ANCHOR_RATIO` times a
+//! seed-style dot timed in the same process, if the Poisson roofline
+//! cross-check leaves its ±2× band, or if the emitted JSON report is
+//! malformed.
 
 use opal_model::{KvScheme, Model, ModelConfig, QuantScheme};
 use opal_scenario::{
-    autotune, calibrate, replay_calibrated, replay_with, CancelStorm, ChurnPhase, DegradedConfig,
-    FinishReason, GridSpec, ReplayOptions, RetryPolicy, ScenarioReport, ServeConfig, TraceConfig,
-    DEFAULT_BAND,
+    autotune, calibrate, kernel_rates, replay_calibrated, replay_with, CancelStorm, ChurnPhase,
+    DegradedConfig, FinishReason, GridSpec, HostCalibration, KernelRates, ReplayOptions,
+    RetryPolicy, ScenarioReport, ServeConfig, TraceConfig, DEFAULT_BAND, MIN_ANCHOR_RATIO,
 };
 use opal_serve::{DraftSource, SpecConfig};
 
@@ -55,11 +57,32 @@ fn main() {
         model.config().n_layers,
         model.config().d_model
     );
-    let calibration = calibrate(&model, &base);
+    // The fit is relative to this host *and this kernel*, so each fit is
+    // held to a seed-style dot timed right after it (the host's speed
+    // drifts within a second). One two-point fit over ~30 us tiny-model
+    // steps moves +-30% between runs: keep the median round of nine.
+    let anchor_of =
+        |(fit, rates): &(HostCalibration, KernelRates)| fit.macs_per_s() / rates.seed_macs_per_s;
+    let mut rounds: Vec<_> = (0..9)
+        .map(|_| (calibrate(&model, &base), kernel_rates(model.config().d_model, 0.02)))
+        .collect();
+    rounds.sort_by(|a, b| anchor_of(a).total_cmp(&anchor_of(b)));
+    let median = rounds[rounds.len() / 2];
+    let (anchor, (calibration, rates)) = (anchor_of(&median), median);
     println!(
-        "host calibration: {:.2} us fixed + {:.3e} MACs/s\n",
+        "host calibration: {:.2} us fixed + {:.3e} MACs/s",
         calibration.fixed_s * 1e6,
         calibration.macs_per_s()
+    );
+    println!(
+        "kernel anchor (d={}): ops::dot {:.3e} MACs/s, seed-style dot {:.3e} MACs/s; \
+         calibrated / seed-style = {anchor:.2}x (floor {MIN_ANCHOR_RATIO:.2}x)\n",
+        rates.d, rates.dot_macs_per_s, rates.seed_macs_per_s
+    );
+    assert!(
+        anchor >= MIN_ANCHOR_RATIO,
+        "calibrated host throughput is only {anchor:.2}x the seed-style dot (floor \
+         {MIN_ANCHOR_RATIO:.2}x): the MAC kernel is slow, whatever the band says"
     );
 
     // --- Traffic shape 1: steady Poisson, unconstrained pool. -------------

@@ -21,7 +21,9 @@
 //! * [`roofline`] — cross-validation of measured per-step time against
 //!   the `opal-hw` analytical workload model via a two-point calibrated
 //!   affine host model; a scheduler that performs unbilled work (or bills
-//!   unperformed work) falls outside the pinned band.
+//!   unperformed work) falls outside the pinned band. The fit is anchored
+//!   to an in-process seed-style dot ([`kernel_rates`],
+//!   [`MIN_ANCHOR_RATIO`]) so a uniformly slow kernel cannot hide in it.
 //! * [`autotune`](mod@autotune) — a deterministic grid sweep over
 //!   `block_size` × `prefill_chunk` × `max_batch` that picks the
 //!   SLO-optimal configuration for a trace.
@@ -57,7 +59,10 @@ pub use replay::{
     replay, replay_calibrated, replay_with, ReplayOptions, RequestOutcome, ScenarioReport,
     TenantShare,
 };
-pub use roofline::{calibrate, HostCalibration, RooflineCheck, DEFAULT_BAND};
+pub use roofline::{
+    calibrate, kernel_rates, HostCalibration, KernelRates, RooflineCheck, DEFAULT_BAND,
+    MIN_ANCHOR_RATIO,
+};
 pub use slo::{jain_index, Percentiles};
 pub use trace::{
     ArrivalProcess, CancelStorm, ChurnPhase, CorpusConfig, DeadlineSpec, EventKind, LengthModel,

@@ -152,6 +152,65 @@ fn measure_decode(model: &Model, config: &ServeConfig, batch: usize) -> (f64, f6
     (mean_macs, secs[secs.len() / 2])
 }
 
+/// Lowest accepted ratio of [`HostCalibration::macs_per_s`] on the tiny
+/// model to [`KernelRates::seed_macs_per_s`] at its width, asserted by
+/// `scenario --smoke`. [`calibrate`] fits `per_mac_s` from the host run
+/// itself, so a uniformly slow kernel only moves the fit and the band
+/// still holds; this floor is the absolute anchor. Pinned between the two
+/// sides measured when the 4-lane `ops::dot` was restored (2-core host,
+/// twelve alternating runs, median round of nine per run): 0.89-1.11 with
+/// the slow 8-wide body, 1.37-1.83 with the 4-lane kernel.
+pub const MIN_ANCHOR_RATIO: f64 = 1.2;
+
+/// Hot-loop MAC rates of the workspace's inner-product kernel and of the
+/// seed decoder's, measured back to back in this process so their ratio
+/// means the same on any host.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct KernelRates {
+    /// Vector width measured.
+    pub d: usize,
+    /// `opal_tensor::ops::dot`, MACs per second.
+    pub dot_macs_per_s: f64,
+    /// The seed's sequential `.sum::<f64>()` inner product, MACs per second.
+    pub seed_macs_per_s: f64,
+}
+
+/// The seed decoder's inner product: one latency-bound `f64` chain.
+#[inline(never)]
+fn seed_style_dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum::<f64>() as f32
+}
+
+/// Times `ops::dot` and the seed-style dot on two L1-resident width-`d`
+/// vectors for about `budget_s` seconds in total. The two kernels
+/// alternate in slices of ~64k MACs inside the timing loop: the host's
+/// speed drifts 10-20% over seconds, and slices this short give both
+/// kernels the same share of every fast and slow stretch.
+pub fn kernel_rates(d: usize, budget_s: f64) -> KernelRates {
+    use std::hint::black_box;
+    let a: Vec<f32> = (0..d).map(|i| ((i * 37 % 19) as f32 - 9.0) * 0.37).collect();
+    let b: Vec<f32> = (0..d).map(|i| ((i * 53 % 23) as f32 - 11.0) * 0.19).collect();
+    let reps = (65_536 / d.max(1)).max(1);
+    let slice_s = |kernel: fn(&[f32], &[f32]) -> f32| {
+        let t0 = opal_serve::clock::now();
+        for _ in 0..reps {
+            black_box(kernel(black_box(&a), black_box(&b)));
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut dot_s, mut seed_s, mut slices) = (0.0f64, 0.0f64, 0u64);
+    // The first pair of slices warms caches and is not counted.
+    slice_s(opal_tensor::ops::dot);
+    slice_s(seed_style_dot);
+    while dot_s + seed_s < budget_s {
+        dot_s += slice_s(opal_tensor::ops::dot);
+        seed_s += slice_s(seed_style_dot);
+        slices += 1;
+    }
+    let macs = (slices * reps as u64 * d as u64) as f64;
+    KernelRates { d, dot_macs_per_s: macs / dot_s, seed_macs_per_s: macs / seed_s }
+}
+
 /// Outcome of the roofline cross-check over one replayed trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RooflineCheck {
@@ -301,6 +360,15 @@ mod tests {
         assert!(cal.per_mac_s > 0.0, "slope must be positive: {cal:?}");
         assert!(cal.fixed_s >= 0.0);
         assert!(cal.predict_step_s(2e6) > cal.predict_step_s(1e6));
+    }
+
+    #[test]
+    fn kernel_rates_time_both_kernels() {
+        let r = kernel_rates(64, 0.005);
+        assert_eq!(r.d, 64);
+        assert!(r.dot_macs_per_s.is_finite() && r.dot_macs_per_s > 0.0, "{r:?}");
+        assert!(r.seed_macs_per_s.is_finite() && r.seed_macs_per_s > 0.0, "{r:?}");
+        assert_eq!(seed_style_dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
     }
 
     #[test]

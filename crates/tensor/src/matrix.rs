@@ -287,9 +287,10 @@ impl Matrix {
     }
 
     /// Matrix product with the transpose of `rhs` written into `out`:
-    /// `out = self · rhsᵀ`, computed with the 4-accumulator
-    /// [`crate::ops::dot`] kernel — the fused GEMM of the multi-token
-    /// prefill path.
+    /// `out = self · rhsᵀ`, every element one call to the 4-lane
+    /// [`crate::ops::dot`] kernel (element `i` of the inner product into
+    /// `f64` lane `i % 4`, sub-4 tail into lane 0, `((a0 + a1) + (a2 + a3))`
+    /// cast to `f32`) — the fused GEMM of the multi-token prefill path.
     ///
     /// Both operands are read row-major, so every inner product runs over
     /// two contiguous rows. The loop is ordered `rhs`-row-major: each `rhs`
@@ -349,10 +350,11 @@ impl Matrix {
     /// allocation-free kernel behind [`Matrix::matvec`], used by the token
     /// decode hot path.
     ///
-    /// Accumulates each output element in `f64` in strict element order
-    /// (the products of `f32` inputs are exact in `f64`, and the sum order
-    /// matches the allocating API), so results are bit-identical to
-    /// [`Matrix::matvec`].
+    /// Each output element is `ops::dot(row, v)`: the products of `f32`
+    /// inputs are exact in `f64` and are summed on [`crate::ops::dot`]'s
+    /// 4-lane schedule (element `i` into lane `i % 4`, sub-4 tail into lane
+    /// 0), so results are bit-identical to [`Matrix::matvec`] and to the
+    /// matching row of [`Matrix::matmul_t_into`].
     ///
     /// # Panics
     ///

@@ -4,13 +4,15 @@ use crate::Matrix;
 
 /// Dot product of two equal-length slices, accumulated in `f64`.
 ///
-/// The inner kernel of every matvec and attention score in the workspace,
-/// unrolled 8-wide over four independent `f64` accumulators so the adds
-/// pipeline instead of forming one long dependency chain (the seed's
-/// `.sum::<f64>()` was latency-bound on exactly that chain). The 8-wide
-/// body feeds the same four accumulators in the same per-element order as
-/// the original 4-chunk loop, so widening the unroll cannot move a single
-/// rounding step.
+/// The inner kernel of every matvec, GEMM row and exact-KV attention score
+/// in the workspace. The lane schedule is the spec: four `f64` accumulators
+/// starting at `-0.0`, element `i` into lane `i % 4` over `chunks_exact(4)`,
+/// the sub-4 tail into lane 0, result `((a0 + a1) + (a2 + a3)) as f32`
+/// (pinned bitwise by `tests/proptests.rs`). Four independent chains let
+/// the adds pipeline and vectorise; the seed's sequential `.sum::<f64>()`
+/// is latency-bound on one chain and measures about 3x slower.
+/// Keep the body this plain: a hand-widened 8-element body with the same
+/// schedule defeated the vectoriser and ran at the seed's speed.
 ///
 /// On f32 transformer activations the reassociation is invisible after the
 /// final f32 cast: each `f32 × f32` product is *exact* in `f64`, so partial
@@ -31,34 +33,15 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     let mut acc1 = -0.0f64;
     let mut acc2 = -0.0f64;
     let mut acc3 = -0.0f64;
-    // 8-wide body: two 4-lane groups per iteration, feeding the SAME four
-    // accumulators in the SAME per-element order as two 4-chunk iterations
-    // would — each accumulator sees an identical addend sequence, so the
-    // unroll is bit-identical by construction while halving loop overhead
-    // and letting the vectorizer keep two 256-bit FMAs in flight.
-    let mut ac = a.chunks_exact(8);
-    let mut bc = b.chunks_exact(8);
-    for (a8, b8) in ac.by_ref().zip(bc.by_ref()) {
-        acc0 += f64::from(a8[0]) * f64::from(b8[0]);
-        acc1 += f64::from(a8[1]) * f64::from(b8[1]);
-        acc2 += f64::from(a8[2]) * f64::from(b8[2]);
-        acc3 += f64::from(a8[3]) * f64::from(b8[3]);
-        acc0 += f64::from(a8[4]) * f64::from(b8[4]);
-        acc1 += f64::from(a8[5]) * f64::from(b8[5]);
-        acc2 += f64::from(a8[6]) * f64::from(b8[6]);
-        acc3 += f64::from(a8[7]) * f64::from(b8[7]);
-    }
-    // Remainder: one more 4-chunk if present (lanes in order), then the
-    // sub-4 tail into acc0 — exactly the original kernel's schedule.
-    let mut ar = ac.remainder().chunks_exact(4);
-    let mut br = bc.remainder().chunks_exact(4);
-    for (a4, b4) in ar.by_ref().zip(br.by_ref()) {
+    let mut ac = a.chunks_exact(4);
+    let mut bc = b.chunks_exact(4);
+    for (a4, b4) in ac.by_ref().zip(bc.by_ref()) {
         acc0 += f64::from(a4[0]) * f64::from(b4[0]);
         acc1 += f64::from(a4[1]) * f64::from(b4[1]);
         acc2 += f64::from(a4[2]) * f64::from(b4[2]);
         acc3 += f64::from(a4[3]) * f64::from(b4[3]);
     }
-    for (&x, &y) in ar.remainder().iter().zip(br.remainder()) {
+    for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
         acc0 += f64::from(x) * f64::from(y);
     }
     ((acc0 + acc1) + (acc2 + acc3)) as f32

@@ -11,7 +11,72 @@ fn small_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// The `ops::dot` lane schedule written as plainly as possible: four `f64`
+/// accumulators from `-0.0`, element `i` of the whole 4-chunks into lane
+/// `i % 4`, the sub-4 tail into lane 0, `((a0 + a1) + (a2 + a3)) as f32`.
+fn dot_4lane_reference(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = [-0.0f64; 4];
+    let body = a.len() - a.len() % 4;
+    for i in 0..a.len() {
+        let lane = if i < body { i % 4 } else { 0 };
+        acc[lane] += f64::from(a[i]) * f64::from(b[i]);
+    }
+    ((acc[0] + acc[1]) + (acc[2] + acc[3])) as f32
+}
+
+/// Values in `(-4, 4)` with the middle eighth collapsed onto signed zeros.
+fn value_or_signed_zero() -> impl Strategy<Value = f32> {
+    (-4.0f32..4.0).prop_map(|v| if v.abs() < 0.25 { 0.0f32.copysign(v) } else { v })
+}
+
+#[test]
+fn dot_of_negative_zeros_keeps_the_sign_at_every_length() {
+    let a = [-0.0f32; 520];
+    let b = [1.5f32; 520];
+    for len in 0..=520 {
+        let got = ops::dot(&a[..len], &b[..len]);
+        assert_eq!(got.to_bits(), (-0.0f32).to_bits(), "len {len}");
+    }
+}
+
 proptest! {
+    // Every prefix length 0..=520 of every case, so each `len % 8` (the
+    // residues 4..=7 took a different tail path in the 8-wide body this
+    // schedule replaced) and each sub-4 tail is hit with signed zeros mixed in.
+    #[test]
+    fn dot_is_bitwise_the_4lane_schedule(
+        a in proptest::collection::vec(value_or_signed_zero(), 520),
+        b in proptest::collection::vec(value_or_signed_zero(), 520),
+    ) {
+        for len in 0..=520 {
+            let (x, y) = (&a[..len], &b[..len]);
+            prop_assert_eq!(ops::dot(x, y).to_bits(), dot_4lane_reference(x, y).to_bits(), "len {}", len);
+        }
+    }
+
+    #[test]
+    fn matvec_and_matmul_t_rows_are_bitwise_dot(
+        rows in 1usize..5,
+        out_dim in 1usize..7,
+        cols in 1usize..41,
+        x in proptest::collection::vec(value_or_signed_zero(), 4 * 40),
+        w in proptest::collection::vec(value_or_signed_zero(), 6 * 40),
+    ) {
+        let x = Matrix::from_vec(rows, cols, x[..rows * cols].to_vec());
+        let w = Matrix::from_vec(out_dim, cols, w[..out_dim * cols].to_vec());
+        let mut gemm = Matrix::zeros(rows, out_dim);
+        x.matmul_t_into(&w, &mut gemm);
+        let mut gemv = vec![0.0f32; out_dim];
+        for i in 0..rows {
+            w.matvec_into(x.row(i), &mut gemv);
+            for j in 0..out_dim {
+                let want = dot_4lane_reference(w.row(j), x.row(i)).to_bits();
+                prop_assert_eq!(gemv[j].to_bits(), want, "matvec row {} of {}x{}", j, out_dim, cols);
+                prop_assert_eq!(gemm[(i, j)].to_bits(), want, "gemm ({}, {}) width {}", i, j, cols);
+            }
+        }
+    }
+
     #[test]
     fn transpose_is_involutive(m in small_matrix(12)) {
         prop_assert_eq!(m.transpose().transpose(), m);
