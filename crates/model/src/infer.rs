@@ -1,6 +1,6 @@
 //! The quantized decoder-only transformer and its generation loop.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use opal_quant::{EncodeScratch, QuantError, Quantizer};
@@ -11,11 +11,11 @@ use opal_tensor::Matrix;
 use crate::config::{Arch, ModelConfig};
 use crate::kv::{AdoptError, BlockPool, KvBlock, PagedKv};
 use crate::scheme::{QuantScheme, SoftmaxKind};
-use crate::weights::{generate_weights, ModelWeights};
+use crate::weights::{generate_weights, LayerWeights, ModelWeights};
 
 /// The observation points inside a decoder block (Fig. 5): the inputs of
 /// every MxV the paper quantizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Site {
     /// Post-LayerNorm input shared by the Q/K/V projections (low-bit).
     QkvInput,
@@ -58,7 +58,10 @@ pub trait Recorder {
 /// statistic — at the four weight-input sites.
 #[derive(Debug, Default)]
 pub struct SecondMomentRecorder {
-    sums: HashMap<(usize, Site), (Vec<f64>, u64)>,
+    /// An ordered map, not a hashed one: a `HashMap`'s per-process seed
+    /// would free these sums in a different order in every process, and
+    /// [`Model::new`] would leave the heap laid out differently each time.
+    sums: BTreeMap<(usize, Site), (Vec<f64>, u64)>,
 }
 
 impl SecondMomentRecorder {
@@ -222,6 +225,10 @@ struct PrefillScratch {
     weights: Matrix,
     /// Causal row lengths: `lens[r] = pos0 + r + 1`.
     lens: Vec<usize>,
+    /// Rotary angles of each row's position, `chunk × head_dim` (see
+    /// [`ops::rope_angles_into`]): computed once per pass, applied by every
+    /// layer and head.
+    rope: Matrix,
 }
 
 /// Reusable per-sequence buffers for the token decode hot path.
@@ -270,6 +277,10 @@ struct ScratchSpace {
     hn: Vec<f32>,
     /// Next-token logits, `vocab`.
     logits: Vec<f32>,
+    /// Rotary angles of the position being decoded, `head_dim` (see
+    /// [`ops::rope_angles_into`]): computed once per step, applied by every
+    /// layer and head.
+    rope: Vec<f32>,
     /// Quantizer encode workspace (block plans, sort buffers) for the
     /// tensor-global formats; block-local formats ignore it. Owned per
     /// sequence like every other scratch buffer — and shared across the
@@ -304,6 +315,7 @@ impl ScratchSpace {
             down: vec![0.0; d],
             hn: vec![0.0; d],
             logits: vec![0.0; config.vocab],
+            rope: vec![0.0; config.head_dim()],
             quant: EncodeScratch::new(),
             prefill: PrefillScratch::default(),
         }
@@ -584,7 +596,13 @@ impl Model {
                     token = (token.wrapping_mul(31).wrapping_add(state.pos() as u32))
                         % config.vocab as u32;
                 }
-                process_owq(&raw, &owq, &rec)
+                // The calibration model is the last thing allocated and
+                // the first freed: memory freed at the top of the heap is
+                // what goes back to the system, so a process that builds a
+                // model is left holding the model, not the high-water mark
+                // of building it.
+                drop((state, fp));
+                process_owq(raw.layers, &owq, &rec)
             }
         };
 
@@ -892,6 +910,7 @@ impl Model {
         st.h.copy_from_slice(self.embedding.row(token as usize));
         st.scores.resize(seq, 0.0);
         st.weights.resize(seq, 0.0);
+        ops::rope_angles_into(pos, self.rope_theta, &mut st.rope);
 
         for (l, lw) in self.layers.iter().enumerate() {
             // ---- attention ----
@@ -905,8 +924,8 @@ impl Model {
             lw.wv_t.matvec_into(&st.xq, &mut st.v);
             for head in 0..self.config.n_heads {
                 let s = head * dh;
-                ops::rope_row(&mut st.q[s..s + dh], pos, self.rope_theta);
-                ops::rope_row(&mut st.k[s..s + dh], pos, self.rope_theta);
+                ops::rope_apply(&mut st.q[s..s + dh], &st.rope);
+                ops::rope_apply(&mut st.k[s..s + dh], &st.rope);
             }
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record(l, Site::Query, &st.q);
@@ -1056,6 +1075,10 @@ impl Model {
         }
         pf.lens.clear();
         pf.lens.extend((0..n).map(|r| pos0 + r + 1));
+        ensure_shape(&mut pf.rope, n, dh);
+        for r in 0..n {
+            ops::rope_angles_into(pos0 + r, self.rope_theta, pf.rope.row_mut(r));
+        }
 
         for (r, &t) in tokens.iter().enumerate() {
             pf.hs.row_mut(r).copy_from_slice(self.embedding.row(t as usize));
@@ -1071,11 +1094,11 @@ impl Model {
             pf.xqs.matmul_t_into(&lw.wk_t, &mut pf.ks);
             pf.xqs.matmul_t_into(&lw.wv_t, &mut pf.vs);
             for r in 0..n {
-                let p = pos0 + r;
+                let angles = pf.rope.row(r);
                 for head in 0..self.config.n_heads {
                     let s = head * dh;
-                    ops::rope_row(&mut pf.qs.row_mut(r)[s..s + dh], p, self.rope_theta);
-                    ops::rope_row(&mut pf.ks.row_mut(r)[s..s + dh], p, self.rope_theta);
+                    ops::rope_apply(&mut pf.qs.row_mut(r)[s..s + dh], angles);
+                    ops::rope_apply(&mut pf.ks.row_mut(r)[s..s + dh], angles);
                 }
             }
             self.quant_high_block(&pf.qs, &mut pf.qqs, quant);
@@ -1394,13 +1417,35 @@ fn process_bf16(raw: &ModelWeights) -> Vec<ReadyLayer> {
         .collect()
 }
 
+/// `processed`ᵀ, written over `raw` — the matrix `processed` was computed
+/// from, element for element — and returned in `raw`'s buffer.
+fn transposed_over(raw: Matrix, processed: &Matrix) -> Matrix {
+    let (rows, cols) = (processed.rows(), processed.cols());
+    assert_eq!((raw.rows(), raw.cols()), (rows, cols), "processing keeps the shape");
+    let mut data = raw.into_vec();
+    for (c, out_row) in data.chunks_exact_mut(rows.max(1)).enumerate() {
+        for (r, o) in out_row.iter_mut().enumerate() {
+            *o = processed[(r, c)];
+        }
+    }
+    Matrix::from_vec(cols, rows, data)
+}
+
+/// Quantizes the raw layers in place: every ready matrix lives in the
+/// buffer of the raw matrix it replaces, so the quantized model needs no
+/// copy of its own beside the raw one, only one matrix of quantizer
+/// output at a time.
 fn process_owq(
-    raw: &ModelWeights,
+    layers: Vec<LayerWeights>,
     owq: &opal_quant::OwqQuantizer,
     rec: &SecondMomentRecorder,
 ) -> Vec<ReadyLayer> {
-    raw.layers
-        .iter()
+    let quantized_t = |w: Matrix, stats: &[f32]| -> Matrix {
+        let q = owq.quantize(&w, stats);
+        transposed_over(w, q.dequantized())
+    };
+    layers
+        .into_iter()
         .enumerate()
         .map(|(l, lw)| {
             let d = lw.wq.rows();
@@ -1410,20 +1455,17 @@ fn process_owq(
             let fc1_stats = rec.second_moment(l, Site::Fc1Input).unwrap_or_else(|| vec![1.0; d]);
             let fc2_stats = rec.second_moment(l, Site::Fc2Input).unwrap_or_else(|| vec![1.0; ff]);
             ReadyLayer {
-                wq_t: owq.quantize(&lw.wq, &qkv_stats).dequantized().transpose(),
-                wk_t: owq.quantize(&lw.wk, &qkv_stats).dequantized().transpose(),
-                wv_t: owq.quantize(&lw.wv, &qkv_stats).dequantized().transpose(),
-                wo_t: owq.quantize(&lw.wo, &proj_stats).dequantized().transpose(),
-                w_gate_t: lw
-                    .w_gate
-                    .as_ref()
-                    .map(|g| owq.quantize(g, &fc1_stats).dequantized().transpose()),
-                w_up_t: owq.quantize(&lw.w_up, &fc1_stats).dequantized().transpose(),
-                w_down_t: owq.quantize(&lw.w_down, &fc2_stats).dequantized().transpose(),
-                attn_gain: lw.attn_norm_gain.clone(),
-                attn_bias: lw.attn_norm_bias.clone(),
-                ffn_gain: lw.ffn_norm_gain.clone(),
-                ffn_bias: lw.ffn_norm_bias.clone(),
+                wq_t: quantized_t(lw.wq, &qkv_stats),
+                wk_t: quantized_t(lw.wk, &qkv_stats),
+                wv_t: quantized_t(lw.wv, &qkv_stats),
+                wo_t: quantized_t(lw.wo, &proj_stats),
+                w_gate_t: lw.w_gate.map(|g| quantized_t(g, &fc1_stats)),
+                w_up_t: quantized_t(lw.w_up, &fc1_stats),
+                w_down_t: quantized_t(lw.w_down, &fc2_stats),
+                attn_gain: lw.attn_norm_gain,
+                attn_bias: lw.attn_norm_bias,
+                ffn_gain: lw.ffn_norm_gain,
+                ffn_bias: lw.ffn_norm_bias,
             }
         })
         .collect()
@@ -1470,6 +1512,19 @@ mod tests {
         let la = a.forward(&[3, 1, 4]);
         let lb = b.forward(&[3, 1, 4]);
         assert_eq!(la.as_slice(), lb.as_slice());
+    }
+
+    #[test]
+    fn transposed_over_is_the_transpose_in_the_raw_buffer() {
+        for (rows, cols) in [(3, 5), (5, 3), (1, 4), (4, 4), (0, 3)] {
+            let raw = Matrix::from_fn(rows, cols, |r, c| (r * cols + c) as f32);
+            let processed = raw.map(|v| -2.0 * v);
+            let buffer = raw.as_slice().as_ptr();
+            let t = transposed_over(raw, &processed);
+            assert_eq!(t.as_slice(), processed.transpose().as_slice(), "{rows}x{cols}");
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            assert_eq!(t.as_slice().as_ptr(), buffer, "{rows}x{cols}: a new buffer");
+        }
     }
 
     #[test]

@@ -529,7 +529,7 @@ impl QuantRow<'_> {
     #[inline]
     fn packed_code(&self, e: usize) -> i8 {
         let byte = self.codes[e / 2] as u8;
-        if e % 2 == 0 {
+        if e.is_multiple_of(2) {
             ((byte << 4) as i8) >> 4
         } else {
             (byte as i8) >> 4

@@ -775,12 +775,15 @@ impl Active {
 /// for [`StepMode::Auto`] to hand it to a pool thread instead of running it
 /// inline.
 ///
-/// 400k MACs is roughly 150–250 µs of scalar decode on one current core
-/// (the `llama7b-proxy128` config measures ≈580k MACs/token at ≈250 µs),
-/// an order of magnitude above the few-µs channel-send + wake-up cost of a
-/// dispatch — while the tiny test config (≈30k MACs/token) stays serial up
-/// to batch 13/worker, which is exactly the regime where PR 2's scoped
-/// threads lost to the single-threaded path.
+/// 400k MACs is roughly 110 µs of decode on one current core with the AVX
+/// GEMV kernel (the `llama7b-proxy128` config measures ≈580k MACs/token by
+/// `approx_macs_per_token` at ≈160 µs per bf16 step), an order of magnitude
+/// above the few-µs channel-send + wake-up cost of a dispatch — while the
+/// tiny test config (≈30k MACs/token) stays serial up to batch 13/worker,
+/// which is exactly the regime where PR 2's scoped threads lost to the
+/// single-threaded path. In `bench_decode`, `optimized-4t` reads 1.2–1.8×
+/// `optimized-1t` on the proxy at batch ≥ 4 and 1.0× (the gate refuses) on
+/// every other row.
 const FANOUT_MIN_MACS_PER_WORKER: u64 = 400_000;
 
 /// Matvec multiply-accumulates per decoded token: the decoder stack's

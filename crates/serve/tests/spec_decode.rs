@@ -231,7 +231,7 @@ fn ngram_draft_accepts_on_repetitive_streams() {
     let prompt: Vec<u32> = (0..16).map(|i| [5u32, 9, 13][i % 3]).collect();
     let limit = 20;
     let base = ServeConfig { max_batch: 1, max_tokens: limit, ..ServeConfig::default() };
-    let (plain, _) = run_all(&m, base, &[prompt.clone()], limit);
+    let (plain, _) = run_all(&m, base, std::slice::from_ref(&prompt), limit);
     let cfg = ServeConfig { spec: Some(SpecConfig { draft: DraftSource::NGram, k: 3 }), ..base };
     let (tokens, report) = run_all(&m, cfg, &[prompt], limit);
     assert_eq!(tokens, plain);

@@ -258,7 +258,8 @@ impl Matrix {
         }
     }
 
-    /// Matrix product with the transpose of `rhs`: `self · rhsᵀ`.
+    /// Matrix product with the transpose of `rhs`: `self · rhsᵀ` — the
+    /// allocating twin of [`Matrix::matmul_t_into`], bit-identical to it.
     ///
     /// Used for `Q · Kᵀ` without materializing the transpose.
     ///
@@ -266,37 +267,29 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.cols`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "dimension mismatch: {}x{} · ({}x{})ᵀ",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0f64;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += f64::from(a) * f64::from(b);
-                }
-                out.data[r * rhs.rows + j] = acc as f32;
-            }
-        }
+        self.matmul_t_into(rhs, &mut out);
         out
     }
 
     /// Matrix product with the transpose of `rhs` written into `out`:
-    /// `out = self · rhsᵀ`, every element one call to the 4-lane
-    /// [`crate::ops::dot`] kernel (element `i` of the inner product into
-    /// `f64` lane `i % 4`, sub-4 tail into lane 0, `((a0 + a1) + (a2 + a3))`
-    /// cast to `f32`) — the fused GEMM of the multi-token prefill path.
+    /// `out = self · rhsᵀ`, every element bitwise the 4-lane
+    /// [`crate::ops::dot`] of its two rows (element `i` of the inner product
+    /// into `f64` lane `i % 4`, sub-4 tail into lane 0,
+    /// `((a0 + a1) + (a2 + a3))` cast to `f32`) — the fused GEMM of the
+    /// multi-token prefill path.
     ///
     /// Both operands are read row-major, so every inner product runs over
     /// two contiguous rows. The loop is ordered `rhs`-row-major: each `rhs`
     /// row (a transposed weight row) is loaded once and dotted against every
     /// row of `self` while hot, which is where the fused prefill gains its
     /// weight-locality over a matvec per token.
+    ///
+    /// The schedule is the spec, not the loop. On x86-64 with AVX (detected
+    /// at run time) it runs for eight rows of `self` at once in 256-bit
+    /// lanes, the rows left over as one narrower block; elsewhere, one
+    /// `ops::dot` call per element (`matmul_t_portable`). The two agree bit
+    /// for bit, which the crate's unit proptests pin.
     ///
     /// Because `ops::dot` is bitwise commutative in its arguments (each
     /// `f32×f32` product is exact in `f64` and the accumulator schedule is
@@ -325,6 +318,18 @@ impl Matrix {
         if self.rows == 0 || rhs.rows == 0 {
             return;
         }
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::matmul_t(&self.data, &rhs.data, self.cols, &mut out.data) {
+            return;
+        }
+        self.matmul_t_portable(rhs, out);
+    }
+
+    /// The loop of [`Matrix::matmul_t_into`] as portable code, one
+    /// [`crate::ops::dot`] per output element: the spec the wide path is
+    /// tested against, and the path on CPUs without it. Shapes are the
+    /// caller's to check.
+    pub(crate) fn matmul_t_portable(&self, rhs: &Matrix, out: &mut Matrix) {
         let width = self.cols.max(1);
         for (j, b_row) in rhs.data.chunks_exact(rhs.cols.max(1)).enumerate() {
             for (a_row, out_row) in
@@ -350,11 +355,16 @@ impl Matrix {
     /// allocation-free kernel behind [`Matrix::matvec`], used by the token
     /// decode hot path.
     ///
-    /// Each output element is `ops::dot(row, v)`: the products of `f32`
-    /// inputs are exact in `f64` and are summed on [`crate::ops::dot`]'s
-    /// 4-lane schedule (element `i` into lane `i % 4`, sub-4 tail into lane
-    /// 0), so results are bit-identical to [`Matrix::matvec`] and to the
-    /// matching row of [`Matrix::matmul_t_into`].
+    /// Each output element is bitwise `ops::dot(row, v)`: the products of
+    /// `f32` inputs are exact in `f64` and are summed on
+    /// [`crate::ops::dot`]'s 4-lane schedule (element `i` into lane `i % 4`,
+    /// sub-4 tail into lane 0), so results are bit-identical to
+    /// [`Matrix::matvec`] and to the matching row of
+    /// [`Matrix::matmul_t_into`]. On x86-64 with AVX (detected at run time)
+    /// the schedule runs for eight rows at once in 256-bit lanes, which is
+    /// what lifts a row-at-a-time GEMV off the latency of one accumulator
+    /// chain; elsewhere it is one `ops::dot` call per row
+    /// (`matvec_portable`), the spec the wide path is tested against.
     ///
     /// # Panics
     ///
@@ -362,6 +372,18 @@ impl Matrix {
     pub fn matvec_into(&self, v: &[f32], out: &mut [f32]) {
         assert_eq!(v.len(), self.cols, "vector length mismatch");
         assert_eq!(out.len(), self.rows, "output length mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::matvec(&self.data, v, out) {
+            return;
+        }
+        self.matvec_portable(v, out);
+    }
+
+    /// The loop of [`Matrix::matvec_into`] as portable code, one
+    /// [`crate::ops::dot`] per output element: the spec the wide path is
+    /// tested against, and the path on CPUs without it. Lengths are the
+    /// caller's to check.
+    pub(crate) fn matvec_portable(&self, v: &[f32], out: &mut [f32]) {
         for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols.max(1))) {
             *o = crate::ops::dot(row, v);
         }
@@ -522,6 +544,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_and_indexing() {
@@ -618,6 +641,142 @@ mod tests {
                     assert_eq!(got.to_bits(), want.to_bits(), "width {width} row {r}");
                 }
             }
+        }
+    }
+
+    /// Widths around the 4-wide chunk (every `d % 4` tail) plus the proxy
+    /// model's projection widths; with rows `0..=20` every remainder block
+    /// `1..=7` and the 8-row boundary is crossed at each of them.
+    fn kernel_widths() -> impl Iterator<Item = usize> {
+        (0..=40).chain([128, 130, 344])
+    }
+    const MAX_ROWS: usize = 20;
+    const MAX_WIDTH: usize = 344;
+    const RHS_ROWS: usize = 3;
+
+    /// On a host where the dispatching kernels have no wide path the
+    /// comparisons below hold trivially; say so, once, past the test
+    /// harness's capture instead of passing silently.
+    fn note_if_only_portable() {
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        #[cfg(target_arch = "x86_64")]
+        let wide = crate::simd::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        if !wide {
+            NOTE.call_once(|| {
+                use std::io::Write;
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "note: opal-tensor kernel equivalence tests: no AVX on this host, \
+                     both sides ran the portable path"
+                );
+            });
+        }
+    }
+
+    /// The first element whose bit pattern differs, as a failure message.
+    fn same_bits(
+        kernel: &str,
+        rows: usize,
+        width: usize,
+        got: &[f32],
+        want: &[f32],
+    ) -> Result<(), String> {
+        match got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits()) {
+            None => Ok(()),
+            Some(i) => Err(format!(
+                "{kernel} {rows}x{width}: element {i} is {:e}, portable {:e}",
+                got[i], want[i]
+            )),
+        }
+    }
+
+    /// Runs the dispatching `matvec_into` / `matmul_t_into` and the portable
+    /// loops over every shape drawn from the front of the two value pools
+    /// and compares bit patterns. Outputs start from a sentinel, so an
+    /// element one side skips shows as a difference.
+    fn dispatch_against_portable(a_pool: &[f32], b_pool: &[f32]) -> Result<(), String> {
+        const SENTINEL: f32 = 7.0;
+        note_if_only_portable();
+        for width in kernel_widths() {
+            let b = Matrix::from_vec(RHS_ROWS, width, b_pool[..RHS_ROWS * width].to_vec());
+            for rows in 0..=MAX_ROWS {
+                let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
+
+                let (mut got, mut want) = (vec![SENTINEL; rows], vec![SENTINEL; rows]);
+                a.matvec_into(b.row(0), &mut got);
+                a.matvec_portable(b.row(0), &mut want);
+                same_bits("matvec", rows, width, &got, &want)?;
+
+                let mut got = Matrix::from_vec(rows, RHS_ROWS, vec![SENTINEL; rows * RHS_ROWS]);
+                let mut want = got.clone();
+                a.matmul_t_into(&b, &mut got);
+                if width == 0 {
+                    // Never reaches either loop: `matmul_t_into` writes the
+                    // empty reduction itself.
+                    want.as_mut_slice().fill(crate::ops::dot(&[], &[]));
+                } else {
+                    a.matmul_t_portable(&b, &mut want);
+                }
+                same_bits("matmul_t", rows, width, got.as_slice(), want.as_slice())?;
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn dispatch_keeps_the_sign_of_an_all_negative_zero_operand() {
+        let zeros = vec![-0.0f32; MAX_ROWS * MAX_WIDTH];
+        let ones = vec![1.5f32; MAX_ROWS * MAX_WIDTH];
+        dispatch_against_portable(&zeros, &ones).unwrap();
+        dispatch_against_portable(&ones, &zeros).unwrap();
+        let a = Matrix::from_vec(MAX_ROWS, MAX_WIDTH, zeros);
+        let mut out = vec![0.0f32; MAX_ROWS];
+        a.matvec_into(&ones[..MAX_WIDTH], &mut out);
+        assert!(out.iter().all(|x| x.to_bits() == (-0.0f32).to_bits()), "{out:?}");
+    }
+
+    /// A pool of operand values, in one of two flavours per pool.
+    ///
+    /// *Edge*: ordinary values mixed with the ones the spec's arithmetic
+    /// treats specially — signed zeros, subnormals, and magnitudes whose
+    /// products are finite in `f64` but overflow the final `f32` cast.
+    ///
+    /// *Ladder*: small integers times `2^0`, `2^26` or `2^52`. Products then
+    /// sit on rungs 26 bits apart, so a lane holding a high rung rounds the
+    /// low ones as they arrive, and the high rungs cancel often enough
+    /// (small integer multipliers) to leave that rounding as the whole
+    /// result. Which addend met which partial sum then shows in the `f32`:
+    /// this is what makes a wrong lane, tail or reduction order visible,
+    /// where ordinary values would hide it 29 bits below `f32` precision.
+    fn value_pool(len: usize) -> impl Strategy<Value = Vec<f32>> {
+        let raw = proptest::collection::vec((0u32..8, -1.0f32..1.0), len);
+        (0u32..3, raw).prop_map(|(flavour, raw)| {
+            let edge = |class, x: f32| match class {
+                0 => 0.0f32.copysign(x),
+                1 => x * 1.0e-40,
+                2 => x * 3.0e38,
+                _ => x * 4.0,
+            };
+            let ladder =
+                |class: u32, x: f32| (x * 8.0).trunc() * 2.0f32.powi(26 * (class % 3) as i32);
+            raw.into_iter()
+                .map(|(c, x)| if flavour == 0 { edge(c, x) } else { ladder(c, x) })
+                .collect()
+        })
+    }
+
+    proptest! {
+        // Each case walks all 924 shapes, so a few cases go a long way.
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
+        fn dispatch_is_bitwise_the_portable_loops(
+            a_pool in value_pool(MAX_ROWS * MAX_WIDTH),
+            b_pool in value_pool(RHS_ROWS * MAX_WIDTH),
+        ) {
+            let outcome = dispatch_against_portable(&a_pool, &b_pool);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
 

@@ -4,11 +4,15 @@ use crate::Matrix;
 
 /// Dot product of two equal-length slices, accumulated in `f64`.
 ///
-/// The inner kernel of every matvec, GEMM row and exact-KV attention score
-/// in the workspace. The lane schedule is the spec: four `f64` accumulators
-/// starting at `-0.0`, element `i` into lane `i % 4` over `chunks_exact(4)`,
-/// the sub-4 tail into lane 0, result `((a0 + a1) + (a2 + a3)) as f32`
-/// (pinned bitwise by `tests/proptests.rs`). Four independent chains let
+/// The inner kernel of every exact-KV attention score, and the spec of
+/// every matvec and GEMM element in the workspace
+/// ([`Matrix::matvec_into`] / [`Matrix::matmul_t_into`] run this schedule
+/// eight rows at a time where the CPU allows, bit-identically, and call
+/// this fn per element elsewhere). The lane schedule is the spec: four
+/// `f64` accumulators starting at `-0.0`, element `i` into lane `i % 4`
+/// over `chunks_exact(4)`, the sub-4 tail into lane 0, result
+/// `((a0 + a1) + (a2 + a3)) as f32` (pinned bitwise by
+/// `tests/proptests.rs`). Four independent chains let
 /// the adds pipeline and vectorise; the seed's sequential `.sum::<f64>()`
 /// is latency-bound on one chain and measures about 3x slower.
 /// Keep the body this plain: a hand-widened 8-element body with the same
@@ -228,7 +232,8 @@ pub fn rope_in_place(x: &mut Matrix, pos0: usize, theta: f32) {
 }
 
 /// Applies rotary position embedding to a single head-vector at absolute
-/// position `pos`.
+/// position `pos`: [`rope_angles_into`] and [`rope_apply`] composed pair by
+/// pair, so it needs no angle buffer.
 ///
 /// # Panics
 ///
@@ -236,14 +241,58 @@ pub fn rope_in_place(x: &mut Matrix, pos0: usize, theta: f32) {
 pub fn rope_row(row: &mut [f32], pos: usize, theta: f32) {
     let d = row.len();
     assert!(d.is_multiple_of(2), "RoPE requires an even head dimension");
-    let pos = pos as f32;
-    for i in 0..d / 2 {
-        let freq = theta.powf(-2.0 * i as f32 / d as f32);
-        let (sin, cos) = (pos * freq).sin_cos();
-        let (a, b) = (row[2 * i], row[2 * i + 1]);
-        row[2 * i] = a * cos - b * sin;
-        row[2 * i + 1] = a * sin + b * cos;
+    for (i, pair) in row.chunks_exact_mut(2).enumerate() {
+        let (sin, cos) = rope_angle(pos, i, d, theta);
+        rope_rotate(pair, sin, cos);
     }
+}
+
+/// Writes the rotary angles of absolute position `pos` for a head of
+/// dimension `angles.len()`: `angles[2i]` and `angles[2i + 1]` are the sine
+/// and cosine of `pos / theta^(2i/d)`, the rotation [`rope_apply`] gives
+/// pair `2i`/`2i + 1`.
+///
+/// The angles depend on the position and the head dimension only, so a
+/// forward pass computes them once per position and applies them to every
+/// layer's and head's query and key, instead of one `powf` and one
+/// `sin_cos` per pair per call of [`rope_row`] — with the same `f32`
+/// expressions, so the rotated vectors are bit-identical.
+///
+/// # Panics
+///
+/// Panics if `angles.len()` is odd.
+pub fn rope_angles_into(pos: usize, theta: f32, angles: &mut [f32]) {
+    let d = angles.len();
+    assert!(d.is_multiple_of(2), "RoPE requires an even head dimension");
+    for (i, pair) in angles.chunks_exact_mut(2).enumerate() {
+        (pair[0], pair[1]) = rope_angle(pos, i, d, theta);
+    }
+}
+
+/// Rotates a single head-vector by the angles [`rope_angles_into`] wrote.
+///
+/// # Panics
+///
+/// Panics if `row` and `angles` differ in length.
+pub fn rope_apply(row: &mut [f32], angles: &[f32]) {
+    assert_eq!(row.len(), angles.len(), "RoPE angle length mismatch");
+    for (pair, sc) in row.chunks_exact_mut(2).zip(angles.chunks_exact(2)) {
+        rope_rotate(pair, sc[0], sc[1]);
+    }
+}
+
+/// `(sin, cos)` of the rotation of pair `i` of a `d`-wide head at `pos`.
+#[inline]
+fn rope_angle(pos: usize, i: usize, d: usize, theta: f32) -> (f32, f32) {
+    let freq = theta.powf(-2.0 * i as f32 / d as f32);
+    (pos as f32 * freq).sin_cos()
+}
+
+#[inline]
+fn rope_rotate(pair: &mut [f32], sin: f32, cos: f32) {
+    let (a, b) = (pair[0], pair[1]);
+    pair[0] = a * cos - b * sin;
+    pair[1] = a * sin + b * cos;
 }
 
 /// Index of the maximum element (first occurrence).
@@ -394,6 +443,22 @@ mod tests {
         let mut b = Matrix::from_rows(&[&[1.0, 0.0, 0.5, 0.5]]);
         rope_in_place(&mut b, 4, 10000.0);
         assert!(a.as_slice() != b.as_slice(), "rotation must depend on position");
+    }
+
+    #[test]
+    fn rope_angles_then_apply_is_bitwise_rope_row() {
+        for (d, pos) in [(2usize, 0usize), (8, 1), (32, 17), (32, 1023), (64, 40_000)] {
+            let row: Vec<f32> = (0..d).map(|i| ((i * 7 + pos) as f32).sin() * 3.0).collect();
+            let mut direct = row.clone();
+            rope_row(&mut direct, pos, 10000.0);
+            let mut angles = vec![0.0f32; d];
+            rope_angles_into(pos, 10000.0, &mut angles);
+            let mut hoisted = row;
+            rope_apply(&mut hoisted, &angles);
+            for (x, y) in direct.iter().zip(&hoisted) {
+                assert_eq!(x.to_bits(), y.to_bits(), "d {d} pos {pos}");
+            }
+        }
     }
 
     #[test]

@@ -56,11 +56,13 @@ proptest! {
 
     #[test]
     fn matvec_and_matmul_t_rows_are_bitwise_dot(
-        rows in 1usize..5,
-        out_dim in 1usize..7,
+        // Past 8 on both sides: the wide path blocks weight rows (matvec)
+        // and activation rows (GEMM) eight at a time, remainder 1..=7.
+        rows in 1usize..20,
+        out_dim in 1usize..20,
         cols in 1usize..41,
-        x in proptest::collection::vec(value_or_signed_zero(), 4 * 40),
-        w in proptest::collection::vec(value_or_signed_zero(), 6 * 40),
+        x in proptest::collection::vec(value_or_signed_zero(), 19 * 40),
+        w in proptest::collection::vec(value_or_signed_zero(), 19 * 40),
     ) {
         let x = Matrix::from_vec(rows, cols, x[..rows * cols].to_vec());
         let w = Matrix::from_vec(out_dim, cols, w[..out_dim * cols].to_vec());
@@ -119,6 +121,12 @@ proptest! {
         let via = a.matmul(&b.transpose());
         for (x, y) in direct.as_slice().iter().zip(via.as_slice()) {
             prop_assert!((x - y).abs() < 1e-3);
+        }
+        // The allocating twin is the `_into` kernel, not a second loop.
+        let mut into = Matrix::zeros(a.rows(), b.rows());
+        a.matmul_t_into(&b, &mut into);
+        for (x, y) in direct.as_slice().iter().zip(into.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
