@@ -41,10 +41,10 @@
 //! quantized-domain attention walk, and the accuracy contract (max logit
 //! error plus greedy agreement under teacher forcing). The section
 //! *asserts* the acceptance floors: >= 3x bytes/token reduction, >= 2x
-//! resident sequences, >= 0.8x decode rate, 100% greedy agreement. The
+//! resident sequences, >= 0.85x decode rate, 100% greedy agreement. The
 //! 4-bit preset (`mxopal4`) is measured alongside under the same byte
 //! budget with its own floors (deeper bytes/token reduction, >= 4x
-//! resident sequences, >= 0.7x decode rate). Next to each decode-rate
+//! resident sequences, >= 0.75x decode rate). Next to each decode-rate
 //! ratio the section prints the page walk's added cost per token in
 //! microseconds: the ratio moves whenever the exact step changes speed,
 //! the added cost only when the walk does.
@@ -71,7 +71,11 @@
 //! same shape, and `kernel_path` records which of their inner loops this
 //! host ran (`avx`: the `ops::dot` lane schedule eight rows at a time,
 //! measured 6-7x; `portable`: one `ops::dot` per element, the dot rows'
-//! ratio). Next to it sit the headline floors: the
+//! ratio). One tripwire for the OPAL stages sits with them:
+//! `Log2Softmax::probs_into` within 1.8x the time of `ops::softmax_into`
+//! on a 1024-wide row (1.1-1.3x with one `exp` per score; two, as the
+//! code loop once took, read 2.3-2.4x). Next to it sit the headline
+//! floors: the
 //! `optimized-1t` decode rate must not fall below the seed engine's on any
 //! model x scheme x batch row, nor fused prefill below the seed reference.
 
@@ -88,6 +92,7 @@ use opal_scenario::{
     ReplayOptions, RetryPolicy, ScenarioReport, TraceConfig,
 };
 use opal_serve::{ServeConfig, ServeEngine, SpecConfig, StepMode};
+use opal_softmax::Log2Softmax;
 use opal_tensor::{ops, Matrix};
 
 /// One measured engine configuration.
@@ -1244,6 +1249,62 @@ struct MatrixKernelRow {
     seed_style_gmacs: f64,
 }
 
+/// Times `kernel` and `baseline` alternating call by call for `budget_s`
+/// seconds (the host's speed drifts over seconds; what is asserted is the
+/// ratio between the two) and returns each side's rate in units of
+/// `work` x 1e9 per second.
+fn alternate(
+    work: usize,
+    budget_s: f64,
+    mut kernel: impl FnMut(),
+    mut baseline: impl FnMut(),
+) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    // The first pair warms caches and is not counted.
+    kernel();
+    baseline();
+    let (mut kernel_s, mut baseline_s, mut calls) = (0.0f64, 0.0f64, 0u64);
+    while kernel_s + baseline_s < budget_s {
+        kernel_s += time(&mut kernel);
+        baseline_s += time(&mut baseline);
+        calls += 1;
+    }
+    let giga = (calls * work as u64) as f64 / 1e9;
+    (giga / kernel_s, giga / baseline_s)
+}
+
+/// Time of `Log2Softmax::probs_into` over `ops::softmax_into` on one
+/// 1024-wide score row (the width of `longctx_kvq_closed`'s last step).
+/// The shift softmax is an exponent subtract and a mantissa compare on top
+/// of the one `exp` per score both sides pay: 1.1-1.3x here, 2.0-2.4x
+/// when the code loop evaluated `exp` a second time.
+fn log2_softmax_over_exact(budget_s: f64) -> f64 {
+    let n = 1024usize;
+    // Pseudo-random, not periodic: the code rule's mantissa comparison is a
+    // branch, and a pattern the predictor can learn flatters it.
+    let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+    let scores: Vec<f32> = (0..n)
+        .map(|_| {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((lcg >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 18.0
+        })
+        .collect();
+    let (mut log2, mut exact) = (vec![0.0f32; n], vec![0.0f32; n]);
+    let sm = Log2Softmax::new(5);
+    let (log2_rate, exact_rate) = alternate(
+        n,
+        budget_s,
+        || sm.probs_into(black_box(&scores), &mut log2),
+        || ops::softmax_into(black_box(&scores), &mut exact),
+    );
+    black_box((&log2, &exact));
+    exact_rate / log2_rate
+}
+
 /// Times `matvec_into` on the proxy's `d_ff x d_model` projection and
 /// `matmul_t_into` with eight activation rows against it, each alternating
 /// call by call with a seed-style product of the same shape (one
@@ -1251,29 +1312,6 @@ struct MatrixKernelRow {
 fn matrix_kernel_rates(budget_s: f64) -> Vec<MatrixKernelRow> {
     fn seed_style_dot(a: &[f32], b: &[f32]) -> f32 {
         a.iter().zip(b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum::<f64>() as f32
-    }
-    fn alternate(
-        macs: usize,
-        budget_s: f64,
-        mut kernel: impl FnMut(),
-        mut seed: impl FnMut(),
-    ) -> (f64, f64) {
-        let time = |f: &mut dyn FnMut()| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        };
-        // The first pair warms caches and is not counted.
-        kernel();
-        seed();
-        let (mut kernel_s, mut seed_s, mut calls) = (0.0f64, 0.0f64, 0u64);
-        while kernel_s + seed_s < budget_s {
-            kernel_s += time(&mut kernel);
-            seed_s += time(&mut seed);
-            calls += 1;
-        }
-        let gmacs = (calls * macs as u64) as f64 / 1e9;
-        (gmacs / kernel_s, gmacs / seed_s)
     }
 
     let (d_ff, d_model, rows) = (344usize, 128usize, 8usize);
@@ -1385,6 +1423,13 @@ fn main() {
             kernel_path()
         );
     }
+    let log2_over_exact = log2_softmax_over_exact(if smoke { 0.1 } else { 0.5 });
+    println!("Log2Softmax::probs_into n=1024: {log2_over_exact:.2}x the time of ops::softmax_into");
+    assert!(
+        log2_over_exact <= 1.8,
+        "Log2Softmax::probs_into must stay within 1.8x ops::softmax_into at n=1024 (got \
+         {log2_over_exact:.2}x): one `exp` per score, not two"
+    );
 
     // The tiny unit-test config plus a mid-size Llama proxy (the accuracy
     // benches' stand-in for Llama2-7B) where per-token compute dominates
@@ -1626,15 +1671,18 @@ fn main() {
         "quantized KV must fit at least 2x more resident sequences (got {:.2}x)",
         kq.residency_gain
     );
-    // What a quantized cache costs is its page walk: ~20 us (8-bit) / ~45 us
-    // (4-bit) on top of a ~155 us exact batch-16 token on the AVX path,
-    // 0.86-0.90x / 0.73-0.82x as a tok/s ratio over ten full runs (the
-    // 4-bit floor below sits just under its band). A faster exact step
-    // lowers both ratios with the walk unchanged: read the printed added
-    // cost before moving a floor.
+    // What a quantized cache costs is its row encodes and its page walk:
+    // ~5 us (8-bit) / ~30 us (4-bit; nibble-packed pages keep the
+    // per-(row, head) walk) on top of a ~155 us exact batch-16 token on the
+    // AVX path, 0.92-1.02x / 0.80-0.89x as a tok/s ratio over nineteen
+    // full runs and 0.94-0.98x / 0.87-0.92x over ten smoke runs; one more
+    // full run, on a host whose kernels read 30% slow, gave 0.893x. Each
+    // floor below sits under all of them. A faster exact step lowers both
+    // ratios with the walk unchanged: read the printed added cost before
+    // moving a floor.
     assert!(
-        kq.tok_s_ratio >= 0.8,
-        "quantized decode must stay within 20% of exact tok/s (got {:.3}x, page walk +{:.1} \
+        kq.tok_s_ratio >= 0.85,
+        "quantized decode must stay within 15% of exact tok/s (got {:.3}x, page walk +{:.1} \
          us/token)",
         kq.tok_s_ratio,
         walk_added_us(kq.quant_tok_s, kq.exact_tok_s)
@@ -1675,8 +1723,8 @@ fn main() {
         kq.residency_gain4
     );
     assert!(
-        kq.tok_s_ratio4 >= 0.7,
-        "4-bit quantized decode must stay within 30% of exact tok/s (got {:.3}x, page walk \
+        kq.tok_s_ratio4 >= 0.75,
+        "4-bit quantized decode must stay within 25% of exact tok/s (got {:.3}x, page walk \
          +{:.1} us/token)",
         kq.tok_s_ratio4,
         walk_added_us(kq.quant4_tok_s, kq.exact_tok_s)
@@ -1816,6 +1864,7 @@ fn main() {
         })
         .collect();
     let _ = writeln!(json, "  \"matrix_kernels\": [\n{}\n  ],", matrix_kernel_json.join(",\n"));
+    let _ = writeln!(json, "  \"log2_softmax_over_exact_n1024\": {log2_over_exact:.3},");
     let _ = writeln!(json, "  \"batch16_speedups\": [\n{}\n  ],", speedup_lines.join(",\n"));
     let _ = writeln!(json, "  \"batch16_pool_vs_scoped\": [\n{}\n  ],", pool_lines.join(",\n"));
     let encode_json: Vec<String> = encode_rows

@@ -164,8 +164,7 @@ enum LogitsOut<'a> {
 /// buffer (zero-filled; allocation-free once grown to the largest shape
 /// seen). Same-width reshapes — the common case, chunk length changing
 /// between prefill calls — go through [`Matrix::resize_rows`]; a width
-/// change (sequence length growing for the score buffers) rebuilds the
-/// layout around the same `Vec`.
+/// change rebuilds the layout around the same `Vec`.
 fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
     if m.cols() == cols && !m.is_empty() {
         m.resize_rows(rows);
@@ -182,9 +181,12 @@ fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
 ///
 /// [`Model::prefill_chunk`] pushes a whole block of prompt positions
 /// through each layer in one pass — norm rows, one GEMM per projection,
-/// multi-row causal attention against the paged KV cache — and every
-/// intermediate lands here. Buffers are reshaped (never reallocated, once
-/// grown) to the live chunk length at the start of each pass, so steady
+/// causal attention row by row against the paged KV cache — and every
+/// intermediate lands here, except the attention scores and weights: those
+/// are one query row's at a time, in the `n_heads × seq` pair
+/// [`ScratchSpace`] grows for decode. Buffers are reshaped (never
+/// reallocated, once grown) to the live chunk length at the start of each
+/// pass, so steady
 /// chunked prefill allocates nothing, mirroring the single-token
 /// [`ScratchSpace`] discipline — and the whole workspace is dropped again
 /// by the chunk that computes the prompt logits, so a decoding sequence
@@ -218,13 +220,6 @@ struct PrefillScratch {
     ups: Matrix,
     /// Quantized FFN activations, `chunk × d_ff`.
     act_qs: Matrix,
-    /// Attention scores for one head, `chunk × seq` (row `r` uses its
-    /// causal prefix `lens[r]`).
-    scores: Matrix,
-    /// Attention weights for one head, `chunk × seq` (causal prefixes).
-    weights: Matrix,
-    /// Causal row lengths: `lens[r] = pos0 + r + 1`.
-    lens: Vec<usize>,
     /// Rotary angles of each row's position, `chunk × head_dim` (see
     /// [`ops::rope_angles_into`]): computed once per pass, applied by every
     /// layer and head.
@@ -261,9 +256,10 @@ struct ScratchSpace {
     ctxq: Vec<f32>,
     /// Attention output projection, `d_model`.
     attn_out: Vec<f32>,
-    /// Attention scores for one head, grows to the sequence length.
+    /// Attention scores of one query row, head-major `n_heads × seq`; grows
+    /// with the sequence length.
     scores: Vec<f32>,
-    /// Attention weights for one head, grows to the sequence length.
+    /// Attention weights of one query row, `n_heads × seq` like `scores`.
     weights: Vec<f32>,
     /// FFN gate/activation buffer, `d_ff`.
     gate: Vec<f32>,
@@ -902,14 +898,13 @@ impl Model {
     ) {
         assert!((token as usize) < self.config.vocab, "token {token} out of range");
         let dh = self.config.head_dim();
-        let inv_sqrt_dh = 1.0 / (dh as f32).sqrt();
         let DecodeState { pos, kv, scratch: st } = state;
         let pos = *pos;
         let seq = pos + 1;
 
         st.h.copy_from_slice(self.embedding.row(token as usize));
-        st.scores.resize(seq, 0.0);
-        st.weights.resize(seq, 0.0);
+        st.scores.resize(self.config.n_heads * seq, 0.0);
+        st.weights.resize(self.config.n_heads * seq, 0.0);
         ops::rope_angles_into(pos, self.rope_theta, &mut st.rope);
 
         for (l, lw) in self.layers.iter().enumerate() {
@@ -944,41 +939,7 @@ impl Model {
                 self.quant_high_into(&st.v, v_row, &mut st.quant);
             }
 
-            st.ctx.fill(0.0);
-            for head in 0..self.config.n_heads {
-                let s = head * dh;
-                let q_h = &st.qq[s..s + dh];
-                if kv.quantized() {
-                    for (score, k_row) in st.scores.iter_mut().zip(kv.k_qrows(l, seq)) {
-                        *score = k_row.dot_range(q_h, s) * inv_sqrt_dh;
-                    }
-                } else {
-                    for (score, k_row) in st.scores.iter_mut().zip(kv.k_rows(l, seq)) {
-                        *score = ops::dot(q_h, &k_row[s..s + dh]) * inv_sqrt_dh;
-                    }
-                }
-                match &self.log2_softmax {
-                    None => ops::softmax_into(&st.scores, &mut st.weights),
-                    Some(sm) => sm.probs_into(&st.scores, &mut st.weights),
-                }
-                if kv.quantized() {
-                    for (&w, v_row) in st.weights.iter().zip(kv.v_qrows(l, seq)) {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        v_row.axpy_range(w, s, &mut st.ctx[s..s + dh]);
-                    }
-                } else {
-                    for (&w, v_row) in st.weights.iter().zip(kv.v_rows(l, seq)) {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        for (c, &vv) in st.ctx[s..s + dh].iter_mut().zip(&v_row[s..s + dh]) {
-                            *c += w * vv;
-                        }
-                    }
-                }
-            }
+            self.attend_row(kv, l, seq, &st.qq, &mut st.scores, &mut st.weights, &mut st.ctx);
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record(l, Site::ProjInput, &st.ctx);
             }
@@ -1054,12 +1015,11 @@ impl Model {
         let d = self.config.d_model;
         let ff = self.config.d_ff;
         let dh = self.config.head_dim();
-        let inv_sqrt_dh = 1.0 / (dh as f32).sqrt();
         let DecodeState { pos, kv, scratch: st } = state;
         let pos0 = *pos;
         let seq = pos0 + n;
         let bs = kv.pool.block_size();
-        let ScratchSpace { prefill: pf, quant, hn, logits, .. } = st;
+        let ScratchSpace { prefill: pf, quant, hn, logits, scores, weights, .. } = st;
 
         for m in [&mut pf.hs, &mut pf.xs, &mut pf.xqs, &mut pf.qs, &mut pf.ks, &mut pf.vs] {
             ensure_shape(m, n, d);
@@ -1070,11 +1030,8 @@ impl Model {
         for m in [&mut pf.gates, &mut pf.ups, &mut pf.act_qs] {
             ensure_shape(m, n, ff);
         }
-        for m in [&mut pf.scores, &mut pf.weights] {
-            ensure_shape(m, n, seq);
-        }
-        pf.lens.clear();
-        pf.lens.extend((0..n).map(|r| pos0 + r + 1));
+        scores.resize(self.config.n_heads * seq, 0.0);
+        weights.resize(self.config.n_heads * seq, 0.0);
         ensure_shape(&mut pf.rope, n, dh);
         for r in 0..n {
             ops::rope_angles_into(pos0 + r, self.rope_theta, pf.rope.row_mut(r));
@@ -1123,54 +1080,11 @@ impl Model {
                 off += rows;
             }
 
-            pf.ctxs.as_mut_slice().fill(0.0);
-            for head in 0..self.config.n_heads {
-                let s = head * dh;
-                for (r, &len) in pf.lens.iter().enumerate() {
-                    let q_h = &pf.qqs.row(r)[s..s + dh];
-                    let srow = &mut pf.scores.row_mut(r)[..len];
-                    if kv.quantized() {
-                        for (score, k_row) in srow.iter_mut().zip(kv.k_qrows(l, len)) {
-                            *score = k_row.dot_range(q_h, s) * inv_sqrt_dh;
-                        }
-                    } else {
-                        for (score, k_row) in srow.iter_mut().zip(kv.k_rows(l, len)) {
-                            *score = ops::dot(q_h, &k_row[s..s + dh]) * inv_sqrt_dh;
-                        }
-                    }
-                }
-                match &self.log2_softmax {
-                    None => {
-                        for (r, &len) in pf.lens.iter().enumerate() {
-                            ops::softmax_into(
-                                &pf.scores.row(r)[..len],
-                                &mut pf.weights.row_mut(r)[..len],
-                            );
-                        }
-                    }
-                    Some(sm) => sm.probs_rows_into(&pf.scores, &pf.lens, &mut pf.weights),
-                }
-                for (r, &len) in pf.lens.iter().enumerate() {
-                    let ctx = &mut pf.ctxs.row_mut(r)[s..s + dh];
-                    let weights = &pf.weights.row(r)[..len];
-                    if kv.quantized() {
-                        for (&w, v_row) in weights.iter().zip(kv.v_qrows(l, len)) {
-                            if w == 0.0 {
-                                continue;
-                            }
-                            v_row.axpy_range(w, s, ctx);
-                        }
-                    } else {
-                        for (&w, v_row) in weights.iter().zip(kv.v_rows(l, len)) {
-                            if w == 0.0 {
-                                continue;
-                            }
-                            for (c, &vv) in ctx.iter_mut().zip(&v_row[s..s + dh]) {
-                                *c += w * vv;
-                            }
-                        }
-                    }
-                }
+            // Row `r` attends to its causal prefix: the cached positions
+            // `0..=pos0 + r`, the chunk rows appended just above included.
+            for r in 0..n {
+                let len = pos0 + r + 1;
+                self.attend_row(kv, l, len, pf.qqs.row(r), scores, weights, pf.ctxs.row_mut(r));
             }
             self.quant_high_block(&pf.ctxs, &mut pf.ctxqs, quant);
             pf.ctxqs.matmul_t_into(&lw.wo_t, &mut pf.proj);
@@ -1218,7 +1132,7 @@ impl Model {
                 if !keep_scratch {
                     // A prompt's final chunk: the prompt is consumed, so
                     // drop the chunk-sized buffers instead of carrying ~13
-                    // `chunk × d_ff`/`chunk × seq` matrices through the
+                    // `chunk × d_model`/`chunk × d_ff` matrices through the
                     // sequence's whole decode lifetime (they regrow lazily
                     // if another prompt chunk ever arrives). Draft
                     // catch-up chunks set `keep_scratch` — they recur
@@ -1242,6 +1156,40 @@ impl Model {
                 }
             }
         }
+    }
+
+    /// Attention of one query row over the first `len` cached positions of
+    /// `layer`, all heads: scores straight off the K pages into the
+    /// head-major `n_heads × len` front of `scores`, one softmax per head
+    /// into the same front of `weights`, then the weighted V sum into `ctx`.
+    /// The one attention routine of both cores: a decode step is one call,
+    /// a prefill chunk one call per row with that row's causal length.
+    /// Every (row, head) sees the kernels and the position order it always
+    /// did, so who calls it, and with how many heads per visit, is
+    /// bit-invisible.
+    #[allow(clippy::too_many_arguments)]
+    fn attend_row(
+        &self,
+        kv: &PagedKv,
+        layer: usize,
+        len: usize,
+        q: &[f32],
+        scores: &mut [f32],
+        weights: &mut [f32],
+        ctx: &mut [f32],
+    ) {
+        let n_heads = self.config.n_heads;
+        let inv_sqrt_dh = 1.0 / (self.config.head_dim() as f32).sqrt();
+        let (scores, weights) = (&mut scores[..n_heads * len], &mut weights[..n_heads * len]);
+        kv.scores_into(layer, len, q, n_heads, inv_sqrt_dh, scores);
+        for (s, w) in scores.chunks_exact(len).zip(weights.chunks_exact_mut(len)) {
+            match &self.log2_softmax {
+                None => ops::softmax_into(s, w),
+                Some(sm) => sm.probs_into(s, w),
+            }
+        }
+        ctx.fill(0.0);
+        kv.weighted_values_into(layer, len, weights, n_heads, ctx);
     }
 
     /// Full-sequence forward pass: runs the incremental decoder over

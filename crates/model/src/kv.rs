@@ -26,9 +26,13 @@
 //!   allocation-free `opal-quant` row encoders, and attention walks them in
 //!   the quantized domain: the q·k inner product runs over integer codes
 //!   with one power-of-two scale multiply per shared-exponent block
-//!   ([`opal_tensor::ops::dot_codes`]), and V aggregation dequantizes
-//!   per-element on the walk. Copy-on-write clones packed codes exactly
-//!   like it clones `f32` rows, so prefix sharing is format-agnostic.
+//!   ([`opal_tensor::ops::dot_codes`]), and V aggregation dequantizes on
+//!   the walk, eight codes at a time where the CPU allows
+//!   ([`opal_tensor::ops::axpy_codes`]). The walk visits each cached row
+//!   once for all heads (`PagedKv::scores_into`,
+//!   `PagedKv::weighted_values_into`): the two methods that know the page
+//!   formats. Copy-on-write clones packed codes exactly like it clones
+//!   `f32` rows, so prefix sharing is format-agnostic.
 //!
 //! Dropping the last `Arc` to a block returns its storage to the pool's
 //! free list, so releasing a sequence (retirement, cancellation, or a
@@ -478,17 +482,18 @@ impl QuantPage {
         }
     }
 
-    /// The page's rows as borrowed [`QuantRow`] views, in position order.
-    fn rows(
+    /// Row `row` of the page as a borrowed [`QuantRow`] view.
+    fn row(
         &self,
+        row: usize,
         w: usize,
         qpr: usize,
         nout: usize,
         bits: u32,
         qblock: usize,
-    ) -> impl Iterator<Item = QuantRow<'_>> + '_ {
+    ) -> QuantRow<'_> {
         let cw = code_slots(bits, w);
-        (0..self.out_len.len() / qpr).map(move |row| QuantRow {
+        QuantRow {
             codes: &self.codes[row * cw..(row + 1) * cw],
             scales: &self.scales[row * qpr..(row + 1) * qpr],
             out_idx: &self.out_idx[row * qpr * nout..(row + 1) * qpr * nout],
@@ -498,14 +503,14 @@ impl QuantPage {
             bits,
             qblock,
             nout,
-        })
+        }
     }
 }
 
 /// A borrowed view of one quantized KV row, walkable without full
 /// dequantization.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct QuantRow<'a> {
+struct QuantRow<'a> {
     codes: &'a [i8],
     scales: &'a [i16],
     out_idx: &'a [u16],
@@ -554,7 +559,7 @@ impl QuantRow<'_> {
     /// overlapping shared-exponent block, plus exact bf16 outlier terms.
     /// Accumulation order is fixed (ascending blocks, then slot order), so
     /// the result is bit-deterministic.
-    pub(crate) fn dot_range(&self, q: &[f32], start: usize) -> f32 {
+    fn dot_range(&self, q: &[f32], start: usize) -> f32 {
         let end = start + q.len();
         debug_assert!(end <= self.width, "column range out of row");
         let mut acc = 0.0f64;
@@ -584,7 +589,7 @@ impl QuantRow<'_> {
     /// `0..ctx.len()` — V aggregation by dequantize-on-walk: each code is
     /// rescaled by its block's power-of-two step in place, outlier slots
     /// contribute their exact bf16 value (their codes are `0`).
-    pub(crate) fn axpy_range(&self, w: f32, start: usize, ctx: &mut [f32]) {
+    fn axpy_range(&self, w: f32, start: usize, ctx: &mut [f32]) {
         let end = start + ctx.len();
         debug_assert!(end <= self.width, "column range out of row");
         for qb in start / self.qblock..=(end - 1) / self.qblock {
@@ -597,9 +602,7 @@ impl QuantRow<'_> {
                     *c += w * (f32::from(self.packed_code(e)) * step);
                 }
             } else {
-                for (c, &code) in ctx[lo - start..hi - start].iter_mut().zip(&self.codes[lo..hi]) {
-                    *c += w * (f32::from(code) * step);
-                }
+                ops::axpy_codes(w, step, &self.codes[lo..hi], &mut ctx[lo - start..hi - start]);
             }
             let so = qb * self.nout;
             for slot in so..so + usize::from(self.out_len[qb]) {
@@ -819,50 +822,186 @@ impl PagedKv {
         }
     }
 
-    /// The first `len` cached K rows of `layer`, in position order
-    /// (exact pools).
-    pub(crate) fn k_rows(&self, layer: usize, len: usize) -> impl Iterator<Item = &[f32]> + '_ {
-        let w = self.pool.width();
-        self.layers[layer].iter().flat_map(move |b| b.k.exact().chunks_exact(w)).take(len)
+    /// The pages holding the first `len` cached positions of `layer`, in
+    /// position order: `(position of the page's first row, how many of its
+    /// rows lie inside len, the block)`.
+    fn pages(&self, layer: usize, len: usize) -> impl Iterator<Item = (usize, usize, &KvBlock)> {
+        let bs = self.pool.block_size();
+        self.layers[layer].iter().enumerate().map_while(move |(i, block)| {
+            let t0 = i * bs;
+            (t0 < len).then(|| (t0, bs.min(len - t0), &**block))
+        })
     }
 
-    /// The first `len` cached V rows of `layer`, in position order
-    /// (exact pools).
-    pub(crate) fn v_rows(&self, layer: usize, len: usize) -> impl Iterator<Item = &[f32]> + '_ {
-        let w = self.pool.width();
-        self.layers[layer].iter().flat_map(move |b| b.v.exact().chunks_exact(w)).take(len)
+    /// Whether a quantized pool's pages take the one-visit-per-row walk:
+    /// one code per `i8` slot, and every head's `dh` columns inside a single
+    /// shared-exponent block. Nibble-packed pages and geometries where a
+    /// head straddles a block go through [`QuantRow`] per (row, head).
+    fn heads_fit_qblocks(&self, n_heads: usize, dh: usize) -> bool {
+        let (bits, qblock, _) = self.pool.quant_params();
+        bits > 4 && (0..n_heads).all(|h| h * dh / qblock == ((h + 1) * dh - 1) / qblock)
     }
 
-    /// The first `len` cached quantized K rows of `layer`, in position
-    /// order (quantized pools).
-    pub(crate) fn k_qrows(
+    /// Attention scores of one query row against the first `len` cached K
+    /// rows of `layer`, for all heads, head-major:
+    /// `out[h * len + t] = (q_h · k_{t,h}) * scale` with `q` the `n_heads`
+    /// head vectors end to end.
+    ///
+    /// Exact pages score each head with [`ops::dot`] over the block table.
+    /// Quantized pages are visited **once per row for all heads**, with the
+    /// codes, scales and outlier slots sliced once per page: per (row, head)
+    /// one [`ops::dot_codes`], one power-of-two scale multiply and the exact
+    /// bf16 outlier terms, accumulated exactly as [`QuantRow::dot_range`]
+    /// does — which stays the path for the geometries
+    /// [`PagedKv::heads_fit_qblocks`] turns away, and the oracle the tests
+    /// hold this walk to.
+    pub(crate) fn scores_into(
         &self,
         layer: usize,
         len: usize,
-    ) -> impl Iterator<Item = QuantRow<'_>> + '_ {
+        q: &[f32],
+        n_heads: usize,
+        scale: f32,
+        out: &mut [f32],
+    ) {
         let w = self.pool.width();
+        let dh = w / n_heads;
+        debug_assert!(len > 0 && q.len() == w && out.len() == n_heads * len, "score shape");
+        if !self.quantized() {
+            for (h, out) in out.chunks_exact_mut(len).enumerate() {
+                let q_h = &q[h * dh..(h + 1) * dh];
+                for (t0, rows, block) in self.pages(layer, len) {
+                    let k_rows = block.k.exact().chunks_exact(w);
+                    for (score, k_row) in out[t0..t0 + rows].iter_mut().zip(k_rows) {
+                        *score = ops::dot(q_h, &k_row[h * dh..(h + 1) * dh]) * scale;
+                    }
+                }
+            }
+            return;
+        }
         let (bits, qblock, nout) = self.pool.quant_params();
         let qpr = self.pool.qblocks_per_row();
-        self.layers[layer]
-            .iter()
-            .flat_map(move |b| b.k.quant().rows(w, qpr, nout, bits, qblock))
-            .take(len)
+        if !self.heads_fit_qblocks(n_heads, dh) {
+            for (t0, rows, block) in self.pages(layer, len) {
+                let page = block.k.quant();
+                for r in 0..rows {
+                    let row = page.row(r, w, qpr, nout, bits, qblock);
+                    for h in 0..n_heads {
+                        out[h * len + t0 + r] =
+                            row.dot_range(&q[h * dh..(h + 1) * dh], h * dh) * scale;
+                    }
+                }
+            }
+            return;
+        }
+        for (t0, rows, block) in self.pages(layer, len) {
+            let page = block.k.quant();
+            let codes = page.codes[..rows * w].chunks_exact(w);
+            let scales = page.scales[..rows * qpr].chunks_exact(qpr);
+            let out_len = page.out_len[..rows * qpr].chunks_exact(qpr);
+            for (r, ((codes, scales), out_len)) in codes.zip(scales).zip(out_len).enumerate() {
+                for h in 0..n_heads {
+                    let (lo, hi) = (h * dh, (h + 1) * dh);
+                    let qb = lo / qblock;
+                    let step = step_size(i32::from(scales[qb]), bits);
+                    let mut acc = 0.0f64;
+                    acc += f64::from(step) * f64::from(ops::dot_codes(&q[lo..hi], &codes[lo..hi]));
+                    let so = (r * qpr + qb) * nout;
+                    let live = so + usize::from(out_len[qb]);
+                    for (&idx, val) in page.out_idx[so..live].iter().zip(&page.out_val[so..live]) {
+                        let idx = qb * qblock + usize::from(idx);
+                        if idx >= lo && idx < hi {
+                            acc += f64::from(q[idx]) * f64::from(val.to_f32());
+                        }
+                    }
+                    out[h * len + t0 + r] = acc as f32 * scale;
+                }
+            }
+        }
     }
 
-    /// The first `len` cached quantized V rows of `layer`, in position
-    /// order (quantized pools).
-    pub(crate) fn v_qrows(
+    /// The attention-weighted sum of the first `len` cached V rows of
+    /// `layer`, for all heads, accumulated into `ctx`:
+    /// `ctx[h * dh + j] += Σ_t weights[h * len + t] · v_{t, h * dh + j}`,
+    /// rows in position order, a row whose weight is exactly `0.0` skipped.
+    ///
+    /// The counterpart of [`PagedKv::scores_into`], with the same three
+    /// walks: exact pages per head over the block table; quantized pages
+    /// once per row for all heads, each (row, head) one
+    /// [`ops::axpy_codes`] plus the exact bf16 outlier terms, in
+    /// [`QuantRow::axpy_range`]'s order; and `axpy_range` itself per
+    /// (row, head) elsewhere.
+    pub(crate) fn weighted_values_into(
         &self,
         layer: usize,
         len: usize,
-    ) -> impl Iterator<Item = QuantRow<'_>> + '_ {
+        weights: &[f32],
+        n_heads: usize,
+        ctx: &mut [f32],
+    ) {
         let w = self.pool.width();
+        let dh = w / n_heads;
+        debug_assert!(len > 0 && ctx.len() == w && weights.len() == n_heads * len, "value shape");
+        if !self.quantized() {
+            for (h, weights) in weights.chunks_exact(len).enumerate() {
+                let ctx_h = &mut ctx[h * dh..(h + 1) * dh];
+                for (t0, rows, block) in self.pages(layer, len) {
+                    let v_rows = block.v.exact().chunks_exact(w);
+                    for (&wt, v_row) in weights[t0..t0 + rows].iter().zip(v_rows) {
+                        if wt == 0.0 {
+                            continue;
+                        }
+                        for (c, &vv) in ctx_h.iter_mut().zip(&v_row[h * dh..(h + 1) * dh]) {
+                            *c += wt * vv;
+                        }
+                    }
+                }
+            }
+            return;
+        }
         let (bits, qblock, nout) = self.pool.quant_params();
         let qpr = self.pool.qblocks_per_row();
-        self.layers[layer]
-            .iter()
-            .flat_map(move |b| b.v.quant().rows(w, qpr, nout, bits, qblock))
-            .take(len)
+        if !self.heads_fit_qblocks(n_heads, dh) {
+            for (t0, rows, block) in self.pages(layer, len) {
+                let page = block.v.quant();
+                for r in 0..rows {
+                    let row = page.row(r, w, qpr, nout, bits, qblock);
+                    for h in 0..n_heads {
+                        let wt = weights[h * len + t0 + r];
+                        if wt != 0.0 {
+                            row.axpy_range(wt, h * dh, &mut ctx[h * dh..(h + 1) * dh]);
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        for (t0, rows, block) in self.pages(layer, len) {
+            let page = block.v.quant();
+            let codes = page.codes[..rows * w].chunks_exact(w);
+            let scales = page.scales[..rows * qpr].chunks_exact(qpr);
+            let out_len = page.out_len[..rows * qpr].chunks_exact(qpr);
+            for (r, ((codes, scales), out_len)) in codes.zip(scales).zip(out_len).enumerate() {
+                for h in 0..n_heads {
+                    let wt = weights[h * len + t0 + r];
+                    if wt == 0.0 {
+                        continue;
+                    }
+                    let (lo, hi) = (h * dh, (h + 1) * dh);
+                    let qb = lo / qblock;
+                    let step = step_size(i32::from(scales[qb]), bits);
+                    ops::axpy_codes(wt, step, &codes[lo..hi], &mut ctx[lo..hi]);
+                    let so = (r * qpr + qb) * nout;
+                    let live = so + usize::from(out_len[qb]);
+                    for (&idx, val) in page.out_idx[so..live].iter().zip(&page.out_val[so..live]) {
+                        let idx = qb * qblock + usize::from(idx);
+                        if idx >= lo && idx < hi {
+                            ctx[idx] += wt * val.to_f32();
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Whether any layer's tail block is mapped by someone else (an append
@@ -946,6 +1085,21 @@ mod tests {
         Arc::new(BlockPool::with_scheme(bs, w, usize::MAX, scheme))
     }
 
+    /// The cached K row (or V row) at `pos` of layer 0 as a [`QuantRow`].
+    fn qrow(kv: &PagedKv, pos: usize, value: bool) -> QuantRow<'_> {
+        let (bits, qblock, nout) = kv.pool.quant_params();
+        let bs = kv.pool.block_size();
+        let block = &kv.layers[0][pos / bs];
+        let page = if value { block.v.quant() } else { block.k.quant() };
+        page.row(pos % bs, kv.pool.width(), kv.pool.qblocks_per_row(), nout, bits, qblock)
+    }
+
+    /// The cached exact K row at `pos` of layer 0.
+    fn exact_k_row(kv: &PagedKv, pos: usize) -> &[f32] {
+        let (bs, w) = (kv.pool.block_size(), kv.pool.width());
+        &kv.layers[0][pos / bs].k.exact()[pos % bs * w..(pos % bs + 1) * w]
+    }
+
     #[test]
     fn quant_walk_matches_reference_decode() {
         let w = 20;
@@ -963,7 +1117,8 @@ mod tests {
                 kv.append_rows_quant(0, i, 1, row, row, &mut enc);
             }
             // Reference: the fused quantize-dequantize of each row.
-            for (row, qrow) in rows.iter().zip(kv.k_qrows(0, 5)) {
+            for (i, row) in rows.iter().enumerate() {
+                let qrow = qrow(&kv, i, false);
                 let mut reference = vec![0.0f32; w];
                 match scheme {
                     KvScheme::MxOpal { bits, qblock, outliers } => {
@@ -1006,13 +1161,98 @@ mod tests {
         let q = MxOpalQuantizer::new(4, 8, 2).unwrap();
         let mut reference = vec![0.0f32; w];
         q.quantize_dequantize_scratch(&row, &mut reference, &mut enc);
-        let qrow = kv.k_qrows(0, 1).next().unwrap();
+        let qrow = qrow(&kv, 0, false);
         // A head slice straddling the quant-block boundary at column 8.
         let query = test_row(8, 9);
         let got = qrow.dot_range(&query, 4);
         let want: f64 =
             query.iter().zip(&reference[4..12]).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
         assert!((f64::from(got) - want).abs() < 1e-4);
+    }
+
+    #[test]
+    fn page_walks_are_bitwise_the_per_row_per_head_kernels() {
+        // `scores_into` / `weighted_values_into` against one `ops::dot` or
+        // `dot_range` (and one scaled add or `axpy_range`) per (row, head):
+        // every page format, the two quantized walks (the presets' heads
+        // fit their shared-exponent blocks; `qblock` 8 under 12-wide heads
+        // straddles, as does a nibble-packed page by rule), pages of one
+        // row, pages the length ends inside, and weights that are exactly
+        // zero.
+        let straddling = KvScheme::MxOpal { bits: 8, qblock: 8, outliers: 2 };
+        let shared_block = KvScheme::MxOpal { bits: 6, qblock: 16, outliers: 3 };
+        for (w, n_heads, scheme) in [
+            (128usize, 4usize, KvScheme::Exact),
+            (128, 4, KvScheme::mxopal()),
+            (128, 4, KvScheme::mxint()),
+            (128, 4, KvScheme::mxopal4()),
+            (24, 2, straddling),
+            (24, 3, shared_block),
+        ] {
+            let dh = w / n_heads;
+            for bs in [1usize, 3, 16] {
+                let pool = quant_pool(scheme, bs, w);
+                let mut kv = PagedKv::new(Arc::clone(&pool), 1);
+                let mut enc = EncodeScratch::new();
+                // Three rows past the longest length walked: a walk that
+                // overruns `len` reads real data and shows.
+                for pos in 0..40 {
+                    let (mut k, mut v) = (test_row(w, pos as u32), test_row(w, 1000 + pos as u32));
+                    k[pos * 5 % w] *= 30.0;
+                    v[pos * 11 % w] *= -30.0;
+                    if scheme.quantized() {
+                        kv.append_rows_quant(0, pos, 1, &k, &v, &mut enc);
+                    } else {
+                        let (k_dst, v_dst) = kv.rows_mut(0, pos, 1);
+                        k_dst.copy_from_slice(&k);
+                        v_dst.copy_from_slice(&v);
+                    }
+                }
+                let q = test_row(w, 77);
+                for len in [1usize, 5, 37] {
+                    let what = format!("{} w {w} heads {n_heads} bs {bs} len {len}", scheme.name());
+                    let mut scores = vec![f32::NAN; n_heads * len];
+                    kv.scores_into(0, len, &q, n_heads, 0.25, &mut scores);
+                    let weights: Vec<f32> = (0..n_heads * len)
+                        .map(|i| if i % 3 == 1 { 0.0 } else { 0.5f32.powi(i as i32 % 7) })
+                        .collect();
+                    // Negative zeros: adding a skipped row's `0.0 * v`
+                    // would turn them positive.
+                    let mut base = test_row(w, 99);
+                    base.iter_mut().step_by(4).for_each(|c| *c = -0.0);
+                    let mut ctx = base.clone();
+                    kv.weighted_values_into(0, len, &weights, n_heads, &mut ctx);
+
+                    let mut want_ctx = base;
+                    for h in 0..n_heads {
+                        let (lo, hi) = (h * dh, (h + 1) * dh);
+                        for t in 0..len {
+                            let wt = weights[h * len + t];
+                            let want = if scheme.quantized() {
+                                if wt != 0.0 {
+                                    qrow(&kv, t, true).axpy_range(wt, lo, &mut want_ctx[lo..hi]);
+                                }
+                                qrow(&kv, t, false).dot_range(&q[lo..hi], lo) * 0.25
+                            } else {
+                                let (bi, r) = (t / bs, t % bs);
+                                let v_row = &kv.layers[0][bi].v.exact()[r * w..(r + 1) * w];
+                                for (c, &vv) in want_ctx[lo..hi].iter_mut().zip(&v_row[lo..hi]) {
+                                    if wt != 0.0 {
+                                        *c += wt * vv;
+                                    }
+                                }
+                                ops::dot(&q[lo..hi], &exact_k_row(&kv, t)[lo..hi]) * 0.25
+                            };
+                            let got = scores[h * len + t];
+                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: score h{h} t{t}");
+                        }
+                    }
+                    for (j, (got, want)) in ctx.iter().zip(&want_ctx).enumerate() {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what}: ctx[{j}]");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1065,11 +1305,11 @@ mod tests {
         assert_eq!(p.in_use(), 6, "3 blocks per layer for 5 rows of block size 2");
         kv.truncate(3);
         assert_eq!(p.in_use(), 4, "2 blocks per layer survive a truncate to 3 rows");
-        let rows: Vec<Vec<f32>> = kv.k_rows(0, 3).map(<[f32]>::to_vec).collect();
-        assert_eq!(rows, vec![vec![0.0; 4], vec![1.0; 4], vec![2.0; 4]]);
+        let rows: Vec<&[f32]> = (0..3).map(|pos| exact_k_row(&kv, pos)).collect();
+        assert_eq!(rows, vec![&[0.0; 4], &[1.0; 4], &[2.0; 4]]);
         // The cache accepts appends again at the truncated position.
         kv.rows_mut(0, 3, 1).0.copy_from_slice(&[9.0; 4]);
-        assert_eq!(kv.k_rows(0, 4).last().unwrap(), &[9.0; 4]);
+        assert_eq!(exact_k_row(&kv, 3), &[9.0; 4]);
         // Truncating to a block boundary keeps exactly the full blocks.
         kv.truncate(2);
         assert_eq!(kv.layers[0].len(), 1);
@@ -1106,11 +1346,11 @@ mod tests {
         kv.append_rows_quant(0, 0, 4, &flat[..4 * w], &flat[..4 * w], &mut enc);
         kv.append_rows_quant(0, 4, 2, &flat[4 * w..], &flat[4 * w..], &mut enc);
         let q = MxIntQuantizer::new(4, 4).unwrap();
-        for (row, qrow) in rows.iter().zip(kv.k_qrows(0, 6)) {
+        for (i, row) in rows.iter().enumerate() {
             let mut reference = vec![0.0f32; w];
             q.quantize_dequantize_into(row, &mut reference);
             let mut ctx = vec![0.0f32; w];
-            qrow.axpy_range(1.0, 0, &mut ctx);
+            qrow(&kv, i, false).axpy_range(1.0, 0, &mut ctx);
             for (j, (&got, &want)) in ctx.iter().zip(&reference).enumerate() {
                 assert!((got - want).abs() < 1e-6, "col {j}: {got} vs {want}");
             }

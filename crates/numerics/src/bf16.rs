@@ -62,6 +62,7 @@ impl Bf16 {
     /// This matches the rounding performed by hardware BF16 converters
     /// (e.g. the Int-to-FP unit feeding the OPAL FP adder tree). NaN inputs
     /// produce a quiet NaN; values that overflow round to infinity.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
         let bits = value.to_bits();
         if value.is_nan() {
@@ -179,6 +180,7 @@ impl Bf16 {
     ///
     /// NaNs order above everything (so they would be "preserved" rather than
     /// silently quantized, surfacing upstream bugs).
+    #[inline]
     pub fn abs_cmp(self, other: Self) -> Ordering {
         match (self.is_nan(), other.is_nan()) {
             (true, true) => Ordering::Equal,

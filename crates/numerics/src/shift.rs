@@ -22,7 +22,8 @@ pub enum Rounding {
     /// This is what a bare right-shifter does and is the behaviour drawn in
     /// Fig. 2(b) of the paper, where small elements underflow to zero.
     Truncate,
-    /// Round to nearest, ties away from zero, on the shifted-out bits.
+    /// Round to nearest, ties to even, on the shifted-out bits (the rule
+    /// [`Bf16::from_f32`] uses).
     ///
     /// One extra adder in hardware; used as the accuracy reference.
     #[default]
@@ -54,51 +55,47 @@ pub enum Rounding {
 /// // value 12.0 = 1.5 * 2^3 -> q = 12 / 2^(3-2) = 6.
 /// let q = shift_quantize(Bf16::from_f32(12.0), 3, 4, Rounding::NearestEven);
 /// assert_eq!(q, 6);
+///
+/// // A tie goes to the even neighbour: 5.0 is 2.5 steps and stays at 2,
+/// // 7.0 is 3.5 steps and goes up to 4. Truncation drops the half.
+/// assert_eq!(shift_quantize(Bf16::from_f32(5.0), 3, 4, Rounding::NearestEven), 2);
+/// assert_eq!(shift_quantize(Bf16::from_f32(7.0), 3, 4, Rounding::NearestEven), 4);
+/// assert_eq!(shift_quantize(Bf16::from_f32(-7.0), 3, 4, Rounding::Truncate), -3);
 /// ```
+// Branch-free on purpose: the MX-OPAL encoders call this once per element,
+// and on activation data the round-up and the sign are coin flips, so a
+// branch on either mispredicts every other element. Everything below is a
+// select or an arithmetic identity; `tests::reference` keeps the branching
+// form as the oracle.
+#[inline]
 pub fn shift_quantize(x: Bf16, shared_scale: i32, bits: u32, rounding: Rounding) -> i32 {
     assert!((2..=8).contains(&bits), "element bit-width must be 2..=8");
-    if x.is_zero() || x.is_subnormal() {
-        return 0;
-    }
     debug_assert!(!x.is_nan() && !x.is_infinite(), "non-finite input {x:?}");
 
+    let raw = i32::from(x.to_bits());
+    let field = (raw >> 7) & 0xFF; // biased exponent
+    let sig = 0x80 | (raw & 0x7F); // 8-bit 1.M, units of 2^-7
     let qmax = (1i32 << (bits - 1)) - 1;
-    let sig = x.significand() as u64; // 8-bit 1.M, units of 2^-7
-    let exp = x.unbiased_exponent();
 
     // q_exact = sig * 2^(exp - 7 - (shared_scale - (bits - 2)))
     //         = sig * 2^(exp - shared_scale + bits - 9)
-    let shift = (shared_scale - exp) + 9 - bits as i32;
-    let magnitude: i64 = if shift <= 0 {
-        // Element exponent above the shared scale: the value overflows the
-        // integer range (possible when a caller clamps scales); saturate.
-        let left = (-shift).min(32) as u32;
-        ((sig as i64) << left).min(i64::from(qmax) + 1)
-    } else if shift >= 64 {
-        0
-    } else {
-        let shift = shift as u32;
-        let kept = (sig >> shift) as i64;
-        match rounding {
-            Rounding::Truncate => kept,
-            Rounding::NearestEven => {
-                let dropped = sig & ((1u64 << shift) - 1);
-                let half = 1u64 << (shift - 1);
-                if dropped > half || (dropped == half && kept & 1 == 1) {
-                    kept + 1
-                } else {
-                    kept
-                }
-            }
-        }
-    };
-
-    let magnitude = magnitude.min(i64::from(qmax)) as i32;
-    if x.is_sign_negative() {
-        -magnitude
-    } else {
-        magnitude
-    }
+    let shift = shared_scale - (field - Bf16::EXPONENT_BIAS) + 9 - bits as i32;
+    // An 8-bit significand shifted right by 9 or more is 0 under either
+    // rounding, so every larger shift is that one.
+    let sh = shift.clamp(1, 9) as u32;
+    let kept = sig >> sh;
+    let dropped = sig & ((1 << sh) - 1);
+    let half = 1 << (sh - 1);
+    let round_up = matches!(rounding, Rounding::NearestEven)
+        & ((dropped > half) | ((dropped == half) & (kept & 1 == 1)));
+    // Element exponent above the shared scale (`shift <= 0`, possible when a
+    // caller clamps scales): a normal significand is at least 2^7 > qmax
+    // before any left shift, so the value saturates.
+    let magnitude = if shift <= 0 { qmax } else { (kept + i32::from(round_up)).min(qmax) };
+    // Zero and subnormals flush to zero.
+    let magnitude = if field == 0 { 0 } else { magnitude };
+    let neg = -(raw >> 15); // 0, or -1 when the sign bit is set
+    (magnitude ^ neg) - neg
 }
 
 /// Reconstructs the real value represented by a quantized integer `q` under
@@ -114,18 +111,21 @@ pub fn shift_quantize(x: Bf16, shared_scale: i32, bits: u32, rounding: Rounding)
 ///
 /// assert_eq!(shift_dequantize(6, 3, 4), 12.0);
 /// ```
+#[inline]
 pub fn shift_dequantize(q: i32, shared_scale: i32, bits: u32) -> f32 {
     q as f32 * exp2i(shared_scale - (bits as i32 - 2))
 }
 
 /// The quantization step size for a given shared scale and bit-width:
 /// `2^(shared_scale - (bits - 2))`.
+#[inline]
 pub fn step_size(shared_scale: i32, bits: u32) -> f32 {
     exp2i(shared_scale - (bits as i32 - 2))
 }
 
 /// Computes `2^e` for integer `e`, saturating to 0 / infinity outside the
 /// `f32` range. Exact for `e` in `[-126, 127]`.
+#[inline]
 pub fn exp2i(e: i32) -> f32 {
     if e >= 128 {
         f32::INFINITY
@@ -153,6 +153,80 @@ mod tests {
 
     fn q(x: f32, s: i32, b: u32, r: Rounding) -> i32 {
         shift_quantize(Bf16::from_f32(x), s, b, r)
+    }
+
+    /// The branching form of [`shift_quantize`], one arm per case of Fig. 2:
+    /// what the function was before it went branch-free, kept as its oracle.
+    fn reference(x: Bf16, shared_scale: i32, bits: u32, rounding: Rounding) -> i32 {
+        if x.is_zero() || x.is_subnormal() {
+            return 0;
+        }
+        let qmax = (1i32 << (bits - 1)) - 1;
+        let sig = x.significand() as u64; // 8-bit 1.M, units of 2^-7
+        let exp = x.unbiased_exponent();
+
+        let shift = (shared_scale - exp) + 9 - bits as i32;
+        let magnitude: i64 = if shift <= 0 {
+            // Element exponent above the shared scale: saturate.
+            let left = (-shift).min(32) as u32;
+            ((sig as i64) << left).min(i64::from(qmax) + 1)
+        } else if shift >= 64 {
+            0
+        } else {
+            let shift = shift as u32;
+            let kept = (sig >> shift) as i64;
+            match rounding {
+                Rounding::Truncate => kept,
+                Rounding::NearestEven => {
+                    let dropped = sig & ((1u64 << shift) - 1);
+                    let half = 1u64 << (shift - 1);
+                    if dropped > half || (dropped == half && kept & 1 == 1) {
+                        kept + 1
+                    } else {
+                        kept
+                    }
+                }
+            }
+        };
+
+        let magnitude = magnitude.min(i64::from(qmax)) as i32;
+        if x.is_sign_negative() {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    #[test]
+    fn branch_free_body_matches_the_branching_reference() {
+        // Every sign and significand, against every right shift the body
+        // distinguishes (1..=9), the saturating side (<= 0) and far past the
+        // point where everything has shifted out; at an exponent field of 0
+        // (zero and subnormals), the two ends of the normal range and the
+        // middle. `shift = scale - exp + 9 - bits` fixes the scale.
+        let mut cases = 0u32;
+        for field in [0u16, 1, 127, 254] {
+            let exp = i32::from(field.max(1)) - Bf16::EXPONENT_BIAS;
+            for sign in [0u16, 0x8000] {
+                for mantissa in 0u16..128 {
+                    let x = Bf16::from_bits(sign | (field << 7) | mantissa);
+                    for bits in 2u32..=8 {
+                        for shift in -40i32..=70 {
+                            let scale = shift + exp - 9 + bits as i32;
+                            for r in [Rounding::Truncate, Rounding::NearestEven] {
+                                assert_eq!(
+                                    shift_quantize(x, scale, bits, r),
+                                    reference(x, scale, bits, r),
+                                    "x={x:?} scale={scale} bits={bits} {r:?} (shift {shift})"
+                                );
+                                cases += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * 2 * 128 * 7 * 111 * 2);
     }
 
     #[test]

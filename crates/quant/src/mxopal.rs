@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 
+use opal_numerics::shift::step_size;
 use opal_numerics::{shift_dequantize, shift_quantize, Bf16, Rounding};
 
 use crate::{QuantError, Quantizer};
@@ -13,7 +14,7 @@ use crate::{QuantError, Quantizer};
 /// plans first, then a tensor-wide scale before any element can be encoded
 /// — so unlike the block-local formats it must stage intermediate state
 /// somewhere. This type owns that state: the bfloat16 image of the row, the
-/// top-magnitude selection buffer, and the per-block scale/outlier plans.
+/// top-magnitude selection buffers, and the per-block scale/outlier plans.
 /// Buffers grow to the largest row ever encoded and are reused verbatim
 /// afterwards, so a steady-state decode loop that owns one `EncodeScratch`
 /// per sequence performs no heap allocation in the quantizer.
@@ -25,6 +26,8 @@ use crate::{QuantError, Quantizer};
 pub struct EncodeScratch {
     /// bf16 image of the input row.
     bf: Vec<Bf16>,
+    /// Selection keys of the block being ranked (see [`select_top`]).
+    keys: Vec<u32>,
     /// Block-local indices of the top `n + 1` magnitudes, in stable rank
     /// order (the prefix of the allocating path's full descending sort).
     top: Vec<usize>,
@@ -41,6 +44,59 @@ impl EncodeScratch {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Longest block [`select_top`] ranks by key: the index takes the low 15
+/// bits of a key.
+const KEYED_BLOCK_MAX: usize = 1 << 15;
+
+/// Leaves in `top` the block-local indices of the `n + 1` largest
+/// magnitudes of `block`, in the order the allocating encoder's stable
+/// descending sort by [`Bf16::abs_cmp`] puts them (equal magnitudes by
+/// ascending index). Requires `n < block.len()`.
+///
+/// Element `j` gets the key `(mag << 15) | (0x7FFF - j)`, `mag` being its
+/// low 15 bits with every NaN mapped to `0x8000` — `abs_cmp`'s order, NaNs
+/// equal to each other and above everything. Keys are distinct, and
+/// descending key order is descending magnitude with ties to the earlier
+/// index, so the `r`-th largest key names rank `r`: take the maximum
+/// `n + 1` times, reading the index back out of the key and clearing it.
+/// One branch-free pass builds the keys and each pull is a plain `max`
+/// reduction, where an insertion scan compares and branches per element
+/// per kept entry. A cleared key is 0, which only the last element of a
+/// full 32 768-block of zeros shares, and it names that element.
+fn select_top(block: &[Bf16], n: usize, keys: &mut Vec<u32>, top: &mut Vec<usize>) {
+    debug_assert!(n < block.len(), "the scale needs an (n+1)-th element");
+    top.clear();
+    if block.len() > KEYED_BLOCK_MAX {
+        // Stable top-(n+1) insertion — element j displaces kept entries
+        // only when strictly larger, so equal magnitudes keep
+        // ascending-index order exactly like the stable sort.
+        for (j, &v) in block.iter().enumerate() {
+            let pos = top
+                .iter()
+                .position(|&e| block[e].abs_cmp(v) == Ordering::Less)
+                .unwrap_or(top.len());
+            if pos <= n {
+                top.insert(pos, j);
+                top.truncate(n + 1);
+            }
+        }
+        return;
+    }
+    keys.clear();
+    keys.extend(block.iter().zip((0..=0x7FFFu32).rev()).map(|(v, low)| {
+        let mag = u32::from(v.to_bits() & 0x7FFF);
+        let mag = if mag > 0x7F80 { 0x8000 } else { mag };
+        (mag << 15) | low
+    }));
+    for _ in 0..=n {
+        let best = keys.iter().fold(0, |m, &k| m.max(k));
+        let j = 0x7FFF - (best & 0x7FFF) as usize;
+        keys[j] = 0;
+        // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
+        top.push(j);
     }
 }
 
@@ -302,6 +358,44 @@ impl MxOpalQuantizer {
         }
     }
 
+    /// Pass 1 of both scratch encoders: the bf16 image of `x`, then per
+    /// block the preserved-outlier positions and the natural scale (the
+    /// exponent of the (n+1)-th largest magnitude, [`select_top`]'s last
+    /// pick), all left in `s`. Returns the tensor-global scale: the same
+    /// rule as [`MxOpalQuantizer::quantize`] — every block offset must fit
+    /// in 4 bits, low blocks clamp upward.
+    fn plan_blocks(&self, x: &[f32], s: &mut EncodeScratch) -> i32 {
+        s.bf.clear();
+        s.bf.extend(x.iter().map(|&v| Bf16::from_f32(v)));
+        s.block_scales.clear();
+        s.outlier_idx.clear();
+        s.outlier_end.clear();
+
+        let mut scale_range: Option<(i32, i32)> = None;
+        let mut start = 0;
+        for block in s.bf.chunks(self.block_size) {
+            let n = self.outliers.min(block.len() - 1);
+            select_top(block, n, &mut s.keys, &mut s.top);
+            let scale_elem = block[s.top[n]];
+            let scale = if scale_elem.is_zero() || scale_elem.is_subnormal() {
+                None
+            } else {
+                Some(scale_elem.unbiased_exponent())
+            };
+            if let Some(sc) = scale {
+                scale_range =
+                    Some(scale_range.map_or((sc, sc), |(lo, hi)| (lo.min(sc), hi.max(sc))));
+            }
+            // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
+            s.block_scales.push(scale);
+            s.outlier_idx.extend(s.top[..n].iter().map(|&j| start + j));
+            // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
+            s.outlier_end.push(s.outlier_idx.len());
+            start += block.len();
+        }
+        scale_range.map_or(0, |(lo, hi)| lo.max(hi - MAX_OFFSET))
+    }
+
     /// The fused, allocation-free round trip behind
     /// [`Quantizer::quantize_dequantize_scratch`]: encodes and reconstructs
     /// `x` in two passes over `scratch`, producing bit-for-bit the values of
@@ -322,63 +416,7 @@ impl MxOpalQuantizer {
     /// Panics if `out.len() != x.len()`.
     pub fn quantize_dequantize_fused(&self, x: &[f32], out: &mut [f32], s: &mut EncodeScratch) {
         assert_eq!(out.len(), x.len(), "output length mismatch");
-        s.bf.clear();
-        s.bf.extend(x.iter().map(|&v| Bf16::from_f32(v)));
-        s.block_scales.clear();
-        s.outlier_idx.clear();
-        s.outlier_end.clear();
-
-        // Pass 1: per-block outlier selection and natural scales, tracking
-        // the scale range for the global-scale rule.
-        let mut scale_min: Option<i32> = None;
-        let mut scale_max: Option<i32> = None;
-        let mut start = 0;
-        while start < x.len() {
-            let end = (start + self.block_size).min(x.len());
-            let n = self.outliers.min(end - start - 1);
-            // Stable top-(n+1) selection over |bf16| — element j displaces
-            // kept entries only when strictly larger, so equal magnitudes
-            // keep ascending-index order exactly like the stable sort.
-            s.top.clear();
-            for j in 0..end - start {
-                let v = s.bf[start + j];
-                let mut pos = s.top.len();
-                for (t, &e) in s.top.iter().enumerate() {
-                    if s.bf[start + e].abs_cmp(v) == Ordering::Less {
-                        pos = t;
-                        break;
-                    }
-                }
-                if pos <= n {
-                    s.top.insert(pos, j);
-                    s.top.truncate(n + 1);
-                }
-            }
-            // Shared scale = exponent of the (n+1)-th largest magnitude.
-            let scale_elem = s.bf[start + s.top[n]];
-            let scale = if scale_elem.is_zero() || scale_elem.is_subnormal() {
-                None
-            } else {
-                Some(scale_elem.unbiased_exponent())
-            };
-            if let Some(sc) = scale {
-                scale_min = Some(scale_min.map_or(sc, |m| m.min(sc)));
-                scale_max = Some(scale_max.map_or(sc, |m| m.max(sc)));
-            }
-            // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
-            s.block_scales.push(scale);
-            s.outlier_idx.extend(s.top[..n].iter().map(|&j| start + j));
-            // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
-            s.outlier_end.push(s.outlier_idx.len());
-            start = end;
-        }
-
-        // Global scale: same rule as `quantize` — every block offset must
-        // fit in 4 bits, low blocks clamp upward.
-        let global_scale = match (scale_min, scale_max) {
-            (Some(lo), Some(hi)) => lo.max(hi - MAX_OFFSET),
-            _ => 0,
-        };
+        let global_scale = self.plan_blocks(x, s);
 
         // Pass 2: round-trip each block at its clamped scale, then restore
         // the preserved outliers exactly.
@@ -389,12 +427,10 @@ impl MxOpalQuantizer {
             let scale = block_scale
                 .map(|sc| sc.clamp(global_scale, global_scale + MAX_OFFSET))
                 .unwrap_or(global_scale);
+            // `shift_dequantize` with its power-of-two step taken once.
+            let step = step_size(scale, self.bits);
             for (o, &v) in out[start..end].iter_mut().zip(&s.bf[start..end]) {
-                *o = shift_dequantize(
-                    shift_quantize(v, scale, self.bits, self.rounding),
-                    scale,
-                    self.bits,
-                );
+                *o = shift_quantize(v, scale, self.bits, self.rounding) as f32 * step;
             }
             let outlier_end = s.outlier_end[b];
             for &i in &s.outlier_idx[outlier_start..outlier_end] {
@@ -445,56 +481,7 @@ impl MxOpalQuantizer {
         assert_eq!(out_idx.len(), blocks * self.outliers, "outlier index length mismatch");
         assert_eq!(out_val.len(), blocks * self.outliers, "outlier value length mismatch");
         assert_eq!(out_len.len(), blocks, "outlier count length mismatch");
-        s.bf.clear();
-        s.bf.extend(x.iter().map(|&v| Bf16::from_f32(v)));
-        s.block_scales.clear();
-        s.outlier_idx.clear();
-        s.outlier_end.clear();
-
-        // Pass 1: identical to `quantize_dequantize_fused`.
-        let mut scale_min: Option<i32> = None;
-        let mut scale_max: Option<i32> = None;
-        let mut start = 0;
-        while start < x.len() {
-            let end = (start + self.block_size).min(x.len());
-            let n = self.outliers.min(end - start - 1);
-            s.top.clear();
-            for j in 0..end - start {
-                let v = s.bf[start + j];
-                let mut pos = s.top.len();
-                for (t, &e) in s.top.iter().enumerate() {
-                    if s.bf[start + e].abs_cmp(v) == Ordering::Less {
-                        pos = t;
-                        break;
-                    }
-                }
-                if pos <= n {
-                    s.top.insert(pos, j);
-                    s.top.truncate(n + 1);
-                }
-            }
-            let scale_elem = s.bf[start + s.top[n]];
-            let scale = if scale_elem.is_zero() || scale_elem.is_subnormal() {
-                None
-            } else {
-                Some(scale_elem.unbiased_exponent())
-            };
-            if let Some(sc) = scale {
-                scale_min = Some(scale_min.map_or(sc, |m| m.min(sc)));
-                scale_max = Some(scale_max.map_or(sc, |m| m.max(sc)));
-            }
-            // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
-            s.block_scales.push(scale);
-            s.outlier_idx.extend(s.top[..n].iter().map(|&j| start + j));
-            // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
-            s.outlier_end.push(s.outlier_idx.len());
-            start = end;
-        }
-
-        let global_scale = match (scale_min, scale_max) {
-            (Some(lo), Some(hi)) => lo.max(hi - MAX_OFFSET),
-            _ => 0,
-        };
+        let global_scale = self.plan_blocks(x, s);
 
         // Pass 2: emit codes at each block's clamped effective scale, zero
         // the outlier positions, and record the preserved values.
@@ -547,7 +534,7 @@ impl MxOpalQuantizer {
         for b in 0..blocks {
             let start = b * self.block_size;
             let end = (start + self.block_size).min(codes.len());
-            let step = opal_numerics::shift::step_size(i32::from(scales[b]), self.bits);
+            let step = step_size(i32::from(scales[b]), self.bits);
             for (o, &c) in out[start..end].iter_mut().zip(&codes[start..end]) {
                 *o = f32::from(c) * step;
             }
@@ -786,6 +773,46 @@ mod tests {
         assert_fused_matches(&q, &[], &mut scratch);
         // Subnormal-only block: natural scale is None.
         assert_fused_matches(&q, &[1e-41, -1e-41, 0.0, 1e-40], &mut scratch);
+    }
+
+    /// `select_top` against the allocating encoder's ranking: the stable
+    /// descending sort by `abs_cmp`.
+    fn assert_top_matches_sort(block: &[Bf16], n: usize) {
+        let mut order: Vec<usize> = (0..block.len()).collect();
+        order.sort_by(|&a, &b| block[b].abs_cmp(block[a]));
+        let (mut keys, mut top) = (Vec::new(), Vec::new());
+        select_top(block, n, &mut keys, &mut top);
+        assert_eq!(top, order[..=n], "len {} n {n}", block.len());
+    }
+
+    #[test]
+    fn select_top_ranks_nans_ties_and_zeros_like_the_stable_sort() {
+        // NaNs of different payloads and signs are one magnitude above
+        // infinity; everything else repeats, so rank is decided by index.
+        let pool = [
+            0x7FC0u16, 0x4000, 0xC000, 0x0000, 0x8000, 0x7F81, 0x0001, 0x8001, 0x7F80, 0xFFFF,
+            0x4000, 0x3F00, 0xFF80, 0x7F7F, 0x0000, 0xFFC1, 0xC000, 0x3F00,
+        ];
+        let block: Vec<Bf16> =
+            (0..131).map(|i| Bf16::from_bits(pool[(i * 7 + i / 18) % pool.len()])).collect();
+        for len in [1usize, 2, 5, 18, 131] {
+            for n in [0, 1, 4, len / 2, len - 1] {
+                assert_top_matches_sort(&block[..len], n.min(len - 1));
+            }
+        }
+    }
+
+    #[test]
+    fn select_top_at_the_key_width_boundary() {
+        // The longest keyed block, its last index in play; one element
+        // more takes the insertion loop.
+        let mut block = vec![Bf16::ZERO; KEYED_BLOCK_MAX];
+        assert_top_matches_sort(&block, 3);
+        block[KEYED_BLOCK_MAX - 1] = Bf16::ONE;
+        block[7] = Bf16::NEG_ONE;
+        block.push(Bf16::ONE);
+        assert_top_matches_sort(&block[..KEYED_BLOCK_MAX], 3);
+        assert_top_matches_sort(&block, 3);
     }
 
     #[test]

@@ -19,6 +19,30 @@ fn block(len: usize) -> impl Strategy<Value = Vec<f32>> {
         })
 }
 
+/// Rows built to make the top-`(n + 1)` selection's tie-breaks decide the
+/// encoding: a handful of repeated magnitudes under both signs, signed
+/// zeros and subnormals, with a few distinct values between them — and, in
+/// a build without debug assertions (`cargo test --release`), NaNs of
+/// either sign. The scratch encoders quantize outlier positions before
+/// overwriting them, so in a debug build a NaN trips `shift_quantize`'s
+/// finite-input assertion; `select_top`'s unit tests rank NaNs in every
+/// build.
+fn tie_heavy_row(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec((0u32..12, -3.0f32..3.0), len).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(class, x)| match class {
+                0 | 1 => 2.0f32.copysign(x),
+                2 => 0.5f32.copysign(x),
+                3 => 96.0f32.copysign(x),
+                4 | 5 => 0.0f32.copysign(x),
+                6 => 1.0e-40f32.copysign(x),
+                7 if !cfg!(debug_assertions) => f32::NAN.copysign(x),
+                _ => x,
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -78,6 +102,87 @@ proptest! {
             let into_bits: Vec<u32> = into.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&spec_bits, &fused_bits, "scratch path diverged, len {}", len);
             prop_assert_eq!(&spec_bits, &into_bits, "into path diverged, len {}", len);
+        }
+    }
+
+    #[test]
+    fn mxopal_keyed_selection_matches_the_allocating_sort(
+        x in tie_heavy_row(300),
+        bits in 2u32..=8,
+        n in 0usize..8,
+        size_sel in 0usize..5,
+    ) {
+        // The scratch encoders pick each block's outliers and scale element
+        // by repeated maximum over (magnitude, reversed index) keys; the
+        // allocating `quantize` sorts the whole block stably by `abs_cmp`.
+        // On rows where most magnitudes repeat, which elements are kept,
+        // in which rank order, and which one sets the scale all hang on the
+        // tie-break — and the rank order is the slot order of a KV page,
+        // which the attention walk sums in. Block sizes cover a block of
+        // one element, one with exactly `n + 1`, one past 128, and short
+        // final blocks with `outliers >= len - 1`.
+        let block_size = [1usize, n + 1, 129, 7, 32][size_sel];
+        let n = n.min(block_size - 1);
+        let q = MxOpalQuantizer::new(bits, block_size, n).unwrap();
+        let mut scratch = EncodeScratch::new();
+        for len in [1usize, 2, n + 1, n + 2, block_size + 1, 129, 2 * block_size + n, 300] {
+            let mut x = x[..len.min(x.len())].to_vec();
+            let len = x.len();
+            // A NaN past a block's outlier budget would reach
+            // `shift_quantize`, whose contract excludes non-finite input.
+            for chunk in x.chunks_mut(block_size) {
+                let budget = n.min(chunk.len() - 1);
+                for v in chunk.iter_mut().filter(|v| v.is_nan()).skip(budget) {
+                    *v = 448.0;
+                }
+            }
+            let qpr = len.div_ceil(block_size);
+            let mut codes = vec![0i8; len];
+            let mut scales = vec![0i16; qpr];
+            let mut out_idx = vec![0u16; qpr * n];
+            let mut out_val = vec![opal_numerics::Bf16::ZERO; qpr * n];
+            let mut out_len = vec![0u8; qpr];
+            q.encode_row_scratch(
+                &x, &mut codes, &mut scales, &mut out_idx, &mut out_val, &mut out_len,
+                &mut scratch,
+            );
+            let spec = q.quantize(&x);
+            for (b, block) in spec.blocks.iter().enumerate() {
+                let start = b * block_size;
+                let bf: Vec<opal_numerics::Bf16> = x[start..start + block.elements.len()]
+                    .iter()
+                    .map(|&v| opal_numerics::Bf16::from_f32(v))
+                    .collect();
+                let mut order: Vec<usize> = (0..bf.len()).collect();
+                order.sort_by(|&a, &b| bf[b].abs_cmp(bf[a]));
+                let kept = usize::from(out_len[b]);
+                prop_assert_eq!(kept, n.min(bf.len() - 1), "len {} block {}", len, b);
+                let slots = b * n..b * n + kept;
+                let ranked: Vec<usize> =
+                    out_idx[slots.clone()].iter().map(|&i| usize::from(i)).collect();
+                prop_assert_eq!(&ranked, &order[..kept], "rank order, len {} block {}", len, b);
+                let mut pairs: Vec<(u8, u16)> = out_idx[slots.clone()]
+                    .iter()
+                    .zip(&out_val[slots])
+                    .map(|(&i, v)| (i as u8, v.to_bits()))
+                    .collect();
+                pairs.sort_unstable();
+                let want: Vec<(u8, u16)> =
+                    block.outliers.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+                prop_assert_eq!(&pairs, &want, "outliers, len {} block {}", len, b);
+                prop_assert_eq!(
+                    i32::from(scales[b]),
+                    spec.global_scale + i32::from(block.scale_offset),
+                    "scale, len {} block {}", len, b
+                );
+                let got: Vec<i32> = codes[start..start + bf.len()].iter().map(|&c| c.into()).collect();
+                prop_assert_eq!(&got, &block.elements, "codes, len {} block {}", len, b);
+            }
+            let mut fused = vec![0.0f32; len];
+            q.quantize_dequantize_scratch(&x, &mut fused, &mut scratch);
+            let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
+            let spec_bits: Vec<u32> = spec.dequantize().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&fused_bits, &spec_bits, "round trip, len {}", len);
         }
     }
 

@@ -79,20 +79,25 @@ impl Log2Softmax {
     }
 
     /// As [`Log2Softmax::codes`], writing the shift codes into a
-    /// caller-provided slice — the allocation-free kernel used by the token
-    /// decode hot path.
+    /// caller-provided slice (allocation-free).
     ///
-    /// The exponentials are evaluated in two streaming passes (once for the
-    /// adder-tree sum, once per element) so no intermediate buffer is
-    /// needed; both passes produce identical bf16 fields, so the codes are
-    /// bit-identical to the allocating API.
+    /// A `u8` output has no room to park an exponential, so they are
+    /// evaluated in two streaming passes (once for the adder-tree sum, once
+    /// per element); both passes produce identical bf16 fields, so the
+    /// codes are bit-identical to the allocating API and to the codes
+    /// behind [`Log2Softmax::probs_into`].
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != scores.len()`.
     pub fn codes_into(&self, scores: &[f32], out: &mut [u8]) {
         assert_eq!(out.len(), scores.len(), "output length mismatch");
-        self.for_each_code(scores, out, |o, code| *o = code);
+        let max = row_max(scores);
+        let sum: f32 = scores.iter().map(|&s| exp_bf16(s, max).to_f32()).sum();
+        let sum = Bf16::from_f32(sum);
+        for (o, &s) in out.iter_mut().zip(scores) {
+            *o = self.code_of(exp_bf16(s, max), sum);
+        }
     }
 
     /// The approximated attention weights `2^{−a_i}`.
@@ -103,86 +108,46 @@ impl Log2Softmax {
     }
 
     /// As [`Log2Softmax::probs`], writing the weights into a caller-provided
-    /// slice (allocation-free; see [`Log2Softmax::codes_into`]).
+    /// slice — the allocation-free kernel used by the token decode hot path.
+    ///
+    /// One `exp` per score: each bf16 exponential is parked in its output
+    /// slot (a bf16 is exact in `f32`) while the adder-tree sum runs over
+    /// them in order, then turned into `2^{−a_i}` in place.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != scores.len()`.
     pub fn probs_into(&self, scores: &[f32], out: &mut [f32]) {
         assert_eq!(out.len(), scores.len(), "output length mismatch");
-        self.for_each_code(scores, out, |o, code| *o = exp2i(-i32::from(code)));
-    }
-
-    /// Batched [`Log2Softmax::codes_into`] over the rows of a causal score
-    /// matrix: row `r` holds `lens[r]` valid scores (its causal prefix) and
-    /// gets its shift codes written to the same prefix of the output row;
-    /// the tails of both are ignored. Each row is the exact single-row
-    /// kernel, so the codes are bit-identical to `codes_into` per row —
-    /// this is the chunked-prefill entry point, where one layer pass scores
-    /// a whole block of query positions against the KV cache at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lens.len() != scores.rows()`, any `lens[r]` exceeds the
-    /// score width, or `out` is shorter than `scores.len()` (row-major,
-    /// same stride as `scores`).
-    pub fn codes_rows_into(&self, scores: &Matrix, lens: &[usize], out: &mut [u8]) {
-        assert_eq!(lens.len(), scores.rows(), "row length count mismatch");
-        assert!(out.len() >= scores.len(), "output buffer too short");
-        for (r, &len) in lens.iter().enumerate() {
-            let start = r * scores.cols();
-            self.codes_into(&scores.row(r)[..len], &mut out[start..start + len]);
-        }
-    }
-
-    /// Batched [`Log2Softmax::probs_into`] over the rows of a causal score
-    /// matrix (see [`Log2Softmax::codes_rows_into`] for the ragged-row
-    /// convention): attention weights `2^{−a}` land in the `lens[r]` prefix
-    /// of each output row, bit-identical to `probs_into` per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lens.len() != scores.rows()`, any `lens[r]` exceeds the
-    /// score width, or `out` has a different shape than `scores`.
-    pub fn probs_rows_into(&self, scores: &Matrix, lens: &[usize], out: &mut Matrix) {
-        assert_eq!(lens.len(), scores.rows(), "row length count mismatch");
-        assert_eq!((out.rows(), out.cols()), (scores.rows(), scores.cols()), "shape mismatch");
-        for (r, &len) in lens.iter().enumerate() {
-            self.probs_into(&scores.row(r)[..len], &mut out.row_mut(r)[..len]);
-        }
-    }
-
-    /// The shared streaming Eq. (3) kernel: computes the shift code of each
-    /// score and hands it to `emit` with the matching output slot, so
-    /// [`Log2Softmax::codes_into`] and [`Log2Softmax::probs_into`] cannot
-    /// drift apart.
-    fn for_each_code<T>(&self, scores: &[f32], out: &mut [T], mut emit: impl FnMut(&mut T, u8)) {
-        if scores.is_empty() {
-            return;
-        }
-        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        // e^{x_i - max} in bf16, as produced by the exp stage;
-        // Σ e^{x_i} accumulated in bf16 precision (FP adder tree output).
-        let exp_bf16 = |s: f32| Bf16::from_f32((s - max).exp());
-        let sum: f32 = scores.iter().map(|&s| exp_bf16(s).to_f32()).sum();
-        let sum = Bf16::from_f32(sum);
-        let (e_sum, m_sum) = (sum.unbiased_exponent(), i32::from(sum.mantissa()));
-
+        let max = row_max(scores);
+        let mut sum = 0.0f32;
         for (o, &s) in out.iter_mut().zip(scores) {
-            let e = exp_bf16(s);
-            let code = if e.is_zero() {
-                self.max_code()
-            } else {
-                let (e_i, m_i) = (e.unbiased_exponent(), i32::from(e.mantissa()));
-                // Eq. (3): integer exponent subtraction + mantissa comparator.
-                let diff = m_i - m_sum;
-                let correction = if diff.abs() >= 64 { diff.signum() } else { 0 };
-                let log2_p = (e_i - e_sum) + correction;
-                // log2(p) <= 0 up to the ±1 mantissa approximation; clip.
-                (-log2_p).clamp(0, i32::from(self.max_code())) as u8
-            };
-            emit(o, code);
+            *o = exp_bf16(s, max).to_f32();
+            sum += *o;
         }
+        let sum = Bf16::from_f32(sum);
+        for o in out.iter_mut() {
+            // The parked value is a bf16: its high half, exactly.
+            let e = Bf16::from_bits((o.to_bits() >> 16) as u16);
+            *o = exp2i(-i32::from(self.code_of(e, sum)));
+        }
+    }
+
+    /// Eq. (3) for one element: the shift code of the bf16 exponential `e`
+    /// against `sum`, the row's `Σ e^{x_i}` in bf16 (the FP adder tree's
+    /// output) — an exponent subtractor, a mantissa comparator and a clip.
+    /// The one place the rule lives, so codes and weights cannot drift
+    /// apart.
+    #[inline]
+    fn code_of(&self, e: Bf16, sum: Bf16) -> u8 {
+        if e.is_zero() {
+            return self.max_code();
+        }
+        let diff = i32::from(e.mantissa()) - i32::from(sum.mantissa());
+        let correction = if diff.abs() >= 64 { diff.signum() } else { 0 };
+        let log2_p = (e.unbiased_exponent() - sum.unbiased_exponent()) + correction;
+        // log2(p) <= 0 up to the ±1 mantissa approximation; clip.
+        (-log2_p).clamp(0, i32::from(self.max_code())) as u8
     }
 
     /// Shift-and-accumulate `Attn·V` (Fig. 5(e)): `Σ_j V_j · 2^{−a_j}`.
@@ -216,6 +181,17 @@ impl Log2Softmax {
         }
         weighted_value_sum(&weights, v)
     }
+}
+
+/// The streaming row maximum the hardware subtracts for overflow safety.
+fn row_max(scores: &[f32]) -> f32 {
+    scores.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// `e^{s − max}` in bf16, as produced by the exp stage.
+#[inline]
+fn exp_bf16(s: f32, max: f32) -> Bf16 {
+    Bf16::from_f32((s - max).exp())
 }
 
 #[cfg(test)]
@@ -338,8 +314,17 @@ mod tests {
     fn into_variants_and_code_prob_pairing_agree() {
         let sm = Log2Softmax::new(5);
         let mut rng = TensorRng::seed(13);
-        for len in [1usize, 2, 7, 33] {
-            let scores: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 2.0)).collect();
+        // The two kernels reach the code by different routes (`codes_into`
+        // evaluates each exponential twice, `probs_into` parks it in the
+        // output), so they are compared over enough rows that a parked
+        // value one mantissa step off, or a sum taken in another order,
+        // lands on a comparator threshold somewhere; the widest, most
+        // spread row reaches the clip and exponentials that underflow bf16
+        // to zero.
+        let shapes = [(1usize, 2.0f32), (2, 2.0), (7, 2.0), (33, 2.0), (257, 6.0), (1024, 40.0)];
+        let many = (0..300).map(|i| (48 + i % 40, 0.5 + (i % 16) as f32 * 0.5));
+        for (len, spread) in shapes.into_iter().chain(many) {
+            let scores: Vec<f32> = (0..len).map(|_| rng.normal(0.0, spread)).collect();
             let mut codes = vec![0u8; len];
             sm.codes_into(&scores, &mut codes);
             assert_eq!(codes, sm.codes(&scores));
@@ -352,40 +337,6 @@ mod tests {
                 assert_eq!(p, exp2i(-i32::from(a)));
             }
         }
-    }
-
-    #[test]
-    fn batched_rows_match_single_row_kernels() {
-        // Causal layout: row r of a chunk scores positions 0..=r+base.
-        let sm = Log2Softmax::new(5);
-        let mut rng = TensorRng::seed(29);
-        let (rows, cols) = (5usize, 9usize);
-        let scores = rng.normal_matrix(rows, cols, 0.0, 2.0);
-        let lens: Vec<usize> = (0..rows).map(|r| cols - rows + r + 1).collect();
-
-        let mut probs = Matrix::zeros(rows, cols);
-        sm.probs_rows_into(&scores, &lens, &mut probs);
-        let mut codes = vec![0u8; rows * cols];
-        sm.codes_rows_into(&scores, &lens, &mut codes);
-
-        for (r, &len) in lens.iter().enumerate() {
-            let want_p = sm.probs(&scores.row(r)[..len]);
-            let want_c = sm.codes(&scores.row(r)[..len]);
-            assert_eq!(&probs.row(r)[..len], want_p.as_slice(), "row {r}");
-            assert_eq!(&codes[r * cols..r * cols + len], want_c.as_slice(), "row {r}");
-            // Tails untouched.
-            assert!(probs.row(r)[len..].iter().all(|&v| v == 0.0));
-            assert!(codes[r * cols + len..(r + 1) * cols].iter().all(|&c| c == 0));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "row length count mismatch")]
-    fn batched_rows_reject_bad_lens() {
-        let sm = Log2Softmax::new(5);
-        let scores = Matrix::zeros(2, 4);
-        let mut out = Matrix::zeros(2, 4);
-        sm.probs_rows_into(&scores, &[1], &mut out);
     }
 
     #[test]

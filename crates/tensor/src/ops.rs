@@ -102,6 +102,36 @@ pub fn dot_codes(a: &[f32], codes: &[i8]) -> f32 {
     s
 }
 
+/// `ctx[j] += w * (f32::from(codes[j]) * step)` — one quantized V row's
+/// contribution to an attention context, dequantized on the walk: each
+/// integer code is rescaled by its block's power-of-two `step`, weighted by
+/// the attention weight `w` and accumulated. Two unfused multiplies and an
+/// add per element, in that association, on every path: the portable loop
+/// is the spec, and on x86-64 with AVX2 (detected at run time) the same
+/// three operations run eight codes at a time, bit-identically.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub fn axpy_codes(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) {
+    assert_eq!(ctx.len(), codes.len(), "axpy_codes length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::axpy_codes(w, step, codes, ctx) {
+        return;
+    }
+    axpy_codes_portable(w, step, codes, ctx);
+}
+
+/// The loop of [`axpy_codes`] as portable code: the spec the wide path is
+/// tested against, and the path on CPUs without it.
+#[inline]
+pub(crate) fn axpy_codes_portable(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) {
+    for (c, &code) in ctx.iter_mut().zip(codes) {
+        *c += w * (f32::from(code) * step);
+    }
+}
+
 /// LayerNorm over the last dimension of each row, with learnable gain and
 /// bias (the OPT family uses LayerNorm).
 ///
@@ -363,6 +393,47 @@ mod tests {
         let exact: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum();
         assert_eq!(dot(&a, &b), exact as f32);
         assert_eq!(dot(&[], &[]).to_bits(), (-0.0f32).to_bits());
+    }
+
+    #[test]
+    fn axpy_codes_dispatch_is_bitwise_the_portable_loop() {
+        #[cfg(target_arch = "x86_64")]
+        let wide = crate::simd::axpy_codes_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let wide = false;
+        if !wide {
+            use std::io::Write;
+            let _ = writeln!(
+                std::io::stderr(),
+                "note: opal-tensor axpy_codes equivalence test: no AVX2 on this host, \
+                 both sides ran the portable path"
+            );
+        }
+        // Every code value, steps from subnormal to huge, weights including
+        // a subnormal product and a negative zero, and one step that is not
+        // a power of two (the page walk never passes one, but only then
+        // does every multiply round, so the association shows); every tail
+        // length around the 8-wide chunk plus the model's row widths.
+        let codes: Vec<i8> = (0..344).map(|i| (i * 37 % 256) as u8 as i8).collect();
+        let base: Vec<f32> =
+            (0..344).map(|i| ((i * 29 % 31) as f32 - 15.0) * 0.37e-3 * (i % 5) as f32).collect();
+        for len in (0..=40).chain([128, 344]) {
+            for (w, step) in [
+                (0.25f32, 0.0078125f32),
+                (-0.0, 1.0),
+                (1.0e-20, 2.0f32.powi(-120)),
+                (3.0, 2.0f32.powi(100)),
+                (0.7310586, 2.0f32.powi(-149)),
+                (0.7310586, 0.3),
+            ] {
+                let (mut got, mut want) = (base[..len].to_vec(), base[..len].to_vec());
+                axpy_codes(w, step, &codes[..len], &mut got);
+                axpy_codes_portable(w, step, &codes[..len], &mut want);
+                for (j, (g, x)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), x.to_bits(), "len {len} w {w} step {step} [{j}]");
+                }
+            }
+        }
     }
 
     #[test]

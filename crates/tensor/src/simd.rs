@@ -1,24 +1,32 @@
-//! The [`crate::ops::dot`] lane schedule run for eight rows at once in
-//! 256-bit lanes (x86-64 with AVX) — the wide path of
-//! [`crate::Matrix::matvec_into`] and [`crate::Matrix::matmul_t_into`].
+//! The wide (x86-64 AVX / AVX2) instantiations of two portable kernels,
+//! chosen at run time and bit-identical to them.
 //!
-//! One `ops::dot` is one 4-wide `f64` dependency chain, so a row-at-a-time
-//! GEMV is bound by the latency of that chain. Rows are independent: a block
-//! keeps the four accumulators of each of up to eight rows in one `__m256d`
-//! (lane `k` is `ops::dot`'s `acc_k`) and walks them together, so eight
-//! chains are in flight against one conversion of the shared vector. Every
-//! output element still sees the addends of its own `ops::dot` in the same
-//! order, with an unfused multiply and add, so results are bit-identical to
-//! the portable loops — which stay the spec, the test oracle and the path on
-//! every other CPU.
+//! **The [`crate::ops::dot`] lane schedule, eight rows at once** — the wide
+//! path of [`crate::Matrix::matvec_into`] and
+//! [`crate::Matrix::matmul_t_into`]. One `ops::dot` is one 4-wide `f64`
+//! dependency chain, so a row-at-a-time GEMV is bound by the latency of that
+//! chain. Rows are independent: a block keeps the four accumulators of each
+//! of up to eight rows in one `__m256d` (lane `k` is `ops::dot`'s `acc_k`)
+//! and walks them together, so eight chains are in flight against one
+//! conversion of the shared vector. Every output element still sees the
+//! addends of its own `ops::dot` in the same order, with an unfused multiply
+//! and add, so results are bit-identical to the portable loops — which stay
+//! the spec, the test oracle and the path on every other CPU.
 //!
-//! Only value-taking intrinsics are used, which a `#[target_feature]` fn
-//! calls safely; the one `unsafe` operation is calling such a fn from
-//! ordinary code, done once per driver behind the runtime detection.
+//! **[`crate::ops::axpy_codes`], eight codes at once** (AVX2): the same two
+//! unfused multiplies and one add per element as the portable loop.
+//!
+//! A `#[target_feature]` fn calls value-taking intrinsics safely, so the
+//! `unsafe` operations are two kinds only: calling such a fn from ordinary
+//! code, once per driver behind the runtime detection; and the vector loads
+//! and stores of `axpy_codes_avx2`, each through a pointer taken from a
+//! fixed-size array reference out of `as_chunks` / `as_chunks_mut`.
 
 use std::arch::x86_64::{
-    __m256d, _mm256_add_pd, _mm256_castpd256_pd128, _mm256_cvtps_pd, _mm256_extractf128_pd,
-    _mm256_mul_pd, _mm256_set1_pd, _mm_cvtsd_f64, _mm_set_ps, _mm_unpackhi_pd,
+    __m256d, _mm256_add_pd, _mm256_add_ps, _mm256_castpd256_pd128, _mm256_cvtepi32_ps,
+    _mm256_cvtepi8_epi32, _mm256_cvtps_pd, _mm256_extractf128_pd, _mm256_loadu_ps, _mm256_mul_pd,
+    _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_storeu_ps, _mm_cvtsd_f64,
+    _mm_loadl_epi64, _mm_set_ps, _mm_unpackhi_pd,
 };
 
 /// Rows per full block: eight accumulators, the shared chunk and one
@@ -160,4 +168,49 @@ fn lanes(x: __m256d) -> [f64; 4] {
         _mm_cvtsd_f64(hi),
         _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)),
     ]
+}
+
+/// Whether [`axpy_codes`] runs its wide path on this CPU.
+pub(crate) fn axpy_codes_available() -> bool {
+    is_x86_feature_detected!("avx2")
+}
+
+/// [`crate::ops::axpy_codes`] for equal-length `codes` and `ctx`. Returns
+/// `false`, writing nothing, when the CPU lacks AVX2.
+#[inline]
+#[allow(unsafe_code)]
+pub(crate) fn axpy_codes(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) -> bool {
+    if !axpy_codes_available() {
+        return false;
+    }
+    // SAFETY: `axpy_codes_avx2`'s only requirement of its caller is the
+    // `avx2` target feature, which `axpy_codes_available()` has just
+    // detected on this CPU.
+    unsafe { axpy_codes_avx2(w, step, codes, ctx) };
+    true
+}
+
+/// Eight codes per step: sign-extend to `i32`, convert (exact), multiply by
+/// `step`, multiply by `w`, add to the context — the portable loop's three
+/// operations in its association, none fused. The sub-8 tail is that loop.
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+fn axpy_codes_avx2(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) {
+    let (codes8, codes_tail) = codes.as_chunks::<8>();
+    let (ctx8, ctx_tail) = ctx.as_chunks_mut::<8>();
+    let (wv, stepv) = (_mm256_set1_ps(w), _mm256_set1_ps(step));
+    for (c, x) in codes8.iter().zip(ctx8) {
+        // SAFETY: `c` is a `&[i8; 8]`, so the 8 bytes `_mm_loadl_epi64`
+        // reads are in bounds; it has no alignment requirement.
+        let raw = unsafe { _mm_loadl_epi64(c.as_ptr().cast()) };
+        let v = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw)), stepv);
+        // SAFETY: `x` is a `&mut [f32; 8]`, so the 8 floats the unaligned
+        // load reads are in bounds.
+        let acc = unsafe { _mm256_loadu_ps(x.as_ptr()) };
+        let sum = _mm256_add_ps(acc, _mm256_mul_ps(wv, v));
+        // SAFETY: `x` is a `&mut [f32; 8]`, exclusively borrowed, so the 8
+        // floats the unaligned store writes are in bounds and unaliased.
+        unsafe { _mm256_storeu_ps(x.as_mut_ptr(), sum) };
+    }
+    crate::ops::axpy_codes_portable(w, step, codes_tail, ctx_tail);
 }

@@ -196,8 +196,9 @@ fn multithreaded_pool_dispatch_allocations_are_bounded() {
 /// all `k` proposals. With `k = 1` each spec step commits 2 tokens, so
 /// sequence length after step `s` is `9 + 2(s - 1)`. Steps up to 8 still
 /// see one-time events — 16-row block boundaries at length 17 and the
-/// amortized width growth of the verify pass's `chunk × seq` score
-/// buffers — and the next block/doubling boundary is length 33 (step 13),
+/// amortized growth of the `n_heads × seq` score buffers the verify pass
+/// shares with decode — and the next block/doubling boundary is length 33
+/// (step 13),
 /// so steps 9..=12 are the pinned-zero window.
 #[test]
 fn speculative_decode_steady_state_is_allocation_free() {
