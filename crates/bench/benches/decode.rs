@@ -78,15 +78,13 @@ fn bench_prefill_paths(c: &mut Criterion) {
 fn bench_parallel_step(c: &mut Criterion) {
     let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 22).expect("valid scheme");
     let mut group = c.benchmark_group("serve_step_batch16_8tok");
-    // Auto at each thread count (what deployments run), then the forced
-    // dispatchers at 4 threads: pool-vs-scoped prices the per-step spawn
-    // overhead the persistent pool removes, cores notwithstanding.
-    let cases: [(&str, usize, StepMode); 5] = [
+    // Auto at each thread count (what deployments run), then the pool
+    // forced at 4 threads: what the dispatch costs, cores notwithstanding.
+    let cases: [(&str, usize, StepMode); 4] = [
         ("auto-1t", 1, StepMode::Auto),
         ("auto-2t", 2, StepMode::Auto),
         ("auto-4t", 4, StepMode::Auto),
         ("pool-4t", 4, StepMode::ForcePool),
-        ("scoped-4t", 4, StepMode::ForceScoped),
     ];
     for (name, threads, step_mode) in cases {
         group.bench_with_input(BenchmarkId::from_parameter(name), &threads, |b, &threads| {

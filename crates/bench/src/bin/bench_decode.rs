@@ -12,12 +12,11 @@
 //! at batch 16 against the sequential seed engine on the same model/scheme.
 //!
 //! Beyond the `optimized-{1,4}t` rows (the default `StepMode::Auto`
-//! dispatch), each case also measures `pool-4t` vs `scoped-4t` — forced
-//! fan-out through the persistent worker pool vs the old per-step
-//! `std::thread::scope` spawns — so the JSON prices the dispatch overhead
-//! the pool removes even on hosts where `Auto` correctly stays serial. A
-//! separate `mxopal_encode` section times the MX-OPAL row round trip,
-//! allocating API vs the reusable-scratch path the decode loop uses.
+//! dispatch), each case also measures `pool-4t` — fan-out through the
+//! persistent worker pool forced — so the JSON prices the dispatch even on
+//! hosts where `Auto` correctly stays serial. A separate `mxopal_encode`
+//! section times the MX-OPAL row round trip, allocating API vs the
+//! reusable-scratch path the decode loop uses.
 //!
 //! The `prefill_admission` section measures the fused multi-token prefill
 //! on a long prompt (fused vs token-at-a-time vs seed reference tokens/sec)
@@ -41,13 +40,17 @@
 //! quantized-domain attention walk, and the accuracy contract (max logit
 //! error plus greedy agreement under teacher forcing). The section
 //! *asserts* the acceptance floors: >= 3x bytes/token reduction, >= 2x
-//! resident sequences, >= 0.85x decode rate, 100% greedy agreement. The
-//! 4-bit preset (`mxopal4`) is measured alongside under the same byte
-//! budget with its own floors (deeper bytes/token reduction, >= 4x
-//! resident sequences, >= 0.75x decode rate). Next to each decode-rate
-//! ratio the section prints the page walk's added cost per token in
-//! microseconds: the ratio moves whenever the exact step changes speed,
-//! the added cost only when the walk does.
+//! resident sequences, 100% greedy agreement, and the page walk adding at
+//! most 0.18 of a batch-1 exact token per token. The 4-bit preset
+//! (`mxopal4`) is measured alongside under the same byte budget with its
+//! own floors (deeper bytes/token reduction, >= 4x resident sequences,
+//! walk <= 0.33 of a batch-1 token). The walk's cost is bounded in its
+//! own microseconds, against a token the same alternating rounds measure,
+//! because the decode-rate ratio printed next to it moves whenever the
+//! exact batch step changes speed and the added cost only when the walk
+//! does. The same rounds give the fusion floor: batch 16 on one thread
+//! decodes >= 1.15x the tok/s of batch 1 (one pass over the weights per
+//! step; 1.26-1.60x measured).
 //!
 //! The `spec_decode` section measures draft-and-verify speculative
 //! decoding against the plain engine on the same prompts at batch
@@ -251,14 +254,12 @@ fn bench_case(
             decode_tok_s: dec,
         });
         // `optimized-{1,4}t` is the deployment configuration (Auto decides
-        // whether fanning out can pay); `pool-4t`/`scoped-4t` force the two
-        // dispatchers so their fixed overhead is visible no matter the
-        // host's core count.
-        let engines: [(&str, usize, StepMode); 4] = [
+        // whether fanning out can pay); `pool-4t` forces the dispatch so
+        // its cost is visible no matter the host's core count.
+        let engines: [(&str, usize, StepMode); 3] = [
             ("optimized-1t", 1, StepMode::Auto),
             ("optimized-4t", 4, StepMode::Auto),
             ("pool-4t", 4, StepMode::ForcePool),
-            ("scoped-4t", 4, StepMode::ForceScoped),
         ];
         // On a single-core host every Auto configuration is the same
         // execution by construction — the cores gate serializes decode and
@@ -616,6 +617,10 @@ struct KvQuantStats {
     resident_quant: usize,
     residency_gain: f64,
     exact_tok_s: f64,
+    /// One sequence alone on the exact cache, from the same alternating
+    /// rounds: the yardstick the page walk's added cost is bounded against,
+    /// and the base of the fusion floor.
+    exact_b1_tok_s: f64,
     quant_tok_s: f64,
     tok_s_ratio: f64,
     max_logit_err: f32,
@@ -637,21 +642,20 @@ fn walk_added_us(quant_tok_s: f64, exact_tok_s: f64) -> f64 {
     1e6 / quant_tok_s - 1e6 / exact_tok_s
 }
 
-/// Batch decode throughput with each of the given KV page schemes
-/// (unbounded pool), best of `runs`. The schemes take turns inside every
-/// round: the host's speed drifts 10-20% over seconds, and what is asserted
-/// is the ratio between them.
+/// Decode throughput of each given (KV page scheme, batch size) on one
+/// thread (unbounded pool), best of `runs`. The cases take turns inside
+/// every round: the host's speed drifts 10-20% over seconds, and what is
+/// asserted is ratios between them.
 fn kv_decode_tok_s<const N: usize>(
     model: &Model,
-    schemes: [KvScheme; N],
-    batch: usize,
+    cases: [(KvScheme, usize); N],
     new_tokens: usize,
     runs: usize,
     seed: u64,
 ) -> [f64; N] {
     let mut best = [0.0f64; N];
     for _ in 0..runs {
-        for (best, &scheme) in best.iter_mut().zip(&schemes) {
+        for (best, &(scheme, batch)) in best.iter_mut().zip(&cases) {
             let config = ServeConfig {
                 max_batch: batch,
                 max_tokens: new_tokens,
@@ -778,8 +782,13 @@ fn bench_kv_quant(model: &Model, new_tokens: usize, smoke: bool, seed: u64) -> K
     // scheme's best is an undisturbed one (a round is ~0.3 s, ~50 ms in
     // the smoke run).
     let runs = 10;
-    let [exact_tok_s, quant_tok_s, quant4_tok_s] =
-        kv_decode_tok_s(model, [exact, quant, quant4], 16, new_tokens, runs, seed);
+    let [exact_tok_s, quant_tok_s, quant4_tok_s, exact_b1_tok_s] = kv_decode_tok_s(
+        model,
+        [(exact, 16), (quant, 16), (quant4, 16), (exact, 1)],
+        new_tokens,
+        runs,
+        seed,
+    );
 
     let (max_logit_err, greedy_agreement) =
         kv_accuracy(model, quant, if smoke { 12 } else { 24 }, seed);
@@ -796,6 +805,7 @@ fn bench_kv_quant(model: &Model, new_tokens: usize, smoke: bool, seed: u64) -> K
         resident_quant,
         residency_gain: resident_quant as f64 / resident_exact as f64,
         exact_tok_s,
+        exact_b1_tok_s,
         quant_tok_s,
         tok_s_ratio: quant_tok_s / exact_tok_s,
         max_logit_err,
@@ -878,17 +888,15 @@ fn spec_prompts(batch: usize, vocab: usize, seed: u64) -> Vec<Vec<u32>> {
 }
 
 /// Drains one engine over the speculative prompt set and prices every
-/// realized step on the OPAL reference platform. Host throughput is the
-/// best of `runs`; the modeled times come from the last run (the schedule
-/// is deterministic, so every run prices identically). Asserts the
-/// rollback contract: a clean audit and zero resident KV blocks after the
-/// drain.
+/// realized step on the OPAL reference platform (the schedule is
+/// deterministic, so every drain of a configuration prices identically;
+/// only the host throughput differs). Asserts the rollback contract: a
+/// clean audit and zero resident KV blocks after the drain.
 fn run_spec_engine(
     model: &Model,
     batch: usize,
     spec: Option<SpecConfig>,
     new_tokens: usize,
-    runs: usize,
     seed: u64,
 ) -> SpecEngineRun {
     use opal_hw::performance::{workload_latency, Platform};
@@ -904,114 +912,101 @@ fn run_spec_engine(
         }
         _ => None,
     };
-    let mut best: Option<SpecEngineRun> = None;
-    for _ in 0..runs {
-        let config = ServeConfig {
-            max_batch: batch,
-            max_tokens: new_tokens,
-            prefill_chunk: usize::MAX,
-            // No prefix cache: with sharing on, the trie deliberately
-            // retains full prompt blocks after retirement, which would
-            // mask the zero-blocks-after-rollback check below.
-            prefix_sharing: false,
-            spec,
-            ..ServeConfig::default()
-        };
-        let mut engine = ServeEngine::new(model, config);
-        let ids: Vec<_> = spec_prompts(batch, model.config().vocab, seed)
-            .iter()
-            .map(|p| engine.submit(p).expect("valid prompt"))
-            .collect();
-        // First step consumes every prompt plus one (non-speculative)
-        // decode round; excluded from decode timing as in
-        // `run_opt_engine_paged`.
-        engine.step();
-        let t = Instant::now();
-        let (mut generated, mut steps) = (0usize, 0u64);
-        let (mut drafted, mut accepted) = (0u64, 0u64);
-        let (mut modeled_decode_s, mut modeled_draft_s) = (0.0f64, 0.0f64);
-        while !engine.is_idle() {
-            let s = engine.step();
-            generated += s.generated;
-            drafted += s.drafted as u64;
-            accepted += s.accepted as u64;
-            steps += 1;
-            // Price the realized schedule: verify rows later rolled back
-            // still ran, so they are billed; the whole step shares one
-            // weight stream (`from_schedule` counts weight bytes once).
-            let mut contexts = Vec::new();
-            let mut dctx = Vec::new();
-            let mut wl = TokenWorkload::zero();
-            for w in engine.last_step_work() {
-                for i in 0..w.prefilled {
-                    contexts.push(w.prefill_start + i + 1);
-                }
-                if w.verify_rows > 0 {
-                    // Fused verify: `from_verify` streams the sequence's
-                    // shared paged KV once for all rows, where per-row
-                    // scheduling would re-read it each time. Weights are
-                    // zeroed here and charged once for the whole step.
-                    let mut v = TokenWorkload::from_verify(
-                        model.config(),
-                        &fmt,
-                        w.verify_start,
-                        w.verify_rows,
-                    );
-                    v.weight_bytes = 0.0;
-                    wl.accumulate(&v);
-                }
-                if let Some(c) = w.decode_context {
-                    contexts.push(c);
-                }
-                for i in 0..w.draft_rows {
-                    dctx.push(w.draft_start + i + 1);
-                }
+    let config = ServeConfig {
+        max_batch: batch,
+        max_tokens: new_tokens,
+        prefill_chunk: usize::MAX,
+        // No prefix cache: with sharing on, the trie deliberately
+        // retains full prompt blocks after retirement, which would
+        // mask the zero-blocks-after-rollback check below.
+        prefix_sharing: false,
+        spec,
+        ..ServeConfig::default()
+    };
+    let mut engine = ServeEngine::new(model, config);
+    let ids: Vec<_> = spec_prompts(batch, model.config().vocab, seed)
+        .iter()
+        .map(|p| engine.submit(p).expect("valid prompt"))
+        .collect();
+    // First step consumes every prompt plus one (non-speculative)
+    // decode round; excluded from decode timing as in
+    // `run_opt_engine_paged`.
+    engine.step();
+    let t = Instant::now();
+    let (mut generated, mut steps) = (0usize, 0u64);
+    let (mut drafted, mut accepted) = (0u64, 0u64);
+    let (mut modeled_decode_s, mut modeled_draft_s) = (0.0f64, 0.0f64);
+    while !engine.is_idle() {
+        let s = engine.step();
+        generated += s.generated;
+        drafted += s.drafted as u64;
+        accepted += s.accepted as u64;
+        steps += 1;
+        // Price the realized schedule: verify rows later rolled back
+        // still ran, so they are billed; the whole step shares one
+        // weight stream (`from_schedule` counts weight bytes once).
+        let mut contexts = Vec::new();
+        let mut dctx = Vec::new();
+        let mut wl = TokenWorkload::zero();
+        for w in engine.last_step_work() {
+            for i in 0..w.prefilled {
+                contexts.push(w.prefill_start + i + 1);
             }
-            let ran_verify = wl.kv_bytes > 0.0;
-            wl.accumulate(&TokenWorkload::from_schedule(model.config(), &fmt, &contexts));
-            if ran_verify && wl.weight_bytes == 0.0 {
-                wl.weight_bytes = model.config().decoder_params() as f64 * fmt.weight_bits / 8.0;
+            if w.verify_rows > 0 {
+                // Fused verify: `from_verify` streams the sequence's
+                // shared paged KV once for all rows, where per-row
+                // scheduling would re-read it each time. Weights are
+                // zeroed here and charged once for the whole step.
+                let mut v =
+                    TokenWorkload::from_verify(model.config(), &fmt, w.verify_start, w.verify_rows);
+                v.weight_bytes = 0.0;
+                wl.accumulate(&v);
             }
-            if !contexts.is_empty() || ran_verify {
-                modeled_decode_s += workload_latency(&wl, &fmt, &platform).total_s();
+            if let Some(c) = w.decode_context {
+                contexts.push(c);
             }
-            if let Some(dc) = &draft_cfg {
-                if !dctx.is_empty() {
-                    let wl = TokenWorkload::from_schedule(dc, &fmt, &dctx);
-                    modeled_draft_s += workload_latency(&wl, &fmt, &platform).total_s();
-                }
+            for i in 0..w.draft_rows {
+                dctx.push(w.draft_start + i + 1);
             }
         }
-        let host_tok_s = generated as f64 / t.elapsed().as_secs_f64();
-        let audit = engine.audit();
-        assert!(
-            audit.violations.is_empty(),
-            "spec decode audit violations: {:?}",
-            audit.violations
-        );
-        assert_eq!(engine.kv_blocks_in_use(), 0, "speculative rollback leaked KV blocks");
-        let report = engine.report(t.elapsed());
-        let tokens = ids
-            .iter()
-            .map(|id| report.request(*id).expect("request completed").tokens.clone())
-            .collect();
-        if best.as_ref().is_none_or(|b| host_tok_s > b.host_tok_s) {
-            best = Some(SpecEngineRun {
-                host_tok_s,
-                steps,
-                drafted,
-                accepted,
-                generated,
-                modeled_decode_s,
-                modeled_draft_s,
-                tokens,
-            });
-        } else if let Some(b) = &mut best {
-            b.host_tok_s = b.host_tok_s.max(host_tok_s);
+        let ran_verify = wl.kv_bytes > 0.0;
+        wl.accumulate(&TokenWorkload::from_schedule(model.config(), &fmt, &contexts));
+        if ran_verify && wl.weight_bytes == 0.0 {
+            wl.weight_bytes = model.config().decoder_params() as f64 * fmt.weight_bits / 8.0;
+        }
+        if !contexts.is_empty() || ran_verify {
+            modeled_decode_s += workload_latency(&wl, &fmt, &platform).total_s();
+        }
+        if let Some(dc) = &draft_cfg {
+            if !dctx.is_empty() {
+                let wl = TokenWorkload::from_schedule(dc, &fmt, &dctx);
+                modeled_draft_s += workload_latency(&wl, &fmt, &platform).total_s();
+            }
         }
     }
-    best.expect("at least one run")
+    let host_tok_s = generated as f64 / t.elapsed().as_secs_f64();
+    let audit = engine.audit();
+    assert!(audit.violations.is_empty(), "spec decode audit violations: {:?}", audit.violations);
+    assert_eq!(engine.kv_blocks_in_use(), 0, "speculative rollback leaked KV blocks");
+    let report = engine.report(t.elapsed());
+    let tokens = ids
+        .iter()
+        .map(|id| report.request(*id).expect("request completed").tokens.clone())
+        .collect();
+    SpecEngineRun {
+        host_tok_s,
+        steps,
+        drafted,
+        accepted,
+        generated,
+        modeled_decode_s,
+        modeled_draft_s,
+        tokens,
+    }
 }
+
+/// Alternating rounds per batch size in the `spec_decode` section.
+const SPEC_ROUNDS: usize = 4;
 
 /// The `spec_decode` section: draft-and-verify speculative decoding
 /// against the plain engine on the same prompts, at batch 1 / 4 / 16.
@@ -1019,14 +1014,16 @@ fn run_spec_engine(
 /// Two views per row, both from the same runs:
 ///
 /// - **host**: wall-clock decode tok/s of this simulator. A verify row
-///   costs the arithmetic of a decode row; what fusion saves is the
-///   weight stream: the proxy model's 3.2 MB stack comes from L3 once per
-///   sequence per step, while the k+1 rows of a fused pass share each
-///   weight row while it is in L1. Measured on the AVX GEMV path over
-///   five full runs: n-gram 1.04-1.18x plain at batch <= 4 and 0.92-1.13x
-///   at batch 16 (free draft, 84-95% acceptance), truncated-1 0.85-1.01x
-///   (its draft passes cost about what the accepted tokens save). The
-///   floor below guards the overhead, not a speed-up.
+///   costs the arithmetic of a decode row, and the plain engine's batch
+///   shares its pass over the weights just as a verify pass does, so what
+///   speculation saves the host is steps. Measured over ten full runs,
+///   plain and speculative drains alternating: n-gram 1.03-1.14x plain at
+///   batch 1, 1.01-1.16x at batch 4 and 0.90-1.01x at batch 16 (free
+///   draft, 84-95% acceptance; at batch 16 the rejected rows cost about
+///   what the steps save), truncated-1 0.76-0.86x at batch 1 and
+///   0.57-0.78x at batch 4 (its draft passes run per sequence and cost
+///   more than the accepted tokens save). The floor below guards the
+///   overhead, not a speed-up.
 /// - **modeled**: the identical realized schedules priced on the OPAL
 ///   reference platform (`opal_hw`), where batch-1..4 generation is
 ///   memory-bound on the weight stream and a fused verify pass costs one
@@ -1046,22 +1043,29 @@ fn bench_spec_decode(model: &Model, smoke: bool, seed: u64) -> SpecDecodeStats {
     let batches: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 16] };
     let mut rows = Vec::new();
     for &batch in batches {
-        let runs = if smoke || batch > 4 { 1 } else { 2 };
-        let plain = run_spec_engine(model, batch, None, new_tokens, runs, seed);
-        let modeled_plain_tok_s = plain.generated as f64 / plain.modeled_decode_s;
         let mut drafts = vec![("ngram", DraftSource::NGram)];
         if !smoke && batch <= 4 {
             drafts.push(("truncated-1", DraftSource::Truncated { layers: 1 }));
         }
-        for (name, draft) in drafts {
-            let spec = run_spec_engine(
-                model,
-                batch,
-                Some(SpecConfig { draft, k }),
-                new_tokens,
-                runs,
-                seed,
-            );
+        // The plain engine and every draft take turns inside each round,
+        // best drain of each kept: the host's speed drifts 10-20% over
+        // seconds, and what is asserted is the ratio between them.
+        let configs: Vec<Option<SpecConfig>> = std::iter::once(None)
+            .chain(drafts.iter().map(|&(_, draft)| Some(SpecConfig { draft, k })))
+            .collect();
+        let mut best: Vec<Option<SpecEngineRun>> = configs.iter().map(|_| None).collect();
+        for _ in 0..SPEC_ROUNDS {
+            for (best, &spec) in best.iter_mut().zip(&configs) {
+                let run = run_spec_engine(model, batch, spec, new_tokens, seed);
+                if best.as_ref().is_none_or(|b| run.host_tok_s > b.host_tok_s) {
+                    *best = Some(run);
+                }
+            }
+        }
+        let mut best = best.into_iter().map(|run| run.expect("at least one round"));
+        let plain = best.next().expect("the plain engine ran");
+        let modeled_plain_tok_s = plain.generated as f64 / plain.modeled_decode_s;
+        for ((name, _), spec) in drafts.into_iter().zip(best) {
             assert_eq!(
                 spec.tokens, plain.tokens,
                 "speculative decode diverged from greedy (draft {name}, batch {batch})"
@@ -1507,7 +1511,6 @@ fn main() {
     println!();
     let mut headline = f64::NAN;
     let mut speedup_lines = Vec::new();
-    let mut pool_lines = Vec::new();
     for (model, scheme) in [
         ("tiny", "bf16"),
         ("tiny", "mxopal_w4a47"),
@@ -1529,19 +1532,6 @@ fn main() {
         speedup_lines.push(format!(
             "    {{ \"model\": \"{model}\", \"scheme\": \"{scheme}\", \
              \"optimized_4t\": {s4:.3}, \"optimized_1t\": {s1:.3} }}"
-        ));
-        let pool = speedup(model, scheme, 16, "pool-4t");
-        let scoped = speedup(model, scheme, 16, "scoped-4t");
-        println!(
-            "batch-16 forced 4-thread dispatch [{model}/{scheme}]: pool {pool:.2}x, \
-             scoped {scoped:.2}x vs seed ({:.2}x pool over scoped)",
-            pool / scoped
-        );
-        pool_lines.push(format!(
-            "    {{ \"model\": \"{model}\", \"scheme\": \"{scheme}\", \
-             \"pool_4t\": {pool:.3}, \"scoped_4t\": {scoped:.3}, \
-             \"pool_over_scoped\": {:.3} }}",
-            pool / scoped
         ));
     }
 
@@ -1651,13 +1641,22 @@ fn main() {
         kq.resident_exact,
         kq.residency_gain
     );
+    // What a quantized cache costs is its row encodes and its page walk,
+    // in us per token on top of the exact step, and that is what is
+    // bounded: against the same rounds' batch-1 exact token, which fusing
+    // the batch does not move. As a tok/s ratio the same cost reads lower
+    // every time the exact batch step gets faster.
+    let batch1_us = 1e6 / kq.exact_b1_tok_s;
+    let walk_us = walk_added_us(kq.quant_tok_s, kq.exact_tok_s);
+    let walk4_us = walk_added_us(kq.quant4_tok_s, kq.exact_tok_s);
     println!(
         "kv quant batch-16 decode: {:.0} tok/s quantized vs {:.0} tok/s exact ({:.3}x, page \
-         walk +{:.1} us/token); max |logit err| {:.2e}, greedy agreement {:.1}%",
+         walk {walk_us:+.1} us/token = {:.3} of the {batch1_us:.0} us batch-1 token); max \
+         |logit err| {:.2e}, greedy agreement {:.1}%",
         kq.quant_tok_s,
         kq.exact_tok_s,
         kq.tok_s_ratio,
-        walk_added_us(kq.quant_tok_s, kq.exact_tok_s),
+        walk_us / batch1_us,
         kq.max_logit_err,
         kq.greedy_agreement * 100.0
     );
@@ -1671,21 +1670,22 @@ fn main() {
         "quantized KV must fit at least 2x more resident sequences (got {:.2}x)",
         kq.residency_gain
     );
-    // What a quantized cache costs is its row encodes and its page walk:
-    // ~5 us (8-bit) / ~30 us (4-bit; nibble-packed pages keep the
-    // per-(row, head) walk) on top of a ~155 us exact batch-16 token on the
-    // AVX path, 0.92-1.02x / 0.80-0.89x as a tok/s ratio over nineteen
-    // full runs and 0.94-0.98x / 0.87-0.92x over ten smoke runs; one more
-    // full run, on a host whose kernels read 30% slow, gave 0.893x. Each
-    // floor below sits under all of them. A faster exact step lowers both
-    // ratios with the walk unchanged: read the printed added cost before
-    // moving a floor.
+    // The bounds are the old tok/s floors (0.85x / 0.75x of an exact step
+    // that cost one batch-1 token then) restated in the walk's own terms:
+    // at most 0.18 / 0.33 of a batch-1 token added per token. Over ten full
+    // and ten smoke runs the 8-bit walk read -0.01-0.10 / -0.03-0.06 of it
+    // (-1 to +14 us, unchanged) and the 4-bit walk 0.19-0.22 / 0.05-0.13
+    // (+30-35 us in a full run, unchanged; nibble-packed pages keep the
+    // per-(row, head) walk), which as ratios of the fused exact step are
+    // 0.89-1.01x / 0.91-1.05x and 0.76-0.78x / 0.84-0.94x: the old 4-bit
+    // floor would trip on the exact step getting faster. One full run of
+    // the ten sat in a host stall (batch-1 token 219 us against 142-169)
+    // and read 0.13 / 0.45 (0.79x / 0.53x): out of either form of the bound.
     assert!(
-        kq.tok_s_ratio >= 0.85,
-        "quantized decode must stay within 15% of exact tok/s (got {:.3}x, page walk +{:.1} \
-         us/token)",
-        kq.tok_s_ratio,
-        walk_added_us(kq.quant_tok_s, kq.exact_tok_s)
+        walk_us <= 0.18 * batch1_us,
+        "the 8-bit page walk must add at most 0.18 of a batch-1 token ({batch1_us:.0} us) per \
+         token (got {walk_us:+.1} us, {:.3}x exact tok/s)",
+        kq.tok_s_ratio
     );
     assert!(
         (kq.greedy_agreement - 1.0).abs() < f64::EPSILON,
@@ -1695,8 +1695,8 @@ fn main() {
     println!(
         "kv quant 4-bit [llama7b-proxy128/mxopal4 vs exact]: {:.0} vs {:.0} pool bytes/token \
          ({:.2}x smaller); same byte budget -> {} quant4-blocks, peak resident {} vs {} \
-         sequences ({:.2}x); {:.0} tok/s ({:.3}x, page walk +{:.1} us/token), max |logit err| \
-         {:.2e}, greedy agreement {:.1}%",
+         sequences ({:.2}x); {:.0} tok/s ({:.3}x, page walk {walk4_us:+.1} us/token = {:.3} of \
+         the batch-1 token), max |logit err| {:.2e}, greedy agreement {:.1}%",
         kq.bytes_per_token_quant4,
         kq.bytes_per_token_exact,
         kq.bytes_reduction4,
@@ -1706,7 +1706,7 @@ fn main() {
         kq.residency_gain4,
         kq.quant4_tok_s,
         kq.tok_s_ratio4,
-        walk_added_us(kq.quant4_tok_s, kq.exact_tok_s),
+        walk4_us / batch1_us,
         kq.max_logit_err4,
         kq.greedy_agreement4 * 100.0
     );
@@ -1723,11 +1723,10 @@ fn main() {
         kq.residency_gain4
     );
     assert!(
-        kq.tok_s_ratio4 >= 0.75,
-        "4-bit quantized decode must stay within 25% of exact tok/s (got {:.3}x, page walk \
-         +{:.1} us/token)",
-        kq.tok_s_ratio4,
-        walk_added_us(kq.quant4_tok_s, kq.exact_tok_s)
+        walk4_us <= 0.33 * batch1_us,
+        "the 4-bit page walk must add at most 0.33 of a batch-1 token ({batch1_us:.0} us) per \
+         token (got {walk4_us:+.1} us, {:.3}x exact tok/s)",
+        kq.tok_s_ratio4
     );
     // 4 bits trades accuracy for capacity: greedy agreement degrades from
     // the 8-bit preset's 100%, but must stay in the usable band.
@@ -1735,6 +1734,22 @@ fn main() {
         kq.greedy_agreement4 >= 0.85,
         "4-bit greedy agreement out of bounds (got {:.4})",
         kq.greedy_agreement4
+    );
+
+    // Fusion floor, from the same alternating rounds: a step is one pass
+    // over the weights for all its rows, so sixteen sequences on one thread
+    // decode faster per token than one (1.0x while every sequence streamed
+    // the stack itself).
+    let batch16_over_batch1 = kq.exact_tok_s / kq.exact_b1_tok_s;
+    println!(
+        "batch 16 over batch 1, one thread [llama7b-proxy128/bf16]: {batch16_over_batch1:.2}x \
+         decode tok/s ({:.0} vs {:.0})",
+        kq.exact_tok_s, kq.exact_b1_tok_s
+    );
+    assert!(
+        batch16_over_batch1 >= 1.15,
+        "sixteen fused sequences must decode at least 1.15x the tok/s of one on one thread \
+         (got {batch16_over_batch1:.2}x): the batch is not sharing its pass over the weights"
     );
 
     // Speculative decoding: draft/verify against the plain engine on the
@@ -1771,8 +1786,10 @@ fn main() {
             r.batch,
             r.modeled_speedup
         );
-        // Measured 1.04-1.18x over five full runs, 1.02x at worst over
-        // the smoke run's single unrepeated drains.
+        // Plain and speculative drains alternate (best of four each):
+        // 1.03-1.14x at batch 1 and 1.01-1.24x at batch 4 over ten full and
+        // ten smoke runs. Both sides fuse now, so what speculation buys
+        // the host is fewer steps, not a shared weight stream.
         assert!(
             r.host_ratio >= 0.8,
             "n-gram speculation host overhead out of bounds at batch {} ({:.2}x)",
@@ -1866,7 +1883,7 @@ fn main() {
     let _ = writeln!(json, "  \"matrix_kernels\": [\n{}\n  ],", matrix_kernel_json.join(",\n"));
     let _ = writeln!(json, "  \"log2_softmax_over_exact_n1024\": {log2_over_exact:.3},");
     let _ = writeln!(json, "  \"batch16_speedups\": [\n{}\n  ],", speedup_lines.join(",\n"));
-    let _ = writeln!(json, "  \"batch16_pool_vs_scoped\": [\n{}\n  ],", pool_lines.join(",\n"));
+    let _ = writeln!(json, "  \"batch16_over_batch1_1t\": {batch16_over_batch1:.3},");
     let encode_json: Vec<String> = encode_rows
         .iter()
         .map(|r| {
@@ -1935,12 +1952,14 @@ fn main() {
          \"budget_blocks_exact\": {}, \"budget_blocks_quant\": {}, \
          \"peak_resident_exact\": {}, \"peak_resident_quant\": {}, \
          \"residency_gain\": {:.3},\n    \
-         \"decode_tok_s_exact\": {:.1}, \"decode_tok_s_quant\": {:.1}, \
-         \"tok_s_ratio\": {:.3},\n    \
+         \"decode_tok_s_exact\": {:.1}, \"decode_tok_s_exact_batch1\": {:.1}, \
+         \"decode_tok_s_quant\": {:.1}, \"tok_s_ratio\": {:.3}, \
+         \"walk_added_us\": {walk_us:.2},\n    \
          \"max_logit_err\": {:.3e}, \"greedy_agreement\": {:.4},\n    \
          \"mxopal4\": {{ \"pool_bytes_per_token\": {:.1}, \"bytes_reduction\": {:.3}, \
          \"budget_blocks\": {}, \"peak_resident\": {}, \"residency_gain\": {:.3}, \
-         \"decode_tok_s\": {:.1}, \"tok_s_ratio\": {:.3}, \"max_logit_err\": {:.3e}, \
+         \"decode_tok_s\": {:.1}, \"tok_s_ratio\": {:.3}, \"walk_added_us\": {walk4_us:.2}, \
+         \"max_logit_err\": {:.3e}, \
          \"greedy_agreement\": {:.4} }}\n  }},",
         kq.bytes_per_token_exact,
         kq.bytes_per_token_quant,
@@ -1951,6 +1970,7 @@ fn main() {
         kq.resident_quant,
         kq.residency_gain,
         kq.exact_tok_s,
+        kq.exact_b1_tok_s,
         kq.quant_tok_s,
         kq.tok_s_ratio,
         kq.max_logit_err,

@@ -1,4 +1,14 @@
-//! The quantized decoder-only transformer and its generation loop.
+//! The quantized decoder-only transformer and its forward core.
+//!
+//! Everything that runs the model is a [`Model::forward_rows`] pass: a
+//! ragged batch of row groups — per sequence, the tokens to push from its
+//! [`DecodeState`]'s position and which rows want logits — stacked per layer
+//! so that all rows cross each weight matrix once, with attention per group
+//! over its own paged KV cache. The single-sequence entry points
+//! (`decode_step*`, `prefill*`, `verify_chunk_into`, `forward*`) are
+//! one-group passes over a workspace private to the state; a batch driver
+//! (`opal-serve`) owns one [`Workspace`] per thread and hands every
+//! sequence's rows of a step to one pass.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -146,25 +156,56 @@ pub(crate) struct ReadyLayer {
     pub(crate) ffn_bias: Vec<f32>,
 }
 
-/// Which logits a fused multi-row pass materializes: none (mid-prompt
-/// prefill), the final row's (a prompt's last chunk), or every row's into
-/// a caller matrix (the speculative verify pass).
-enum LogitsOut<'a> {
+/// Which rows of a [`RowGroup`] get next-token logits, and where they go.
+#[derive(Debug)]
+pub enum LogitsOut<'a> {
+    /// No row: a mid-prompt chunk, whose logits nobody reads.
     None,
-    /// `keep_scratch` distinguishes a prompt's final chunk (drop the
-    /// chunk-sized buffers, the prompt is consumed) from a speculative
-    /// draft's per-step catch-up chunk (keep them — it runs every step).
-    Last {
-        keep_scratch: bool,
-    },
+    /// The last row's, into a `vocab`-long slice: a decode step, or the
+    /// chunk that completes a prompt.
+    Last(&'a mut [f32]),
+    /// Every row's, into a matrix reshaped in place to `rows × vocab`
+    /// (allocation-free once grown): a speculative verify pass.
     All(&'a mut Matrix),
+}
+
+/// One sequence's share of a [`Model::forward_rows`] pass: the tokens to
+/// push from the state's current position, one row each. A decode step is a
+/// one-row group, a speculative verify `k + 1` rows with
+/// [`LogitsOut::All`], a prompt chunk `n` rows with [`LogitsOut::Last`] or
+/// [`LogitsOut::None`]; a group without tokens sits the pass out.
+#[derive(Debug)]
+pub struct RowGroup<'a> {
+    /// The sequence the rows extend.
+    pub state: &'a mut DecodeState,
+    /// The tokens to push, in position order.
+    pub tokens: &'a [u32],
+    /// Which of the rows want logits.
+    pub logits: LogitsOut<'a>,
+}
+
+impl RowGroup<'_> {
+    /// The same group under a shorter borrow — the accessor to hand
+    /// [`Model::forward_rows`] when the caller's per-sequence records *are*
+    /// `RowGroup`s.
+    pub fn reborrow(&mut self) -> RowGroup<'_> {
+        RowGroup {
+            state: self.state,
+            tokens: self.tokens,
+            logits: match &mut self.logits {
+                LogitsOut::None => LogitsOut::None,
+                LogitsOut::Last(out) => LogitsOut::Last(out),
+                LogitsOut::All(out) => LogitsOut::All(out),
+            },
+        }
+    }
 }
 
 /// Reshapes a scratch matrix to `rows × cols` in place, reusing the backing
 /// buffer (zero-filled; allocation-free once grown to the largest shape
-/// seen). Same-width reshapes — the common case, chunk length changing
-/// between prefill calls — go through [`Matrix::resize_rows`]; a width
-/// change rebuilds the layout around the same `Vec`.
+/// seen). Same-width reshapes — the common case, the row count changing
+/// between passes — go through [`Matrix::resize_rows`]; a width change
+/// rebuilds the layout around the same `Vec`.
 fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
     if m.cols() == cols && !m.is_empty() {
         m.resize_rows(rows);
@@ -176,163 +217,123 @@ fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
     *m = Matrix::from_vec(rows, cols, data);
 }
 
-/// Reusable multi-row buffers of the fused prefill path: one row per prompt
-/// position of the chunk in flight.
-///
-/// [`Model::prefill_chunk`] pushes a whole block of prompt positions
-/// through each layer in one pass — norm rows, one GEMM per projection,
-/// causal attention row by row against the paged KV cache — and every
-/// intermediate lands here, except the attention scores and weights: those
-/// are one query row's at a time, in the `n_heads × seq` pair
-/// [`ScratchSpace`] grows for decode. Buffers are reshaped (never
-/// reallocated, once grown) to the live chunk length at the start of each
-/// pass, so steady
-/// chunked prefill allocates nothing, mirroring the single-token
-/// [`ScratchSpace`] discipline — and the whole workspace is dropped again
-/// by the chunk that computes the prompt logits, so a decoding sequence
-/// carries no prefill buffers for the rest of its life.
-#[derive(Debug, Default)]
-struct PrefillScratch {
-    /// Residual streams, `chunk × d_model`.
-    hs: Matrix,
-    /// Norm outputs feeding QKV or FC1, `chunk × d_model`.
-    xs: Matrix,
-    /// Quantized norm outputs, `chunk × d_model`.
-    xqs: Matrix,
-    /// Query projections (pre-quantization), `chunk × d_model`.
-    qs: Matrix,
-    /// Key projections (pre-quantization), `chunk × d_model`.
-    ks: Matrix,
-    /// Value projections (pre-quantization), `chunk × d_model`.
-    vs: Matrix,
-    /// Quantized queries, `chunk × d_model`.
-    qqs: Matrix,
-    /// Attention contexts, `chunk × d_model`.
-    ctxs: Matrix,
-    /// Quantized contexts, `chunk × d_model`.
-    ctxqs: Matrix,
-    /// Output of the attention and FFN down projections (used one after
-    /// the other), `chunk × d_model`.
-    proj: Matrix,
-    /// FFN gate/activation buffer, `chunk × d_ff`.
-    gates: Matrix,
-    /// FFN up-projections, `chunk × d_ff`.
-    ups: Matrix,
-    /// Quantized FFN activations, `chunk × d_ff`.
-    act_qs: Matrix,
-    /// Rotary angles of each row's position, `chunk × head_dim` (see
-    /// [`ops::rope_angles_into`]): computed once per pass, applied by every
-    /// layer and head.
-    rope: Matrix,
+/// Calls `f(first row, group)` for every group of the pass that has rows,
+/// in order: group `i`'s rows are `first row .. first row + tokens.len()` of
+/// the stacked matrices.
+fn for_each_group<T>(
+    seqs: &mut [T],
+    group: &impl for<'a> Fn(&'a mut T) -> RowGroup<'a>,
+    mut f: impl FnMut(usize, RowGroup<'_>),
+) {
+    let mut row0 = 0;
+    for seq in seqs {
+        let g = group(seq);
+        let rows = g.tokens.len();
+        if rows > 0 {
+            f(row0, g);
+        }
+        row0 += rows;
+    }
 }
 
-/// Reusable per-sequence buffers for the token decode hot path.
-///
-/// Every intermediate of a decode step — q/k/v projections, attention
-/// scores and weights, context, FFN activations, norm outputs and the
-/// vocab-sized logits — writes into these buffers, so a steady-state decode
-/// step performs no heap allocation (the paged KV cache allocates one
-/// recycled block per [`BlockPool::block_size`] positions, and
-/// `scores`/`weights` stop growing once they reach the sequence length).
-#[derive(Debug)]
-struct ScratchSpace {
-    /// Residual stream, `d_model`.
-    h: Vec<f32>,
-    /// Norm output feeding QKV or FC1, `d_model`.
-    x: Vec<f32>,
-    /// Quantized norm output, `d_model`.
-    xq: Vec<f32>,
-    /// Query projection (pre-quantization), `d_model`.
-    q: Vec<f32>,
-    /// Key projection (pre-quantization), `d_model`.
-    k: Vec<f32>,
-    /// Value projection (pre-quantization), `d_model`.
-    v: Vec<f32>,
-    /// Quantized query, `d_model`.
-    qq: Vec<f32>,
-    /// Attention context, `d_model`.
-    ctx: Vec<f32>,
-    /// Quantized context, `d_model`.
-    ctxq: Vec<f32>,
-    /// Attention output projection, `d_model`.
-    attn_out: Vec<f32>,
-    /// Attention scores of one query row, head-major `n_heads × seq`; grows
-    /// with the sequence length.
-    scores: Vec<f32>,
-    /// Attention weights of one query row, `n_heads × seq` like `scores`.
-    weights: Vec<f32>,
-    /// FFN gate/activation buffer, `d_ff`.
-    gate: Vec<f32>,
-    /// FFN up-projection, `d_ff`.
-    up: Vec<f32>,
-    /// Quantized FFN activation, `d_ff`.
-    act_q: Vec<f32>,
-    /// FFN down-projection, `d_model`.
-    down: Vec<f32>,
-    /// Final-norm output, `d_model`.
-    hn: Vec<f32>,
-    /// Next-token logits, `vocab`.
-    logits: Vec<f32>,
-    /// Rotary angles of the position being decoded, `head_dim` (see
-    /// [`ops::rope_angles_into`]): computed once per step, applied by every
-    /// layer and head.
-    rope: Vec<f32>,
-    /// Quantizer encode workspace (block plans, sort buffers) for the
-    /// tensor-global formats; block-local formats ignore it. Owned per
-    /// sequence like every other scratch buffer — and shared across the
-    /// rows of a prefill chunk — so quantized decode *and* chunked prefill
-    /// stay allocation-free and thread-isolated.
-    quant: EncodeScratch,
-    /// Multi-row buffers of the fused prefill path (empty until the first
-    /// [`Model::prefill_chunk`], unused by single-token decoding).
-    prefill: PrefillScratch,
-}
-
-impl ScratchSpace {
-    fn new(config: &ModelConfig) -> Self {
-        let d = config.d_model;
-        let ff = config.d_ff;
-        ScratchSpace {
-            h: vec![0.0; d],
-            x: vec![0.0; d],
-            xq: vec![0.0; d],
-            q: vec![0.0; d],
-            k: vec![0.0; d],
-            v: vec![0.0; d],
-            qq: vec![0.0; d],
-            ctx: vec![0.0; d],
-            ctxq: vec![0.0; d],
-            attn_out: vec![0.0; d],
-            scores: Vec::new(),
-            weights: Vec::new(),
-            gate: vec![0.0; ff],
-            up: vec![0.0; ff],
-            act_q: vec![0.0; ff],
-            down: vec![0.0; d],
-            hn: vec![0.0; d],
-            logits: vec![0.0; config.vocab],
-            rope: vec![0.0; config.head_dim()],
-            quant: EncodeScratch::new(),
-            prefill: PrefillScratch::default(),
+/// Reports the rows of the stacked `sites` to the recorder, if there is
+/// one: row by row, a row's sites in the order given.
+fn record_rows(recorder: &mut Option<&mut dyn Recorder>, layer: usize, sites: &[(Site, &Matrix)]) {
+    let Some(rec) = recorder.as_deref_mut() else { return };
+    for r in 0..sites[0].1.rows() {
+        for &(site, m) in sites {
+            rec.record(layer, site, m.row(r));
         }
     }
 }
 
-/// Decoding state: the position counter, paged KV block tables and the
-/// reusable scratch buffers of one sequence.
+/// The buffers of a [`Model::forward_rows`] pass: one row per token in
+/// flight, over all the sequences of the pass.
+///
+/// Every intermediate of a pass lands here — norm rows, the stacked
+/// projections, one query row's attention scores at a time, the rows that
+/// want logits — so whoever drives passes owns one of these per thread (the
+/// serving engine: one for its own thread and one per pool worker) and the
+/// sequences own only their position and KV tables. Buffers are reshaped,
+/// never reallocated once grown, to the live row count at the start of each
+/// pass: passes allocate nothing once the workspace has seen its largest
+/// row count and longest context. Nothing in here outlives a pass, so a
+/// workspace can serve any sequence, any model of the same or another
+/// shape, and a pass that unwound half way.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    /// Residual streams, `rows × d_model`.
+    hs: Matrix,
+    /// Norm outputs feeding QKV or FC1, `rows × d_model`.
+    xs: Matrix,
+    /// Quantized norm outputs, `rows × d_model`.
+    xqs: Matrix,
+    /// Query projections (pre-quantization), `rows × d_model`.
+    qs: Matrix,
+    /// Key projections (pre-quantization), `rows × d_model`.
+    ks: Matrix,
+    /// Value projections (pre-quantization), `rows × d_model`.
+    vs: Matrix,
+    /// Quantized queries, `rows × d_model`.
+    qqs: Matrix,
+    /// Attention contexts, `rows × d_model`.
+    ctxs: Matrix,
+    /// Quantized contexts, `rows × d_model`.
+    ctxqs: Matrix,
+    /// Output of the attention and FFN down projections (used one after
+    /// the other), `rows × d_model`.
+    proj: Matrix,
+    /// FFN gate/activation buffer, `rows × d_ff`.
+    gates: Matrix,
+    /// FFN up-projections, `rows × d_ff`.
+    ups: Matrix,
+    /// Quantized FFN activations, `rows × d_ff`.
+    act_qs: Matrix,
+    /// Rotary angles of each row's position, `rows × head_dim` (see
+    /// [`ops::rope_angles_into`]): computed once per pass, applied by every
+    /// layer and head.
+    rope: Matrix,
+    /// Attention scores of one query row, head-major `n_heads × seq`; grows
+    /// with the longest context seen.
+    scores: Vec<f32>,
+    /// Attention weights of one query row, `n_heads × seq` like `scores`.
+    weights: Vec<f32>,
+    /// Final-norm outputs of the rows that want logits, `wanted × d_model`.
+    hn: Matrix,
+    /// Their next-token logits, `wanted × vocab`.
+    logits: Matrix,
+    /// Quantizer encode workspace (block plans, sort buffers) for the
+    /// tensor-global formats; block-local formats ignore it. It carries
+    /// capacity, never state, from one row to the next.
+    quant: EncodeScratch,
+}
+
+impl Workspace {
+    /// An empty workspace; the first pass sizes it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Decoding state of one sequence: its position counter and paged KV block
+/// tables.
 ///
 /// Each sequence owns its `DecodeState`; the [`Model`] stays immutable
 /// during decoding, which is what lets a batch scheduler step many states
-/// against one model from parallel threads. The KV cache is paged (see
-/// [`crate::kv`]): per-layer tables of refcounted fixed-size blocks drawn
-/// from a [`BlockPool`] — private and unbounded under
-/// [`Model::begin_decode`], engine-shared and bounded under
-/// [`Model::begin_decode_paged`], where tables of different sequences may
-/// map common prefix blocks read-only.
+/// against one model, in one pass ([`Model::forward_rows`]) or from
+/// parallel threads. The KV cache is paged (see [`crate::kv`]): per-layer
+/// tables of refcounted fixed-size blocks drawn from a [`BlockPool`] —
+/// private and unbounded under [`Model::begin_decode`], engine-shared and
+/// bounded under [`Model::begin_decode_paged`], where tables of different
+/// sequences may map common prefix blocks read-only.
 pub struct DecodeState {
     pos: usize,
     kv: PagedKv,
-    scratch: ScratchSpace,
+    /// The [`Workspace`] of the single-sequence entry points
+    /// ([`Model::decode_step`], [`Model::prefill`], ...), boxed by the first
+    /// of them this state goes through. A state driven through
+    /// [`Model::forward_rows`] with its driver's workspace never has one.
+    workspace: Option<Box<Workspace>>,
 }
 
 impl DecodeState {
@@ -712,7 +713,7 @@ impl Model {
         DecodeState {
             pos: 0,
             kv: PagedKv::new(Arc::clone(pool), self.config.n_layers),
-            scratch: ScratchSpace::new(&self.config),
+            workspace: None,
         }
     }
 
@@ -726,17 +727,14 @@ impl Model {
     }
 
     /// As [`Model::decode_step`], writing the logits into a caller-provided
-    /// slice instead of allocating — the zero-allocation entry point used by
-    /// the serving engine's steady-state decode loop.
+    /// slice instead of allocating.
     ///
     /// # Panics
     ///
     /// Panics if `token` is out of range or `out.len()` differs from the
     /// vocabulary size.
     pub fn decode_step_into(&self, state: &mut DecodeState, token: u32, out: &mut [f32]) {
-        assert_eq!(out.len(), self.config.vocab, "logits length mismatch");
-        self.decode_core(state, token, None, true);
-        out.copy_from_slice(&state.scratch.logits);
+        self.forward_one(state, &[token], LogitsOut::Last(out), None);
     }
 
     /// Feeds a whole prompt through the decoder, returning the logits after
@@ -758,17 +756,17 @@ impl Model {
     /// its last token into `out` — the allocation-free entry point behind
     /// [`Model::prefill`].
     ///
-    /// This is the shared prompt-consumption path of every generation loop:
-    /// the single-sequence samplers ([`crate::sampling::generate`], the
-    /// pipeline's greedy loop) and the batched `opal-serve` scheduler all
-    /// prefill through here, so they are guaranteed to agree token-for-token
-    /// with a raw [`Model::decode_step`] loop.
+    /// This is the shared prompt-consumption path of the single-sequence
+    /// generation loops ([`crate::sampling::generate`], the pipeline's
+    /// greedy loop), and the same core the batched `opal-serve` scheduler
+    /// drives, so they are guaranteed to agree token-for-token with a raw
+    /// [`Model::decode_step`] loop.
     ///
     /// The prompt is consumed in fused multi-token chunks of
     /// [`Model::DEFAULT_PREFILL_CHUNK`] positions via
     /// [`Model::prefill_chunk`] — one layer pass per chunk instead of one
     /// per token — and only the final prompt token materializes vocab-sized
-    /// logits: the unembedding matvec — by far the widest in the model — is
+    /// logits: the unembedding product — by far the widest in the model — is
     /// skipped for every earlier position, whose logits nobody reads.
     ///
     /// # Panics
@@ -788,24 +786,17 @@ impl Model {
 
     /// Consumes one chunk of prompt positions in a single fused pass per
     /// layer, without materializing logits (the mid-prompt form of
-    /// [`Model::prefill_chunk_into`]).
-    ///
-    /// Each layer normalizes, quantizes and projects *all* chunk rows at
-    /// once — one [`Matrix::matmul_t_into`] GEMM per projection instead of
-    /// one matvec per token — then runs multi-row causal attention against
-    /// the paged KV cache (row `r` attends to cached positions
-    /// `0..=pos0+r`, including the chunk rows appended just before). Every
-    /// per-position operation is the exact kernel of the single-token
-    /// [`Model::decode_step`] loop, so the KV caches and any later logits
-    /// are bit-identical to stepping the same tokens one at a time
-    /// (`tests/decode_golden.rs` pins this for chunk sizes 1/3/8/whole
-    /// prompt across scheme families).
+    /// [`Model::prefill_chunk_into`]): a one-group [`Model::forward_rows`]
+    /// pass, so the KV caches and any later logits are bit-identical to
+    /// stepping the same tokens one at a time (`tests/decode_golden.rs`
+    /// pins this for chunk sizes 1/3/8/whole prompt across scheme families).
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty or contains out-of-range ids.
     pub fn prefill_chunk(&self, state: &mut DecodeState, tokens: &[u32]) {
-        self.prefill_core(state, tokens, LogitsOut::None);
+        assert!(!tokens.is_empty(), "empty prefill chunk");
+        self.forward_one(state, tokens, LogitsOut::None, None);
     }
 
     /// As [`Model::prefill_chunk`], additionally writing the next-token
@@ -817,27 +808,8 @@ impl Model {
     /// Panics if `tokens` is empty, contains out-of-range ids, or
     /// `out.len()` differs from the vocabulary size.
     pub fn prefill_chunk_into(&self, state: &mut DecodeState, tokens: &[u32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.config.vocab, "logits length mismatch");
-        self.prefill_core(state, tokens, LogitsOut::Last { keep_scratch: false });
-        out.copy_from_slice(&state.scratch.logits);
-    }
-
-    /// As [`Model::prefill_chunk_into`], but keeps the chunk scratch
-    /// alive. This is the steady-state form of a speculative draft's
-    /// per-step catch-up chunk: it runs on every decode step, so dropping
-    /// and re-growing the chunk-sized scratch matrices each time — the
-    /// right trade for a prompt's final chunk — would put an allocation
-    /// storm on the hot path (the alloc-probe speculative test pins this
-    /// to zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty, contains out-of-range ids, or
-    /// `out.len()` differs from the vocabulary size.
-    pub fn catchup_chunk_into(&self, state: &mut DecodeState, tokens: &[u32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.config.vocab, "logits length mismatch");
-        self.prefill_core(state, tokens, LogitsOut::Last { keep_scratch: true });
-        out.copy_from_slice(&state.scratch.logits);
+        assert!(!tokens.is_empty(), "empty prefill chunk");
+        self.forward_one(state, tokens, LogitsOut::Last(out), None);
     }
 
     /// The fused multi-row *verify* pass of speculative decoding: advances
@@ -847,20 +819,17 @@ impl Model {
     /// in place; allocation-free once grown). Row `r` holds the logits
     /// after `tokens[..=r]`, bit-identical to what
     /// [`Model::decode_step_into`] would return having consumed those same
-    /// tokens one at a time — so a serving engine can accept the longest
-    /// drafted prefix whose picks match and roll the rejected tail back
-    /// with [`DecodeState::truncate`], with output pinned to the
-    /// non-speculative stream.
-    ///
-    /// Unlike the prompt path, the final chunk scratch is kept alive: a
-    /// speculating sequence verifies every step, so dropping the buffers
-    /// would recreate them each time.
+    /// tokens one at a time — so a caller can accept the longest drafted
+    /// prefix whose picks match and roll the rejected tail back with
+    /// [`DecodeState::truncate`], with output pinned to the non-speculative
+    /// stream.
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty or contains out-of-range ids.
     pub fn verify_chunk_into(&self, state: &mut DecodeState, tokens: &[u32], out: &mut Matrix) {
-        self.prefill_core(state, tokens, LogitsOut::All(out));
+        assert!(!tokens.is_empty(), "empty prefill chunk");
+        self.forward_one(state, tokens, LogitsOut::All(out), None);
     }
 
     /// As [`Model::decode_step`], optionally reporting activations to a
@@ -875,287 +844,282 @@ impl Model {
         token: u32,
         recorder: Option<&mut dyn Recorder>,
     ) -> Vec<f32> {
-        self.decode_core(state, token, recorder, true);
-        state.scratch.logits.clone()
+        let mut out = vec![0.0; self.config.vocab];
+        self.forward_one(state, &[token], LogitsOut::Last(&mut out), recorder);
+        out
     }
 
-    /// The allocation-free decode step: advances `state` by one token,
-    /// leaving the next-token logits in `state.scratch.logits` when
-    /// `compute_logits` is set.
-    ///
-    /// Ordering of every loop and reduction matches the seed implementation
-    /// (kept in [`crate::reference`]) except inside [`opal_tensor::ops::dot`],
-    /// whose 4-accumulator reduction reassociates `f64` partial sums ~29
-    /// bits below `f32` resolution; `tests/decode_golden.rs` pins the
-    /// output bit-for-bit against logit patterns captured from the seed
-    /// build and against the reference path over long decodes.
-    fn decode_core(
+    /// A one-group [`Model::forward_rows`] pass over the state's private
+    /// [`Workspace`]: what every single-sequence entry point above is.
+    fn forward_one(
         &self,
         state: &mut DecodeState,
-        token: u32,
-        mut recorder: Option<&mut dyn Recorder>,
-        compute_logits: bool,
+        tokens: &[u32],
+        logits: LogitsOut<'_>,
+        recorder: Option<&mut dyn Recorder>,
     ) {
-        assert!((token as usize) < self.config.vocab, "token {token} out of range");
-        let dh = self.config.head_dim();
-        let DecodeState { pos, kv, scratch: st } = state;
-        let pos = *pos;
-        let seq = pos + 1;
-
-        st.h.copy_from_slice(self.embedding.row(token as usize));
-        st.scores.resize(self.config.n_heads * seq, 0.0);
-        st.weights.resize(self.config.n_heads * seq, 0.0);
-        ops::rope_angles_into(pos, self.rope_theta, &mut st.rope);
-
-        for (l, lw) in self.layers.iter().enumerate() {
-            // ---- attention ----
-            self.norm_into(&st.h, &lw.attn_gain, &lw.attn_bias, &mut st.x);
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::QkvInput, &st.x);
-            }
-            self.quant_low_into(&st.x, &mut st.xq, &mut st.quant);
-            lw.wq_t.matvec_into(&st.xq, &mut st.q);
-            lw.wk_t.matvec_into(&st.xq, &mut st.k);
-            lw.wv_t.matvec_into(&st.xq, &mut st.v);
-            for head in 0..self.config.n_heads {
-                let s = head * dh;
-                ops::rope_apply(&mut st.q[s..s + dh], &st.rope);
-                ops::rope_apply(&mut st.k[s..s + dh], &st.rope);
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::Query, &st.q);
-                rec.record(l, Site::Key, &st.k);
-                rec.record(l, Site::Value, &st.v);
-            }
-            self.quant_high_into(&st.q, &mut st.qq, &mut st.quant);
-            if kv.quantized() {
-                // Quantized KV: the page encoder *is* the cache-side
-                // quantizer, so the post-RoPE rows go in raw and the
-                // scheme's codes come back out on the walk.
-                kv.append_rows_quant(l, pos, 1, &st.k, &st.v, &mut st.quant);
-            } else {
-                let (k_row, v_row) = kv.rows_mut(l, pos, 1);
-                self.quant_high_into(&st.k, k_row, &mut st.quant);
-                self.quant_high_into(&st.v, v_row, &mut st.quant);
-            }
-
-            self.attend_row(kv, l, seq, &st.qq, &mut st.scores, &mut st.weights, &mut st.ctx);
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::ProjInput, &st.ctx);
-            }
-            self.quant_high_into(&st.ctx, &mut st.ctxq, &mut st.quant);
-            lw.wo_t.matvec_into(&st.ctxq, &mut st.attn_out);
-            for (hh, oo) in st.h.iter_mut().zip(&st.attn_out) {
-                *hh += oo;
-            }
-
-            // ---- FFN ----
-            self.norm_into(&st.h, &lw.ffn_gain, &lw.ffn_bias, &mut st.x);
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::Fc1Input, &st.x);
-            }
-            self.quant_low_into(&st.x, &mut st.xq, &mut st.quant);
-            // The activation always lands in `st.gate`.
-            match &lw.w_gate_t {
-                Some(gate) => {
-                    gate.matvec_into(&st.xq, &mut st.gate);
-                    lw.w_up_t.matvec_into(&st.xq, &mut st.up);
-                    for (g, &u) in st.gate.iter_mut().zip(&st.up) {
-                        *g = ops::silu(*g) * u;
-                    }
-                }
-                None => {
-                    lw.w_up_t.matvec_into(&st.xq, &mut st.gate);
-                    for g in st.gate.iter_mut() {
-                        *g = ops::relu(*g);
-                    }
-                }
-            }
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.record(l, Site::Fc2Input, &st.gate);
-            }
-            self.quant_high_into(&st.gate, &mut st.act_q, &mut st.quant);
-            lw.w_down_t.matvec_into(&st.act_q, &mut st.down);
-            for (hh, dd) in st.h.iter_mut().zip(&st.down) {
-                *hh += dd;
-            }
-        }
-
-        state.pos += 1;
-        if compute_logits {
-            let st = &mut state.scratch;
-            self.norm_into(&st.h, &self.final_norm_gain, &self.final_norm_bias, &mut st.hn);
-            self.unembedding.matvec_into(&st.hn, &mut st.logits);
-            for v in &mut st.logits {
-                *v *= self.logit_scale;
-            }
-        }
+        // The group borrows the whole state, so the workspace steps outside
+        // it for the pass (a move of the box; a pass that unwinds just
+        // leaves the next one to box a new workspace).
+        let mut ws = state.workspace.take().unwrap_or_default();
+        let mut one = [RowGroup { state, tokens, logits }];
+        self.forward_rows(&mut one, RowGroup::reborrow, &mut ws, recorder);
+        let [RowGroup { state, .. }] = one;
+        state.workspace = Some(ws);
     }
 
-    /// The fused multi-token prefill pass: advances `state` by
-    /// `tokens.len()` prompt positions in one layer sweep, materializing
-    /// logits per the [`LogitsOut`] mode (the final position's into
-    /// `state.scratch.logits`, or every position's into a caller matrix
-    /// for the speculative verify pass).
+    /// The forward core: one pass over a ragged batch of rows. Every
+    /// sequence in `seqs` contributes the group `group(seq)` describes —
+    /// its [`DecodeState`], the tokens to push from its current position,
+    /// and which rows want logits — and all rows of all groups cross each
+    /// weight matrix **once**: per layer they are stacked into the
+    /// [`Workspace`]'s matrices, each projection is one
+    /// [`Matrix::matmul_t_into`], and only attention runs per group, row by
+    /// row against that sequence's own paged KV cache (row `r` of a group
+    /// attends to cached positions `0..=pos + r`, the group's rows appended
+    /// just before included). A decode step, a speculative verify pass and
+    /// a prompt chunk differ only in their [`RowGroup`]; a serving step is
+    /// the rows of every sequence in flight, so the weight stack streams
+    /// once per step instead of once per sequence.
     ///
-    /// Bit-identity with the token-by-token loop holds operation by
-    /// operation: norms and quantizers run per row with the same kernels
-    /// (the [`EncodeScratch`] carries capacity, never state, across rows),
-    /// projections go through [`Matrix::matmul_t_into`] whose rows equal
-    /// the per-token matvecs exactly, and attention for row `r` scans the
-    /// same cache rows in the same order the sequential path would at
-    /// position `pos0 + r` — K/V rows never depend on attention, so
-    /// appending the whole chunk before attending changes nothing.
-    fn prefill_core(&self, state: &mut DecodeState, tokens: &[u32], logits_out: LogitsOut<'_>) {
-        let n = tokens.len();
-        assert!(n > 0, "empty prefill chunk");
-        for &t in tokens {
-            assert!((t as usize) < self.config.vocab, "token {t} out of range");
-        }
+    /// `group` is called several times per sequence per pass and must
+    /// describe the same group each time; it is an accessor, not an
+    /// iterator, so the driver's own records (`&mut [Active]` in
+    /// `opal-serve`) are walked in place with no per-pass list of borrows.
+    /// The pass allocates nothing once `ws` has seen its largest row count
+    /// and longest context (the paged KV cache allocates one recycled block
+    /// per [`BlockPool::block_size`] positions).
+    ///
+    /// **Which rows share a pass is invisible in the output.** Norms,
+    /// quantizers (the [`EncodeScratch`] carries capacity, never state) and
+    /// RoPE are row-wise with the single-token kernels; a
+    /// [`Matrix::matmul_t_into`] row is bitwise the
+    /// [`Matrix::matvec_into`] it replaces; attention for a row scans the
+    /// same cache rows in the same order a token-by-token loop would at
+    /// that position — K/V rows never depend on attention, so appending a
+    /// group's rows before attending changes nothing. Ordering of every
+    /// loop and reduction matches the seed implementation (kept in
+    /// [`crate::reference`]) except inside [`opal_tensor::ops::dot`], whose
+    /// 4-accumulator reduction reassociates `f64` partial sums ~29 bits
+    /// below `f32` resolution; `tests/decode_golden.rs` pins the output
+    /// bit-for-bit against logit patterns captured from the seed build, and
+    /// this module's grouping proptest pins arbitrary groupings against
+    /// each sequence run alone token by token.
+    ///
+    /// Every state's position advances only as the pass returns. A pass
+    /// that panics half way (a bounded [`BlockPool`] running dry, say)
+    /// leaves each `pos` where it was, with rows past it possibly written:
+    /// `state.truncate(state.pos())` drops those, and the state is as it
+    /// was before the pass — which is how a driver re-runs the survivors of
+    /// a poisoned pass one by one.
+    ///
+    /// The `recorder`, if any, sees every site of every row, per layer in
+    /// row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before touching any state, if a token is out of vocabulary
+    /// range or a [`LogitsOut::Last`] slice is not `vocab` long.
+    pub fn forward_rows<T>(
+        &self,
+        seqs: &mut [T],
+        group: impl for<'a> Fn(&'a mut T) -> RowGroup<'a>,
+        ws: &mut Workspace,
+        mut recorder: Option<&mut dyn Recorder>,
+    ) {
         let d = self.config.d_model;
         let ff = self.config.d_ff;
         let dh = self.config.head_dim();
-        let DecodeState { pos, kv, scratch: st } = state;
-        let pos0 = *pos;
-        let seq = pos0 + n;
-        let bs = kv.pool.block_size();
-        let ScratchSpace { prefill: pf, quant, hn, logits, scores, weights, .. } = st;
+        let vocab = self.config.vocab;
+        let n_heads = self.config.n_heads;
 
-        for m in [&mut pf.hs, &mut pf.xs, &mut pf.xqs, &mut pf.qs, &mut pf.ks, &mut pf.vs] {
+        // Rows in flight, rows wanting logits, and the longest context any
+        // row attends over.
+        let (mut n, mut wanted, mut longest) = (0, 0, 0);
+        for seq in seqs.iter_mut() {
+            let g = group(seq);
+            for &t in g.tokens {
+                assert!((t as usize) < vocab, "token {t} out of range");
+            }
+            let rows = g.tokens.len();
+            n += rows;
+            wanted += match &g.logits {
+                LogitsOut::None => 0,
+                LogitsOut::Last(out) => {
+                    assert_eq!(out.len(), vocab, "logits length mismatch");
+                    rows.min(1)
+                }
+                LogitsOut::All(_) => rows,
+            };
+            if rows > 0 {
+                longest = longest.max(g.state.pos + rows);
+            }
+        }
+        if n == 0 {
+            return;
+        }
+
+        let Workspace { hs, xs, xqs, qs, ks, vs, qqs, ctxs, ctxqs, proj, .. } = &mut *ws;
+        for m in [hs, xs, xqs, qs, ks, vs, qqs, ctxs, ctxqs, proj] {
             ensure_shape(m, n, d);
         }
-        for m in [&mut pf.qqs, &mut pf.ctxs, &mut pf.ctxqs, &mut pf.proj] {
-            ensure_shape(m, n, d);
-        }
-        for m in [&mut pf.gates, &mut pf.ups, &mut pf.act_qs] {
+        for m in [&mut ws.gates, &mut ws.ups, &mut ws.act_qs] {
             ensure_shape(m, n, ff);
         }
-        scores.resize(self.config.n_heads * seq, 0.0);
-        weights.resize(self.config.n_heads * seq, 0.0);
-        ensure_shape(&mut pf.rope, n, dh);
-        for r in 0..n {
-            ops::rope_angles_into(pos0 + r, self.rope_theta, pf.rope.row_mut(r));
+        ensure_shape(&mut ws.rope, n, dh);
+        if ws.scores.len() < n_heads * longest {
+            ws.scores.resize(n_heads * longest, 0.0);
+            ws.weights.resize(n_heads * longest, 0.0);
         }
 
-        for (r, &t) in tokens.iter().enumerate() {
-            pf.hs.row_mut(r).copy_from_slice(self.embedding.row(t as usize));
-        }
+        for_each_group(seqs, &group, |row0, g| {
+            for (r, &t) in g.tokens.iter().enumerate() {
+                ws.hs.row_mut(row0 + r).copy_from_slice(self.embedding.row(t as usize));
+                ops::rope_angles_into(g.state.pos + r, self.rope_theta, ws.rope.row_mut(row0 + r));
+            }
+        });
 
         for (l, lw) in self.layers.iter().enumerate() {
             // ---- attention ----
             for r in 0..n {
-                self.norm_into(pf.hs.row(r), &lw.attn_gain, &lw.attn_bias, pf.xs.row_mut(r));
+                self.norm_into(ws.hs.row(r), &lw.attn_gain, &lw.attn_bias, ws.xs.row_mut(r));
             }
-            self.quant_low_block(&pf.xs, &mut pf.xqs, quant);
-            pf.xqs.matmul_t_into(&lw.wq_t, &mut pf.qs);
-            pf.xqs.matmul_t_into(&lw.wk_t, &mut pf.ks);
-            pf.xqs.matmul_t_into(&lw.wv_t, &mut pf.vs);
+            record_rows(&mut recorder, l, &[(Site::QkvInput, &ws.xs)]);
+            self.quant_low_block(&ws.xs, &mut ws.xqs, &mut ws.quant);
+            ws.xqs.matmul_t_into(&lw.wq_t, &mut ws.qs);
+            ws.xqs.matmul_t_into(&lw.wk_t, &mut ws.ks);
+            ws.xqs.matmul_t_into(&lw.wv_t, &mut ws.vs);
             for r in 0..n {
-                let angles = pf.rope.row(r);
-                for head in 0..self.config.n_heads {
+                let angles = ws.rope.row(r);
+                for head in 0..n_heads {
                     let s = head * dh;
-                    ops::rope_apply(&mut pf.qs.row_mut(r)[s..s + dh], angles);
-                    ops::rope_apply(&mut pf.ks.row_mut(r)[s..s + dh], angles);
+                    ops::rope_apply(&mut ws.qs.row_mut(r)[s..s + dh], angles);
+                    ops::rope_apply(&mut ws.ks.row_mut(r)[s..s + dh], angles);
                 }
             }
-            self.quant_high_block(&pf.qs, &mut pf.qqs, quant);
-            // Quantize the chunk's K/V rows straight into the paged cache,
-            // one contiguous segment per block the chunk spans (the block
-            // quantizer is row-wise, so the split is bit-invisible).
-            let mut off = 0;
-            while off < n {
-                let p = pos0 + off;
-                let rows = (bs - p % bs).min(n - off);
-                let (ks, vs) = (
-                    &pf.ks.as_slice()[off * d..(off + rows) * d],
-                    &pf.vs.as_slice()[off * d..(off + rows) * d],
-                );
-                if kv.quantized() {
-                    kv.append_rows_quant(l, p, rows, ks, vs, quant);
-                } else {
-                    let (k_dst, v_dst) = kv.rows_mut(l, p, rows);
-                    self.quant_high_flat(ks, d, k_dst, quant);
-                    self.quant_high_flat(vs, d, v_dst, quant);
-                }
-                off += rows;
-            }
+            record_rows(
+                &mut recorder,
+                l,
+                &[(Site::Query, &ws.qs), (Site::Key, &ws.ks), (Site::Value, &ws.vs)],
+            );
+            self.quant_high_block(&ws.qs, &mut ws.qqs, &mut ws.quant);
 
-            // Row `r` attends to its causal prefix: the cached positions
-            // `0..=pos0 + r`, the chunk rows appended just above included.
-            for r in 0..n {
-                let len = pos0 + r + 1;
-                self.attend_row(kv, l, len, pf.qqs.row(r), scores, weights, pf.ctxs.row_mut(r));
-            }
-            self.quant_high_block(&pf.ctxs, &mut pf.ctxqs, quant);
-            pf.ctxqs.matmul_t_into(&lw.wo_t, &mut pf.proj);
-            for (hh, oo) in pf.hs.as_mut_slice().iter_mut().zip(pf.proj.as_slice()) {
+            for_each_group(seqs, &group, |row0, g| {
+                let rows = g.tokens.len();
+                let DecodeState { pos, kv, .. } = g.state;
+                let pos0 = *pos;
+                let bs = kv.pool.block_size();
+                // Quantize the group's K/V rows straight into its paged
+                // cache, one contiguous segment per block they span (the
+                // block quantizer is row-wise, so the split is
+                // bit-invisible).
+                let mut off = 0;
+                while off < rows {
+                    let p = pos0 + off;
+                    let seg = (bs - p % bs).min(rows - off);
+                    let (from, to) = ((row0 + off) * d, (row0 + off + seg) * d);
+                    let (ks, vs) = (&ws.ks.as_slice()[from..to], &ws.vs.as_slice()[from..to]);
+                    if kv.quantized() {
+                        // Quantized KV: the page encoder *is* the
+                        // cache-side quantizer, so the post-RoPE rows go in
+                        // raw and the scheme's codes come back out on the
+                        // walk.
+                        kv.append_rows_quant(l, p, seg, ks, vs, &mut ws.quant);
+                    } else {
+                        let (k_dst, v_dst) = kv.rows_mut(l, p, seg);
+                        self.quant_high_flat(ks, d, k_dst, &mut ws.quant);
+                        self.quant_high_flat(vs, d, v_dst, &mut ws.quant);
+                    }
+                    off += seg;
+                }
+                // Row `r` attends to its causal prefix: the cached
+                // positions `0..=pos0 + r`, the rows appended just above
+                // included.
+                for r in 0..rows {
+                    let (q, ctx) = (ws.qqs.row(row0 + r), ws.ctxs.row_mut(row0 + r));
+                    self.attend_row(kv, l, pos0 + r + 1, q, &mut ws.scores, &mut ws.weights, ctx);
+                }
+            });
+            record_rows(&mut recorder, l, &[(Site::ProjInput, &ws.ctxs)]);
+            self.quant_high_block(&ws.ctxs, &mut ws.ctxqs, &mut ws.quant);
+            ws.ctxqs.matmul_t_into(&lw.wo_t, &mut ws.proj);
+            for (hh, oo) in ws.hs.as_mut_slice().iter_mut().zip(ws.proj.as_slice()) {
                 *hh += oo;
             }
 
             // ---- FFN ----
             for r in 0..n {
-                self.norm_into(pf.hs.row(r), &lw.ffn_gain, &lw.ffn_bias, pf.xs.row_mut(r));
+                self.norm_into(ws.hs.row(r), &lw.ffn_gain, &lw.ffn_bias, ws.xs.row_mut(r));
             }
-            self.quant_low_block(&pf.xs, &mut pf.xqs, quant);
-            // The activation always lands in `pf.gates`.
+            record_rows(&mut recorder, l, &[(Site::Fc1Input, &ws.xs)]);
+            self.quant_low_block(&ws.xs, &mut ws.xqs, &mut ws.quant);
+            // The activation always lands in `ws.gates`.
             match &lw.w_gate_t {
                 Some(gate) => {
-                    pf.xqs.matmul_t_into(gate, &mut pf.gates);
-                    pf.xqs.matmul_t_into(&lw.w_up_t, &mut pf.ups);
-                    for (g, &u) in pf.gates.as_mut_slice().iter_mut().zip(pf.ups.as_slice()) {
+                    ws.xqs.matmul_t_into(gate, &mut ws.gates);
+                    ws.xqs.matmul_t_into(&lw.w_up_t, &mut ws.ups);
+                    for (g, &u) in ws.gates.as_mut_slice().iter_mut().zip(ws.ups.as_slice()) {
                         *g = ops::silu(*g) * u;
                     }
                 }
                 None => {
-                    pf.xqs.matmul_t_into(&lw.w_up_t, &mut pf.gates);
-                    for g in pf.gates.as_mut_slice() {
+                    ws.xqs.matmul_t_into(&lw.w_up_t, &mut ws.gates);
+                    for g in ws.gates.as_mut_slice() {
                         *g = ops::relu(*g);
                     }
                 }
             }
-            self.quant_high_block(&pf.gates, &mut pf.act_qs, quant);
-            pf.act_qs.matmul_t_into(&lw.w_down_t, &mut pf.proj);
-            for (hh, dd) in pf.hs.as_mut_slice().iter_mut().zip(pf.proj.as_slice()) {
+            record_rows(&mut recorder, l, &[(Site::Fc2Input, &ws.gates)]);
+            self.quant_high_block(&ws.gates, &mut ws.act_qs, &mut ws.quant);
+            ws.act_qs.matmul_t_into(&lw.w_down_t, &mut ws.proj);
+            for (hh, dd) in ws.hs.as_mut_slice().iter_mut().zip(ws.proj.as_slice()) {
                 *hh += dd;
             }
         }
 
-        *pos += n;
-        match logits_out {
-            LogitsOut::None => {}
-            LogitsOut::Last { keep_scratch } => {
-                self.norm_into(pf.hs.row(n - 1), &self.final_norm_gain, &self.final_norm_bias, hn);
-                self.unembedding.matvec_into(hn, logits);
-                for v in logits.iter_mut() {
-                    *v *= self.logit_scale;
+        // The rows that want logits: final norm into one matrix, one
+        // unembedding product for all of them (row for row the per-token
+        // matvec), scaled, then handed to their groups.
+        if wanted > 0 {
+            ensure_shape(&mut ws.hn, wanted, d);
+            ensure_shape(&mut ws.logits, wanted, vocab);
+            let mut next = 0;
+            for_each_group(seqs, &group, |row0, g| {
+                let rows = g.tokens.len();
+                let first = match g.logits {
+                    LogitsOut::None => rows,
+                    LogitsOut::Last(_) => rows - 1,
+                    LogitsOut::All(_) => 0,
+                };
+                for r in row0 + first..row0 + rows {
+                    let (gain, bias) = (&self.final_norm_gain, &self.final_norm_bias);
+                    self.norm_into(ws.hs.row(r), gain, bias, ws.hn.row_mut(next));
+                    next += 1;
                 }
-                if !keep_scratch {
-                    // A prompt's final chunk: the prompt is consumed, so
-                    // drop the chunk-sized buffers instead of carrying ~13
-                    // `chunk × d_model`/`chunk × d_ff` matrices through the
-                    // sequence's whole decode lifetime (they regrow lazily
-                    // if another prompt chunk ever arrives). Draft
-                    // catch-up chunks set `keep_scratch` — they recur
-                    // every step.
-                    *pf = PrefillScratch::default();
-                }
+            });
+            ws.hn.matmul_t_into(&self.unembedding, &mut ws.logits);
+            for v in ws.logits.as_mut_slice() {
+                *v *= self.logit_scale;
             }
-            LogitsOut::All(out) => {
-                // Per-row final norm + unembedding with the single-token
-                // kernels, so row `r` is bit-identical to the logits a
-                // `decode_step` at position `pos0 + r` would produce. The
-                // chunk scratch stays alive — see `verify_chunk_into`.
-                ensure_shape(out, n, self.config.vocab);
-                for r in 0..n {
-                    self.norm_into(pf.hs.row(r), &self.final_norm_gain, &self.final_norm_bias, hn);
-                    let row = out.row_mut(r);
-                    self.unembedding.matvec_into(hn, row);
-                    for v in row.iter_mut() {
-                        *v *= self.logit_scale;
-                    }
+            let mut next = 0;
+            for_each_group(seqs, &group, |_, g| match g.logits {
+                LogitsOut::None => {}
+                LogitsOut::Last(out) => {
+                    out.copy_from_slice(ws.logits.row(next));
+                    next += 1;
                 }
-            }
+                LogitsOut::All(out) => {
+                    let rows = g.tokens.len();
+                    ensure_shape(out, rows, vocab);
+                    let span = next * vocab..(next + rows) * vocab;
+                    out.as_mut_slice().copy_from_slice(&ws.logits.as_slice()[span]);
+                    next += rows;
+                }
+            });
         }
+
+        // Last, so that a pass that unwound anywhere above moved no one.
+        for_each_group(seqs, &group, |_, g| g.state.pos += g.tokens.len());
     }
 
     /// Attention of one query row over the first `len` cached positions of
@@ -1237,23 +1201,8 @@ impl Model {
         out
     }
 
-    fn quant_low_into(&self, x: &[f32], out: &mut [f32], scratch: &mut EncodeScratch) {
-        match &self.low_q {
-            Some(q) => q.quantize_dequantize_scratch(x, out, scratch),
-            None => bf16_roundtrip_into(x, out),
-        }
-    }
-
-    fn quant_high_into(&self, x: &[f32], out: &mut [f32], scratch: &mut EncodeScratch) {
-        match &self.high_q {
-            Some(q) => q.quantize_dequantize_scratch(x, out, scratch),
-            None => bf16_roundtrip_into(x, out),
-        }
-    }
-
-    /// Low-bit quantization of every row of a chunk matrix through the
-    /// shared [`EncodeScratch`] — bit-identical to [`Model::quant_low_into`]
-    /// per row.
+    /// Low-bit quantization of every row of a stacked matrix through the
+    /// shared [`EncodeScratch`], row for row the single-vector quantizer.
     fn quant_low_block(&self, x: &Matrix, out: &mut Matrix, scratch: &mut EncodeScratch) {
         match &self.low_q {
             Some(q) => q.quantize_dequantize_block_scratch(
@@ -1266,7 +1215,7 @@ impl Model {
         }
     }
 
-    /// High-bit quantization of every row of a chunk matrix (see
+    /// High-bit quantization of every row of a stacked matrix (see
     /// [`Model::quant_low_block`]).
     fn quant_high_block(&self, x: &Matrix, out: &mut Matrix, scratch: &mut EncodeScratch) {
         self.quant_high_flat(x.as_slice(), x.cols(), out.as_mut_slice(), scratch);
@@ -1274,7 +1223,7 @@ impl Model {
 
     /// High-bit quantization of `width`-wide rows of a flat row-major
     /// block, writing straight into a flat destination — used to quantize a
-    /// chunk's K/V rows directly into the contiguous cache.
+    /// group's K/V rows directly into the contiguous cache.
     fn quant_high_flat(
         &self,
         x: &[f32],
@@ -1422,6 +1371,7 @@ fn process_owq(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::KvScheme;
     use crate::scheme::QuantScheme;
 
     fn tiny_model(scheme: QuantScheme) -> Model {
@@ -1561,6 +1511,220 @@ mod tests {
                 }
             }
             assert_eq!(ver_state.pos(), seq_state.pos());
+        }
+    }
+
+    /// One model per scheme family, built once for all proptest cases.
+    fn grouping_models() -> &'static [Model; 3] {
+        static MODELS: std::sync::OnceLock<[Model; 3]> = std::sync::OnceLock::new();
+        MODELS.get_or_init(|| {
+            [
+                QuantScheme::bf16(),
+                QuantScheme::mxopal_w4a47(),
+                QuantScheme::mxopal_w4a47().with_log2_softmax(5),
+            ]
+            .map(tiny_model)
+        })
+    }
+
+    /// What one sequence of a grouping case holds after being fed
+    /// `tokens`: the logits after every position and the image of every
+    /// cached row, `[layer][pos]`.
+    struct Alone {
+        logits: Vec<Vec<f32>>,
+        rows: Vec<Vec<Vec<u32>>>,
+    }
+
+    fn kv_rows(state: &DecodeState) -> Vec<Vec<Vec<u32>>> {
+        let layers = 0..state.kv.layers.len();
+        layers.map(|l| (0..state.pos).map(|p| state.kv.row_image(l, p)).collect()).collect()
+    }
+
+    /// The oracle: the sequence alone, token by token.
+    fn run_alone(m: &Model, pool: &Arc<BlockPool>, tokens: &[u32]) -> Alone {
+        let mut state = m.begin_decode_paged(pool);
+        let logits = tokens.iter().map(|&t| m.decode_step(&mut state, t)).collect();
+        Alone { logits, rows: kv_rows(&state) }
+    }
+
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len() && got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    /// One grouping case: `shapes` is per sequence (start position, rows in
+    /// the pass, logits mode, token seed). The first difference from the
+    /// sequences run alone comes back as the error.
+    fn grouping_case(
+        m: &Model,
+        kv: KvScheme,
+        bs: usize,
+        shapes: &[(usize, usize, usize, u32)],
+    ) -> Result<(), String> {
+        let (d, vocab) = (m.config().d_model, m.config().vocab);
+        let pool = || Arc::new(BlockPool::with_scheme(bs, d, usize::MAX, kv));
+        let tokens: Vec<Vec<u32>> = shapes
+            .iter()
+            .map(|&(start, rows, _, seed)| {
+                (0..(start + rows) as u32).map(|j| (seed + j * 7 + j * j) % vocab as u32).collect()
+            })
+            .collect();
+        let alone: Vec<Alone> = tokens.iter().map(|t| run_alone(m, &pool(), t)).collect();
+
+        // The grouped run: every sequence brought to its start position on
+        // its own, then all their rows in one pass over one pool.
+        let shared = pool();
+        let mut states: Vec<DecodeState> = shapes
+            .iter()
+            .zip(&tokens)
+            .map(|(&(start, ..), t)| {
+                let mut state = m.begin_decode_paged(&shared);
+                if start > 0 {
+                    m.prefill_chunk(&mut state, &t[..start]);
+                }
+                state
+            })
+            .collect();
+        let mut last: Vec<Vec<f32>> = vec![vec![0.0; vocab]; shapes.len()];
+        let mut all: Vec<Matrix> = vec![Matrix::zeros(0, 0); shapes.len()];
+        let mut groups: Vec<RowGroup<'_>> = states
+            .iter_mut()
+            .zip(&tokens)
+            .zip(shapes)
+            .zip(last.iter_mut().zip(all.iter_mut()))
+            .map(|(((state, t), &(start, _, mode, _)), (last, all))| RowGroup {
+                state,
+                tokens: &t[start..],
+                logits: match mode {
+                    0 => LogitsOut::None,
+                    1 => LogitsOut::Last(last),
+                    _ => LogitsOut::All(all),
+                },
+            })
+            .collect();
+        m.forward_rows(&mut groups, RowGroup::reborrow, &mut Workspace::new(), None);
+        drop(groups);
+
+        for (i, &(start, rows, mode, _)) in shapes.iter().enumerate() {
+            if states[i].pos() != start + rows {
+                return Err(format!("seq {i}: at {}, not {}", states[i].pos(), start + rows));
+            }
+            if kv_rows(&states[i]) != alone[i].rows {
+                return Err(format!("seq {i}: cached K/V rows differ"));
+            }
+            let want = &alone[i].logits[start..];
+            let same = match mode {
+                _ if rows == 0 => true,
+                0 => true,
+                1 => same_bits(&last[i], &want[rows - 1]),
+                _ => {
+                    all[i].rows() == rows
+                        && want.iter().enumerate().all(|(r, want)| same_bits(all[i].row(r), want))
+                }
+            };
+            if !same {
+                return Err(format!("seq {i}: logits differ (mode {mode})"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Any ragged grouping of sequences into one `forward_rows` pass —
+        /// different start positions, row counts (none included) and
+        /// logits modes, every KV page format and block size — leaves each
+        /// sequence with bitwise the logits and the cached rows it gets
+        /// alone, token by token.
+        #[test]
+        fn forward_rows_groupings_are_bitwise_each_sequence_alone(
+            scheme_ix in 0usize..3,
+            kv_ix in 0usize..3,
+            bs_ix in 0usize..3,
+            shapes in proptest::collection::vec(
+                (0usize..7, 0usize..=9, 0usize..3, 0u32..997),
+                1..=5,
+            ),
+        ) {
+            let kv = [KvScheme::Exact, KvScheme::mxopal(), KvScheme::mxopal4()][kv_ix];
+            let bs = [1usize, 3, 16][bs_ix];
+            let outcome = grouping_case(&grouping_models()[scheme_ix], kv, bs, &shapes);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// The rollback a driver relies on when a fused pass unwinds: one group
+    /// of three runs its (bounded) pool dry half way through the layers,
+    /// the pass panics, nobody's position has moved, and the other two —
+    /// truncated to where they stood and re-run alone — end bit for bit
+    /// where an unperturbed run of each ends.
+    #[test]
+    fn survivors_of_a_panicked_pass_rerun_alone_bit_identically() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for kv in [KvScheme::Exact, KvScheme::mxopal()] {
+            let m = &grouping_models()[1];
+            let (d, vocab, nl) = (m.config().d_model, m.config().vocab, m.config().n_layers);
+            let bs = 4;
+            let starts = [3usize, 5, 2];
+            let tokens: [Vec<u32>; 3] = [0u32, 1, 2]
+                .map(|i| (0..9u32).map(|j| (i * 17 + j * 5 + 1) % vocab as u32).collect());
+            let unbounded = || Arc::new(BlockPool::with_scheme(bs, d, usize::MAX, kv));
+            let want: Vec<Alone> = tokens.iter().map(|t| run_alone(m, &unbounded(), t)).collect();
+
+            // The victim (the middle group) goes from 5 to 9 positions: three
+            // blocks per layer, and its pool is one block short of that in
+            // the last layer, so it panics after every group has appended
+            // to every layer before.
+            let pools =
+                [unbounded(), Arc::new(BlockPool::with_scheme(bs, d, 3 * nl - 1, kv)), unbounded()];
+            let mut states: Vec<DecodeState> = (0..3)
+                .map(|i| {
+                    let mut state = m.begin_decode_paged(&pools[i]);
+                    m.prefill_chunk(&mut state, &tokens[i][..starts[i]]);
+                    state
+                })
+                .collect();
+            let mut ws = Workspace::new();
+            let mut logits = vec![vec![0.0f32; vocab]; 3];
+            let pass = |states: &mut [DecodeState],
+                        logits: &mut [Vec<f32>],
+                        ws: &mut Workspace,
+                        only: Option<usize>| {
+                let mut groups: Vec<RowGroup<'_>> = states
+                    .iter_mut()
+                    .zip(logits.iter_mut())
+                    .enumerate()
+                    .filter(|(i, _)| only.is_none_or(|o| o == *i))
+                    .map(|(i, (state, out))| RowGroup {
+                        state,
+                        tokens: &tokens[i][starts[i]..],
+                        logits: LogitsOut::Last(out),
+                    })
+                    .collect();
+                catch_unwind(AssertUnwindSafe(|| {
+                    m.forward_rows(&mut groups, RowGroup::reborrow, ws, None)
+                }))
+            };
+            assert!(
+                pass(&mut states, &mut logits, &mut ws, None).is_err(),
+                "the pool was not short"
+            );
+            for (state, &start) in states.iter().zip(&starts) {
+                assert_eq!(state.pos(), start, "a panicked pass moved a position");
+            }
+            assert!(states[0].blocks_per_layer() > starts[0].div_ceil(bs), "nothing was appended");
+            for i in 0..3 {
+                let before = states[i].pos();
+                states[i].truncate(before);
+                assert_eq!(states[i].blocks_per_layer(), before.div_ceil(bs));
+                let rerun = pass(&mut states, &mut logits, &mut ws, Some(i));
+                assert_eq!(rerun.is_err(), i == 1, "group {i}: only the victim panics again");
+            }
+            for i in [0, 2] {
+                assert_eq!(states[i].pos(), 9);
+                assert!(same_bits(&logits[i], &want[i].logits[8]), "survivor {i} logits");
+                assert!(kv_rows(&states[i]) == want[i].rows, "survivor {i} KV rows");
+            }
         }
     }
 

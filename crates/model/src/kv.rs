@@ -1004,6 +1004,36 @@ impl PagedKv {
         }
     }
 
+    /// Everything the cache stores for position `pos` of `layer`, K then V,
+    /// as one word list: the `f32` bit patterns of an exact row, or a
+    /// quantized row's codes, scales and live outlier slots (slots past a
+    /// block's live count are recycled-page garbage by design). Equal
+    /// images are bit-equal rows.
+    #[cfg(test)]
+    pub(crate) fn row_image(&self, layer: usize, pos: usize) -> Vec<u32> {
+        let (bs, w) = (self.pool.block_size(), self.pool.width());
+        let (block, r) = (&self.layers[layer][pos / bs], pos % bs);
+        let mut image = Vec::new();
+        for page in [&block.k, &block.v] {
+            if !self.quantized() {
+                image.extend(page.exact()[r * w..(r + 1) * w].iter().map(|x| x.to_bits()));
+                continue;
+            }
+            let (bits, qblock, nout) = self.pool.quant_params();
+            let row = page.quant().row(r, w, self.pool.qblocks_per_row(), nout, bits, qblock);
+            image.extend(row.codes.iter().map(|&c| c as u32));
+            image.extend(row.scales.iter().map(|&s| s as u32));
+            for (qb, &live) in row.out_len.iter().enumerate() {
+                image.push(u32::from(live));
+                for slot in qb * nout..qb * nout + usize::from(live) {
+                    image.push(u32::from(row.out_idx[slot]));
+                    image.push(row.out_val[slot].to_f32().to_bits());
+                }
+            }
+        }
+        image
+    }
+
     /// Whether any layer's tail block is mapped by someone else (an append
     /// at a non-boundary position would copy-on-write).
     pub(crate) fn tail_shared(&self) -> bool {

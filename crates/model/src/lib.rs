@@ -39,7 +39,10 @@ mod scheme;
 pub mod weights;
 
 pub use config::{Arch, ModelConfig};
-pub use infer::{ActivationCapture, DecodeState, Model, Recorder, SecondMomentRecorder, Site};
+pub use infer::{
+    ActivationCapture, DecodeState, LogitsOut, Model, Recorder, RowGroup, SecondMomentRecorder,
+    Site, Workspace,
+};
 pub use kv::{AdoptError, BlockPool, KvBlock, KvScheme};
 pub use reference::ReferenceDecodeState;
 pub use scheme::{ActFormat, ActScheme, QuantScheme, SoftmaxKind, WeightScheme};

@@ -38,7 +38,7 @@ impl ActScheme {
     /// Builds the quantizer for the low-bit (post-LayerNorm) positions.
     ///
     /// The box is `Send + Sync` so a model holding it can be shared across
-    /// the serving engine's scoped decode threads.
+    /// the serving engine's decode worker threads.
     ///
     /// # Errors
     ///

@@ -1,5 +1,12 @@
 //! The batch scheduler: continuous admission over a paged, prefix-shared
 //! KV cache with memory-aware preemption.
+//!
+//! A step plans first (deadlines, degraded mode, admission, the block
+//! budget and prefill grants: `plan_step`), then runs the model side in
+//! [`advance_chunk`] — every sequence's rows of the step fused into one
+//! prefill pass and one decode pass of `Model::forward_rows`, so the weight
+//! stack streams once per pass, not once per sequence — and accounts,
+//! publishes prefixes and retires afterwards, in batch order.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -9,7 +16,7 @@ use std::time::Instant;
 use opal_hw::accelerator::Accelerator;
 use opal_model::kv::{BlockPool, KvBlock, KvScheme};
 use opal_model::sampling::Sampler;
-use opal_model::{DecodeState, Model};
+use opal_model::{DecodeState, LogitsOut, Model, RowGroup, Workspace};
 use opal_tensor::rng::TensorRng;
 use opal_tensor::Matrix;
 
@@ -159,11 +166,6 @@ pub enum StepMode {
     /// and benches to exercise the pool machinery deterministically (output
     /// is identical to every other mode either way).
     ForcePool,
-    /// Always fan out with per-step `std::thread::scope` workers — the
-    /// pre-pool dispatcher, kept as an A/B baseline so
-    /// `BENCH_decode.json` can price the spawn-per-step overhead the pool
-    /// removes.
-    ForceScoped,
 }
 
 /// Where speculative draft tokens come from (see [`SpecConfig`]).
@@ -228,10 +230,12 @@ pub struct ServeConfig {
     /// override via [`ServeEngine::submit_with_limit`] is clamped to this).
     pub max_tokens: usize,
     /// Worker threads for the batch decode step. `1` (the default) steps
-    /// sequences on the caller's thread; larger values split the active
-    /// batch across the engine's persistent worker pool (subject to
-    /// [`StepMode`]). Output is identical for every thread count — each
-    /// sequence owns its state, and results are committed in batch order.
+    /// the whole batch on the caller's thread, its rows fused into shared
+    /// forward passes; larger values split the active batch across the
+    /// engine's persistent worker pool (subject to [`StepMode`]), each
+    /// thread fusing its own chunk. Output is identical for every thread
+    /// count — each sequence owns its state, which rows share a pass is
+    /// invisible in the output, and results are committed in batch order.
     pub num_threads: usize,
     /// Dispatch policy for multi-threaded steps; see [`StepMode`].
     pub step_mode: StepMode,
@@ -573,42 +577,42 @@ struct Queued {
     bypassed: u32,
 }
 
-/// What [`advance_sequence`] did to one sequence during one step — written
-/// by the worker that stepped it, read back by the scheduler's post-join
-/// accounting (energy, throughput counters) in batch order, so the
-/// bookkeeping is independent of thread scheduling.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct StepWork {
-    /// Cache position before this step's prefill slice (meaningful when
-    /// `prefilled > 0`).
-    prefill_start: usize,
-    /// Prompt positions consumed this step.
-    prefilled: usize,
-    /// Whether a token was sampled this step.
-    sampled: bool,
-    /// Whether a decode forward pass ran this step.
-    forwarded: bool,
-    /// Draft tokens proposed and verified this step.
-    drafted: usize,
-    /// Drafted tokens accepted (tokens emitted beyond the sampled one).
-    accepted: usize,
-    /// Context length before the fused verify pass, when one ran.
-    verify_start: usize,
-    /// Rows the fused verify pass computed (`1 + drafted`; zero when no
-    /// verify pass ran this step).
-    verify_rows: usize,
-    /// Draft-model context length before this step's draft work.
-    draft_start: usize,
-    /// Draft-model forward passes this step (catch-up rows plus proposal
-    /// steps), priced under the draft sibling's config.
-    draft_rows: usize,
+impl Queued {
+    /// The final report of a request that leaves the queue at step `now`
+    /// without (re-)entering the batch, carrying whatever it generated
+    /// before a preemption. The caller drops the entry next.
+    fn report(&mut self, finish: FinishReason, now: u64) -> RequestReport {
+        let resume = self.resume.take();
+        let (tokens, preemptions, shared, token_steps, ttft) = match resume {
+            Some(r) => (r.tokens, r.preemptions, r.shared, r.token_steps, r.ttft),
+            None => (Vec::new(), 0, 0, Vec::new(), None),
+        };
+        RequestReport {
+            id: self.id,
+            prompt_len: self.prompt.len(),
+            tokens,
+            finish,
+            tenant: self.tenant.take(),
+            admitted_step: now,
+            finished_step: now,
+            preemptions,
+            shared_prefill_tokens: shared,
+            queue_wait: self.submitted_at.elapsed(),
+            ttft,
+            token_steps,
+            latency: self.submitted_at.elapsed(),
+        }
+    }
 }
 
 /// What one sequence did during the most recent [`ServeEngine::step`] —
 /// the realized schedule, exported via [`ServeEngine::last_step_work`] so
 /// load harnesses can reconstruct the step's arithmetic (e.g. as an
 /// `opal_hw::workload::TokenWorkload` schedule) without re-deriving
-/// scheduler decisions.
+/// scheduler decisions. Written by the thread that stepped the sequence
+/// (`advance_chunk`) and read back by the scheduler's post-join
+/// accounting (energy, throughput counters) in batch order, so the
+/// bookkeeping is independent of thread scheduling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SeqStepWork {
     /// Cache position before this step's prefill slice.
@@ -644,15 +648,17 @@ pub struct SeqStepWork {
 }
 
 /// A sequence currently in the batch. Each owns a private [`DecodeState`] —
-/// its KV cache and scratch buffers — plus its sampler RNG, so sequences
-/// are fully isolated and can be stepped from different threads.
+/// its position and KV block tables — plus its logits, token and sampler
+/// RNG state, so sequences are fully isolated and can be stepped in any
+/// grouping, from different threads. The forward-pass buffers belong to
+/// the stepping thread ([`Workspace`]), not to the sequence.
 ///
 /// # Lifecycle
 ///
 /// An admitted sequence starts in the **`Prefilling` phase**
 /// (`prefilled < prompt.len()`): each step it consumes up to its granted
-/// share of the step's [`PrefillBudget`] in one fused
-/// [`Model::prefill_chunk`] pass, generating nothing. The step whose grant
+/// share of the step's [`PrefillBudget`] as its rows of the step's fused
+/// prefill pass, generating nothing. The step whose grant
 /// covers the last prompt position computes the prompt logits and the
 /// sequence transitions to **`Decoding`** — sampling its first token in
 /// that same step, exactly as blocking admission would have — where it
@@ -673,10 +679,10 @@ pub(crate) struct Active {
     /// prefix-shared span, not zero, when blocks were adopted).
     prefilled: usize,
     /// Prefill positions this step's scheduler granted (consumed and reset
-    /// by [`advance_sequence`]).
+    /// by [`advance_chunk`]).
     grant: usize,
     /// Per-step activity record for post-join accounting.
-    work: StepWork,
+    work: SeqStepWork,
     limit: usize,
     sampler: Sampler,
     rng: TensorRng,
@@ -710,7 +716,7 @@ pub(crate) struct Active {
     submitted_step: u64,
     /// TTL in scheduler steps from `submitted_step`, if set.
     deadline: Option<u64>,
-    /// Set by [`advance_sequence_guarded`] when this sequence's step
+    /// Set by [`advance_chunk`]'s quarantine when this sequence's step
     /// panicked: the caught panic message. The scheduler quarantines the
     /// sequence — retires it with `FinishReason::Failed` and returns its
     /// blocks — before publishing anything or stepping it again (its KV
@@ -718,8 +724,8 @@ pub(crate) struct Active {
     /// prefix trie).
     failed: Option<String>,
     /// Armed by an injected [`FaultKind::WorkerPanic`]: the next
-    /// [`advance_sequence`] call on this sequence panics, on whichever
-    /// thread runs it.
+    /// [`advance_chunk`] over this sequence panics on its behalf, on
+    /// whichever thread runs it.
     panic_next: bool,
     /// Speculative-decoding state when [`ServeConfig::spec`] is set:
     /// draft source plus the reusable draft/verify buffers. Dropped on
@@ -769,22 +775,57 @@ impl Active {
     fn prefilling(&self) -> bool {
         self.prefilled < self.prefill.len()
     }
+
+    /// The final report of a sequence leaving the batch at `finished_step`.
+    /// Takes the tokens with it: the caller drops the sequence next.
+    fn report(&mut self, finish: FinishReason, finished_step: u64) -> RequestReport {
+        RequestReport {
+            id: self.id,
+            prompt_len: self.prompt_len,
+            tokens: std::mem::take(&mut self.tokens),
+            finish,
+            tenant: self.tenant.take(),
+            admitted_step: self.admitted_step,
+            finished_step,
+            preemptions: self.preemptions,
+            shared_prefill_tokens: self.shared,
+            queue_wait: self.queue_wait,
+            ttft: self.ttft,
+            token_steps: std::mem::take(&mut self.token_steps),
+            latency: self.submitted_at.elapsed(),
+        }
+    }
 }
 
-/// Minimum matvec work (multiply-accumulates) a worker's chunk must carry
+/// Minimum weight work (multiply-accumulates) a worker's chunk must carry
 /// for [`StepMode::Auto`] to hand it to a pool thread instead of running it
 /// inline.
 ///
-/// 400k MACs is roughly 110 µs of decode on one current core with the AVX
-/// GEMV kernel (the `llama7b-proxy128` config measures ≈580k MACs/token by
-/// `approx_macs_per_token` at ≈160 µs per bf16 step), an order of magnitude
-/// above the few-µs channel-send + wake-up cost of a dispatch — while the
-/// tiny test config (≈30k MACs/token) stays serial up to batch 13/worker,
-/// which is exactly the regime where PR 2's scoped threads lost to the
-/// single-threaded path. In `bench_decode`, `optimized-4t` reads 1.2–1.8×
-/// `optimized-1t` on the proxy at batch ≥ 4 and 1.0× (the gate refuses) on
-/// every other row.
-const FANOUT_MIN_MACS_PER_WORKER: u64 = 400_000;
+/// A chunk's rows share one pass over the weights, so splitting a batch
+/// buys less than it did when every sequence streamed the stack itself: two
+/// half-batches stream it twice, in parallel, and what is saved is half the
+/// rows' arithmetic. On the `llama7b-proxy128` config (815k MACs/token by
+/// `approx_macs_per_token`; bf16, 2 vCPUs) a fused serial step costs about
+/// 50 µs of stream plus 105 µs per row, a dispatch a few µs. Forced
+/// two-thread dispatch over serial, alternating drains: 1.12–1.19× at batch
+/// 2–3, 1.5–1.8× at 4, 1.2–1.4× at 5–6, 1.4–1.5× at 8, 1.5–1.8× at 16 while
+/// the second vCPU was ours; 0.8–1.0× at every batch up to 8 in the
+/// stretches when it was not (a shared host: no gate fixes that). 1.6M MACs
+/// is two proxy rows per worker: the first fan-out at batch 4 there (eight
+/// for four workers), leaving out the batches where the gain is inside the
+/// host's noise, which is what keeps `num_threads = N` never slower than 1;
+/// the tiny test config (≈30k MACs/token) stays serial at any batch a test
+/// uses.
+const FANOUT_MIN_MACS_PER_WORKER: u64 = 1_600_000;
+
+/// Hardware threads of this host, asked once per process:
+/// `available_parallelism` reads the cgroup quota files on Linux (~18 µs
+/// and four allocations a call), and [`StepMode::Auto`] consults it on
+/// every step.
+fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Matvec multiply-accumulates per decoded token: the decoder stack's
 /// weight MACs (identical to its parameter count) plus the unembedding row.
@@ -854,19 +895,110 @@ fn split_by_work(seqs: &mut [Active], workers: usize) -> Vec<&mut [Active]> {
     chunks
 }
 
-/// Advances one sequence by one step. Runs on worker threads; everything
-/// it touches is owned by the sequence, and the work it performs is fully
-/// determined by scheduler state fixed before the fan-out (`grant`), so
-/// output is independent of thread count and dispatch mode.
+/// Advances every sequence of `chunk` by one step: the model side of
+/// [`ServeEngine::step`] for the sequences one thread owns (the whole batch
+/// on the serial path, one [`split_by_work`] slice per worker otherwise),
+/// with the [`Workspace`] that thread owns. All the chunk's rows of a kind
+/// go through the model in **one** [`Model::forward_rows`] pass, so the
+/// weight stack streams once per pass instead of once per sequence:
 ///
-/// A `Prefilling` sequence consumes its granted prompt slice in one fused
-/// [`Model::prefill_chunk`] pass; if the grant covers the rest of the
-/// prompt it computes the prompt logits and falls through to `Decoding`.
-/// A `Decoding` sequence samples from the last logits, then — unless it
-/// just hit its limit — runs the next forward pass, reusing the
-/// `last_logits` buffer.
-pub(crate) fn advance_sequence(model: &Model, seq: &mut Active) {
-    seq.work = StepWork::default();
+/// 0. *Faults and grants* ([`begin_step`]), per sequence.
+/// 1. *Prefill pass*: every granted prompt slice is a group
+///    ([`prefill_rows`]).
+/// 2. *Sample* ([`sample`]): every sequence holding fresh logits —
+///    decoding already, or its prompt just completed, exactly as blocking
+///    admission would have sampled it — picks its token and leaves its
+///    feed, `[t0]` or a verify `[t0, d1..dk]`, unless that was its last.
+/// 3. *Decode pass*: all feeds in one pass ([`decode_rows`]).
+/// 4. *Commit* ([`commit`]): acceptance and rollback per verify.
+///
+/// A pure-decode step makes one pass, a step that completes a prompt two.
+/// Everything a sequence does is fixed by scheduler state decided before
+/// the fan-out (`grant`) and by its own tokens, and which rows share a pass
+/// is invisible in the output (`Model::forward_rows`' contract), so tokens,
+/// `token_steps` and [`SeqStepWork`] are independent of batch composition,
+/// thread count and dispatch mode.
+///
+/// Panic quarantine: phases 0, 2 and 4 run each sequence under its own
+/// `catch_unwind` ([`guarded`]); a fused pass runs under one
+/// ([`fused_pass`]) and falls back to one pass per sequence when it
+/// unwinds. Either way the panicking sequence ends the step with
+/// [`Active::failed`] set and nobody else notices.
+pub(crate) fn advance_chunk(model: &Model, chunk: &mut [Active], ws: &mut Workspace) {
+    for seq in chunk.iter_mut() {
+        seq.work = SeqStepWork::default();
+        guarded(seq, begin_step);
+    }
+    fused_pass(model, chunk, ws, prefill_rows);
+    for seq in chunk.iter_mut() {
+        guarded(seq, |seq| sample(seq, ws));
+    }
+    fused_pass(model, chunk, ws, decode_rows);
+    for seq in chunk.iter_mut() {
+        guarded(seq, commit);
+    }
+}
+
+/// Runs `f` on a live sequence behind `catch_unwind`: the per-sequence
+/// panic quarantine. A panic — a model invariant tripping on corrupt
+/// state, or an injected chaos fault — is caught here, on the thread that
+/// ran the sequence, and recorded in [`Active::failed`]; the scheduler
+/// retires the sequence with `FinishReason::Failed` after the join. A
+/// sequence already quarantined is never touched again.
+///
+/// The `AssertUnwindSafe` is sound for the same reason preemption is: a
+/// quarantined sequence is *dropped*, never observed again — its possibly
+/// half-written `DecodeState` is released to the pool without its contents
+/// ever being read (the quarantine runs before `register_prefixes`, so
+/// poisoned blocks cannot leak into the prefix cache either).
+fn guarded(seq: &mut Active, f: impl FnOnce(&mut Active)) {
+    if seq.failed.is_some() {
+        return;
+    }
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(seq))) {
+        seq.failed = Some(panic_message(payload.as_ref()));
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "sequence step panicked with a non-string payload".to_owned())
+}
+
+/// One [`Model::forward_rows`] pass over the rows `rows` describes for
+/// each sequence of the chunk, under one `catch_unwind`. When the pass
+/// unwinds — one sequence's KV append hit a dry pool, say — nobody's
+/// position has moved (`forward_rows` advances them last), so every
+/// sequence is truncated back to it, dropping whatever rows the pass had
+/// appended, and re-run alone under its own guard: whoever panics again is
+/// quarantined, and the survivors are bit-identical to a step in which the
+/// victim never took part, because a pass is a pure function of tokens,
+/// cached rows below `pos` and weights, and `truncate` is the rollback
+/// speculation already relies on.
+fn fused_pass(
+    model: &Model,
+    chunk: &mut [Active],
+    ws: &mut Workspace,
+    rows: for<'a> fn(&'a mut Active) -> RowGroup<'a>,
+) {
+    // The workspace holds nothing across passes, so one that unwound is as
+    // good as new.
+    if catch_unwind(AssertUnwindSafe(|| model.forward_rows(chunk, rows, ws, None))).is_ok() {
+        return;
+    }
+    for seq in chunk {
+        let before = seq.state.pos();
+        seq.state.truncate(before);
+        guarded(seq, |seq| model.forward_rows(std::slice::from_mut(seq), rows, ws, None));
+    }
+}
+
+/// Phase 0 for one sequence: fires an armed chaos fault, then turns the
+/// scheduler's grant into this step's prompt slice.
+fn begin_step(seq: &mut Active) {
     if seq.panic_next {
         // Deterministic chaos: fire the injected fault inside the
         // sequence's step, on whatever thread is running it. The flag is
@@ -875,62 +1007,107 @@ pub(crate) fn advance_sequence(model: &Model, seq: &mut Active) {
         // tidy: allow(panic) -- deliberate fault injection; the step harness catches it
         panic!("injected chaos fault: worker panic stepping {}", seq.id);
     }
-    if seq.prefilling() {
-        let grant = std::mem::take(&mut seq.grant);
-        if grant == 0 {
-            return; // another sequence drained this step's budget
-        }
-        let start = seq.prefilled;
-        let end = start + grant; // the scheduler never grants past the prompt
-        seq.work.prefill_start = start;
+    // Only prefilling sequences are granted anything, never past the prompt;
+    // zero means another sequence drained this step's budget.
+    let grant = std::mem::take(&mut seq.grant);
+    if grant > 0 {
+        seq.work.prefill_start = seq.prefilled;
         seq.work.prefilled = grant;
-        seq.prefilled = end;
-        if end < seq.prefill.len() {
-            model.prefill_chunk(&mut seq.state, &seq.prefill[start..end]);
-            return;
-        }
-        // Final chunk: materialize the prompt logits and sample the first
-        // token in this same step, exactly like blocking admission did.
-        model.prefill_chunk_into(&mut seq.state, &seq.prefill[start..end], &mut seq.last_logits);
+        seq.prefilled += grant;
     }
-    let token = seq.sampler.pick(&seq.last_logits, &mut seq.rng);
-    seq.tokens.push(token);
+}
+
+/// A sequence's rows in the prefill pass: this step's prompt slice, the
+/// last row wanting logits iff the slice completes the prompt.
+fn prefill_rows(seq: &mut Active) -> RowGroup<'_> {
+    let w = seq.work;
+    let tokens: &[u32] = match seq.failed {
+        None => &seq.prefill[w.prefill_start..w.prefill_start + w.prefilled],
+        Some(_) => &[],
+    };
+    let logits = if seq.prefilled == seq.prefill.len() {
+        LogitsOut::Last(&mut seq.last_logits)
+    } else {
+        LogitsOut::None
+    };
+    RowGroup { state: &mut seq.state, tokens, logits }
+}
+
+/// A sequence's rows in the decode pass, as [`sample`] left them: the
+/// verify feed with every row's logits, or the token just sampled, or
+/// nothing (still prefilling, at its limit, or quarantined).
+fn decode_rows(seq: &mut Active) -> RowGroup<'_> {
+    let Active { state, tokens, last_logits, spec, work, failed, .. } = seq;
+    let (tokens, logits) = match spec.as_deref_mut() {
+        _ if failed.is_some() => (&[][..], LogitsOut::None),
+        Some(spec) if work.verify_rows > 0 => (&spec.verify[..], LogitsOut::All(&mut spec.logits)),
+        _ if work.decode_context.is_some() => {
+            (&tokens[tokens.len() - 1..], LogitsOut::Last(last_logits))
+        }
+        _ => (&[][..], LogitsOut::None),
+    };
+    RowGroup { state, tokens, logits }
+}
+
+/// Phase 2 for one sequence: samples from the logits it holds, then —
+/// unless it just hit its limit, in which case it retires without another
+/// forward pass, its next logits would be discarded — leaves its feed for
+/// the decode pass (see [`decode_rows`]).
+///
+/// Speculation is for pure-decode steps only. The prompt-completion step's
+/// decode row was reserved by `grant_block_cost`, while `decode_block_need`
+/// reserves the speculative rows only for sequences already decoding at
+/// planning time — this gate must match that reservation exactly.
+/// (Speculation is output-invariant, so the gate can only shift throughput,
+/// never tokens.) `ws` serves a truncated draft's own forward passes.
+fn sample(seq: &mut Active, ws: &mut Workspace) {
+    if seq.prefilling() {
+        return;
+    }
+    let t0 = seq.sampler.pick(&seq.last_logits, &mut seq.rng);
+    // tidy: allow(alloc) -- `tokens` reserves its generation limit at admission
+    seq.tokens.push(t0);
     seq.work.sampled = true;
-    // A sequence that just hit its limit retires without another forward
-    // pass — its next logits would be discarded.
     if seq.tokens.len() >= seq.limit {
         return;
     }
-    // Speculative path: pure-decode steps only. The prompt-completion
-    // step's decode row was reserved by `grant_block_cost`, while
-    // `decode_block_need` reserves the speculative rows only for
-    // sequences already decoding at planning time — this gate must match
-    // that reservation exactly. (Speculation is output-invariant, so the
-    // gate can only shift throughput, never tokens.)
-    if seq.work.prefilled == 0 {
-        if let Some(mut spec) = seq.spec.take() {
-            speculative_advance(model, seq, &mut spec, token);
-            seq.spec = Some(spec);
+    let Active { spec, prefill, tokens, work, limit, state, .. } = seq;
+    if let (Some(spec), 0) = (spec, work.prefilled) {
+        let k_eff = spec.k.min(*limit - tokens.len());
+        spec.proposals.clear();
+        match &mut spec.draft {
+            Some(draft) => {
+                (work.draft_start, work.draft_rows) =
+                    draft_propose(draft, prefill, tokens, k_eff, &mut spec.proposals, ws);
+            }
+            None => ngram_propose(prefill, tokens, k_eff, &mut spec.proposals),
+        }
+        // An n-gram miss proposes nothing: plain decode for this step.
+        if !spec.proposals.is_empty() {
+            spec.verify.clear();
+            // tidy: allow(alloc) -- within the `k + 1` capacity reserved in SpecState
+            spec.verify.push(t0);
+            spec.verify.extend_from_slice(&spec.proposals);
+            work.verify_start = state.pos();
+            work.verify_rows = spec.verify.len();
+            work.drafted = spec.proposals.len();
             return;
         }
     }
-    model.decode_step_into(&mut seq.state, token, &mut seq.last_logits);
-    seq.work.forwarded = true;
+    work.decode_context = Some(state.pos() + 1);
 }
 
-/// One speculative decode step for `seq`, entered after the step's token
-/// `t0` was sampled and pushed, with capacity for at least one more token.
-/// Drafts up to `spec.k` proposals, verifies `[t0, d1..dk]` in one fused
-/// multi-row pass, accepts the longest proposal prefix the request's own
-/// sampler reproduces, and rolls the rejected tail back by truncating the
+/// Phase 4 for one sequence whose feed was a verify `[t0, d1..dk]`:
+/// accepts the longest proposal prefix the request's own sampler
+/// reproduces and rolls the rejected tail back by truncating the
 /// sequence's block tables.
 ///
 /// Bit-identity with plain decode holds by construction:
 ///
 /// * Verify-row logits are bit-identical to sequential decode rows
-///   (`Model::verify_chunk_into`'s contract, pinned by the model's golden
-///   tests): row `i` is exactly the `last_logits` a plain run would hold
-///   after emitting `t0, d1..di`.
+///   (`Model::forward_rows`' contract, pinned by the model's golden and
+///   grouping tests): row `i` is exactly the `last_logits` a plain run
+///   would hold after emitting `t0, d1..di`.
 /// * Each acceptance test runs the *real* sampler on a clone of the
 ///   request RNG. A match commits the clone — the RNG advances exactly as
 ///   the plain run's pick would have — while a mismatch discards it, so
@@ -939,36 +1116,9 @@ pub(crate) fn advance_sequence(model: &Model, seq: &mut Active) {
 ///   token costs no extra forward pass.
 /// * Proposals can only shift *when* tokens are emitted, never *what*: a
 ///   wrong draft just wastes its verify row.
-fn speculative_advance(model: &Model, seq: &mut Active, spec: &mut SpecState, t0: u32) {
-    let k_eff = spec.k.min(seq.limit - seq.tokens.len());
-    debug_assert!(k_eff >= 1, "caller guarantees capacity for at least one draft token");
-    spec.proposals.clear();
-    match &mut spec.draft {
-        Some(draft) => {
-            let (start, rows) =
-                draft_propose(draft, &seq.prefill, &seq.tokens, k_eff, &mut spec.proposals);
-            seq.work.draft_start = start;
-            seq.work.draft_rows = rows;
-        }
-        None => ngram_propose(&seq.prefill, &seq.tokens, k_eff, &mut spec.proposals),
-    }
-    if spec.proposals.is_empty() {
-        // Nothing to verify (an n-gram miss): plain decode for this step.
-        model.decode_step_into(&mut seq.state, t0, &mut seq.last_logits);
-        seq.work.forwarded = true;
-        return;
-    }
-    let pos0 = seq.state.pos();
-    spec.verify.clear();
-    // tidy: allow(alloc) -- within the `k + 1` capacity reserved in SpecState
-    spec.verify.push(t0);
-    spec.verify.extend_from_slice(&spec.proposals);
-    model.verify_chunk_into(&mut seq.state, &spec.verify, &mut spec.logits);
-    seq.work.verify_start = pos0;
-    seq.work.verify_rows = spec.verify.len();
-    seq.work.drafted = spec.proposals.len();
-    // Accept the longest proposal prefix the request's own sampler
-    // reproduces; row `i` holds the logits after `t0, d1..di`.
+fn commit(seq: &mut Active) {
+    let (Some(spec), true) = (seq.spec.as_deref_mut(), seq.work.verify_rows > 0) else { return };
+    // Row `i` holds the logits after `t0, d1..di`.
     let mut accepted = 0;
     while accepted < spec.proposals.len() {
         // tidy: allow(alloc) -- TensorRng is a fixed-size value; cloning stays on the stack
@@ -987,7 +1137,7 @@ fn speculative_advance(model: &Model, seq: &mut Active, spec: &mut SpecState, t0
     // token — exactly row `accepted`.
     seq.last_logits.copy_from_slice(spec.logits.row(accepted));
     // Roll back the rejected tail: keep `t0` plus the accepted rows.
-    seq.state.truncate(pos0 + 1 + accepted);
+    seq.state.truncate(seq.work.verify_start + 1 + accepted);
     if let Some(draft) = &mut spec.draft {
         // Drop draft rows past the committed stream (rejected proposals);
         // rows the draft never computed are caught up lazily next step.
@@ -1002,35 +1152,40 @@ fn speculative_advance(model: &Model, seq: &mut Active, spec: &mut SpecState, t0
 /// Drafts up to `k_eff` proposals from the truncated-depth sibling:
 /// catches the draft KV up to the committed stream (one fused pass over
 /// the gap, which also covers fresh and just-resumed sequences), then
-/// rolls the draft forward greedily. Returns `(draft_start, draft_rows)`
-/// for energy and roofline pricing. Proposals never affect output, only
-/// acceptance, so the draft always picks its own argmax regardless of the
-/// request's sampler.
+/// rolls the draft forward greedily — each a one-group pass of the
+/// sibling through the stepping thread's workspace. Returns
+/// `(draft_start, draft_rows)` for energy and roofline pricing. Proposals
+/// never affect output, only acceptance, so the draft always picks its own
+/// argmax regardless of the request's sampler.
 fn draft_propose(
     draft: &mut DraftSeq,
     prefill: &[u32],
     tokens: &[u32],
     k_eff: usize,
     proposals: &mut Vec<u32>,
+    ws: &mut Workspace,
 ) -> (usize, usize) {
-    let start = draft.seen;
+    let DraftSeq { model, state, logits, seen } = draft;
+    let mut feed = |tokens: &[u32], logits: LogitsOut<'_>| {
+        let mut one = [RowGroup { state: &mut *state, tokens, logits }];
+        model.forward_rows(&mut one, RowGroup::reborrow, ws, None);
+    };
+    let start = *seen;
     let p = prefill.len();
-    if draft.seen < p {
-        draft.model.prefill_chunk(&mut draft.state, &prefill[draft.seen..]);
-        draft.seen = p;
+    if *seen < p {
+        feed(&prefill[*seen..], LogitsOut::None);
+        *seen = p;
     }
     // The step's sampled token was just pushed, so the gap is never empty.
-    // `catchup_chunk_into` keeps the chunk scratch alive — this runs every
-    // decode step, unlike a prompt's final prefill chunk.
-    draft.model.catchup_chunk_into(&mut draft.state, &tokens[draft.seen - p..], &mut draft.logits);
-    draft.seen = p + tokens.len();
-    let mut rows = draft.seen - start;
+    feed(&tokens[*seen - p..], LogitsOut::Last(logits));
+    *seen = p + tokens.len();
+    let mut rows = *seen - start;
     for i in 0..k_eff {
-        let d = argmax(&draft.logits);
+        let d = argmax(logits);
         // tidy: allow(alloc) -- within the `k` capacity reserved in SpecState
         proposals.push(d);
         if i + 1 < k_eff {
-            draft.model.decode_step_into(&mut draft.state, d, &mut draft.logits);
+            feed(&[d], LogitsOut::Last(logits));
             rows += 1;
         }
     }
@@ -1092,34 +1247,6 @@ fn ngram_propose(prefill: &[u32], tokens: &[u32], k_eff: usize, proposals: &mut 
     }
 }
 
-/// [`advance_sequence`] behind a per-sequence `catch_unwind`: the panic
-/// quarantine. A panic while stepping one sequence — a model invariant
-/// tripping on corrupt state, or an injected chaos fault — is caught here,
-/// on the thread that ran the sequence, and recorded in [`Active::failed`];
-/// the scheduler retires the sequence with `FinishReason::Failed` after the
-/// join. Every dispatch path (serial, scoped, pool) steps through this
-/// wrapper, so one poisoned sequence never takes down its chunk-mates, the
-/// worker pool, or the engine.
-///
-/// The `AssertUnwindSafe` is sound for the same reason preemption is: a
-/// quarantined sequence is *dropped*, never observed again — its possibly
-/// half-written `DecodeState` is released to the pool without its contents
-/// ever being read (the quarantine runs before `register_prefixes`, so
-/// poisoned blocks cannot leak into the prefix cache either).
-pub(crate) fn advance_sequence_guarded(model: &Model, seq: &mut Active) {
-    if seq.failed.is_some() {
-        return; // already quarantined; never step a poisoned sequence
-    }
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| advance_sequence(model, seq))) {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "sequence step panicked with a non-string payload".to_owned());
-        seq.failed = Some(message);
-    }
-}
-
 /// The batched serving engine.
 ///
 /// Drives a borrowed [`Model`] for up to [`ServeConfig::max_batch`]
@@ -1148,6 +1275,9 @@ pub struct ServeEngine<'m> {
     /// (which may be finishing a chunk if the engine is dropped during an
     /// unwinding step) while the sequences they borrow are still alive.
     pool: Option<WorkerPool>,
+    /// Forward-pass buffers of the stepping thread (each pool worker owns
+    /// its own): sized by the largest step seen, shared by every sequence.
+    workspace: Workspace,
     /// The engine-wide KV block pool: every sequence's block tables and the
     /// prefix cache allocate from it, bounded by [`ServeConfig::max_blocks`].
     kv_pool: Arc<BlockPool>,
@@ -1284,6 +1414,7 @@ impl<'m> ServeEngine<'m> {
             accelerator: None,
             config,
             pool: None,
+            workspace: Workspace::new(),
             kv_pool,
             trie: PrefixTrie::new(),
             pending: VecDeque::new(),
@@ -1678,7 +1809,7 @@ impl<'m> ServeEngine<'m> {
                 prefill,
                 prefilled: shared_len,
                 grant: 0,
-                work: StepWork::default(),
+                work: SeqStepWork::default(),
                 limit: q.limit,
                 sampler: q.sampling.sampler,
                 rng,
@@ -1746,18 +1877,20 @@ impl<'m> ServeEngine<'m> {
 
     /// Runs one scheduler step: admit what fits, hand out the step's
     /// [`PrefillBudget`] round-robin over `Prefilling` sequences, then
-    /// advance every active sequence — a granted prefill chunk for
-    /// prefilling sequences, one sampled token (per the request's
-    /// [`SamplingParams`], greedy by default) for decoding ones — and
+    /// advance every active sequence (`advance_chunk`) — a granted
+    /// prefill chunk for prefilling sequences, one sampled token (per the
+    /// request's [`SamplingParams`], greedy by default) for decoding ones,
+    /// all their rows sharing one pass over the weights per phase — and
     /// finally retire sequences that hit their limit. A step with nothing
     /// to do is a no-op.
     ///
     /// With [`ServeConfig::num_threads`] > 1 the active batch is split into
     /// contiguous chunks stepped by the engine's persistent worker pool
     /// (spawned lazily by the first step that fans out; [`StepMode::Auto`]
-    /// keeps small steps on the caller's thread entirely). The model is
-    /// shared immutably; every mutable structure (KV cache, scratch,
-    /// sampler RNG, output buffer) is owned by exactly one sequence, the
+    /// keeps small steps on the caller's thread entirely), each thread
+    /// fusing the rows of its own chunk. The model is shared immutably;
+    /// every mutable structure is owned by exactly one sequence (KV cache,
+    /// sampler RNG, logits) or one thread (the forward-pass workspace), the
     /// work each worker performs is fixed by scheduler state decided before
     /// the fan-out, and energy accounting and retirement run after the join
     /// in batch order — so results are deterministic and identical to
@@ -1809,26 +1942,7 @@ impl<'m> ServeEngine<'m> {
         let model = self.model;
         let workers = self.plan_workers();
         if workers <= 1 {
-            for seq in &mut self.active {
-                advance_sequence_guarded(model, seq);
-            }
-        } else if self.config.step_mode == StepMode::ForceScoped {
-            let mut chunks = split_by_work(&mut self.active, workers).into_iter();
-            let first = chunks.next();
-            std::thread::scope(|scope| {
-                for chunk in chunks.by_ref() {
-                    scope.spawn(move || {
-                        for seq in chunk {
-                            advance_sequence_guarded(model, seq);
-                        }
-                    });
-                }
-                // The caller's thread works the first chunk instead of
-                // idling at the join — one fewer spawn per step.
-                for seq in first.into_iter().flatten() {
-                    advance_sequence_guarded(model, seq);
-                }
-            });
+            advance_chunk(model, &mut self.active, &mut self.workspace);
         } else {
             // Pool size is fixed at first fan-out: `ForcePool` may use
             // every configured thread, but `Auto` never plans beyond
@@ -1836,17 +1950,14 @@ impl<'m> ServeEngine<'m> {
             // receive work (num_threads = 16 on a 4-core box would
             // otherwise idle 12 stacks for the engine's lifetime).
             let size = match self.config.step_mode {
-                StepMode::Auto => {
-                    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-                    self.config.num_threads.min(cores) - 1
-                }
-                _ => self.config.num_threads - 1,
+                StepMode::Auto => self.config.num_threads.min(host_cores()) - 1,
+                StepMode::ForcePool => self.config.num_threads - 1,
             };
             let pool = self.pool.get_or_insert_with(|| WorkerPool::new(size));
-            // `available_parallelism` can in principle change after the
-            // pool is sized; never cut more chunks than pool + caller.
+            // Never cut more chunks than pool + caller.
             let workers = workers.min(pool.len() + 1);
-            pool.step_chunks(model, split_by_work(&mut self.active, workers).into_iter());
+            let chunks = split_by_work(&mut self.active, workers).into_iter();
+            pool.step_chunks(model, chunks, &mut self.workspace);
         }
 
         // Quarantine: retire every sequence whose step panicked *before*
@@ -1861,21 +1972,7 @@ impl<'m> ServeEngine<'m> {
                 if seq.failed.take().is_none() {
                     return true;
                 }
-                failed.push(RequestReport {
-                    id: seq.id,
-                    prompt_len: seq.prompt_len,
-                    tokens: std::mem::take(&mut seq.tokens),
-                    finish: FinishReason::Failed,
-                    tenant: seq.tenant.take(),
-                    admitted_step: seq.admitted_step,
-                    finished_step: failed_step,
-                    preemptions: seq.preemptions,
-                    shared_prefill_tokens: seq.shared,
-                    queue_wait: seq.queue_wait,
-                    ttft: seq.ttft,
-                    token_steps: std::mem::take(&mut seq.token_steps),
-                    latency: seq.submitted_at.elapsed(),
-                });
+                failed.push(seq.report(FinishReason::Failed, failed_step));
                 false
             });
             summary.failed = failed.len();
@@ -1919,8 +2016,8 @@ impl<'m> ServeEngine<'m> {
                     self.energy_j +=
                         self.prefill_energy.range_j(acc, config, w.verify_start, w.verify_rows);
                 }
-                if w.forwarded {
-                    self.energy_j += acc.energy_per_token(config, seq.state.pos()).total_j();
+                if let Some(context) = w.decode_context {
+                    self.energy_j += acc.energy_per_token(config, context).total_j();
                 }
             }
         }
@@ -1947,18 +2044,7 @@ impl<'m> ServeEngine<'m> {
                     seq.ttft = Some(seq.submitted_at.elapsed());
                 }
             }
-            self.last_work.push(SeqStepWork {
-                prefill_start: w.prefill_start,
-                prefilled: w.prefilled,
-                sampled: w.sampled,
-                decode_context: if w.forwarded { Some(seq.state.pos()) } else { None },
-                drafted: w.drafted,
-                accepted: w.accepted,
-                verify_start: w.verify_start,
-                verify_rows: w.verify_rows,
-                draft_start: w.draft_start,
-                draft_rows: w.draft_rows,
-            });
+            self.last_work.push(w);
         }
 
         // Publish freshly-completed full prompt blocks into the prefix
@@ -1972,21 +2058,7 @@ impl<'m> ServeEngine<'m> {
             if seq.tokens.len() < seq.limit {
                 return true;
             }
-            retired.push(RequestReport {
-                id: seq.id,
-                prompt_len: seq.prompt_len,
-                tokens: std::mem::take(&mut seq.tokens),
-                finish: FinishReason::Limit,
-                tenant: seq.tenant.take(),
-                admitted_step: seq.admitted_step,
-                finished_step: steps,
-                preemptions: seq.preemptions,
-                shared_prefill_tokens: seq.shared,
-                queue_wait: seq.queue_wait,
-                ttft: seq.ttft,
-                token_steps: std::mem::take(&mut seq.token_steps),
-                latency: seq.submitted_at.elapsed(),
-            });
+            retired.push(seq.report(FinishReason::Limit, steps));
             false
         });
         summary.finished = retired.len();
@@ -2023,25 +2095,7 @@ impl<'m> ServeEngine<'m> {
             if now.saturating_sub(q.submitted_step) < deadline {
                 return true;
             }
-            let (tokens, preemptions, shared, token_steps, ttft) = match q.resume.take() {
-                Some(r) => (r.tokens, r.preemptions, r.shared, r.token_steps, r.ttft),
-                None => (Vec::new(), 0, 0, Vec::new(), None),
-            };
-            expired.push(RequestReport {
-                id: q.id,
-                prompt_len: q.prompt.len(),
-                tokens,
-                finish: FinishReason::DeadlineExceeded,
-                tenant: q.tenant.take(),
-                admitted_step: now,
-                finished_step: now,
-                preemptions,
-                shared_prefill_tokens: shared,
-                queue_wait: q.submitted_at.elapsed(),
-                ttft,
-                token_steps,
-                latency: q.submitted_at.elapsed(),
-            });
+            expired.push(q.report(FinishReason::DeadlineExceeded, now));
             false
         });
         self.active.retain_mut(|seq| {
@@ -2049,21 +2103,7 @@ impl<'m> ServeEngine<'m> {
             if now.saturating_sub(seq.submitted_step) < deadline {
                 return true;
             }
-            expired.push(RequestReport {
-                id: seq.id,
-                prompt_len: seq.prompt_len,
-                tokens: std::mem::take(&mut seq.tokens),
-                finish: FinishReason::DeadlineExceeded,
-                tenant: seq.tenant.take(),
-                admitted_step: seq.admitted_step,
-                finished_step: now,
-                preemptions: seq.preemptions,
-                shared_prefill_tokens: seq.shared,
-                queue_wait: seq.queue_wait,
-                ttft: seq.ttft,
-                token_steps: std::mem::take(&mut seq.token_steps),
-                latency: seq.submitted_at.elapsed(),
-            });
+            expired.push(seq.report(FinishReason::DeadlineExceeded, now));
             false // the sequence drops here, releasing its blocks
         });
         summary.expired = expired.len();
@@ -2122,25 +2162,7 @@ impl<'m> ServeEngine<'m> {
             let mut shed = Vec::new();
             while self.pending.len() > cfg.shed_queue {
                 let Some(mut q) = self.pending.pop_back() else { break };
-                let (tokens, preemptions, shared, token_steps, ttft) = match q.resume.take() {
-                    Some(r) => (r.tokens, r.preemptions, r.shared, r.token_steps, r.ttft),
-                    None => (Vec::new(), 0, 0, Vec::new(), None),
-                };
-                shed.push(RequestReport {
-                    id: q.id,
-                    prompt_len: q.prompt.len(),
-                    tokens,
-                    finish: FinishReason::Shed,
-                    tenant: q.tenant.take(),
-                    admitted_step: now,
-                    finished_step: now,
-                    preemptions,
-                    shared_prefill_tokens: shared,
-                    queue_wait: q.submitted_at.elapsed(),
-                    ttft,
-                    token_steps,
-                    latency: q.submitted_at.elapsed(),
-                });
+                shed.push(q.report(FinishReason::Shed, now));
             }
             summary.shed = shed.len();
             self.shed_total += shed.len() as u64;
@@ -2491,45 +2513,13 @@ impl<'m> ServeEngine<'m> {
     pub fn cancel(&mut self, id: RequestId) -> bool {
         let now = self.steps;
         if let Some(i) = self.pending.iter().position(|q| q.id == id) {
-            let Some(q) = self.pending.remove(i) else { return false };
-            let (tokens, preemptions, shared, token_steps, ttft) = match q.resume {
-                Some(r) => (r.tokens, r.preemptions, r.shared, r.token_steps, r.ttft),
-                None => (Vec::new(), 0, 0, Vec::new(), None),
-            };
-            self.finished.push(RequestReport {
-                id,
-                prompt_len: q.prompt.len(),
-                tokens,
-                finish: FinishReason::Cancelled,
-                tenant: q.tenant,
-                admitted_step: now,
-                finished_step: now,
-                preemptions,
-                shared_prefill_tokens: shared,
-                queue_wait: q.submitted_at.elapsed(),
-                ttft,
-                token_steps,
-                latency: q.submitted_at.elapsed(),
-            });
+            let Some(mut q) = self.pending.remove(i) else { return false };
+            self.finished.push(q.report(FinishReason::Cancelled, now));
             return true;
         }
         if let Some(i) = self.active.iter().position(|s| s.id == id) {
-            let seq = self.active.remove(i);
-            self.finished.push(RequestReport {
-                id,
-                prompt_len: seq.prompt_len,
-                tokens: seq.tokens,
-                finish: FinishReason::Cancelled,
-                tenant: seq.tenant,
-                admitted_step: seq.admitted_step,
-                finished_step: now,
-                preemptions: seq.preemptions,
-                shared_prefill_tokens: seq.shared,
-                queue_wait: seq.queue_wait,
-                ttft: seq.ttft,
-                token_steps: seq.token_steps,
-                latency: seq.submitted_at.elapsed(),
-            });
+            let mut seq = self.active.remove(i);
+            self.finished.push(seq.report(FinishReason::Cancelled, now));
             return true; // `seq.state` dropped: its blocks are free again
         }
         false
@@ -2537,7 +2527,7 @@ impl<'m> ServeEngine<'m> {
 
     /// How many threads (caller included) this step should use.
     ///
-    /// The force modes cap only by batch size. [`StepMode::Auto`]
+    /// [`StepMode::ForcePool`] caps only by batch size. [`StepMode::Auto`]
     /// additionally refuses to fan out beyond what can pay for itself:
     ///
     /// * **Cores.** More workers than hardware threads never increases
@@ -2578,10 +2568,9 @@ impl<'m> ServeEngine<'m> {
     fn planned_threads_for(&self, batch: usize, units: u64) -> usize {
         let cap = self.config.num_threads.min(batch);
         match self.config.step_mode {
-            StepMode::ForcePool | StepMode::ForceScoped => cap,
+            StepMode::ForcePool => cap,
             StepMode::Auto => {
-                let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-                let cap = cap.min(cores);
+                let cap = cap.min(host_cores());
                 if cap <= 1 {
                     return 1;
                 }
@@ -2827,9 +2816,9 @@ mod tests {
             let cfg = ServeConfig { num_threads: threads, step_mode, ..ServeConfig::default() };
             ServeEngine::new(&m, cfg).planned_threads(batch)
         };
-        // Force modes cap only by batch size.
+        // The force mode caps only by batch size.
         assert_eq!(plan(4, StepMode::ForcePool, 16), 4);
-        assert_eq!(plan(4, StepMode::ForceScoped, 2), 2);
+        assert_eq!(plan(4, StepMode::ForcePool, 2), 2);
         assert_eq!(plan(4, StepMode::ForcePool, 1), 1);
         // Auto never exceeds cores or the force-mode cap, and the tiny test
         // model never carries enough per-token work to fan out at all.
@@ -2845,6 +2834,60 @@ mod tests {
                 .expect("valid scheme");
         let cfg = ServeConfig { num_threads: 4, ..ServeConfig::default() };
         assert_eq!(ServeEngine::new(&proxy, cfg).planned_threads(16), 4.min(cores));
+    }
+
+    #[test]
+    fn panic_inside_a_fused_pass_quarantines_only_its_sequence() {
+        // `tests/faults.rs` injects panics that fire before a sequence's
+        // rows join a pass. This one comes from inside the pass: the
+        // victim's cache is swapped for an equal one over a private pool
+        // with no block left, so its next append — layer 0 of the decode
+        // pass, after the sequence before it has opened a fresh block for
+        // its own row — panics and the whole pass unwinds.
+        let m = model();
+        let prompts: [&[u32]; 3] = [&[1, 2, 3], &[6, 7, 8], &[9, 10, 11]];
+        for (threads, step_mode) in [(1, StepMode::Auto), (2, StepMode::ForcePool)] {
+            let run = |sabotage: bool| {
+                let mut e = ServeEngine::new(
+                    &m,
+                    ServeConfig {
+                        max_batch: 3,
+                        max_tokens: 10,
+                        prefill_chunk: usize::MAX,
+                        block_size: 4,
+                        prefix_sharing: false,
+                        num_threads: threads,
+                        step_mode,
+                        ..ServeConfig::default()
+                    },
+                );
+                let ids: Vec<RequestId> = prompts.iter().map(|p| e.submit(p).unwrap()).collect();
+                // Step 1 prefills, samples and decodes: everyone stands at
+                // position 4, a block boundary.
+                e.step();
+                if sabotage {
+                    let victim = &mut e.active[1];
+                    assert_eq!(victim.state.pos(), 4);
+                    let full = Arc::new(BlockPool::new(4, m.config().d_model, m.config().n_layers));
+                    let mut state = m.begin_decode_paged(&full);
+                    m.prefill_chunk(&mut state, &[6, 7, 8, victim.tokens[0]]);
+                    assert_eq!(full.free_blocks(), 0);
+                    victim.state = state;
+                }
+                let failed = e.step().failed;
+                (ids, e.run(), failed)
+            };
+            let (ids, clean, _) = run(false);
+            let (_, chaos, failed) = run(true);
+            assert_eq!(failed, 1, "{step_mode:?}: exactly the victim fails, in that step");
+            assert_eq!(chaos.request(ids[1]).unwrap().finish, FinishReason::Failed);
+            for id in [ids[0], ids[2]] {
+                let (got, want) = (chaos.request(id).unwrap(), clean.request(id).unwrap());
+                assert_eq!(got.finish, FinishReason::Limit);
+                assert_eq!(got.tokens, want.tokens, "{step_mode:?}: survivor {id} diverged");
+                assert_eq!(got.token_steps, want.token_steps, "{step_mode:?}: survivor {id}");
+            }
+        }
     }
 
     #[test]

@@ -37,9 +37,8 @@ use opal_tensor::rng::TensorRng;
 pub enum FaultKind {
     /// Panic inside the step of one active sequence (the victim is the
     /// `victim_rank % batch`-th slot of the batch at the firing step). The
-    /// panic is raised on whichever thread steps the victim — caller,
-    /// scoped worker, or pool worker — exercising the quarantine on every
-    /// dispatch path.
+    /// panic is raised on whichever thread steps the victim — caller or
+    /// pool worker — exercising the quarantine on every dispatch path.
     WorkerPanic {
         /// Batch rank selector (reduced modulo the live batch size).
         victim_rank: usize,

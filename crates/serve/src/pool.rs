@@ -1,24 +1,24 @@
 //! The persistent decode worker pool.
 //!
-//! `ServeEngine::step` used to fan the active batch out under
-//! `std::thread::scope`, paying a thread spawn (~25 µs) per worker per
-//! step — invisible on large models, dominant on small ones. This module
-//! replaces those per-step spawns with long-lived threads owned by the
-//! engine: workers park on a job channel, a step sends each one a chunk of
-//! the batch, and the dispatcher blocks until every chunk is reported done.
-//! Chunk assignment, intra-chunk order and post-join accounting are
-//! identical to the scoped dispatcher, so output is bit-for-bit unchanged
-//! for every thread count.
+//! Long-lived threads owned by the engine (a thread spawn, ~25 µs, per
+//! worker per step would dominate a small model's step): workers park on a
+//! job channel, a step sends each one a chunk of the batch, and the
+//! dispatcher blocks until every chunk is reported done. Every chunk, the
+//! caller's included, goes through the one `advance_chunk` the serial path
+//! uses — its rows fused into that thread's own forward passes, over a
+//! [`Workspace`] the thread owns — and which rows share a pass is invisible
+//! in the output, so chunk assignment never shows: output is bit-for-bit
+//! unchanged for every thread count.
 //!
-//! Panic containment is layered. Sequences are stepped through
-//! `advance_sequence_guarded`, so a panic inside one sequence is caught
-//! *per sequence* and quarantined by the engine without disturbing its
-//! chunk-mates. The chunk-level `catch_unwind` below is the backstop for
-//! panics escaping that guard, shipping the payload back to the dispatcher
-//! for re-raise. And should a worker thread die anyway — without acking —
-//! the dispatcher forgives the debt once the thread is provably finished
-//! instead of blocking forever: `Drop for ServeEngine` cannot deadlock on
-//! a dead worker.
+//! Panic containment is layered. `advance_chunk` quarantines a panic
+//! *per sequence* — under the sequence's own guard, or by re-running the
+//! sequences of a fused pass that unwound one by one — and the engine
+//! retires the victim without disturbing its chunk-mates. The chunk-level
+//! `catch_unwind` below is the backstop for panics escaping that,
+//! shipping the payload back to the dispatcher for re-raise. And should a
+//! worker thread die anyway — without acking — the dispatcher forgives the
+//! debt once the thread is provably finished instead of blocking forever:
+//! `Drop for ServeEngine` cannot deadlock on a dead worker.
 //!
 //! Shutdown is channel-driven: dropping the pool closes the job channels,
 //! each worker's `recv` errors out and the thread exits, and `Drop` joins
@@ -35,9 +35,9 @@ use std::time::Duration;
 /// the original assertion message/location is not lost.
 type Ack = (usize, Result<(), Box<dyn std::any::Any + Send>>);
 
-use opal_model::Model;
+use opal_model::{Model, Workspace};
 
-use crate::engine::{advance_sequence_guarded, Active};
+use crate::engine::{advance_chunk, Active};
 
 /// How long the dispatcher waits for an acknowledgement before checking
 /// whether a worker it is waiting on has died. Purely a liveness poll:
@@ -126,13 +126,13 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Advances every sequence of every chunk by one token: chunks after
+    /// Advances every sequence of every chunk by one step: chunks after
     /// the first go to the pool, the caller's thread works the first chunk
-    /// instead of idling at the join (mirroring the scoped dispatcher),
-    /// then the call blocks until all dispatched chunks complete. Chunks
-    /// that find no live worker — every pool thread died, or more chunks
-    /// arrived than live workers — run inline on the caller's thread, so
-    /// a decimated pool degrades to serial stepping instead of erroring.
+    /// (with its own `workspace`) instead of idling at the join, then the
+    /// call blocks until all dispatched chunks complete. Chunks that find
+    /// no live worker — every pool thread died, or more chunks arrived
+    /// than live workers — run inline on the caller's thread, so a
+    /// decimated pool degrades to serial stepping instead of erroring.
     ///
     /// This function **never returns or unwinds with a job in flight** —
     /// the soundness keystone. Acknowledgements are drained by a drop
@@ -155,6 +155,7 @@ impl WorkerPool {
         &self,
         model: &Model,
         mut chunks: impl Iterator<Item = &'a mut [Active]>,
+        workspace: &mut Workspace,
     ) {
         /// Tracks which workers still owe an acknowledgement and blocks,
         /// on drop, until each has acked or provably died — owned here so
@@ -237,13 +238,8 @@ impl WorkerPool {
                 inline.push(chunk);
             }
         }
-        for chunk in inline {
-            for seq in chunk {
-                advance_sequence_guarded(model, seq);
-            }
-        }
-        for seq in first.into_iter().flatten() {
-            advance_sequence_guarded(model, seq);
+        for chunk in inline.into_iter().chain(first) {
+            advance_chunk(model, chunk, workspace);
         }
         let mut panic_payload = None;
         while !pending.owed.is_empty() {
@@ -275,13 +271,15 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(index: usize, jobs: &Receiver<Job>, done: &Sender<Ack>) {
+    // This thread's forward-pass buffers, grown by the chunks it is sent.
+    let mut workspace = Workspace::new();
     while let Ok(job) = jobs.recv() {
-        // Per-sequence panics are quarantined inside
-        // `advance_sequence_guarded`; this chunk-level catch is the
-        // backstop for panics escaping the guard (e.g. in the guard
-        // itself), so even those cannot strand the dispatcher at its
-        // join: catch, ship the payload back, and let the dispatcher
-        // re-raise it on its own thread with the original message intact.
+        // Per-sequence panics are quarantined inside `advance_chunk`; this
+        // chunk-level catch is the backstop for panics escaping that (e.g.
+        // in the quarantine itself), so even those cannot strand the
+        // dispatcher at its join: catch, ship the payload back, and let the
+        // dispatcher re-raise it on its own thread with the original
+        // message intact.
         let ack = catch_unwind(AssertUnwindSafe(|| {
             // SAFETY: `step_chunks` blocks until this job is acknowledged
             // below (or this thread exits — observed via `is_finished` —
@@ -291,9 +289,7 @@ fn worker_loop(index: usize, jobs: &Receiver<Job>, done: &Sender<Ack>) {
             // meantime.
             let model = unsafe { &*job.model };
             let seqs = unsafe { std::slice::from_raw_parts_mut(job.seqs, job.len) };
-            for seq in seqs {
-                advance_sequence_guarded(model, seq);
-            }
+            advance_chunk(model, seqs, &mut workspace);
         }));
         if done.send((index, ack)).is_err() {
             break;

@@ -93,11 +93,6 @@ fn injected_panic_quarantines_only_victim_pool() {
     quarantine_case(StepMode::ForcePool, 4);
 }
 
-#[test]
-fn injected_panic_quarantines_only_victim_scoped() {
-    quarantine_case(StepMode::ForceScoped, 4);
-}
-
 /// The pool must keep serving after a quarantined panic: the engine
 /// re-dispatches to the same workers and they keep acking.
 #[test]

@@ -20,7 +20,7 @@ fn pipeline() -> OpalPipeline {
     OpalPipeline::new(ModelConfig::tiny(), OperatingPoint::W4A47, 42).expect("valid point")
 }
 
-const MODES: [StepMode; 3] = [StepMode::Auto, StepMode::ForcePool, StepMode::ForceScoped];
+const MODES: [StepMode; 2] = [StepMode::Auto, StepMode::ForcePool];
 
 /// Quantized KV under pressure: every StepMode × thread-count combination
 /// must reproduce the single-threaded uncontended run bit-for-bit, and a

@@ -15,7 +15,7 @@ fn pipeline() -> OpalPipeline {
     OpalPipeline::new(ModelConfig::tiny(), OperatingPoint::W4A47, 42).expect("valid point")
 }
 
-const MODES: [StepMode; 3] = [StepMode::Auto, StepMode::ForcePool, StepMode::ForceScoped];
+const MODES: [StepMode; 2] = [StepMode::Auto, StepMode::ForcePool];
 
 /// Prompts with heavy prefix overlap, admitted in waves so later requests
 /// find earlier blocks resident: output must be identical with sharing on

@@ -11,16 +11,15 @@ fn pipeline() -> OpalPipeline {
     OpalPipeline::new(ModelConfig::tiny(), OperatingPoint::W4A47, 42).expect("valid point")
 }
 
-/// Every dispatch mode the engine supports. `ForcePool` and `ForceScoped`
-/// genuinely cross threads regardless of host core count; `Auto` may
-/// legitimately serialize (that's its job), but must still be
-/// token-identical.
-const MODES: [StepMode; 3] = [StepMode::Auto, StepMode::ForcePool, StepMode::ForceScoped];
+/// Every dispatch mode the engine supports. `ForcePool` genuinely crosses
+/// threads regardless of host core count; `Auto` may legitimately
+/// serialize (that's its job), but must still be token-identical.
+const MODES: [StepMode; 2] = [StepMode::Auto, StepMode::ForcePool];
 
 /// Mixed prompt lengths, batch 16, one token stream per (thread count,
 /// dispatch mode) — every member must match its solo run exactly, and all
 /// engines (1 thread, 4 threads, oversubscribed 16 threads; persistent
-/// pool, per-step scoped threads, and the auto heuristic) must agree.
+/// pool and the auto heuristic) must agree.
 #[test]
 fn parallel_step_matches_sequential_for_mixed_prompts() {
     let p = pipeline();

@@ -19,7 +19,7 @@ fn model() -> Model {
     Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 42).expect("tiny model")
 }
 
-const MODES: [StepMode; 3] = [StepMode::Auto, StepMode::ForcePool, StepMode::ForceScoped];
+const MODES: [StepMode; 2] = [StepMode::Auto, StepMode::ForcePool];
 
 fn prompts(n: usize) -> Vec<Vec<u32>> {
     (0..n as u32).map(|i| (0..8).map(|j| (i * 17 + j * 3 + 1) % 64).collect()).collect()
@@ -250,7 +250,7 @@ proptest! {
         draft_ix in 0usize..3,
         k in 1usize..=4,
         threads in 1usize..=4,
-        mode_ix in 0usize..3,
+        mode_ix in 0usize..MODES.len(),
         seed in 0u32..50,
     ) {
         let m = model();

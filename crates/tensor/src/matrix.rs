@@ -287,9 +287,12 @@ impl Matrix {
     ///
     /// The schedule is the spec, not the loop. On x86-64 with AVX (detected
     /// at run time) it runs for eight rows of `self` at once in 256-bit
-    /// lanes, the rows left over as one narrower block; elsewhere, one
-    /// `ops::dot` call per element (`matmul_t_portable`). The two agree bit
-    /// for bit, which the crate's unit proptests pin.
+    /// lanes, three or more rows left over as one narrower block, and one or
+    /// two left over each against eight `rhs` rows at once like
+    /// [`Matrix::matvec_into`] (so a one-row product costs what the matvec
+    /// does); elsewhere, one `ops::dot` call per element
+    /// (`matmul_t_portable`). The paths agree bit for bit, which the crate's
+    /// unit proptests pin.
     ///
     /// Because `ops::dot` is bitwise commutative in its arguments (each
     /// `f32×f32` product is exact in `f64` and the accumulator schedule is
@@ -653,6 +656,15 @@ mod tests {
     const MAX_ROWS: usize = 20;
     const MAX_WIDTH: usize = 344;
     const RHS_ROWS: usize = 3;
+    /// The row counts that leave `matmul_t_into` one or two rows after its
+    /// eight-row blocks: those go through the GEMV driver, whose own blocks
+    /// are eight *rhs* rows, so they are also run against a rhs tall enough
+    /// to fill them (the proxy model's `d_ff`) at a few widths.
+    const LONE_ROWS: [usize; 6] = [1, 2, 9, 10, 17, 18];
+    const TALL_RHS_ROWS: usize = 344;
+    const TALL_RHS_WIDTHS: [usize; 3] = [1, 5, 128];
+    const A_POOL: usize = MAX_ROWS * MAX_WIDTH;
+    const B_POOL: usize = TALL_RHS_ROWS * 128;
 
     /// On a host where the dispatching kernels have no wide path the
     /// comparisons below hold trivially; say so, once, past the test
@@ -722,16 +734,28 @@ mod tests {
                 same_bits("matmul_t", rows, width, got.as_slice(), want.as_slice())?;
             }
         }
+        for width in TALL_RHS_WIDTHS {
+            let b =
+                Matrix::from_vec(TALL_RHS_ROWS, width, b_pool[..TALL_RHS_ROWS * width].to_vec());
+            for rows in LONE_ROWS {
+                let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
+                let mut got = Matrix::from_vec(rows, b.rows(), vec![SENTINEL; rows * b.rows()]);
+                let mut want = got.clone();
+                a.matmul_t_into(&b, &mut got);
+                a.matmul_t_portable(&b, &mut want);
+                same_bits("matmul_t (tall rhs)", rows, width, got.as_slice(), want.as_slice())?;
+            }
+        }
         Ok(())
     }
 
     #[test]
     fn dispatch_keeps_the_sign_of_an_all_negative_zero_operand() {
-        let zeros = vec![-0.0f32; MAX_ROWS * MAX_WIDTH];
-        let ones = vec![1.5f32; MAX_ROWS * MAX_WIDTH];
+        let zeros = vec![-0.0f32; A_POOL.max(B_POOL)];
+        let ones = vec![1.5f32; A_POOL.max(B_POOL)];
         dispatch_against_portable(&zeros, &ones).unwrap();
         dispatch_against_portable(&ones, &zeros).unwrap();
-        let a = Matrix::from_vec(MAX_ROWS, MAX_WIDTH, zeros);
+        let a = Matrix::from_vec(MAX_ROWS, MAX_WIDTH, zeros[..A_POOL].to_vec());
         let mut out = vec![0.0f32; MAX_ROWS];
         a.matvec_into(&ones[..MAX_WIDTH], &mut out);
         assert!(out.iter().all(|x| x.to_bits() == (-0.0f32).to_bits()), "{out:?}");
@@ -768,12 +792,12 @@ mod tests {
     }
 
     proptest! {
-        // Each case walks all 924 shapes, so a few cases go a long way.
+        // Each case walks all 942 shapes, so a few cases go a long way.
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn dispatch_is_bitwise_the_portable_loops(
-            a_pool in value_pool(MAX_ROWS * MAX_WIDTH),
-            b_pool in value_pool(RHS_ROWS * MAX_WIDTH),
+            a_pool in value_pool(A_POOL),
+            b_pool in value_pool(B_POOL),
         ) {
             let outcome = dispatch_against_portable(&a_pool, &b_pool);
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());

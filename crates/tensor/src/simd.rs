@@ -87,17 +87,34 @@ fn matvec_avx(w: &[f32], v: &[f32], out: &mut [f32]) {
 
 /// `b`-row-major like the portable loop: each `b` row (a transposed weight
 /// row) is loaded once and shared by eight `a` rows (activations) at a time.
+///
+/// The `a` rows left over after the eight-row blocks are one narrower block
+/// per `b` row when there are three or more (that many chains cover the add
+/// latency). One or two would be one or two chains per `b` row, about half
+/// the GEMV's rate — and a one-row product is what every decode step of a
+/// lone sequence is — so each of those goes through the [`matvec_avx`]
+/// driver instead, where eight `b` rows share it (`ops::dot` is bitwise
+/// commutative, so which operand is "the vector" does not show).
 #[target_feature(enable = "avx")]
 fn matmul_t_avx(a: &[f32], b: &[f32], d: usize, out: &mut [f32]) {
     let n = b.len() / d;
-    for (j, b_row) in b.chunks_exact(d).enumerate() {
-        let mut rows = a.chunks_exact(BLOCK * d);
-        let mut i0 = 0;
-        for rows in rows.by_ref() {
-            block::<BLOCK>(rows, b_row, |r, x| out[(i0 + r) * n + j] = x);
-            i0 += BLOCK;
+    let rows = a.len() / d;
+    let lone = if rows % BLOCK <= 2 { rows % BLOCK } else { 0 };
+    let (a_blocks, a_lone) = a.split_at((rows - lone) * d);
+    if !a_blocks.is_empty() {
+        for (j, b_row) in b.chunks_exact(d).enumerate() {
+            let mut rows = a_blocks.chunks_exact(BLOCK * d);
+            let mut i0 = 0;
+            for rows in rows.by_ref() {
+                block::<BLOCK>(rows, b_row, |r, x| out[(i0 + r) * n + j] = x);
+                i0 += BLOCK;
+            }
+            remainder(rows.remainder(), b_row, |r, x| out[(i0 + r) * n + j] = x);
         }
-        remainder(rows.remainder(), b_row, |r, x| out[(i0 + r) * n + j] = x);
+    }
+    let out_lone = out[(rows - lone) * n..].chunks_exact_mut(n);
+    for (a_row, o) in a_lone.chunks_exact(d).zip(out_lone) {
+        matvec_avx(b, a_row, o);
     }
 }
 

@@ -12,9 +12,11 @@
 //!
 //! - admission and prefill (step 1 here: every request is admitted and
 //!   fully prefilled under `prefill_chunk = usize::MAX`);
-//! - attention-scratch growth: the per-sequence score/weight buffers grow
-//!   amortized with sequence length (reallocs at capacities 8, 16, 32 → at
-//!   sequence lengths 9, 17, 33 with an 8-token prompt);
+//! - workspace growth: the stepping thread's forward-pass buffers grow to
+//!   the largest row count a pass has had (the admission step's prefill
+//!   here), and its `n_heads × seq` score/weight pair grows amortized with
+//!   the longest context (reallocs at capacities 8, 16, 32 → at sequence
+//!   lengths 9, 17, 33 with an 8-token prompt);
 //! - KV block boundaries: a fresh page is allocated each time a sequence
 //!   length crosses a multiple of `block_size` (16 here → lengths 17, 33).
 //!
@@ -125,11 +127,6 @@ fn bf16_batch16_pool_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn bf16_batch16_scoped_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode(QuantScheme::bf16(), 16, StepMode::ForceScoped);
-}
-
-#[test]
 fn mxopal_batch1_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode(QuantScheme::mxopal_w4a47(), 1, StepMode::ForcePool);
 }
@@ -140,11 +137,6 @@ fn mxopal_batch16_pool_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn mxopal_batch16_scoped_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode(QuantScheme::mxopal_w4a47(), 16, StepMode::ForceScoped);
-}
-
-#[test]
 fn kv_mxopal_batch1_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 1, StepMode::ForcePool);
 }
@@ -152,11 +144,6 @@ fn kv_mxopal_batch1_pool_steady_state_is_allocation_free() {
 #[test]
 fn kv_mxopal_batch16_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 16, StepMode::ForcePool);
-}
-
-#[test]
-fn kv_mxopal_batch16_scoped_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 16, StepMode::ForceScoped);
 }
 
 #[test]
@@ -187,8 +174,9 @@ fn multithreaded_pool_dispatch_allocations_are_bounded() {
 
 /// Steady-state *speculative* decode is allocation-free too: the
 /// draft-propose / fused-verify / rollback loop reuses the buffers
-/// preallocated in `SpecState` (and the draft sibling's own scratch), so
-/// a pure-decode step allocates exactly as much as a plain one — nothing.
+/// preallocated in `SpecState`, and the draft sibling's passes go through
+/// the stepping thread's workspace like the served model's, so a
+/// pure-decode step allocates exactly as much as a plain one — nothing.
 ///
 /// A full-depth truncated draft (`layers` = the model's own depth) makes
 /// the window arithmetic deterministic: the draft is the same network, its
@@ -196,10 +184,9 @@ fn multithreaded_pool_dispatch_allocations_are_bounded() {
 /// all `k` proposals. With `k = 1` each spec step commits 2 tokens, so
 /// sequence length after step `s` is `9 + 2(s - 1)`. Steps up to 8 still
 /// see one-time events — 16-row block boundaries at length 17 and the
-/// amortized growth of the `n_heads × seq` score buffers the verify pass
-/// shares with decode — and the next block/doubling boundary is length 33
-/// (step 13),
-/// so steps 9..=12 are the pinned-zero window.
+/// amortized growth of the workspace's `n_heads × seq` score buffers —
+/// and the next block/doubling boundary is length 33 (step 13), so steps
+/// 9..=12 are the pinned-zero window.
 #[test]
 fn speculative_decode_steady_state_is_allocation_free() {
     let _serial = probe_lock();
@@ -249,6 +236,81 @@ fn speculative_decode_steady_state_is_allocation_free() {
             "steady-state speculative decode allocated (per measured step: {counts:?})"
         );
     }
+}
+
+/// A *mixed* step — one sequence consuming a granted prompt chunk while its
+/// neighbours decode, then the step that completes the prompt, samples and
+/// decodes in two passes — allocates nothing either, once the workspace has
+/// seen its largest row count.
+///
+/// Four short requests warm the engine up: step 1 prefills one whole prompt
+/// (the 8-row pass that sizes the stacked buffers), and by step 4 all four
+/// decode together (the four logits rows the completion step will want
+/// again). One has a short limit and retires, three decode on to length
+/// 38, past the score buffers' doubling at 33. Then a 33-token prompt takes
+/// the free slot: its admission step allocates (the sequence itself, its
+/// first KV block: 128-row blocks, so nobody crosses a boundary here), and
+/// the four steps after it — three 8-row chunks beside three decode rows,
+/// then the last prompt row, the first sample and four decode rows — are
+/// the window.
+fn assert_zero_alloc_mixed_steps(scheme: QuantScheme, kv_scheme: KvScheme) {
+    let _serial = probe_lock();
+    let model = Model::new(ModelConfig::tiny(), scheme, 7).expect("probe model");
+    let config = ServeConfig {
+        max_batch: 4,
+        max_tokens: 64,
+        prefill_chunk: 8,
+        block_size: 128,
+        prefix_sharing: false,
+        kv_scheme,
+        ..ServeConfig::default()
+    };
+    let mut engine = ServeEngine::new(&model, config);
+    let vocab = model.config().vocab as u32;
+    let prompt = |i: usize, len: usize| -> Vec<u32> {
+        (0..len).map(|p| ((i * 53 + p * 19) as u32) % vocab).collect()
+    };
+    for i in 0..4 {
+        let limit = if i == 3 { 6 } else { 64 };
+        engine.submit_with_limit(&prompt(i, PROMPT_LEN), limit).expect("probe submit");
+    }
+    for _ in 0..33 {
+        engine.step();
+    }
+    assert_eq!((engine.active_len(), engine.prefilling_len()), (3, 0), "warm-up shape");
+    engine.submit_with_limit(&prompt(4, 33), 64).expect("probe submit");
+    let admitted = engine.step();
+    assert_eq!((admitted.admitted, admitted.prefilled, admitted.generated), (1, 8, 3));
+    let mut counts = Vec::new();
+    for expect in [(8, 3), (8, 3), (8, 3), (1, 4)] {
+        let before = allocations();
+        let summary = engine.step();
+        let after = allocations();
+        assert_eq!((summary.prefilled, summary.generated), expect, "not the mixed step planned");
+        counts.push(after - before);
+    }
+    if cfg!(not(debug_assertions)) {
+        assert_eq!(
+            counts.iter().sum::<u64>(),
+            0,
+            "mixed prefill + decode steps allocated (per measured step: {counts:?})"
+        );
+    }
+}
+
+#[test]
+fn bf16_mixed_steps_are_allocation_free() {
+    assert_zero_alloc_mixed_steps(QuantScheme::bf16(), KvScheme::Exact);
+}
+
+#[test]
+fn mxopal_mixed_steps_are_allocation_free() {
+    assert_zero_alloc_mixed_steps(QuantScheme::mxopal_w4a47(), KvScheme::Exact);
+}
+
+#[test]
+fn kv_mxopal_mixed_steps_are_allocation_free() {
+    assert_zero_alloc_mixed_steps(QuantScheme::bf16(), KvScheme::mxopal());
 }
 
 /// The probe itself must fire: a deliberate allocation inside a measured
