@@ -72,12 +72,15 @@
 //! (8 rows against 344x128), the two entry points every weight MAC goes
 //! through, sit under the same floor against a seed-style product of the
 //! same shape, and `kernel_path` records which of their inner loops this
-//! host ran (`avx`: the `ops::dot` lane schedule eight rows at a time,
+//! host ran (`avx+fma`: the `ops::dot` lane schedule eight rows at a time,
 //! measured 6-7x; `portable`: one `ops::dot` per element, the dot rows'
-//! ratio). One tripwire for the OPAL stages sits with them:
+//! ratio). Two tripwires for the OPAL stages sit with them:
 //! `Log2Softmax::probs_into` within 1.8x the time of `ops::softmax_into`
 //! on a 1024-wide row (1.1-1.3x with one `exp` per score; two, as the
-//! code loop once took, read 2.3-2.4x). Next to it sit the headline
+//! code loop once took, read 2.3-2.4x), and, where AVX2 runs the code
+//! kernels, `ops::dot_codes_tile` at least 1.4x sixteen per-row
+//! `ops::dot_codes` calls on a 16 x 128 page (its chains interleaved; one
+//! chain per cached row is 1.0x). Next to them sit the headline
 //! floors: the
 //! `optimized-1t` decode rate must not fall below the seed engine's on any
 //! model x scheme x batch row, nor fused prefill below the seed reference.
@@ -1239,10 +1242,42 @@ fn bench_robustness(model: &Model, smoke: bool, seed: u64) -> RobustnessStats {
 /// `crates/tensor/src/simd.rs` is restated here: change the two together.
 fn kernel_path() -> &'static str {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        return "avx";
+    if std::arch::is_x86_feature_detected!("avx") && std::arch::is_x86_feature_detected!("fma") {
+        return "avx+fma";
     }
     "portable"
+}
+
+/// Whether the quantized-KV code kernels run their wide loops here: the
+/// rule of `simd::codes_available()`, restated like [`kernel_path`]'s.
+fn code_kernels_wide() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return true;
+    }
+    false
+}
+
+/// Rate of `ops::dot_codes_tile` (one query row against 16 cached code
+/// rows at d = 128, a page of the served proxy's one head) over sixteen
+/// per-row `ops::dot_codes` calls on the same rows, alternating.
+fn dot_codes_tile_over_per_row(budget_s: f64) -> f64 {
+    let (d, n) = (128usize, 16usize);
+    let q: Vec<f32> = (0..d).map(|j| ((j * 29 % 31) as f32 - 15.0) * 0.07).collect();
+    let codes: Vec<i8> = (0..n * d).map(|j| ((j * 37 + 11) % 255) as i8).collect();
+    let (mut tile, mut per_row) = (vec![0.0f32; n], vec![0.0f32; n]);
+    let (tile_rate, per_row_rate) = alternate(
+        n * d,
+        budget_s,
+        || ops::dot_codes_tile(black_box(&codes), d, [(black_box(&q[..]), &mut tile[..])]),
+        || {
+            for (o, row) in per_row.iter_mut().zip(black_box(&codes).chunks_exact(d)) {
+                *o = ops::dot_codes(black_box(&q), row);
+            }
+        },
+    );
+    assert!(tile.iter().zip(&per_row).all(|(a, b)| a.to_bits() == b.to_bits()));
+    tile_rate / per_row_rate
 }
 
 /// One GEMV/GEMM row of the kernel floor.
@@ -1433,6 +1468,16 @@ fn main() {
         log2_over_exact <= 1.8,
         "Log2Softmax::probs_into must stay within 1.8x ops::softmax_into at n=1024 (got \
          {log2_over_exact:.2}x): one `exp` per score, not two"
+    );
+    let code_tile_over_rows = dot_codes_tile_over_per_row(if smoke { 0.1 } else { 0.5 });
+    let wide = code_kernels_wide();
+    println!(
+        "ops::dot_codes_tile 16x128: {code_tile_over_rows:.2}x per-row ops::dot_codes (wide: {wide})"
+    );
+    assert!(
+        !wide || code_tile_over_rows >= 1.4,
+        "ops::dot_codes_tile must run at least 1.4x per-row ops::dot_codes on 16 code rows at \
+         d=128 (got {code_tile_over_rows:.2}x): the cached rows' chains are not interleaved"
     );
 
     // The tiny unit-test config plus a mid-size Llama proxy (the accuracy
@@ -1673,14 +1718,16 @@ fn main() {
     // The bounds are the old tok/s floors (0.85x / 0.75x of an exact step
     // that cost one batch-1 token then) restated in the walk's own terms:
     // at most 0.18 / 0.33 of a batch-1 token added per token. Over ten full
-    // and ten smoke runs the 8-bit walk read -0.01-0.10 / -0.03-0.06 of it
-    // (-1 to +14 us, unchanged) and the 4-bit walk 0.19-0.22 / 0.05-0.13
-    // (+30-35 us in a full run, unchanged; nibble-packed pages keep the
-    // per-(row, head) walk), which as ratios of the fused exact step are
-    // 0.89-1.01x / 0.91-1.05x and 0.76-0.78x / 0.84-0.94x: the old 4-bit
-    // floor would trip on the exact step getting faster. One full run of
-    // the ten sat in a host stall (batch-1 token 219 us against 142-169)
-    // and read 0.13 / 0.45 (0.79x / 0.53x): out of either form of the bound.
+    // and ten smoke runs with the tile walk the 8-bit walk read
+    // 0.011-0.041 / 0.024-0.034 of it (+2 to +8 us; the per-row walk read
+    // -0.01-0.10, -1 to +14 us: at these short contexts the walk is small
+    // either way) and the 4-bit walk 0.18-0.22 / 0.09-0.11 (+33-41 us in a
+    // full run; nibble-packed pages keep the per-(row, head) walk), which
+    // as ratios of the fused exact step are 0.93-0.98x / 0.94-0.96x and
+    // 0.72-0.77x / 0.84-0.86x: the old 4-bit floor would trip on the exact
+    // step getting faster. One full run in ten of the per-row walk sat in
+    // a host stall (batch-1 token 219 us against 142-169) and read
+    // 0.13 / 0.45 (0.79x / 0.53x): out of either form of the bound.
     assert!(
         walk_us <= 0.18 * batch1_us,
         "the 8-bit page walk must add at most 0.18 of a batch-1 token ({batch1_us:.0} us) per \
@@ -1882,6 +1929,7 @@ fn main() {
         .collect();
     let _ = writeln!(json, "  \"matrix_kernels\": [\n{}\n  ],", matrix_kernel_json.join(",\n"));
     let _ = writeln!(json, "  \"log2_softmax_over_exact_n1024\": {log2_over_exact:.3},");
+    let _ = writeln!(json, "  \"dot_codes_tile_over_per_row_16x128\": {code_tile_over_rows:.3},");
     let _ = writeln!(json, "  \"batch16_speedups\": [\n{}\n  ],", speedup_lines.join(",\n"));
     let _ = writeln!(json, "  \"batch16_over_batch1_1t\": {batch16_over_batch1:.3},");
     let encode_json: Vec<String> = encode_rows

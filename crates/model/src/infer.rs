@@ -23,6 +23,12 @@ use crate::kv::{AdoptError, BlockPool, KvBlock, PagedKv};
 use crate::scheme::{QuantScheme, SoftmaxKind};
 use crate::weights::{generate_weights, LayerWeights, ModelWeights};
 
+/// Query rows of one group that share a visit of the paged KV cache: the
+/// score and weight buffers of a visit hold `QUERY_TILE × n_heads × len`
+/// floats each (64 KiB for the pair at `len` 1024 on one head), and a
+/// 32-row prompt chunk walks the pages four times instead of 32.
+const QUERY_TILE: usize = 8;
+
 /// The observation points inside a decoder block (Fig. 5): the inputs of
 /// every MxV the paper quantizes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -251,13 +257,14 @@ fn record_rows(recorder: &mut Option<&mut dyn Recorder>, layer: usize, sites: &[
 /// flight, over all the sequences of the pass.
 ///
 /// Every intermediate of a pass lands here — norm rows, the stacked
-/// projections, one query row's attention scores at a time, the rows that
-/// want logits — so whoever drives passes owns one of these per thread (the
-/// serving engine: one for its own thread and one per pool worker) and the
-/// sequences own only their position and KV tables. Buffers are reshaped,
-/// never reallocated once grown, to the live row count at the start of each
-/// pass: passes allocate nothing once the workspace has seen its largest
-/// row count and longest context. Nothing in here outlives a pass, so a
+/// projections, the attention scores of up to eight query rows of one
+/// group at a time, a quantized page dequantized for the V sum, the rows
+/// that want logits — so whoever drives passes owns one of these per
+/// thread (the serving engine: one for its own thread and one per pool
+/// worker) and the sequences own only their position and KV tables.
+/// Buffers are reshaped, never reallocated once grown, to the live row
+/// count at the start of each pass: passes allocate nothing once the
+/// workspace has seen its largest row count and longest context. Nothing in here outlives a pass, so a
 /// workspace can serve any sequence, any model of the same or another
 /// shape, and a pass that unwound half way.
 #[derive(Debug, Default)]
@@ -293,11 +300,15 @@ pub struct Workspace {
     /// [`ops::rope_angles_into`]): computed once per pass, applied by every
     /// layer and head.
     rope: Matrix,
-    /// Attention scores of one query row, head-major `n_heads × seq`; grows
-    /// with the longest context seen.
+    /// Attention scores of up to [`QUERY_TILE`] query rows of one group,
+    /// `rows × n_heads × len` (`len` the last row's context); holds
+    /// `QUERY_TILE × n_heads` times the longest context seen.
     scores: Vec<f32>,
-    /// Attention weights of one query row, `n_heads × seq` like `scores`.
+    /// Their attention weights, laid out like `scores`.
     weights: Vec<f32>,
+    /// A quantized page's V rows of one head dequantized to `f32`, after
+    /// their steps: `block_size × (1 + head_dim)`.
+    tile: Vec<f32>,
     /// Final-norm outputs of the rows that want logits, `wanted × d_model`.
     hn: Matrix,
     /// Their next-token logits, `wanted × vocab`.
@@ -933,9 +944,9 @@ impl Model {
         let vocab = self.config.vocab;
         let n_heads = self.config.n_heads;
 
-        // Rows in flight, rows wanting logits, and the longest context any
-        // row attends over.
-        let (mut n, mut wanted, mut longest) = (0, 0, 0);
+        // Rows in flight, rows wanting logits, the longest context any row
+        // attends over, and the largest V tile.
+        let (mut n, mut wanted, mut longest, mut tile) = (0, 0, 0, 0);
         for seq in seqs.iter_mut() {
             let g = group(seq);
             for &t in g.tokens {
@@ -953,6 +964,7 @@ impl Model {
             };
             if rows > 0 {
                 longest = longest.max(g.state.pos + rows);
+                tile = tile.max(g.state.kv.pool.block_size() * (1 + dh));
             }
         }
         if n == 0 {
@@ -967,9 +979,16 @@ impl Model {
             ensure_shape(m, n, ff);
         }
         ensure_shape(&mut ws.rope, n, dh);
-        if ws.scores.len() < n_heads * longest {
-            ws.scores.resize(n_heads * longest, 0.0);
-            ws.weights.resize(n_heads * longest, 0.0);
+        // Room for a full query tile at the longest context, whatever the
+        // groups' row counts: a decode-only pass sizes the buffers a later
+        // prompt chunk at the same context needs.
+        let attn = QUERY_TILE * n_heads * longest;
+        if ws.scores.len() < attn {
+            ws.scores.resize(attn, 0.0);
+            ws.weights.resize(attn, 0.0);
+        }
+        if ws.tile.len() < tile {
+            ws.tile.resize(tile, 0.0);
         }
 
         for_each_group(seqs, &group, |row0, g| {
@@ -1035,10 +1054,10 @@ impl Model {
                 // Row `r` attends to its causal prefix: the cached
                 // positions `0..=pos0 + r`, the rows appended just above
                 // included.
-                for r in 0..rows {
-                    let (q, ctx) = (ws.qqs.row(row0 + r), ws.ctxs.row_mut(row0 + r));
-                    self.attend_row(kv, l, pos0 + r + 1, q, &mut ws.scores, &mut ws.weights, ctx);
-                }
+                let (lo, hi) = (row0 * d, (row0 + rows) * d);
+                let (qs, ctxs) = (&ws.qqs.as_slice()[lo..hi], &mut ws.ctxs.as_mut_slice()[lo..hi]);
+                let buffers = (&mut ws.scores[..], &mut ws.weights[..], &mut ws.tile[..]);
+                self.attend_rows(kv, l, pos0, qs, buffers, ctxs);
             });
             record_rows(&mut recorder, l, &[(Site::ProjInput, &ws.ctxs)]);
             self.quant_high_block(&ws.ctxs, &mut ws.ctxqs, &mut ws.quant);
@@ -1122,38 +1141,53 @@ impl Model {
         for_each_group(seqs, &group, |_, g| g.state.pos += g.tokens.len());
     }
 
-    /// Attention of one query row over the first `len` cached positions of
-    /// `layer`, all heads: scores straight off the K pages into the
-    /// head-major `n_heads × len` front of `scores`, one softmax per head
-    /// into the same front of `weights`, then the weighted V sum into `ctx`.
-    /// The one attention routine of both cores: a decode step is one call,
-    /// a prefill chunk one call per row with that row's causal length.
-    /// Every (row, head) sees the kernels and the position order it always
-    /// did, so who calls it, and with how many heads per visit, is
-    /// bit-invisible.
-    #[allow(clippy::too_many_arguments)]
-    fn attend_row(
+    /// Attention of a group's query rows (`qs`, `m` rows of `d_model`, at
+    /// positions `pos0..pos0 + m`) over `layer`'s cached positions, all
+    /// heads, row `i` over its causal prefix `0..pos0 + i + 1`, written into
+    /// `ctxs` (`m` rows). The one attention routine of the forward core: a
+    /// decode step is one row, a verify pass or a prompt chunk a group.
+    ///
+    /// Up to [`QUERY_TILE`] rows share each visit of the paged cache: their
+    /// scores straight off the K pages into the `rows × n_heads × len` front
+    /// of `scores` (`len = ` the last row's context), one softmax per (row,
+    /// head) over that row's own prefix into the same front of `weights`,
+    /// the weights past the prefix zeroed, then the weighted V sums. Every
+    /// (row, head) sees the kernels and the position order it always did,
+    /// so how many rows and heads share a visit is bit-invisible.
+    fn attend_rows(
         &self,
         kv: &PagedKv,
         layer: usize,
-        len: usize,
-        q: &[f32],
-        scores: &mut [f32],
-        weights: &mut [f32],
-        ctx: &mut [f32],
+        pos0: usize,
+        qs: &[f32],
+        (scores, weights, tile): (&mut [f32], &mut [f32], &mut [f32]),
+        ctxs: &mut [f32],
     ) {
-        let n_heads = self.config.n_heads;
+        let (d, n_heads) = (self.config.d_model, self.config.n_heads);
         let inv_sqrt_dh = 1.0 / (self.config.head_dim() as f32).sqrt();
-        let (scores, weights) = (&mut scores[..n_heads * len], &mut weights[..n_heads * len]);
-        kv.scores_into(layer, len, q, n_heads, inv_sqrt_dh, scores);
-        for (s, w) in scores.chunks_exact(len).zip(weights.chunks_exact_mut(len)) {
-            match &self.log2_softmax {
-                None => ops::softmax_into(s, w),
-                Some(sm) => sm.probs_into(s, w),
+        let visits = qs.chunks(QUERY_TILE * d).zip(ctxs.chunks_mut(QUERY_TILE * d));
+        for (v, (qs, ctxs)) in visits.enumerate() {
+            let pos0 = pos0 + v * QUERY_TILE;
+            let m = qs.len() / d;
+            let len = pos0 + m;
+            let (scores, weights) =
+                (&mut scores[..m * n_heads * len], &mut weights[..m * n_heads * len]);
+            kv.scores_into(layer, pos0, qs, n_heads, inv_sqrt_dh, scores);
+            let rows =
+                scores.chunks_exact(n_heads * len).zip(weights.chunks_exact_mut(n_heads * len));
+            for (i, (s, w)) in rows.enumerate() {
+                let causal = pos0 + i + 1;
+                for (s, w) in s.chunks_exact(len).zip(w.chunks_exact_mut(len)) {
+                    let (w, masked) = w.split_at_mut(causal);
+                    match &self.log2_softmax {
+                        None => ops::softmax_into(&s[..causal], w),
+                        Some(sm) => sm.probs_into(&s[..causal], w),
+                    }
+                    masked.fill(0.0);
+                }
             }
+            kv.weighted_values_into(layer, pos0, weights, n_heads, tile, ctxs);
         }
-        ctx.fill(0.0);
-        kv.weighted_values_into(layer, len, weights, n_heads, ctx);
     }
 
     /// Full-sequence forward pass: runs the incremental decoder over
@@ -1649,6 +1683,46 @@ mod tests {
             let kv = [KvScheme::Exact, KvScheme::mxopal(), KvScheme::mxopal4()][kv_ix];
             let bs = [1usize, 3, 16][bs_ix];
             let outcome = grouping_case(&grouping_models()[scheme_ix], kv, bs, &shapes);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// The served geometry (the Llama2-7B proxy: one 128-wide head, so
+    /// eight 16-lane chunks per head row), W4A4/7 with log2 softmax over
+    /// MX-OPAL pages of 16 rows, built once for all cases.
+    fn proxy_model() -> &'static Model {
+        static MODEL: std::sync::OnceLock<Model> = std::sync::OnceLock::new();
+        MODEL.get_or_init(|| {
+            let config = ModelConfig::llama2_7b().proxy(128, 4, 192);
+            let scheme = QuantScheme::mxopal_w4a47().with_log2_softmax(5);
+            Model::new(config, scheme, 7).expect("valid scheme")
+        })
+    }
+
+    /// Groupings at the served geometry: starts that cross pages, a group of
+    /// 33 rows (four full query tiles and a leftover row), groups of 9 and
+    /// 1, and a sequence with no rows, all in one pass.
+    #[test]
+    fn proxy_groupings_are_bitwise_each_sequence_alone() {
+        let shapes = [(40, 33, 2, 11), (15, 9, 2, 5), (31, 1, 1, 3), (0, 17, 1, 8), (7, 0, 0, 2)];
+        let outcome = grouping_case(proxy_model(), KvScheme::mxopal(), 16, &shapes);
+        assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// Random groupings at the served geometry, as
+        /// `forward_rows_groupings_are_bitwise_each_sequence_alone` runs
+        /// them at the tiny one.
+        #[test]
+        fn proxy_random_groupings_are_bitwise_each_sequence_alone(
+            shapes in proptest::collection::vec(
+                (0usize..=40, 0usize..=33, 0usize..3, 0u32..997),
+                1..=3,
+            ),
+        ) {
+            let outcome = grouping_case(proxy_model(), KvScheme::mxopal(), 16, &shapes);
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }

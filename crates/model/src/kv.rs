@@ -27,12 +27,18 @@
 //!   the quantized domain: the q·k inner product runs over integer codes
 //!   with one power-of-two scale multiply per shared-exponent block
 //!   ([`opal_tensor::ops::dot_codes`]), and V aggregation dequantizes on
-//!   the walk, eight codes at a time where the CPU allows
-//!   ([`opal_tensor::ops::axpy_codes`]). The walk visits each cached row
-//!   once for all heads (`PagedKv::scores_into`,
-//!   `PagedKv::weighted_values_into`): the two methods that know the page
-//!   formats. Copy-on-write clones packed codes exactly like it clones
-//!   `f32` rows, so prefix sharing is format-agnostic.
+//!   the walk. Two methods know the page formats
+//!   (`PagedKv::scores_into`, `PagedKv::weighted_values_into`), and both
+//!   take a group of query rows: where every head fits one
+//!   shared-exponent block of an unpacked page (the presets at the
+//!   model's head widths), the walk goes page by page, and one visit
+//!   serves every query row of the group — K scores as a code tile
+//!   ([`opal_tensor::ops::dot_codes_tile`]), V from the page dequantized
+//!   once into an `f32` tile with each context accumulated in registers
+//!   ([`opal_tensor::ops::axpy_codes_tile`]). Bitwise, this is the
+//!   per-(row, head) walk it replaced. Copy-on-write clones packed codes
+//!   exactly like it clones `f32` rows, so prefix sharing is
+//!   format-agnostic.
 //!
 //! Dropping the last `Arc` to a block returns its storage to the pool's
 //! free list, so releasing a sequence (retirement, cancellation, or a
@@ -833,47 +839,59 @@ impl PagedKv {
         })
     }
 
-    /// Whether a quantized pool's pages take the one-visit-per-row walk:
-    /// one code per `i8` slot, and every head's `dh` columns inside a single
-    /// shared-exponent block. Nibble-packed pages and geometries where a
-    /// head straddles a block go through [`QuantRow`] per (row, head).
+    /// Whether a quantized pool's pages take the tile walk: one code per
+    /// `i8` slot, and every head's `dh` columns inside a single
+    /// shared-exponent block (one step per row and head). Nibble-packed
+    /// pages and geometries where a head straddles a block go through
+    /// [`QuantRow`] per (query row, row, head).
     fn heads_fit_qblocks(&self, n_heads: usize, dh: usize) -> bool {
         let (bits, qblock, _) = self.pool.quant_params();
         bits > 4 && (0..n_heads).all(|h| h * dh / qblock == ((h + 1) * dh - 1) / qblock)
     }
 
-    /// Attention scores of one query row against the first `len` cached K
-    /// rows of `layer`, for all heads, head-major:
-    /// `out[h * len + t] = (q_h · k_{t,h}) * scale` with `q` the `n_heads`
-    /// head vectors end to end.
+    /// Attention scores of the `m = qs.len() / width` query rows at
+    /// positions `pos0..pos0 + m` against the cached K rows of `layer`, all
+    /// heads, each row against its causal prefix: with `len = pos0 + m`,
+    /// `out[(i * n_heads + h) * len + t] = (q_{i,h} · k_{t,h}) * scale` for
+    /// `t < pos0 + i + 1`, `q_i` the `n_heads` head vectors of query row `i`
+    /// end to end. Entries past a row's prefix are unspecified (the tile
+    /// walk computes and leaves them; rows `< len` were all written before
+    /// the pass attends, so they are never recycled-page garbage).
     ///
-    /// Exact pages score each head with [`ops::dot`] over the block table.
-    /// Quantized pages are visited **once per row for all heads**, with the
-    /// codes, scales and outlier slots sliced once per page: per (row, head)
-    /// one [`ops::dot_codes`], one power-of-two scale multiply and the exact
-    /// bf16 outlier terms, accumulated exactly as [`QuantRow::dot_range`]
-    /// does — which stays the path for the geometries
-    /// [`PagedKv::heads_fit_qblocks`] turns away, and the oracle the tests
-    /// hold this walk to.
+    /// Quantized pages whose heads fit their shared-exponent blocks
+    /// ([`PagedKv::heads_fit_qblocks`]) are walked **page by page, every
+    /// query row per visit**: per (page, head) one [`ops::dot_codes_tile`]
+    /// over all its rows and query rows, then per (row, query row) one
+    /// power-of-two scale multiply and the exact bf16 outlier terms,
+    /// accumulated exactly as [`QuantRow::dot_range`] does — which stays the
+    /// path, per (query row, row, head), for the geometries
+    /// `heads_fit_qblocks` turns away, and the oracle the tests hold the
+    /// tile walk to. Exact pages score each (query row, head) with
+    /// [`ops::dot`] over the block table.
     pub(crate) fn scores_into(
         &self,
         layer: usize,
-        len: usize,
-        q: &[f32],
+        pos0: usize,
+        qs: &[f32],
         n_heads: usize,
         scale: f32,
         out: &mut [f32],
     ) {
         let w = self.pool.width();
         let dh = w / n_heads;
-        debug_assert!(len > 0 && q.len() == w && out.len() == n_heads * len, "score shape");
+        let m = qs.len() / w;
+        let len = pos0 + m;
+        debug_assert!(m > 0 && qs.len() == m * w && out.len() == m * n_heads * len, "score shape");
+        let queries = || qs.chunks_exact(w);
         if !self.quantized() {
-            for (h, out) in out.chunks_exact_mut(len).enumerate() {
-                let q_h = &q[h * dh..(h + 1) * dh];
-                for (t0, rows, block) in self.pages(layer, len) {
-                    let k_rows = block.k.exact().chunks_exact(w);
-                    for (score, k_row) in out[t0..t0 + rows].iter_mut().zip(k_rows) {
-                        *score = ops::dot(q_h, &k_row[h * dh..(h + 1) * dh]) * scale;
+            for (i, (q, out)) in queries().zip(out.chunks_exact_mut(n_heads * len)).enumerate() {
+                for (h, out) in out.chunks_exact_mut(len).enumerate() {
+                    let q_h = &q[h * dh..(h + 1) * dh];
+                    for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
+                        let k_rows = block.k.exact().chunks_exact(w);
+                        for (score, k_row) in out[t0..t0 + rows].iter_mut().zip(k_rows) {
+                            *score = ops::dot(q_h, &k_row[h * dh..(h + 1) * dh]) * scale;
+                        }
                     }
                 }
             }
@@ -882,13 +900,15 @@ impl PagedKv {
         let (bits, qblock, nout) = self.pool.quant_params();
         let qpr = self.pool.qblocks_per_row();
         if !self.heads_fit_qblocks(n_heads, dh) {
-            for (t0, rows, block) in self.pages(layer, len) {
-                let page = block.k.quant();
-                for r in 0..rows {
-                    let row = page.row(r, w, qpr, nout, bits, qblock);
-                    for h in 0..n_heads {
-                        out[h * len + t0 + r] =
-                            row.dot_range(&q[h * dh..(h + 1) * dh], h * dh) * scale;
+            for (i, (q, out)) in queries().zip(out.chunks_exact_mut(n_heads * len)).enumerate() {
+                for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
+                    let page = block.k.quant();
+                    for r in 0..rows {
+                        let row = page.row(r, w, qpr, nout, bits, qblock);
+                        for h in 0..n_heads {
+                            out[h * len + t0 + r] =
+                                row.dot_range(&q[h * dh..(h + 1) * dh], h * dh) * scale;
+                        }
                     }
                 }
             }
@@ -896,63 +916,84 @@ impl PagedKv {
         }
         for (t0, rows, block) in self.pages(layer, len) {
             let page = block.k.quant();
-            let codes = page.codes[..rows * w].chunks_exact(w);
-            let scales = page.scales[..rows * qpr].chunks_exact(qpr);
-            let out_len = page.out_len[..rows * qpr].chunks_exact(qpr);
-            for (r, ((codes, scales), out_len)) in codes.zip(scales).zip(out_len).enumerate() {
-                for h in 0..n_heads {
-                    let (lo, hi) = (h * dh, (h + 1) * dh);
-                    let qb = lo / qblock;
-                    let step = step_size(i32::from(scales[qb]), bits);
-                    let mut acc = 0.0f64;
-                    acc += f64::from(step) * f64::from(ops::dot_codes(&q[lo..hi], &codes[lo..hi]));
-                    let so = (r * qpr + qb) * nout;
-                    let live = so + usize::from(out_len[qb]);
-                    for (&idx, val) in page.out_idx[so..live].iter().zip(&page.out_val[so..live]) {
-                        let idx = qb * qblock + usize::from(idx);
-                        if idx >= lo && idx < hi {
-                            acc += f64::from(q[idx]) * f64::from(val.to_f32());
+            for h in 0..n_heads {
+                let (lo, hi) = (h * dh, (h + 1) * dh);
+                let (qb, at) = (lo / qblock, h * len + t0);
+                let outs = out.chunks_exact_mut(n_heads * len).map(|o| &mut o[at..at + rows]);
+                ops::dot_codes_tile(&page.codes[lo..], w, queries().map(|q| &q[lo..hi]).zip(outs));
+                // Head lane `j` is block lane `j - base` (wrapping): one
+                // unsigned compare keeps a slot to this head's columns.
+                let base = (qb * qblock).wrapping_sub(lo);
+                for (q, out) in queries().zip(out.chunks_exact_mut(n_heads * len)) {
+                    let (q, scores) = (&q[lo..hi], &mut out[at..at + rows]);
+                    let meta = page.scales.chunks_exact(qpr).zip(page.out_len.chunks_exact(qpr));
+                    for (r, (score, (scales, out_len))) in scores.iter_mut().zip(meta).enumerate() {
+                        let step = f64::from(step_size(i32::from(scales[qb]), bits));
+                        let so = (r * qpr + qb) * nout;
+                        let live = so + usize::from(out_len[qb]);
+                        let slots = page.out_idx[so..live].iter().zip(&page.out_val[so..live]);
+                        let mut acc = 0.0f64;
+                        acc += step * f64::from(*score);
+                        for (&idx, val) in slots {
+                            let j = base.wrapping_add(usize::from(idx));
+                            if j < dh {
+                                acc += f64::from(q[j]) * f64::from(val.to_f32());
+                            }
                         }
+                        *score = acc as f32 * scale;
                     }
-                    out[h * len + t0 + r] = acc as f32 * scale;
                 }
             }
         }
     }
 
-    /// The attention-weighted sum of the first `len` cached V rows of
-    /// `layer`, for all heads, accumulated into `ctx`:
-    /// `ctx[h * dh + j] += Σ_t weights[h * len + t] · v_{t, h * dh + j}`,
-    /// rows in position order, a row whose weight is exactly `0.0` skipped.
+    /// The attention-weighted sums of the cached V rows of `layer` for the
+    /// `m = ctx.len() / width` query rows at positions `pos0..pos0 + m`, all
+    /// heads, *written* into `ctx` (`m` rows): with `len = pos0 + m`,
+    /// `ctx[i * width + h * dh + j] = Σ_t weights[(i * n_heads + h) * len + t]
+    /// · v_{t, h * dh + j}` over `t < pos0 + i + 1`, from `+0.0`, rows in
+    /// position order, a row whose weight is exactly `0.0` skipped. The
+    /// weights past each row's prefix must be `0.0`: the tile walk reads
+    /// them.
     ///
     /// The counterpart of [`PagedKv::scores_into`], with the same three
-    /// walks: exact pages per head over the block table; quantized pages
-    /// once per row for all heads, each (row, head) one
-    /// [`ops::axpy_codes`] plus the exact bf16 outlier terms, in
-    /// [`QuantRow::axpy_range`]'s order; and `axpy_range` itself per
-    /// (row, head) elsewhere.
+    /// walks. Quantized pages whose heads fit their blocks go page by page,
+    /// every query row per visit: per (page, head) one
+    /// [`ops::axpy_codes_tile`] dequantizes the rows into `tile` (with
+    /// their outliers written over their lanes) and accumulates every query
+    /// row's context, the first page writing it. `tile` holds at least
+    /// `block_size × (dh + 1)` floats: the page's steps, then the tile. The
+    /// other geometries take [`QuantRow::axpy_range`] per (query row, row,
+    /// head), and exact pages one scaled add per (query row, row, head).
     pub(crate) fn weighted_values_into(
         &self,
         layer: usize,
-        len: usize,
+        pos0: usize,
         weights: &[f32],
         n_heads: usize,
+        tile: &mut [f32],
         ctx: &mut [f32],
     ) {
         let w = self.pool.width();
         let dh = w / n_heads;
-        debug_assert!(len > 0 && ctx.len() == w && weights.len() == n_heads * len, "value shape");
+        let m = ctx.len() / w;
+        let len = pos0 + m;
+        debug_assert!(m > 0 && ctx.len() == m * w && weights.len() == m * n_heads * len, "shape");
+        let queries = || weights.chunks_exact(n_heads * len);
         if !self.quantized() {
-            for (h, weights) in weights.chunks_exact(len).enumerate() {
-                let ctx_h = &mut ctx[h * dh..(h + 1) * dh];
-                for (t0, rows, block) in self.pages(layer, len) {
-                    let v_rows = block.v.exact().chunks_exact(w);
-                    for (&wt, v_row) in weights[t0..t0 + rows].iter().zip(v_rows) {
-                        if wt == 0.0 {
-                            continue;
-                        }
-                        for (c, &vv) in ctx_h.iter_mut().zip(&v_row[h * dh..(h + 1) * dh]) {
-                            *c += wt * vv;
+            ctx.fill(0.0);
+            for (i, (weights, ctx)) in queries().zip(ctx.chunks_exact_mut(w)).enumerate() {
+                for (h, weights) in weights.chunks_exact(len).enumerate() {
+                    let ctx_h = &mut ctx[h * dh..(h + 1) * dh];
+                    for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
+                        let v_rows = block.v.exact().chunks_exact(w);
+                        for (&wt, v_row) in weights[t0..t0 + rows].iter().zip(v_rows) {
+                            if wt == 0.0 {
+                                continue;
+                            }
+                            for (c, &vv) in ctx_h.iter_mut().zip(&v_row[h * dh..(h + 1) * dh]) {
+                                *c += wt * vv;
+                            }
                         }
                     }
                 }
@@ -962,44 +1003,64 @@ impl PagedKv {
         let (bits, qblock, nout) = self.pool.quant_params();
         let qpr = self.pool.qblocks_per_row();
         if !self.heads_fit_qblocks(n_heads, dh) {
-            for (t0, rows, block) in self.pages(layer, len) {
-                let page = block.v.quant();
-                for r in 0..rows {
-                    let row = page.row(r, w, qpr, nout, bits, qblock);
-                    for h in 0..n_heads {
-                        let wt = weights[h * len + t0 + r];
-                        if wt != 0.0 {
-                            row.axpy_range(wt, h * dh, &mut ctx[h * dh..(h + 1) * dh]);
+            ctx.fill(0.0);
+            for (i, (weights, ctx)) in queries().zip(ctx.chunks_exact_mut(w)).enumerate() {
+                for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
+                    let page = block.v.quant();
+                    for r in 0..rows {
+                        let row = page.row(r, w, qpr, nout, bits, qblock);
+                        for h in 0..n_heads {
+                            let wt = weights[h * len + t0 + r];
+                            if wt != 0.0 {
+                                row.axpy_range(wt, h * dh, &mut ctx[h * dh..(h + 1) * dh]);
+                            }
                         }
                     }
                 }
             }
             return;
         }
+        let bs = self.pool.block_size();
+        let (steps, tile) = tile.split_at_mut(bs);
         for (t0, rows, block) in self.pages(layer, len) {
             let page = block.v.quant();
-            let codes = page.codes[..rows * w].chunks_exact(w);
-            let scales = page.scales[..rows * qpr].chunks_exact(qpr);
-            let out_len = page.out_len[..rows * qpr].chunks_exact(qpr);
-            for (r, ((codes, scales), out_len)) in codes.zip(scales).zip(out_len).enumerate() {
-                for h in 0..n_heads {
-                    let wt = weights[h * len + t0 + r];
-                    if wt == 0.0 {
-                        continue;
+            for h in 0..n_heads {
+                let (lo, hi) = (h * dh, (h + 1) * dh);
+                let (qb, at) = (lo / qblock, h * len + t0);
+                let steps = &mut steps[..rows];
+                for (r, step) in steps.iter_mut().enumerate() {
+                    *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
+                }
+                // Each live slot of the row's block that falls in this head
+                // writes its bf16 value over its lane, where the code is 0.
+                // Head lane `j` is block lane `j - base` (wrapping), so one
+                // unsigned compare keeps the slots of this head's columns.
+                let patch = |tile: &mut [f32]| {
+                    if nout == 0 {
+                        return;
                     }
-                    let (lo, hi) = (h * dh, (h + 1) * dh);
-                    let qb = lo / qblock;
-                    let step = step_size(i32::from(scales[qb]), bits);
-                    ops::axpy_codes(wt, step, &codes[lo..hi], &mut ctx[lo..hi]);
-                    let so = (r * qpr + qb) * nout;
-                    let live = so + usize::from(out_len[qb]);
-                    for (&idx, val) in page.out_idx[so..live].iter().zip(&page.out_val[so..live]) {
-                        let idx = qb * qblock + usize::from(idx);
-                        if idx >= lo && idx < hi {
-                            ctx[idx] += wt * val.to_f32();
+                    let slots = page
+                        .out_idx
+                        .chunks_exact(qpr * nout)
+                        .zip(page.out_val.chunks_exact(qpr * nout));
+                    let rows =
+                        tile.chunks_exact_mut(dh).zip(slots.zip(page.out_len.chunks_exact(qpr)));
+                    let (so, base) = (qb * nout, (qb * qblock).wrapping_sub(lo));
+                    for (x, ((idx, val), live)) in rows {
+                        let live = so + usize::from(live[qb]);
+                        for (&idx, val) in idx[so..live].iter().zip(&val[so..live]) {
+                            let j = base.wrapping_add(usize::from(idx));
+                            if j < dh {
+                                x[j] = val.to_f32();
+                            }
                         }
                     }
-                }
+                };
+                let rows_of = queries()
+                    .map(|weights| &weights[at..at + rows])
+                    .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[lo..hi]));
+                let tile = &mut tile[..rows * dh];
+                ops::axpy_codes_tile(&page.codes[lo..], w, steps, patch, tile, rows_of, t0 == 0);
             }
         }
     }
@@ -1202,13 +1263,16 @@ mod tests {
 
     #[test]
     fn page_walks_are_bitwise_the_per_row_per_head_kernels() {
-        // `scores_into` / `weighted_values_into` against one `ops::dot` or
-        // `dot_range` (and one scaled add or `axpy_range`) per (row, head):
-        // every page format, the two quantized walks (the presets' heads
-        // fit their shared-exponent blocks; `qblock` 8 under 12-wide heads
+        // `scores_into` / `weighted_values_into` over a group of query rows
+        // against one `ops::dot` or `dot_range` (and one scaled add or
+        // `axpy_range`) per (query row, cached row, head), each query row
+        // over its own causal prefix, the context written from `+0.0`:
+        // every page format, the tile walk (the presets' heads fit their
+        // shared-exponent blocks, the served proxy's one 128-wide head
+        // included) and the per-row walks (`qblock` 8 under 12-wide heads
         // straddles, as does a nibble-packed page by rule), pages of one
-        // row, pages the length ends inside, and weights that are exactly
-        // zero.
+        // row, groups that start and end inside pages and cross page edges,
+        // and weights that are exactly zero.
         let straddling = KvScheme::MxOpal { bits: 8, qblock: 8, outliers: 2 };
         let shared_block = KvScheme::MxOpal { bits: 6, qblock: 16, outliers: 3 };
         for (w, n_heads, scheme) in [
@@ -1216,6 +1280,8 @@ mod tests {
             (128, 4, KvScheme::mxopal()),
             (128, 4, KvScheme::mxint()),
             (128, 4, KvScheme::mxopal4()),
+            (128, 1, KvScheme::mxopal()),
+            (128, 1, KvScheme::mxint()),
             (24, 2, straddling),
             (24, 3, shared_block),
         ] {
@@ -1224,8 +1290,8 @@ mod tests {
                 let pool = quant_pool(scheme, bs, w);
                 let mut kv = PagedKv::new(Arc::clone(&pool), 1);
                 let mut enc = EncodeScratch::new();
-                // Three rows past the longest length walked: a walk that
-                // overruns `len` reads real data and shows.
+                // Rows past the longest group walked: a walk that overruns
+                // its length reads real data and shows.
                 for pos in 0..40 {
                     let (mut k, mut v) = (test_row(w, pos as u32), test_row(w, 1000 + pos as u32));
                     k[pos * 5 % w] *= 30.0;
@@ -1238,43 +1304,76 @@ mod tests {
                         v_dst.copy_from_slice(&v);
                     }
                 }
-                let q = test_row(w, 77);
-                for len in [1usize, 5, 37] {
-                    let what = format!("{} w {w} heads {n_heads} bs {bs} len {len}", scheme.name());
-                    let mut scores = vec![f32::NAN; n_heads * len];
-                    kv.scores_into(0, len, &q, n_heads, 0.25, &mut scores);
-                    let weights: Vec<f32> = (0..n_heads * len)
-                        .map(|i| if i % 3 == 1 { 0.0 } else { 0.5f32.powi(i as i32 % 7) })
+                // The V tile *writes* an outlier over its lane, which the
+                // per-row walk *adds* to: the same bits only because the
+                // encoder leaves code 0 under every live slot.
+                if scheme.quantized() && !qrow(&kv, 0, true).packed() {
+                    for row in (0..40).flat_map(|pos| [qrow(&kv, pos, false), qrow(&kv, pos, true)])
+                    {
+                        for (qb, &live) in row.out_len.iter().enumerate() {
+                            for &idx in
+                                &row.out_idx[qb * row.nout..qb * row.nout + usize::from(live)]
+                            {
+                                let lane = qb * row.qblock + usize::from(idx);
+                                assert_eq!(row.codes[lane], 0, "{}: outlier lane", scheme.name());
+                            }
+                        }
+                    }
+                }
+                for (pos0, m) in
+                    [(0usize, 1usize), (4, 1), (36, 1), (0, 2), (14, 2), (15, 5), (0, 9), (28, 9)]
+                {
+                    let what =
+                        format!("{} w {w} heads {n_heads} bs {bs} at {pos0} x {m}", scheme.name());
+                    let len = pos0 + m;
+                    let qs: Vec<f32> = (0..m).flat_map(|i| test_row(w, 77 + i as u32)).collect();
+                    let mut scores = vec![f32::NAN; m * n_heads * len];
+                    kv.scores_into(0, pos0, &qs, n_heads, 0.25, &mut scores);
+                    let weights: Vec<f32> = (0..m * n_heads * len)
+                        .map(|x| match (x % len, x / (n_heads * len)) {
+                            (t, i) if t > pos0 + i => 0.0,
+                            _ if x % 3 == 1 => 0.0,
+                            _ => 0.5f32.powi(x as i32 % 7),
+                        })
                         .collect();
-                    // Negative zeros: adding a skipped row's `0.0 * v`
-                    // would turn them positive.
-                    let mut base = test_row(w, 99);
-                    base.iter_mut().step_by(4).for_each(|c| *c = -0.0);
-                    let mut ctx = base.clone();
-                    kv.weighted_values_into(0, len, &weights, n_heads, &mut ctx);
+                    let mut ctx = vec![f32::NAN; m * w];
+                    let mut tile = vec![f32::NAN; bs * (dh + 1)];
+                    kv.weighted_values_into(0, pos0, &weights, n_heads, &mut tile, &mut ctx);
 
-                    let mut want_ctx = base;
-                    for h in 0..n_heads {
-                        let (lo, hi) = (h * dh, (h + 1) * dh);
-                        for t in 0..len {
-                            let wt = weights[h * len + t];
-                            let want = if scheme.quantized() {
-                                if wt != 0.0 {
-                                    qrow(&kv, t, true).axpy_range(wt, lo, &mut want_ctx[lo..hi]);
-                                }
-                                qrow(&kv, t, false).dot_range(&q[lo..hi], lo) * 0.25
-                            } else {
-                                let (bi, r) = (t / bs, t % bs);
-                                let v_row = &kv.layers[0][bi].v.exact()[r * w..(r + 1) * w];
-                                for (c, &vv) in want_ctx[lo..hi].iter_mut().zip(&v_row[lo..hi]) {
+                    let mut want_ctx = vec![0.0f32; m * w];
+                    for (i, want_ctx) in want_ctx.chunks_exact_mut(w).enumerate() {
+                        for h in 0..n_heads {
+                            let (lo, hi) = (h * dh, (h + 1) * dh);
+                            for t in 0..=pos0 + i {
+                                let x = (i * n_heads + h) * len + t;
+                                let (q, wt) = (&qs[i * w + lo..i * w + hi], weights[x]);
+                                let want = if scheme.quantized() {
                                     if wt != 0.0 {
-                                        *c += wt * vv;
+                                        qrow(&kv, t, true).axpy_range(
+                                            wt,
+                                            lo,
+                                            &mut want_ctx[lo..hi],
+                                        );
                                     }
-                                }
-                                ops::dot(&q[lo..hi], &exact_k_row(&kv, t)[lo..hi]) * 0.25
-                            };
-                            let got = scores[h * len + t];
-                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: score h{h} t{t}");
+                                    qrow(&kv, t, false).dot_range(q, lo) * 0.25
+                                } else {
+                                    let (bi, r) = (t / bs, t % bs);
+                                    let v_row = &kv.layers[0][bi].v.exact()[r * w..(r + 1) * w];
+                                    for (c, &vv) in want_ctx[lo..hi].iter_mut().zip(&v_row[lo..hi])
+                                    {
+                                        if wt != 0.0 {
+                                            *c += wt * vv;
+                                        }
+                                    }
+                                    ops::dot(q, &exact_k_row(&kv, t)[lo..hi]) * 0.25
+                                };
+                                let got = scores[x];
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{what}: score q{i} h{h} t{t}"
+                                );
+                            }
                         }
                     }
                     for (j, (got, want)) in ctx.iter().zip(&want_ctx).enumerate() {

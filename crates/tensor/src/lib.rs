@@ -23,8 +23,8 @@
 //! assert_eq!(a.matmul(&b).as_slice(), a.as_slice());
 //! ```
 
-// `deny`, not `forbid`: the feature-boundary calls and the `axpy_codes`
-// vector loads / stores in `simd.rs` carry the crate's only
+// `deny`, not `forbid`: the feature-boundary calls and the code kernels'
+// vector load / store helpers in `simd.rs` carry the crate's only
 // `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

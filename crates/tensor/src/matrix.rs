@@ -545,7 +545,7 @@ impl fmt::Debug for Matrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -774,7 +774,7 @@ mod tests {
     /// result. Which addend met which partial sum then shows in the `f32`:
     /// this is what makes a wrong lane, tail or reduction order visible,
     /// where ordinary values would hide it 29 bits below `f32` precision.
-    fn value_pool(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    pub(crate) fn value_pool(len: usize) -> impl Strategy<Value = Vec<f32>> {
         let raw = proptest::collection::vec((0u32..8, -1.0f32..1.0), len);
         (0u32..3, raw).prop_map(|(flavour, raw)| {
             let edge = |class, x: f32| match class {

@@ -1,4 +1,12 @@
 //! Neural-network primitives used by the transformer simulator.
+//!
+//! Every kernel here is its own portable loop, which is the spec and the
+//! test oracle; the few with a wide path (`dot`'s schedule inside the
+//! matrix products, [`axpy_codes`], [`dot_codes_tile`],
+//! [`axpy_codes_tile`]) pick it at run time in `simd.rs` and return the
+//! same bits. The quantized-KV attention walk uses the two tile kernels:
+//! K scores of several query rows against a run of cached code rows per
+//! call, and the V sum from a page dequantized once into an `f32` tile.
 
 use crate::Matrix;
 
@@ -7,8 +15,9 @@ use crate::Matrix;
 /// The inner kernel of every exact-KV attention score, and the spec of
 /// every matvec and GEMM element in the workspace
 /// ([`Matrix::matvec_into`] / [`Matrix::matmul_t_into`] run this schedule
-/// eight rows at a time where the CPU allows, bit-identically, and call
-/// this fn per element elsewhere). The lane schedule is the spec: four
+/// eight rows at a time where the CPU allows, with a fused multiply-add
+/// that rounds exactly where this fn's add does, and call this fn per
+/// element elsewhere). The lane schedule is the spec: four
 /// `f64` accumulators starting at `-0.0`, element `i` into lane `i % 4`
 /// over `chunks_exact(4)`, the sub-4 tail into lane 0, result
 /// `((a0 + a1) + (a2 + a3)) as f32` (pinned bitwise by
@@ -100,6 +109,150 @@ pub fn dot_codes(a: &[f32], codes: &[i8]) -> f32 {
         s += x * f32::from(c);
     }
     s
+}
+
+/// A tile of [`dot_codes`]: for every query row `(q, out)` of `rows`,
+/// `out[t] = dot_codes(q, &codes[t * stride..t * stride + q.len()])` for
+/// `t` in `0..out.len()` — the K scores of several query rows against a
+/// run of cached code rows in one call (`stride` is the code row pitch, so
+/// a head's columns of a page are the slice from the head's first column).
+///
+/// Every pair keeps [`dot_codes`]'s lane schedule exactly (sixteen `f32`
+/// lanes from `-0.0`, an unfused multiply then add, the in-order lane sum,
+/// then the sub-16 remainder), so each element is bitwise the per-pair call.
+/// The portable loop is that call per pair: the spec, the test oracle and
+/// the path on CPUs without AVX2. On x86-64 with AVX2 (detected at run
+/// time) the tile is walked in blocks of two query rows × two code rows or
+/// one × four: each code chunk is converted once per block and four pairs'
+/// chains are in flight, instead of one chain per cached row.
+///
+/// # Panics
+///
+/// Panics if a code row runs past `codes`.
+pub fn dot_codes_tile<'a>(
+    codes: &[i8],
+    stride: usize,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::codes_available() {
+        crate::simd::dot_codes_tile(codes, stride, rows);
+        return;
+    }
+    dot_codes_tile_portable(codes, stride, rows);
+}
+
+/// The loop of [`dot_codes_tile`] as portable code.
+pub(crate) fn dot_codes_tile_portable<'a>(
+    codes: &[i8],
+    stride: usize,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+) {
+    for (q, out) in rows {
+        for (t, o) in out.iter_mut().enumerate() {
+            *o = dot_codes(q, &codes[t * stride..t * stride + q.len()]);
+        }
+    }
+}
+
+/// A tile of the quantized V sum: dequantizes the `n = steps.len()` code
+/// rows `codes[t * stride..][..width]` into `tile` (`n × width`, so
+/// `width = tile.len() / n`) as `f32::from(code) * steps[t]`, hands the
+/// tile to `patch` (which *writes* the exact values of the page's outlier
+/// lanes over them), then for every query row `(weights, ctx)` of `rows`
+/// (`weights` `n` long, `ctx` `width` long) accumulates
+/// `ctx[j] += weights[t] * tile[t][j]` with `t` ascending, a weight that is
+/// exactly zero skipped. With `fresh` the context starts from `+0.0`
+/// instead of from what `ctx` holds: the first page of a walk writes, the
+/// others accumulate.
+///
+/// This is [`axpy_codes`]'s arithmetic per (query row, code row), with the
+/// exact bf16 outlier terms of an MX-OPAL page folded in bitwise: an
+/// outlier lane's code is `0`, and a context lane that starts at `+0.0`
+/// can never become `-0.0` under round-to-nearest (a sum is `-0.0` only
+/// when both addends are), so the per-row walk's
+/// `(c + w · (0 · step)) + w · value` is exactly `c + w · value`, and every
+/// other lane sees the same addends in the same order. A page's rows are
+/// dequantized once for all query rows, and on x86-64 with AVX2 (detected
+/// at run time) each context stays in registers across the page, 64 lanes
+/// at a time, instead of a load and a store per cached row. `patch` is a
+/// closure rather than a list of `(lane, value)` pairs so that the caller's
+/// slot walk compiles to plain loops: a flattened iterator over a page's
+/// rows and slots cost more than the dequantization.
+///
+/// # Panics
+///
+/// Panics if `tile.len()` is not a multiple of `steps.len()`, a code row
+/// runs past `codes`, or a query row's `weights` is not `n` long or its
+/// `ctx` not `width` long.
+pub fn axpy_codes_tile<'a>(
+    codes: &[i8],
+    stride: usize,
+    steps: &[f32],
+    patch: impl FnOnce(&mut [f32]),
+    tile: &mut [f32],
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    fresh: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::codes_available() {
+        crate::simd::axpy_codes_tile(codes, stride, steps, patch, tile, rows, fresh);
+        return;
+    }
+    axpy_codes_tile_portable(codes, stride, steps, patch, tile, rows, fresh);
+}
+
+/// The loop of [`axpy_codes_tile`] as portable code.
+pub(crate) fn axpy_codes_tile_portable<'a>(
+    codes: &[i8],
+    stride: usize,
+    steps: &[f32],
+    patch: impl FnOnce(&mut [f32]),
+    tile: &mut [f32],
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    fresh: bool,
+) {
+    let width = tile_width(steps.len(), tile.len());
+    if width > 0 {
+        for (t, (x, &step)) in tile.chunks_exact_mut(width).zip(steps).enumerate() {
+            for (x, &code) in x.iter_mut().zip(&codes[t * stride..t * stride + width]) {
+                *x = f32::from(code) * step;
+            }
+        }
+    }
+    patch(tile);
+    for (weights, ctx) in rows {
+        check_tile_row(steps.len(), width, weights, ctx);
+        if fresh {
+            ctx.fill(0.0);
+        }
+        if width == 0 {
+            continue;
+        }
+        for (&w, x) in weights.iter().zip(tile.chunks_exact(width)) {
+            if w == 0.0 {
+                continue;
+            }
+            for (c, &x) in ctx.iter_mut().zip(x) {
+                *c += w * x;
+            }
+        }
+    }
+}
+
+/// The row width of an `n`-row tile of `len` elements (`0` when `n` is).
+pub(crate) fn tile_width(n: usize, len: usize) -> usize {
+    if n == 0 {
+        return 0;
+    }
+    assert!(len.is_multiple_of(n), "tile of {len} is not {n} rows");
+    len / n
+}
+
+/// Asserts a query row's shape against an `n × width` tile (any context
+/// width goes with an empty tile, whose width is unknown).
+pub(crate) fn check_tile_row(n: usize, width: usize, weights: &[f32], ctx: &[f32]) {
+    assert!(weights.len() == n && (n == 0 || ctx.len() == width), "tile row shape mismatch");
 }
 
 /// `ctx[j] += w * (f32::from(codes[j]) * step)` — one quantized V row's
@@ -398,7 +551,7 @@ mod tests {
     #[test]
     fn axpy_codes_dispatch_is_bitwise_the_portable_loop() {
         #[cfg(target_arch = "x86_64")]
-        let wide = crate::simd::axpy_codes_available();
+        let wide = crate::simd::codes_available();
         #[cfg(not(target_arch = "x86_64"))]
         let wide = false;
         if !wide {
@@ -433,6 +586,118 @@ mod tests {
                     assert_eq!(g.to_bits(), x.to_bits(), "len {len} w {w} step {step} [{j}]");
                 }
             }
+        }
+    }
+
+    /// Query rows, code rows and row widths the tile tests sweep: every
+    /// tail around the 8- and 16-lane chunks, the model's 128-wide head, and
+    /// 130 (a sub-16 tail behind eight full chunks).
+    const TILE_QUERY_ROWS: usize = 9;
+    const TILE_CODE_ROWS: usize = 20;
+    fn tile_widths() -> impl Iterator<Item = usize> {
+        (0..=40).chain([128, 130])
+    }
+    /// Code and query row pitch for `width`: wider than the row, as a
+    /// head's columns of a page are.
+    fn tile_stride(width: usize) -> usize {
+        width + 3
+    }
+    const TILE_POOL: usize = (TILE_QUERY_ROWS + TILE_CODE_ROWS) * 133;
+
+    /// Lanes that sit on an 8- or 16-lane chunk edge of a `width`-wide row.
+    fn edge_lanes(width: usize) -> impl Iterator<Item = usize> {
+        [0usize, 7, 8, 15, 16, 31, 63, 64, 127]
+            .into_iter()
+            .chain(width.checked_sub(1))
+            .filter(move |&j| j < width)
+    }
+
+    fn first_difference(what: &str, got: &[f32], want: &[f32]) -> Result<(), String> {
+        match got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits()) {
+            None => Ok(()),
+            Some(i) => Err(format!("{what}: element {i} is {:e}, portable {:e}", got[i], want[i])),
+        }
+    }
+
+    /// The dispatching tile kernels against their portable loops over every
+    /// shape, from `f32` values, codes and weights drawn from the pools.
+    /// Outputs start from a sentinel, so an element one side skips shows.
+    fn tiles_against_portable(values: &[f32], codes: &[i8]) -> Result<(), String> {
+        const SENTINEL: f32 = 7.0;
+        for width in tile_widths() {
+            let stride = tile_stride(width);
+            let codes = &codes[..TILE_CODE_ROWS * stride];
+            for m in 1..=TILE_QUERY_ROWS {
+                let qs = &values[..m * stride];
+                for n in 0..=TILE_CODE_ROWS {
+                    let what = format!("{m} x {n} x {width}");
+                    let q_rows = || qs.chunks(stride).map(|q| &q[..width]);
+                    let (mut got, mut want) = (vec![SENTINEL; m * n], vec![SENTINEL; m * n]);
+                    dot_codes_tile(codes, stride, q_rows().zip(got.chunks_mut(n.max(1))));
+                    dot_codes_tile_portable(codes, stride, q_rows().zip(want.chunks_mut(n.max(1))));
+                    first_difference(&format!("dot_codes_tile {what}"), &got, &want)?;
+
+                    let steps: Vec<f32> = (0..n)
+                        .map(|t| [0.0078125, 2.0f32.powi(-149), 0.3, 2.0f32.powi(100)][t % 4])
+                        .collect();
+                    // Outlier values from the far end of the pool, written
+                    // over lanes whose codes are not zero.
+                    let outliers: Vec<(usize, f32)> = (0..n)
+                        .flat_map(|t| edge_lanes(width).map(move |j| t * width + j))
+                        .map(|at| (at, values[values.len() - 1 - at % 97]))
+                        .collect();
+                    let patch = |tile: &mut [f32]| {
+                        for &(at, value) in &outliers {
+                            tile[at] = value;
+                        }
+                    };
+                    let weights = &values[TILE_POOL - m * n.max(1)..];
+                    for fresh in [true, false] {
+                        let ctx: Vec<f32> = (0..m * width)
+                            .map(|i| if fresh { SENTINEL } else { values[i * 5 % TILE_POOL] })
+                            .collect();
+                        let (mut got, mut want) = (ctx.clone(), ctx);
+                        let mut tiles = [vec![SENTINEL; n * width], vec![SENTINEL; n * width]];
+                        let w_rows = || weights.chunks(n.max(1)).map(|w| &w[..n]);
+                        let [tile_got, tile_want] = &mut tiles;
+                        axpy_codes_tile(
+                            codes,
+                            stride,
+                            &steps,
+                            patch,
+                            tile_got,
+                            w_rows().zip(got.chunks_mut(width.max(1))),
+                            fresh,
+                        );
+                        axpy_codes_tile_portable(
+                            codes,
+                            stride,
+                            &steps,
+                            patch,
+                            tile_want,
+                            w_rows().zip(want.chunks_mut(width.max(1))),
+                            fresh,
+                        );
+                        first_difference(&format!("axpy_codes_tile {what}"), tile_got, tile_want)?;
+                        let what = format!("axpy_codes_tile {what} fresh {fresh}");
+                        first_difference(&what, &got, &want)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        // Each case walks all 8127 shapes of both kernels.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+        #[test]
+        fn tile_dispatch_is_bitwise_the_portable_loops(
+            values in crate::matrix::tests::value_pool(TILE_POOL),
+            codes in proptest::collection::vec(-128i8..=127, TILE_CODE_ROWS * 133),
+        ) {
+            let outcome = tiles_against_portable(&values, &codes);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }
 

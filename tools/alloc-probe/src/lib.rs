@@ -9,16 +9,32 @@
 //! **zero allocations per decode step** in steady state for bf16 and
 //! MX-OPAL models at batch 1 and 16.
 //!
-//! The counter is a process-global `AtomicU64`, so measured regions must
-//! not run concurrently with other allocating tests — serialize them with
-//! [`probe_lock()`].
+//! [`allocations()`] is a process-global `AtomicU64`, so measured regions
+//! must not run concurrently with other allocating tests — serialize them
+//! with [`probe_lock()`] — and it also sees the test harness's own threads
+//! (result printing, spawning the next test) inside a window.
+//! [`thread_allocations()`] counts only the calling thread's events: the
+//! exact measure for an engine that steps on the caller's thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's allocation events (const-initialised, no destructor:
+    /// touching it never allocates).
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event, globally and for the calling thread.
+fn count() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// Forwards to [`System`] while counting every `alloc`/`realloc` call.
 pub struct CountingAlloc;
@@ -27,7 +43,7 @@ pub struct CountingAlloc;
 // contract, which System upholds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -37,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
@@ -45,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A realloc is a fresh acquisition from the hot path's point of
         // view: growing a Vec in a decode step is exactly what the policy
         // forbids.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,6 +70,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// start.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// Allocation events (alloc + alloc_zeroed + realloc) the calling thread
+/// has performed since it started.
+pub fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Total deallocation events since process start.

@@ -14,21 +14,26 @@
 //!   fully prefilled under `prefill_chunk = usize::MAX`);
 //! - workspace growth: the stepping thread's forward-pass buffers grow to
 //!   the largest row count a pass has had (the admission step's prefill
-//!   here), and its `n_heads × seq` score/weight pair grows amortized with
-//!   the longest context (reallocs at capacities 8, 16, 32 → at sequence
-//!   lengths 9, 17, 33 with an 8-token prompt);
+//!   here), its `8 × n_heads × seq` score/weight pair (a tile of eight
+//!   query rows) grows amortized with the longest context (reallocs at
+//!   capacities for 8, 16, 32 positions → at sequence lengths 9, 17, 33
+//!   with an 8-token prompt), and its V page tile is sized once;
 //! - KV block boundaries: a fresh page is allocated each time a sequence
 //!   length crosses a multiple of `block_size` (16 here → lengths 17, 33).
 //!
 //! With an 8-token prompt, sequence length after step `s` is `8 + s`, so
 //! steps 13..=23 (lengths 21..=31) sit strictly between every such event:
-//! the window this file pins to zero. All probe tests serialize on
-//! [`opal_alloc_probe::probe_lock`] because the counter is process-global.
+//! the window this file pins to zero. The zero-allocation probes step
+//! their engines on the test's own thread and count that thread's events
+//! ([`opal_alloc_probe::thread_allocations`]), so the harness's threads
+//! cannot leak into a window; the multi-threaded pool probe counts the
+//! whole process. All probe tests serialize on
+//! [`opal_alloc_probe::probe_lock`] all the same.
 //!
 //! Strict assertions are release-only: debug builds run the engine's
 //! `debug_assertions` invariant auditor, which allocates on purpose.
 
-use opal_alloc_probe::{allocations, probe_lock, CountingAlloc};
+use opal_alloc_probe::{allocations, probe_lock, thread_allocations, CountingAlloc};
 use opal_model::{Model, ModelConfig, QuantScheme};
 use opal_serve::{DraftSource, KvScheme, ServeConfig, ServeEngine, SpecConfig, StepMode};
 
@@ -75,13 +80,13 @@ fn engine_for_kv(
 }
 
 /// Runs the warmup + measured window and returns the per-measured-step
-/// allocation counts.
-fn measure_steps(engine: &mut ServeEngine<'_>) -> Vec<u64> {
+/// allocation counts read off `counter`.
+fn measure_steps(engine: &mut ServeEngine<'_>, counter: fn() -> u64) -> Vec<u64> {
     let mut counts = Vec::new();
     for step in 1..=*MEASURED_STEPS.end() {
-        let before = allocations();
+        let before = counter();
         let summary = engine.step();
-        let after = allocations();
+        let after = counter();
         assert!(summary.generated > 0 || summary.prefilled > 0, "engine drained mid-probe");
         if MEASURED_STEPS.contains(&step) {
             counts.push(after - before);
@@ -103,7 +108,7 @@ fn assert_zero_alloc_decode_kv(scheme: QuantScheme, kv: KvScheme, batch: usize, 
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), scheme, 7).expect("probe model");
     let mut engine = engine_for_kv(&model, batch, mode, 1, kv);
-    let counts = measure_steps(&mut engine);
+    let counts = measure_steps(&mut engine, thread_allocations);
     assert_eq!(counts.len(), 11);
     // Debug builds run the engine's allocating invariant auditor after
     // every step; the zero-allocation contract is a release property.
@@ -164,7 +169,7 @@ fn multithreaded_pool_dispatch_allocations_are_bounded() {
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 7).expect("probe model");
     let mut engine = engine_for(&model, 16, StepMode::ForcePool, 2);
-    let counts = measure_steps(&mut engine);
+    let counts = measure_steps(&mut engine, allocations);
     if cfg!(not(debug_assertions)) {
         for (i, &n) in counts.iter().enumerate() {
             assert!(n < 256, "pool dispatch allocated {n} times in measured step {i} ({counts:?})");
@@ -184,11 +189,20 @@ fn multithreaded_pool_dispatch_allocations_are_bounded() {
 /// all `k` proposals. With `k = 1` each spec step commits 2 tokens, so
 /// sequence length after step `s` is `9 + 2(s - 1)`. Steps up to 8 still
 /// see one-time events — 16-row block boundaries at length 17 and the
-/// amortized growth of the workspace's `n_heads × seq` score buffers —
+/// amortized growth of the workspace's `8 × n_heads × seq` score buffers —
 /// and the next block/doubling boundary is length 33 (step 13), so steps
 /// 9..=12 are the pinned-zero window.
 #[test]
 fn speculative_decode_steady_state_is_allocation_free() {
+    assert_zero_alloc_speculative(KvScheme::Exact);
+}
+
+#[test]
+fn kv_mxopal_speculative_decode_steady_state_is_allocation_free() {
+    assert_zero_alloc_speculative(KvScheme::mxopal());
+}
+
+fn assert_zero_alloc_speculative(kv_scheme: KvScheme) {
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 7).expect("probe model");
     let config = ServeConfig {
@@ -199,6 +213,7 @@ fn speculative_decode_steady_state_is_allocation_free() {
         prefill_chunk: usize::MAX,
         block_size: 16,
         prefix_sharing: false,
+        kv_scheme,
         spec: Some(SpecConfig {
             draft: DraftSource::Truncated { layers: ModelConfig::tiny().n_layers },
             k: 1,
@@ -214,9 +229,9 @@ fn speculative_decode_steady_state_is_allocation_free() {
     }
     let mut counts = Vec::new();
     for step in 1..=12u64 {
-        let before = allocations();
+        let before = thread_allocations();
         let summary = engine.step();
-        let after = allocations();
+        let after = thread_allocations();
         assert!(summary.generated > 0 || summary.prefilled > 0, "engine drained mid-probe");
         if step >= 2 {
             // Full acceptance: every pure-decode step commits t0 plus the
@@ -283,9 +298,9 @@ fn assert_zero_alloc_mixed_steps(scheme: QuantScheme, kv_scheme: KvScheme) {
     assert_eq!((admitted.admitted, admitted.prefilled, admitted.generated), (1, 8, 3));
     let mut counts = Vec::new();
     for expect in [(8, 3), (8, 3), (8, 3), (1, 4)] {
-        let before = allocations();
+        let before = thread_allocations();
         let summary = engine.step();
-        let after = allocations();
+        let after = thread_allocations();
         assert_eq!((summary.prefilled, summary.generated), expect, "not the mixed step planned");
         counts.push(after - before);
     }
@@ -320,9 +335,10 @@ fn kv_mxopal_mixed_steps_are_allocation_free() {
 #[test]
 fn probe_detects_deliberate_allocation() {
     let _serial = probe_lock();
-    let before = allocations();
+    let (before, before_here) = (allocations(), thread_allocations());
     let v: Vec<u64> = Vec::with_capacity(1000);
-    let after = allocations();
+    let (after, after_here) = (allocations(), thread_allocations());
     drop(v);
     assert!(after > before, "counting allocator did not observe a 1000-element Vec");
+    assert!(after_here > before_here, "the thread's count did not observe it either");
 }
