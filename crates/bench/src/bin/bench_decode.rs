@@ -80,7 +80,12 @@
 //! code loop once took, read 2.3-2.4x), and, where AVX2 runs the code
 //! kernels, `ops::dot_codes_tile` at least 1.4x sixteen per-row
 //! `ops::dot_codes` calls on a 16 x 128 page (its chains interleaved; one
-//! chain per cached row is 1.0x). Next to them sit the headline
+//! chain per cached row is 1.0x). A GEMM-over-GEMV tripwire guards the
+//! register tile: on the wide path `matmul_t_into` with 8 and with 4
+//! activation rows must run at least 1.3x as many `matvec_into` calls on the
+//! same 344x128 weights (each activation block widened once, each weight
+//! chunk converted once per block; a GEMM that re-widens per weight row
+//! reads ~1.0x at 8 rows and below it at 4). Next to them sit the headline
 //! floors: the
 //! `optimized-1t` decode rate must not fall below the seed engine's on any
 //! model x scheme x batch row, nor fused prefill below the seed reference.
@@ -1236,6 +1241,12 @@ fn bench_robustness(model: &Model, smoke: bool, seed: u64) -> RobustnessStats {
     }
 }
 
+/// Floor of [`gemm_over_gemv`] at 8 and at 4 activation rows on the wide
+/// path, just under the band measured there: r8 1.48-2.02x, r4 1.42-1.85x
+/// over five smoke and two full runs (a GEMM that converts each activation
+/// chunk again for every weight row reads ~1.0x and ~0.75x).
+const GEMM_OVER_GEMV_FLOOR: f64 = 1.3;
+
 /// Which inner loop `Matrix::matvec_into` / `matmul_t_into` run in this
 /// process. `opal_tensor` picks it from the CPU and exposes neither a
 /// switch nor a query, so the one-line rule of `simd::available()` in
@@ -1314,6 +1325,31 @@ fn alternate(
     }
     let giga = (calls * work as u64) as f64 / 1e9;
     (giga / kernel_s, giga / baseline_s)
+}
+
+/// Rate of `matmul_t_into` with `rows` activation rows against the proxy's
+/// `d_ff x d_model` projection over `rows` calls of `matvec_into` on the
+/// same weights, one per activation row, alternating call by call. The wide
+/// GEMM widens each block of activation rows once and shares every weight
+/// chunk it converts among them; the GEMV converts each weight chunk for one
+/// row. 1.0x means the GEMM's rows buy nothing over the GEMV.
+fn gemm_over_gemv(rows: usize, budget_s: f64) -> f64 {
+    let (d_ff, d_model) = (344usize, 128usize);
+    let w = Matrix::from_fn(d_ff, d_model, |r, c| (((r * 37 + c * 11) % 19) as f32 - 9.0) * 0.37);
+    let x = Matrix::from_fn(rows, d_model, |r, c| (((r * 53 + c * 7) % 23) as f32 - 11.0) * 0.19);
+    let (mut gemm, mut gemv) = (Matrix::zeros(rows, d_ff), Matrix::zeros(rows, d_ff));
+    let (gemm_rate, gemv_rate) = alternate(
+        rows * d_ff * d_model,
+        budget_s,
+        || black_box(&x).matmul_t_into(black_box(&w), &mut gemm),
+        || {
+            for r in 0..rows {
+                black_box(&w).matvec_into(black_box(x.row(r)), gemv.row_mut(r));
+            }
+        },
+    );
+    assert!(gemm.as_slice().iter().zip(gemv.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()));
+    gemm_rate / gemv_rate
 }
 
 /// Time of `Log2Softmax::probs_into` over `ops::softmax_into` on one
@@ -1460,6 +1496,27 @@ fn main() {
             k.kernel,
             k.shape,
             kernel_path()
+        );
+    }
+    // GEMM-over-GEMV tripwire: the 8-row block (fused decode batches,
+    // prefill chunks) and a 4-row leftover block (`longctx_kvq_closed`'s
+    // decode step) must beat the GEMV row by row on the same weights.
+    let gemm_over_gemv_rows: Vec<(usize, f64)> = [8usize, 4]
+        .iter()
+        .map(|&r| (r, gemm_over_gemv(r, if smoke { 0.1 } else { 0.5 })))
+        .collect();
+    for &(rows, ratio) in &gemm_over_gemv_rows {
+        let floor = GEMM_OVER_GEMV_FLOOR;
+        println!("matmul_t_into r{rows} x 344x128: {ratio:.2}x {rows} matvec_into calls");
+        if kernel_path() == "portable" {
+            println!("  (portable kernels: one ops::dot per element on both sides; not asserted)");
+            continue;
+        }
+        assert!(
+            ratio >= floor,
+            "matmul_t_into with {rows} activation rows must run at least {floor}x {rows} \
+             matvec_into calls on the same 344x128 weights (got {ratio:.2}x): the GEMM is no \
+             longer widening its activation block once and sharing each weight chunk"
         );
     }
     let log2_over_exact = log2_softmax_over_exact(if smoke { 0.1 } else { 0.5 });
@@ -1928,6 +1985,11 @@ fn main() {
         })
         .collect();
     let _ = writeln!(json, "  \"matrix_kernels\": [\n{}\n  ],", matrix_kernel_json.join(",\n"));
+    let gemm_json: Vec<String> = gemm_over_gemv_rows
+        .iter()
+        .map(|(rows, ratio)| format!("\"r{rows}\": {ratio:.3}"))
+        .collect();
+    let _ = writeln!(json, "  \"gemm_over_gemv_344x128\": {{ {} }},", gemm_json.join(", "));
     let _ = writeln!(json, "  \"log2_softmax_over_exact_n1024\": {log2_over_exact:.3},");
     let _ = writeln!(json, "  \"dot_codes_tile_over_per_row_16x128\": {code_tile_over_rows:.3},");
     let _ = writeln!(json, "  \"batch16_speedups\": [\n{}\n  ],", speedup_lines.join(",\n"));

@@ -27,18 +27,24 @@
 //!   the quantized domain: the q·k inner product runs over integer codes
 //!   with one power-of-two scale multiply per shared-exponent block
 //!   ([`opal_tensor::ops::dot_codes`]), and V aggregation dequantizes on
-//!   the walk. Two methods know the page formats
-//!   (`PagedKv::scores_into`, `PagedKv::weighted_values_into`), and both
-//!   take a group of query rows: where every head fits one
-//!   shared-exponent block of an unpacked page (the presets at the
-//!   model's head widths), the walk goes page by page, and one visit
-//!   serves every query row of the group — K scores as a code tile
-//!   ([`opal_tensor::ops::dot_codes_tile`]), V from the page dequantized
-//!   once into an `f32` tile with each context accumulated in registers
-//!   ([`opal_tensor::ops::axpy_codes_tile`]). Bitwise, this is the
-//!   per-(row, head) walk it replaced. Copy-on-write clones packed codes
-//!   exactly like it clones `f32` rows, so prefix sharing is
-//!   format-agnostic.
+//!   the walk.
+//!
+//! Two methods know the page formats (`PagedKv::scores_into`,
+//! `PagedKv::weighted_values_into`), and both take a group of query rows.
+//! Exact pages, and unpacked quantized pages where every head fits one
+//! shared-exponent block (the presets at the model's head widths), share
+//! one walk: page by page, one visit per (page, head) serving every query
+//! row of the group. K scores are a tile of the page's rows against the
+//! group's query rows ([`opal_tensor::ops::dot_tile`] over exact rows,
+//! [`opal_tensor::ops::dot_codes_tile`] over codes); the V sum keeps each
+//! context in registers across the page's rows
+//! ([`opal_tensor::ops::axpy_tile`] straight off an exact page,
+//! [`opal_tensor::ops::axpy_codes_tile`] from a quantized page dequantized
+//! once into an `f32` tile). Bitwise, this is one `ops::dot` (or
+//! `dot_range`) and one scaled add (or `axpy_range`) per (query row, cached
+//! row, head). Only nibble-packed pages and heads that straddle a block
+//! keep that per-row walk. Copy-on-write clones packed codes exactly like
+//! it clones `f32` rows, so prefix sharing is format-agnostic.
 //!
 //! Dropping the last `Arc` to a block returns its storage to the pool's
 //! free list, so releasing a sequence (retirement, cancellation, or a
@@ -854,20 +860,20 @@ impl PagedKv {
     /// heads, each row against its causal prefix: with `len = pos0 + m`,
     /// `out[(i * n_heads + h) * len + t] = (q_{i,h} · k_{t,h}) * scale` for
     /// `t < pos0 + i + 1`, `q_i` the `n_heads` head vectors of query row `i`
-    /// end to end. Entries past a row's prefix are unspecified (the tile
-    /// walk computes and leaves them; rows `< len` were all written before
-    /// the pass attends, so they are never recycled-page garbage).
+    /// end to end. Entries past a row's prefix are unspecified (the page walk
+    /// computes and leaves them; rows `< len` were all written before the
+    /// pass attends, so they are never recycled-page garbage).
     ///
-    /// Quantized pages whose heads fit their shared-exponent blocks
-    /// ([`PagedKv::heads_fit_qblocks`]) are walked **page by page, every
-    /// query row per visit**: per (page, head) one [`ops::dot_codes_tile`]
-    /// over all its rows and query rows, then per (row, query row) one
-    /// power-of-two scale multiply and the exact bf16 outlier terms,
-    /// accumulated exactly as [`QuantRow::dot_range`] does — which stays the
-    /// path, per (query row, row, head), for the geometries
-    /// `heads_fit_qblocks` turns away, and the oracle the tests hold the
-    /// tile walk to. Exact pages score each (query row, head) with
-    /// [`ops::dot`] over the block table.
+    /// Exact pages, and quantized pages whose heads fit their
+    /// shared-exponent blocks ([`PagedKv::heads_fit_qblocks`]), are walked
+    /// **page by page, every query row per visit**: per (page, head) one
+    /// tile call over all its rows and query rows — [`ops::dot_tile`] on an
+    /// exact page, then the scale; [`ops::dot_codes_tile`] on a quantized
+    /// one, then per (row, query row) one power-of-two scale multiply and
+    /// the exact bf16 outlier terms, accumulated exactly as
+    /// [`QuantRow::dot_range`] does — which stays the path, per (query row,
+    /// row, head), for the geometries `heads_fit_qblocks` turns away, and
+    /// the oracle the tests hold the tile walk to.
     pub(crate) fn scores_into(
         &self,
         layer: usize,
@@ -883,23 +889,13 @@ impl PagedKv {
         let len = pos0 + m;
         debug_assert!(m > 0 && qs.len() == m * w && out.len() == m * n_heads * len, "score shape");
         let queries = || qs.chunks_exact(w);
-        if !self.quantized() {
-            for (i, (q, out)) in queries().zip(out.chunks_exact_mut(n_heads * len)).enumerate() {
-                for (h, out) in out.chunks_exact_mut(len).enumerate() {
-                    let q_h = &q[h * dh..(h + 1) * dh];
-                    for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
-                        let k_rows = block.k.exact().chunks_exact(w);
-                        for (score, k_row) in out[t0..t0 + rows].iter_mut().zip(k_rows) {
-                            *score = ops::dot(q_h, &k_row[h * dh..(h + 1) * dh]) * scale;
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let (bits, qblock, nout) = self.pool.quant_params();
-        let qpr = self.pool.qblocks_per_row();
-        if !self.heads_fit_qblocks(n_heads, dh) {
+        let quant = self.quantized().then(|| {
+            let (bits, qblock, nout) = self.pool.quant_params();
+            (bits, qblock, nout, self.pool.qblocks_per_row())
+        });
+        if let Some((bits, qblock, nout, qpr)) =
+            quant.filter(|_| !self.heads_fit_qblocks(n_heads, dh))
+        {
             for (i, (q, out)) in queries().zip(out.chunks_exact_mut(n_heads * len)).enumerate() {
                 for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
                     let page = block.k.quant();
@@ -915,12 +911,23 @@ impl PagedKv {
             return;
         }
         for (t0, rows, block) in self.pages(layer, len) {
-            let page = block.k.quant();
             for h in 0..n_heads {
                 let (lo, hi) = (h * dh, (h + 1) * dh);
-                let (qb, at) = (lo / qblock, h * len + t0);
+                let at = h * len + t0;
                 let outs = out.chunks_exact_mut(n_heads * len).map(|o| &mut o[at..at + rows]);
-                ops::dot_codes_tile(&page.codes[lo..], w, queries().map(|q| &q[lo..hi]).zip(outs));
+                let q_rows = queries().map(|q| &q[lo..hi]);
+                let (PageStore::Quant(page), Some((bits, qblock, nout, qpr))) = (&block.k, quant)
+                else {
+                    ops::dot_tile(&block.k.exact()[lo..], w, q_rows.zip(outs));
+                    for out in out.chunks_exact_mut(n_heads * len) {
+                        for score in &mut out[at..at + rows] {
+                            *score *= scale;
+                        }
+                    }
+                    continue;
+                };
+                let qb = lo / qblock;
+                ops::dot_codes_tile(&page.codes[lo..], w, q_rows.zip(outs));
                 // Head lane `j` is block lane `j - base` (wrapping): one
                 // unsigned compare keeps a slot to this head's columns.
                 let base = (qb * qblock).wrapping_sub(lo);
@@ -953,18 +960,19 @@ impl PagedKv {
     /// `ctx[i * width + h * dh + j] = Σ_t weights[(i * n_heads + h) * len + t]
     /// · v_{t, h * dh + j}` over `t < pos0 + i + 1`, from `+0.0`, rows in
     /// position order, a row whose weight is exactly `0.0` skipped. The
-    /// weights past each row's prefix must be `0.0`: the tile walk reads
+    /// weights past each row's prefix must be `0.0`: the page walk reads
     /// them.
     ///
-    /// The counterpart of [`PagedKv::scores_into`], with the same three
-    /// walks. Quantized pages whose heads fit their blocks go page by page,
-    /// every query row per visit: per (page, head) one
-    /// [`ops::axpy_codes_tile`] dequantizes the rows into `tile` (with
-    /// their outliers written over their lanes) and accumulates every query
-    /// row's context, the first page writing it. `tile` holds at least
+    /// The counterpart of [`PagedKv::scores_into`], with the same two
+    /// walks. Exact pages, and quantized pages whose heads fit their blocks,
+    /// go page by page, every query row per visit, the first page writing
+    /// each context: per (page, head) one [`ops::axpy_tile`] straight off
+    /// an exact page's rows, or one [`ops::axpy_codes_tile`] that
+    /// dequantizes a quantized page's rows into `tile` (with their outliers
+    /// written over their lanes) first. `tile` holds at least
     /// `block_size × (dh + 1)` floats: the page's steps, then the tile. The
     /// other geometries take [`QuantRow::axpy_range`] per (query row, row,
-    /// head), and exact pages one scaled add per (query row, row, head).
+    /// head).
     pub(crate) fn weighted_values_into(
         &self,
         layer: usize,
@@ -980,29 +988,13 @@ impl PagedKv {
         let len = pos0 + m;
         debug_assert!(m > 0 && ctx.len() == m * w && weights.len() == m * n_heads * len, "shape");
         let queries = || weights.chunks_exact(n_heads * len);
-        if !self.quantized() {
-            ctx.fill(0.0);
-            for (i, (weights, ctx)) in queries().zip(ctx.chunks_exact_mut(w)).enumerate() {
-                for (h, weights) in weights.chunks_exact(len).enumerate() {
-                    let ctx_h = &mut ctx[h * dh..(h + 1) * dh];
-                    for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
-                        let v_rows = block.v.exact().chunks_exact(w);
-                        for (&wt, v_row) in weights[t0..t0 + rows].iter().zip(v_rows) {
-                            if wt == 0.0 {
-                                continue;
-                            }
-                            for (c, &vv) in ctx_h.iter_mut().zip(&v_row[h * dh..(h + 1) * dh]) {
-                                *c += wt * vv;
-                            }
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let (bits, qblock, nout) = self.pool.quant_params();
-        let qpr = self.pool.qblocks_per_row();
-        if !self.heads_fit_qblocks(n_heads, dh) {
+        let quant = self.quantized().then(|| {
+            let (bits, qblock, nout) = self.pool.quant_params();
+            (bits, qblock, nout, self.pool.qblocks_per_row())
+        });
+        if let Some((bits, qblock, nout, qpr)) =
+            quant.filter(|_| !self.heads_fit_qblocks(n_heads, dh))
+        {
             ctx.fill(0.0);
             for (i, (weights, ctx)) in queries().zip(ctx.chunks_exact_mut(w)).enumerate() {
                 for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
@@ -1023,10 +1015,18 @@ impl PagedKv {
         let bs = self.pool.block_size();
         let (steps, tile) = tile.split_at_mut(bs);
         for (t0, rows, block) in self.pages(layer, len) {
-            let page = block.v.quant();
             for h in 0..n_heads {
                 let (lo, hi) = (h * dh, (h + 1) * dh);
-                let (qb, at) = (lo / qblock, h * len + t0);
+                let at = h * len + t0;
+                let rows_of = queries()
+                    .map(|weights| &weights[at..at + rows])
+                    .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[lo..hi]));
+                let (PageStore::Quant(page), Some((bits, qblock, nout, qpr))) = (&block.v, quant)
+                else {
+                    ops::axpy_tile(&block.v.exact()[lo..], w, rows_of, t0 == 0);
+                    continue;
+                };
+                let qb = lo / qblock;
                 let steps = &mut steps[..rows];
                 for (r, step) in steps.iter_mut().enumerate() {
                     *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
@@ -1056,9 +1056,6 @@ impl PagedKv {
                         }
                     }
                 };
-                let rows_of = queries()
-                    .map(|weights| &weights[at..at + rows])
-                    .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[lo..hi]));
                 let tile = &mut tile[..rows * dh];
                 ops::axpy_codes_tile(&page.codes[lo..], w, steps, patch, tile, rows_of, t0 == 0);
             }
@@ -1267,16 +1264,17 @@ mod tests {
         // against one `ops::dot` or `dot_range` (and one scaled add or
         // `axpy_range`) per (query row, cached row, head), each query row
         // over its own causal prefix, the context written from `+0.0`:
-        // every page format, the tile walk (the presets' heads fit their
-        // shared-exponent blocks, the served proxy's one 128-wide head
-        // included) and the per-row walks (`qblock` 8 under 12-wide heads
-        // straddles, as does a nibble-packed page by rule), pages of one
-        // row, groups that start and end inside pages and cross page edges,
-        // and weights that are exactly zero.
+        // every page format, the page walk (exact pages, and the presets'
+        // heads fit their shared-exponent blocks; the served proxy's one
+        // 128-wide head included) and the per-row walks (`qblock` 8 under
+        // 12-wide heads straddles, as does a nibble-packed page by rule),
+        // pages of one row, groups that start and end inside pages and cross
+        // page edges, and weights that are exactly zero.
         let straddling = KvScheme::MxOpal { bits: 8, qblock: 8, outliers: 2 };
         let shared_block = KvScheme::MxOpal { bits: 6, qblock: 16, outliers: 3 };
         for (w, n_heads, scheme) in [
             (128usize, 4usize, KvScheme::Exact),
+            (128, 1, KvScheme::Exact),
             (128, 4, KvScheme::mxopal()),
             (128, 4, KvScheme::mxint()),
             (128, 4, KvScheme::mxopal4()),

@@ -171,7 +171,7 @@ impl Matrix {
     }
 
     /// Inner GEMM update `acc[j] += a * b_row[j]`, unrolled 4-wide — the
-    /// shared kernel of [`Matrix::matmul`] and [`Matrix::matmul_into`]. The
+    /// kernel of [`Matrix::matmul_into`]. The
     /// per-`j` addend sequence over `k` is untouched (unrolling spans
     /// independent `j` lanes, never reassociates within one), so this is
     /// bit-identical to the scalar loop while exposing four independent
@@ -191,7 +191,8 @@ impl Matrix {
         }
     }
 
-    /// Matrix product `self · rhs`.
+    /// Matrix product `self · rhs` — the allocating twin of
+    /// [`Matrix::matmul_into`], bit-identical to it.
     ///
     /// Accumulates in `f64` per output element so quantization-error studies
     /// are not polluted by accumulation error.
@@ -200,34 +201,15 @@ impl Matrix {
     ///
     /// Panics if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "dimension mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let out_row = &mut out.data[r * rhs.cols..(r + 1) * rhs.cols];
-            let mut acc = vec![0.0f64; rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                Self::axpy_acc(&mut acc, f64::from(a), b_row);
-            }
-            for (o, a) in out_row.iter_mut().zip(&acc) {
-                *o = *a as f32;
-            }
-        }
+        self.matmul_into(rhs, &mut out);
         out
     }
 
     /// Matrix product `self · rhs` written into a caller-provided `out`
-    /// matrix, bit-identical to [`Matrix::matmul`] (same per-element `f64`
-    /// accumulation in the same order; one `f64` accumulator row is still
-    /// allocated per call, reused across output rows).
+    /// matrix: each output element accumulates its nonzero `self` terms in
+    /// `f64`, `k` ascending, and is cast to `f32` once (one `f64`
+    /// accumulator row is allocated per call, reused across output rows).
     ///
     /// # Panics
     ///
@@ -285,14 +267,15 @@ impl Matrix {
     /// row of `self` while hot, which is where the fused prefill gains its
     /// weight-locality over a matvec per token.
     ///
-    /// The schedule is the spec, not the loop. On x86-64 with AVX (detected
-    /// at run time) it runs for eight rows of `self` at once in 256-bit
-    /// lanes, three or more rows left over as one narrower block, and one or
-    /// two left over each against eight `rhs` rows at once like
-    /// [`Matrix::matvec_into`] (so a one-row product costs what the matvec
-    /// does); elsewhere, one `ops::dot` call per element
-    /// (`matmul_t_portable`). The paths agree bit for bit, which the crate's
-    /// unit proptests pin.
+    /// The schedule is the spec, not the loop. On x86-64 with AVX and FMA
+    /// (detected at run time) each block of up to eight rows of `self` is
+    /// widened to `f64` once and shares every converted chunk of an `rhs`
+    /// row: eight rows against one `rhs` row per register tile, three to
+    /// seven left over against two, and one or two left over each against
+    /// eight `rhs` rows at once like [`Matrix::matvec_into`] (so a one-row
+    /// product costs what the matvec does); elsewhere, one `ops::dot` call
+    /// per element (`matmul_t_portable`). The paths agree bit for bit, which
+    /// the crate's unit proptests pin.
     ///
     /// Because `ops::dot` is bitwise commutative in its arguments (each
     /// `f32×f32` product is exact in `f64` and the accumulator schedule is
@@ -363,10 +346,10 @@ impl Matrix {
     /// [`crate::ops::dot`]'s 4-lane schedule (element `i` into lane `i % 4`,
     /// sub-4 tail into lane 0), so results are bit-identical to
     /// [`Matrix::matvec`] and to the matching row of
-    /// [`Matrix::matmul_t_into`]. On x86-64 with AVX (detected at run time)
-    /// the schedule runs for eight rows at once in 256-bit lanes, which is
-    /// what lifts a row-at-a-time GEMV off the latency of one accumulator
-    /// chain; elsewhere it is one `ops::dot` call per row
+    /// [`Matrix::matmul_t_into`]. On x86-64 with AVX and FMA (detected at
+    /// run time) the schedule runs for eight rows at once in 256-bit lanes,
+    /// which is what lifts a row-at-a-time GEMV off the latency of one
+    /// accumulator chain; elsewhere it is one `ops::dot` call per row
     /// (`matvec_portable`), the spec the wide path is tested against.
     ///
     /// # Panics
@@ -663,7 +646,20 @@ pub(crate) mod tests {
     const LONE_ROWS: [usize; 6] = [1, 2, 9, 10, 17, 18];
     const TALL_RHS_ROWS: usize = 344;
     const TALL_RHS_WIDTHS: [usize; 3] = [1, 5, 128];
-    const A_POOL: usize = MAX_ROWS * MAX_WIDTH;
+    /// The block heights the wide path tiles against two rhs rows at a
+    /// time (an odd last rhs row alone), each met with every rhs height up
+    /// to one past a lone row's eight-row block.
+    const LEFTOVER_ROWS: std::ops::RangeInclusive<usize> = 3..=7;
+    const LEFTOVER_RHS_ROWS: usize = 9;
+    /// A page-like rhs for `ops::dot_tile`: rows `width + 3` apart, read
+    /// from a head offset, against lhs heights that cross every block shape.
+    const PAGE_HEAD_OFFSET: usize = 2;
+    const PAGE_LHS_ROWS: [usize; 9] = [1, 2, 3, 5, 7, 8, 9, 12, 17];
+    /// Rows wider than the wide path's panel holds eight of: blocks of six,
+    /// three, and none (each row alone).
+    const WIDE_WIDTHS: [usize; 3] = [520, 1100, 1400];
+    const WIDE_ROWS: [usize; 3] = [3, 8, 9];
+    const A_POOL: usize = 9 * 1400;
     const B_POOL: usize = TALL_RHS_ROWS * 128;
 
     /// On a host where the dispatching kernels have no wide path the
@@ -746,6 +742,43 @@ pub(crate) mod tests {
                 same_bits("matmul_t (tall rhs)", rows, width, got.as_slice(), want.as_slice())?;
             }
         }
+        for width in kernel_widths().filter(|&w| w > 0) {
+            for n in 1..=LEFTOVER_RHS_ROWS {
+                let b = Matrix::from_vec(n, width, b_pool[..n * width].to_vec());
+                for rows in LEFTOVER_ROWS {
+                    let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
+                    let mut got = Matrix::from_vec(rows, n, vec![SENTINEL; rows * n]);
+                    let mut want = got.clone();
+                    a.matmul_t_into(&b, &mut got);
+                    a.matmul_t_portable(&b, &mut want);
+                    let what = format!("matmul_t (rhs {n} rows)");
+                    same_bits(&what, rows, width, got.as_slice(), want.as_slice())?;
+                }
+            }
+        }
+        for width in WIDE_WIDTHS {
+            let b = Matrix::from_vec(RHS_ROWS, width, b_pool[..RHS_ROWS * width].to_vec());
+            for rows in WIDE_ROWS {
+                let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
+                let mut got = Matrix::from_vec(rows, RHS_ROWS, vec![SENTINEL; rows * RHS_ROWS]);
+                let mut want = got.clone();
+                a.matmul_t_into(&b, &mut got);
+                a.matmul_t_portable(&b, &mut want);
+                same_bits("matmul_t (wide rows)", rows, width, got.as_slice(), want.as_slice())?;
+            }
+        }
+        for width in kernel_widths() {
+            let (stride, rhs) = (width + 3, &b_pool[PAGE_HEAD_OFFSET..]);
+            let n = LEFTOVER_RHS_ROWS;
+            for rows in PAGE_LHS_ROWS {
+                let lhs = || (0..rows).map(|i| &a_pool[i * width..(i + 1) * width]);
+                let mut got = vec![SENTINEL; rows * n];
+                crate::ops::dot_tile(rhs, stride, lhs().zip(got.chunks_mut(n)));
+                let mut want = vec![SENTINEL; rows * n];
+                crate::ops::dot_tile_portable(rhs, stride, lhs().zip(want.chunks_mut(n)));
+                same_bits("dot_tile (page-like rhs)", rows, width, &got, &want)?;
+            }
+        }
         Ok(())
     }
 
@@ -755,7 +788,7 @@ pub(crate) mod tests {
         let ones = vec![1.5f32; A_POOL.max(B_POOL)];
         dispatch_against_portable(&zeros, &ones).unwrap();
         dispatch_against_portable(&ones, &zeros).unwrap();
-        let a = Matrix::from_vec(MAX_ROWS, MAX_WIDTH, zeros[..A_POOL].to_vec());
+        let a = Matrix::from_vec(MAX_ROWS, MAX_WIDTH, zeros[..MAX_ROWS * MAX_WIDTH].to_vec());
         let mut out = vec![0.0f32; MAX_ROWS];
         a.matvec_into(&ones[..MAX_WIDTH], &mut out);
         assert!(out.iter().all(|x| x.to_bits() == (-0.0f32).to_bits()), "{out:?}");
@@ -792,7 +825,7 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        // Each case walks all 942 shapes, so a few cases go a long way.
+        // Each case walks all 3282 shapes, so a few cases go a long way.
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
         fn dispatch_is_bitwise_the_portable_loops(

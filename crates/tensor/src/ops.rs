@@ -2,22 +2,26 @@
 //!
 //! Every kernel here is its own portable loop, which is the spec and the
 //! test oracle; the few with a wide path (`dot`'s schedule inside the
-//! matrix products, [`axpy_codes`], [`dot_codes_tile`],
-//! [`axpy_codes_tile`]) pick it at run time in `simd.rs` and return the
-//! same bits. The quantized-KV attention walk uses the two tile kernels:
-//! K scores of several query rows against a run of cached code rows per
-//! call, and the V sum from a page dequantized once into an `f32` tile.
+//! matrix products and [`dot_tile`], [`axpy_tile`], [`axpy_codes`],
+//! [`dot_codes_tile`], [`axpy_codes_tile`]) pick it at run time in
+//! `simd.rs` and return the same bits. The attention walk over the paged KV
+//! cache uses the tile kernels, one call per (page, head) for every query
+//! row of a group: K scores of the query rows against a run of cached rows
+//! ([`dot_tile`] over exact `f32` rows, [`dot_codes_tile`] over codes), and
+//! the V sum over a run of `f32` rows ([`axpy_tile`] straight off an exact
+//! page, [`axpy_codes_tile`] from a quantized page dequantized once into a
+//! tile).
 
 use crate::Matrix;
 
 /// Dot product of two equal-length slices, accumulated in `f64`.
 ///
-/// The inner kernel of every exact-KV attention score, and the spec of
-/// every matvec and GEMM element in the workspace
-/// ([`Matrix::matvec_into`] / [`Matrix::matmul_t_into`] run this schedule
-/// eight rows at a time where the CPU allows, with a fused multiply-add
-/// that rounds exactly where this fn's add does, and call this fn per
-/// element elsewhere). The lane schedule is the spec: four
+/// The spec of every exact-KV attention score and of every matvec and GEMM
+/// element in the workspace ([`dot_tile`], [`Matrix::matvec_into`] and
+/// [`Matrix::matmul_t_into`] run this schedule in register tiles where the
+/// CPU allows, with a fused multiply-add that rounds exactly where this
+/// fn's add does, and call this fn per element elsewhere). The lane
+/// schedule is the spec: four
 /// `f64` accumulators starting at `-0.0`, element `i` into lane `i % 4`
 /// over `chunks_exact(4)`, the sub-4 tail into lane 0, result
 /// `((a0 + a1) + (a2 + a3)) as f32` (pinned bitwise by
@@ -58,6 +62,50 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         acc0 += f64::from(x) * f64::from(y);
     }
     ((acc0 + acc1) + (acc2 + acc3)) as f32
+}
+
+/// A tile of [`dot`]: for every query row `(q, out)` of `queries`,
+/// `out[t] = dot(q, &rows[t * stride..t * stride + q.len()])` for `t` in
+/// `0..out.len()` — the exact-page twin of [`dot_codes_tile`]: the K scores
+/// of several query rows against a run of cached `f32` rows in one call
+/// (`stride` is the row pitch, so a head's columns of a page are the slice
+/// from the head's first column).
+///
+/// Every element is bitwise the per-pair [`dot`]. The portable loop is that
+/// call per pair: the spec, the test oracle and the path on CPUs without
+/// the wide one. On x86-64 with AVX and FMA (detected at run time) this is
+/// the register tile behind [`Matrix::matmul_t_into`]: up to eight query
+/// rows of one shape are widened to `f64` once and share each converted
+/// chunk of a cached row, and a lone query row takes eight cached rows per
+/// block, as the GEMV does — eight `dot` chains in flight instead of one.
+///
+/// # Panics
+///
+/// Panics if a cached row runs past `rows`.
+pub fn dot_tile<'a>(
+    rows: &[f32],
+    stride: usize,
+    queries: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::available() {
+        crate::simd::dot_rows(rows, stride, queries);
+        return;
+    }
+    dot_tile_portable(rows, stride, queries);
+}
+
+/// The loop of [`dot_tile`] as portable code.
+pub(crate) fn dot_tile_portable<'a>(
+    rows: &[f32],
+    stride: usize,
+    queries: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+) {
+    for (q, out) in queries {
+        for (t, o) in out.iter_mut().enumerate() {
+            *o = dot(q, &rows[t * stride..t * stride + q.len()]);
+        }
+    }
 }
 
 /// Dot product of an `f32` query segment against integer quantization
@@ -159,12 +207,9 @@ pub(crate) fn dot_codes_tile_portable<'a>(
 /// rows `codes[t * stride..][..width]` into `tile` (`n × width`, so
 /// `width = tile.len() / n`) as `f32::from(code) * steps[t]`, hands the
 /// tile to `patch` (which *writes* the exact values of the page's outlier
-/// lanes over them), then for every query row `(weights, ctx)` of `rows`
-/// (`weights` `n` long, `ctx` `width` long) accumulates
-/// `ctx[j] += weights[t] * tile[t][j]` with `t` ascending, a weight that is
-/// exactly zero skipped. With `fresh` the context starts from `+0.0`
-/// instead of from what `ctx` holds: the first page of a walk writes, the
-/// others accumulate.
+/// lanes over them), then accumulates every query row `(weights, ctx)` of
+/// `rows` (`weights` `n` long, `ctx` `width` long) over the tile exactly as
+/// [`axpy_tile`] does.
 ///
 /// This is [`axpy_codes`]'s arithmetic per (query row, code row), with the
 /// exact bf16 outlier terms of an MX-OPAL page folded in bitwise: an
@@ -173,12 +218,10 @@ pub(crate) fn dot_codes_tile_portable<'a>(
 /// when both addends are), so the per-row walk's
 /// `(c + w · (0 · step)) + w · value` is exactly `c + w · value`, and every
 /// other lane sees the same addends in the same order. A page's rows are
-/// dequantized once for all query rows, and on x86-64 with AVX2 (detected
-/// at run time) each context stays in registers across the page, 64 lanes
-/// at a time, instead of a load and a store per cached row. `patch` is a
-/// closure rather than a list of `(lane, value)` pairs so that the caller's
-/// slot walk compiles to plain loops: a flattened iterator over a page's
-/// rows and slots cost more than the dequantization.
+/// dequantized once for all query rows. `patch` is a closure rather than a
+/// list of `(lane, value)` pairs so that the caller's slot walk compiles to
+/// plain loops: a flattened iterator over a page's rows and slots cost more
+/// than the dequantization.
 ///
 /// # Panics
 ///
@@ -212,7 +255,8 @@ pub(crate) fn axpy_codes_tile_portable<'a>(
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
     fresh: bool,
 ) {
-    let width = tile_width(steps.len(), tile.len());
+    let n = steps.len();
+    let width = tile_width(n, tile.len());
     if width > 0 {
         for (t, (x, &step)) in tile.chunks_exact_mut(width).zip(steps).enumerate() {
             for (x, &code) in x.iter_mut().zip(&codes[t * stride..t * stride + width]) {
@@ -221,19 +265,62 @@ pub(crate) fn axpy_codes_tile_portable<'a>(
         }
     }
     patch(tile);
+    let rows = rows.into_iter().inspect(|(weights, ctx)| check_tile_row(n, width, weights, ctx));
+    axpy_tile_portable(tile, width, rows, fresh);
+}
+
+/// The attention-weighted sum of a run of `f32` rows: for every query row
+/// `(weights, ctx)` of `rows`, `ctx[j] += weights[t] * tile[t * stride + j]`
+/// for `j` in `0..ctx.len()`, `t` ascending over `weights`, a weight that
+/// is exactly zero skipped. With `fresh` the context starts from `+0.0`
+/// instead of from what `ctx` holds: the first page of a walk writes, the
+/// others accumulate. `stride` is the row pitch, so a head's columns of an
+/// exact V page are the slice from the head's first column.
+///
+/// Each element sees an unfused multiply then add per row, in row order, on
+/// every path: the portable loop is the spec, the test oracle and the path
+/// on CPUs without AVX2; on x86-64 with AVX2 (detected at run time) each
+/// context stays in registers across the run, 64 lanes at a time, instead
+/// of a load and a store per row. This is the accumulate half of
+/// [`axpy_codes_tile`], and on an exact page the whole V sum.
+///
+/// # Panics
+///
+/// Panics if a row a nonzero weight selects runs past `tile`.
+pub fn axpy_tile<'a>(
+    tile: &[f32],
+    stride: usize,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    fresh: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::codes_available() {
+        crate::simd::axpy_tile(tile, stride, rows, fresh);
+        return;
+    }
+    axpy_tile_portable(tile, stride, rows, fresh);
+}
+
+/// The loop of [`axpy_tile`] as portable code.
+pub(crate) fn axpy_tile_portable<'a>(
+    tile: &[f32],
+    stride: usize,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    fresh: bool,
+) {
     for (weights, ctx) in rows {
-        check_tile_row(steps.len(), width, weights, ctx);
         if fresh {
             ctx.fill(0.0);
         }
-        if width == 0 {
+        if ctx.is_empty() {
             continue;
         }
-        for (&w, x) in weights.iter().zip(tile.chunks_exact(width)) {
+        let width = ctx.len();
+        for (t, &w) in weights.iter().enumerate() {
             if w == 0.0 {
                 continue;
             }
-            for (c, &x) in ctx.iter_mut().zip(x) {
+            for (c, &x) in ctx.iter_mut().zip(&tile[t * stride..t * stride + width]) {
                 *c += w * x;
             }
         }
@@ -688,6 +775,47 @@ mod tests {
         Ok(())
     }
 
+    /// [`dot_tile`] and [`axpy_tile`] against their portable loops over
+    /// every shape: query rows and weights from `values`, the cached rows
+    /// from `cached` at a pitch wider than the row, as a head's columns of
+    /// an exact page are. Outputs start from a sentinel, so an element one
+    /// side skips shows.
+    fn exact_tiles_against_portable(values: &[f32], cached: &[f32]) -> Result<(), String> {
+        const SENTINEL: f32 = 7.0;
+        for width in (0..=40).chain([128]) {
+            let stride = tile_stride(width);
+            for m in 1..=TILE_QUERY_ROWS {
+                for n in 0..=TILE_CODE_ROWS {
+                    let what = format!("{m} x {n} x {width}");
+                    let q_rows = || values[..m * stride].chunks(stride).map(|q| &q[..width]);
+                    let (mut got, mut want) = (vec![SENTINEL; m * n], vec![SENTINEL; m * n]);
+                    dot_tile(cached, stride, q_rows().zip(got.chunks_mut(n.max(1))));
+                    dot_tile_portable(cached, stride, q_rows().zip(want.chunks_mut(n.max(1))));
+                    first_difference(&format!("dot_tile {what}"), &got, &want)?;
+
+                    let weights = &values[TILE_POOL - m * n.max(1)..];
+                    for fresh in [true, false] {
+                        let ctx: Vec<f32> = (0..m * width)
+                            .map(|i| if fresh { SENTINEL } else { values[i * 5 % TILE_POOL] })
+                            .collect();
+                        let (mut got, mut want) = (ctx.clone(), ctx);
+                        let w_rows = || weights.chunks(n.max(1)).map(|w| &w[..n]);
+                        axpy_tile(
+                            cached,
+                            stride,
+                            w_rows().zip(got.chunks_mut(width.max(1))),
+                            fresh,
+                        );
+                        let want_rows = w_rows().zip(want.chunks_mut(width.max(1)));
+                        axpy_tile_portable(cached, stride, want_rows, fresh);
+                        first_difference(&format!("axpy_tile {what} fresh {fresh}"), &got, &want)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     proptest::proptest! {
         // Each case walks all 8127 shapes of both kernels.
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
@@ -697,6 +825,16 @@ mod tests {
             codes in proptest::collection::vec(-128i8..=127, TILE_CODE_ROWS * 133),
         ) {
             let outcome = tiles_against_portable(&values, &codes);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        // Each case walks all 7938 shapes of both kernels.
+        #[test]
+        fn exact_tile_dispatch_is_bitwise_the_portable_loops(
+            values in crate::matrix::tests::value_pool(TILE_POOL),
+            cached in crate::matrix::tests::value_pool(TILE_CODE_ROWS * 133),
+        ) {
+            let outcome = exact_tiles_against_portable(&values, &cached);
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }

@@ -1,48 +1,72 @@
 //! The wide (x86-64 AVX / FMA / AVX2) instantiations of the portable
 //! kernels, chosen at run time and bit-identical to them.
 //!
-//! **The [`crate::ops::dot`] lane schedule, eight rows at once** (AVX +
-//! FMA) — the wide path of [`crate::Matrix::matvec_into`] and
-//! [`crate::Matrix::matmul_t_into`]. One `ops::dot` is one 4-wide `f64`
-//! dependency chain, so a row-at-a-time GEMV is bound by the latency of that
-//! chain. Rows are independent: a block keeps the four accumulators of each
-//! of up to eight rows in one `__m256d` (lane `k` is `ops::dot`'s `acc_k`)
-//! and walks them together, so eight chains are in flight against one
-//! conversion of the shared vector. Every output element still sees the
-//! addends of its own `ops::dot` in the same order. The multiply-add is
-//! fused, and that is bitwise the spec's unfused pair: an `f32 × f32`
-//! product has at most 48 significant bits and an exponent well inside
-//! `f64`'s range, so the `f64` multiply is exact and the one rounding of
-//! `fma(a, b, acc)` is the add's rounding. The portable loops stay the
-//! spec, the test oracle and the path on every other CPU, a CPU with AVX
-//! but no FMA included.
+//! **The [`crate::ops::dot`] lane schedule as a register tile over widened
+//! rows** (AVX + FMA) — the wide path of [`crate::Matrix::matvec_into`],
+//! [`crate::Matrix::matmul_t_into`] and [`crate::ops::dot_tile`]. One
+//! `ops::dot` is one 4-wide `f64` dependency chain, so a row-at-a-time
+//! product is bound by the latency of that chain. Every entry point is one
+//! driver, [`dot_rows`]: left-hand rows (activations, query rows, the GEMV's
+//! vector) against right-hand rows at a stride (weight rows, a page's cached
+//! K rows). It takes up to eight left-hand rows of one shape at a time,
+//! widens them to `f64` once into this thread's panel (a fixed 32 KiB array
+//! in thread-local storage: it stays in L1 and never touches the heap), and
+//! walks the right-hand rows in register tiles: eight panel rows against one
+//! right-hand row (one weight-chunk conversion, then eight load-FMAs), three
+//! to six against two (at least eight accumulator chains; seven go as four
+//! and three). A lone row — or
+//! each of two, or any row too wide for the panel to hold three — goes
+//! against eight right-hand rows at a time without the panel, converting its
+//! own chunk once per eight weight chunks: the GEMV's shape. Each
+//! accumulator holds the four lanes of one pair (lane `k` is `ops::dot`'s
+//! `acc_k`), so every output element still sees the addends of its own
+//! `ops::dot` in the same order. The multiply-add is fused, and that is
+//! bitwise the spec's unfused pair: an `f32 × f32` product has at most 48
+//! significant bits and an exponent well inside `f64`'s range, so the `f64`
+//! multiply is exact and the one rounding of `fma(a, b, acc)` is the add's
+//! rounding. The portable loops stay the spec, the test oracle and the path
+//! on every other CPU, a CPU with AVX but no FMA included.
 //!
-//! **The quantized-KV code kernels** (AVX2): [`crate::ops::axpy_codes`]
-//! eight codes at once, [`crate::ops::dot_codes_tile`] as blocks of two
-//! query rows × two code rows or one × four (each code chunk converted once
-//! per block, four `dot_codes` chains in flight, their in-order lane sums
-//! interleaved), and [`crate::ops::axpy_codes_tile`] with each context held
-//! in registers, 64 lanes at a time, across a page. Each performs the
-//! portable loop's operations per element in its order, none fused.
+//! **The attention tile kernels** (AVX2): [`crate::ops::axpy_codes`] eight
+//! codes at once, [`crate::ops::dot_codes_tile`] as blocks of two query
+//! rows × two code rows or one × four (each code chunk converted once per
+//! block, four `dot_codes` chains in flight, their in-order lane sums
+//! interleaved), and [`crate::ops::axpy_tile`] with each context held in
+//! registers, 64 lanes at a time, across a page's rows — behind
+//! [`crate::ops::axpy_codes_tile`] after it dequantizes a page. Each performs
+//! the portable loop's operations per element in its order, none fused.
 //!
 //! A `#[target_feature]` fn calls value-taking intrinsics safely, so the
 //! `unsafe` operations are two kinds only: calling such a fn from ordinary
 //! code, once per driver behind the runtime detection; and the vector loads
-//! and stores of the four helpers at the end of this file, each through a
+//! and stores of the five helpers at the end of this file, each through a
 //! pointer taken from a fixed-size array reference.
 
 use std::arch::x86_64::{
     __m128i, __m256, __m256d, _mm256_add_ps, _mm256_castpd256_pd128, _mm256_cvtepi32_ps,
-    _mm256_cvtepi8_epi32, _mm256_cvtps_pd, _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_loadu_ps,
-    _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
-    _mm_cvtsd_f64, _mm_loadl_epi64, _mm_set_ps, _mm_unpackhi_pd,
+    _mm256_cvtepi8_epi32, _mm256_cvtps_pd, _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_loadu_pd,
+    _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm_cvtsd_f64, _mm_loadl_epi64, _mm_loadu_ps,
+    _mm_unpackhi_pd,
 };
+use std::cell::RefCell;
 
 use crate::ops::{check_tile_row, tile_width};
 
-/// Rows per full block: eight accumulators, the shared chunk and one
-/// product fit the sixteen `ymm` registers without spilling.
+/// Left-hand rows per full block: eight accumulators, the shared chunk and
+/// one product fit the sixteen `ymm` registers without spilling.
 const BLOCK: usize = 8;
+
+/// The panel's length in `f64`: a full block of rows up to 512 wide.
+const PANEL_LEN: usize = BLOCK * 512;
+
+thread_local! {
+    /// This thread's activation panel: one block's left-hand rows widened
+    /// to `f64` ([`widen_rows`]). A fixed array rather than a growable
+    /// buffer, so that no step ever allocates for it and it never moves the
+    /// heap under anything else.
+    static PANEL: RefCell<[f64; PANEL_LEN]> = const { RefCell::new([0.0; PANEL_LEN]) };
+}
 
 /// Whether the wide GEMV / GEMM path runs on this CPU (cached by `std`
 /// after the first call). `bench_decode`'s `kernel_path()` restates this
@@ -56,137 +80,286 @@ pub(crate) fn available() -> bool {
 /// row-major `w`. Returns `false`, writing nothing, when the CPU lacks AVX
 /// and FMA or `v` is empty (the portable loop's zero-width behaviour is
 /// kept).
-#[allow(unsafe_code)]
 pub(crate) fn matvec(w: &[f32], v: &[f32], out: &mut [f32]) -> bool {
     if v.is_empty() || !available() {
         return false;
     }
     assert_eq!(w.len(), out.len() * v.len(), "matrix size mismatch");
-    // SAFETY: `matvec_avx` is a safe fn whose only requirement is the `avx`
-    // and `fma` target features, which `available()` has just detected on
-    // this CPU.
-    unsafe { matvec_avx(w, v, out) };
+    dot_rows(w, v.len(), [(v, out)]);
     true
 }
 
 /// `out[i * n + j] = ops::dot(row i of a, row j of b)` for flat row-major
 /// `a` and `b` of row width `d > 0`, `n` the row count of `b`. Returns
 /// `false`, writing nothing, when the CPU lacks AVX and FMA.
-#[allow(unsafe_code)]
 pub(crate) fn matmul_t(a: &[f32], b: &[f32], d: usize, out: &mut [f32]) -> bool {
     if !available() {
         return false;
     }
     assert!(d > 0 && a.len().is_multiple_of(d) && b.len().is_multiple_of(d), "row width mismatch");
-    assert_eq!(out.len(), (a.len() / d) * (b.len() / d), "output size mismatch");
-    // SAFETY: `matmul_t_avx` is a safe fn whose only requirement is the
-    // `avx` and `fma` target features, which `available()` has just
-    // detected on this CPU.
-    unsafe { matmul_t_avx(a, b, d, out) };
+    let n = b.len() / d;
+    assert_eq!(out.len(), (a.len() / d) * n, "output size mismatch");
+    dot_rows(b, d, a.chunks_exact(d).zip(out.chunks_exact_mut(n.max(1))));
     true
 }
 
-/// Eight weight rows share the vector; the rows left over go through one
-/// narrower block.
-#[target_feature(enable = "avx,fma")]
-fn matvec_avx(w: &[f32], v: &[f32], out: &mut [f32]) {
-    let mut rows = w.chunks_exact(BLOCK * v.len());
-    let mut outs = out.chunks_exact_mut(BLOCK);
-    for (rows, o) in rows.by_ref().zip(outs.by_ref()) {
-        block::<BLOCK>(rows, v, |r, x| o[r] = x);
-    }
-    let o = outs.into_remainder();
-    remainder(rows.remainder(), v, |r, x| o[r] = x);
+/// For every `(x, out)` of `lhs`, `out[j] = ops::dot(x, &rhs[j * stride..][..x.len()])`
+/// for `j` in `0..out.len()`: the one driver behind [`matvec`], [`matmul_t`]
+/// and [`crate::ops::dot_tile`] (the caller checks [`available`]; this
+/// asserts it).
+#[allow(unsafe_code)]
+pub(crate) fn dot_rows<'a>(
+    rhs: &[f32],
+    stride: usize,
+    lhs: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+) {
+    assert!(available(), "the wide dot kernel needs AVX and FMA");
+    PANEL.with_borrow_mut(|panel| {
+        // SAFETY: `dot_rows_avx`'s only requirement of its caller is the
+        // `avx` and `fma` target features, asserted just above.
+        unsafe { dot_rows_avx(rhs, stride, lhs.into_iter(), panel) };
+    });
 }
 
-/// `b`-row-major like the portable loop: each `b` row (a transposed weight
-/// row) is loaded once and shared by eight `a` rows (activations) at a time.
-///
-/// The `a` rows left over after the eight-row blocks are one narrower block
-/// per `b` row when there are three or more (that many chains cover the add
-/// latency). One or two would be one or two chains per `b` row, about half
-/// the GEMV's rate — and a one-row product is what every decode step of a
-/// lone sequence is — so each of those goes through the [`matvec_avx`]
-/// driver instead, where eight `b` rows share it (`ops::dot` is bitwise
-/// commutative, so which operand is "the vector" does not show).
+/// Left-hand rows a block at a time — up to [`BLOCK`] consecutive rows of
+/// one shape, as many as the panel holds at their width — each block
+/// widened into `panel` once and walked over every right-hand row in
+/// register tiles: eight rows against one right-hand row per tile, three to
+/// six against two (seven as four, then three); a block of one or two goes
+/// row by row through [`lone_row`], so that at least eight chains are in
+/// flight whatever the block's height.
 #[target_feature(enable = "avx,fma")]
-fn matmul_t_avx(a: &[f32], b: &[f32], d: usize, out: &mut [f32]) {
-    let n = b.len() / d;
-    let rows = a.len() / d;
-    let lone = if rows % BLOCK <= 2 { rows % BLOCK } else { 0 };
-    let (a_blocks, a_lone) = a.split_at((rows - lone) * d);
-    if !a_blocks.is_empty() {
-        for (j, b_row) in b.chunks_exact(d).enumerate() {
-            let mut rows = a_blocks.chunks_exact(BLOCK * d);
-            let mut i0 = 0;
-            for rows in rows.by_ref() {
-                block::<BLOCK>(rows, b_row, |r, x| out[(i0 + r) * n + j] = x);
-                i0 += BLOCK;
+fn dot_rows_avx<'a>(
+    rhs: &[f32],
+    stride: usize,
+    mut lhs: impl Iterator<Item = (&'a [f32], &'a mut [f32])>,
+    panel: &mut [f64; PANEL_LEN],
+) {
+    let mut next = lhs.next();
+    while let Some((x, out)) = next.take() {
+        let (d, n) = (x.len(), out.len());
+        let height = BLOCK.min(PANEL_LEN / d.max(1));
+        let mut xs: [&[f32]; BLOCK] = [&[]; BLOCK];
+        let mut outs: [&mut [f32]; BLOCK] = Default::default();
+        (xs[0], outs[0]) = (x, out);
+        let mut k = 1;
+        next = lhs.next();
+        while k < height {
+            let Some((x, out)) = next.take_if(|(x, o)| x.len() == d && o.len() == n) else {
+                break;
+            };
+            (xs[k], outs[k]) = (x, out);
+            k += 1;
+            next = lhs.next();
+        }
+        let (xs, outs) = (&xs[..k], &mut outs[..k]);
+        match k {
+            8 => by_rhs_rows::<8, 1>(xs, panel, rhs, stride, outs),
+            // Seven rows against two would want seventeen registers.
+            7 => {
+                let (head, tail) = outs.split_at_mut(4);
+                by_rhs_rows::<4, 2>(&xs[..4], panel, rhs, stride, head);
+                by_rhs_rows::<3, 2>(&xs[4..], panel, rhs, stride, tail);
             }
-            remainder(rows.remainder(), b_row, |r, x| out[(i0 + r) * n + j] = x);
+            6 => by_rhs_rows::<6, 2>(xs, panel, rhs, stride, outs),
+            5 => by_rhs_rows::<5, 2>(xs, panel, rhs, stride, outs),
+            4 => by_rhs_rows::<4, 2>(xs, panel, rhs, stride, outs),
+            3 => by_rhs_rows::<3, 2>(xs, panel, rhs, stride, outs),
+            _ => {
+                for (x, out) in xs.iter().zip(outs) {
+                    lone_row(x, rhs, stride, out);
+                }
+            }
         }
     }
-    let out_lone = out[(rows - lone) * n..].chunks_exact_mut(n);
-    for (a_row, o) in a_lone.chunks_exact(d).zip(out_lone) {
-        matvec_avx(b, a_row, o);
+}
+
+/// The `R` equal-width rows `xs` widened to `f64` into `panel`, 4-chunk
+/// interleaved — chunk `c` of every row side by side, so a tile loads a
+/// block's chunks from one pointer — then each row's sub-4 tail: returns
+/// the `d / 4` interleaved chunk groups and the `R` tails.
+#[inline]
+#[target_feature(enable = "avx,fma")]
+fn widen_rows<'p, const R: usize>(
+    xs: &[&[f32]],
+    panel: &'p mut [f64],
+) -> (&'p [[[f64; 4]; R]], [&'p [f64]; R]) {
+    let d = xs[0].len();
+    let (n4, tail) = (d / 4, d % 4);
+    let (body, tails) = panel[..R * d].split_at_mut(n4 * 4 * R);
+    let (body, _) = body.as_chunks_mut::<4>();
+    for (i, x) in xs[..R].iter().enumerate() {
+        let (x4, x_tail) = x.as_chunks::<4>();
+        for (c, x4) in x4.iter().enumerate() {
+            for (p, &v) in body[c * R + i].iter_mut().zip(x4) {
+                *p = f64::from(v);
+            }
+        }
+        for (p, &v) in tails[i * tail..(i + 1) * tail].iter_mut().zip(x_tail) {
+            *p = f64::from(v);
+        }
+    }
+    let (body, tails) = (&*body, &*tails);
+    let mut x_tails: [&[f64]; R] = [&[]; R];
+    for (i, t) in x_tails.iter_mut().enumerate() {
+        *t = &tails[i * tail..(i + 1) * tail];
+    }
+    (body.as_chunks::<R>().0, x_tails)
+}
+
+/// The `C` right-hand rows from row `j`, each `d` wide.
+#[inline]
+fn rhs_rows<const C: usize>(rhs: &[f32], stride: usize, j: usize, d: usize) -> [&[f32]; C] {
+    let mut rows: [&[f32]; C] = [&[]; C];
+    for (c, row) in rows.iter_mut().enumerate() {
+        let at = (j + c) * stride;
+        *row = &rhs[at..at + d];
+    }
+    rows
+}
+
+/// `outs[i][j] = ops::dot(xs[i], rhs row j)` for a block of `R` rows,
+/// widened once, against the right-hand rows `C` at a time; with `C = 2`,
+/// an odd last row goes alone.
+#[inline]
+#[target_feature(enable = "avx,fma")]
+fn by_rhs_rows<const R: usize, const C: usize>(
+    xs: &[&[f32]],
+    panel: &mut [f64],
+    rhs: &[f32],
+    stride: usize,
+    outs: &mut [&mut [f32]],
+) {
+    let d = xs[0].len();
+    let (x4, x_tails) = widen_rows::<R>(xs, panel);
+    let n = outs[0].len();
+    let mut j = 0;
+    while j + C <= n {
+        let ws = rhs_rows::<C>(rhs, stride, j, d);
+        tile::<R, C>(x4, x_tails, ws, |r, c, x| outs[r][j + c] = x);
+        j += C;
+    }
+    if j < n {
+        let ws = rhs_rows::<1>(rhs, stride, j, d);
+        tile::<R, 1>(x4, x_tails, ws, |r, _, x| outs[r][j] = x);
     }
 }
 
-/// The `rows.len() / v.len()` (fewer than [`BLOCK`]) rows a driver has left
-/// over, as one block of exactly that many rows: 5 rows is the speculative
-/// verify pass and 1-7 rows are prefill tails, so a one-row loop here would
-/// put them back on a single chain.
+/// `out[j] = ops::dot(x, rhs row j)` for one row against the right-hand rows
+/// eight at a time (the GEMV's shape), the rows left over as one narrower
+/// tile.
 #[inline]
 #[target_feature(enable = "avx,fma")]
-fn remainder(rows: &[f32], v: &[f32], store: impl FnMut(usize, f32)) {
-    match rows.len() / v.len() {
-        1 => block::<1>(rows, v, store),
-        2 => block::<2>(rows, v, store),
-        3 => block::<3>(rows, v, store),
-        4 => block::<4>(rows, v, store),
-        5 => block::<5>(rows, v, store),
-        6 => block::<6>(rows, v, store),
-        7 => block::<7>(rows, v, store),
-        left => debug_assert_eq!(left, 0, "remainder of chunks_exact(BLOCK * d)"),
+fn lone_row(x: &[f32], rhs: &[f32], stride: usize, out: &mut [f32]) {
+    let d = x.len();
+    let mut j = 0;
+    while j + BLOCK <= out.len() {
+        row_tile::<BLOCK>(x, rhs_rows::<BLOCK>(rhs, stride, j, d), |c, v| out[j + c] = v);
+        j += BLOCK;
+    }
+    let left = out.len() - j;
+    let mut store = |c: usize, v: f32| out[j + c] = v;
+    match left {
+        1 => row_tile::<1>(x, rhs_rows::<1>(rhs, stride, j, d), &mut store),
+        2 => row_tile::<2>(x, rhs_rows::<2>(rhs, stride, j, d), &mut store),
+        3 => row_tile::<3>(x, rhs_rows::<3>(rhs, stride, j, d), &mut store),
+        4 => row_tile::<4>(x, rhs_rows::<4>(rhs, stride, j, d), &mut store),
+        5 => row_tile::<5>(x, rhs_rows::<5>(rhs, stride, j, d), &mut store),
+        6 => row_tile::<6>(x, rhs_rows::<6>(rhs, stride, j, d), &mut store),
+        7 => row_tile::<7>(x, rhs_rows::<7>(rhs, stride, j, d), &mut store),
+        _ => {}
     }
 }
 
-/// `store(r, ops::dot(row r, v))` for the `N` rows of width `v.len()` laid
-/// end to end in `rows`.
+/// `store(c, ops::dot(x, ws[c]))` for one row against `C` equal-width rows:
+/// per 4-chunk, `x`'s chunk is converted once and each `ws` chunk once, and
+/// the `C` accumulators advance together.
 #[inline]
 #[target_feature(enable = "avx,fma")]
-fn block<const N: usize>(rows: &[f32], v: &[f32], mut store: impl FnMut(usize, f32)) {
-    let d = v.len();
-    assert_eq!(rows.len(), N * d, "block shape mismatch");
-    let (v4, v_tail) = v.as_chunks::<4>();
+fn row_tile<const C: usize>(x: &[f32], ws: [&[f32]; C], mut store: impl FnMut(usize, f32)) {
+    let (x4, x_tail) = x.as_chunks::<4>();
+    let n4 = x4.len();
+    let mut w4: [&[[f32; 4]]; C] = [&[]; C];
+    for (w4, w) in w4.iter_mut().zip(&ws) {
+        *w4 = &w.as_chunks::<4>().0[..n4];
+    }
+    let mut acc = [_mm256_set1_pd(-0.0); C];
+    // Index loops, not iterator zips: with those LLVM rotates the eight
+    // accumulators through the registers every chunk (eight extra moves).
+    for c in 0..n4 {
+        let x = widen4(&x4[c]);
+        for k in 0..C {
+            // `acc + w · x` with one rounding: the product is exact in f64.
+            acc[k] = _mm256_fmadd_pd(widen4(&w4[k][c]), x, acc[k]);
+        }
+    }
+    let tail = n4 * 4;
+    for (c, (&acc, w)) in acc.iter().zip(&ws).enumerate() {
+        let [mut l0, l1, l2, l3] = lanes(acc);
+        for (&w, &x) in w[tail..].iter().zip(x_tail) {
+            l0 += f64::from(w) * f64::from(x);
+        }
+        store(c, ((l0 + l1) + (l2 + l3)) as f32);
+    }
+}
+
+/// `store(r, c, ops::dot(row r, ws[c]))` for the `R × C` pairs of
+/// equal-width rows, the `R` rows already widened ([`widen_rows`]): per
+/// 4-chunk, each `ws` chunk is converted once and each row's chunk loaded
+/// once, and the `R × C` accumulators advance together.
+#[inline]
+#[target_feature(enable = "avx,fma")]
+fn tile<const R: usize, const C: usize>(
+    x4: &[[[f64; 4]; R]],
+    x_tails: [&[f64]; R],
+    ws: [&[f32]; C],
+    mut store: impl FnMut(usize, usize, f32),
+) {
+    let n4 = x4.len();
     // Plain loops, not `array::from_fn`: a closure handed to a generic `std`
     // fn keeps this fn's target feature while the `std` fn has none, which
     // stops the inliner and leaves a call per row.
-    let mut body: [&[[f32; 4]]; N] = [&[]; N];
-    let mut tail: [&[f32]; N] = [&[]; N];
-    for ((body, tail), row) in body.iter_mut().zip(&mut tail).zip(rows.chunks_exact(d)) {
-        let (chunks, rest) = row.as_chunks::<4>();
-        // Same length as `v4` by construction; saying so here lets the
+    let mut w4: [&[[f32; 4]]; C] = [&[]; C];
+    for (w4, w) in w4.iter_mut().zip(&ws) {
+        // Same length as `x4` by construction; saying so here lets the
         // chunk loop index without bounds checks.
-        (*body, *tail) = (&chunks[..v4.len()], rest);
+        *w4 = &w.as_chunks::<4>().0[..n4];
     }
-    let widen = |x: &[f32; 4]| _mm256_cvtps_pd(_mm_set_ps(x[3], x[2], x[1], x[0]));
+    let mut acc = [[_mm256_set1_pd(-0.0); C]; R];
+    for c in 0..n4 {
+        let mut w = [_mm256_setzero_pd(); C];
+        for k in 0..C {
+            w[k] = widen4(&w4[k][c]);
+        }
+        for r in 0..R {
+            let x = load4(&x4[c][r]);
+            for k in 0..C {
+                // `acc + w · x` with one rounding: the product is exact in
+                // f64.
+                acc[r][k] = _mm256_fmadd_pd(w[k], x, acc[r][k]);
+            }
+        }
+    }
+    let tail = n4 * 4;
+    for (r, (acc, x_tail)) in acc.iter().zip(&x_tails).enumerate() {
+        for (c, (&acc, w)) in acc.iter().zip(&ws).enumerate() {
+            let [mut l0, l1, l2, l3] = lanes(acc);
+            for (&w, &x) in w[tail..].iter().zip(*x_tail) {
+                l0 += f64::from(w) * x;
+            }
+            store(r, c, ((l0 + l1) + (l2 + l3)) as f32);
+        }
+    }
+}
 
-    let mut acc = [_mm256_set1_pd(-0.0); N];
-    for (c, x) in v4.iter().enumerate() {
-        let x = widen(x);
-        for (acc, body) in acc.iter_mut().zip(&body) {
-            // `acc + w · x` with one rounding: the product is exact in f64.
-            *acc = _mm256_fmadd_pd(widen(&body[c]), x, *acc);
-        }
-    }
-    for (r, (&acc, tail)) in acc.iter().zip(tail).enumerate() {
-        let [mut l0, l1, l2, l3] = lanes(acc);
-        for (&w, &x) in tail.iter().zip(v_tail) {
-            l0 += f64::from(w) * f64::from(x);
-        }
-        store(r, ((l0 + l1) + (l2 + l3)) as f32);
-    }
+/// Four `f32` from an array reference, widened to `f64` (exact).
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx")]
+fn widen4(x: &[f32; 4]) -> __m256d {
+    // SAFETY: `x` is a `&[f32; 4]`, so the 16 bytes the unaligned load
+    // reads are in bounds.
+    _mm256_cvtps_pd(unsafe { _mm_loadu_ps(x.as_ptr()) })
 }
 
 /// The four `f64` lanes of `x`, lowest first.
@@ -202,8 +375,8 @@ fn lanes(x: __m256d) -> [f64; 4] {
     ]
 }
 
-/// Whether the code kernels ([`axpy_codes`], [`dot_codes_tile`],
-/// [`axpy_codes_tile`]) run their wide paths on this CPU.
+/// Whether the attention tile kernels ([`axpy_codes`], [`dot_codes_tile`],
+/// [`axpy_tile`], [`axpy_codes_tile`]) run their wide paths on this CPU.
 pub(crate) fn codes_available() -> bool {
     is_x86_feature_detected!("avx2")
 }
@@ -397,8 +570,8 @@ pub(crate) fn axpy_codes_tile<'a>(
 
 /// Dequantizes eight codes per step (sign-extend, convert, multiply by the
 /// row's step: the portable loop's one rounding), lets `patch` write the
-/// outliers, then walks each query row's context in groups of up to 64
-/// lanes held in registers across all the tile's rows.
+/// outliers, then accumulates every query row over the tile as
+/// [`axpy_tile_avx2`].
 #[target_feature(enable = "avx2")]
 fn axpy_codes_tile_avx2<'a>(
     codes: &[i8],
@@ -425,23 +598,50 @@ fn axpy_codes_tile_avx2<'a>(
         }
     }
     patch(tile);
-    let tile: &[f32] = tile;
+    let rows = rows.inspect(|(weights, ctx)| check_tile_row(n, width, weights, ctx));
+    axpy_tile_avx2(tile, width, rows, fresh);
+}
+
+/// [`crate::ops::axpy_tile`] on a CPU with AVX2 (the caller checks
+/// [`codes_available`]; this asserts it).
+#[allow(unsafe_code)]
+pub(crate) fn axpy_tile<'a>(
+    tile: &[f32],
+    stride: usize,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    fresh: bool,
+) {
+    assert!(codes_available(), "axpy_tile's wide path needs AVX2");
+    // SAFETY: `axpy_tile_avx2`'s only requirement of its caller is the
+    // `avx2` target feature, asserted just above.
+    unsafe { axpy_tile_avx2(tile, stride, rows.into_iter(), fresh) };
+}
+
+/// Walks each query row's context in groups of up to 64 lanes held in
+/// registers across all the tile's rows.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn axpy_tile_avx2<'a>(
+    tile: &[f32],
+    stride: usize,
+    rows: impl Iterator<Item = (&'a [f32], &'a mut [f32])>,
+    fresh: bool,
+) {
     for (weights, ctx) in rows {
-        check_tile_row(n, width, weights, ctx);
         let (ctx8, ctx_tail) = ctx.as_chunks_mut::<8>();
         let (groups, rest) = ctx8.as_chunks_mut::<8>();
         for (g, lanes) in groups.iter_mut().enumerate() {
-            accumulate::<8>(weights, tile, width, g * 64, lanes, fresh);
+            accumulate::<8>(weights, tile, stride, g * 64, lanes, fresh);
         }
         let col = groups.len() * 64;
         match rest.len() {
-            1 => accumulate::<1>(weights, tile, width, col, rest, fresh),
-            2 => accumulate::<2>(weights, tile, width, col, rest, fresh),
-            3 => accumulate::<3>(weights, tile, width, col, rest, fresh),
-            4 => accumulate::<4>(weights, tile, width, col, rest, fresh),
-            5 => accumulate::<5>(weights, tile, width, col, rest, fresh),
-            6 => accumulate::<6>(weights, tile, width, col, rest, fresh),
-            7 => accumulate::<7>(weights, tile, width, col, rest, fresh),
+            1 => accumulate::<1>(weights, tile, stride, col, rest, fresh),
+            2 => accumulate::<2>(weights, tile, stride, col, rest, fresh),
+            3 => accumulate::<3>(weights, tile, stride, col, rest, fresh),
+            4 => accumulate::<4>(weights, tile, stride, col, rest, fresh),
+            5 => accumulate::<5>(weights, tile, stride, col, rest, fresh),
+            6 => accumulate::<6>(weights, tile, stride, col, rest, fresh),
+            7 => accumulate::<7>(weights, tile, stride, col, rest, fresh),
             _ => {}
         }
         let col = col + rest.len() * 8;
@@ -451,7 +651,7 @@ fn axpy_codes_tile_avx2<'a>(
             }
             for (t, &w) in weights.iter().enumerate() {
                 if w != 0.0 {
-                    *c += w * tile[t * width + j];
+                    *c += w * tile[t * stride + j];
                 }
             }
         }
@@ -459,14 +659,14 @@ fn axpy_codes_tile_avx2<'a>(
 }
 
 /// `lanes` (the `K` eight-lane chunks of a context from column `col`)
-/// `+= Σ_t weights[t] · tile[t][col..col + 8K]`, `t` ascending, zero
+/// `+= Σ_t weights[t] · tile[t * stride + col..][..8K]`, `t` ascending, zero
 /// weights skipped, starting from `+0.0` when `fresh`.
 #[inline]
 #[target_feature(enable = "avx2")]
 fn accumulate<const K: usize>(
     weights: &[f32],
     tile: &[f32],
-    width: usize,
+    stride: usize,
     col: usize,
     lanes: &mut [[f32; 8]],
     fresh: bool,
@@ -483,7 +683,7 @@ fn accumulate<const K: usize>(
             continue;
         }
         let wv = _mm256_set1_ps(w);
-        let at = t * width + col;
+        let at = t * stride + col;
         let (row, _) = tile[at..at + K * 8].as_chunks::<8>();
         for (acc, x) in acc.iter_mut().zip(row) {
             *acc = _mm256_add_ps(*acc, _mm256_mul_ps(wv, load8(x)));
@@ -492,6 +692,16 @@ fn accumulate<const K: usize>(
     for (x, &acc) in lanes.iter_mut().zip(&acc) {
         store8(x, acc);
     }
+}
+
+/// Four `f64` from an array reference.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx")]
+fn load4(x: &[f64; 4]) -> __m256d {
+    // SAFETY: `x` is a `&[f64; 4]`, so the 32 bytes the unaligned load
+    // reads are in bounds.
+    unsafe { _mm256_loadu_pd(x.as_ptr()) }
 }
 
 /// Eight `f32` from an array reference.
