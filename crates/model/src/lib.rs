@@ -33,6 +33,7 @@ mod config;
 pub mod eval;
 mod infer;
 pub mod kv;
+mod mx_codes;
 pub mod reference;
 pub mod sampling;
 mod scheme;

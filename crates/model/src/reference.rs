@@ -11,23 +11,70 @@
 //!    baseline it replaced.
 //!
 //! The arithmetic here must never be "improved": it is the specification.
+//!
+//! One part of it is newer than the seed. Schemes whose activations are
+//! MX-family (MX-OPAL, MXINT) and whose weights are OWQ run their weight
+//! products on the paper's INT datapath, and for those the specification is
+//! the scalar code-domain product [`opal_tensor::ops::matmul_codes_portable`]:
+//! each activation row is encoded by the allocating encoder
+//! (`MxOpalQuantizer::quantize`, `MxIntQuantizer::encode_block`), and its
+//! codes meet the OWQ weight codes in exact integer sums with one fixed
+//! `f64` epilogue. The forward core encodes through the scratch encoders
+//! and multiplies with the dispatching [`opal_tensor::ops::matmul_codes`];
+//! both give the same codes and the same numbers. Every other scheme keeps
+//! the seed's `f32` round trip and its sequential matvec.
 
-use opal_tensor::ops;
 use opal_tensor::Matrix;
+use opal_tensor::{ops, CodeActs};
 
-use crate::infer::{Model, Recorder, Site};
+use crate::infer::{LayerWeight, Model, Recorder, Site};
 
 /// The seed's matrix–vector product, verbatim: one sequential
 /// latency-chained `f64` sum per output element (`Iterator::sum`), a fresh
 /// `Vec` per call. [`Matrix::matvec`] has since moved to a pipelined
 /// 4-accumulator reduction; the baseline must keep the original kernel.
-fn seed_matvec(m: &Matrix, v: &[f32]) -> Vec<f32> {
+pub(crate) fn seed_matvec(m: &Matrix, v: &[f32]) -> Vec<f32> {
     assert_eq!(v.len(), m.cols(), "vector length mismatch");
     m.iter_rows()
         .map(|row| {
             row.iter().zip(v).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum::<f64>() as f32
         })
         .collect()
+}
+
+/// A weight product's input in the reference: the quantizer's `f32` round
+/// trip of the row for dense weights, its codes for OWQ codes.
+enum Operand {
+    Dense(Vec<f32>),
+    Codes(CodeActs),
+}
+
+impl Model {
+    /// The reference's operand of `site`'s products for the row `x`.
+    fn reference_operand(&self, site: Site, x: &[f32]) -> Operand {
+        let low = matches!(site, Site::QkvInput | Site::Fc1Input);
+        match (&self.codec, low) {
+            (Some(codec), true) => Operand::Codes(codec.low.encode_one(x)),
+            (Some(codec), false) => Operand::Codes(codec.high.encode_one(x)),
+            (None, true) => Operand::Dense(self.quant_low(x)),
+            (None, false) => Operand::Dense(self.quant_high(x)),
+        }
+    }
+}
+
+/// `x · W` in the reference: [`seed_matvec`] for dense weights, the scalar
+/// spec of the code product for codes.
+fn reference_product(w: &LayerWeight, x: &Operand) -> Vec<f32> {
+    match (w, x) {
+        (LayerWeight::Dense(m), Operand::Dense(x)) => seed_matvec(m, x),
+        (LayerWeight::Codes(c), Operand::Codes(x)) => {
+            let mut out = vec![0.0; c.d_out()];
+            ops::matmul_codes_portable(x, c, &mut out);
+            out
+        }
+        // tidy: allow(panic) -- a model's codec and its weights are built together
+        _ => unreachable!("weights and activation operand of different datapaths"),
+    }
 }
 
 /// Per-layer key/value cache of the seed implementation: one heap-allocated
@@ -105,10 +152,10 @@ impl Model {
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record(l, Site::QkvInput, &x);
             }
-            let xq = self.quant_low(&x);
-            let mut q = seed_matvec(&lw.wq_t, &xq);
-            let mut k = seed_matvec(&lw.wk_t, &xq);
-            let v = seed_matvec(&lw.wv_t, &xq);
+            let xq = self.reference_operand(Site::QkvInput, &x);
+            let mut q = reference_product(&lw.wq, &xq);
+            let mut k = reference_product(&lw.wk, &xq);
+            let v = reference_product(&lw.wv, &xq);
             for head in 0..self.config.n_heads {
                 let s = head * dh;
                 ops::rope_row(&mut q[s..s + dh], pos, self.rope_theta);
@@ -161,8 +208,8 @@ impl Model {
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record(l, Site::ProjInput, &ctx);
             }
-            let ctxq = self.quant_high(&ctx);
-            let o = seed_matvec(&lw.wo_t, &ctxq);
+            let ctxq = self.reference_operand(Site::ProjInput, &ctx);
+            let o = reference_product(&lw.wo, &ctxq);
             for (hh, oo) in h.iter_mut().zip(&o) {
                 *hh += oo;
             }
@@ -172,20 +219,20 @@ impl Model {
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record(l, Site::Fc1Input, &x2);
             }
-            let x2q = self.quant_low(&x2);
-            let a: Vec<f32> = match &lw.w_gate_t {
+            let x2q = self.reference_operand(Site::Fc1Input, &x2);
+            let a: Vec<f32> = match &lw.w_gate {
                 Some(gate) => {
-                    let g = seed_matvec(gate, &x2q);
-                    let u = seed_matvec(&lw.w_up_t, &x2q);
+                    let g = reference_product(gate, &x2q);
+                    let u = reference_product(&lw.w_up, &x2q);
                     g.iter().zip(&u).map(|(&gv, &uv)| ops::silu(gv) * uv).collect()
                 }
-                None => seed_matvec(&lw.w_up_t, &x2q).iter().map(|&v| ops::relu(v)).collect(),
+                None => reference_product(&lw.w_up, &x2q).iter().map(|&v| ops::relu(v)).collect(),
             };
             if let Some(rec) = recorder.as_deref_mut() {
                 rec.record(l, Site::Fc2Input, &a);
             }
-            let aq = self.quant_high(&a);
-            let down = seed_matvec(&lw.w_down_t, &aq);
+            let aq = self.reference_operand(Site::Fc2Input, &a);
+            let down = reference_product(&lw.w_down, &aq);
             for (hh, dd) in h.iter_mut().zip(&down) {
                 *hh += dd;
             }

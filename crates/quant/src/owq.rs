@@ -6,57 +6,68 @@
 //! The paper uses 0.25 % BF16 channels at W4 and 0.33 % at W3.
 
 use opal_numerics::Bf16;
-use opal_tensor::Matrix;
+use opal_tensor::{CodeWeights, Matrix};
 
 use crate::{QuantError, Quantizer};
 
-/// Weight quantization result: a dequantized weight matrix plus the metadata
-/// needed for hardware memory accounting.
+/// An OWQ-quantized weight matrix, as the hardware stores it.
+///
+/// What is kept is the integer format itself, an
+/// [`opal_tensor::CodeWeights`]: one unsigned `bits`-bit code per weight
+/// (one byte each on the host), one `(scale, lo)` grid per output channel
+/// (`f64` on the host, so that `scale · q + lo` is the quantizer's own
+/// arithmetic), and the bfloat16 input rows. No `f32` weight is formed:
+/// [`opal_tensor::ops::matmul_codes`] multiplies the codes directly, and
+/// [`OwqWeights::dequantize`] rebuilds the dense matrix for the datapaths
+/// that multiply `f32` (and for tests).
 #[derive(Clone, Debug)]
 pub struct OwqWeights {
-    dequantized: Matrix,
-    outlier_rows: Vec<usize>,
-    bits: u32,
-    rows: usize,
-    cols: usize,
+    codes: CodeWeights,
 }
 
 impl OwqWeights {
-    /// The reconstructed weights (BF16 outlier rows + dequantized INT body),
-    /// ready for f32 matmul.
-    pub fn dequantized(&self) -> &Matrix {
-        &self.dequantized
+    /// The codes, grids and bfloat16 rows.
+    pub fn into_codes(self) -> CodeWeights {
+        self.codes
+    }
+
+    /// The reconstructed weights (bfloat16 outlier rows, `f32(scale · q +
+    /// lo)` elsewhere): the dense matrix an `f32` matmul multiplies.
+    pub fn dequantize(&self) -> Matrix {
+        self.codes.dequantize()
     }
 
     /// Indices of the input channels (rows, for the `y = x · W` convention)
     /// kept in bfloat16.
     pub fn outlier_rows(&self) -> &[usize] {
-        &self.outlier_rows
+        self.codes.outlier_rows()
     }
 
     /// The integer bit-width of non-outlier weights.
     pub fn bits(&self) -> u32 {
-        self.bits
+        self.codes.bits()
     }
 
     /// Fraction of weight values stored in bfloat16.
     pub fn outlier_fraction(&self) -> f64 {
-        self.outlier_rows.len() as f64 / self.rows as f64
+        self.outlier_rows().len() as f64 / self.codes.d_in() as f64
     }
 
-    /// Total storage in bits: INT rows at `bits` + per-column scale/zero
-    /// pairs (bf16 each, group = column) + BF16 outlier rows.
+    /// Total storage in bits of the hardware format: the INT rows at
+    /// `bits` each, a bf16 scale and a bf16 zero point per output channel
+    /// (group = column), and the bfloat16 outlier rows. This counts the
+    /// packed format the paper's accelerator streams; the host keeps a
+    /// byte per code and an `f64` grid ([`CodeWeights::heap_bytes`]).
     pub fn storage_bits(&self) -> usize {
-        let int_rows = self.rows - self.outlier_rows.len();
-        int_rows * self.cols * self.bits as usize
-            + self.cols * 32
-            + self.outlier_rows.len() * self.cols * 16
+        let (rows, cols) = (self.codes.d_in(), self.codes.d_out());
+        let int_rows = rows - self.outlier_rows().len();
+        int_rows * cols * self.bits() as usize + cols * 32 + self.outlier_rows().len() * cols * 16
     }
 
     /// Mean storage cost per weight element in bits (the paper quotes
     /// ~3.01 effective bits for OWQ-3 with 0.33 % outliers).
     pub fn effective_bits_per_weight(&self) -> f64 {
-        self.storage_bits() as f64 / (self.rows * self.cols) as f64
+        self.storage_bits() as f64 / (self.codes.d_in() * self.codes.d_out()) as f64
     }
 }
 
@@ -76,7 +87,8 @@ impl OwqWeights {
 /// let w = Matrix::from_fn(64, 64, |r, c| ((r * 7 + c) % 13) as f32 * 0.02 - 0.1);
 /// let calib = vec![1.0f32; 64];
 /// let qw = q.quantize(&w, &calib);
-/// assert_eq!(qw.dequantized().rows(), 64);
+/// assert_eq!(qw.dequantize().rows(), 64);
+/// assert_eq!(qw.into_codes().d_out(), 64);
 /// # Ok::<(), opal_quant::QuantError>(())
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -155,10 +167,13 @@ impl OwqQuantizer {
         outlier_rows.sort_unstable();
 
         // Per-output-channel (column) asymmetric min/max over non-outlier
-        // rows, like GPTQ/OWQ's per-channel grids.
-        let levels = f64::from((1u32 << self.bits) - 1);
-        let mut out = Matrix::zeros(d_in, w.cols());
-        for c in 0..w.cols() {
+        // rows, like GPTQ/OWQ's per-channel grids. A column's weight is
+        // `scale · q + lo`: `q = 0` and `lo` itself when every non-outlier
+        // weight of the column is the same (`scale = 0`).
+        let (d_out, levels) = (w.cols(), f64::from((1u32 << self.bits) - 1));
+        let mut codes = vec![0u8; d_in * d_out];
+        let (mut scales, mut los) = (vec![0.0; d_out], vec![0.0; d_out]);
+        for c in 0..d_out {
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
             for r in 0..d_in {
@@ -170,20 +185,23 @@ impl OwqQuantizer {
                 hi = hi.max(v);
             }
             let scale = if hi > lo { (hi - lo) / levels } else { 0.0 };
-            for r in 0..d_in {
-                let v = w[(r, c)];
-                out[(r, c)] = if outlier_rows.binary_search(&r).is_ok() {
-                    Bf16::from_f32(v).to_f32()
-                } else if scale == 0.0 {
-                    v
-                } else {
-                    let q = ((f64::from(v) - lo) / scale).round().clamp(0.0, levels);
-                    (q * scale + lo) as f32
-                };
+            if scale != 0.0 {
+                for r in 0..d_in {
+                    let q = ((f64::from(w[(r, c)]) - lo) / scale).round().clamp(0.0, levels);
+                    codes[r * d_out + c] = q as u8;
+                }
             }
+            // A column with no non-outlier row has no grid.
+            (scales[c], los[c]) = (scale, if lo.is_finite() { lo } else { 0.0 });
         }
-
-        OwqWeights { dequantized: out, outlier_rows, bits: self.bits, rows: d_in, cols: w.cols() }
+        let outlier_w: Vec<Bf16> = outlier_rows
+            .iter()
+            .flat_map(|&r| w.row(r).iter().map(|&v| Bf16::from_f32(v)))
+            .collect();
+        let shape = (d_in, d_out, self.bits);
+        OwqWeights {
+            codes: CodeWeights::new(shape, &codes, &scales, &los, outlier_rows, &outlier_w),
+        }
     }
 }
 
@@ -194,7 +212,7 @@ impl Quantizer for OwqQuantizer {
     fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32> {
         let w = Matrix::from_vec(x.len(), 1, x.to_vec());
         let calib = vec![1.0; x.len()];
-        self.quantize(&w, &calib).dequantized.into_vec()
+        self.quantize(&w, &calib).dequantize().into_vec()
     }
 
     fn name(&self) -> String {
@@ -240,7 +258,7 @@ mod tests {
         assert_eq!(qw.outlier_rows(), &[13, 99]);
         for c in 0..64 {
             let exact = Bf16::from_f32(w[(13, c)]).to_f32();
-            assert_eq!(qw.dequantized()[(13, c)], exact);
+            assert_eq!(qw.dequantize()[(13, c)], exact);
         }
     }
 
@@ -250,7 +268,7 @@ mod tests {
         let calib = vec![1.0f32; 256];
         let q = OwqQuantizer::w4();
         let qw = q.quantize(&w, &calib);
-        let e = mse(w.as_slice(), qw.dequantized().as_slice());
+        let e = mse(w.as_slice(), qw.dequantize().as_slice());
         // 4-bit on N(0, 0.05): step ~ (6σ)/15 ~ 0.02, mse ~ step²/12 ~ 4e-5.
         assert!(e < 5e-5, "mse {e}");
     }
@@ -259,10 +277,8 @@ mod tests {
     fn w3_worse_than_w4() {
         let w = test_weight(256, 128);
         let calib = vec![1.0f32; 256];
-        let e3 =
-            mse(w.as_slice(), OwqQuantizer::w3().quantize(&w, &calib).dequantized().as_slice());
-        let e4 =
-            mse(w.as_slice(), OwqQuantizer::w4().quantize(&w, &calib).dequantized().as_slice());
+        let e3 = mse(w.as_slice(), OwqQuantizer::w3().quantize(&w, &calib).dequantize().as_slice());
+        let e4 = mse(w.as_slice(), OwqQuantizer::w4().quantize(&w, &calib).dequantize().as_slice());
         assert!(e3 > e4 * 2.0, "w3 {e3} vs w4 {e4}");
     }
 

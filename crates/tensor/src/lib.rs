@@ -29,6 +29,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod codes;
 mod matrix;
 pub mod ops;
 pub mod rng;
@@ -36,4 +37,5 @@ pub mod rng;
 mod simd;
 pub mod stats;
 
+pub use codes::{CodeActs, CodeRowMut, CodeWeights};
 pub use matrix::Matrix;

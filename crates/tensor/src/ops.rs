@@ -10,8 +10,11 @@
 //! ([`dot_tile`] over exact `f32` rows, [`dot_codes_tile`] over codes), and
 //! the V sum over a run of `f32` rows ([`axpy_tile`] straight off an exact
 //! page, [`axpy_codes_tile`] from a quantized page dequantized once into a
-//! tile).
+//! tile). The weight products of the MX-activation, OWQ-weight schemes run
+//! on integer codes instead ([`matmul_codes`], spec
+//! [`matmul_codes_portable`]).
 
+use crate::codes::{CodeActs, CodeRow, CodeWeights};
 use crate::Matrix;
 
 /// Dot product of two equal-length slices, accumulated in `f64`.
@@ -370,6 +373,110 @@ pub(crate) fn axpy_codes_portable(w: f32, step: f32, codes: &[i8], ctx: &mut [f3
     for (c, &code) in ctx.iter_mut().zip(codes) {
         *c += w * (f32::from(code) * step);
     }
+}
+
+/// The W×A integer product: `out[r * d_out + c]` is activation row `r` of
+/// `x` times output channel `c` of `w`, for a stack of microscaled
+/// activation codes (MX-OPAL, MXINT) and OWQ weight codes, without forming
+/// an `f32` operand (`out` is `x.rows() × w.d_out()`, row-major):
+///
+/// `y = f32(s_c·(Σ_b step_b·S_bc + Σ_j o_j·q_jc) + lo_c·X + Σ_{i∈O} x̂_i·w_ic)`
+///
+/// - `S_bc = Σ_{i∈b} m_i·q_ic` is block `b`'s exact `i32` sum of activation
+///   codes times weight codes; activation-outlier positions and the weight's
+///   bfloat16 rows `O` hold code `0`, so neither is counted there;
+/// - `o_j` are the row's outliers, in ascending index order;
+/// - `X = Σ_{i∉O} x̂_i` is the row's sum off the bfloat16 rows, computed the
+///   same way (exact block sums of codes times steps, then the outliers);
+/// - `x̂_i` is element `i`'s value and `w_ic` the bfloat16 weight.
+///
+/// Outside the integer sums everything is `f64` in that order: the block
+/// terms from `+0.0` in block order, the outlier terms, then `s_c·acc`,
+/// `+ lo_c·X` (two products, one add), then the bfloat16 rows in order.
+/// Every product but `s_c·acc` and `lo_c·X` is exact (a power of two or a
+/// bfloat16 value times an integer or a bfloat16 value), so a fused
+/// multiply-add rounds exactly where the spec's add does.
+///
+/// [`matmul_codes_portable`] is the spec, the path on CPUs without AVX2
+/// and FMA, and what `opal_model::reference` multiplies with. On x86-64
+/// with both (detected at run time) up to four rows share each 32-byte load
+/// of two input channels × sixteen output channels: one `vpmaddubsw` per
+/// row, `i16` sums for as many pairs as `2·q_max·|m|_max` leaves room for,
+/// then `i32` until the block's step. Integer sums are exact under any
+/// grouping, so the result is bitwise the spec's; an odd block, or a
+/// `2·q_max·|m|_max` past `i16`, takes the portable loop.
+///
+/// # Panics
+///
+/// Panics if `x.width() != w.d_in()` or `out.len() != x.rows() * w.d_out()`.
+pub fn matmul_codes(x: &CodeActs, w: &CodeWeights, out: &mut [f32]) {
+    check_codes_shape(x, w, out);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::matmul_codes(x, w, out) {
+        return;
+    }
+    matmul_codes_portable(x, w, out);
+}
+
+/// The loop of [`matmul_codes`] as portable code: the spec, one output
+/// element at a time.
+///
+/// # Panics
+///
+/// As [`matmul_codes`].
+pub fn matmul_codes_portable(x: &CodeActs, w: &CodeWeights, out: &mut [f32]) {
+    check_codes_shape(x, w, out);
+    let (block, d_out) = (x.block(), w.d_out());
+    for (r, out) in out.chunks_exact_mut(d_out.max(1)).enumerate().take(x.rows()) {
+        let row = x.row(r);
+        let sum = code_row_sum(row, block, x.width(), w.outlier_rows());
+        for (c, y) in out.iter_mut().enumerate() {
+            let mut acc = 0.0f64;
+            for (b, &step) in row.steps.iter().enumerate() {
+                let span = b * block..((b + 1) * block).min(x.width());
+                let s: i32 = span.map(|i| i32::from(row.codes[i]) * i32::from(w.code(i, c))).sum();
+                acc += step * f64::from(s);
+            }
+            for (&j, &o) in row.out_idx.iter().zip(row.out_val) {
+                acc += o * f64::from(w.code(j as usize, c));
+            }
+            let (scale, lo) = w.grid(c);
+            let mut v = scale * acc;
+            v += lo * sum;
+            for (k, &i) in w.outlier_rows().iter().enumerate() {
+                v += row.value(i, block) * f64::from(w.outlier_weight(k, c).to_f32());
+            }
+            *y = v as f32;
+        }
+    }
+}
+
+/// `X` of [`matmul_codes`]: the row's value summed off the weight's
+/// bfloat16 rows `skip` (ascending) — per block the exact `i32` sum of its
+/// codes times its step, from `+0.0` in block order, then the outliers not
+/// on a skipped row, in order. Both paths of the product call this.
+pub(crate) fn code_row_sum(row: CodeRow<'_>, block: usize, width: usize, skip: &[usize]) -> f64 {
+    let mut sum = 0.0f64;
+    let mut skip_rows = skip.iter().peekable();
+    for (b, &step) in row.steps.iter().enumerate() {
+        let end = ((b + 1) * block).min(width);
+        let mut m: i32 = row.codes[b * block..end].iter().map(|&c| i32::from(c)).sum();
+        while let Some(&i) = skip_rows.next_if(|&&i| i < end) {
+            m -= i32::from(row.codes[i]);
+        }
+        sum += step * f64::from(m);
+    }
+    for (&j, &o) in row.out_idx.iter().zip(row.out_val) {
+        if skip.binary_search(&(j as usize)).is_err() {
+            sum += o;
+        }
+    }
+    sum
+}
+
+fn check_codes_shape(x: &CodeActs, w: &CodeWeights, out: &[f32]) {
+    assert_eq!(x.width(), w.d_in(), "activation width {} vs weight rows {}", x.width(), w.d_in());
+    assert_eq!(out.len(), x.rows() * w.d_out(), "output size mismatch");
 }
 
 /// LayerNorm over the last dimension of each row, with learnable gain and

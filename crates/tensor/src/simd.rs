@@ -36,22 +36,38 @@
 //! [`crate::ops::axpy_codes_tile`] after it dequantizes a page. Each performs
 //! the portable loop's operations per element in its order, none fused.
 //!
+//! **The W×A integer product** (AVX2 + FMA): [`crate::ops::matmul_codes`]
+//! up to four activation rows at a time against each 16-channel panel of
+//! the weight codes. A panel stores two input channels per byte pair, so
+//! one 32-byte load is two inputs × sixteen channels and one `vpmaddubsw`
+//! against a row's broadcast input pair leaves sixteen `i16` pair sums; the
+//! sums stay `i16` for as many pairs as the operands' widths allow without
+//! overflow, then widen to `i32`, and each block's `i32` sums meet the
+//! row's step in `f64` (exact). The activation outliers and the epilogue
+//! run sixteen channels at a time in `f64`, in the spec's order, so every
+//! output is bitwise the portable loop's.
+//!
 //! A `#[target_feature]` fn calls value-taking intrinsics safely, so the
 //! `unsafe` operations are two kinds only: calling such a fn from ordinary
 //! code, once per driver behind the runtime detection; and the vector loads
-//! and stores of the five helpers at the end of this file, each through a
-//! pointer taken from a fixed-size array reference.
+//! and stores of seven helpers (`widen4`, and the six at the end of this
+//! file), each through a pointer taken from a fixed-size array reference.
 
 use std::arch::x86_64::{
-    __m128i, __m256, __m256d, _mm256_add_ps, _mm256_castpd256_pd128, _mm256_cvtepi32_ps,
-    _mm256_cvtepi8_epi32, _mm256_cvtps_pd, _mm256_extractf128_pd, _mm256_fmadd_pd, _mm256_loadu_pd,
-    _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd,
-    _mm256_setzero_ps, _mm256_storeu_ps, _mm_cvtsd_f64, _mm_loadl_epi64, _mm_loadu_ps,
-    _mm_unpackhi_pd,
+    __m128, __m128i, __m256, __m256d, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_pd,
+    _mm256_add_ps, _mm256_and_si256, _mm256_castpd256_pd128, _mm256_castsi256_si128,
+    _mm256_cvtepi16_epi32, _mm256_cvtepi32_pd, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
+    _mm256_cvtepu16_epi32, _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_extractf128_pd,
+    _mm256_extracti128_si256, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_loadu_ps,
+    _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_epi16,
+    _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_setzero_si256,
+    _mm256_srli_epi16, _mm256_storeu_ps, _mm256_zeroupper, _mm_cvtsd_f64, _mm_loadl_epi64,
+    _mm_loadu_ps, _mm_storeu_ps, _mm_unpackhi_pd,
 };
 use std::cell::RefCell;
 
-use crate::ops::{check_tile_row, tile_width};
+use crate::codes::{CodeActs, CodeRow, CodeWeights, PANEL_WIDTH};
+use crate::ops::{check_tile_row, code_row_sum, tile_width};
 
 /// Left-hand rows per full block: eight accumulators, the shared chunk and
 /// one product fit the sixteen `ymm` registers without spilling.
@@ -694,6 +710,190 @@ fn accumulate<const K: usize>(
     }
 }
 
+/// Activation rows that share each weight load of [`matmul_codes`]: four
+/// rows' `i16` and `i32` sums, the weight pair and a broadcast fit the
+/// sixteen `ymm` registers.
+const CODE_ROWS: usize = 4;
+
+/// [`crate::ops::matmul_codes`] on a CPU with AVX2 and FMA. Returns
+/// `false`, writing nothing, when the CPU lacks them, when a block is odd
+/// (an input pair would straddle two steps), or when one `vpmaddubsw`
+/// could saturate (`2·q_max·|m|_max` past `i16::MAX`: 8-bit weights with
+/// 8-bit activations).
+#[allow(unsafe_code)]
+pub(crate) fn matmul_codes(x: &CodeActs, w: &CodeWeights, out: &mut [f32]) -> bool {
+    let m_max = (1i32 << (x.bits() - 1)) - 1;
+    let pair_max = 2 * ((1i32 << w.bits()) - 1) * m_max;
+    if !x.block().is_multiple_of(2) || pair_max > i32::from(i16::MAX) {
+        return false;
+    }
+    if !(available() && codes_available()) {
+        return false;
+    }
+    debug_assert!(
+        (0..x.rows()).all(|r| x.row(r).codes.iter().all(|&m| i32::from(m).abs() <= m_max)),
+        "an activation code exceeds {} bits",
+        x.bits()
+    );
+    // Pairs whose `i16` sums cannot overflow: `flush · pair_max <= i16::MAX`.
+    let flush = (i32::from(i16::MAX) / pair_max) as usize;
+    // SAFETY: `matmul_codes_avx2`'s only requirement of its caller is the
+    // `avx2` and `fma` target features, detected just above.
+    unsafe { matmul_codes_avx2(x, w, out, flush) };
+    true
+}
+
+/// The activation rows [`CODE_ROWS`] at a time, the leftover rows as one
+/// narrower group.
+#[target_feature(enable = "avx2,fma")]
+fn matmul_codes_avx2(x: &CodeActs, w: &CodeWeights, out: &mut [f32], flush: usize) {
+    let d_out = w.d_out();
+    let mut r = 0;
+    while r < x.rows() {
+        let n = CODE_ROWS.min(x.rows() - r);
+        let out = &mut out[r * d_out..(r + n) * d_out];
+        match n {
+            4 => code_rows::<4>(x, r, w, out, flush),
+            3 => code_rows::<3>(x, r, w, out, flush),
+            2 => code_rows::<2>(x, r, w, out, flush),
+            _ => code_rows::<1>(x, r, w, out, flush),
+        }
+        r += n;
+    }
+    // Leave the upper halves of the vector registers clean for the scalar
+    // and SSE code that follows (`libm`'s `expf` in the FFN's SiLU ran ~30x
+    // slower after this kernel without it on the Xeon host measured).
+    _mm256_zeroupper();
+}
+
+/// `R` activation rows from `r0` against every panel of `w`: per block,
+/// each 32-byte load of two inputs × sixteen channels meets every row's
+/// broadcast input pair in one `vpmaddubsw` and one `i16` add; every
+/// `flush` pairs the `i16` sums widen into `i32`, and at the block's end
+/// the `i32` sums times the row's step go into `f64` (exact, so the fused
+/// multiply-add is the spec's add). Then the outlier terms, sixteen
+/// channels at a time, and the epilogue in the spec's order.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+fn code_rows<const R: usize>(
+    x: &CodeActs,
+    r0: usize,
+    w: &CodeWeights,
+    out: &mut [f32],
+    flush: usize,
+) {
+    let (block, width, d_out) = (x.block(), x.width(), w.d_out());
+    let npairs = width.div_ceil(2);
+    let mut rows: [CodeRow<'_>; R] = [x.row(r0); R];
+    let mut pairs: [&[[i8; 2]]; R] = [&[]; R];
+    let mut sums = [0.0f64; R];
+    for i in 0..R {
+        rows[i] = x.row(r0 + i);
+        pairs[i] = &rows[i].codes.as_chunks::<2>().0[..npairs];
+        sums[i] = code_row_sum(rows[i], block, width, w.outlier_rows());
+    }
+    for p in 0..w.panels() {
+        let panel = &w.panel(p)[..npairs];
+        let mut acc = [[_mm256_setzero_pd(); 4]; R];
+        for (b, k0) in (0..npairs).step_by(block / 2).enumerate() {
+            let k1 = (k0 + block / 2).min(npairs);
+            let mut s32 = [[_mm256_setzero_si256(); 2]; R];
+            let mut k = k0;
+            while k < k1 {
+                let end = (k + flush).min(k1);
+                let mut s16 = [_mm256_setzero_si256(); R];
+                for kk in k..end {
+                    let wv = load_codes32(&panel[kk]);
+                    for i in 0..R {
+                        let [m0, m1] = pairs[i][kk];
+                        let a = _mm256_set1_epi16(i16::from_le_bytes([m0 as u8, m1 as u8]));
+                        s16[i] = _mm256_add_epi16(s16[i], _mm256_maddubs_epi16(wv, a));
+                    }
+                }
+                for i in 0..R {
+                    let (lo, hi) = halves(s16[i]);
+                    s32[i][0] = _mm256_add_epi32(s32[i][0], _mm256_cvtepi16_epi32(lo));
+                    s32[i][1] = _mm256_add_epi32(s32[i][1], _mm256_cvtepi16_epi32(hi));
+                }
+                k = end;
+            }
+            for i in 0..R {
+                let step = _mm256_set1_pd(rows[i].steps[b]);
+                let ((q0, q1), (q2, q3)) = (halves(s32[i][0]), halves(s32[i][1]));
+                for (acc, q) in acc[i].iter_mut().zip([q0, q1, q2, q3]) {
+                    *acc = _mm256_fmadd_pd(step, _mm256_cvtepi32_pd(q), *acc);
+                }
+            }
+        }
+        // The activation outliers: each one's sixteen weight codes are the
+        // low (even input) or high (odd input) byte of every lane of its
+        // pair's load, widened to `f64`.
+        for i in 0..R {
+            for (&j, &o) in rows[i].out_idx.iter().zip(rows[i].out_val) {
+                let j = j as usize;
+                let wv = load_codes32(&panel[j / 2]);
+                let q16 = if j.is_multiple_of(2) {
+                    _mm256_and_si256(wv, _mm256_set1_epi16(0xFF))
+                } else {
+                    _mm256_srli_epi16::<8>(wv)
+                };
+                let ov = _mm256_set1_pd(o);
+                for (acc, q) in acc[i].iter_mut().zip(widen_codes16(q16)) {
+                    *acc = _mm256_fmadd_pd(ov, q, *acc);
+                }
+            }
+        }
+        // The epilogue: `s·acc + lo·X`, then the bfloat16 rows in order.
+        let (scale, lo) = w.panel_grid(p);
+        let mut y = [[_mm256_setzero_pd(); 4]; R];
+        for i in 0..R {
+            let xs = _mm256_set1_pd(sums[i]);
+            for q in 0..4 {
+                let s = _mm256_mul_pd(load4(&scale[q]), acc[i][q]);
+                y[i][q] = _mm256_add_pd(s, _mm256_mul_pd(load4(&lo[q]), xs));
+            }
+        }
+        for (k, &row) in w.outlier_rows().iter().enumerate() {
+            let mut wf = [[0.0f64; 4]; 4];
+            for (j, &v) in w.panel_outlier_w(k, p).iter().enumerate() {
+                wf[j / 4][j % 4] = f64::from(v.to_f32());
+            }
+            for i in 0..R {
+                let xv = _mm256_set1_pd(rows[i].value(row, block));
+                for q in 0..4 {
+                    y[i][q] = _mm256_fmadd_pd(xv, load4(&wf[q]), y[i][q]);
+                }
+            }
+        }
+        let (c0, n) = (p * PANEL_WIDTH, (d_out - p * PANEL_WIDTH).min(PANEL_WIDTH));
+        for i in 0..R {
+            let mut lanes = [[0.0f32; 4]; 4];
+            for q in 0..4 {
+                store4(&mut lanes[q], _mm256_cvtpd_ps(y[i][q]));
+            }
+            let lanes = lanes.as_flattened();
+            out[i * d_out + c0..i * d_out + c0 + n].copy_from_slice(&lanes[..n]);
+        }
+    }
+}
+
+/// The low and high 128-bit halves of `v`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn halves(v: __m256i) -> (__m128i, __m128i) {
+    (_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v))
+}
+
+/// Sixteen `u16` codes as four vectors of four `f64` (exact), lowest first.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn widen_codes16(q: __m256i) -> [__m256d; 4] {
+    let (lo, hi) = halves(q);
+    let (a, b) = halves(_mm256_cvtepu16_epi32(lo));
+    let (c, d) = halves(_mm256_cvtepu16_epi32(hi));
+    [_mm256_cvtepi32_pd(a), _mm256_cvtepi32_pd(b), _mm256_cvtepi32_pd(c), _mm256_cvtepi32_pd(d)]
+}
+
 /// Four `f64` from an array reference.
 #[inline]
 #[allow(unsafe_code)]
@@ -722,6 +922,27 @@ fn store8(x: &mut [f32; 8], v: __m256) {
     // SAFETY: `x` is a `&mut [f32; 8]`, exclusively borrowed, so the 32
     // bytes the unaligned store writes are in bounds and unaliased.
     unsafe { _mm256_storeu_ps(x.as_mut_ptr(), v) }
+}
+
+/// Thirty-two weight codes (two inputs × sixteen channels) from an array
+/// reference.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx")]
+fn load_codes32(x: &[u8; 32]) -> __m256i {
+    // SAFETY: `x` is a `&[u8; 32]`, so the 32 bytes the unaligned load
+    // reads are in bounds.
+    unsafe { _mm256_loadu_si256(x.as_ptr().cast()) }
+}
+
+/// Four `f32` into an array reference.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx")]
+fn store4(x: &mut [f32; 4], v: __m128) {
+    // SAFETY: `x` is a `&mut [f32; 4]`, exclusively borrowed, so the 16
+    // bytes the unaligned store writes are in bounds and unaliased.
+    unsafe { _mm_storeu_ps(x.as_mut_ptr(), v) }
 }
 
 /// Sixteen `f32` from an array reference, lowest eight first.
