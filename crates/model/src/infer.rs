@@ -19,7 +19,7 @@ use opal_tensor::ops;
 use opal_tensor::{CodeWeights, Matrix};
 
 use crate::config::{Arch, ModelConfig};
-use crate::kv::{AdoptError, BlockPool, KvBlock, PagedKv};
+use crate::kv::{AdoptError, BlockPool, KvBlock, PageScratch, PagedKv};
 use crate::mx_codes::{ActCodec, MxActs};
 use crate::scheme::{QuantScheme, SoftmaxKind, WeightScheme};
 use crate::weights::{generate_weights, LayerWeights, ModelWeights};
@@ -340,9 +340,10 @@ pub struct Workspace {
     scores: Vec<f32>,
     /// Their attention weights, laid out like `scores`.
     weights: Vec<f32>,
-    /// A quantized page's V rows of one head dequantized to `f32`, after
-    /// their steps: `block_size × (1 + head_dim)`.
-    tile: Vec<f32>,
+    /// The paged-KV walk's scratch: the V tile, the K sums carried across
+    /// the blocks a head straddles, and a nibble-packed page's codes
+    /// unpacked one per byte.
+    page: PageScratch,
     /// Final-norm outputs of the rows that want logits, `wanted × d_model`.
     hn: Matrix,
     /// Their next-token logits, `wanted × vocab`.
@@ -995,8 +996,8 @@ impl Model {
         let n_heads = self.config.n_heads;
 
         // Rows in flight, rows wanting logits, the longest context any row
-        // attends over, and the largest V tile.
-        let (mut n, mut wanted, mut longest, mut tile) = (0, 0, 0, 0);
+        // attends over, and the largest KV block.
+        let (mut n, mut wanted, mut longest, mut block) = (0, 0, 0, 0);
         for seq in seqs.iter_mut() {
             let g = group(seq);
             for &t in g.tokens {
@@ -1014,7 +1015,7 @@ impl Model {
             };
             if rows > 0 {
                 longest = longest.max(g.state.pos + rows);
-                tile = tile.max(g.state.kv.pool.block_size() * (1 + dh));
+                block = block.max(g.state.kv.pool.block_size());
             }
         }
         if n == 0 {
@@ -1042,9 +1043,7 @@ impl Model {
             ws.scores.resize(attn, 0.0);
             ws.weights.resize(attn, 0.0);
         }
-        if ws.tile.len() < tile {
-            ws.tile.resize(tile, 0.0);
-        }
+        ws.page.fit(block, dh, QUERY_TILE);
 
         for_each_group(seqs, &group, |row0, g| {
             for (r, &t) in g.tokens.iter().enumerate() {
@@ -1111,7 +1110,7 @@ impl Model {
                 // included.
                 let (lo, hi) = (row0 * d, (row0 + rows) * d);
                 let (qs, ctxs) = (&ws.qqs.as_slice()[lo..hi], &mut ws.ctxs.as_mut_slice()[lo..hi]);
-                let buffers = (&mut ws.scores[..], &mut ws.weights[..], &mut ws.tile[..]);
+                let buffers = (&mut ws.scores[..], &mut ws.weights[..], &mut ws.page);
                 self.attend_rows(kv, l, pos0, qs, buffers, ctxs);
             });
             record_rows(&mut recorder, l, &[(Site::ProjInput, &ws.ctxs)]);
@@ -1215,7 +1214,7 @@ impl Model {
         layer: usize,
         pos0: usize,
         qs: &[f32],
-        (scores, weights, tile): (&mut [f32], &mut [f32], &mut [f32]),
+        (scores, weights, page): (&mut [f32], &mut [f32], &mut PageScratch),
         ctxs: &mut [f32],
     ) {
         let (d, n_heads) = (self.config.d_model, self.config.n_heads);
@@ -1227,7 +1226,7 @@ impl Model {
             let len = pos0 + m;
             let (scores, weights) =
                 (&mut scores[..m * n_heads * len], &mut weights[..m * n_heads * len]);
-            kv.scores_into(layer, pos0, qs, n_heads, inv_sqrt_dh, scores);
+            kv.scores_into(layer, pos0, qs, n_heads, inv_sqrt_dh, page, scores);
             let rows =
                 scores.chunks_exact(n_heads * len).zip(weights.chunks_exact_mut(n_heads * len));
             for (i, (s, w)) in rows.enumerate() {
@@ -1241,7 +1240,7 @@ impl Model {
                     masked.fill(0.0);
                 }
             }
-            kv.weighted_values_into(layer, pos0, weights, n_heads, tile, ctxs);
+            kv.weighted_values_into(layer, pos0, weights, n_heads, page, ctxs);
         }
     }
 

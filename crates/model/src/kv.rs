@@ -31,20 +31,20 @@
 //!
 //! Two methods know the page formats (`PagedKv::scores_into`,
 //! `PagedKv::weighted_values_into`), and both take a group of query rows.
-//! Exact pages, and unpacked quantized pages where every head fits one
-//! shared-exponent block (the presets at the model's head widths), share
-//! one walk: page by page, one visit per (page, head) serving every query
-//! row of the group. K scores are a tile of the page's rows against the
-//! group's query rows ([`opal_tensor::ops::dot_tile`] over exact rows,
-//! [`opal_tensor::ops::dot_codes_tile`] over codes); the V sum keeps each
-//! context in registers across the page's rows
+//! Every format shares one walk: page by page, one visit per (page, head)
+//! serving every query row of the group. K scores are a tile of the page's
+//! rows against the group's query rows ([`opal_tensor::ops::dot_tile`] over
+//! exact rows, [`opal_tensor::ops::dot_codes_tile`] over codes); the V sum
+//! keeps each context in registers across the page's rows
 //! ([`opal_tensor::ops::axpy_tile`] straight off an exact page,
 //! [`opal_tensor::ops::axpy_codes_tile`] from a quantized page dequantized
-//! once into an `f32` tile). Bitwise, this is one `ops::dot` (or
-//! `dot_range`) and one scaled add (or `axpy_range`) per (query row, cached
-//! row, head). Only nibble-packed pages and heads that straddle a block
-//! keep that per-row walk. Copy-on-write clones packed codes exactly like
-//! it clones `f32` rows, so prefix sharing is format-agnostic.
+//! once into an `f32` tile). A head that straddles shared-exponent blocks
+//! takes one tile call per block it touches, and a nibble-packed page's
+//! codes are unpacked into a byte tile once per visit, so the same byte
+//! tiles serve every quantized format. Bitwise, this is one `ops::dot` (or
+//! quantized dot) and one scaled add per (query row, cached row, head).
+//! Copy-on-write clones packed codes exactly like it clones `f32` rows, so
+//! prefix sharing is format-agnostic.
 //!
 //! Dropping the last `Arc` to a block returns its storage to the pool's
 //! free list, so releasing a sequence (retirement, cancellation, or a
@@ -419,6 +419,7 @@ impl PageStore {
     }
 
     /// The packed rows of a quantized page.
+    #[cfg(test)]
     fn quant(&self) -> &QuantPage {
         match self {
             PageStore::Quant(page) => page,
@@ -494,7 +495,33 @@ impl QuantPage {
         }
     }
 
+    /// Columns `lo..hi` of the page's first `rows` code rows, one code per
+    /// `i8`, and their row pitch: the page's own slots (pitch `width`) when
+    /// codes are 5..=8 bits, or on a nibble-packed page the codes unpacked
+    /// once into `stage` (pitch `hi - lo`), so that the byte tiles of `ops`
+    /// serve both.
+    fn code_rows<'a>(
+        &'a self,
+        bits: u32,
+        width: usize,
+        (lo, hi): (usize, usize),
+        rows: usize,
+        stage: &'a mut [i8],
+    ) -> (&'a [i8], usize) {
+        if bits > 4 {
+            return (&self.codes[lo..], width);
+        }
+        let n = hi - lo;
+        let stage = &mut stage[..rows * n];
+        let packed = self.codes.chunks_exact(code_slots(bits, width));
+        for (codes, row) in stage.chunks_exact_mut(n).zip(packed) {
+            unpack_nibbles(row, lo, codes);
+        }
+        (stage, n)
+    }
+
     /// Row `row` of the page as a borrowed [`QuantRow`] view.
+    #[cfg(test)]
     fn row(
         &self,
         row: usize,
@@ -519,8 +546,34 @@ impl QuantPage {
     }
 }
 
-/// A borrowed view of one quantized KV row, walkable without full
-/// dequantization.
+/// Writes the sign-extended codes `lo..lo + out.len()` of a nibble-packed
+/// row into `out`, one per `i8` (even elements sit in the low nibble, odd
+/// ones in the high nibble).
+fn unpack_nibbles(row: &[i8], lo: usize, out: &mut [i8]) {
+    let skip = (lo % 2).min(out.len());
+    if skip == 1 {
+        out[0] = row[lo / 2] >> 4;
+    }
+    let bytes = &row[(lo + skip) / 2..];
+    let (pairs, tail) = out[skip..].as_chunks_mut::<2>();
+    for (pair, &byte) in pairs.iter_mut().zip(bytes) {
+        *pair = [(byte << 4) >> 4, byte >> 4];
+    }
+    if let [last] = tail {
+        *last = (bytes[pairs.len()] << 4) >> 4;
+    }
+}
+
+/// The parts of columns `lo..hi` inside each shared-exponent block of
+/// `qblock` columns they touch, in column order: `(block, lo, hi)` of each.
+fn segments(lo: usize, hi: usize, qblock: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (lo / qblock..=(hi - 1) / qblock)
+        .map(move |qb| (qb, lo.max(qb * qblock), hi.min((qb + 1) * qblock)))
+}
+
+/// A borrowed view of one quantized KV row and the per-row arithmetic the
+/// page walk is held to: one call per (query row, cached row, head).
+#[cfg(test)]
 #[derive(Clone, Copy, Debug)]
 struct QuantRow<'a> {
     codes: &'a [i8],
@@ -535,6 +588,7 @@ struct QuantRow<'a> {
     nout: usize,
 }
 
+#[cfg(test)]
 impl QuantRow<'_> {
     /// Whether this row stores two nibble-packed codes per byte.
     fn packed(&self) -> bool {
@@ -543,7 +597,6 @@ impl QuantRow<'_> {
 
     /// The sign-extended code of element `e` of a nibble-packed row (even
     /// elements in the low nibble, odd in the high nibble).
-    #[inline]
     fn packed_code(&self, e: usize) -> i8 {
         let byte = self.codes[e / 2] as u8;
         if e.is_multiple_of(2) {
@@ -553,42 +606,31 @@ impl QuantRow<'_> {
         }
     }
 
-    /// Integer-code dot of `q` against nibble-packed columns `lo..hi`, in
-    /// ascending element order (the packed counterpart of
-    /// [`ops::dot_codes`]; fixed order keeps it bit-deterministic).
-    #[inline]
-    fn dot_codes_packed(&self, q: &[f32], lo: usize, hi: usize) -> f32 {
-        let mut acc = 0.0f32;
-        for (qv, e) in q.iter().zip(lo..hi) {
-            acc += qv * f32::from(self.packed_code(e));
+    /// The code of element `e`, whatever the row's packing.
+    fn code(&self, e: usize) -> i8 {
+        if self.packed() {
+            self.packed_code(e)
+        } else {
+            self.codes[e]
         }
-        acc
     }
 
     /// q·k over columns `start..start + q.len()` in the quantized domain:
-    /// one integer-code dot ([`ops::dot_codes`], or its nibble-unpacking
-    /// counterpart on packed rows) and one power-of-two scale multiply per
-    /// overlapping shared-exponent block, plus exact bf16 outlier terms.
-    /// Accumulation order is fixed (ascending blocks, then slot order), so
-    /// the result is bit-deterministic.
+    /// one [`ops::dot_codes`] over each overlapping shared-exponent block's
+    /// codes (unpacked first on a nibble-packed row) and one power-of-two
+    /// scale multiply, plus exact bf16 outlier terms, all summed in `f64`
+    /// in a fixed order (ascending blocks, then slot order).
     fn dot_range(&self, q: &[f32], start: usize) -> f32 {
         let end = start + q.len();
         debug_assert!(end <= self.width, "column range out of row");
         let mut acc = 0.0f64;
-        for qb in start / self.qblock..=(end - 1) / self.qblock {
-            let b0 = qb * self.qblock;
-            let lo = start.max(b0);
-            let hi = end.min(b0 + self.qblock);
+        for (qb, lo, hi) in segments(start, end, self.qblock) {
             let step = step_size(i32::from(self.scales[qb]), self.bits);
-            let d = if self.packed() {
-                self.dot_codes_packed(&q[lo - start..hi - start], lo, hi)
-            } else {
-                ops::dot_codes(&q[lo - start..hi - start], &self.codes[lo..hi])
-            };
-            acc += f64::from(step) * f64::from(d);
+            let codes: Vec<i8> = (lo..hi).map(|e| self.code(e)).collect();
+            acc += f64::from(step) * f64::from(ops::dot_codes(&q[lo - start..hi - start], &codes));
             let so = qb * self.nout;
             for slot in so..so + usize::from(self.out_len[qb]) {
-                let idx = b0 + usize::from(self.out_idx[slot]);
+                let idx = qb * self.qblock + usize::from(self.out_idx[slot]);
                 if idx >= lo && idx < hi {
                     acc += f64::from(q[idx - start]) * f64::from(self.out_val[slot].to_f32());
                 }
@@ -597,28 +639,21 @@ impl QuantRow<'_> {
         acc as f32
     }
 
-    /// `ctx[j] += w · dequant(row[start + j])` for `j` in
-    /// `0..ctx.len()` — V aggregation by dequantize-on-walk: each code is
-    /// rescaled by its block's power-of-two step in place, outlier slots
-    /// contribute their exact bf16 value (their codes are `0`).
+    /// `ctx[j] += w · dequant(row[start + j])` for `j` in `0..ctx.len()`:
+    /// each code rescaled by its block's power-of-two step, then weighted
+    /// and added; each live outlier slot then adds its exact bf16 value
+    /// (its code is `0`).
     fn axpy_range(&self, w: f32, start: usize, ctx: &mut [f32]) {
         let end = start + ctx.len();
         debug_assert!(end <= self.width, "column range out of row");
-        for qb in start / self.qblock..=(end - 1) / self.qblock {
-            let b0 = qb * self.qblock;
-            let lo = start.max(b0);
-            let hi = end.min(b0 + self.qblock);
+        for (qb, lo, hi) in segments(start, end, self.qblock) {
             let step = step_size(i32::from(self.scales[qb]), self.bits);
-            if self.packed() {
-                for (c, e) in ctx[lo - start..hi - start].iter_mut().zip(lo..hi) {
-                    *c += w * (f32::from(self.packed_code(e)) * step);
-                }
-            } else {
-                ops::axpy_codes(w, step, &self.codes[lo..hi], &mut ctx[lo - start..hi - start]);
+            for (c, e) in ctx[lo - start..hi - start].iter_mut().zip(lo..hi) {
+                *c += w * (f32::from(self.code(e)) * step);
             }
             let so = qb * self.nout;
             for slot in so..so + usize::from(self.out_len[qb]) {
-                let idx = b0 + usize::from(self.out_idx[slot]);
+                let idx = qb * self.qblock + usize::from(self.out_idx[slot]);
                 if idx >= lo && idx < hi {
                     ctx[idx - start] += w * self.out_val[slot].to_f32();
                 }
@@ -659,6 +694,40 @@ impl Drop for KvBlock {
         let mut inner = self.pool.guard();
         inner.in_use -= 1;
         inner.free.push((k, v));
+    }
+}
+
+/// The buffers the page walk ([`PagedKv::scores_into`],
+/// [`PagedKv::weighted_values_into`]) reuses from one visit to the next:
+/// grown by [`PageScratch::fit`], never shrunk, and never read before the
+/// walk writes them.
+#[derive(Debug, Default)]
+pub(crate) struct PageScratch {
+    /// A quantized page's V steps for one head segment, then its rows
+    /// dequantized to `f32`: `block_size × (1 + head_dim)`.
+    tile: Vec<f32>,
+    /// The `f64` q·k sum of each (query row, cached row) carried across the
+    /// shared-exponent blocks a head straddles: `query rows × block_size`.
+    carry: Vec<f64>,
+    /// A nibble-packed page's codes of one head, one per `i8`:
+    /// `block_size × head_dim`.
+    unpacked: Vec<i8>,
+}
+
+impl PageScratch {
+    /// Grows the buffers for walks of up to `query_rows` query rows over
+    /// pages of `block_size` rows and heads `head_dim` wide.
+    pub(crate) fn fit(&mut self, block_size: usize, head_dim: usize, query_rows: usize) {
+        grow(&mut self.tile, block_size * (1 + head_dim), 0.0);
+        grow(&mut self.carry, query_rows * block_size, 0.0);
+        grow(&mut self.unpacked, block_size * head_dim, 0);
+    }
+}
+
+/// Grows `v` to at least `len` elements.
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if v.len() < len {
+        v.resize(len, fill);
     }
 }
 
@@ -845,14 +914,13 @@ impl PagedKv {
         })
     }
 
-    /// Whether a quantized pool's pages take the tile walk: one code per
-    /// `i8` slot, and every head's `dh` columns inside a single
-    /// shared-exponent block (one step per row and head). Nibble-packed
-    /// pages and geometries where a head straddles a block go through
-    /// [`QuantRow`] per (query row, row, head).
-    fn heads_fit_qblocks(&self, n_heads: usize, dh: usize) -> bool {
-        let (bits, qblock, _) = self.pool.quant_params();
-        bits > 4 && (0..n_heads).all(|h| h * dh / qblock == ((h + 1) * dh - 1) / qblock)
+    /// `(bits, qblock, outlier slots per qblock, qblocks per row)` of a
+    /// quantized pool, `None` for an exact one.
+    fn quant_geometry(&self) -> Option<(u32, usize, usize, usize)> {
+        self.quantized().then(|| {
+            let (bits, qblock, nout) = self.pool.quant_params();
+            (bits, qblock, nout, self.pool.qblocks_per_row())
+        })
     }
 
     /// Attention scores of the `m = qs.len() / width` query rows at
@@ -862,18 +930,23 @@ impl PagedKv {
     /// `t < pos0 + i + 1`, `q_i` the `n_heads` head vectors of query row `i`
     /// end to end. Entries past a row's prefix are unspecified (the page walk
     /// computes and leaves them; rows `< len` were all written before the
-    /// pass attends, so they are never recycled-page garbage).
+    /// pass attends, so they are never recycled-page garbage). `scratch`
+    /// must be fitted to the pool's geometry and at least `m` query rows.
     ///
-    /// Exact pages, and quantized pages whose heads fit their
-    /// shared-exponent blocks ([`PagedKv::heads_fit_qblocks`]), are walked
-    /// **page by page, every query row per visit**: per (page, head) one
-    /// tile call over all its rows and query rows — [`ops::dot_tile`] on an
-    /// exact page, then the scale; [`ops::dot_codes_tile`] on a quantized
-    /// one, then per (row, query row) one power-of-two scale multiply and
-    /// the exact bf16 outlier terms, accumulated exactly as
-    /// [`QuantRow::dot_range`] does — which stays the path, per (query row,
-    /// row, head), for the geometries `heads_fit_qblocks` turns away, and
-    /// the oracle the tests hold the tile walk to.
+    /// One walk for every page format: **page by page, every query row per
+    /// visit**. An exact page takes one [`ops::dot_tile`] per head, then the
+    /// scale. A quantized page takes one [`ops::dot_codes_tile`] per (head,
+    /// segment), a segment being the part of the head inside one
+    /// shared-exponent block (one, unless the head straddles blocks), over
+    /// the page's codes or, on a nibble-packed page, over the head's codes
+    /// unpacked once per visit into `scratch`. Each (query row, cached row)
+    /// sum then meets its segment's power-of-two step and the segment's
+    /// exact bf16 outlier terms in `f64`, carried across the head's segments
+    /// in `scratch` and rounded once at the head's end. Bitwise that is one
+    /// `ops::dot` per (query row, cached row, head) on exact pages, and the
+    /// per-row `QuantRow::dot_range` the tests hold the walk to on quantized
+    /// ones.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn scores_into(
         &self,
         layer: usize,
@@ -881,43 +954,26 @@ impl PagedKv {
         qs: &[f32],
         n_heads: usize,
         scale: f32,
+        scratch: &mut PageScratch,
         out: &mut [f32],
     ) {
-        let w = self.pool.width();
+        let (w, bs) = (self.pool.width(), self.pool.block_size());
         let dh = w / n_heads;
         let m = qs.len() / w;
         let len = pos0 + m;
         debug_assert!(m > 0 && qs.len() == m * w && out.len() == m * n_heads * len, "score shape");
         let queries = || qs.chunks_exact(w);
-        let quant = self.quantized().then(|| {
-            let (bits, qblock, nout) = self.pool.quant_params();
-            (bits, qblock, nout, self.pool.qblocks_per_row())
-        });
-        if let Some((bits, qblock, nout, qpr)) =
-            quant.filter(|_| !self.heads_fit_qblocks(n_heads, dh))
-        {
-            for (i, (q, out)) in queries().zip(out.chunks_exact_mut(n_heads * len)).enumerate() {
-                for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
-                    let page = block.k.quant();
-                    for r in 0..rows {
-                        let row = page.row(r, w, qpr, nout, bits, qblock);
-                        for h in 0..n_heads {
-                            out[h * len + t0 + r] =
-                                row.dot_range(&q[h * dh..(h + 1) * dh], h * dh) * scale;
-                        }
-                    }
-                }
-            }
-            return;
-        }
+        let quant = self.quant_geometry();
+        let PageScratch { carry, unpacked, .. } = scratch;
+        let carry = &mut carry[..m * bs];
         for (t0, rows, block) in self.pages(layer, len) {
             for h in 0..n_heads {
                 let (lo, hi) = (h * dh, (h + 1) * dh);
                 let at = h * len + t0;
-                let outs = out.chunks_exact_mut(n_heads * len).map(|o| &mut o[at..at + rows]);
-                let q_rows = queries().map(|q| &q[lo..hi]);
                 let (PageStore::Quant(page), Some((bits, qblock, nout, qpr))) = (&block.k, quant)
                 else {
+                    let outs = out.chunks_exact_mut(n_heads * len).map(|o| &mut o[at..at + rows]);
+                    let q_rows = queries().map(|q| &q[lo..hi]);
                     ops::dot_tile(&block.k.exact()[lo..], w, q_rows.zip(outs));
                     for out in out.chunks_exact_mut(n_heads * len) {
                         for score in &mut out[at..at + rows] {
@@ -926,28 +982,40 @@ impl PagedKv {
                     }
                     continue;
                 };
-                let qb = lo / qblock;
-                ops::dot_codes_tile(&page.codes[lo..], w, q_rows.zip(outs));
-                // Head lane `j` is block lane `j - base` (wrapping): one
-                // unsigned compare keeps a slot to this head's columns.
-                let base = (qb * qblock).wrapping_sub(lo);
-                for (q, out) in queries().zip(out.chunks_exact_mut(n_heads * len)) {
-                    let (q, scores) = (&q[lo..hi], &mut out[at..at + rows]);
-                    let meta = page.scales.chunks_exact(qpr).zip(page.out_len.chunks_exact(qpr));
-                    for (r, (score, (scales, out_len))) in scores.iter_mut().zip(meta).enumerate() {
-                        let step = f64::from(step_size(i32::from(scales[qb]), bits));
-                        let so = (r * qpr + qb) * nout;
-                        let live = so + usize::from(out_len[qb]);
-                        let slots = page.out_idx[so..live].iter().zip(&page.out_val[so..live]);
-                        let mut acc = 0.0f64;
-                        acc += step * f64::from(*score);
-                        for (&idx, val) in slots {
-                            let j = base.wrapping_add(usize::from(idx));
-                            if j < dh {
-                                acc += f64::from(q[j]) * f64::from(val.to_f32());
+                let (codes, stride) = page.code_rows(bits, w, (lo, hi), rows, unpacked);
+                for (qb, s0, s1) in segments(lo, hi, qblock) {
+                    let outs = out.chunks_exact_mut(n_heads * len).map(|o| &mut o[at..at + rows]);
+                    let q_rows = queries().map(|q| &q[s0..s1]);
+                    ops::dot_codes_tile(&codes[s0 - lo..], stride, q_rows.zip(outs));
+                    // Head lane `j` is block lane `j - base` (wrapping): one
+                    // unsigned compare keeps a slot to this segment's columns.
+                    let base = (qb * qblock).wrapping_sub(lo);
+                    let (first, last) = (s0 == lo, s1 == hi);
+                    let groups = queries().zip(out.chunks_exact_mut(n_heads * len));
+                    for ((q, out), carry) in groups.zip(carry.chunks_exact_mut(bs)) {
+                        let (q, scores) = (&q[lo..hi], &mut out[at..at + rows]);
+                        let meta =
+                            page.scales.chunks_exact(qpr).zip(page.out_len.chunks_exact(qpr));
+                        let sums = scores.iter_mut().zip(carry.iter_mut());
+                        for (r, ((score, carry), (scales, out_len))) in sums.zip(meta).enumerate() {
+                            let step = f64::from(step_size(i32::from(scales[qb]), bits));
+                            let so = (r * qpr + qb) * nout;
+                            let live = so + usize::from(out_len[qb]);
+                            let slots = page.out_idx[so..live].iter().zip(&page.out_val[so..live]);
+                            let mut acc = if first { 0.0f64 } else { *carry };
+                            acc += step * f64::from(*score);
+                            for (&idx, val) in slots {
+                                let j = base.wrapping_add(usize::from(idx));
+                                if j < dh {
+                                    acc += f64::from(q[j]) * f64::from(val.to_f32());
+                                }
+                            }
+                            if last {
+                                *score = acc as f32 * scale;
+                            } else {
+                                *carry = acc;
                             }
                         }
-                        *score = acc as f32 * scale;
                     }
                 }
             }
@@ -961,103 +1029,87 @@ impl PagedKv {
     /// · v_{t, h * dh + j}` over `t < pos0 + i + 1`, from `+0.0`, rows in
     /// position order, a row whose weight is exactly `0.0` skipped. The
     /// weights past each row's prefix must be `0.0`: the page walk reads
-    /// them.
+    /// them. `scratch` must be fitted to the pool's geometry.
     ///
-    /// The counterpart of [`PagedKv::scores_into`], with the same two
-    /// walks. Exact pages, and quantized pages whose heads fit their blocks,
-    /// go page by page, every query row per visit, the first page writing
-    /// each context: per (page, head) one [`ops::axpy_tile`] straight off
-    /// an exact page's rows, or one [`ops::axpy_codes_tile`] that
-    /// dequantizes a quantized page's rows into `tile` (with their outliers
-    /// written over their lanes) first. `tile` holds at least
-    /// `block_size × (dh + 1)` floats: the page's steps, then the tile. The
-    /// other geometries take [`QuantRow::axpy_range`] per (query row, row,
-    /// head).
+    /// The counterpart of [`PagedKv::scores_into`], on the same walk, the
+    /// first page writing each context: per head one [`ops::axpy_tile`]
+    /// straight off an exact page's rows, or per (head, segment) one
+    /// [`ops::axpy_codes_tile`] that dequantizes the segment's codes (the
+    /// page's own, or on a nibble-packed page the head's, unpacked once per
+    /// visit into `scratch`) by their rows' steps into `scratch`'s tile,
+    /// with their outliers written over their lanes, first. Each context
+    /// element belongs to one segment and sees the same addends in the same
+    /// order as under the per-row `QuantRow::axpy_range`, so the walk is
+    /// bitwise it.
     pub(crate) fn weighted_values_into(
         &self,
         layer: usize,
         pos0: usize,
         weights: &[f32],
         n_heads: usize,
-        tile: &mut [f32],
+        scratch: &mut PageScratch,
         ctx: &mut [f32],
     ) {
-        let w = self.pool.width();
+        let (w, bs) = (self.pool.width(), self.pool.block_size());
         let dh = w / n_heads;
         let m = ctx.len() / w;
         let len = pos0 + m;
         debug_assert!(m > 0 && ctx.len() == m * w && weights.len() == m * n_heads * len, "shape");
         let queries = || weights.chunks_exact(n_heads * len);
-        let quant = self.quantized().then(|| {
-            let (bits, qblock, nout) = self.pool.quant_params();
-            (bits, qblock, nout, self.pool.qblocks_per_row())
-        });
-        if let Some((bits, qblock, nout, qpr)) =
-            quant.filter(|_| !self.heads_fit_qblocks(n_heads, dh))
-        {
-            ctx.fill(0.0);
-            for (i, (weights, ctx)) in queries().zip(ctx.chunks_exact_mut(w)).enumerate() {
-                for (t0, rows, block) in self.pages(layer, pos0 + i + 1) {
-                    let page = block.v.quant();
-                    for r in 0..rows {
-                        let row = page.row(r, w, qpr, nout, bits, qblock);
-                        for h in 0..n_heads {
-                            let wt = weights[h * len + t0 + r];
-                            if wt != 0.0 {
-                                row.axpy_range(wt, h * dh, &mut ctx[h * dh..(h + 1) * dh]);
-                            }
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let bs = self.pool.block_size();
+        let quant = self.quant_geometry();
+        let PageScratch { tile, unpacked, .. } = scratch;
         let (steps, tile) = tile.split_at_mut(bs);
         for (t0, rows, block) in self.pages(layer, len) {
             for h in 0..n_heads {
                 let (lo, hi) = (h * dh, (h + 1) * dh);
                 let at = h * len + t0;
-                let rows_of = queries()
-                    .map(|weights| &weights[at..at + rows])
-                    .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[lo..hi]));
                 let (PageStore::Quant(page), Some((bits, qblock, nout, qpr))) = (&block.v, quant)
                 else {
+                    let rows_of = queries()
+                        .map(|weights| &weights[at..at + rows])
+                        .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[lo..hi]));
                     ops::axpy_tile(&block.v.exact()[lo..], w, rows_of, t0 == 0);
                     continue;
                 };
-                let qb = lo / qblock;
-                let steps = &mut steps[..rows];
-                for (r, step) in steps.iter_mut().enumerate() {
-                    *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
-                }
-                // Each live slot of the row's block that falls in this head
-                // writes its bf16 value over its lane, where the code is 0.
-                // Head lane `j` is block lane `j - base` (wrapping), so one
-                // unsigned compare keeps the slots of this head's columns.
-                let patch = |tile: &mut [f32]| {
-                    if nout == 0 {
-                        return;
+                let (codes, stride) = page.code_rows(bits, w, (lo, hi), rows, unpacked);
+                for (qb, s0, s1) in segments(lo, hi, qblock) {
+                    let n = s1 - s0;
+                    let steps = &mut steps[..rows];
+                    for (r, step) in steps.iter_mut().enumerate() {
+                        *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
                     }
-                    let slots = page
-                        .out_idx
-                        .chunks_exact(qpr * nout)
-                        .zip(page.out_val.chunks_exact(qpr * nout));
-                    let rows =
-                        tile.chunks_exact_mut(dh).zip(slots.zip(page.out_len.chunks_exact(qpr)));
-                    let (so, base) = (qb * nout, (qb * qblock).wrapping_sub(lo));
-                    for (x, ((idx, val), live)) in rows {
-                        let live = so + usize::from(live[qb]);
-                        for (&idx, val) in idx[so..live].iter().zip(&val[so..live]) {
-                            let j = base.wrapping_add(usize::from(idx));
-                            if j < dh {
-                                x[j] = val.to_f32();
+                    // Each live slot of the row's block that falls in this
+                    // segment writes its bf16 value over its lane, where the
+                    // code is 0. Segment lane `j` is block lane `j - base`
+                    // (wrapping), so one unsigned compare keeps the slots of
+                    // this segment's columns.
+                    let patch = |tile: &mut [f32]| {
+                        if nout == 0 {
+                            return;
+                        }
+                        let slots = page
+                            .out_idx
+                            .chunks_exact(qpr * nout)
+                            .zip(page.out_val.chunks_exact(qpr * nout));
+                        let rows =
+                            tile.chunks_exact_mut(n).zip(slots.zip(page.out_len.chunks_exact(qpr)));
+                        let (so, base) = (qb * nout, (qb * qblock).wrapping_sub(s0));
+                        for (x, ((idx, val), live)) in rows {
+                            let live = so + usize::from(live[qb]);
+                            for (&idx, val) in idx[so..live].iter().zip(&val[so..live]) {
+                                let j = base.wrapping_add(usize::from(idx));
+                                if j < n {
+                                    x[j] = val.to_f32();
+                                }
                             }
                         }
-                    }
-                };
-                let tile = &mut tile[..rows * dh];
-                ops::axpy_codes_tile(&page.codes[lo..], w, steps, patch, tile, rows_of, t0 == 0);
+                    };
+                    let (codes, tile) = (&codes[s0 - lo..], &mut tile[..rows * n]);
+                    let rows_of = queries()
+                        .map(|weights| &weights[at..at + rows])
+                        .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[s0..s1]));
+                    ops::axpy_codes_tile(codes, stride, steps, patch, tile, rows_of, t0 == 0);
+                }
             }
         }
     }
@@ -1264,14 +1316,18 @@ mod tests {
         // against one `ops::dot` or `dot_range` (and one scaled add or
         // `axpy_range`) per (query row, cached row, head), each query row
         // over its own causal prefix, the context written from `+0.0`:
-        // every page format, the page walk (exact pages, and the presets'
-        // heads fit their shared-exponent blocks; the served proxy's one
-        // 128-wide head included) and the per-row walks (`qblock` 8 under
-        // 12-wide heads straddles, as does a nibble-packed page by rule),
-        // pages of one row, groups that start and end inside pages and cross
-        // page edges, and weights that are exactly zero.
+        // every page format on the one page walk — exact pages, heads that
+        // fit their shared-exponent blocks (the served proxy's one 128-wide
+        // head under `mxopal()` included), heads that straddle blocks (that
+        // head under `mxint()`'s 32-wide blocks; `qblock` 8 under 12-wide
+        // heads), heads that share a block, and nibble-packed pages (heads
+        // at odd columns of an odd-width row included) — pages of one row,
+        // groups that start and end inside pages and cross page edges, and
+        // weights that are exactly zero.
         let straddling = KvScheme::MxOpal { bits: 8, qblock: 8, outliers: 2 };
         let shared_block = KvScheme::MxOpal { bits: 6, qblock: 16, outliers: 3 };
+        let packed_odd = KvScheme::MxOpal { bits: 4, qblock: 8, outliers: 2 };
+        let packed_int = KvScheme::MxInt { bits: 3, qblock: 16 };
         for (w, n_heads, scheme) in [
             (128usize, 4usize, KvScheme::Exact),
             (128, 1, KvScheme::Exact),
@@ -1282,6 +1338,8 @@ mod tests {
             (128, 1, KvScheme::mxint()),
             (24, 2, straddling),
             (24, 3, shared_block),
+            (27, 3, packed_odd),
+            (24, 2, packed_int),
         ] {
             let dh = w / n_heads;
             for bs in [1usize, 3, 16] {
@@ -1304,8 +1362,8 @@ mod tests {
                 }
                 // The V tile *writes* an outlier over its lane, which the
                 // per-row walk *adds* to: the same bits only because the
-                // encoder leaves code 0 under every live slot.
-                if scheme.quantized() && !qrow(&kv, 0, true).packed() {
+                // encoder leaves code 0 under every live slot, packed or not.
+                if scheme.quantized() {
                     for row in (0..40).flat_map(|pos| [qrow(&kv, pos, false), qrow(&kv, pos, true)])
                     {
                         for (qb, &live) in row.out_len.iter().enumerate() {
@@ -1313,7 +1371,7 @@ mod tests {
                                 &row.out_idx[qb * row.nout..qb * row.nout + usize::from(live)]
                             {
                                 let lane = qb * row.qblock + usize::from(idx);
-                                assert_eq!(row.codes[lane], 0, "{}: outlier lane", scheme.name());
+                                assert_eq!(row.code(lane), 0, "{}: outlier lane", scheme.name());
                             }
                         }
                     }
@@ -1326,7 +1384,13 @@ mod tests {
                     let len = pos0 + m;
                     let qs: Vec<f32> = (0..m).flat_map(|i| test_row(w, 77 + i as u32)).collect();
                     let mut scores = vec![f32::NAN; m * n_heads * len];
-                    kv.scores_into(0, pos0, &qs, n_heads, 0.25, &mut scores);
+                    // Stale scratch: the walk writes before it reads.
+                    let mut scratch = PageScratch::default();
+                    scratch.fit(bs, dh, m);
+                    scratch.tile.fill(f32::NAN);
+                    scratch.carry.fill(f64::NAN);
+                    scratch.unpacked.fill(0x55);
+                    kv.scores_into(0, pos0, &qs, n_heads, 0.25, &mut scratch, &mut scores);
                     let weights: Vec<f32> = (0..m * n_heads * len)
                         .map(|x| match (x % len, x / (n_heads * len)) {
                             (t, i) if t > pos0 + i => 0.0,
@@ -1335,8 +1399,7 @@ mod tests {
                         })
                         .collect();
                     let mut ctx = vec![f32::NAN; m * w];
-                    let mut tile = vec![f32::NAN; bs * (dh + 1)];
-                    kv.weighted_values_into(0, pos0, &weights, n_heads, &mut tile, &mut ctx);
+                    kv.weighted_values_into(0, pos0, &weights, n_heads, &mut scratch, &mut ctx);
 
                     let mut want_ctx = vec![0.0f32; m * w];
                     for (i, want_ctx) in want_ctx.chunks_exact_mut(w).enumerate() {

@@ -166,7 +166,7 @@ fn shared_prefix_is_bit_identical_and_copy_on_write() {
 #[test]
 fn quantized_kv_decode_is_bit_deterministic_across_chunkings() {
     let prompt: Vec<u32> = (0..11u32).map(|i| (i * 19 + 2) % 64).collect();
-    for kv in [KvScheme::mxopal(), KvScheme::mxint()] {
+    for kv in [KvScheme::mxopal(), KvScheme::mxint(), KvScheme::mxopal4()] {
         let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 42).expect("valid scheme");
         let d = model.config().d_model;
         let vocab = model.config().vocab;

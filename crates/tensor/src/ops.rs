@@ -2,11 +2,12 @@
 //!
 //! Every kernel here is its own portable loop, which is the spec and the
 //! test oracle; the few with a wide path (`dot`'s schedule inside the
-//! matrix products and [`dot_tile`], [`axpy_tile`], [`axpy_codes`],
-//! [`dot_codes_tile`], [`axpy_codes_tile`]) pick it at run time in
-//! `simd.rs` and return the same bits. The attention walk over the paged KV
-//! cache uses the tile kernels, one call per (page, head) for every query
-//! row of a group: K scores of the query rows against a run of cached rows
+//! matrix products and [`dot_tile`], [`axpy_tile`], [`dot_codes_tile`],
+//! [`axpy_codes_tile`]) pick it at run time in `simd.rs` and return the
+//! same bits. The attention walk over the paged KV cache uses the tile
+//! kernels, one call per (page, head) — per (page, head, shared-exponent
+//! block) on quantized pages — for every query row of a group: K scores of
+//! the query rows against a run of cached rows
 //! ([`dot_tile`] over exact `f32` rows, [`dot_codes_tile`] over codes), and
 //! the V sum over a run of `f32` rows ([`axpy_tile`] straight off an exact
 //! page, [`axpy_codes_tile`] from a quantized page dequantized once into a
@@ -214,13 +215,14 @@ pub(crate) fn dot_codes_tile_portable<'a>(
 /// `rows` (`weights` `n` long, `ctx` `width` long) over the tile exactly as
 /// [`axpy_tile`] does.
 ///
-/// This is [`axpy_codes`]'s arithmetic per (query row, code row), with the
-/// exact bf16 outlier terms of an MX-OPAL page folded in bitwise: an
-/// outlier lane's code is `0`, and a context lane that starts at `+0.0`
-/// can never become `-0.0` under round-to-nearest (a sum is `-0.0` only
-/// when both addends are), so the per-row walk's
-/// `(c + w · (0 · step)) + w · value` is exactly `c + w · value`, and every
-/// other lane sees the same addends in the same order. A page's rows are
+/// Per (query row, code row) this is `ctx[j] += w · (code · step)`, the
+/// scalar V sum's arithmetic, with the exact bf16 outlier terms of an
+/// MX-OPAL page folded in bitwise: an outlier lane's code is `0`, and a
+/// context lane that starts at `+0.0` can never become `-0.0` under
+/// round-to-nearest (a sum is `-0.0` only when both addends are), so the
+/// scalar sum's `(c + w · (0 · step)) + w · value` is exactly
+/// `c + w · value`, and every other lane sees the same addends in the same
+/// order. A page's rows are
 /// dequantized once for all query rows. `patch` is a closure rather than a
 /// list of `(lane, value)` pairs so that the caller's slot walk compiles to
 /// plain loops: a flattened iterator over a page's rows and slots cost more
@@ -343,36 +345,6 @@ pub(crate) fn tile_width(n: usize, len: usize) -> usize {
 /// width goes with an empty tile, whose width is unknown).
 pub(crate) fn check_tile_row(n: usize, width: usize, weights: &[f32], ctx: &[f32]) {
     assert!(weights.len() == n && (n == 0 || ctx.len() == width), "tile row shape mismatch");
-}
-
-/// `ctx[j] += w * (f32::from(codes[j]) * step)` — one quantized V row's
-/// contribution to an attention context, dequantized on the walk: each
-/// integer code is rescaled by its block's power-of-two `step`, weighted by
-/// the attention weight `w` and accumulated. Two unfused multiplies and an
-/// add per element, in that association, on every path: the portable loop
-/// is the spec, and on x86-64 with AVX2 (detected at run time) the same
-/// three operations run eight codes at a time, bit-identically.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn axpy_codes(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) {
-    assert_eq!(ctx.len(), codes.len(), "axpy_codes length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::axpy_codes(w, step, codes, ctx) {
-        return;
-    }
-    axpy_codes_portable(w, step, codes, ctx);
-}
-
-/// The loop of [`axpy_codes`] as portable code: the spec the wide path is
-/// tested against, and the path on CPUs without it.
-#[inline]
-pub(crate) fn axpy_codes_portable(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) {
-    for (c, &code) in ctx.iter_mut().zip(codes) {
-        *c += w * (f32::from(code) * step);
-    }
 }
 
 /// The W×A integer product: `out[r * d_out + c]` is activation row `r` of
@@ -740,47 +712,6 @@ mod tests {
         let exact: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum();
         assert_eq!(dot(&a, &b), exact as f32);
         assert_eq!(dot(&[], &[]).to_bits(), (-0.0f32).to_bits());
-    }
-
-    #[test]
-    fn axpy_codes_dispatch_is_bitwise_the_portable_loop() {
-        #[cfg(target_arch = "x86_64")]
-        let wide = crate::simd::codes_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let wide = false;
-        if !wide {
-            use std::io::Write;
-            let _ = writeln!(
-                std::io::stderr(),
-                "note: opal-tensor axpy_codes equivalence test: no AVX2 on this host, \
-                 both sides ran the portable path"
-            );
-        }
-        // Every code value, steps from subnormal to huge, weights including
-        // a subnormal product and a negative zero, and one step that is not
-        // a power of two (the page walk never passes one, but only then
-        // does every multiply round, so the association shows); every tail
-        // length around the 8-wide chunk plus the model's row widths.
-        let codes: Vec<i8> = (0..344).map(|i| (i * 37 % 256) as u8 as i8).collect();
-        let base: Vec<f32> =
-            (0..344).map(|i| ((i * 29 % 31) as f32 - 15.0) * 0.37e-3 * (i % 5) as f32).collect();
-        for len in (0..=40).chain([128, 344]) {
-            for (w, step) in [
-                (0.25f32, 0.0078125f32),
-                (-0.0, 1.0),
-                (1.0e-20, 2.0f32.powi(-120)),
-                (3.0, 2.0f32.powi(100)),
-                (0.7310586, 2.0f32.powi(-149)),
-                (0.7310586, 0.3),
-            ] {
-                let (mut got, mut want) = (base[..len].to_vec(), base[..len].to_vec());
-                axpy_codes(w, step, &codes[..len], &mut got);
-                axpy_codes_portable(w, step, &codes[..len], &mut want);
-                for (j, (g, x)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(g.to_bits(), x.to_bits(), "len {len} w {w} step {step} [{j}]");
-                }
-            }
-        }
     }
 
     /// Query rows, code rows and row widths the tile tests sweep: every

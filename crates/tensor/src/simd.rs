@@ -27,14 +27,14 @@
 //! rounding. The portable loops stay the spec, the test oracle and the path
 //! on every other CPU, a CPU with AVX but no FMA included.
 //!
-//! **The attention tile kernels** (AVX2): [`crate::ops::axpy_codes`] eight
-//! codes at once, [`crate::ops::dot_codes_tile`] as blocks of two query
-//! rows × two code rows or one × four (each code chunk converted once per
-//! block, four `dot_codes` chains in flight, their in-order lane sums
-//! interleaved), and [`crate::ops::axpy_tile`] with each context held in
-//! registers, 64 lanes at a time, across a page's rows — behind
-//! [`crate::ops::axpy_codes_tile`] after it dequantizes a page. Each performs
-//! the portable loop's operations per element in its order, none fused.
+//! **The attention tile kernels** (AVX2): [`crate::ops::dot_codes_tile`]
+//! as blocks of two query rows × two code rows or one × four (each code
+//! chunk converted once per block, four `dot_codes` chains in flight, their
+//! in-order lane sums interleaved), and [`crate::ops::axpy_tile`] with each
+//! context held in registers, 64 lanes at a time, across a page's rows —
+//! behind [`crate::ops::axpy_codes_tile`] after it dequantizes a page eight
+//! codes at a time. Each performs the portable loop's operations per
+//! element in its order, none fused.
 //!
 //! **The W×A integer product** (AVX2 + FMA): [`crate::ops::matmul_codes`]
 //! up to four activation rows at a time against each 16-channel panel of
@@ -391,41 +391,10 @@ fn lanes(x: __m256d) -> [f64; 4] {
     ]
 }
 
-/// Whether the attention tile kernels ([`axpy_codes`], [`dot_codes_tile`],
-/// [`axpy_tile`], [`axpy_codes_tile`]) run their wide paths on this CPU.
+/// Whether the attention tile kernels ([`dot_codes_tile`], [`axpy_tile`],
+/// [`axpy_codes_tile`]) run their wide paths on this CPU.
 pub(crate) fn codes_available() -> bool {
     is_x86_feature_detected!("avx2")
-}
-
-/// [`crate::ops::axpy_codes`] for equal-length `codes` and `ctx`. Returns
-/// `false`, writing nothing, when the CPU lacks AVX2.
-#[inline]
-#[allow(unsafe_code)]
-pub(crate) fn axpy_codes(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) -> bool {
-    if !codes_available() {
-        return false;
-    }
-    // SAFETY: `axpy_codes_avx2`'s only requirement of its caller is the
-    // `avx2` target feature, which `codes_available()` has just detected on
-    // this CPU.
-    unsafe { axpy_codes_avx2(w, step, codes, ctx) };
-    true
-}
-
-/// Eight codes per step: sign-extend to `i32`, convert (exact), multiply by
-/// `step`, multiply by `w`, add to the context — the portable loop's three
-/// operations in its association, none fused. The sub-8 tail is that loop.
-#[target_feature(enable = "avx2")]
-fn axpy_codes_avx2(w: f32, step: f32, codes: &[i8], ctx: &mut [f32]) {
-    let (codes8, codes_tail) = codes.as_chunks::<8>();
-    let (ctx8, ctx_tail) = ctx.as_chunks_mut::<8>();
-    let (wv, stepv) = (_mm256_set1_ps(w), _mm256_set1_ps(step));
-    for (c, x) in codes8.iter().zip(ctx8) {
-        let v = _mm256_mul_ps(codes8_ps(c), stepv);
-        let sum = _mm256_add_ps(load8(x), _mm256_mul_ps(wv, v));
-        store8(x, sum);
-    }
-    crate::ops::axpy_codes_portable(w, step, codes_tail, ctx_tail);
 }
 
 /// [`crate::ops::dot_codes_tile`] on a CPU with AVX2 (the caller checks

@@ -152,6 +152,11 @@ fn kv_mxopal_batch16_pool_steady_state_is_allocation_free() {
 }
 
 #[test]
+fn kv_mxopal4_batch16_pool_steady_state_is_allocation_free() {
+    assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal4(), 16, StepMode::ForcePool);
+}
+
+#[test]
 fn kv_mxint_batch16_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode_kv(
         QuantScheme::mxopal_w4a47(),
