@@ -878,6 +878,13 @@ struct SpecEngineRun {
     tokens: Vec<Vec<u32>>,
 }
 
+impl SpecEngineRun {
+    /// Generated tokens per modeled second, draft passes included.
+    fn modeled_tok_s(&self) -> f64 {
+        self.generated as f64 / (self.modeled_decode_s + self.modeled_draft_s)
+    }
+}
+
 /// Prompts for the speculative section: 24-token periodic motifs (period
 /// 3 + i mod 3). Speculation's serving win concentrates on repetitive
 /// streams — agent loops, retrieval templates, code — and the proxy
@@ -908,18 +915,10 @@ fn run_spec_engine(
     seed: u64,
 ) -> SpecEngineRun {
     use opal_hw::performance::{workload_latency, Platform};
-    use opal_hw::workload::{DataFormat, TokenWorkload};
+    use opal_hw::workload::DataFormat;
 
     let fmt = DataFormat::bf16();
     let platform = Platform::reference();
-    let draft_cfg = match spec {
-        Some(SpecConfig { draft: opal_serve::DraftSource::Truncated { layers }, .. }) => {
-            let mut c = model.config().clone();
-            c.n_layers = layers;
-            Some(c)
-        }
-        _ => None,
-    };
     let config = ServeConfig {
         max_batch: batch,
         max_tokens: new_tokens,
@@ -950,47 +949,12 @@ fn run_spec_engine(
         drafted += s.drafted as u64;
         accepted += s.accepted as u64;
         steps += 1;
-        // Price the realized schedule: verify rows later rolled back
-        // still ran, so they are billed; the whole step shares one
-        // weight stream (`from_schedule` counts weight bytes once).
-        let mut contexts = Vec::new();
-        let mut dctx = Vec::new();
-        let mut wl = TokenWorkload::zero();
-        for w in engine.last_step_work() {
-            for i in 0..w.prefilled {
-                contexts.push(w.prefill_start + i + 1);
-            }
-            if w.verify_rows > 0 {
-                // Fused verify: `from_verify` streams the sequence's
-                // shared paged KV once for all rows, where per-row
-                // scheduling would re-read it each time. Weights are
-                // zeroed here and charged once for the whole step.
-                let mut v =
-                    TokenWorkload::from_verify(model.config(), &fmt, w.verify_start, w.verify_rows);
-                v.weight_bytes = 0.0;
-                wl.accumulate(&v);
-            }
-            if let Some(c) = w.decode_context {
-                contexts.push(c);
-            }
-            for i in 0..w.draft_rows {
-                dctx.push(w.draft_start + i + 1);
-            }
-        }
-        let ran_verify = wl.kv_bytes > 0.0;
-        wl.accumulate(&TokenWorkload::from_schedule(model.config(), &fmt, &contexts));
-        if ran_verify && wl.weight_bytes == 0.0 {
-            wl.weight_bytes = model.config().decoder_params() as f64 * fmt.weight_bits / 8.0;
-        }
-        if !contexts.is_empty() || ran_verify {
-            modeled_decode_s += workload_latency(&wl, &fmt, &platform).total_s();
-        }
-        if let Some(dc) = &draft_cfg {
-            if !dctx.is_empty() {
-                let wl = TokenWorkload::from_schedule(dc, &fmt, &dctx);
-                modeled_draft_s += workload_latency(&wl, &fmt, &platform).total_s();
-            }
-        }
+        // Price the realized schedule (verify rows later rolled back
+        // still ran, so they are billed); a step with no served or no
+        // draft pass adds zero.
+        let step = engine.last_step_workload(&fmt);
+        modeled_decode_s += workload_latency(&step.served, &fmt, &platform).total_s();
+        modeled_draft_s += workload_latency(&step.draft, &fmt, &platform).total_s();
     }
     let host_tok_s = generated as f64 / t.elapsed().as_secs_f64();
     let audit = engine.audit();
@@ -1015,6 +979,17 @@ fn run_spec_engine(
 
 /// Alternating rounds per batch size in the `spec_decode` section.
 const SPEC_ROUNDS: usize = 4;
+
+/// Draft tokens proposed per speculative step in the `spec_decode` section.
+const SPEC_K: usize = 4;
+
+/// Tokens each `spec_decode` request generates: long enough that the
+/// streams reach their cyclic regime.
+const SPEC_NEW_TOKENS: usize = 256;
+
+/// Lowest modeled tok/s of n-gram speculation over plain decode at batch
+/// <= 4 (the schedules are deterministic, so the ratio is exact).
+const SPEC_MODELED_FLOOR: f64 = 1.5;
 
 /// The `spec_decode` section: draft-and-verify speculative decoding
 /// against the plain engine on the same prompts, at batch 1 / 4 / 16.
@@ -1043,11 +1018,9 @@ const SPEC_ROUNDS: usize = 4;
 /// must be bit-identical to the plain engine's on the same request.
 fn bench_spec_decode(model: &Model, smoke: bool, seed: u64) -> SpecDecodeStats {
     use opal_serve::DraftSource;
-    let k = 4usize;
-    // Long enough that the streams reach their cyclic regime; the smoke
-    // run keeps the horizon (the floor is asserted there too) and trims
-    // batches and repeats instead.
-    let new_tokens = 256usize;
+    let (k, new_tokens) = (SPEC_K, SPEC_NEW_TOKENS);
+    // The smoke run keeps the horizon (the floor is asserted there too)
+    // and trims batches and repeats instead.
     let batches: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 16] };
     let mut rows = Vec::new();
     for &batch in batches {
@@ -1072,7 +1045,6 @@ fn bench_spec_decode(model: &Model, smoke: bool, seed: u64) -> SpecDecodeStats {
         }
         let mut best = best.into_iter().map(|run| run.expect("at least one round"));
         let plain = best.next().expect("the plain engine ran");
-        let modeled_plain_tok_s = plain.generated as f64 / plain.modeled_decode_s;
         for ((name, _), spec) in drafts.into_iter().zip(best) {
             assert_eq!(
                 spec.tokens, plain.tokens,
@@ -1094,9 +1066,9 @@ fn bench_spec_decode(model: &Model, smoke: bool, seed: u64) -> SpecDecodeStats {
                 },
                 drafted: spec.drafted,
                 accepted: spec.accepted,
-                modeled_plain_tok_s,
-                modeled_spec_tok_s: spec.generated as f64 / modeled_s,
-                modeled_speedup: (spec.generated as f64 / modeled_s) / modeled_plain_tok_s,
+                modeled_plain_tok_s: plain.modeled_tok_s(),
+                modeled_spec_tok_s: spec.modeled_tok_s(),
+                modeled_speedup: spec.modeled_tok_s() / plain.modeled_tok_s(),
                 draft_share_modeled: spec.modeled_draft_s / modeled_s,
             });
         }
@@ -1882,8 +1854,9 @@ fn main() {
     }
     for r in sd.rows.iter().filter(|r| r.draft == "ngram" && r.batch <= 4) {
         assert!(
-            r.modeled_speedup >= 1.5,
-            "speculative decode must reach 1.5x modeled tok/s at batch {} (got {:.2}x)",
+            r.modeled_speedup >= SPEC_MODELED_FLOOR,
+            "speculative decode must reach {SPEC_MODELED_FLOOR}x modeled tok/s at batch {} \
+             (got {:.2}x)",
             r.batch,
             r.modeled_speedup
         );
@@ -2173,4 +2146,39 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write("BENCH_decode.json", &json).expect("write BENCH_decode.json");
     println!("\nwrote BENCH_decode.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `main`'s n-gram modeled floor on the schedules it prices (default
+    /// seed, the served proxy): the modeled rates do not depend on the
+    /// host, so the ratio is exact and the floor holds in every build. The
+    /// four drains run on their own threads (they are slow unoptimized).
+    #[test]
+    fn ngram_speculation_meets_the_modeled_floor() {
+        let seed = 21;
+        let proxy = ModelConfig::llama2_7b().proxy(128, 4, 192);
+        let model = Model::new(proxy, QuantScheme::bf16(), seed).expect("valid scheme");
+        let ngram = SpecConfig { draft: opal_serve::DraftSource::NGram, k: SPEC_K };
+        std::thread::scope(|s| {
+            let drains: Vec<_> = [1, 4]
+                .into_iter()
+                .map(|batch| {
+                    let model = &model;
+                    let run = move |spec| {
+                        s.spawn(move || run_spec_engine(model, batch, spec, SPEC_NEW_TOKENS, seed))
+                    };
+                    (batch, run(None), run(Some(ngram)))
+                })
+                .collect();
+            for (batch, plain, spec) in drains {
+                let (plain, spec) =
+                    (plain.join().expect("plain drain"), spec.join().expect("drain"));
+                let speedup = spec.modeled_tok_s() / plain.modeled_tok_s();
+                assert!(speedup >= SPEC_MODELED_FLOOR, "batch {batch}: modeled {speedup:.3}x");
+            }
+        });
+    }
 }

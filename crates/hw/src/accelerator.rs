@@ -186,14 +186,21 @@ impl Accelerator {
     }
 
     /// Per-token energy breakdown for generating one token of `model` at
-    /// context length `seq_len`.
+    /// context length `seq_len`: [`energy`](Self::energy) of that one pass
+    /// in this design's format, leaking over [`TOKEN_LATENCY_S`].
     ///
     /// # Panics
     ///
     /// Panics if `seq_len == 0`.
     pub fn energy_per_token(&self, model: &ModelConfig, seq_len: usize) -> EnergyBreakdown {
-        let fmt = self.kind.format();
-        let wl = TokenWorkload::new(model, &fmt, seq_len);
+        self.energy(&TokenWorkload::new(model, &self.kind.format(), seq_len), TOKEN_LATENCY_S)
+    }
+
+    /// Energy breakdown of running `wl` on this design when the work takes
+    /// `latency_s` seconds: its operations on the core, its weight, KV and
+    /// activation bytes through the two buffers, and both buffers' leakage
+    /// over `latency_s`.
+    pub fn energy(&self, wl: &TokenWorkload, latency_s: f64) -> EnergyBreakdown {
         let t = &self.tech;
 
         // --- core energy ---
@@ -201,9 +208,9 @@ impl Accelerator {
             AcceleratorKind::Bf16 | AcceleratorKind::Owq => {
                 let macs = wl.macs.total() as f64;
                 let softmax = wl.softmax_elems as f64 * ConventionalSoftmaxUnit.elem_energy_pj(t);
-                // OWQ adds a dequant shift-add per weight element.
+                // OWQ adds a dequant shift-add per streamed weight element.
                 let dequant = if self.kind == AcceleratorKind::Owq {
-                    model.decoder_params() as f64 * t.shift_acc_pj
+                    wl.weight_elems as f64 * t.shift_acc_pj
                 } else {
                     0.0
                 };
@@ -231,9 +238,9 @@ impl Accelerator {
         let mem_access_j = wbuf.access_energy_j(t, wl.weight_bytes)
             + abuf.access_energy_j(t, wl.kv_bytes + wl.act_bytes);
 
-        // --- leakage over the token latency ---
-        let weight_leak_j = wbuf.leakage_energy_j(t, TOKEN_LATENCY_S);
-        let act_leak_j = abuf.leakage_energy_j(t, TOKEN_LATENCY_S);
+        // --- leakage over the work's latency ---
+        let weight_leak_j = wbuf.leakage_energy_j(t, latency_s);
+        let act_leak_j = abuf.leakage_energy_j(t, latency_s);
 
         EnergyBreakdown { core_j, mem_access_j, weight_leak_j, act_leak_j }
     }
@@ -355,6 +362,58 @@ mod tests {
         let m = ModelConfig::llama2_70b();
         let f = Accelerator::new(AcceleratorKind::OpalW4A47).int_mac_fraction(&m, 1024);
         assert!((0.955..0.98).contains(&f), "int fraction {f} (paper 0.969)");
+    }
+
+    #[test]
+    fn energy_per_token_is_pinned() {
+        // `total_j()` bits of the single-token case, per design × model ×
+        // context; the fig/table binaries and the Fig. 8 tests read these.
+        use AcceleratorKind::*;
+        let pinned: [(AcceleratorKind, [[u64; 2]; 3]); 4] = [
+            (
+                Bf16,
+                [
+                    [0x400b052b738efdfa, 0x400b0abac8aa9e14],
+                    [0x400b6cb1570fa58d, 0x400b75614c0acfb6],
+                    [0x400faa7fca85e385, 0x400fc64c7410040a],
+                ],
+            ),
+            (
+                Owq,
+                [
+                    [0x40038100bb7b750c, 0x4003869010971527],
+                    [0x4003a4411774a8e7, 0x4003acf10c6fd311],
+                    [0x400515ec66e53f22, 0x400531b9106f5fa7],
+                ],
+            ),
+            (
+                OpalW4A47,
+                [
+                    [0x3ff88988d8f0fb1e, 0x3ff88cff474701f9],
+                    [0x3ff8a22f2209781c, 0x3ff8a7982e6fc032],
+                    [0x3ff9a4c13f2d6024, 0x3ff9b61166db074a],
+                ],
+            ),
+            (
+                OpalW3A35,
+                [
+                    [0x3ff40915607642c8, 0x3ff40b7228739902],
+                    [0x3ff4199daee37285, 0x3ff41d4ea75f7105],
+                    [0x3ff4c705a4cfb6c8, 0x3ff4d2d58cc265e8],
+                ],
+            ),
+        ];
+        let models =
+            [ModelConfig::llama2_7b(), ModelConfig::llama2_13b(), ModelConfig::llama2_70b()];
+        for (kind, per_model) in pinned {
+            let acc = Accelerator::new(kind);
+            for (model, bits) in models.iter().zip(per_model) {
+                for (seq, bits) in [1, 1024].into_iter().zip(bits) {
+                    let e = acc.energy_per_token(model, seq).total_j();
+                    assert_eq!(e.to_bits(), bits, "{kind:?} {} seq {seq}: {e}", model.name);
+                }
+            }
+        }
     }
 
     #[test]

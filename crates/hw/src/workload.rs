@@ -158,6 +158,9 @@ pub struct TokenWorkload {
     pub routed_elems: u64,
     /// Weight bytes streamed per token (the whole decoder stack).
     pub weight_bytes: f64,
+    /// Weight elements streamed (`decoder_params()` per weight stream); an
+    /// OWQ datapath dequantizes each one on its way in.
+    pub weight_elems: u64,
     /// KV-cache bytes read + appended for this token.
     pub kv_bytes: f64,
     /// Intermediate activation bytes staged through the activation buffer.
@@ -227,7 +230,6 @@ impl TokenWorkload {
             0
         };
 
-        let weight_bytes = model.decoder_params() as f64 * format.weight_bits / 8.0;
         // KV cache: K and V per layer per position, stored at high-act
         // precision; this token reads the whole cache and appends one entry.
         let kv_bytes = (layers * 2 * d) as f64 * (s as f64 + 1.0) * format.kv_bits / 8.0;
@@ -241,9 +243,20 @@ impl TokenWorkload {
             softmax_elems,
             quantized_elems,
             routed_elems,
-            weight_bytes,
+            weight_bytes: model.decoder_params() as f64 * format.weight_bits / 8.0,
+            weight_elems: model.decoder_params(),
             kv_bytes,
             act_bytes,
+        }
+    }
+
+    /// One forward pass at context length `seq_len`, without the weight
+    /// stream (which a step shares across its passes).
+    fn pass(model: &ModelConfig, format: &DataFormat, seq_len: usize) -> Self {
+        TokenWorkload {
+            weight_bytes: 0.0,
+            weight_elems: 0,
+            ..TokenWorkload::new(model, format, seq_len)
         }
     }
 
@@ -257,6 +270,7 @@ impl TokenWorkload {
             quantized_elems: 0,
             routed_elems: 0,
             weight_bytes: 0.0,
+            weight_elems: 0,
             kv_bytes: 0.0,
             act_bytes: 0.0,
         }
@@ -273,38 +287,24 @@ impl TokenWorkload {
         self.quantized_elems += other.quantized_elems;
         self.routed_elems += other.routed_elems;
         self.weight_bytes += other.weight_bytes;
+        self.weight_elems += other.weight_elems;
         self.kv_bytes += other.kv_bytes;
         self.act_bytes += other.act_bytes;
     }
 
     /// The workload of one *batched scheduler step*: one forward pass per
     /// entry of `contexts`, each at that context length (cached positions
-    /// the pass attends over, including its own row). This is the bridge
-    /// from a serving engine's realized schedule — which sequences ran a
-    /// layer sweep this step, and at what sequence length — to the
-    /// analytical model, used by trace-replay harnesses to cross-validate
-    /// measured step times against the roofline.
-    ///
-    /// Everything sums per pass **except the weight stream**: a batched
-    /// step reads the decoder weights once and shares them across the
-    /// batch (the whole point of batched decode), so `weight_bytes` is
-    /// charged once when the schedule is non-empty. An empty schedule is
-    /// the [`zero`](TokenWorkload::zero) workload.
+    /// the pass attends over, including its own row) — [`from_step`]
+    /// without verify passes. An empty schedule is the
+    /// [`zero`](TokenWorkload::zero) workload.
     ///
     /// # Panics
     ///
     /// Panics if any context length is zero.
+    ///
+    /// [`from_step`]: TokenWorkload::from_step
     pub fn from_schedule(model: &ModelConfig, format: &DataFormat, contexts: &[usize]) -> Self {
-        let mut step = TokenWorkload::zero();
-        for &ctx in contexts {
-            let mut pass = TokenWorkload::new(model, format, ctx);
-            pass.weight_bytes = 0.0;
-            step.accumulate(&pass);
-        }
-        if !contexts.is_empty() {
-            step.weight_bytes = model.decoder_params() as f64 * format.weight_bits / 8.0;
-        }
-        step
+        TokenWorkload::from_step(model, format, contexts.iter().copied(), [])
     }
 
     /// The workload of one fused speculative-*verify* pass: `rows` tokens
@@ -332,19 +332,59 @@ impl TokenWorkload {
         start: usize,
         rows: usize,
     ) -> Self {
-        assert!(rows > 0, "a verify pass scores at least one row");
-        let contexts: Vec<usize> = (1..=rows).map(|i| start + i).collect();
-        let mut wl = TokenWorkload::from_schedule(model, format, &contexts);
-        // One fused stream over the final cache extent (matching the
-        // `new` convention of `ctx + 1` entries per pass): with a single
-        // row this equals the unfused schedule — fusion saves nothing —
-        // and every additional row adds one entry instead of a full
-        // re-read of the cache.
-        wl.kv_bytes = (model.n_layers as u64 * 2 * model.d_model as u64) as f64
-            * (start + rows + 1) as f64
-            * format.kv_bits
-            / 8.0;
-        wl
+        TokenWorkload::from_step(model, format, [], [(start, rows)])
+    }
+
+    /// The workload of one step of a serving engine: a forward pass per
+    /// entry of `passes` at that context length, and a fused verify pass
+    /// (see [`from_verify`]) per `(start, rows)` of `verify`.
+    ///
+    /// Everything sums per pass **except the weight stream**: a batched
+    /// step reads the decoder weights once and shares them across the
+    /// batch (the whole point of batched decode), so they are charged once
+    /// when anything ran. The verify passes are summed first, then the
+    /// single passes, and the two sums added: every total built from this
+    /// function rounds the same way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a context length or a verify pass's `rows` is zero.
+    ///
+    /// [`from_verify`]: TokenWorkload::from_verify
+    pub fn from_step(
+        model: &ModelConfig,
+        format: &DataFormat,
+        passes: impl IntoIterator<Item = usize>,
+        verify: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Self {
+        let mut step = TokenWorkload::zero();
+        for (start, rows) in verify {
+            assert!(rows > 0, "a verify pass scores at least one row");
+            let mut fused = TokenWorkload::zero();
+            for ctx in start + 1..=start + rows {
+                fused.accumulate(&TokenWorkload::pass(model, format, ctx));
+            }
+            // One fused stream over the final cache extent (matching the
+            // `new` convention of `ctx + 1` entries per pass): with a
+            // single row this equals the unfused pass — fusion saves
+            // nothing — and every additional row adds one entry instead of
+            // a full re-read of the cache.
+            fused.kv_bytes = (model.n_layers as u64 * 2 * model.d_model as u64) as f64
+                * (start + rows + 1) as f64
+                * format.kv_bits
+                / 8.0;
+            step.accumulate(&fused);
+        }
+        let mut single = TokenWorkload::zero();
+        for ctx in passes {
+            single.accumulate(&TokenWorkload::pass(model, format, ctx));
+        }
+        step.accumulate(&single);
+        if step.macs.total() > 0 {
+            step.weight_bytes = model.decoder_params() as f64 * format.weight_bits / 8.0;
+            step.weight_elems = model.decoder_params();
+        }
+        step
     }
 }
 

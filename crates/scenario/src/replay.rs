@@ -27,8 +27,7 @@ use opal_serve::faults::{FaultKind, RetryPolicy};
 use opal_serve::{FinishReason, Request, RequestId, ServeConfig, ServeEngine, ServeError};
 
 use crate::roofline::{
-    gpu_decode_step_s, opal_reference_s, schedule_macs, step_contexts, HostCalibration,
-    RooflineCheck,
+    gpu_decode_step_s, host_macs, opal_reference_s, HostCalibration, RooflineCheck,
 };
 use crate::slo::{jain_index, Percentiles};
 use crate::trace::{EventKind, Trace};
@@ -332,16 +331,6 @@ fn replay_inner(
         opal_fmt.kv_bits = config.kv_scheme.bits_per_element(model.config().d_model);
     }
     let mut total_workload = TokenWorkload::zero();
-    // Speculation's truncated draft runs the same architecture at fewer
-    // layers; its rows are priced against this shrunken config.
-    let draft_config = config.spec.and_then(|s| match s.draft {
-        opal_serve::DraftSource::Truncated { layers } => {
-            let mut dc = model.config().clone();
-            dc.n_layers = layers;
-            Some(dc)
-        }
-        opal_serve::DraftSource::NGram => None,
-    });
 
     let mut vstep: u64 = 0;
     let mut ev_idx = 0usize;
@@ -434,23 +423,12 @@ fn replay_inner(
         let dt = t0.elapsed().as_secs_f64();
         if engine.steps() > before {
             stalls = 0;
-            let contexts = step_contexts(engine.last_step_work());
+            let step = engine.last_step_workload(&opal_fmt);
             step_virtual.push(vstep);
             step_secs.push(dt);
-            let mut macs = schedule_macs(model.config(), &contexts);
-            total_workload.accumulate(&TokenWorkload::from_schedule(
-                model.config(),
-                &opal_fmt,
-                &contexts,
-            ));
-            if let Some(dc) = &draft_config {
-                let dctx = crate::roofline::draft_contexts(engine.last_step_work());
-                if !dctx.is_empty() {
-                    macs += schedule_macs(dc, &dctx);
-                    total_workload.accumulate(&TokenWorkload::from_schedule(dc, &opal_fmt, &dctx));
-                }
-            }
-            step_macs.push(macs);
+            step_macs.push(host_macs(&step));
+            total_workload.accumulate(&step.served);
+            total_workload.accumulate(&step.draft);
             batch_sum += engine.last_step_work().len();
             if options.audit_every > 0 && engine.steps() % options.audit_every == 0 {
                 let audit = engine.audit();

@@ -15,15 +15,17 @@
 //! [`RooflineCheck`] then asserts that every step of a *replayed trace* —
 //! with its mixed prefill chunks, ragged contexts and preemption churn —
 //! lands within a pinned multiplicative band of the prediction obtained by
-//! feeding the realized schedule ([`ServeEngine::last_step_work`]) through
-//! [`TokenWorkload::from_schedule`]. A scheduler that bills work it does
-//! not perform (or performs work it does not bill) breaks the band.
+//! pricing the realized schedule ([`ServeEngine::last_step_work`]) with
+//! [`opal_serve::step_workload`], the one mapping from a step to
+//! [`TokenWorkload`]s that the engine's energy account also uses. A
+//! scheduler that bills work it does not perform (or performs work it does
+//! not bill) breaks the band.
 
 use opal_hw::performance::{workload_latency, Platform};
 use opal_hw::roofline::{GemmKernel, GpuModel};
 use opal_hw::workload::{DataFormat, TokenWorkload};
 use opal_model::{Model, ModelConfig};
-use opal_serve::{ServeConfig, ServeEngine};
+use opal_serve::{ServeConfig, ServeEngine, StepWorkload};
 
 /// Default multiplicative tolerance of the cross-check: measured per-step
 /// time must sit within `[predicted / 2, predicted × 2]`.
@@ -51,46 +53,11 @@ impl HostCalibration {
     }
 }
 
-/// MAC count of one step's realized schedule under the host datapath
-/// (f32 compute, so the BF16 format's uniform MAC accounting applies).
-pub(crate) fn schedule_macs(model: &ModelConfig, contexts: &[usize]) -> f64 {
-    if contexts.is_empty() {
-        return 0.0;
-    }
-    TokenWorkload::from_schedule(model, &DataFormat::bf16(), contexts).macs.total() as f64
-}
-
-/// Expands one step's realized schedule into per-forward-pass context
-/// lengths on the *served* model: each granted prefill position, each
-/// fused speculative-verify row (rows later rolled back still ran — their
-/// arithmetic must be billed), plus the decode pass, per sequence.
-pub(crate) fn step_contexts(work: &[opal_serve::SeqStepWork]) -> Vec<usize> {
-    let mut contexts = Vec::new();
-    for w in work {
-        for i in 0..w.prefilled {
-            contexts.push(w.prefill_start + i + 1);
-        }
-        for i in 0..w.verify_rows {
-            contexts.push(w.verify_start + i + 1);
-        }
-        if let Some(ctx) = w.decode_context {
-            contexts.push(ctx);
-        }
-    }
-    contexts
-}
-
-/// Expands one step's draft-model rows (speculative catch-up and proposal
-/// feeds) into context lengths. Priced separately from [`step_contexts`]
-/// because the truncated draft runs fewer layers than the served model.
-pub(crate) fn draft_contexts(work: &[opal_serve::SeqStepWork]) -> Vec<usize> {
-    let mut contexts = Vec::new();
-    for w in work {
-        for i in 0..w.draft_rows {
-            contexts.push(w.draft_start + i + 1);
-        }
-    }
-    contexts
+/// Host MACs of one priced step, served and draft passes together. The
+/// host computes in `f32`, and a workload's MAC total is the same in every
+/// format (only its split between INT modes and the FP lane differs).
+pub(crate) fn host_macs(step: &StepWorkload) -> f64 {
+    step.served.macs.total() as f64 + step.draft.macs.total() as f64
 }
 
 /// Fits a [`HostCalibration`] for `model` by timing two controlled decode
@@ -142,7 +109,7 @@ fn measure_decode(model: &Model, config: &ServeConfig, batch: usize) -> (f64, f6
         // Keep only full-batch pure-decode steps: every sequence sampled,
         // none prefilled — the steady state the affine model describes.
         if work.len() == batch && work.iter().all(|w| w.prefilled == 0 && w.sampled) {
-            macs.push(schedule_macs(model.config(), &step_contexts(work)));
+            macs.push(host_macs(&engine.last_step_workload(&DataFormat::bf16())));
             secs.push(dt);
         }
     }
@@ -312,8 +279,8 @@ mod tests {
     use opal_model::{ModelConfig, QuantScheme};
 
     #[test]
-    fn step_contexts_expand_prefill_and_decode() {
-        use opal_serve::SeqStepWork;
+    fn step_workload_expands_prefill_and_decode() {
+        use opal_serve::{step_workload, SeqStepWork};
         let work = [
             SeqStepWork {
                 prefill_start: 4,
@@ -330,13 +297,15 @@ mod tests {
                 ..Default::default()
             },
         ];
-        assert_eq!(step_contexts(&work), vec![5, 6, 7, 9]);
-        assert!(draft_contexts(&work).is_empty());
+        let (config, fmt) = (ModelConfig::tiny(), DataFormat::opal_w4a47());
+        let step = step_workload(&config, Some(&config), &fmt, &work);
+        assert_eq!(step.served, TokenWorkload::from_schedule(&config, &fmt, &[5, 6, 7, 9]));
+        assert_eq!(step.draft, TokenWorkload::zero());
     }
 
     #[test]
-    fn step_contexts_bill_verify_and_draft_rows() {
-        use opal_serve::SeqStepWork;
+    fn step_workload_bills_verify_and_draft_rows() {
+        use opal_serve::{step_workload, SeqStepWork};
         let work = [SeqStepWork {
             sampled: true,
             drafted: 3,
@@ -347,10 +316,22 @@ mod tests {
             draft_rows: 5,
             ..Default::default()
         }];
+        let (config, fmt) = (ModelConfig::tiny(), DataFormat::opal_w4a47());
+        let draft = ModelConfig { n_layers: 1, ..ModelConfig::tiny() };
+        let step = step_workload(&config, Some(&draft), &fmt, &work);
         // Verify rows are billed on the served model even though two of the
-        // four were rolled back.
-        assert_eq!(step_contexts(&work), vec![11, 12, 13, 14]);
-        assert_eq!(draft_contexts(&work), vec![9, 10, 11, 12, 13]);
+        // four were rolled back — as one fused pass over the cache.
+        assert_eq!(step.served, TokenWorkload::from_verify(&config, &fmt, 10, 4));
+        let rows = TokenWorkload::from_schedule(&config, &fmt, &[11, 12, 13, 14]);
+        assert_eq!(step.served.macs, rows.macs);
+        assert_eq!(step.draft, TokenWorkload::from_schedule(&draft, &fmt, &[9, 10, 11, 12, 13]));
+        assert_eq!(
+            host_macs(&step),
+            (rows.macs.total() + step.draft.macs.total()) as f64,
+            "host MACs count served and draft rows"
+        );
+        // Without a draft config the draft rows are not priced.
+        assert_eq!(step_workload(&config, None, &fmt, &work).draft, TokenWorkload::zero());
     }
 
     #[test]

@@ -14,9 +14,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use opal_hw::accelerator::Accelerator;
+use opal_hw::performance::{workload_latency, Platform};
+use opal_hw::workload::{DataFormat, TokenWorkload};
 use opal_model::kv::{BlockPool, KvBlock, KvScheme};
 use opal_model::sampling::Sampler;
-use opal_model::{DecodeState, LogitsOut, Model, RowGroup, Workspace};
+use opal_model::{DecodeState, LogitsOut, Model, ModelConfig, RowGroup, Workspace};
 use opal_tensor::rng::TensorRng;
 use opal_tensor::Matrix;
 
@@ -606,13 +608,13 @@ impl Queued {
 }
 
 /// What one sequence did during the most recent [`ServeEngine::step`] —
-/// the realized schedule, exported via [`ServeEngine::last_step_work`] so
-/// load harnesses can reconstruct the step's arithmetic (e.g. as an
-/// `opal_hw::workload::TokenWorkload` schedule) without re-deriving
-/// scheduler decisions. Written by the thread that stepped the sequence
-/// (`advance_chunk`) and read back by the scheduler's post-join
-/// accounting (energy, throughput counters) in batch order, so the
-/// bookkeeping is independent of thread scheduling.
+/// the realized schedule, exported via [`ServeEngine::last_step_work`].
+/// [`step_workload`] prices a step's records on the modeled platform, for
+/// the engine's own energy account and for load harnesses alike, so no
+/// caller re-derives scheduler decisions. Written by the thread that
+/// stepped the sequence (`advance_chunk`) and read back by the
+/// scheduler's post-join accounting (energy, throughput counters) in batch
+/// order, so the bookkeeping is independent of thread scheduling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SeqStepWork {
     /// Cache position before this step's prefill slice.
@@ -645,6 +647,60 @@ pub struct SeqStepWork {
     /// These price against the draft's truncated layer count, not the
     /// served model's. Zero without a truncated draft.
     pub draft_rows: usize,
+}
+
+/// The modeled-platform workload of one step: what [`step_workload`]
+/// makes of the step's [`SeqStepWork`] records.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StepWorkload {
+    /// The served model's passes, with one weight stream.
+    pub served: TokenWorkload,
+    /// The truncated draft's rows on the draft's own config, with one
+    /// stream of its weights; zero when no draft row ran.
+    pub draft: TokenWorkload,
+}
+
+impl StepWorkload {
+    /// Modeled chip energy of the step, in joules: each model's workload
+    /// on `accelerator`, leaking over that workload's modeled latency on
+    /// [`Platform::reference`] (the two run one after the other).
+    pub fn energy_j(&self, accelerator: &Accelerator, format: &DataFormat) -> f64 {
+        let platform = Platform::reference();
+        let energy = |wl: &TokenWorkload| {
+            let latency_s = workload_latency(wl, format, &platform).total_s();
+            accelerator.energy(wl, latency_s).total_j()
+        };
+        energy(&self.served) + energy(&self.draft)
+    }
+}
+
+/// Prices one step's realized schedule: each prefill position and decode
+/// row is one pass at its context, each fused verify pass goes through
+/// `TokenWorkload::from_verify` (its rows, rolled-back ones included,
+/// stream the cache once), and each model streams its weights once per
+/// step. Draft rows are priced on `draft`'s config; without a draft config
+/// they are not priced. The engine's energy account and every harness that
+/// prices a step call this.
+pub fn step_workload(
+    served: &ModelConfig,
+    draft: Option<&ModelConfig>,
+    format: &DataFormat,
+    work: &[SeqStepWork],
+) -> StepWorkload {
+    let passes = work.iter().flat_map(|w| {
+        (w.prefill_start + 1..=w.prefill_start + w.prefilled).chain(w.decode_context)
+    });
+    let verify = work.iter().filter(|w| w.verify_rows > 0).map(|w| (w.verify_start, w.verify_rows));
+    let draft = match draft {
+        Some(config) => TokenWorkload::from_step(
+            config,
+            format,
+            work.iter().flat_map(|w| w.draft_start + 1..=w.draft_start + w.draft_rows),
+            [],
+        ),
+        None => TokenWorkload::zero(),
+    };
+    StepWorkload { served: TokenWorkload::from_step(served, format, passes, verify), draft }
 }
 
 /// A sequence currently in the batch. Each owns a private [`DecodeState`] —
@@ -1300,11 +1356,6 @@ pub struct ServeEngine<'m> {
     /// Rotates which `Prefilling` sequence gets first claim on each step's
     /// [`PrefillBudget`] (the round-robin fairness policy).
     prefill_cursor: usize,
-    /// Prefix sums of per-position prefill energy (see [`PrefillEnergy`]).
-    prefill_energy: PrefillEnergy,
-    /// Separate prefix sums for draft-model rows — the draft's layer count
-    /// differs, so its per-position energies cannot share `prefill_energy`.
-    draft_energy: PrefillEnergy,
     /// Draft proposals verified (successful or not) and accepted, across
     /// the engine lifetime; the speculation win is `accepted / drafted`.
     drafted_total: u64,
@@ -1334,45 +1385,6 @@ pub struct ServeEngine<'m> {
     degraded_steps_total: u64,
     mode_transitions: u64,
     rejections: RejectionCounts,
-}
-
-/// Lazily-extended prefix sums of per-position prefill energy:
-/// `prefix[n] = Σ_{pos=1..=n} energy_per_token(pos)`, accumulated
-/// sequentially in `f64` — the exact sum the retired per-position admission
-/// loop produced.
-///
-/// Charging a prompt slice covering cache positions `(start, start+n]` is
-/// then one subtraction, `prefix[start+n] − prefix[start]`: amortized O(1)
-/// per admission regardless of prompt length (each position's energy is
-/// evaluated once per engine lifetime and shared by every later request),
-/// where the old loop re-evaluated the analytical accelerator model once
-/// per prompt position per request.
-#[derive(Debug)]
-struct PrefillEnergy {
-    prefix: Vec<f64>,
-}
-
-impl PrefillEnergy {
-    fn new() -> Self {
-        PrefillEnergy { prefix: vec![0.0] }
-    }
-
-    /// Energy of prefilling cache positions `(start, start+n]`.
-    fn range_j(
-        &mut self,
-        acc: &Accelerator,
-        config: &opal_model::ModelConfig,
-        start: usize,
-        n: usize,
-    ) -> f64 {
-        let end = start + n;
-        while self.prefix.len() <= end {
-            let pos = self.prefix.len();
-            let last = self.prefix.last().copied().unwrap_or(0.0);
-            self.prefix.push(last + acc.energy_per_token(config, pos).total_j());
-        }
-        self.prefix[end] - self.prefix[start]
-    }
 }
 
 impl<'m> ServeEngine<'m> {
@@ -1430,8 +1442,6 @@ impl<'m> ServeEngine<'m> {
             peak_batch: 0,
             energy_j: 0.0,
             prefill_cursor: 0,
-            prefill_energy: PrefillEnergy::new(),
-            draft_energy: PrefillEnergy::new(),
             drafted_total: 0,
             accepted_total: 0,
             started_at: None,
@@ -1451,16 +1461,13 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Attaches an accelerator model; every forward pass the engine runs
-    /// (prompt prefill and decode alike) is then charged
-    /// `energy_per_token` at its sequence length, accumulating into
+    /// Attaches an accelerator model; every step the engine runs is then
+    /// charged [`StepWorkload::energy_j`] of its [`step_workload`], in the
+    /// accelerator's format with the KV pages' stored bits
+    /// ([`ServeConfig::kv_scheme`]), accumulating into
     /// [`ServeReport::energy_j`].
     #[must_use]
     pub fn with_accelerator(mut self, accelerator: Accelerator) -> Self {
-        // The prefix sums cache per-position energies of the *current*
-        // accelerator; swapping models mid-life must not mix the two.
-        self.prefill_energy = PrefillEnergy::new();
-        self.draft_energy = PrefillEnergy::new();
         self.accelerator = Some(accelerator);
         self
     }
@@ -1555,12 +1562,17 @@ impl<'m> ServeEngine<'m> {
 
     /// The realized per-sequence schedule of the most recent non-idle
     /// [`step`](Self::step), in batch order — including sequences that
-    /// retired at the end of that step. Load harnesses use this to convert
-    /// each step into analytical workload terms (see
-    /// `opal_hw::workload::TokenWorkload::from_schedule`) without
-    /// re-deriving scheduler decisions.
+    /// retired at the end of that step.
     pub fn last_step_work(&self) -> &[SeqStepWork] {
         &self.last_work
+    }
+
+    /// [`step_workload`] of the most recent non-idle [`step`](Self::step)
+    /// in `format`, on this engine's model and (with a truncated draft) its
+    /// draft's config.
+    pub fn last_step_workload(&self, format: &DataFormat) -> StepWorkload {
+        let draft = self.draft_model.as_deref().map(Model::config);
+        step_workload(self.model.config(), draft, format, &self.last_work)
     }
 
     /// Ids of every request still in flight: active sequences in batch
@@ -1986,41 +1998,6 @@ impl<'m> ServeEngine<'m> {
             summary.drafted += seq.work.drafted;
             summary.accepted += seq.work.accepted;
         }
-        // Charge energy post-join, in batch order, so the f64 accumulation
-        // is independent of thread scheduling — prefill charges before
-        // decode charges, matching the order the blocking scheduler used
-        // (admission first, then the step's forward passes). A sequence at
-        // its limit did not run a forward pass this step.
-        if let Some(acc) = &self.accelerator {
-            let config = self.model.config();
-            for seq in &self.active {
-                let w = seq.work;
-                if w.prefilled > 0 {
-                    self.energy_j +=
-                        self.prefill_energy.range_j(acc, config, w.prefill_start, w.prefilled);
-                }
-            }
-            for seq in &self.active {
-                let w = seq.work;
-                if w.draft_rows > 0 {
-                    // tidy: allow(panic) -- draft rows imply a Truncated
-                    // draft, so the sibling model always exists.
-                    let dm = self.draft_model.as_ref().expect("draft rows without draft model");
-                    self.energy_j +=
-                        self.draft_energy.range_j(acc, dm.config(), w.draft_start, w.draft_rows);
-                }
-                if w.verify_rows > 0 {
-                    // A verify pass is energetically a prefill chunk over
-                    // the appended rows — including the rows later rolled
-                    // back, whose compute was still spent.
-                    self.energy_j +=
-                        self.prefill_energy.range_j(acc, config, w.verify_start, w.verify_rows);
-                }
-                if let Some(context) = w.decode_context {
-                    self.energy_j += acc.energy_per_token(config, context).total_j();
-                }
-            }
-        }
         self.prefill_tokens += summary.prefilled as u64;
         self.generated_tokens += summary.generated as u64;
         self.drafted_total += summary.drafted as u64;
@@ -2045,6 +2022,14 @@ impl<'m> ServeEngine<'m> {
                 }
             }
             self.last_work.push(w);
+        }
+        // Post-join, from the batch-order records, so the f64 account is
+        // independent of thread scheduling.
+        if let Some(acc) = &self.accelerator {
+            let mut format = acc.kind().format();
+            format.kv_bits = self.config.kv_scheme.bits_per_element(self.model.config().d_model);
+            let energy_j = self.last_step_workload(&format).energy_j(acc, &format);
+            self.energy_j += energy_j;
         }
 
         // Publish freshly-completed full prompt blocks into the prefix
@@ -3113,70 +3098,6 @@ mod tests {
         assert_eq!(e.submit(&[2]), Err(ServeError::QueueFull { max_queue: 1 }));
         assert_eq!(e.submit(&[]), Err(ServeError::EmptyPrompt));
         assert_eq!(e.submit_with_limit(&[1], 0), Err(ServeError::ZeroTokenLimit));
-    }
-
-    #[test]
-    fn batched_prefill_charge_matches_per_position_loop() {
-        // The admission energy charge is a prefix-sum subtraction now; it
-        // must reproduce the retired per-position loop *exactly* (the
-        // prefix sums accumulate in the same order the loop did).
-        use opal_hw::accelerator::{Accelerator, AcceleratorKind};
-        let m = model();
-        let acc = Accelerator::new(AcceleratorKind::OpalW4A47);
-        let prompt: Vec<u32> = (0..9u32).collect();
-        let limit = 3usize;
-
-        let mut e = ServeEngine::new(
-            &m,
-            ServeConfig {
-                max_batch: 1,
-                max_tokens: limit,
-                prefill_chunk: usize::MAX,
-                ..ServeConfig::default()
-            },
-        )
-        .with_accelerator(acc.clone());
-        e.submit(&prompt).unwrap();
-        let report = e.run();
-
-        // Oracle: the blocking scheduler's charge order — per-position
-        // prefill loop first, then one decode charge per forward pass.
-        let mut expected = 0.0f64;
-        for pos in 1..=prompt.len() {
-            expected += acc.energy_per_token(m.config(), pos).total_j();
-        }
-        for step in 0..limit - 1 {
-            expected += acc.energy_per_token(m.config(), prompt.len() + 1 + step).total_j();
-        }
-        assert_eq!(report.energy_j.to_bits(), expected.to_bits(), "energy drifted from the loop");
-    }
-
-    #[test]
-    fn chunked_energy_matches_blocking_admission() {
-        use opal_hw::accelerator::{Accelerator, AcceleratorKind};
-        let m = model();
-        let run = |chunk: usize| {
-            let mut e = ServeEngine::new(
-                &m,
-                ServeConfig {
-                    max_batch: 1,
-                    max_tokens: 3,
-                    prefill_chunk: chunk,
-                    ..ServeConfig::default()
-                },
-            )
-            .with_accelerator(Accelerator::new(AcceleratorKind::OpalW4A47));
-            e.submit(&[1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
-            e.run().energy_j
-        };
-        let blocking = run(usize::MAX);
-        for chunk in [2usize, 4] {
-            let chunked = run(chunk);
-            // Chunk-boundary prefix subtractions can round differently by a
-            // few ULPs; the physical accounting must be identical.
-            let rel = ((chunked - blocking) / blocking).abs();
-            assert!(rel < 1e-12, "chunk {chunk}: energy drifted {rel}");
-        }
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! [`opal_model::Model::prefill_chunk`], the same APIs the single-sequence
 //! generation loop uses — all paths share one decoder code path, so a batch
 //! of one is token-identical to `OpalPipeline::generate` for every chunk
-//! size. Energy is accounted per forward pass through the
-//! [`opal_hw::accelerator::Accelerator`] analytical model, giving each
-//! [`ServeReport`] an aggregate energy figure alongside throughput,
-//! per-request latency and queue wait.
+//! size. Energy is accounted per step through the
+//! [`opal_hw::accelerator::Accelerator`] analytical model ([`step_workload`]
+//! prices the step's realized schedule), giving each [`ServeReport`] an
+//! aggregate energy figure alongside throughput, per-request latency and
+//! queue wait.
 //!
 //! # Example
 //!
@@ -65,9 +66,9 @@ mod report;
 mod trie;
 
 pub use engine::{
-    AuditReport, DegradedConfig, DraftSource, PrefillBudget, Request, RequestId, SamplingParams,
-    SeqStepWork, ServeConfig, ServeEngine, ServeError, SpecConfig, StepMode, StepSummary,
-    REORDER_STARVATION_BOUND,
+    step_workload, AuditReport, DegradedConfig, DraftSource, PrefillBudget, Request, RequestId,
+    SamplingParams, SeqStepWork, ServeConfig, ServeEngine, ServeError, SpecConfig, StepMode,
+    StepSummary, StepWorkload, REORDER_STARVATION_BOUND,
 };
 pub use opal_model::{AdoptError, KvScheme};
 pub use report::{FinishReason, RejectionCounts, RequestReport, ServeReport};

@@ -175,8 +175,10 @@ pub struct ServeReport {
     pub tokens_per_sec: f64,
     /// Generated tokens per second of wall time.
     pub generated_per_sec: f64,
-    /// Aggregate accelerator energy in joules (zero when no accelerator
-    /// model is attached).
+    /// Aggregate modeled accelerator energy in joules: the sum over steps
+    /// of [`StepWorkload::energy_j`](crate::StepWorkload::energy_j) of each
+    /// step's [`step_workload`](crate::step_workload) (zero when no
+    /// accelerator model is attached).
     pub energy_j: f64,
     /// Per-request outcomes, ordered by request id.
     pub requests: Vec<RequestReport>,

@@ -1,0 +1,136 @@
+//! The modeled-platform cost of served steps, through the one path that
+//! prices them (`opal_serve::step_workload` → `Accelerator::energy`).
+//!
+//! The engine's `energy_j` must be exactly the per-step sum of that path
+//! over `last_step_work()`, and the paper's cost orderings must come out of
+//! it: a batch shares a step's weight stream and leakage, MX-OPAL KV pages
+//! stream fewer bytes than exact ones, and a fused verify pass buys several
+//! tokens with one weight stream.
+
+use opal_hw::accelerator::{Accelerator, AcceleratorKind};
+use opal_model::{Model, ModelConfig, QuantScheme};
+use opal_serve::{
+    step_workload, DraftSource, KvScheme, ServeConfig, ServeEngine, ServeReport, SpecConfig,
+};
+
+fn accelerator() -> Accelerator {
+    Accelerator::new(AcceleratorKind::OpalW4A47)
+}
+
+fn tiny() -> Model {
+    Model::new(ModelConfig::tiny(), QuantScheme::mxopal_w4a47(), 7).expect("tiny model")
+}
+
+/// Drains `prompts` (each generating `limit` tokens) with an accelerator
+/// attached; returns the report.
+fn drain(model: &Model, config: ServeConfig, prompts: &[Vec<u32>], limit: usize) -> ServeReport {
+    let mut engine = ServeEngine::new(model, config).with_accelerator(accelerator());
+    for p in prompts {
+        engine.submit_with_limit(p, limit).expect("valid prompt");
+    }
+    engine.run()
+}
+
+fn per_token_j(report: &ServeReport) -> f64 {
+    report.energy_j / report.generated_tokens as f64
+}
+
+fn prompts(n: usize, len: usize, vocab: usize) -> Vec<Vec<u32>> {
+    (0..n).map(|i| (0..len).map(|j| ((i * 53 + j * 19) % vocab) as u32).collect()).collect()
+}
+
+#[test]
+fn energy_is_the_per_step_sum_of_step_workload() {
+    // Chunked prefill beside decode rows, a truncated draft (draft rows
+    // and fused verify passes) and quantized KV pages: every field of a
+    // step record reaches the price.
+    let model = tiny();
+    for kv_scheme in [KvScheme::Exact, KvScheme::mxopal()] {
+        assert_energy_is_the_per_step_sum(&model, kv_scheme);
+    }
+}
+
+fn assert_energy_is_the_per_step_sum(model: &Model, kv_scheme: KvScheme) {
+    let config = ServeConfig {
+        max_batch: 3,
+        prefill_chunk: 5,
+        kv_scheme,
+        spec: Some(SpecConfig { draft: DraftSource::Truncated { layers: 1 }, k: 2 }),
+        ..ServeConfig::default()
+    };
+    let acc = accelerator();
+    let mut format = acc.kind().format();
+    format.kv_bits = kv_scheme.bits_per_element(model.config().d_model);
+    let draft = ModelConfig { n_layers: 1, ..model.config().clone() };
+
+    let mut engine = ServeEngine::new(model, config).with_accelerator(acc.clone());
+    for p in prompts(4, 12, model.config().vocab) {
+        engine.submit_with_limit(&p, 10).expect("valid prompt");
+    }
+    let (mut expected, mut verified, mut drafted_rows) = (0.0f64, 0, 0);
+    while !engine.is_idle() {
+        let before = engine.steps();
+        engine.step();
+        if engine.steps() == before {
+            continue;
+        }
+        let work = engine.last_step_work();
+        verified += work.iter().filter(|w| w.verify_rows > 0).count();
+        drafted_rows += work.iter().map(|w| w.draft_rows).sum::<usize>();
+        let step = step_workload(model.config(), Some(&draft), &format, work);
+        expected += step.energy_j(&acc, &format);
+    }
+    assert!(verified > 0 && drafted_rows > 0, "speculation never ran");
+    let report = engine.report(std::time::Duration::from_secs(1));
+    assert!(report.energy_j > 0.0);
+    assert_eq!(report.energy_j.to_bits(), expected.to_bits(), "{} vs {expected}", report.energy_j);
+}
+
+#[test]
+fn batch_16_costs_less_per_token_than_batch_1() {
+    let model = tiny();
+    let set = prompts(16, 8, model.config().vocab);
+    let config = |max_batch| ServeConfig { max_batch, ..ServeConfig::default() };
+    let lone = per_token_j(&drain(&model, config(1), &set[..1], 16));
+    let batched = per_token_j(&drain(&model, config(16), &set, 16));
+    assert!(batched < lone, "batch 16 {batched:e} J/token, batch 1 {lone:e} J/token");
+}
+
+#[test]
+fn mxopal_kv_pages_cost_less_than_exact_at_long_context() {
+    let model = tiny();
+    let vocab = model.config().vocab;
+    let saving = |prompt_len: usize| {
+        let set = prompts(1, prompt_len, vocab);
+        let run = |kv_scheme| {
+            let config = ServeConfig { kv_scheme, ..ServeConfig::default() };
+            per_token_j(&drain(&model, config, &set, 8))
+        };
+        1.0 - run(KvScheme::mxopal()) / run(KvScheme::Exact)
+    };
+    let long = saving(512);
+    assert!(long > 0.0, "MX-OPAL pages must cost less than exact ones at 512: {long}");
+    // KV traffic is what grows with context, so the saving does too.
+    let short = saving(16);
+    assert!(long > short, "saving at 512 ({long}) not above saving at 16 ({short})");
+}
+
+#[test]
+fn ngram_speculation_costs_less_than_plain_decode_on_repetitive_prompts() {
+    // The served proxy's geometry at `bench_decode`'s vocabulary, whose
+    // greedy streams settle into the cycles an n-gram draft predicts.
+    let config = ModelConfig::llama2_7b().proxy(128, 4, 192);
+    let model = Model::new(config, QuantScheme::bf16(), 21).expect("proxy model");
+    let vocab = model.config().vocab as u32;
+    // Periodic motifs, as in `bench_decode`'s speculative section.
+    let set: Vec<Vec<u32>> = (0..2u32)
+        .map(|i| (0..24u32).map(|j| (i * 29 + (j % (3 + i)) * 11) % vocab).collect())
+        .collect();
+    let config = |spec| ServeConfig { max_batch: 2, spec, ..ServeConfig::default() };
+    let plain = drain(&model, config(None), &set, 96);
+    let ngram = SpecConfig { draft: DraftSource::NGram, k: 4 };
+    let spec = drain(&model, config(Some(ngram)), &set, 96);
+    assert!(spec.acceptance_rate() > 0.0, "the n-gram draft never hit");
+    let (plain, spec) = (per_token_j(&plain), per_token_j(&spec));
+    assert!(spec < plain, "n-gram {spec:e} J/token, plain {plain:e} J/token");
+}

@@ -30,10 +30,16 @@
 //! whole process. All probe tests serialize on
 //! [`opal_alloc_probe::probe_lock`] all the same.
 //!
+//! Every benchmark workload attaches an accelerator model, so each shape
+//! is also probed with one attached: the step is then priced
+//! (`opal_serve::step_workload` → `Accelerator::energy`) inside the
+//! measured window.
+//!
 //! Strict assertions are release-only: debug builds run the engine's
 //! `debug_assertions` invariant auditor, which allocates on purpose.
 
 use opal_alloc_probe::{allocations, probe_lock, thread_allocations, CountingAlloc};
+use opal_hw::accelerator::{Accelerator, AcceleratorKind};
 use opal_model::{Model, ModelConfig, QuantScheme};
 use opal_serve::{DraftSource, KvScheme, ServeConfig, ServeEngine, SpecConfig, StepMode};
 
@@ -95,8 +101,13 @@ fn measure_steps(engine: &mut ServeEngine<'_>, counter: fn() -> u64) -> Vec<u64>
     counts
 }
 
+/// Attaches the accelerator model every benchmark workload runs with.
+fn attach(engine: ServeEngine<'_>) -> ServeEngine<'_> {
+    engine.with_accelerator(Accelerator::new(AcceleratorKind::OpalW4A47))
+}
+
 fn assert_zero_alloc_decode(scheme: QuantScheme, batch: usize, mode: StepMode) {
-    assert_zero_alloc_decode_kv(scheme, KvScheme::Exact, batch, mode);
+    assert_zero_alloc_decode_kv(scheme, KvScheme::Exact, batch, mode, false);
 }
 
 /// Same window arithmetic as the exact-cache probes: quantized pages use
@@ -104,10 +115,19 @@ fn assert_zero_alloc_decode(scheme: QuantScheme, batch: usize, mode: StepMode) {
 /// differ), so block boundaries still fall at sequence lengths 17 and 33
 /// — outside steps 13..=23 — and the `EncodeScratch` the append encoder
 /// reuses reaches its full capacity during warmup.
-fn assert_zero_alloc_decode_kv(scheme: QuantScheme, kv: KvScheme, batch: usize, mode: StepMode) {
+fn assert_zero_alloc_decode_kv(
+    scheme: QuantScheme,
+    kv: KvScheme,
+    batch: usize,
+    mode: StepMode,
+    accelerator: bool,
+) {
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), scheme, 7).expect("probe model");
     let mut engine = engine_for_kv(&model, batch, mode, 1, kv);
+    if accelerator {
+        engine = attach(engine);
+    }
     let counts = measure_steps(&mut engine, thread_allocations);
     assert_eq!(counts.len(), 11);
     // Debug builds run the engine's allocating invariant auditor after
@@ -143,17 +163,35 @@ fn mxopal_batch16_pool_steady_state_is_allocation_free() {
 
 #[test]
 fn kv_mxopal_batch1_pool_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 1, StepMode::ForcePool);
+    assert_zero_alloc_decode_kv(
+        QuantScheme::bf16(),
+        KvScheme::mxopal(),
+        1,
+        StepMode::ForcePool,
+        false,
+    );
 }
 
 #[test]
 fn kv_mxopal_batch16_pool_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal(), 16, StepMode::ForcePool);
+    assert_zero_alloc_decode_kv(
+        QuantScheme::bf16(),
+        KvScheme::mxopal(),
+        16,
+        StepMode::ForcePool,
+        false,
+    );
 }
 
 #[test]
 fn kv_mxopal4_batch16_pool_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode_kv(QuantScheme::bf16(), KvScheme::mxopal4(), 16, StepMode::ForcePool);
+    assert_zero_alloc_decode_kv(
+        QuantScheme::bf16(),
+        KvScheme::mxopal4(),
+        16,
+        StepMode::ForcePool,
+        false,
+    );
 }
 
 #[test]
@@ -163,6 +201,18 @@ fn kv_mxint_batch16_pool_steady_state_is_allocation_free() {
         KvScheme::mxint(),
         16,
         StepMode::ForcePool,
+        false,
+    );
+}
+
+#[test]
+fn accelerator_attached_batch16_steady_state_is_allocation_free() {
+    assert_zero_alloc_decode_kv(
+        QuantScheme::mxopal_w4a47(),
+        KvScheme::mxopal(),
+        16,
+        StepMode::ForcePool,
+        true,
     );
 }
 
@@ -199,15 +249,21 @@ fn multithreaded_pool_dispatch_allocations_are_bounded() {
 /// 9..=12 are the pinned-zero window.
 #[test]
 fn speculative_decode_steady_state_is_allocation_free() {
-    assert_zero_alloc_speculative(KvScheme::Exact);
+    assert_zero_alloc_speculative(KvScheme::Exact, false);
 }
 
 #[test]
 fn kv_mxopal_speculative_decode_steady_state_is_allocation_free() {
-    assert_zero_alloc_speculative(KvScheme::mxopal());
+    assert_zero_alloc_speculative(KvScheme::mxopal(), false);
 }
 
-fn assert_zero_alloc_speculative(kv_scheme: KvScheme) {
+/// Draft rows and fused verify passes are priced too.
+#[test]
+fn accelerator_attached_speculative_decode_is_allocation_free() {
+    assert_zero_alloc_speculative(KvScheme::mxopal(), true);
+}
+
+fn assert_zero_alloc_speculative(kv_scheme: KvScheme, accelerator: bool) {
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 7).expect("probe model");
     let config = ServeConfig {
@@ -226,6 +282,9 @@ fn assert_zero_alloc_speculative(kv_scheme: KvScheme) {
         ..ServeConfig::default()
     };
     let mut engine = ServeEngine::new(&model, config);
+    if accelerator {
+        engine = attach(engine);
+    }
     let vocab = model.config().vocab as u32;
     for i in 0..2usize {
         let prompt: Vec<u32> =
@@ -273,7 +332,7 @@ fn assert_zero_alloc_speculative(kv_scheme: KvScheme) {
 /// the four steps after it — three 8-row chunks beside three decode rows,
 /// then the last prompt row, the first sample and four decode rows — are
 /// the window.
-fn assert_zero_alloc_mixed_steps(scheme: QuantScheme, kv_scheme: KvScheme) {
+fn assert_zero_alloc_mixed_steps(scheme: QuantScheme, kv_scheme: KvScheme, accelerator: bool) {
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), scheme, 7).expect("probe model");
     let config = ServeConfig {
@@ -286,6 +345,9 @@ fn assert_zero_alloc_mixed_steps(scheme: QuantScheme, kv_scheme: KvScheme) {
         ..ServeConfig::default()
     };
     let mut engine = ServeEngine::new(&model, config);
+    if accelerator {
+        engine = attach(engine);
+    }
     let vocab = model.config().vocab as u32;
     let prompt = |i: usize, len: usize| -> Vec<u32> {
         (0..len).map(|p| ((i * 53 + p * 19) as u32) % vocab).collect()
@@ -320,17 +382,22 @@ fn assert_zero_alloc_mixed_steps(scheme: QuantScheme, kv_scheme: KvScheme) {
 
 #[test]
 fn bf16_mixed_steps_are_allocation_free() {
-    assert_zero_alloc_mixed_steps(QuantScheme::bf16(), KvScheme::Exact);
+    assert_zero_alloc_mixed_steps(QuantScheme::bf16(), KvScheme::Exact, false);
 }
 
 #[test]
 fn mxopal_mixed_steps_are_allocation_free() {
-    assert_zero_alloc_mixed_steps(QuantScheme::mxopal_w4a47(), KvScheme::Exact);
+    assert_zero_alloc_mixed_steps(QuantScheme::mxopal_w4a47(), KvScheme::Exact, false);
 }
 
 #[test]
 fn kv_mxopal_mixed_steps_are_allocation_free() {
-    assert_zero_alloc_mixed_steps(QuantScheme::bf16(), KvScheme::mxopal());
+    assert_zero_alloc_mixed_steps(QuantScheme::bf16(), KvScheme::mxopal(), false);
+}
+
+#[test]
+fn accelerator_attached_mixed_steps_are_allocation_free() {
+    assert_zero_alloc_mixed_steps(QuantScheme::mxopal_w4a47(), KvScheme::mxopal(), true);
 }
 
 /// The probe itself must fire: a deliberate allocation inside a measured
