@@ -86,13 +86,13 @@ impl LaneSimulator {
 
             // The distributor: positions where either operand holds a
             // preserved BF16 value go to the FP units.
-            let a_out: Vec<u8> = ab.outliers.iter().map(|&(i, _)| i).collect();
-            let w_out: Vec<u8> = wb.outliers.iter().map(|&(i, _)| i).collect();
+            let a_out: Vec<u16> = ab.outliers.iter().map(|&(i, _)| i).collect();
+            let w_out: Vec<u16> = wb.outliers.iter().map(|&(i, _)| i).collect();
 
             let mut int_acc: i64 = 0;
             for i in 0..ab.elements.len() {
                 self.trace.routed += 1;
-                let idx = i as u8;
+                let idx = i as u16;
                 let a_is_out = a_out.contains(&idx);
                 let w_is_out = w_out.contains(&idx);
                 if a_is_out || w_is_out {

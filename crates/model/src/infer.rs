@@ -602,7 +602,7 @@ impl Model {
     pub fn from_weights(
         config: ModelConfig,
         scheme: QuantScheme,
-        raw: ModelWeights,
+        mut raw: ModelWeights,
         seed: u64,
     ) -> Result<Self, QuantError> {
         let (low_q, high_q) = match &scheme.acts {
@@ -654,7 +654,19 @@ impl Model {
                 // model is left holding the model, not the high-water mark
                 // of building it.
                 drop((state, fp));
-                process_owq(raw.layers, &owq, &rec, codec.is_some())
+                let layers = process_owq(raw.layers, &owq, &rec, codec.is_some());
+                // What the model keeps of the raw weights is copied too, for
+                // `process_owq`'s reason: these were the build's first
+                // allocations, under everything since, so the copies land in
+                // the space the raw layers left and the originals free the
+                // top of the heap (with glibc's allocator, nine builds of the
+                // served proxy leave a heap of ~3.0 MiB instead of ~5.7).
+                raw.embedding = raw.embedding.clone();
+                raw.unembedding = raw.unembedding.clone();
+                raw.final_norm_gain = raw.final_norm_gain.clone();
+                raw.final_norm_bias = raw.final_norm_bias.clone();
+                raw.outlier_channels = raw.outlier_channels.clone();
+                layers
             }
         };
 

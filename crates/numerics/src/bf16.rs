@@ -20,7 +20,10 @@ use std::fmt;
 /// assert_eq!(x.mantissa(), 0x40); // 0b100_0000: the ".5"
 /// assert_eq!(x.biased_exponent(), 127);
 /// ```
+// `transparent`: the wide encoder kernels load and store rows of `Bf16` as
+// rows of `u16`.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[repr(transparent)]
 pub struct Bf16(u16);
 
 impl Bf16 {

@@ -62,39 +62,39 @@ pub enum Rounding {
 /// assert_eq!(shift_quantize(Bf16::from_f32(7.0), 3, 4, Rounding::NearestEven), 4);
 /// assert_eq!(shift_quantize(Bf16::from_f32(-7.0), 3, 4, Rounding::Truncate), -3);
 /// ```
-// Branch-free on purpose: the MX-OPAL encoders call this once per element,
-// and on activation data the round-up and the sign are coin flips, so a
-// branch on either mispredicts every other element. Everything below is a
-// select or an arithmetic identity; `tests::reference` keeps the branching
-// form as the oracle.
+// Lane by lane on purpose: every step is an operation one SIMD lane has
+// (integer add, clamp, min, float add, mask, sign), so the MX-OPAL
+// encoder kernels in `opal_tensor::ops` run this exact body eight lanes at
+// a time, and there is no branch for the coin-flip round-up or sign of
+// activation data to mispredict. `tests::reference` keeps the branching
+// form of Fig. 2 as the oracle, checked on every finite input.
 #[inline]
 pub fn shift_quantize(x: Bf16, shared_scale: i32, bits: u32, rounding: Rounding) -> i32 {
     assert!((2..=8).contains(&bits), "element bit-width must be 2..=8");
     debug_assert!(!x.is_nan() && !x.is_infinite(), "non-finite input {x:?}");
 
-    let raw = i32::from(x.to_bits());
-    let field = (raw >> 7) & 0xFF; // biased exponent
-    let sig = 0x80 | (raw & 0x7F); // 8-bit 1.M, units of 2^-7
+    let raw = u32::from(x.to_bits());
+    let field = ((raw >> 7) & 0xFF) as i32; // biased exponent
     let qmax = (1i32 << (bits - 1)) - 1;
 
-    // q_exact = sig * 2^(exp - 7 - (shared_scale - (bits - 2)))
-    //         = sig * 2^(exp - shared_scale + bits - 9)
-    let shift = shared_scale - (field - Bf16::EXPONENT_BIAS) + 9 - bits as i32;
-    // An 8-bit significand shifted right by 9 or more is 0 under either
-    // rounding, so every larger shift is that one.
-    let sh = shift.clamp(1, 9) as u32;
-    let kept = sig >> sh;
-    let dropped = sig & ((1 << sh) - 1);
-    let half = 1 << (sh - 1);
-    let round_up = matches!(rounding, Rounding::NearestEven)
-        & ((dropped > half) | ((dropped == half) & (kept & 1 == 1)));
-    // Element exponent above the shared scale (`shift <= 0`, possible when a
-    // caller clamps scales): a normal significand is at least 2^7 > qmax
-    // before any left shift, so the value saturates.
-    let magnitude = if shift <= 0 { qmax } else { (kept + i32::from(round_up)).min(qmax) };
+    // |q_exact| = |x| · 2^(bits - 2 - shared_scale): the same significand
+    // under the exponent field moved by that power of two. Clamping the
+    // field to the normal range keeps the float finite and changes no
+    // result: at 254 the value is >= 2^127 and saturates below, at 1 it is
+    // < 2^-125 and rounds to 0 (either way the true value is further out).
+    let moved = (field + bits as i32 - 2 - shared_scale).clamp(1, 254) as u32;
+    let scaled = f32::from_bits((moved << 23) | ((raw & 0x7F) << 16));
+    // `min` before rounding is `min` after: `qmax` is an integer.
+    let scaled = scaled.min(qmax as f32);
+    let magnitude = match rounding {
+        // `scaled` <= 127, so `scaled + 2^23` is the integer nearest to it,
+        // ties to even, in the low mantissa bits of a float of exponent 23.
+        Rounding::NearestEven => ((scaled + 8_388_608.0).to_bits() & 0x7F_FFFF) as i32,
+        Rounding::Truncate => scaled as i32,
+    };
     // Zero and subnormals flush to zero.
     let magnitude = if field == 0 { 0 } else { magnitude };
-    let neg = -(raw >> 15); // 0, or -1 when the sign bit is set
+    let neg = -((raw >> 15) as i32); // 0, or -1 when the sign bit is set
     (magnitude ^ neg) - neg
 }
 
@@ -227,6 +227,40 @@ mod tests {
             }
         }
         assert_eq!(cases, 4 * 2 * 128 * 7 * 111 * 2);
+    }
+
+    #[test]
+    fn lane_form_matches_the_branching_reference_on_every_finite_input() {
+        // For a normal input the moved exponent field is `134 - shift`
+        // (`shift` as in `reference`) whatever the input, so these shifts
+        // reach both ends of the field's clamp (254 from shift -121 down, 1
+        // from shift 134 up) from each side, the saturating side
+        // (shift <= 0), every right shift that keeps a bit (1..=9) and the
+        // first ones that keep none.
+        let shifts = (-122..=-119).chain(-1..=11).chain(132..=135);
+        let mut cases = 0u32;
+        for raw in 0..=u16::MAX {
+            let x = Bf16::from_bits(raw);
+            if x.is_nan() || x.is_infinite() {
+                continue;
+            }
+            let exp = x.unbiased_exponent();
+            for bits in 2u32..=8 {
+                for shift in shifts.clone() {
+                    let scale = shift + exp - 9 + bits as i32;
+                    for r in [Rounding::Truncate, Rounding::NearestEven] {
+                        let (got, want) =
+                            (shift_quantize(x, scale, bits, r), reference(x, scale, bits, r));
+                        assert!(
+                            got == want,
+                            "x={x:?} scale={scale} bits={bits} {r:?}: {got} vs {want}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, (0x1_0000 - 2 * 128) * 7 * 21 * 2);
     }
 
     #[test]

@@ -12,7 +12,8 @@ pub enum QuantError {
         /// The rejected bit-width.
         bits: u32,
     },
-    /// The block size must be at least 1.
+    /// The block size is outside the supported range (at least 1; MX-OPAL
+    /// also at most `u16::MAX`).
     InvalidBlockSize {
         /// The rejected block size.
         block_size: usize,
@@ -39,7 +40,7 @@ impl fmt::Display for QuantError {
                 write!(f, "element bit-width {bits} is outside the supported range 2..=8")
             }
             QuantError::InvalidBlockSize { block_size } => {
-                write!(f, "block size {block_size} must be at least 1")
+                write!(f, "block size {block_size} is outside the supported range")
             }
             QuantError::TooManyOutliers { outliers, block_size } => {
                 write!(f, "cannot preserve {outliers} outliers in blocks of {block_size} elements")

@@ -4,6 +4,7 @@ use std::cmp::Ordering;
 
 use opal_numerics::shift::step_size;
 use opal_numerics::{shift_dequantize, shift_quantize, Bf16, Rounding};
+use opal_tensor::ops;
 
 use crate::{QuantError, Quantizer};
 
@@ -26,7 +27,7 @@ use crate::{QuantError, Quantizer};
 pub struct EncodeScratch {
     /// bf16 image of the input row.
     bf: Vec<Bf16>,
-    /// Selection keys of the block being ranked (see [`select_top`]).
+    /// Selection keys of the block being ranked ([`ops::top_magnitudes`]).
     keys: Vec<u32>,
     /// Block-local indices of the top `n + 1` magnitudes, in stable rank
     /// order (the prefix of the allocating path's full descending sort).
@@ -47,32 +48,19 @@ impl EncodeScratch {
     }
 }
 
-/// Longest block [`select_top`] ranks by key: the index takes the low 15
-/// bits of a key.
-const KEYED_BLOCK_MAX: usize = 1 << 15;
-
 /// Leaves in `top` the block-local indices of the `n + 1` largest
 /// magnitudes of `block`, in the order the allocating encoder's stable
 /// descending sort by [`Bf16::abs_cmp`] puts them (equal magnitudes by
-/// ascending index). Requires `n < block.len()`.
-///
-/// Element `j` gets the key `(mag << 15) | (0x7FFF - j)`, `mag` being its
-/// low 15 bits with every NaN mapped to `0x8000` — `abs_cmp`'s order, NaNs
-/// equal to each other and above everything. Keys are distinct, and
-/// descending key order is descending magnitude with ties to the earlier
-/// index, so the `r`-th largest key names rank `r`: take the maximum
-/// `n + 1` times, reading the index back out of the key and clearing it.
-/// One branch-free pass builds the keys and each pull is a plain `max`
-/// reduction, where an insertion scan compares and branches per element
-/// per kept entry. A cleared key is 0, which only the last element of a
-/// full 32 768-block of zeros shares, and it names that element.
+/// ascending index): [`ops::top_magnitudes`], whose keys hold an index in
+/// 15 bits, or for a longer block a stable insertion. Requires
+/// `n < block.len()`.
 fn select_top(block: &[Bf16], n: usize, keys: &mut Vec<u32>, top: &mut Vec<usize>) {
     debug_assert!(n < block.len(), "the scale needs an (n+1)-th element");
-    top.clear();
-    if block.len() > KEYED_BLOCK_MAX {
+    if block.len() > ops::TOP_BLOCK_MAX {
         // Stable top-(n+1) insertion — element j displaces kept entries
         // only when strictly larger, so equal magnitudes keep
         // ascending-index order exactly like the stable sort.
+        top.clear();
         for (j, &v) in block.iter().enumerate() {
             let pos = top
                 .iter()
@@ -85,19 +73,9 @@ fn select_top(block: &[Bf16], n: usize, keys: &mut Vec<u32>, top: &mut Vec<usize
         }
         return;
     }
-    keys.clear();
-    keys.extend(block.iter().zip((0..=0x7FFFu32).rev()).map(|(v, low)| {
-        let mag = u32::from(v.to_bits() & 0x7FFF);
-        let mag = if mag > 0x7F80 { 0x8000 } else { mag };
-        (mag << 15) | low
-    }));
-    for _ in 0..=n {
-        let best = keys.iter().fold(0, |m, &k| m.max(k));
-        let j = 0x7FFF - (best & 0x7FFF) as usize;
-        keys[j] = 0;
-        // tidy: allow(alloc) -- amortized: scratch capacity is reused across calls
-        top.push(j);
-    }
+    keys.resize(block.len(), 0);
+    top.resize(n + 1, 0);
+    ops::top_magnitudes(block, keys, top);
 }
 
 /// Number of bits used for each block's shared-scale *offset* against the
@@ -113,7 +91,7 @@ pub struct MxOpalBlock {
     /// in `0..=15` (stored in 4 bits).
     pub scale_offset: u8,
     /// The preserved outliers: `(index within block, bfloat16 value)`.
-    pub outliers: Vec<(u8, Bf16)>,
+    pub outliers: Vec<(u16, Bf16)>,
     /// Non-outlier integer elements (outlier positions hold 0).
     pub elements: Vec<i32>,
 }
@@ -244,8 +222,10 @@ impl MxOpalQuantizer {
     ///
     /// # Errors
     ///
-    /// Returns a [`QuantError`] if `bits` ∉ `2..=8`, the block is empty, or
-    /// `outliers >= block_size` (the scale needs an (n+1)-th element).
+    /// Returns a [`QuantError`] if `bits` ∉ `2..=8`, the block is empty or
+    /// longer than `u16::MAX` (an outlier's index is a `u16`), or
+    /// `outliers >= block_size` (the scale needs an (n+1)-th element) or
+    /// `outliers > u8::MAX` (a block's outlier count is a `u8`).
     pub fn new(bits: u32, block_size: usize, outliers: usize) -> Result<Self, QuantError> {
         Self::with_rounding(bits, block_size, outliers, Rounding::NearestEven)
     }
@@ -264,10 +244,10 @@ impl MxOpalQuantizer {
         if !(2..=8).contains(&bits) {
             return Err(QuantError::InvalidBits { bits });
         }
-        if block_size == 0 {
+        if block_size == 0 || block_size > usize::from(u16::MAX) {
             return Err(QuantError::InvalidBlockSize { block_size });
         }
-        if outliers >= block_size {
+        if outliers >= block_size || outliers > usize::from(u8::MAX) {
             return Err(QuantError::TooManyOutliers { outliers, block_size });
         }
         Ok(MxOpalQuantizer { bits, block_size, outliers, rounding })
@@ -343,8 +323,9 @@ impl MxOpalQuantizer {
                 }
                 elements[i] = shift_quantize(v, scale, self.bits, self.rounding);
             }
-            let mut outliers: Vec<(u8, Bf16)> =
-                plan.outlier_idx.iter().map(|&i| (i as u8, plan.bf[i])).collect();
+            // `i < block_size <= u16::MAX`: exact in u16.
+            let mut outliers: Vec<(u16, Bf16)> =
+                plan.outlier_idx.iter().map(|&i| (i as u16, plan.bf[i])).collect();
             outliers.sort_by_key(|&(i, _)| i);
             blocks.push(MxOpalBlock { scale_offset: offset, outliers, elements });
         }
@@ -365,8 +346,8 @@ impl MxOpalQuantizer {
     /// rule as [`MxOpalQuantizer::quantize`] — every block offset must fit
     /// in 4 bits, low blocks clamp upward.
     fn plan_blocks(&self, x: &[f32], s: &mut EncodeScratch) -> i32 {
-        s.bf.clear();
-        s.bf.extend(x.iter().map(|&v| Bf16::from_f32(v)));
+        s.bf.resize(x.len(), Bf16::ZERO);
+        ops::bf16_image(x, &mut s.bf);
         s.block_scales.clear();
         s.outlier_idx.clear();
         s.outlier_end.clear();
@@ -427,11 +408,13 @@ impl MxOpalQuantizer {
             let scale = block_scale
                 .map(|sc| sc.clamp(global_scale, global_scale + MAX_OFFSET))
                 .unwrap_or(global_scale);
-            // `shift_dequantize` with its power-of-two step taken once.
-            let step = step_size(scale, self.bits);
-            for (o, &v) in out[start..end].iter_mut().zip(&s.bf[start..end]) {
-                *o = shift_quantize(v, scale, self.bits, self.rounding) as f32 * step;
-            }
+            ops::shift_values(
+                &s.bf[start..end],
+                scale,
+                self.bits,
+                self.rounding,
+                &mut out[start..end],
+            );
             let outlier_end = s.outlier_end[b];
             for &i in &s.outlier_idx[outlier_start..outlier_end] {
                 out[i] = s.bf[i].to_f32();
@@ -494,10 +477,13 @@ impl MxOpalQuantizer {
                 .unwrap_or(global_scale);
             // bf16 exponents fit i16 with orders of magnitude to spare.
             scales[b] = scale as i16;
-            for (c, &v) in codes[start..end].iter_mut().zip(&s.bf[start..end]) {
-                // |q| <= 2^(bits-1)-1 <= 127 for bits <= 8: exact in i8.
-                *c = shift_quantize(v, scale, self.bits, self.rounding) as i8;
-            }
+            ops::shift_codes(
+                &s.bf[start..end],
+                scale,
+                self.bits,
+                self.rounding,
+                &mut codes[start..end],
+            );
             let outlier_end = s.outlier_end[b];
             let slot0 = b * self.outliers;
             out_len[b] = (outlier_end - outlier_start) as u8;
@@ -616,6 +602,10 @@ mod tests {
         assert!(MxOpalQuantizer::new(1, 128, 4).is_err());
         assert!(MxOpalQuantizer::new(4, 0, 0).is_err());
         assert!(MxOpalQuantizer::new(4, 128, 127).is_ok());
+        // An outlier's index is a u16 and a block's outlier count a u8.
+        assert!(MxOpalQuantizer::new(4, 65535, 255).is_ok());
+        assert!(MxOpalQuantizer::new(4, 65536, 4).is_err());
+        assert!(MxOpalQuantizer::new(4, 1024, 256).is_err());
     }
 
     #[test]
@@ -806,12 +796,12 @@ mod tests {
     fn select_top_at_the_key_width_boundary() {
         // The longest keyed block, its last index in play; one element
         // more takes the insertion loop.
-        let mut block = vec![Bf16::ZERO; KEYED_BLOCK_MAX];
+        let mut block = vec![Bf16::ZERO; ops::TOP_BLOCK_MAX];
         assert_top_matches_sort(&block, 3);
-        block[KEYED_BLOCK_MAX - 1] = Bf16::ONE;
+        block[ops::TOP_BLOCK_MAX - 1] = Bf16::ONE;
         block[7] = Bf16::NEG_ONE;
         block.push(Bf16::ONE);
-        assert_top_matches_sort(&block[..KEYED_BLOCK_MAX], 3);
+        assert_top_matches_sort(&block[..ops::TOP_BLOCK_MAX], 3);
         assert_top_matches_sort(&block, 3);
     }
 

@@ -126,9 +126,9 @@ pub fn pack(tensor: &MxOpalTensor) -> Vec<u8> {
             w.push(u64::from(idx), ib);
             w.push(u64::from(val.to_bits()), 16);
         }
-        let outlier_set: Vec<u8> = block.outliers.iter().map(|&(i, _)| i).collect();
+        let outlier_set: Vec<u16> = block.outliers.iter().map(|&(i, _)| i).collect();
         for (i, &q) in block.elements.iter().enumerate() {
-            if outlier_set.contains(&(i as u8)) {
+            if outlier_set.contains(&(i as u16)) {
                 continue;
             }
             let mask = (1u64 << bits) - 1;
@@ -170,14 +170,14 @@ pub fn unpack(bytes: &[u8]) -> Result<MxOpalTensor, UnpackError> {
         }
         let mut outliers = Vec::with_capacity(n);
         for _ in 0..n {
-            let idx = r.pull(ib)? as u8;
+            let idx = r.pull(ib)? as u16;
             let val = Bf16::from_bits(r.pull(16)? as u16);
             outliers.push((idx, val));
         }
-        let outlier_set: Vec<u8> = outliers.iter().map(|&(i, _)| i).collect();
+        let outlier_set: Vec<u16> = outliers.iter().map(|&(i, _)| i).collect();
         let mut elements = vec![0i32; this_len];
         for (i, e) in elements.iter_mut().enumerate() {
-            if outlier_set.contains(&(i as u8)) {
+            if outlier_set.contains(&(i as u16)) {
                 continue;
             }
             let raw = r.pull(bits)?;
@@ -231,6 +231,21 @@ mod tests {
             let (_, wire) = roundtrip_through_wire(&q, &x).unwrap();
             assert_eq!(direct, wire, "bits={bits}");
         }
+    }
+
+    #[test]
+    fn outlier_indices_past_a_byte_stay_in_place() {
+        // A block of 300: the outlier's index, 280, does not fit a byte.
+        let q = MxOpalQuantizer::new(4, 300, 4).unwrap();
+        let mut x = vec![0.25f32; 300];
+        x[280] = 40.0;
+        let direct = q.quantize_dequantize(&x);
+        assert_eq!((direct[280], direct[24]), (40.0, 0.25));
+        let (_, wire) = roundtrip_through_wire(&q, &x).unwrap();
+        assert_eq!(wire, direct);
+        let mut fused = vec![0.0f32; x.len()];
+        q.quantize_dequantize_into(&x, &mut fused);
+        assert_eq!(fused, direct);
     }
 
     #[test]

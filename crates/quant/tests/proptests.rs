@@ -74,7 +74,7 @@ proptest! {
     fn mxopal_scratch_path_is_bit_identical_to_allocating(
         x in block(300),
         bits in 2u32..=8,
-        block_size in 1usize..40,
+        block_size in prop_oneof![1usize..40, 257usize..258, 300usize..301],
         n in 0usize..8,
         truncate in 0u32..2,
     ) {
@@ -161,13 +161,13 @@ proptest! {
                 let ranked: Vec<usize> =
                     out_idx[slots.clone()].iter().map(|&i| usize::from(i)).collect();
                 prop_assert_eq!(&ranked, &order[..kept], "rank order, len {} block {}", len, b);
-                let mut pairs: Vec<(u8, u16)> = out_idx[slots.clone()]
+                let mut pairs: Vec<(u16, u16)> = out_idx[slots.clone()]
                     .iter()
                     .zip(&out_val[slots])
-                    .map(|(&i, v)| (i as u8, v.to_bits()))
+                    .map(|(&i, v)| (i, v.to_bits()))
                     .collect();
                 pairs.sort_unstable();
-                let want: Vec<(u8, u16)> =
+                let want: Vec<(u16, u16)> =
                     block.outliers.iter().map(|&(i, v)| (i, v.to_bits())).collect();
                 prop_assert_eq!(&pairs, &want, "outliers, len {} block {}", len, b);
                 prop_assert_eq!(

@@ -24,7 +24,7 @@ use opal_tensor::Matrix;
 
 use crate::faults::FaultKind;
 use crate::pool::WorkerPool;
-use crate::report::{FinishReason, RejectionCounts, RequestReport, ServeReport};
+use crate::report::{FinishReason, Finished, RejectionCounts, RequestReport, ServeReport};
 use crate::trie::PrefixTrie;
 
 /// Per-request decoding policy: which [`Sampler`] picks each token, and the
@@ -583,13 +583,13 @@ impl Queued {
     /// The final report of a request that leaves the queue at step `now`
     /// without (re-)entering the batch, carrying whatever it generated
     /// before a preemption. The caller drops the entry next.
-    fn report(&mut self, finish: FinishReason, now: u64) -> RequestReport {
+    fn report(&mut self, finish: FinishReason, now: u64) -> Finished {
         let resume = self.resume.take();
         let (tokens, preemptions, shared, token_steps, ttft) = match resume {
             Some(r) => (r.tokens, r.preemptions, r.shared, r.token_steps, r.ttft),
             None => (Vec::new(), 0, 0, Vec::new(), None),
         };
-        RequestReport {
+        Finished::new(RequestReport {
             id: self.id,
             prompt_len: self.prompt.len(),
             tokens,
@@ -603,7 +603,7 @@ impl Queued {
             ttft,
             token_steps,
             latency: self.submitted_at.elapsed(),
-        }
+        })
     }
 }
 
@@ -834,8 +834,8 @@ impl Active {
 
     /// The final report of a sequence leaving the batch at `finished_step`.
     /// Takes the tokens with it: the caller drops the sequence next.
-    fn report(&mut self, finish: FinishReason, finished_step: u64) -> RequestReport {
-        RequestReport {
+    fn report(&mut self, finish: FinishReason, finished_step: u64) -> Finished {
+        Finished::new(RequestReport {
             id: self.id,
             prompt_len: self.prompt_len,
             tokens: std::mem::take(&mut self.tokens),
@@ -849,7 +849,7 @@ impl Active {
             ttft: self.ttft,
             token_steps: std::mem::take(&mut self.token_steps),
             latency: self.submitted_at.elapsed(),
-        }
+        })
     }
 }
 
@@ -1341,7 +1341,7 @@ pub struct ServeEngine<'m> {
     trie: PrefixTrie,
     pending: VecDeque<Queued>,
     active: Vec<Active>,
-    finished: Vec<RequestReport>,
+    finished: Vec<Finished>,
     /// Realized per-sequence schedule of the most recent step (batch
     /// order, including sequences that retired at the end of that step).
     last_work: Vec<SeqStepWork>,
@@ -2589,7 +2589,7 @@ impl<'m> ServeEngine<'m> {
     /// [`step`](Self::step) calls; `elapsed` is the caller's measured wall
     /// time for throughput).
     pub fn report(&self, elapsed: std::time::Duration) -> ServeReport {
-        let mut requests = self.finished.clone();
+        let mut requests: Vec<RequestReport> = self.finished.iter().map(Finished::report).collect();
         requests.sort_by_key(|r| r.id);
         let total = self.prefill_tokens + self.generated_tokens;
         let secs = elapsed.as_secs_f64();

@@ -127,6 +127,75 @@ impl RequestReport {
     }
 }
 
+/// A retired request as the engine keeps it until it is reported: the
+/// report without its `tokens` and `token_steps`, which are held as LEB128
+/// bytes — the tokens as they are, the steps as deltas (each step less the
+/// one before it, the first less zero) — two or three bytes a token for
+/// both where the two vectors take twelve. The engine keeps every request
+/// it retires, so this is most of what it holds per generated token.
+#[derive(Debug)]
+pub(crate) struct Finished {
+    report: RequestReport,
+    tokens: Box<[u8]>,
+    steps: Box<[u8]>,
+}
+
+impl Finished {
+    pub(crate) fn new(mut report: RequestReport) -> Self {
+        let tokens = leb128(report.tokens.iter().map(|&t| u64::from(t)));
+        let mut prev = 0u64;
+        let steps = leb128(report.token_steps.iter().map(|&step| {
+            let delta = step.wrapping_sub(prev);
+            prev = step;
+            delta
+        }));
+        (report.tokens, report.token_steps) = (Vec::new(), Vec::new());
+        Finished { report, tokens, steps }
+    }
+
+    /// The report as it was retired.
+    pub(crate) fn report(&self) -> RequestReport {
+        // Every value came from a `u32` token.
+        let tokens = unleb128(&self.tokens).map(|t| t as u32).collect();
+        let mut step = 0u64;
+        let token_steps = unleb128(&self.steps)
+            .map(|delta| {
+                step = step.wrapping_add(delta);
+                step
+            })
+            .collect();
+        RequestReport { tokens, token_steps, ..self.report.clone() }
+    }
+}
+
+/// `values` in LEB128: seven bits a byte, low first, the top bit set on
+/// every byte but a value's last.
+fn leb128(values: impl ExactSizeIterator<Item = u64>) -> Box<[u8]> {
+    let mut out = Vec::with_capacity(values.len());
+    for mut v in values {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    out.into_boxed_slice()
+}
+
+/// The values [`leb128`] wrote.
+fn unleb128(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let (mut value, mut shift) = (0u64, 0);
+    bytes.iter().filter_map(move |&byte| {
+        value |= u64::from(byte & 0x7F) << shift;
+        shift += 7;
+        (byte & 0x80 == 0).then(|| {
+            let v = value;
+            (value, shift) = (0, 0);
+            v
+        })
+    })
+}
+
 /// Aggregate statistics of a serving run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeReport {
@@ -314,5 +383,37 @@ impl std::fmt::Display for ServeReport {
             )?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_retired_report_keeps_its_tokens_and_steps() {
+        // Tokens of one, two and five LEB128 bytes; repeated steps (a
+        // speculative step commits several tokens), gaps of one and of
+        // several bytes, the largest step, and a step below the one before.
+        let steps = [vec![], vec![0], vec![7, 7, 8, 9, 200, 16_600, 16_600, u64::MAX, 3]];
+        let tokens = [0, 127, 128, 191, 16_383, 16_384, 31_999, u32::MAX, 5];
+        for token_steps in steps {
+            let report = RequestReport {
+                id: RequestId(4),
+                prompt_len: 3,
+                tokens: tokens[..token_steps.len()].to_vec(),
+                finish: FinishReason::Limit,
+                tenant: Some("t".to_owned()),
+                admitted_step: 2,
+                finished_step: 9,
+                preemptions: 1,
+                shared_prefill_tokens: 0,
+                queue_wait: Duration::from_micros(5),
+                ttft: None,
+                token_steps,
+                latency: Duration::from_micros(9),
+            };
+            assert_eq!(Finished::new(report.clone()).report(), report);
+        }
     }
 }

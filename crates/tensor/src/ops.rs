@@ -13,7 +13,14 @@
 //! page, [`axpy_codes_tile`] from a quantized page dequantized once into a
 //! tile). The weight products of the MX-activation, OWQ-weight schemes run
 //! on integer codes instead ([`matmul_codes`], spec
-//! [`matmul_codes_portable`]).
+//! [`matmul_codes_portable`]). The MX-OPAL encoders that make those codes
+//! run on three more such kernels: a row's bfloat16 image
+//! ([`bf16_image`]), each block's outlier and scale picks
+//! ([`top_magnitudes`]) and the block shift into codes or values
+//! ([`shift_codes`], [`shift_values`]).
+
+use opal_numerics::shift::step_size;
+use opal_numerics::{shift_quantize, Bf16, Rounding};
 
 use crate::codes::{CodeActs, CodeRow, CodeWeights};
 use crate::Matrix;
@@ -451,6 +458,164 @@ fn check_codes_shape(x: &CodeActs, w: &CodeWeights, out: &[f32]) {
     assert_eq!(out.len(), x.rows() * w.d_out(), "output size mismatch");
 }
 
+/// The bfloat16 image of a row: `out[i] = Bf16::from_f32(x[i])` (round to
+/// nearest even, a NaN quieted with its sign kept) — the first step of the
+/// MX-OPAL encoders. On x86-64 with AVX2 (detected at run time) sixteen
+/// elements at a time, the same integer operations per lane.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn bf16_image(x: &[f32], out: &mut [Bf16]) {
+    assert_eq!(x.len(), out.len(), "bf16_image length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::codes_available() {
+        crate::simd::bf16_image(x, out);
+        return;
+    }
+    bf16_image_portable(x, out);
+}
+
+/// The loop of [`bf16_image`] as portable code.
+pub(crate) fn bf16_image_portable(x: &[f32], out: &mut [Bf16]) {
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = Bf16::from_f32(v);
+    }
+}
+
+/// Longest block [`top_magnitudes`] ranks: an element's index takes the
+/// low 15 bits of its key.
+pub const TOP_BLOCK_MAX: usize = 1 << 15;
+
+/// Leaves in `top` the indices of the `top.len()` largest magnitudes of
+/// `block`, largest first, equal magnitudes by ascending index — the order
+/// a stable descending sort by [`Bf16::abs_cmp`] gives (NaNs equal to each
+/// other and above everything): MX-OPAL's outliers and the element that
+/// sets its block's scale. `keys` is scratch, as long as `block`.
+///
+/// Element `j` gets the key `(mag << 15) | (0x7FFF - j)`, `mag` being its
+/// low 15 bits with every NaN mapped to `0x8000`. Keys are distinct, and
+/// descending key order is descending magnitude with ties to the earlier
+/// index, so each pick is the largest key below the previous pick, and the
+/// index reads back out of its low bits. The keys are built in one
+/// branch-free pass and each pick is a plain `max` reduction; on x86-64
+/// with AVX2 (detected at run time) both go eight keys at a time. The
+/// picks are the same whatever the reduction order, since keys are
+/// distinct.
+///
+/// # Panics
+///
+/// Panics if `block` is longer than [`TOP_BLOCK_MAX`], `keys` is not as long
+/// as `block`, or `top` is longer than `block`.
+pub fn top_magnitudes(block: &[Bf16], keys: &mut [u32], top: &mut [usize]) {
+    assert!(block.len() <= TOP_BLOCK_MAX, "a block of {} is too long to key", block.len());
+    assert_eq!(keys.len(), block.len(), "key scratch length mismatch");
+    assert!(top.len() <= block.len(), "cannot pick {} of {}", top.len(), block.len());
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::codes_available() {
+        crate::simd::top_magnitudes(block, keys, top);
+        return;
+    }
+    top_magnitudes_portable(block, keys, top);
+}
+
+/// The loops of [`top_magnitudes`] as portable code.
+pub(crate) fn top_magnitudes_portable(block: &[Bf16], keys: &mut [u32], top: &mut [usize]) {
+    for (j, (k, &v)) in keys.iter_mut().zip(block).enumerate() {
+        *k = magnitude_key(v, j);
+    }
+    let mut prev = u32::MAX;
+    for slot in top {
+        // The largest key below `prev`; there always is one, since `top`
+        // is no longer than `block` (the key 0 is element 0x7FFF's).
+        prev = keys.iter().fold(0, |m, &k| if k < prev { m.max(k) } else { m });
+        *slot = key_index(prev);
+    }
+}
+
+/// [`top_magnitudes`]'s key of element `j` of value `v`.
+#[inline]
+pub(crate) fn magnitude_key(v: Bf16, j: usize) -> u32 {
+    let mag = u32::from(v.to_bits() & 0x7FFF);
+    let mag = if mag > 0x7F80 { 0x8000 } else { mag };
+    (mag << 15) | (0x7FFF - j as u32)
+}
+
+/// The element index a [`magnitude_key`] carries.
+#[inline]
+pub(crate) fn key_index(key: u32) -> usize {
+    0x7FFF - (key & 0x7FFF) as usize
+}
+
+/// `codes[i] = shift_quantize(bf[i], scale, bits, rounding)`: a block of
+/// MX-OPAL codes under one shared scale (`|q| <= 127`, exact in `i8`). The
+/// portable loop is [`shift_quantize`] per element, whose body is written
+/// lane by lane; on x86-64 with AVX2 (detected at run time) that body runs
+/// on eight lanes at a time, sixteen codes a store, bitwise the same.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or `bits` is not in `2..=8`.
+pub fn shift_codes(bf: &[Bf16], scale: i32, bits: u32, rounding: Rounding, codes: &mut [i8]) {
+    check_shift(bf.len(), codes.len(), bits);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::codes_available() {
+        crate::simd::shift_codes(bf, scale, bits, rounding, codes);
+        return;
+    }
+    shift_codes_portable(bf, scale, bits, rounding, codes);
+}
+
+/// The loop of [`shift_codes`] as portable code.
+pub(crate) fn shift_codes_portable(
+    bf: &[Bf16],
+    scale: i32,
+    bits: u32,
+    rounding: Rounding,
+    codes: &mut [i8],
+) {
+    for (c, &v) in codes.iter_mut().zip(bf) {
+        *c = shift_quantize(v, scale, bits, rounding) as i8;
+    }
+}
+
+/// `out[i] = shift_quantize(bf[i], scale, bits, rounding) as f32 *
+/// step_size(scale, bits)`: a block of [`shift_codes`]'s codes back on
+/// their grid, the MX-OPAL round trip of one shared scale. Same paths as
+/// [`shift_codes`], the code converted and scaled by one multiply per lane.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or `bits` is not in `2..=8`.
+pub fn shift_values(bf: &[Bf16], scale: i32, bits: u32, rounding: Rounding, out: &mut [f32]) {
+    check_shift(bf.len(), out.len(), bits);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::codes_available() {
+        crate::simd::shift_values(bf, scale, bits, rounding, out);
+        return;
+    }
+    shift_values_portable(bf, scale, bits, rounding, out);
+}
+
+/// The loop of [`shift_values`] as portable code.
+pub(crate) fn shift_values_portable(
+    bf: &[Bf16],
+    scale: i32,
+    bits: u32,
+    rounding: Rounding,
+    out: &mut [f32],
+) {
+    let step = step_size(scale, bits);
+    for (o, &v) in out.iter_mut().zip(bf) {
+        *o = shift_quantize(v, scale, bits, rounding) as f32 * step;
+    }
+}
+
+fn check_shift(len: usize, out_len: usize, bits: u32) {
+    assert_eq!(len, out_len, "shift length mismatch");
+    assert!((2..=8).contains(&bits), "element bit-width must be 2..=8");
+}
+
 /// LayerNorm over the last dimension of each row, with learnable gain and
 /// bias (the OPT family uses LayerNorm).
 ///
@@ -873,6 +1038,98 @@ mod tests {
             cached in crate::matrix::tests::value_pool(TILE_CODE_ROWS * 133),
         ) {
             let outcome = exact_tiles_against_portable(&values, &cached);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// Row lengths the encoder kernels are checked at: every tail around
+    /// the 8- and 16-lane steps, a 128-wide block and 88, the last block
+    /// of a 344-wide row.
+    const ENCODE_LENS: [usize; 13] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 88, 128, 130];
+
+    /// Rows for the encoder kernels: all signed zeros, all subnormal (in
+    /// `f32`, so some round to bfloat16 subnormals and some to zero), or
+    /// tie-heavy — repeated magnitudes under both signs, zeros, subnormals,
+    /// `f32` values halfway between two bfloat16 values — with NaNs and
+    /// values that round to infinity in the last flavour.
+    fn encoder_row(len: usize) -> impl proptest::strategy::Strategy<Value = Vec<f32>> {
+        use proptest::strategy::Strategy;
+        let raw = proptest::collection::vec((0u32..10, -1.0f32..1.0), len);
+        (0u32..4, raw).prop_map(|(flavour, raw)| {
+            let value = |class, x: f32| match (flavour, class) {
+                (0, _) => 0.0f32.copysign(x),
+                (1, _) => x * 1.0e-38,
+                (_, 0 | 1) => 2.0f32.copysign(x),
+                (_, 2) => 0.5f32.copysign(x),
+                (_, 3) => 0.0f32.copysign(x),
+                (_, 4) => x * 1.0e-40,
+                (_, 5) => f32::from_bits((x * 64.0).to_bits() & 0xFFFF_0000 | 0x8000),
+                (3, 6) => f32::NAN.copysign(x),
+                (3, 7) => f32::MAX.copysign(x),
+                _ => x * 64.0,
+            };
+            raw.into_iter().map(|(class, x)| value(class, x)).collect()
+        })
+    }
+
+    /// [`bf16_image`], [`top_magnitudes`], [`shift_codes`] and
+    /// [`shift_values`] against their portable loops on every prefix of
+    /// `row` in [`ENCODE_LENS`]: one pick (`n = 0`), two, five (the
+    /// paper's `n = 4`) and all of them (`n = len - 1`); every bit-width and
+    /// rounding at scales from past the exponent clamps to the row's own.
+    /// Outputs start from a sentinel, so an element one side skips shows.
+    fn encoder_against_portable(row: &[f32]) -> Result<(), String> {
+        const SENTINEL: Bf16 = Bf16::from_bits(0x1234);
+        for len in ENCODE_LENS {
+            let x = &row[..len];
+            let (mut got, mut bf) = (vec![SENTINEL; len], vec![SENTINEL; len]);
+            bf16_image(x, &mut got);
+            bf16_image_portable(x, &mut bf);
+            if let Some(i) = (0..len).find(|&i| got[i] != bf[i]) {
+                return Err(format!("bf16_image len {len}: element {i} of {:e}", x[i]));
+            }
+
+            let mut keys = vec![u32::MAX; len];
+            for picks in [1, 2, 5, len].into_iter().filter(|&p| (1..=len).contains(&p)) {
+                let (mut got, mut want) = (vec![usize::MAX; picks], vec![usize::MAX; picks]);
+                top_magnitudes(&bf, &mut keys, &mut got);
+                top_magnitudes_portable(&bf, &mut keys, &mut want);
+                if got != want {
+                    return Err(format!("top_magnitudes len {len}: {got:?}, portable {want:?}"));
+                }
+            }
+
+            // The shift kernels take finite input.
+            let bf: Vec<Bf16> = bf
+                .iter()
+                .map(|&v| if v.is_nan() || v.is_infinite() { Bf16::from_f32(-96.0) } else { v })
+                .collect();
+            for bits in 2u32..=8 {
+                for rounding in [Rounding::Truncate, Rounding::NearestEven] {
+                    for scale in [-160, -133, -126, -20, -1, 0, 1, 5, 6, 7, 40, 126, 127, 140] {
+                        let what = format!("len {len} scale {scale} bits {bits} {rounding:?}");
+                        let (mut got, mut want) = (vec![99i8; len], vec![99i8; len]);
+                        shift_codes(&bf, scale, bits, rounding, &mut got);
+                        shift_codes_portable(&bf, scale, bits, rounding, &mut want);
+                        if got != want {
+                            return Err(format!("shift_codes {what}: {got:?}, portable {want:?}"));
+                        }
+                        let (mut got, mut want) = (vec![7.0f32; len], vec![7.0f32; len]);
+                        shift_values(&bf, scale, bits, rounding, &mut got);
+                        shift_values_portable(&bf, scale, bits, rounding, &mut want);
+                        first_difference(&format!("shift_values {what}"), &got, &want)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn encoder_dispatch_is_bitwise_the_portable_loops(row in encoder_row(130)) {
+            let outcome = encoder_against_portable(&row);
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
     }

@@ -47,27 +47,53 @@
 //! run sixteen channels at a time in `f64`, in the spec's order, so every
 //! output is bitwise the portable loop's.
 //!
+//! **The MX-OPAL encoder** (AVX2): [`crate::ops::bf16_image`],
+//! [`crate::ops::top_magnitudes`], [`crate::ops::shift_codes`] and
+//! [`crate::ops::shift_values`], the per-element loops both scratch
+//! encoders of `opal_quant` run per row and per block. The bfloat16 image
+//! is `Bf16::from_f32`'s integer rounding on eight lanes, two vectors
+//! packed into sixteen `u16` per store. The outlier picks build a block's
+//! selection keys eight at a time and take each pick as the largest key
+//! below the previous one, four `max` chains over the block (no key is
+//! written after it is built). The shift is `shift_quantize`'s body, which
+//! is written lane by lane: the exponent field moved by `bits − 2 − scale`
+//! and clamped to the normal range, `min` with `q_max`, rounding by adding
+//! `2^23` (or truncating), zero and subnormal lanes masked, the sign
+//! restored — then packed to `i8` codes, or converted and multiplied by
+//! the block's step. Each lane does what the scalar body does, so every
+//! output is bitwise the portable loop's; the tails go through the scalar
+//! functions themselves.
+//!
 //! A `#[target_feature]` fn calls value-taking intrinsics safely, so the
 //! `unsafe` operations are two kinds only: calling such a fn from ordinary
 //! code, once per driver behind the runtime detection; and the vector loads
-//! and stores of seven helpers (`widen4`, and the six at the end of this
-//! file), each through a pointer taken from a fixed-size array reference.
+//! and stores of the helpers at the end of this file (and `widen4`), each
+//! through a pointer taken from a fixed-size array reference.
 
 use std::arch::x86_64::{
     __m128, __m128i, __m256, __m256d, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_pd,
-    _mm256_add_ps, _mm256_and_si256, _mm256_castpd256_pd128, _mm256_castsi256_si128,
-    _mm256_cvtepi16_epi32, _mm256_cvtepi32_pd, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
-    _mm256_cvtepu16_epi32, _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_extractf128_pd,
+    _mm256_add_ps, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
+    _mm256_castpd256_pd128, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128,
+    _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi16_epi32,
+    _mm256_cvtepi32_pd, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_cvtepu16_epi32,
+    _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_extractf128_pd,
     _mm256_extracti128_si256, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_loadu_ps,
-    _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_mul_pd, _mm256_mul_ps, _mm256_set1_epi16,
-    _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_setzero_si256,
-    _mm256_srli_epi16, _mm256_storeu_ps, _mm256_zeroupper, _mm_cvtsd_f64, _mm_loadl_epi64,
-    _mm_loadu_ps, _mm_storeu_ps, _mm_unpackhi_pd,
+    _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_min_ps,
+    _mm256_mul_pd, _mm256_mul_ps, _mm256_or_si256, _mm256_packs_epi32, _mm256_packus_epi32,
+    _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps,
+    _mm256_setr_epi32, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_setzero_si256,
+    _mm256_sign_epi32, _mm256_slli_epi32, _mm256_srli_epi16, _mm256_srli_epi32, _mm256_storeu_ps,
+    _mm256_storeu_si256, _mm256_sub_epi32, _mm256_zeroupper, _mm_cvtsd_f64, _mm_cvtsi128_si32,
+    _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_max_epi32, _mm_packs_epi16,
+    _mm_shuffle_epi32, _mm_storeu_ps, _mm_storeu_si128, _mm_unpackhi_pd, _CMP_UNORD_Q,
 };
 use std::cell::RefCell;
 
+use opal_numerics::shift::step_size;
+use opal_numerics::{shift_quantize, Bf16, Rounding};
+
 use crate::codes::{CodeActs, CodeRow, CodeWeights, PANEL_WIDTH};
-use crate::ops::{check_tile_row, code_row_sum, tile_width};
+use crate::ops::{check_tile_row, code_row_sum, key_index, magnitude_key, tile_width};
 
 /// Left-hand rows per full block: eight accumulators, the shared chunk and
 /// one product fit the sixteen `ymm` registers without spilling.
@@ -863,6 +889,251 @@ fn widen_codes16(q: __m256i) -> [__m256d; 4] {
     [_mm256_cvtepi32_pd(a), _mm256_cvtepi32_pd(b), _mm256_cvtepi32_pd(c), _mm256_cvtepi32_pd(d)]
 }
 
+/// [`crate::ops::bf16_image`] on a CPU with AVX2 (the caller checks
+/// [`codes_available`] and the lengths; this asserts the first).
+#[allow(unsafe_code)]
+pub(crate) fn bf16_image(x: &[f32], out: &mut [Bf16]) {
+    assert!(codes_available(), "bf16_image's wide path needs AVX2");
+    // SAFETY: `bf16_image_avx2`'s only requirement of its caller is the
+    // `avx2` target feature, asserted just above.
+    unsafe { bf16_image_avx2(x, out) };
+}
+
+/// Sixteen elements a step: two vectors rounded, packed to `u16` and put
+/// back in order (the pack interleaves its inputs by 128-bit half).
+#[target_feature(enable = "avx2")]
+fn bf16_image_avx2(x: &[f32], out: &mut [Bf16]) {
+    let (x16, x_tail) = x.as_chunks::<16>();
+    let (o16, o_tail) = out.as_chunks_mut::<16>();
+    for (x, o) in x16.iter().zip(o16) {
+        let [lo, hi] = load16(x);
+        let packed = _mm256_packus_epi32(bf16_round8(lo), bf16_round8(hi));
+        store_bf16x16(o, _mm256_permute4x64_epi64::<0b11_01_10_00>(packed));
+    }
+    for (o, &v) in o_tail.iter_mut().zip(x_tail) {
+        *o = Bf16::from_f32(v);
+    }
+    _mm256_zeroupper();
+}
+
+/// `Bf16::from_f32` of eight lanes, each in the low half of its `i32` lane:
+/// `(bits + 0x7FFF + lsb) >> 16`, or the sign over `0x7FC0` for a NaN.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn bf16_round8(v: __m256) -> __m256i {
+    let bits = _mm256_castps_si256(v);
+    let high = _mm256_srli_epi32::<16>(bits);
+    let lsb = _mm256_and_si256(high, _mm256_set1_epi32(1));
+    let bias = _mm256_add_epi32(lsb, _mm256_set1_epi32(0x7FFF));
+    let rounded = _mm256_srli_epi32::<16>(_mm256_add_epi32(bits, bias));
+    let sign = _mm256_and_si256(high, _mm256_set1_epi32(0x8000));
+    let quiet = _mm256_or_si256(sign, _mm256_set1_epi32(0x7FC0));
+    let nan = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+    _mm256_blendv_epi8(rounded, quiet, nan)
+}
+
+/// [`crate::ops::top_magnitudes`] on a CPU with AVX2 (the caller checks
+/// [`codes_available`] and the shapes; this asserts the first).
+#[allow(unsafe_code)]
+pub(crate) fn top_magnitudes(block: &[Bf16], keys: &mut [u32], top: &mut [usize]) {
+    assert!(codes_available(), "top_magnitudes' wide path needs AVX2");
+    // SAFETY: `top_magnitudes_avx2`'s only requirement of its caller is the
+    // `avx2` target feature, asserted just above.
+    unsafe { top_magnitudes_avx2(block, keys, top) };
+}
+
+/// The keys eight at a time, then each pick as four `max` chains over the
+/// keys below the previous pick. Every key is below `2^31` (`0x8000 << 15`
+/// plus an index), so signed compares and maxima order them as unsigned.
+#[target_feature(enable = "avx2")]
+fn top_magnitudes_avx2(block: &[Bf16], keys: &mut [u32], top: &mut [usize]) {
+    let (b8, b_tail) = block.as_chunks::<8>();
+    let (k8, k_tail) = keys.as_chunks_mut::<8>();
+    let mut low = _mm256_setr_epi32(0x7FFF, 0x7FFE, 0x7FFD, 0x7FFC, 0x7FFB, 0x7FFA, 0x7FF9, 0x7FF8);
+    for (b, k) in b8.iter().zip(k8.iter_mut()) {
+        let mag =
+            _mm256_and_si256(_mm256_cvtepu16_epi32(load_bf16x8(b)), _mm256_set1_epi32(0x7FFF));
+        let nan = _mm256_cmpgt_epi32(mag, _mm256_set1_epi32(0x7F80));
+        let mag = _mm256_blendv_epi8(mag, _mm256_set1_epi32(0x8000), nan);
+        store_keys8(k, _mm256_or_si256(_mm256_slli_epi32::<15>(mag), low));
+        low = _mm256_sub_epi32(low, _mm256_set1_epi32(8));
+    }
+    for (j, (k, &v)) in (b8.len() * 8..).zip(k_tail.iter_mut().zip(b_tail)) {
+        *k = magnitude_key(v, j);
+    }
+
+    let (k8, k_tail) = keys.as_chunks::<8>();
+    let (k32, k8_rest) = k8.as_chunks::<4>();
+    let mut prev = i32::MAX as u32;
+    for slot in top {
+        let below = _mm256_set1_epi32(prev as i32);
+        let kept = |k: &[u32; 8]| {
+            let k = load_keys8(k);
+            _mm256_and_si256(k, _mm256_cmpgt_epi32(below, k))
+        };
+        let mut m = [_mm256_setzero_si256(); 4];
+        for k in k32 {
+            for i in 0..4 {
+                m[i] = _mm256_max_epi32(m[i], kept(&k[i]));
+            }
+        }
+        for k in k8_rest {
+            m[0] = _mm256_max_epi32(m[0], kept(k));
+        }
+        let m = _mm256_max_epi32(_mm256_max_epi32(m[0], m[1]), _mm256_max_epi32(m[2], m[3]));
+        let mut best = max_lane(m);
+        for &k in k_tail {
+            if k < prev {
+                best = best.max(k);
+            }
+        }
+        prev = best;
+        *slot = key_index(best);
+    }
+    _mm256_zeroupper();
+}
+
+/// The largest of eight non-negative `i32` lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn max_lane(v: __m256i) -> u32 {
+    let (lo, hi) = halves(v);
+    let m = _mm_max_epi32(lo, hi);
+    let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b01_00_11_10>(m));
+    let m = _mm_max_epi32(m, _mm_shuffle_epi32::<0b10_11_00_01>(m));
+    _mm_cvtsi128_si32(m) as u32
+}
+
+/// [`crate::ops::shift_codes`] on a CPU with AVX2 (the caller checks
+/// [`codes_available`], the lengths and `bits`; this asserts the first).
+#[allow(unsafe_code)]
+pub(crate) fn shift_codes(
+    bf: &[Bf16],
+    scale: i32,
+    bits: u32,
+    rounding: Rounding,
+    codes: &mut [i8],
+) {
+    assert!(codes_available(), "shift_codes' wide path needs AVX2");
+    // SAFETY: `shift_codes_avx2`'s only requirement of its caller is the
+    // `avx2` target feature, asserted just above.
+    unsafe {
+        match rounding {
+            Rounding::NearestEven => shift_codes_avx2::<true>(bf, scale, bits, codes),
+            Rounding::Truncate => shift_codes_avx2::<false>(bf, scale, bits, codes),
+        }
+    }
+}
+
+/// Sixteen codes a step: two vectors of [`shift8`], packed to `i16` and to
+/// `i8` (exact: `|q| <= 127`) and put back in order.
+#[target_feature(enable = "avx2")]
+fn shift_codes_avx2<const NEAREST: bool>(bf: &[Bf16], scale: i32, bits: u32, codes: &mut [i8]) {
+    let lanes = ShiftLanes::new(scale, bits);
+    let (b16, b_tail) = bf.as_chunks::<16>();
+    let (c16, c_tail) = codes.as_chunks_mut::<16>();
+    for (b, c) in b16.iter().zip(c16) {
+        let (b8, _) = b.as_chunks::<8>();
+        let lo = shift8::<NEAREST>(load_bf16x8(&b8[0]), lanes);
+        let hi = shift8::<NEAREST>(load_bf16x8(&b8[1]), lanes);
+        let (lo, hi) =
+            halves(_mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_packs_epi32(lo, hi)));
+        store_codes16(c, _mm_packs_epi16(lo, hi));
+    }
+    let rounding = if NEAREST { Rounding::NearestEven } else { Rounding::Truncate };
+    for (c, &v) in c_tail.iter_mut().zip(b_tail) {
+        *c = shift_quantize(v, scale, bits, rounding) as i8;
+    }
+    _mm256_zeroupper();
+}
+
+/// [`crate::ops::shift_values`] on a CPU with AVX2 (the caller checks
+/// [`codes_available`], the lengths and `bits`; this asserts the first).
+#[allow(unsafe_code)]
+pub(crate) fn shift_values(
+    bf: &[Bf16],
+    scale: i32,
+    bits: u32,
+    rounding: Rounding,
+    out: &mut [f32],
+) {
+    assert!(codes_available(), "shift_values' wide path needs AVX2");
+    // SAFETY: `shift_values_avx2`'s only requirement of its caller is the
+    // `avx2` target feature, asserted just above.
+    unsafe {
+        match rounding {
+            Rounding::NearestEven => shift_values_avx2::<true>(bf, scale, bits, out),
+            Rounding::Truncate => shift_values_avx2::<false>(bf, scale, bits, out),
+        }
+    }
+}
+
+/// Eight values a step: [`shift8`]'s codes converted to `f32` (exact) and
+/// multiplied by the block's step, the portable loop's one rounding.
+#[target_feature(enable = "avx2")]
+fn shift_values_avx2<const NEAREST: bool>(bf: &[Bf16], scale: i32, bits: u32, out: &mut [f32]) {
+    let lanes = ShiftLanes::new(scale, bits);
+    let step = step_size(scale, bits);
+    let stepv = _mm256_set1_ps(step);
+    let (b8, b_tail) = bf.as_chunks::<8>();
+    let (o8, o_tail) = out.as_chunks_mut::<8>();
+    for (b, o) in b8.iter().zip(o8) {
+        let q = shift8::<NEAREST>(load_bf16x8(b), lanes);
+        store8(o, _mm256_mul_ps(_mm256_cvtepi32_ps(q), stepv));
+    }
+    let rounding = if NEAREST { Rounding::NearestEven } else { Rounding::Truncate };
+    for (o, &v) in o_tail.iter_mut().zip(b_tail) {
+        *o = shift_quantize(v, scale, bits, rounding) as f32 * step;
+    }
+    _mm256_zeroupper();
+}
+
+/// The per-block operands of [`shift8`]: how far the exponent field moves
+/// (`bits − 2 − scale`) and `q_max` as a float.
+#[derive(Clone, Copy)]
+struct ShiftLanes {
+    moved_by: __m256i,
+    qmax: __m256,
+}
+
+impl ShiftLanes {
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn new(scale: i32, bits: u32) -> Self {
+        let qmax = (1i32 << (bits - 1)) - 1;
+        ShiftLanes {
+            moved_by: _mm256_set1_epi32(bits as i32 - 2 - scale),
+            qmax: _mm256_set1_ps(qmax as f32),
+        }
+    }
+}
+
+/// `shift_quantize` of eight bfloat16 lanes, as `i32`: its body step for
+/// step, a lane each.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn shift8<const NEAREST: bool>(raw: __m128i, lanes: ShiftLanes) -> __m256i {
+    let raw = _mm256_cvtepu16_epi32(raw);
+    let field = _mm256_and_si256(_mm256_srli_epi32::<7>(raw), _mm256_set1_epi32(0xFF));
+    let moved = _mm256_add_epi32(field, lanes.moved_by);
+    let moved =
+        _mm256_min_epi32(_mm256_max_epi32(moved, _mm256_set1_epi32(1)), _mm256_set1_epi32(254));
+    let mantissa = _mm256_slli_epi32::<16>(_mm256_and_si256(raw, _mm256_set1_epi32(0x7F)));
+    let scaled = _mm256_castsi256_ps(_mm256_or_si256(_mm256_slli_epi32::<23>(moved), mantissa));
+    let scaled = _mm256_min_ps(scaled, lanes.qmax);
+    let magnitude = if NEAREST {
+        let rounded = _mm256_castps_si256(_mm256_add_ps(scaled, _mm256_set1_ps(8_388_608.0)));
+        _mm256_and_si256(rounded, _mm256_set1_epi32(0x7F_FFFF))
+    } else {
+        _mm256_cvttps_epi32(scaled)
+    };
+    let flushed = _mm256_cmpeq_epi32(field, _mm256_setzero_si256());
+    let magnitude = _mm256_andnot_si256(flushed, magnitude);
+    // Negated where the sign bit is set; `raw << 16` is zero only for +0.0,
+    // whose magnitude is already 0.
+    _mm256_sign_epi32(magnitude, _mm256_slli_epi32::<16>(raw))
+}
+
 /// Four `f64` from an array reference.
 #[inline]
 #[allow(unsafe_code)]
@@ -948,4 +1219,56 @@ fn codes8_ps(c: &[i8; 8]) -> __m256 {
 fn codes16_ps(c: &[i8; 16]) -> [__m256; 2] {
     let (c8, _) = c.as_chunks::<8>();
     [codes8_ps(&c8[0]), codes8_ps(&c8[1])]
+}
+
+/// Eight bfloat16 values from an array reference, as eight `u16`.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+fn load_bf16x8(x: &[Bf16; 8]) -> __m128i {
+    // SAFETY: `x` is a `&[Bf16; 8]` and `Bf16` is a `repr(transparent)`
+    // `u16`, so the 16 bytes the unaligned load reads are in bounds.
+    unsafe { _mm_loadu_si128(x.as_ptr().cast()) }
+}
+
+/// Sixteen bfloat16 values (the sixteen `u16` of `v`, lowest first) into an
+/// array reference.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+fn store_bf16x16(x: &mut [Bf16; 16], v: __m256i) {
+    // SAFETY: `x` is a `&mut [Bf16; 16]`, exclusively borrowed, and `Bf16`
+    // is a `repr(transparent)` `u16` (every bit pattern is a value), so the
+    // 32 bytes the unaligned store writes are in bounds and unaliased.
+    unsafe { _mm256_storeu_si256(x.as_mut_ptr().cast(), v) }
+}
+
+/// Eight selection keys from an array reference.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+fn load_keys8(x: &[u32; 8]) -> __m256i {
+    // SAFETY: `x` is a `&[u32; 8]`, so the 32 bytes the unaligned load
+    // reads are in bounds.
+    unsafe { _mm256_loadu_si256(x.as_ptr().cast()) }
+}
+
+/// Eight selection keys into an array reference.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+fn store_keys8(x: &mut [u32; 8], v: __m256i) {
+    // SAFETY: `x` is a `&mut [u32; 8]`, exclusively borrowed, so the 32
+    // bytes the unaligned store writes are in bounds and unaliased.
+    unsafe { _mm256_storeu_si256(x.as_mut_ptr().cast(), v) }
+}
+
+/// Sixteen `i8` codes into an array reference.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx2")]
+fn store_codes16(x: &mut [i8; 16], v: __m128i) {
+    // SAFETY: `x` is a `&mut [i8; 16]`, exclusively borrowed, so the 16
+    // bytes the unaligned store writes are in bounds and unaliased.
+    unsafe { _mm_storeu_si128(x.as_mut_ptr().cast(), v) }
 }
