@@ -61,7 +61,7 @@
 //! stream and the fused verify pass rides it for free — there the n-gram
 //! draft must clear a >= 1.5x tok/s floor at batch <= 4. On the host a
 //! verify row costs what a decode row costs (see [`bench_spec_decode`]),
-//! so the host ratio prices the rejected rows and the draft's own passes.
+//! so the host ratio prices the rejected rows against the steps saved.
 //!
 //! The `kernels` section is the L0 floor under all of the above:
 //! `ops::dot` against a seed-style sequential `.sum::<f64>()` dot, timed
@@ -830,16 +830,15 @@ fn bench_kv_quant(model: &Model, new_tokens: usize, smoke: bool, seed: u64) -> K
     }
 }
 
-/// One measured speculative-decoding configuration at one batch size.
+/// n-gram speculation against plain decode at one batch size.
 struct SpecRow {
-    draft: &'static str,
     batch: usize,
     host_plain_tok_s: f64,
     host_spec_tok_s: f64,
     /// Host wall ratio, speculative over plain. A verify row costs the
     /// host what a decode row costs, so below 1.0 this prices the rejected
-    /// rows plus the draft model's own passes, and above 1.0 the per-step
-    /// overhead that fewer, larger steps save.
+    /// rows, and above 1.0 the per-step overhead that fewer, larger steps
+    /// save.
     host_ratio: f64,
     steps_plain: u64,
     steps_spec: u64,
@@ -853,10 +852,6 @@ struct SpecRow {
     modeled_plain_tok_s: f64,
     modeled_spec_tok_s: f64,
     modeled_speedup: f64,
-    /// Fraction of the modeled speculative decode time spent in the draft
-    /// model (0 for the n-gram draft, which proposes from the sequence's
-    /// own history without a forward pass).
-    draft_share_modeled: f64,
 }
 
 struct SpecDecodeStats {
@@ -874,14 +869,13 @@ struct SpecEngineRun {
     accepted: u64,
     generated: usize,
     modeled_decode_s: f64,
-    modeled_draft_s: f64,
     tokens: Vec<Vec<u32>>,
 }
 
 impl SpecEngineRun {
-    /// Generated tokens per modeled second, draft passes included.
+    /// Generated tokens per modeled second.
     fn modeled_tok_s(&self) -> f64 {
-        self.generated as f64 / (self.modeled_decode_s + self.modeled_draft_s)
+        self.generated as f64 / self.modeled_decode_s
     }
 }
 
@@ -942,7 +936,7 @@ fn run_spec_engine(
     let t = Instant::now();
     let (mut generated, mut steps) = (0usize, 0u64);
     let (mut drafted, mut accepted) = (0u64, 0u64);
-    let (mut modeled_decode_s, mut modeled_draft_s) = (0.0f64, 0.0f64);
+    let mut modeled_decode_s = 0.0f64;
     while !engine.is_idle() {
         let s = engine.step();
         generated += s.generated;
@@ -950,11 +944,9 @@ fn run_spec_engine(
         accepted += s.accepted as u64;
         steps += 1;
         // Price the realized schedule (verify rows later rolled back
-        // still ran, so they are billed); a step with no served or no
-        // draft pass adds zero.
+        // still ran, so they are billed).
         let step = engine.last_step_workload(&fmt);
-        modeled_decode_s += workload_latency(&step.served, &fmt, &platform).total_s();
-        modeled_draft_s += workload_latency(&step.draft, &fmt, &platform).total_s();
+        modeled_decode_s += workload_latency(&step, &fmt, &platform).total_s();
     }
     let host_tok_s = generated as f64 / t.elapsed().as_secs_f64();
     let audit = engine.audit();
@@ -965,16 +957,7 @@ fn run_spec_engine(
         .iter()
         .map(|id| report.request(*id).expect("request completed").tokens.clone())
         .collect();
-    SpecEngineRun {
-        host_tok_s,
-        steps,
-        drafted,
-        accepted,
-        generated,
-        modeled_decode_s,
-        modeled_draft_s,
-        tokens,
-    }
+    SpecEngineRun { host_tok_s, steps, drafted, accepted, generated, modeled_decode_s, tokens }
 }
 
 /// Alternating rounds per batch size in the `spec_decode` section.
@@ -991,7 +974,7 @@ const SPEC_NEW_TOKENS: usize = 256;
 /// <= 4 (the schedules are deterministic, so the ratio is exact).
 const SPEC_MODELED_FLOOR: f64 = 1.5;
 
-/// The `spec_decode` section: draft-and-verify speculative decoding
+/// The `spec_decode` section: n-gram draft-and-verify speculative decoding
 /// against the plain engine on the same prompts, at batch 1 / 4 / 16.
 ///
 /// Two views per row, both from the same runs:
@@ -1003,16 +986,14 @@ const SPEC_MODELED_FLOOR: f64 = 1.5;
 ///   plain and speculative drains alternating: n-gram 1.03-1.14x plain at
 ///   batch 1, 1.01-1.16x at batch 4 and 0.90-1.01x at batch 16 (free
 ///   draft, 84-95% acceptance; at batch 16 the rejected rows cost about
-///   what the steps save), truncated-1 0.76-0.86x at batch 1 and
-///   0.57-0.78x at batch 4 (its draft passes run per sequence and cost
-///   more than the accepted tokens save). The floor below guards the
-///   overhead, not a speed-up.
+///   what the steps save). The floor below guards the overhead, not a
+///   speed-up.
 /// - **modeled**: the identical realized schedules priced on the OPAL
 ///   reference platform (`opal_hw`), where batch-1..4 generation is
 ///   memory-bound on the weight stream and a fused verify pass costs one
 ///   stream no matter how many rows ride it. This is the serving regime
 ///   the tentpole targets, and where the ≥1.5x floor at batch ≤ 4 is
-///   asserted for the free n-gram draft.
+///   asserted.
 ///
 /// Output identity is asserted outright: every speculative token stream
 /// must be bit-identical to the plain engine's on the same request.
@@ -1023,18 +1004,12 @@ fn bench_spec_decode(model: &Model, smoke: bool, seed: u64) -> SpecDecodeStats {
     // and trims batches and repeats instead.
     let batches: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 16] };
     let mut rows = Vec::new();
+    let configs = [None, Some(SpecConfig { draft: DraftSource::NGram, k })];
     for &batch in batches {
-        let mut drafts = vec![("ngram", DraftSource::NGram)];
-        if !smoke && batch <= 4 {
-            drafts.push(("truncated-1", DraftSource::Truncated { layers: 1 }));
-        }
-        // The plain engine and every draft take turns inside each round,
-        // best drain of each kept: the host's speed drifts 10-20% over
-        // seconds, and what is asserted is the ratio between them.
-        let configs: Vec<Option<SpecConfig>> = std::iter::once(None)
-            .chain(drafts.iter().map(|&(_, draft)| Some(SpecConfig { draft, k })))
-            .collect();
-        let mut best: Vec<Option<SpecEngineRun>> = configs.iter().map(|_| None).collect();
+        // The plain and the speculative engine take turns inside each
+        // round, best drain of each kept: the host's speed drifts 10-20%
+        // over seconds, and what is asserted is the ratio between them.
+        let mut best: [Option<SpecEngineRun>; 2] = [None, None];
         for _ in 0..SPEC_ROUNDS {
             for (best, &spec) in best.iter_mut().zip(&configs) {
                 let run = run_spec_engine(model, batch, spec, new_tokens, seed);
@@ -1043,35 +1018,29 @@ fn bench_spec_decode(model: &Model, smoke: bool, seed: u64) -> SpecDecodeStats {
                 }
             }
         }
-        let mut best = best.into_iter().map(|run| run.expect("at least one round"));
-        let plain = best.next().expect("the plain engine ran");
-        for ((name, _), spec) in drafts.into_iter().zip(best) {
-            assert_eq!(
-                spec.tokens, plain.tokens,
-                "speculative decode diverged from greedy (draft {name}, batch {batch})"
-            );
-            let modeled_s = spec.modeled_decode_s + spec.modeled_draft_s;
-            rows.push(SpecRow {
-                draft: name,
-                batch,
-                host_plain_tok_s: plain.host_tok_s,
-                host_spec_tok_s: spec.host_tok_s,
-                host_ratio: spec.host_tok_s / plain.host_tok_s,
-                steps_plain: plain.steps,
-                steps_spec: spec.steps,
-                acceptance: if spec.drafted == 0 {
-                    0.0
-                } else {
-                    spec.accepted as f64 / spec.drafted as f64
-                },
-                drafted: spec.drafted,
-                accepted: spec.accepted,
-                modeled_plain_tok_s: plain.modeled_tok_s(),
-                modeled_spec_tok_s: spec.modeled_tok_s(),
-                modeled_speedup: spec.modeled_tok_s() / plain.modeled_tok_s(),
-                draft_share_modeled: spec.modeled_draft_s / modeled_s,
-            });
-        }
+        let [plain, spec] = best.map(|run| run.expect("at least one round"));
+        assert_eq!(
+            spec.tokens, plain.tokens,
+            "speculative decode diverged from greedy (batch {batch})"
+        );
+        rows.push(SpecRow {
+            batch,
+            host_plain_tok_s: plain.host_tok_s,
+            host_spec_tok_s: spec.host_tok_s,
+            host_ratio: spec.host_tok_s / plain.host_tok_s,
+            steps_plain: plain.steps,
+            steps_spec: spec.steps,
+            acceptance: if spec.drafted == 0 {
+                0.0
+            } else {
+                spec.accepted as f64 / spec.drafted as f64
+            },
+            drafted: spec.drafted,
+            accepted: spec.accepted,
+            modeled_plain_tok_s: plain.modeled_tok_s(),
+            modeled_spec_tok_s: spec.modeled_tok_s(),
+            modeled_speedup: spec.modeled_tok_s() / plain.modeled_tok_s(),
+        });
     }
     SpecDecodeStats { k, new_tokens, rows }
 }
@@ -1832,10 +1801,9 @@ fn main() {
     println!();
     for r in &sd.rows {
         println!(
-            "spec decode [{}/k={}] batch {:>2}: host {:.0} -> {:.0} tok/s ({:.2}x), steps \
+            "spec decode [ngram/k={}] batch {:>2}: host {:.0} -> {:.0} tok/s ({:.2}x), steps \
              {} -> {}, acceptance {:.1}% ({}/{}), OPAL-modeled {:.1} -> {:.1} tok/s \
-             ({:.2}x), draft share {:.1}%",
-            r.draft,
+             ({:.2}x)",
             sd.k,
             r.batch,
             r.host_plain_tok_s,
@@ -1849,10 +1817,9 @@ fn main() {
             r.modeled_plain_tok_s,
             r.modeled_spec_tok_s,
             r.modeled_speedup,
-            r.draft_share_modeled * 100.0
         );
     }
-    for r in sd.rows.iter().filter(|r| r.draft == "ngram" && r.batch <= 4) {
+    for r in sd.rows.iter().filter(|r| r.batch <= 4) {
         assert!(
             r.modeled_speedup >= SPEC_MODELED_FLOOR,
             "speculative decode must reach {SPEC_MODELED_FLOOR}x modeled tok/s at batch {} \
@@ -2070,13 +2037,12 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{ \"draft\": \"{}\", \"batch\": {}, \
+                "    {{ \"batch\": {}, \
                  \"host_plain_tok_s\": {:.1}, \"host_spec_tok_s\": {:.1}, \
                  \"host_ratio\": {:.3}, \"steps_plain\": {}, \"steps_spec\": {}, \
                  \"acceptance_rate\": {:.4}, \"drafted\": {}, \"accepted\": {}, \
                  \"modeled_plain_tok_s\": {:.2}, \"modeled_spec_tok_s\": {:.2}, \
-                 \"modeled_speedup\": {:.3}, \"draft_share_modeled\": {:.4} }}",
-                r.draft,
+                 \"modeled_speedup\": {:.3} }}",
                 r.batch,
                 r.host_plain_tok_s,
                 r.host_spec_tok_s,
@@ -2088,15 +2054,14 @@ fn main() {
                 r.accepted,
                 r.modeled_plain_tok_s,
                 r.modeled_spec_tok_s,
-                r.modeled_speedup,
-                r.draft_share_modeled
+                r.modeled_speedup
             )
         })
         .collect();
     let _ = writeln!(
         json,
         "  \"spec_decode\": {{\n    \"model\": \"llama7b-proxy128\", \"scheme\": \"bf16\", \
-         \"k\": {}, \"new_tokens\": {}, \"platform\": \"opal-reference\",\n    \
+         \"draft\": \"ngram\", \"k\": {}, \"new_tokens\": {}, \"platform\": \"opal-reference\",\n    \
          \"rows\": [\n{}\n    ]\n  }},",
         sd.k,
         sd.new_tokens,

@@ -694,61 +694,6 @@ impl Model {
         &self.config
     }
 
-    /// Builds the low-cost *draft sibling* for speculative decoding: a
-    /// model sharing this model's configuration, embedding, unembedding,
-    /// final norm and the processed weights of its first `n_layers`
-    /// decoder blocks, under the same activation/softmax scheme. Running
-    /// a fraction of the depth makes its forward pass proportionally
-    /// cheaper while staying correlated with the full model's greedy
-    /// choices — and the sibling is never trusted: a serving engine
-    /// verifies every proposal against the full model, so the draft
-    /// affects speed, not output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_layers` is zero or exceeds this model's layer count.
-    pub fn draft_truncated(&self, n_layers: usize) -> Model {
-        assert!(
-            n_layers >= 1 && n_layers <= self.layers.len(),
-            "draft depth {n_layers} outside 1..={}",
-            self.layers.len()
-        );
-        let mut config = self.config.clone();
-        config.n_layers = n_layers;
-        // The boxed activation quantizers are not cloneable; rebuild them
-        // from the scheme, whose parameters were validated when `self`
-        // was constructed.
-        let (low_q, high_q) = match &self.scheme.acts {
-            Some(a) => (
-                // tidy: allow(panic) -- the same parameters built self's quantizers
-                Some(a.low_quantizer().expect("scheme validated at construction")),
-                // tidy: allow(panic) -- the same parameters built self's quantizers
-                Some(a.high_quantizer().expect("scheme validated at construction")),
-            ),
-            None => (None, None),
-        };
-        let log2_softmax = match self.scheme.softmax {
-            SoftmaxKind::Exact => None,
-            SoftmaxKind::Log2 { bits } => Some(Log2Softmax::new(bits)),
-        };
-        Model {
-            config,
-            scheme: self.scheme.clone(),
-            embedding: self.embedding.clone(),
-            unembedding: self.unembedding.clone(),
-            final_norm_gain: self.final_norm_gain.clone(),
-            final_norm_bias: self.final_norm_bias.clone(),
-            layers: self.layers[..n_layers].to_vec(),
-            outlier_channels: self.outlier_channels.clone(),
-            low_q,
-            high_q,
-            codec: self.codec,
-            log2_softmax,
-            rope_theta: self.rope_theta,
-            logit_scale: self.logit_scale,
-        }
-    }
-
     /// The active quantization scheme.
     pub fn scheme(&self) -> &QuantScheme {
         &self.scheme
@@ -1338,15 +1283,8 @@ impl Model {
     /// Low-bit quantization of every row of a stacked matrix through the
     /// shared [`EncodeScratch`], row for row the single-vector quantizer.
     fn quant_low_block(&self, x: &Matrix, out: &mut Matrix, scratch: &mut EncodeScratch) {
-        match &self.low_q {
-            Some(q) => q.quantize_dequantize_block_scratch(
-                x.as_slice(),
-                x.cols(),
-                out.as_mut_slice(),
-                scratch,
-            ),
-            None => bf16_roundtrip_into(x.as_slice(), out.as_mut_slice()),
-        }
+        let q = self.low_q.as_deref();
+        quantize_rows_into(q, x.as_slice(), x.cols(), out.as_mut_slice(), scratch);
     }
 
     /// High-bit quantization of every row of a stacked matrix (see
@@ -1365,10 +1303,7 @@ impl Model {
         out: &mut [f32],
         scratch: &mut EncodeScratch,
     ) {
-        match &self.high_q {
-            Some(q) => q.quantize_dequantize_block_scratch(x, width, out, scratch),
-            None => bf16_roundtrip_into(x, out),
-        }
+        quantize_rows_into(self.high_q.as_deref(), x, width, out, scratch);
     }
 
     pub(crate) fn quant_low(&self, x: &[f32]) -> Vec<f32> {
@@ -1398,6 +1333,25 @@ impl std::fmt::Debug for Model {
 
 fn bf16_roundtrip(x: &[f32]) -> Vec<f32> {
     x.iter().map(|&v| opal_numerics::Bf16::from_f32(v).to_f32()).collect()
+}
+
+/// Every `width`-wide row of `x` through `q` into the same row of `out`,
+/// all through one [`EncodeScratch`] (it carries capacity, never state, so
+/// each row is bit-identical to a call of its own); without a quantizer,
+/// the bf16 round trip.
+fn quantize_rows_into(
+    q: Option<&(dyn Quantizer + Send + Sync)>,
+    x: &[f32],
+    width: usize,
+    out: &mut [f32],
+    scratch: &mut EncodeScratch,
+) {
+    let Some(q) = q else { return bf16_roundtrip_into(x, out) };
+    assert_eq!(x.len(), out.len(), "output length mismatch");
+    assert!(x.len().is_multiple_of(width), "block not a whole number of rows");
+    for (xi, oi) in x.chunks_exact(width).zip(out.chunks_exact_mut(width)) {
+        q.quantize_dequantize_scratch(xi, oi, scratch);
+    }
 }
 
 fn bf16_roundtrip_into(x: &[f32], out: &mut [f32]) {
@@ -1962,26 +1916,6 @@ mod tests {
         for (c, (a, b)) in got.iter().zip(&want).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "col {c}");
         }
-    }
-
-    #[test]
-    fn draft_truncated_shares_shallow_stack() {
-        let m = tiny_model(QuantScheme::mxopal_w4a47());
-        let draft = m.draft_truncated(1);
-        assert_eq!(draft.config().n_layers, 1);
-        let logits = draft.forward(&[1, 2, 3]);
-        assert!(logits.row(2).iter().all(|v| v.is_finite()));
-        // A full-depth sibling reproduces the parent's logits exactly.
-        let mirror = m.draft_truncated(m.config().n_layers);
-        let a = m.forward(&[7, 8, 9]);
-        let b = mirror.forward(&[7, 8, 9]);
-        assert_eq!(a.as_slice(), b.as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn draft_truncated_rejects_zero_depth() {
-        tiny_model(QuantScheme::bf16()).draft_truncated(0);
     }
 
     #[test]

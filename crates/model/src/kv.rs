@@ -1267,7 +1267,7 @@ mod tests {
                     }
                     KvScheme::MxInt { bits, qblock } => {
                         let q = MxIntQuantizer::new(bits, qblock).unwrap();
-                        q.quantize_dequantize_into(row, &mut reference);
+                        q.quantize_dequantize_scratch(row, &mut reference, &mut enc);
                     }
                     KvScheme::Exact => unreachable!(),
                 }
@@ -1538,7 +1538,7 @@ mod tests {
         let q = MxIntQuantizer::new(4, 4).unwrap();
         for (i, row) in rows.iter().enumerate() {
             let mut reference = vec![0.0f32; w];
-            q.quantize_dequantize_into(row, &mut reference);
+            q.quantize_dequantize_scratch(row, &mut reference, &mut enc);
             let mut ctx = vec![0.0f32; w];
             qrow(&kv, i, false).axpy_range(1.0, 0, &mut ctx);
             for (j, (&got, &want)) in ctx.iter().zip(&reference).enumerate() {

@@ -58,73 +58,27 @@ pub use owq::{OwqQuantizer, OwqWeights};
 /// produces exactly the values the hardware datapath would compute with
 /// (integer elements × power-of-two scales, plus preserved outliers).
 pub trait Quantizer {
-    /// Quantizes `x` and immediately reconstructs real values.
-    fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32>;
-
-    /// As [`Quantizer::quantize_dequantize`], writing the reconstruction
-    /// into a caller-provided slice.
+    /// Quantizes `x` and writes the reconstructed real values into `out`,
+    /// staging any intermediate state in a caller-owned [`EncodeScratch`].
     ///
-    /// The default implementation round-trips through the allocating API;
-    /// block-local formats override it with a genuinely allocation-free
-    /// path for the token decode loop. Either way the values are identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != x.len()`.
-    fn quantize_dequantize_into(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), x.len(), "output length mismatch");
-        out.copy_from_slice(&self.quantize_dequantize(x));
-    }
-
-    /// As [`Quantizer::quantize_dequantize_into`], reusing a caller-owned
-    /// [`EncodeScratch`] workspace.
-    ///
-    /// Block-local formats (MinMax, MXINT) are already allocation-free
-    /// through `quantize_dequantize_into` and ignore the workspace — the
-    /// default implementation simply delegates. Tensor-global encoders
-    /// (MX-OPAL, whose per-block plans depend on a tensor-wide scale)
-    /// override this to stage those plans in `scratch`, making the token
-    /// decode loop allocation-free for every format. Values are identical
-    /// to the allocating API either way.
+    /// This is the one entry point the decode loop calls, a row at a time:
+    /// block-local formats (MinMax, MXFP, MXINT) ignore the workspace and
+    /// are allocation-free by construction; the tensor-global MX-OPAL
+    /// encoder stages its per-block plans in `scratch`, whose buffers grow
+    /// to the largest row seen and then carry capacity, never state.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != x.len()`.
-    fn quantize_dequantize_scratch(&self, x: &[f32], out: &mut [f32], scratch: &mut EncodeScratch) {
-        let _ = scratch;
-        self.quantize_dequantize_into(x, out);
-    }
+    fn quantize_dequantize_scratch(&self, x: &[f32], out: &mut [f32], scratch: &mut EncodeScratch);
 
-    /// Quantizes every `width`-wide row of a flat row-major block through
-    /// one shared [`EncodeScratch`], row `i` of `x` landing in row `i` of
-    /// `out`.
-    ///
-    /// This is the chunked-prefill entry point: a fused layer pass
-    /// quantizes a whole block of token positions (post-norm activations,
-    /// the K/V rows entering the cache, FFN activations) in one call, and
-    /// reusing the workspace across the rows keeps the quantized prefill
-    /// allocation-free exactly like the single-token decode loop. Each row
-    /// is the unmodified [`Quantizer::quantize_dequantize_scratch`] kernel,
-    /// so the values are bit-identical to quantizing the rows one call at a
-    /// time — the scratch carries no state between rows, only capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`, or `x.len()`/`out.len()` differ or are not
-    /// multiples of `width`.
-    fn quantize_dequantize_block_scratch(
-        &self,
-        x: &[f32],
-        width: usize,
-        out: &mut [f32],
-        scratch: &mut EncodeScratch,
-    ) {
-        assert!(width > 0, "row width must be positive");
-        assert_eq!(x.len(), out.len(), "output length mismatch");
-        assert!(x.len().is_multiple_of(width), "block not a whole number of rows");
-        for (xi, oi) in x.chunks_exact(width).zip(out.chunks_exact_mut(width)) {
-            self.quantize_dequantize_scratch(xi, oi, scratch);
-        }
+    /// Quantizes `x` and immediately reconstructs real values: the
+    /// allocating convenience over
+    /// [`Quantizer::quantize_dequantize_scratch`], with a fresh workspace.
+    fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; x.len()];
+        self.quantize_dequantize_scratch(x, &mut out, &mut EncodeScratch::new());
+        out
     }
 
     /// Short human-readable name for reports ("MXINT4", "MX-OPAL3", …).

@@ -1,6 +1,6 @@
 //! Conventional min/max dynamic integer quantizer (the paper's baseline).
 
-use crate::{QuantError, Quantizer};
+use crate::{EncodeScratch, QuantError, Quantizer};
 
 /// Asymmetric min/max integer quantizer with group-wise dynamic range
 /// extraction, as used by ZeroQuant-style activation quantization and as the
@@ -80,13 +80,7 @@ impl MinMaxQuantizer {
 }
 
 impl Quantizer for MinMaxQuantizer {
-    fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0; x.len()];
-        self.quantize_dequantize_into(x, &mut out);
-        out
-    }
-
-    fn quantize_dequantize_into(&self, x: &[f32], out: &mut [f32]) {
+    fn quantize_dequantize_scratch(&self, x: &[f32], out: &mut [f32], _: &mut EncodeScratch) {
         assert_eq!(out.len(), x.len(), "output length mismatch");
         for (xb, ob) in x.chunks(self.block_size).zip(out.chunks_mut(self.block_size)) {
             self.quantize_block(xb, ob);

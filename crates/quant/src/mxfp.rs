@@ -24,7 +24,7 @@
 
 use opal_numerics::shift::exp2i;
 
-use crate::{QuantError, Quantizer};
+use crate::{EncodeScratch, QuantError, Quantizer};
 
 /// An MX floating-point element encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -191,13 +191,7 @@ impl MxFpQuantizer {
 }
 
 impl Quantizer for MxFpQuantizer {
-    fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = vec![0.0; x.len()];
-        self.quantize_dequantize_into(x, &mut out);
-        out
-    }
-
-    fn quantize_dequantize_into(&self, x: &[f32], out: &mut [f32]) {
+    fn quantize_dequantize_scratch(&self, x: &[f32], out: &mut [f32], _: &mut EncodeScratch) {
         assert_eq!(out.len(), x.len(), "output length mismatch");
         for (xb, ob) in x.chunks(self.block_size).zip(out.chunks_mut(self.block_size)) {
             self.quantize_block(xb, ob);

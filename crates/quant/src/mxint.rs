@@ -2,7 +2,7 @@
 
 use opal_numerics::{shift_dequantize, shift_quantize, Bf16, Rounding};
 
-use crate::{QuantError, Quantizer};
+use crate::{EncodeScratch, QuantError, Quantizer};
 
 /// One encoded MXINT block: a shared scale exponent and the integer
 /// elements, exactly the layout of Fig. 2(b).
@@ -110,7 +110,7 @@ impl MxIntQuantizer {
 
     /// Encodes one row into caller-owned packed page arrays — the KV-cache
     /// storage form of the streaming
-    /// [`Quantizer::quantize_dequantize_into`] override. Block `b` of
+    /// [`Quantizer::quantize_dequantize_scratch`]. Block `b` of
     /// `block_size` elements gets integer codes and one shared scale in
     /// `scales[b]`; an all-zero/subnormal block stores scale `0` with all
     /// codes `0`, which decodes to `0.0` exactly like the streaming path's
@@ -172,20 +172,10 @@ impl MxIntQuantizer {
 }
 
 impl Quantizer for MxIntQuantizer {
-    /// Round-trips through [`MxIntQuantizer::encode_block`] /
-    /// [`MxIntQuantizer::decode_block`] — the allocating specification the
-    /// streaming [`Quantizer::quantize_dequantize_into`] override is
-    /// property-tested against.
-    fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(x.len());
-        for chunk in x.chunks(self.block_size) {
-            let block = self.encode_block(chunk);
-            out.extend(self.decode_block(&block));
-        }
-        out
-    }
-
-    fn quantize_dequantize_into(&self, x: &[f32], out: &mut [f32]) {
+    /// The streaming form of [`MxIntQuantizer::encode_block`] /
+    /// [`MxIntQuantizer::decode_block`], the allocating specification it is
+    /// property-tested against. Block-local: `scratch` is not used.
+    fn quantize_dequantize_scratch(&self, x: &[f32], out: &mut [f32], _: &mut EncodeScratch) {
         assert_eq!(out.len(), x.len(), "output length mismatch");
         for (xb, ob) in x.chunks(self.block_size).zip(out.chunks_mut(self.block_size)) {
             // Streaming form of encode_block/decode_block: the shared scale

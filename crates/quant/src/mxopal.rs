@@ -533,17 +533,10 @@ impl MxOpalQuantizer {
 }
 
 impl Quantizer for MxOpalQuantizer {
-    /// Round-trips through the structured [`MxOpalQuantizer::quantize`] /
-    /// [`MxOpalTensor::dequantize`] pair — the allocating specification the
-    /// fused scratch path is property-tested against.
-    fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32> {
-        self.quantize(x).dequantize()
-    }
-
-    fn quantize_dequantize_into(&self, x: &[f32], out: &mut [f32]) {
-        self.quantize_dequantize_fused(x, out, &mut EncodeScratch::new());
-    }
-
+    /// [`MxOpalQuantizer::quantize_dequantize_fused`], bit for bit the
+    /// structured [`MxOpalQuantizer::quantize`] /
+    /// [`MxOpalTensor::dequantize`] pair — the allocating specification it
+    /// is property-tested against.
     fn quantize_dequantize_scratch(&self, x: &[f32], out: &mut [f32], scratch: &mut EncodeScratch) {
         self.quantize_dequantize_fused(x, out, scratch);
     }
@@ -725,7 +718,7 @@ mod tests {
     /// Bit-exact comparison of the fused scratch path against the
     /// allocating specification.
     fn assert_fused_matches(q: &MxOpalQuantizer, x: &[f32], scratch: &mut EncodeScratch) {
-        let spec = q.quantize_dequantize(x);
+        let spec = q.quantize(x).dequantize();
         let mut fused = vec![f32::NAN; x.len()];
         q.quantize_dequantize_fused(x, &mut fused, scratch);
         let spec_bits: Vec<u32> = spec.iter().map(|v| v.to_bits()).collect();

@@ -8,7 +8,7 @@
 use opal_numerics::Bf16;
 use opal_tensor::{CodeWeights, Matrix};
 
-use crate::{QuantError, Quantizer};
+use crate::{EncodeScratch, QuantError, Quantizer};
 
 /// An OWQ-quantized weight matrix, as the hardware stores it.
 ///
@@ -209,10 +209,11 @@ impl Quantizer for OwqQuantizer {
     /// Treats the slice as a single-column weight vector with unit
     /// calibration statistics. Provided so OWQ can participate in generic
     /// format comparisons; real use goes through [`OwqQuantizer::quantize`].
-    fn quantize_dequantize(&self, x: &[f32]) -> Vec<f32> {
+    /// Allocates; the workspace is not used.
+    fn quantize_dequantize_scratch(&self, x: &[f32], out: &mut [f32], _: &mut EncodeScratch) {
         let w = Matrix::from_vec(x.len(), 1, x.to_vec());
         let calib = vec![1.0; x.len()];
-        self.quantize(&w, &calib).dequantize().into_vec()
+        out.copy_from_slice(self.quantize(&w, &calib).dequantize().as_slice());
     }
 
     fn name(&self) -> String {

@@ -239,13 +239,11 @@ mod tests {
         let q = MxOpalQuantizer::new(4, 300, 4).unwrap();
         let mut x = vec![0.25f32; 300];
         x[280] = 40.0;
-        let direct = q.quantize_dequantize(&x);
+        let direct = q.quantize(&x).dequantize();
         assert_eq!((direct[280], direct[24]), (40.0, 0.25));
         let (_, wire) = roundtrip_through_wire(&q, &x).unwrap();
         assert_eq!(wire, direct);
-        let mut fused = vec![0.0f32; x.len()];
-        q.quantize_dequantize_into(&x, &mut fused);
-        assert_eq!(fused, direct);
+        assert_eq!(q.quantize_dequantize(&x), direct);
     }
 
     #[test]

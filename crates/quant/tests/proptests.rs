@@ -47,30 +47,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn quantize_dequantize_into_matches_allocating_api(x in block(96), bits in 2u32..=8) {
-        // The in-place fast paths of the decode loop must reproduce the
-        // allocating APIs exactly, including the odd-sized final block.
-        // For MXINT this is a real cross-implementation check: the
-        // allocating side composes encode_block/decode_block while the
-        // `_into` override is an independent streaming rewrite of the same
-        // spec (for MinMax/MxOpal the allocating API delegates, so the
-        // comparison only smoke-tests the wrapper).
-        let quantizers: [Box<dyn Quantizer>; 3] = [
-            Box::new(MinMaxQuantizer::new(bits, 32).unwrap()),
-            Box::new(MxIntQuantizer::new(bits, 32).unwrap()),
-            Box::new(MxOpalQuantizer::new(bits.min(6), 32, 2).unwrap()),
-        ];
-        for q in &quantizers {
-            for len in [1usize, 31, 32, 33, 96] {
-                let mut out = vec![0.0f32; len];
-                q.quantize_dequantize_into(&x[..len], &mut out);
-                let reference = q.quantize_dequantize(&x[..len]);
-                prop_assert_eq!(&out, &reference, "{} len {}", q.name(), len);
-            }
-        }
-    }
-
-    #[test]
     fn mxopal_scratch_path_is_bit_identical_to_allocating(
         x in block(300),
         bits in 2u32..=8,
@@ -79,8 +55,7 @@ proptest! {
         truncate in 0u32..2,
     ) {
         // The fused two-pass encoder behind `quantize_dequantize_scratch`
-        // (and the MX-OPAL `quantize_dequantize_into` override) is an
-        // independent rewrite of the tensor-global spec: same outlier
+        // is an independent rewrite of the tensor-global spec: same outlier
         // selection under stable tie-breaks, same (n+1)-th-magnitude block
         // scales, same 4-bit global-offset clamp. Compare raw f32 bits so
         // even a -0.0/0.0 divergence would fail. The scratch workspace is
@@ -92,16 +67,12 @@ proptest! {
         let mut scratch = EncodeScratch::new();
         for len in [0usize, 1, block_size, block_size + 1, 2 * block_size + 1, 300] {
             let len = len.min(x.len());
-            let spec = q.quantize_dequantize(&x[..len]);
+            let spec = q.quantize(&x[..len]).dequantize();
             let mut fused = vec![f32::NAN; len];
             q.quantize_dequantize_scratch(&x[..len], &mut fused, &mut scratch);
-            let mut into = vec![f32::NAN; len];
-            q.quantize_dequantize_into(&x[..len], &mut into);
             let spec_bits: Vec<u32> = spec.iter().map(|v| v.to_bits()).collect();
             let fused_bits: Vec<u32> = fused.iter().map(|v| v.to_bits()).collect();
-            let into_bits: Vec<u32> = into.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&spec_bits, &fused_bits, "scratch path diverged, len {}", len);
-            prop_assert_eq!(&spec_bits, &into_bits, "into path diverged, len {}", len);
         }
     }
 
@@ -187,24 +158,57 @@ proptest! {
     }
 
     #[test]
+    fn quantize_dequantize_into_matches_allocating_api(x in block(96), bits in 2u32..=8) {
+        // The in-place entry point the decode loop calls must reproduce each
+        // format's allocating specification exactly, including the odd-sized
+        // final block. MXINT's `encode_block`/`decode_block` composition and
+        // MX-OPAL's structured `quantize(..).dequantize()` are independent
+        // of the streaming encoders behind the trait; MinMax's allocating
+        // convenience delegates, so its comparison only smoke-tests the
+        // wrapper.
+        let mxint = MxIntQuantizer::new(bits, 32).unwrap();
+        let mxopal = MxOpalQuantizer::new(bits.min(6), 32, 2).unwrap();
+        let minmax = MinMaxQuantizer::new(bits, 32).unwrap();
+        for len in [1usize, 31, 32, 33, 96] {
+            let x = &x[..len];
+            let into = |q: &dyn Quantizer| {
+                let mut out = vec![f32::NAN; len];
+                q.quantize_dequantize_scratch(x, &mut out, &mut EncodeScratch::new());
+                out
+            };
+            let mxint_spec: Vec<f32> =
+                x.chunks(32).flat_map(|b| mxint.decode_block(&mxint.encode_block(b))).collect();
+            prop_assert_eq!(into(&mxint), mxint_spec, "MXINT len {}", len);
+            prop_assert_eq!(into(&mxopal), mxopal.quantize(x).dequantize(), "MX-OPAL len {}", len);
+            prop_assert_eq!(into(&minmax), minmax.quantize_dequantize(x), "MinMax len {}", len);
+        }
+    }
+
+    #[test]
     fn scratch_trait_path_matches_allocating_for_all_formats(
         x in block(96),
         bits in 2u32..=8,
     ) {
-        // Formats without an override fall through to
-        // `quantize_dequantize_into`; every implementation must agree with
-        // the allocating API through the scratch entry point the decode
-        // loop actually calls.
-        let quantizers: [Box<dyn Quantizer>; 3] = [
-            Box::new(MinMaxQuantizer::new(bits, 32).unwrap()),
-            Box::new(MxIntQuantizer::new(bits, 32).unwrap()),
-            Box::new(MxOpalQuantizer::new(bits, 32, 2).unwrap()),
+        // One workspace reused across formats must carry capacity, never
+        // state: every implementation must agree with its allocating
+        // specification through the scratch entry point the decode loop
+        // actually calls (MinMax has no separate spec; its allocating
+        // convenience delegates).
+        let minmax = MinMaxQuantizer::new(bits, 32).unwrap();
+        let mxint = MxIntQuantizer::new(bits, 32).unwrap();
+        let mxopal = MxOpalQuantizer::new(bits, 32, 2).unwrap();
+        let mxint_spec: Vec<f32> =
+            x.chunks(32).flat_map(|b| mxint.decode_block(&mxint.encode_block(b))).collect();
+        let cases: [(&dyn Quantizer, Vec<f32>); 3] = [
+            (&minmax, minmax.quantize_dequantize(&x)),
+            (&mxint, mxint_spec),
+            (&mxopal, mxopal.quantize(&x).dequantize()),
         ];
         let mut scratch = EncodeScratch::new();
-        for q in &quantizers {
+        for (q, spec) in &cases {
             let mut out = vec![0.0f32; x.len()];
             q.quantize_dequantize_scratch(&x, &mut out, &mut scratch);
-            prop_assert_eq!(&out, &q.quantize_dequantize(&x), "{}", q.name());
+            prop_assert_eq!(&out, spec, "{}", q.name());
         }
     }
 
@@ -214,10 +218,10 @@ proptest! {
         bits in 2u32..=8,
         width_sel in 0usize..3,
     ) {
-        // The chunked-prefill entry point: quantizing a whole block of
-        // token rows through one shared scratch must reproduce the per-row
-        // scratch calls bit-for-bit (the workspace carries capacity, never
-        // state) for every format family.
+        // Chunked prefill quantizes a whole block of token rows through one
+        // shared scratch: that must reproduce a fresh workspace per row
+        // bit-for-bit (the workspace carries capacity, never state) for
+        // every format family.
         let width = [8usize, 24, 96][width_sel];
         let quantizers: [Box<dyn Quantizer>; 3] = [
             Box::new(MinMaxQuantizer::new(bits, 32).unwrap()),
@@ -227,11 +231,12 @@ proptest! {
         let mut scratch = EncodeScratch::new();
         for q in &quantizers {
             let mut fused = vec![0.0f32; x.len()];
-            q.quantize_dequantize_block_scratch(&x, width, &mut fused, &mut scratch);
             let mut by_row = vec![0.0f32; x.len()];
-            let mut row_scratch = EncodeScratch::new();
-            for (xi, oi) in x.chunks_exact(width).zip(by_row.chunks_exact_mut(width)) {
-                q.quantize_dequantize_scratch(xi, oi, &mut row_scratch);
+            for ((xi, fi), oi) in
+                x.chunks_exact(width).zip(fused.chunks_exact_mut(width)).zip(by_row.chunks_exact_mut(width))
+            {
+                q.quantize_dequantize_scratch(xi, fi, &mut scratch);
+                q.quantize_dequantize_scratch(xi, oi, &mut EncodeScratch::new());
             }
             prop_assert_eq!(&fused, &by_row, "{} width {}", q.name(), width);
         }
@@ -243,7 +248,7 @@ proptest! {
         // directly against the explicit block encode/decode composition.
         let q = MxIntQuantizer::new(bits, 32).unwrap();
         let mut out = vec![0.0f32; x.len()];
-        q.quantize_dequantize_into(&x, &mut out);
+        q.quantize_dequantize_scratch(&x, &mut out, &mut EncodeScratch::new());
         let mut reference = Vec::with_capacity(x.len());
         for chunk in x.chunks(32) {
             reference.extend(q.decode_block(&q.encode_block(chunk)));
@@ -360,9 +365,10 @@ proptest! {
     ) {
         // The packed-page row codec behind the quantized KV cache:
         // `encode_row_scratch` → `decode_row` must reconstruct exactly what
-        // `quantize_dequantize` produces for the same input — the paged
-        // attention walk trusts this to score against packed codes without
-        // ever materializing the reference reconstruction. Bit compare so
+        // the allocating spec `quantize(..).dequantize()` produces for the
+        // same input — the paged attention walk trusts this to score against
+        // packed codes without ever materializing the reference
+        // reconstruction. Bit compare so
         // signed zeros count, across block sizes and outlier budgets.
         let n = n.min(block_size - 1);
         let q = MxOpalQuantizer::new(bits, block_size, n).unwrap();
@@ -381,7 +387,7 @@ proptest! {
             );
             let mut decoded = vec![f32::NAN; len];
             q.decode_row(&codes, &scales, &out_idx, &out_val, &out_len, &mut decoded);
-            let reference = q.quantize_dequantize(&x[..len]);
+            let reference = q.quantize(&x[..len]).dequantize();
             let dec_bits: Vec<u32> = decoded.iter().map(|v| v.to_bits()).collect();
             let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&dec_bits, &ref_bits, "page codec diverged, len {}", len);
@@ -395,7 +401,7 @@ proptest! {
         block_size in 1usize..40,
     ) {
         // The outlier-free page codec: `encode_row` → `decode_row` against
-        // the streaming `quantize_dequantize_into` reference.
+        // the streaming `quantize_dequantize_scratch` reference.
         let q = MxIntQuantizer::new(bits, block_size).unwrap();
         for len in [1usize, block_size, block_size + 1, 2 * block_size + 1, 300] {
             let len = len.min(x.len());
@@ -406,7 +412,7 @@ proptest! {
             let mut decoded = vec![f32::NAN; len];
             q.decode_row(&codes, &scales, &mut decoded);
             let mut reference = vec![f32::NAN; len];
-            q.quantize_dequantize_into(&x[..len], &mut reference);
+            q.quantize_dequantize_scratch(&x[..len], &mut reference, &mut EncodeScratch::new());
             let dec_bits: Vec<u32> = decoded.iter().map(|v| v.to_bits()).collect();
             let ref_bits: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(&dec_bits, &ref_bits, "mxint page codec diverged, len {}", len);

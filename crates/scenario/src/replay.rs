@@ -427,8 +427,7 @@ fn replay_inner(
             step_virtual.push(vstep);
             step_secs.push(dt);
             step_macs.push(host_macs(&step));
-            total_workload.accumulate(&step.served);
-            total_workload.accumulate(&step.draft);
+            total_workload.accumulate(&step);
             batch_sum += engine.last_step_work().len();
             if options.audit_every > 0 && engine.steps() % options.audit_every == 0 {
                 let audit = engine.audit();

@@ -16,8 +16,8 @@
 //! with its mixed prefill chunks, ragged contexts and preemption churn —
 //! lands within a pinned multiplicative band of the prediction obtained by
 //! pricing the realized schedule ([`ServeEngine::last_step_work`]) with
-//! [`opal_serve::step_workload`], the one mapping from a step to
-//! [`TokenWorkload`]s that the engine's energy account also uses. A
+//! [`opal_serve::step_workload`], the one mapping from a step to a
+//! [`TokenWorkload`] that the engine's energy account also uses. A
 //! scheduler that bills work it does not perform (or performs work it does
 //! not bill) breaks the band.
 
@@ -25,7 +25,7 @@ use opal_hw::performance::{workload_latency, Platform};
 use opal_hw::roofline::{GemmKernel, GpuModel};
 use opal_hw::workload::{DataFormat, TokenWorkload};
 use opal_model::{Model, ModelConfig};
-use opal_serve::{ServeConfig, ServeEngine, StepWorkload};
+use opal_serve::{ServeConfig, ServeEngine};
 
 /// Default multiplicative tolerance of the cross-check: measured per-step
 /// time must sit within `[predicted / 2, predicted × 2]`.
@@ -53,11 +53,11 @@ impl HostCalibration {
     }
 }
 
-/// Host MACs of one priced step, served and draft passes together. The
-/// host computes in `f32`, and a workload's MAC total is the same in every
-/// format (only its split between INT modes and the FP lane differs).
-pub(crate) fn host_macs(step: &StepWorkload) -> f64 {
-    step.served.macs.total() as f64 + step.draft.macs.total() as f64
+/// Host MACs of one priced step. The host computes in `f32`, and a
+/// workload's MAC total is the same in every format (only its split
+/// between INT modes and the FP lane differs).
+pub(crate) fn host_macs(step: &TokenWorkload) -> f64 {
+    step.macs.total() as f64
 }
 
 /// Fits a [`HostCalibration`] for `model` by timing two controlled decode
@@ -298,13 +298,12 @@ mod tests {
             },
         ];
         let (config, fmt) = (ModelConfig::tiny(), DataFormat::opal_w4a47());
-        let step = step_workload(&config, Some(&config), &fmt, &work);
-        assert_eq!(step.served, TokenWorkload::from_schedule(&config, &fmt, &[5, 6, 7, 9]));
-        assert_eq!(step.draft, TokenWorkload::zero());
+        let step = step_workload(&config, &fmt, &work);
+        assert_eq!(step, TokenWorkload::from_schedule(&config, &fmt, &[5, 6, 7, 9]));
     }
 
     #[test]
-    fn step_workload_bills_verify_and_draft_rows() {
+    fn step_workload_bills_verify_rows() {
         use opal_serve::{step_workload, SeqStepWork};
         let work = [SeqStepWork {
             sampled: true,
@@ -312,26 +311,16 @@ mod tests {
             accepted: 2,
             verify_start: 10,
             verify_rows: 4,
-            draft_start: 8,
-            draft_rows: 5,
             ..Default::default()
         }];
         let (config, fmt) = (ModelConfig::tiny(), DataFormat::opal_w4a47());
-        let draft = ModelConfig { n_layers: 1, ..ModelConfig::tiny() };
-        let step = step_workload(&config, Some(&draft), &fmt, &work);
-        // Verify rows are billed on the served model even though two of the
-        // four were rolled back — as one fused pass over the cache.
-        assert_eq!(step.served, TokenWorkload::from_verify(&config, &fmt, 10, 4));
+        let step = step_workload(&config, &fmt, &work);
+        // Verify rows are billed even though two of the four were rolled
+        // back — as one fused pass over the cache.
+        assert_eq!(step, TokenWorkload::from_verify(&config, &fmt, 10, 4));
         let rows = TokenWorkload::from_schedule(&config, &fmt, &[11, 12, 13, 14]);
-        assert_eq!(step.served.macs, rows.macs);
-        assert_eq!(step.draft, TokenWorkload::from_schedule(&draft, &fmt, &[9, 10, 11, 12, 13]));
-        assert_eq!(
-            host_macs(&step),
-            (rows.macs.total() + step.draft.macs.total()) as f64,
-            "host MACs count served and draft rows"
-        );
-        // Without a draft config the draft rows are not priced.
-        assert_eq!(step_workload(&config, None, &fmt, &work).draft, TokenWorkload::zero());
+        assert_eq!(step.macs, rows.macs);
+        assert_eq!(host_macs(&step), rows.macs.total() as f64, "host MACs count every verify row");
     }
 
     #[test]

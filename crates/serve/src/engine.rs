@@ -173,17 +173,6 @@ pub enum StepMode {
 /// Where speculative draft tokens come from (see [`SpecConfig`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DraftSource {
-    /// A truncated-depth sibling of the served model: the first `layers`
-    /// decoder layers plus the shared embedding, final norm and
-    /// unembedding (built once per engine via `Model::draft_truncated`).
-    /// `layers` equal to the full stack yields a draft that reproduces the
-    /// served model exactly — 100% acceptance, useful as a deterministic
-    /// harness mode — while shallow depths trade acceptance for a cheaper
-    /// proposal pass.
-    Truncated {
-        /// Decoder layers the draft keeps (`1 ..=` the model's `n_layers`).
-        layers: usize,
-    },
     /// Model-free n-gram lookup: propose the tokens that followed the most
     /// recent earlier occurrence of the sequence's current suffix (bigram
     /// match preferred, unigram fallback). Costs no forward passes at all,
@@ -357,10 +346,11 @@ pub struct DegradedConfig {
     pub preempt_threshold: usize,
     /// Consecutive healthy steps required to exit (the hysteresis).
     pub cooldown_steps: u64,
-    /// Percentage of `max_batch` admitted while degraded (min 1 slot).
+    /// Percentage of `max_batch` admitted while degraded (min 1 slot; at
+    /// most 100 — the mode shrinks the batch, never grows it).
     pub batch_pct: u32,
     /// Percentage of `prefill_chunk` minted per step while degraded
-    /// (min 1 position).
+    /// (min 1 position; at most 100).
     pub prefill_pct: u32,
     /// Queue length the shedder trims the admission queue down to while
     /// degraded, youngest first. `usize::MAX` (the default) disables
@@ -640,67 +630,24 @@ pub struct SeqStepWork {
     /// contexts `verify_start + 1 ..= verify_start + verify_rows`, exactly
     /// like a prefill chunk. Zero when no verify pass ran.
     pub verify_rows: usize,
-    /// Draft-model cache position before this step's draft rows.
-    pub draft_start: usize,
-    /// Rows the *draft* model computed this step (catch-up plus proposal
-    /// feeds, at contexts `draft_start + 1 ..= draft_start + draft_rows`).
-    /// These price against the draft's truncated layer count, not the
-    /// served model's. Zero without a truncated draft.
-    pub draft_rows: usize,
 }
 
-/// The modeled-platform workload of one step: what [`step_workload`]
-/// makes of the step's [`SeqStepWork`] records.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StepWorkload {
-    /// The served model's passes, with one weight stream.
-    pub served: TokenWorkload,
-    /// The truncated draft's rows on the draft's own config, with one
-    /// stream of its weights; zero when no draft row ran.
-    pub draft: TokenWorkload,
-}
-
-impl StepWorkload {
-    /// Modeled chip energy of the step, in joules: each model's workload
-    /// on `accelerator`, leaking over that workload's modeled latency on
-    /// [`Platform::reference`] (the two run one after the other).
-    pub fn energy_j(&self, accelerator: &Accelerator, format: &DataFormat) -> f64 {
-        let platform = Platform::reference();
-        let energy = |wl: &TokenWorkload| {
-            let latency_s = workload_latency(wl, format, &platform).total_s();
-            accelerator.energy(wl, latency_s).total_j()
-        };
-        energy(&self.served) + energy(&self.draft)
-    }
-}
-
-/// Prices one step's realized schedule: each prefill position and decode
-/// row is one pass at its context, each fused verify pass goes through
-/// `TokenWorkload::from_verify` (its rows, rolled-back ones included,
-/// stream the cache once), and each model streams its weights once per
-/// step. Draft rows are priced on `draft`'s config; without a draft config
-/// they are not priced. The engine's energy account and every harness that
-/// prices a step call this.
+/// Prices one step's realized schedule on `served`'s config: each prefill
+/// position and decode row is one pass at its context, each fused verify
+/// pass goes through `TokenWorkload::from_verify` (its rows, rolled-back
+/// ones included, stream the cache once), and the weights stream once per
+/// step. The engine's energy account and every harness that prices a step
+/// call this.
 pub fn step_workload(
     served: &ModelConfig,
-    draft: Option<&ModelConfig>,
     format: &DataFormat,
     work: &[SeqStepWork],
-) -> StepWorkload {
+) -> TokenWorkload {
     let passes = work.iter().flat_map(|w| {
         (w.prefill_start + 1..=w.prefill_start + w.prefilled).chain(w.decode_context)
     });
     let verify = work.iter().filter(|w| w.verify_rows > 0).map(|w| (w.verify_start, w.verify_rows));
-    let draft = match draft {
-        Some(config) => TokenWorkload::from_step(
-            config,
-            format,
-            work.iter().flat_map(|w| w.draft_start + 1..=w.draft_start + w.draft_rows),
-            [],
-        ),
-        None => TokenWorkload::zero(),
-    };
-    StepWorkload { served: TokenWorkload::from_step(served, format, passes, verify), draft }
+    TokenWorkload::from_step(served, format, passes, verify)
 }
 
 /// A sequence currently in the batch. Each owns a private [`DecodeState`] —
@@ -783,23 +730,19 @@ pub(crate) struct Active {
     /// [`advance_chunk`] over this sequence panics on its behalf, on
     /// whichever thread runs it.
     panic_next: bool,
-    /// Speculative-decoding state when [`ServeConfig::spec`] is set:
-    /// draft source plus the reusable draft/verify buffers. Dropped on
-    /// preemption (never carried in [`Resume`]) and rebuilt at
-    /// re-admission — the draft re-prefills lazily, so resumption stays
-    /// output-identical.
+    /// Speculative-decoding state when [`ServeConfig::spec`] is set: the
+    /// reusable draft/verify buffers. Dropped on preemption (never carried
+    /// in [`Resume`]) and rebuilt at re-admission; the n-gram draft reads
+    /// only the committed stream, so resumption stays output-identical.
     spec: Option<Box<SpecState>>,
 }
 
-/// Per-sequence speculative-decoding state: the proposal source and the
-/// reusable buffers of the draft/verify loop. Everything here is scratch —
-/// none of it influences output, only how many tokens each step emits.
+/// Per-sequence speculative-decoding state: the reusable buffers of the
+/// draft/verify loop. Everything here is scratch — none of it influences
+/// output, only how many tokens each step emits.
 struct SpecState {
     /// Maximum tokens drafted per step ([`SpecConfig::k`]).
     k: usize,
-    /// Draft-model side of this sequence (`DraftSource::Truncated` only;
-    /// `None` drafts by n-gram lookup).
-    draft: Option<DraftSeq>,
     /// Draft tokens proposed this step (reused).
     proposals: Vec<u32>,
     /// Verify-row token buffer `[t0, d1..dk]` (reused).
@@ -807,23 +750,6 @@ struct SpecState {
     /// Logits of the fused verify pass, one row per verify token
     /// (pre-grown to `k + 1` rows; reused).
     logits: Matrix,
-}
-
-/// The truncated-depth draft sibling's side of one sequence.
-struct DraftSeq {
-    /// The engine-wide draft sibling (shared `Arc`, built once).
-    model: Arc<Model>,
-    /// The draft's private KV cache over the sequence's committed tokens,
-    /// allocated from a per-sequence unbounded pool — draft KV is a
-    /// throwaway accelerant, never part of the served cache, so it counts
-    /// against neither [`ServeConfig::max_blocks`] nor the audit.
-    state: DecodeState,
-    /// The draft's last-row logits buffer (reused).
-    logits: Vec<f32>,
-    /// Committed tokens (prefill + emitted) the draft has consumed; the
-    /// draft catches up lazily at the start of each speculative step, so
-    /// a fresh or resumed sequence just starts from `seen == 0`.
-    seen: usize,
 }
 
 impl Active {
@@ -987,7 +913,7 @@ pub(crate) fn advance_chunk(model: &Model, chunk: &mut [Active], ws: &mut Worksp
     }
     fused_pass(model, chunk, ws, prefill_rows);
     for seq in chunk.iter_mut() {
-        guarded(seq, |seq| sample(seq, ws));
+        guarded(seq, sample);
     }
     fused_pass(model, chunk, ws, decode_rows);
     for seq in chunk.iter_mut() {
@@ -1115,8 +1041,8 @@ fn decode_rows(seq: &mut Active) -> RowGroup<'_> {
 /// reserves the speculative rows only for sequences already decoding at
 /// planning time — this gate must match that reservation exactly.
 /// (Speculation is output-invariant, so the gate can only shift throughput,
-/// never tokens.) `ws` serves a truncated draft's own forward passes.
-fn sample(seq: &mut Active, ws: &mut Workspace) {
+/// never tokens.)
+fn sample(seq: &mut Active) {
     if seq.prefilling() {
         return;
     }
@@ -1131,13 +1057,7 @@ fn sample(seq: &mut Active, ws: &mut Workspace) {
     if let (Some(spec), 0) = (spec, work.prefilled) {
         let k_eff = spec.k.min(*limit - tokens.len());
         spec.proposals.clear();
-        match &mut spec.draft {
-            Some(draft) => {
-                (work.draft_start, work.draft_rows) =
-                    draft_propose(draft, prefill, tokens, k_eff, &mut spec.proposals, ws);
-            }
-            None => ngram_propose(prefill, tokens, k_eff, &mut spec.proposals),
-        }
+        ngram_propose(prefill, tokens, k_eff, &mut spec.proposals);
         // An n-gram miss proposes nothing: plain decode for this step.
         if !spec.proposals.is_empty() {
             spec.verify.clear();
@@ -1194,70 +1114,6 @@ fn commit(seq: &mut Active) {
     seq.last_logits.copy_from_slice(spec.logits.row(accepted));
     // Roll back the rejected tail: keep `t0` plus the accepted rows.
     seq.state.truncate(seq.work.verify_start + 1 + accepted);
-    if let Some(draft) = &mut spec.draft {
-        // Drop draft rows past the committed stream (rejected proposals);
-        // rows the draft never computed are caught up lazily next step.
-        let committed = seq.prefill.len() + seq.tokens.len();
-        if draft.state.pos() > committed {
-            draft.state.truncate(committed);
-        }
-        draft.seen = draft.state.pos();
-    }
-}
-
-/// Drafts up to `k_eff` proposals from the truncated-depth sibling:
-/// catches the draft KV up to the committed stream (one fused pass over
-/// the gap, which also covers fresh and just-resumed sequences), then
-/// rolls the draft forward greedily — each a one-group pass of the
-/// sibling through the stepping thread's workspace. Returns
-/// `(draft_start, draft_rows)` for energy and roofline pricing. Proposals
-/// never affect output, only acceptance, so the draft always picks its own
-/// argmax regardless of the request's sampler.
-fn draft_propose(
-    draft: &mut DraftSeq,
-    prefill: &[u32],
-    tokens: &[u32],
-    k_eff: usize,
-    proposals: &mut Vec<u32>,
-    ws: &mut Workspace,
-) -> (usize, usize) {
-    let DraftSeq { model, state, logits, seen } = draft;
-    let mut feed = |tokens: &[u32], logits: LogitsOut<'_>| {
-        let mut one = [RowGroup { state: &mut *state, tokens, logits }];
-        model.forward_rows(&mut one, RowGroup::reborrow, ws, None);
-    };
-    let start = *seen;
-    let p = prefill.len();
-    if *seen < p {
-        feed(&prefill[*seen..], LogitsOut::None);
-        *seen = p;
-    }
-    // The step's sampled token was just pushed, so the gap is never empty.
-    feed(&tokens[*seen - p..], LogitsOut::Last(logits));
-    *seen = p + tokens.len();
-    let mut rows = *seen - start;
-    for i in 0..k_eff {
-        let d = argmax(logits);
-        // tidy: allow(alloc) -- within the `k` capacity reserved in SpecState
-        proposals.push(d);
-        if i + 1 < k_eff {
-            feed(&[d], LogitsOut::Last(logits));
-            rows += 1;
-        }
-    }
-    (start, rows)
-}
-
-/// First-index argmax over draft logits (ties break low, matching the
-/// greedy sampler — which maximizes acceptance under greedy serving).
-fn argmax(logits: &[f32]) -> u32 {
-    let mut best = 0usize;
-    for (i, &v) in logits.iter().enumerate() {
-        if v > logits[best] {
-            best = i;
-        }
-    }
-    best as u32
 }
 
 /// Model-free draft: proposes the tokens that followed the most recent
@@ -1321,9 +1177,6 @@ fn ngram_propose(prefill: &[u32], tokens: &[u32], k_eff: usize, proposals: &mut 
 /// drops — even with requests still queued or decoding.
 pub struct ServeEngine<'m> {
     model: &'m Model,
-    /// The truncated-depth draft sibling when [`ServeConfig::spec`] selects
-    /// [`DraftSource::Truncated`]; shares the served model's weight tensors.
-    draft_model: Option<Arc<Model>>,
     accelerator: Option<Accelerator>,
     config: ServeConfig,
     /// Lazily-spawned persistent decode workers. Declared before `active`:
@@ -1400,20 +1253,11 @@ impl<'m> ServeEngine<'m> {
         assert!(config.max_blocks > 0, "max_blocks must be at least 1");
         if let Some(spec) = &config.spec {
             assert!(spec.k >= 1, "spec.k must be at least 1");
-            if let DraftSource::Truncated { layers } = spec.draft {
-                assert!(
-                    layers >= 1 && layers <= model.config().n_layers,
-                    "draft layers must be in 1..={}",
-                    model.config().n_layers
-                );
-            }
         }
-        let draft_model = match config.spec {
-            Some(SpecConfig { draft: DraftSource::Truncated { layers }, .. }) => {
-                Some(Arc::new(model.draft_truncated(layers)))
-            }
-            _ => None,
-        };
+        if let Some(degraded) = &config.degraded {
+            assert!(degraded.batch_pct <= 100, "degraded.batch_pct must be at most 100");
+            assert!(degraded.prefill_pct <= 100, "degraded.prefill_pct must be at most 100");
+        }
         let kv_pool = Arc::new(BlockPool::with_scheme(
             config.block_size,
             model.config().d_model,
@@ -1422,7 +1266,6 @@ impl<'m> ServeEngine<'m> {
         ));
         ServeEngine {
             model,
-            draft_model,
             accelerator: None,
             config,
             pool: None,
@@ -1462,9 +1305,10 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Attaches an accelerator model; every step the engine runs is then
-    /// charged [`StepWorkload::energy_j`] of its [`step_workload`], in the
+    /// charged the accelerator's energy for its [`step_workload`], in the
     /// accelerator's format with the KV pages' stored bits
-    /// ([`ServeConfig::kv_scheme`]), accumulating into
+    /// ([`ServeConfig::kv_scheme`]), leaking over that workload's modeled
+    /// latency on [`Platform::reference`], accumulating into
     /// [`ServeReport::energy_j`].
     #[must_use]
     pub fn with_accelerator(mut self, accelerator: Accelerator) -> Self {
@@ -1568,11 +1412,9 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// [`step_workload`] of the most recent non-idle [`step`](Self::step)
-    /// in `format`, on this engine's model and (with a truncated draft) its
-    /// draft's config.
-    pub fn last_step_workload(&self, format: &DataFormat) -> StepWorkload {
-        let draft = self.draft_model.as_deref().map(Model::config);
-        step_workload(self.model.config(), draft, format, &self.last_work)
+    /// in `format`, on this engine's model.
+    pub fn last_step_workload(&self, format: &DataFormat) -> TokenWorkload {
+        step_workload(self.model.config(), format, &self.last_work)
     }
 
     /// Ids of every request still in flight: active sequences in batch
@@ -1854,33 +1696,11 @@ impl<'m> ServeEngine<'m> {
 
     /// Builds the per-sequence speculation state for a newly-admitted (or
     /// re-admitted) sequence, or `None` when speculation is off.
-    ///
-    /// A truncated-depth draft gets a *private, unbounded* KV pool: draft
-    /// blocks are scratch that speculation may discard wholesale, so they
-    /// must never compete with committed sequence state for
-    /// [`ServeConfig::max_blocks`] or show up in [`ServeEngine::audit`].
-    /// Resume after preemption rebuilds this state from scratch (`seen: 0`)
-    /// and the first speculative step re-prefills the draft lazily.
     fn new_spec_state(&self) -> Option<Box<SpecState>> {
         let spec = self.config.spec?;
         let vocab = self.model.config().vocab;
-        let draft = self.draft_model.as_ref().map(|dm| {
-            let pool = Arc::new(BlockPool::with_scheme(
-                self.config.block_size,
-                dm.config().d_model,
-                usize::MAX,
-                KvScheme::Exact,
-            ));
-            DraftSeq {
-                state: dm.begin_decode_paged(&pool),
-                model: Arc::clone(dm),
-                logits: vec![0.0; vocab],
-                seen: 0,
-            }
-        });
         Some(Box::new(SpecState {
             k: spec.k,
-            draft,
             proposals: Vec::with_capacity(spec.k),
             verify: Vec::with_capacity(spec.k + 1),
             logits: Matrix::zeros(spec.k + 1, vocab),
@@ -2028,8 +1848,9 @@ impl<'m> ServeEngine<'m> {
         if let Some(acc) = &self.accelerator {
             let mut format = acc.kind().format();
             format.kv_bits = self.config.kv_scheme.bits_per_element(self.model.config().d_model);
-            let energy_j = self.last_step_workload(&format).energy_j(acc, &format);
-            self.energy_j += energy_j;
+            let wl = self.last_step_workload(&format);
+            let latency_s = workload_latency(&wl, &format, &Platform::reference()).total_s();
+            self.energy_j += acc.energy(&wl, latency_s).total_j();
         }
 
         // Publish freshly-completed full prompt blocks into the prefix

@@ -68,7 +68,7 @@ mod trie;
 pub use engine::{
     step_workload, AuditReport, DegradedConfig, DraftSource, PrefillBudget, Request, RequestId,
     SamplingParams, SeqStepWork, ServeConfig, ServeEngine, ServeError, SpecConfig, StepMode,
-    StepSummary, StepWorkload, REORDER_STARVATION_BOUND,
+    StepSummary, REORDER_STARVATION_BOUND,
 };
 pub use opal_model::{AdoptError, KvScheme};
 pub use report::{FinishReason, RejectionCounts, RequestReport, ServeReport};

@@ -245,9 +245,9 @@ pub struct ServeReport {
     /// Generated tokens per second of wall time.
     pub generated_per_sec: f64,
     /// Aggregate modeled accelerator energy in joules: the sum over steps
-    /// of [`StepWorkload::energy_j`](crate::StepWorkload::energy_j) of each
-    /// step's [`step_workload`](crate::step_workload) (zero when no
-    /// accelerator model is attached).
+    /// of the accelerator's energy for each step's
+    /// [`step_workload`](crate::step_workload) over its modeled latency
+    /// (zero when no accelerator model is attached).
     pub energy_j: f64,
     /// Per-request outcomes, ordered by request id.
     pub requests: Vec<RequestReport>,

@@ -399,3 +399,45 @@ fn degraded_mode_sheds_load_and_recovers() {
         "surviving requests still complete"
     );
 }
+
+/// Degraded mode shrinks the engine's budgets, never grows them: a
+/// `batch_pct` or `prefill_pct` above 100 would let a degraded engine hold
+/// more sequences than `max_batch` (or mint more than `prefill_chunk`), so
+/// `ServeEngine::new` rejects either, and accepts exactly 100.
+#[test]
+fn degraded_percentages_above_100_are_rejected() {
+    let m = model();
+    let config = |batch_pct, prefill_pct| ServeConfig {
+        max_batch: 2,
+        max_blocks: m.config().n_layers * 64,
+        degraded: Some(DegradedConfig {
+            enter_pressure_pct: 0,
+            batch_pct,
+            prefill_pct,
+            ..DegradedConfig::default()
+        }),
+        ..ServeConfig::default()
+    };
+    let builds = |batch_pct, prefill_pct| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ServeEngine::new(&m, config(batch_pct, prefill_pct));
+        }))
+        .is_ok()
+    };
+    assert!(!builds(200, 50), "batch_pct 200 must be rejected");
+    assert!(!builds(50, 101), "prefill_pct 101 must be rejected");
+    assert!(builds(100, 100), "100 % is the unshrunk budget");
+
+    // At 100 % a degraded engine (0 % pressure enters the mode) keeps to
+    // `max_batch`.
+    let mut engine = ServeEngine::new(&m, config(100, 100));
+    for p in prompts(m.config().vocab as u32, 4) {
+        engine.submit_request(Request::new(&p)).expect("submit");
+    }
+    let mut saw_degraded = false;
+    while !engine.is_idle() {
+        saw_degraded |= engine.step().degraded;
+        assert!(engine.active_len() <= 2, "degraded engine held {} sequences", engine.active_len());
+    }
+    assert!(saw_degraded, "0 % pressure must enter degraded mode");
+}

@@ -8,6 +8,7 @@
 //! tokens with one weight stream.
 
 use opal_hw::accelerator::{Accelerator, AcceleratorKind};
+use opal_hw::performance::{workload_latency, Platform};
 use opal_model::{Model, ModelConfig, QuantScheme};
 use opal_serve::{
     step_workload, DraftSource, KvScheme, ServeConfig, ServeEngine, ServeReport, SpecConfig,
@@ -41,9 +42,9 @@ fn prompts(n: usize, len: usize, vocab: usize) -> Vec<Vec<u32>> {
 
 #[test]
 fn energy_is_the_per_step_sum_of_step_workload() {
-    // Chunked prefill beside decode rows, a truncated draft (draft rows
-    // and fused verify passes) and quantized KV pages: every field of a
-    // step record reaches the price.
+    // Chunked prefill beside decode rows, n-gram speculation (fused
+    // verify passes) and quantized KV pages: every field of a step record
+    // reaches the price.
     let model = tiny();
     for kv_scheme in [KvScheme::Exact, KvScheme::mxopal()] {
         assert_energy_is_the_per_step_sum(&model, kv_scheme);
@@ -55,19 +56,18 @@ fn assert_energy_is_the_per_step_sum(model: &Model, kv_scheme: KvScheme) {
         max_batch: 3,
         prefill_chunk: 5,
         kv_scheme,
-        spec: Some(SpecConfig { draft: DraftSource::Truncated { layers: 1 }, k: 2 }),
+        spec: Some(SpecConfig { draft: DraftSource::NGram, k: 2 }),
         ..ServeConfig::default()
     };
     let acc = accelerator();
     let mut format = acc.kind().format();
     format.kv_bits = kv_scheme.bits_per_element(model.config().d_model);
-    let draft = ModelConfig { n_layers: 1, ..model.config().clone() };
 
     let mut engine = ServeEngine::new(model, config).with_accelerator(acc.clone());
     for p in prompts(4, 12, model.config().vocab) {
         engine.submit_with_limit(&p, 10).expect("valid prompt");
     }
-    let (mut expected, mut verified, mut drafted_rows) = (0.0f64, 0, 0);
+    let (mut expected, mut verified) = (0.0f64, 0);
     while !engine.is_idle() {
         let before = engine.steps();
         engine.step();
@@ -76,11 +76,11 @@ fn assert_energy_is_the_per_step_sum(model: &Model, kv_scheme: KvScheme) {
         }
         let work = engine.last_step_work();
         verified += work.iter().filter(|w| w.verify_rows > 0).count();
-        drafted_rows += work.iter().map(|w| w.draft_rows).sum::<usize>();
-        let step = step_workload(model.config(), Some(&draft), &format, work);
-        expected += step.energy_j(&acc, &format);
+        let step = step_workload(model.config(), &format, work);
+        let latency_s = workload_latency(&step, &format, &Platform::reference()).total_s();
+        expected += acc.energy(&step, latency_s).total_j();
     }
-    assert!(verified > 0 && drafted_rows > 0, "speculation never ran");
+    assert!(verified > 0, "speculation never ran");
     let report = engine.report(std::time::Duration::from_secs(1));
     assert!(report.energy_j > 0.0);
     assert_eq!(report.energy_j.to_bits(), expected.to_bits(), "{} vs {expected}", report.energy_j);

@@ -377,8 +377,8 @@ impl CodeWeights {
 
     /// Panel `p`'s scales and los, four channels an entry.
     pub(crate) fn panel_grid(&self, p: usize) -> (&[[f64; 4]], &[[f64; 4]]) {
-        let span = p * PANEL_WIDTH..(p + 1) * PANEL_WIDTH;
-        (self.scale[span.clone()].as_chunks::<4>().0, self.lo[span].as_chunks::<4>().0)
+        let (start, end) = (p * PANEL_WIDTH, (p + 1) * PANEL_WIDTH);
+        (self.scale[start..end].as_chunks::<4>().0, self.lo[start..end].as_chunks::<4>().0)
     }
 
     /// Outlier row `k`'s weights in panel `p`.

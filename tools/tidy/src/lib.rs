@@ -6,7 +6,8 @@
 //!
 //! 1. **hot-path allocation** — no allocating calls inside declared
 //!    allocation-free hot functions (`// tidy: allow(alloc) -- reason`
-//!    escapes);
+//!    escapes); a declared path that matches no file, or pattern that
+//!    matches no `fn` in its file, is reported as stale;
 //! 2. **unsafe discipline** — `unsafe` only in allowlisted files, every
 //!    use with an adjacent `// SAFETY:` comment;
 //! 3. **panic discipline** — no `unwrap`/`expect`/`panic!` family in
@@ -30,20 +31,33 @@ pub mod policy;
 pub use lints::{Lint, Violation};
 pub use policy::Policy;
 
+/// The policy manifest's path, relative to the workspace root.
+pub const POLICY_PATH: &str = "tools/tidy/tidy.policy";
+
 /// Lints one file's source text under `policy`. `rel_path` is the
 /// workspace-relative path used both for diagnostics and for policy
 /// matching.
 pub fn check_source(rel_path: &str, source: &str, policy: &Policy) -> Vec<Violation> {
     let view = lexer::SourceView::lex(source);
     let fns = lints::function_spans(&view);
-    let tests = lints::test_spans(&view);
+    check_lexed(rel_path, &view, &fns, policy)
+}
+
+/// [`check_source`] over an already lexed file and its `fns`.
+fn check_lexed(
+    rel_path: &str,
+    view: &lexer::SourceView,
+    fns: &[lints::FnSpan],
+    policy: &Policy,
+) -> Vec<Violation> {
+    let tests = lints::test_spans(view);
     let mut out = Vec::new();
-    lints::check_escape_hygiene(rel_path, &view, &mut out);
-    lints::lint_hot_alloc(rel_path, &view, policy, &fns, &tests, &mut out);
-    lints::lint_unsafe(rel_path, &view, policy, &mut out);
-    lints::lint_panic(rel_path, &view, &tests, &mut out);
-    lints::lint_determinism(rel_path, &view, policy, &tests, &mut out);
-    lints::lint_lock_order(rel_path, &view, policy, &fns, &tests, &mut out);
+    lints::check_escape_hygiene(rel_path, view, &mut out);
+    lints::lint_hot_alloc(rel_path, view, policy, fns, &tests, &mut out);
+    lints::lint_unsafe(rel_path, view, policy, &mut out);
+    lints::lint_panic(rel_path, view, &tests, &mut out);
+    lints::lint_determinism(rel_path, view, policy, &tests, &mut out);
+    lints::lint_lock_order(rel_path, view, policy, fns, &tests, &mut out);
     out.sort_by_key(|v| v.line);
     out
 }
@@ -85,11 +99,17 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 pub fn run(root: &Path, policy: &Policy) -> std::io::Result<(Vec<Violation>, usize)> {
     let files = workspace_sources(root)?;
     let mut all = Vec::new();
+    let mut rels = Vec::new();
     for path in &files {
         let source = std::fs::read_to_string(path)?;
         let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
-        all.extend(check_source(&rel, &source, policy));
+        let view = lexer::SourceView::lex(&source);
+        let fns = lints::function_spans(&view);
+        all.extend(check_lexed(&rel, &view, &fns, policy));
+        all.extend(lints::stale_hot_patterns(&rel, policy, &fns));
+        rels.push(rel);
     }
+    all.extend(lints::stale_hot_paths(policy, &rels));
     Ok((all, files.len()))
 }
 
@@ -239,6 +259,43 @@ mod fixtures {
         let unknown = "fn f(&self) {\n    let g = self.mystery.lock();\n}\n";
         let hits = check_source("crates/serve/src/engine.rs", unknown, &p);
         assert!(hits.iter().any(|v| v.message.contains("undeclared")), "{hits:?}");
+    }
+
+    #[test]
+    fn stale_hot_alloc_entries_are_reported_at_their_policy_line() {
+        let p = test_policy();
+        let fns = |src: &str| lints::function_spans(&lexer::SourceView::lex(src));
+        let file = "crates/model/src/infer.rs";
+        // `*_into` matches `softmax_into`; `decode_core` matches nothing.
+        let src = "fn softmax_into(out: &mut [f32]) {\n    out[0] = 1.0;\n}\n";
+        let stale = lints::stale_hot_patterns(file, &p, &fns(src));
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert_eq!((stale[0].file.as_str(), stale[0].line), (POLICY_PATH, 2));
+        assert!(stale[0].message.contains("`decode_core`"), "{}", stale[0].message);
+        let both = "fn decode_core() {}\nfn softmax_into() {}\n";
+        assert!(lints::stale_hot_patterns(file, &p, &fns(both)).is_empty());
+        // Files the policy does not name have no patterns to go stale.
+        assert!(lints::stale_hot_patterns("crates/serve/src/pool.rs", &p, &[]).is_empty());
+
+        // A declared path that matches no linted file.
+        let stale = lints::stale_hot_paths(&p, &["crates/model/src/kv.rs".to_string()]);
+        assert_eq!(stale.len(), 1, "{stale:?}");
+        assert_eq!(stale[0].line, 2);
+        assert!(stale[0].message.contains("crates/model/src/infer.rs"), "{}", stale[0].message);
+        let present = ["x/crates/model/src/infer.rs".to_string()];
+        assert!(lints::stale_hot_paths(&p, &present).is_empty());
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_hide_the_body() {
+        // The `;` of `[u8; 32]` is not the end of a bodyless declaration.
+        let p = test_policy();
+        let src = "fn decode_core(x: &[u8; 32]) -> Vec<u8> {\n    x.to_vec()\n}\n";
+        let hits = check_source("crates/model/src/infer.rs", src, &p);
+        assert_eq!(lint_names(&hits), vec!["alloc"], "{hits:?}");
+        let decl = "trait T {\n    fn decode_core(x: &[u8; 32]);\n}\nfn f() {}\n";
+        let fns = lints::function_spans(&lexer::SourceView::lex(decl));
+        assert_eq!(fns.iter().map(|f| f.name.as_str()).collect::<Vec<_>>(), ["f"]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::lexer::{find_token, SourceView};
 use crate::policy::{fn_pattern_matches, Policy};
+use crate::POLICY_PATH;
 
 /// The lint family a violation belongs to (also the name accepted by
 /// `// tidy: allow(<name>)`).
@@ -144,10 +145,12 @@ pub struct FnSpan {
 }
 
 /// Finds the first `{` at or after (`line`, `col`) and returns the line
-/// holding its matching `}`. Stops early (returns `None`) if a `;` is hit
-/// at depth 0 first — a bodyless trait method or declaration.
+/// holding its matching `}`. Stops early (returns `None`) if a `;` outside
+/// any `(…)` / `[…]` is hit first — a bodyless trait method or declaration
+/// (the `;` of an array type such as `&[u8; 32]` in a signature is not).
 fn brace_match(view: &SourceView, line: usize, col: usize) -> Option<(usize, usize)> {
     let mut depth = 0usize;
+    let mut nesting = 0usize;
     let mut started = false;
     let mut l = line;
     let mut c = col;
@@ -165,7 +168,9 @@ fn brace_match(view: &SourceView, line: usize, col: usize) -> Option<(usize, usi
                         return Some((l, c));
                     }
                 }
-                ';' if !started => return None,
+                '(' | '[' if !started => nesting += 1,
+                ')' | ']' if !started => nesting = nesting.saturating_sub(1),
+                ';' if !started && nesting == 0 => return None,
                 _ => {}
             }
             c += 1;
@@ -253,9 +258,9 @@ pub fn lint_hot_alloc(
     tests: &[Span],
     out: &mut Vec<Violation>,
 ) {
-    let Some(patterns) = policy.hot_functions(file) else { return };
+    let Some(hot) = policy.hot_file(file) else { return };
     for f in fns {
-        if !patterns.iter().any(|p| fn_pattern_matches(p, &f.name)) {
+        if !hot.functions.iter().any(|p| fn_pattern_matches(p, &f.name)) {
             continue;
         }
         for l in f.span.start..=f.span.end.min(view.lines() - 1) {
@@ -277,6 +282,40 @@ pub fn lint_hot_alloc(
             }
         }
     }
+}
+
+/// Stale `[hot_alloc]` patterns of `file`: each declared pattern that
+/// matches none of the file's `fns` guards nothing, and is reported against
+/// the policy line that declares it. (A whole-file check: [`crate::run`]
+/// makes it, not [`crate::check_source`], which also lints fragments.)
+pub fn stale_hot_patterns(file: &str, policy: &Policy, fns: &[FnSpan]) -> Vec<Violation> {
+    let Some(hot) = policy.hot_file(file) else { return Vec::new() };
+    hot.functions
+        .iter()
+        .filter(|p| !fns.iter().any(|f| fn_pattern_matches(p, &f.name)))
+        .map(|p| Violation {
+            file: POLICY_PATH.to_string(),
+            line: hot.line,
+            lint: Lint::Alloc,
+            message: format!("[hot_alloc] `{p}` matches no fn in {file}: a stale entry"),
+        })
+        .collect()
+}
+
+/// The other half of a stale `[hot_alloc]` entry: a declared path that
+/// matches none of the linted files (`rel_paths`) guards nothing either.
+pub fn stale_hot_paths(policy: &Policy, rel_paths: &[String]) -> Vec<Violation> {
+    policy
+        .hot
+        .iter()
+        .filter(|h| !rel_paths.iter().any(|r| r.ends_with(h.path.as_str())))
+        .map(|h| Violation {
+            file: POLICY_PATH.to_string(),
+            line: h.line,
+            lint: Lint::Alloc,
+            message: format!("[hot_alloc] `{}` matches no linted file: a stale entry", h.path),
+        })
+        .collect()
 }
 
 /// Lint 2: `unsafe` only in allowlisted files, each use with an adjacent

@@ -28,7 +28,8 @@
 //!
 //! `hot_alloc` values are comma-separated function-name patterns; a
 //! pattern may use one leading or trailing `*` wildcard (`*_into`,
-//! `quant_*`). `locks` maps a lock-guard receiver identifier to its rank
+//! `quant_*`). Every path must match a linted file and every pattern a
+//! `fn` in it: a stale entry guards nothing, so the run reports it. `locks` maps a lock-guard receiver identifier to its rank
 //! in the global acquisition order (lower rank must be taken first) and a
 //! human-readable class name.
 
@@ -39,6 +40,9 @@ pub struct HotFile {
     pub path: String,
     /// Function-name patterns (exact, `prefix*`, or `*suffix`).
     pub functions: Vec<String>,
+    /// 1-based line of the declaration in the policy file, where a stale
+    /// entry is reported.
+    pub line: usize,
 }
 
 /// One declared lock class.
@@ -107,7 +111,11 @@ impl Policy {
                     if functions.is_empty() {
                         return Err(format!("policy line {lineno}: no functions declared"));
                     }
-                    policy.hot.push(HotFile { path: path.trim().to_string(), functions });
+                    policy.hot.push(HotFile {
+                        path: path.trim().to_string(),
+                        functions,
+                        line: lineno,
+                    });
                 }
                 "unsafe_files" => policy.unsafe_files.push(line.to_string()),
                 "determinism" => policy.determinism.push(line.to_string()),
@@ -136,13 +144,10 @@ impl Policy {
         list.iter().any(|p| rel_path.ends_with(p.as_str()))
     }
 
-    /// The hot-function patterns for `rel_path`, if it is a declared hot
-    /// file.
-    pub fn hot_functions(&self, rel_path: &str) -> Option<&[String]> {
-        self.hot
-            .iter()
-            .find(|h| rel_path.ends_with(h.path.as_str()))
-            .map(|h| h.functions.as_slice())
+    /// The hot-path declaration covering `rel_path`, if it is a declared
+    /// hot file.
+    pub fn hot_file(&self, rel_path: &str) -> Option<&HotFile> {
+        self.hot.iter().find(|h| rel_path.ends_with(h.path.as_str()))
     }
 
     /// The declared lock class for a `.lock()` receiver identifier.
