@@ -19,9 +19,10 @@
 
 use opal_model::{KvScheme, Model, ModelConfig, QuantScheme};
 use opal_scenario::{
-    autotune, calibrate, kernel_rates, replay_calibrated, replay_with, CancelStorm, ChurnPhase,
-    DegradedConfig, FinishReason, GridSpec, HostCalibration, KernelRates, ReplayOptions,
-    RetryPolicy, ScenarioReport, ServeConfig, TraceConfig, DEFAULT_BAND, MIN_ANCHOR_RATIO,
+    assert_json_wellformed, autotune, calibrate, kernel_rates, replay_calibrated, replay_with,
+    CancelStorm, ChurnPhase, DegradedConfig, FinishReason, GridSpec, HostCalibration, KernelRates,
+    ReplayOptions, RetryPolicy, ScenarioReport, ServeConfig, TraceConfig, DEFAULT_BAND,
+    MIN_ANCHOR_RATIO,
 };
 use opal_serve::{DraftSource, SpecConfig};
 
@@ -320,36 +321,6 @@ fn suite_json(seed: u64, reports: &[&ScenarioReport], best: &ScenarioReport) -> 
         traces.join(", "),
         best.to_json()
     )
-}
-
-/// A minimal structural JSON validator: balanced braces/brackets outside
-/// strings, proper string termination. Catches the formatting mistakes a
-/// hand-assembled report can make without needing a JSON parser.
-fn assert_json_wellformed(s: &str) {
-    let mut stack = Vec::new();
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in s.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => stack.push(c),
-            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced '}}' in JSON report"),
-            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced ']' in JSON report"),
-            _ => {}
-        }
-    }
-    assert!(!in_string, "unterminated string in JSON report");
-    assert!(stack.is_empty(), "unclosed scopes in JSON report: {stack:?}");
 }
 
 fn die(msg: &str) -> ! {

@@ -72,3 +72,60 @@ pub use trace::{
 // Re-exported so scenario callers need only this crate for the common path.
 pub use opal_serve::faults::{FaultConfig, FaultKind, FaultPlan, RetryPolicy};
 pub use opal_serve::{DegradedConfig, FinishReason, ServeConfig};
+
+/// A minimal structural JSON validator: balanced braces/brackets outside
+/// strings, proper string termination. Catches the formatting mistakes a
+/// hand-assembled report can make without needing a JSON parser; the
+/// `scenario` and `bench_decode` binaries run it on what they emit.
+///
+/// # Panics
+///
+/// Panics, naming the fault, if `s` is not well formed.
+pub fn assert_json_wellformed(s: &str) {
+    let mut stack = Vec::new();
+    let mut in_string = false;
+    let mut escaped = false;
+    for c in s.chars() {
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_string = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => stack.push(c),
+            '}' => assert_eq!(stack.pop(), Some('{'), "unbalanced '}}' in JSON report"),
+            ']' => assert_eq!(stack.pop(), Some('['), "unbalanced ']' in JSON report"),
+            _ => {}
+        }
+    }
+    assert!(!in_string, "unterminated string in JSON report");
+    assert!(stack.is_empty(), "unclosed scopes in JSON report: {stack:?}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::assert_json_wellformed;
+
+    #[test]
+    fn json_validator_skips_brackets_inside_strings() {
+        assert_json_wellformed(r#"{"a": "}] \" [", "b": [1, {"c": []}]}"#);
+    }
+
+    #[test]
+    #[should_panic(expected = "unbalanced")]
+    fn json_validator_rejects_a_crossed_scope() {
+        assert_json_wellformed(r#"{"a": [1}]"#);
+    }
+
+    #[test]
+    #[should_panic(expected = "unterminated string")]
+    fn json_validator_rejects_an_open_string() {
+        assert_json_wellformed(r#"{"a": "b}"#);
+    }
+}

@@ -912,6 +912,7 @@ mod tests {
         let m = model();
         let trace = TraceConfig::poisson("json", 3, 1.0, 24, m.config().vocab).generate();
         let json = replay(&m, ServeConfig::default(), &trace).to_json();
+        crate::assert_json_wellformed(&json);
         for key in [
             "\"trace\"",
             "\"ttft_steps\"",

@@ -8,13 +8,22 @@
 //! The reordering tests pin the admission policy: under block pressure a
 //! queued request whose prefix is trie-resident may jump a cache-cold
 //! head, but never past [`REORDER_STARVATION_BOUND`] bypasses.
+//!
+//! What quantized pages buy and cost is exact on the served proxy
+//! (`llama2_7b().proxy(128, 4, 192)`, weight seed 21, KV block 16): pool
+//! bytes per token, sequences resident at one byte budget, and greedy
+//! agreement with the exact cache under teacher forcing.
+
+use std::sync::Arc;
 
 use opal::{ModelConfig, OpalPipeline, OperatingPoint};
 use opal_model::sampling::Sampler;
+use opal_model::{BlockPool, Model, QuantScheme};
 use opal_serve::{
     FinishReason, KvScheme, Request, SamplingParams, ServeConfig, ServeEngine, StepMode,
     REORDER_STARVATION_BOUND,
 };
+use opal_tensor::ops;
 
 fn pipeline() -> OpalPipeline {
     OpalPipeline::new(ModelConfig::tiny(), OperatingPoint::W4A47, 42).expect("valid point")
@@ -194,4 +203,113 @@ fn no_reordering_without_prefix_sharing() {
             "a later request was admitted before the queue head without prefix sharing"
         );
     }
+}
+
+/// KV block size of the served proxy's pools.
+const BLOCK: usize = 16;
+
+fn proxy() -> Model {
+    Model::new(ModelConfig::llama2_7b().proxy(128, 4, 192), QuantScheme::bf16(), 21)
+        .expect("proxy model")
+}
+
+/// Pool bytes per resident token: a K and a V page per layer, over the
+/// tokens a page holds.
+fn pool_bytes_per_token(config: &ModelConfig, scheme: KvScheme) -> f64 {
+    (config.n_layers * 2 * scheme.page_bytes(BLOCK, config.d_model)) as f64 / BLOCK as f64
+}
+
+#[test]
+fn quantized_pages_shrink_pool_bytes_per_token() {
+    let config = ModelConfig::llama2_7b().proxy(128, 4, 192);
+    let exact = pool_bytes_per_token(&config, KvScheme::Exact);
+    let q8 = pool_bytes_per_token(&config, KvScheme::mxopal());
+    let q4 = pool_bytes_per_token(&config, KvScheme::mxopal4());
+    assert!(exact / q8 >= 3.0, "mxopal pages: {q8} B/token against {exact} exact");
+    assert!(q4 < q8, "mxopal4 pages: {q4} B/token, not below mxopal's {q8}");
+}
+
+/// Peak resident sequences while a `max_blocks`-bounded pool drains 24
+/// cache-cold requests (40-token prompts, 24 new tokens). Submissions
+/// interleave with steps, so each admission sees the blocks earlier
+/// prefills took: the byte budget binds, not the submission cadence.
+fn peak_resident(model: &Model, kv_scheme: KvScheme, max_blocks: usize) -> usize {
+    let n_requests = 24u32;
+    let config = ServeConfig {
+        max_batch: n_requests as usize,
+        max_tokens: 24,
+        prefill_chunk: usize::MAX,
+        max_blocks,
+        kv_scheme,
+        prefix_sharing: false,
+        ..ServeConfig::default()
+    };
+    let mut engine = ServeEngine::new(model, config);
+    let vocab = model.config().vocab as u32;
+    for i in 0..n_requests {
+        let p: Vec<u32> = (0..40).map(|j| (i * 31 + j * 7 + 21) % vocab).collect();
+        engine.submit(&p).expect("valid prompt");
+        engine.step();
+    }
+    engine.run().peak_batch
+}
+
+/// One KV byte budget, translated into each scheme's block bound. A
+/// request takes 4 blocks a layer (64 positions), so the exact cache parks
+/// 3 sequences where the same bytes hold 3.5x the 8-bit blocks and ~4.7x
+/// the 4-bit ones. The three drains run on their own threads (they are
+/// slow unoptimized).
+#[test]
+fn quantized_pages_hold_more_sequences_at_one_byte_budget() {
+    let model = &proxy();
+    let (n_layers, d) = (model.config().n_layers, model.config().d_model);
+    let budget_bytes = n_layers * 12 * 2 * KvScheme::Exact.page_bytes(BLOCK, d);
+    let [exact, q8, q4] = std::thread::scope(|s| {
+        [KvScheme::Exact, KvScheme::mxopal(), KvScheme::mxopal4()]
+            .map(|scheme| {
+                let max_blocks = budget_bytes / (2 * scheme.page_bytes(BLOCK, d));
+                s.spawn(move || peak_resident(model, scheme, max_blocks))
+            })
+            .map(|drain| drain.join().expect("drain"))
+    });
+    assert!(exact > 0, "the exact cache held no sequence");
+    assert!(q8 >= 2 * exact, "mxopal: {q8} resident against {exact} exact");
+    assert!(q4 >= 4 * exact, "mxopal4: {q4} resident against {exact} exact");
+}
+
+/// Share of greedy picks on `scheme`'s pages that equal the exact cache's,
+/// teacher-forced on the exact stream: four short prompts, 24 steps each.
+fn greedy_agreement(model: &Model, scheme: KvScheme) -> f64 {
+    let (d, vocab) = (model.config().d_model, model.config().vocab as u32);
+    let exact_pool = Arc::new(BlockPool::with_scheme(BLOCK, d, usize::MAX, KvScheme::Exact));
+    let quant_pool = Arc::new(BlockPool::with_scheme(BLOCK, d, usize::MAX, scheme));
+    let (mut agree, mut total) = (0usize, 0usize);
+    for i in 0..4u32 {
+        let prompt: Vec<u32> = (0..i % 5 + 2).map(|j| (i * 13 + j * 5 + 21) % vocab).collect();
+        let mut exact = model.begin_decode_paged(&exact_pool);
+        let mut quant = model.begin_decode_paged(&quant_pool);
+        let (last, head) = prompt.split_last().expect("non-empty prompt");
+        for &t in head {
+            model.decode_step(&mut exact, t);
+            model.decode_step(&mut quant, t);
+        }
+        let mut next = *last;
+        for _ in 0..24 {
+            let pick_exact = ops::argmax(&model.decode_step(&mut exact, next)).expect("logits");
+            let pick_quant = ops::argmax(&model.decode_step(&mut quant, next)).expect("logits");
+            total += 1;
+            agree += usize::from(pick_exact == pick_quant);
+            next = pick_exact as u32;
+        }
+    }
+    agree as f64 / total as f64
+}
+
+#[test]
+fn quantized_pages_keep_greedy_agreement() {
+    let model = proxy();
+    let q8 = greedy_agreement(&model, KvScheme::mxopal());
+    assert_eq!(q8, 1.0, "mxopal pages changed a greedy pick");
+    let q4 = greedy_agreement(&model, KvScheme::mxopal4());
+    assert!(q4 >= 0.85, "mxopal4 greedy agreement {q4}");
 }

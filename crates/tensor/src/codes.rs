@@ -427,10 +427,8 @@ mod tests {
     }
 
     fn wide_cpu() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        return crate::simd::available() && crate::simd::codes_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        false
+        let path = crate::KernelPath::detect();
+        path.wide_dot && path.wide_codes
     }
 
     /// One drawn case: the shapes, the codes and grids. `extreme` puts

@@ -39,3 +39,33 @@ pub mod stats;
 
 pub use codes::{CodeActs, CodeRowMut, CodeWeights};
 pub use matrix::Matrix;
+
+/// The inner loops this CPU takes in the kernels that pick one at run time
+/// (`Matrix::matvec_into` / `matmul_t_into`, [`ops::dot_tile`], the code
+/// and attention tiles, [`ops::matmul_codes`] and the MX-OPAL encoder
+/// kernels). Every such kernel dispatches on this query and returns the
+/// same bits on either path; there is no switch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KernelPath {
+    /// AVX and FMA: the matrix products and [`ops::dot_tile`] run
+    /// [`ops::dot`]'s lane schedule eight rows at a time.
+    pub wide_dot: bool,
+    /// AVX2: the code and attention tiles and the encoder kernels run
+    /// their wide loops; [`ops::matmul_codes`] needs this and `wide_dot`.
+    pub wide_codes: bool,
+}
+
+impl KernelPath {
+    /// This CPU's path (`std` caches the feature bits after the first
+    /// call). Both fields are `false` off x86-64.
+    #[inline]
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        return KernelPath {
+            wide_dot: is_x86_feature_detected!("avx") && is_x86_feature_detected!("fma"),
+            wide_codes: is_x86_feature_detected!("avx2"),
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelPath { wide_dot: false, wide_codes: false }
+    }
+}

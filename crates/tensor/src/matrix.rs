@@ -667,10 +667,7 @@ pub(crate) mod tests {
     /// harness's capture instead of passing silently.
     fn note_if_only_portable() {
         static NOTE: std::sync::Once = std::sync::Once::new();
-        #[cfg(target_arch = "x86_64")]
-        let wide = crate::simd::available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let wide = false;
+        let wide = crate::KernelPath::detect().wide_dot;
         if !wide {
             NOTE.call_once(|| {
                 use std::io::Write;

@@ -3,19 +3,19 @@
 //! Every kernel here is its own portable loop, which is the spec and the
 //! test oracle; the few with a wide path (`dot`'s schedule inside the
 //! matrix products and [`dot_tile`], [`axpy_tile`], [`dot_codes_tile`],
-//! [`axpy_codes_tile`]) pick it at run time in `simd.rs` and return the
-//! same bits. The attention walk over the paged KV cache uses the tile
-//! kernels, one call per (page, head) — per (page, head, shared-exponent
-//! block) on quantized pages — for every query row of a group: K scores of
-//! the query rows against a run of cached rows
-//! ([`dot_tile`] over exact `f32` rows, [`dot_codes_tile`] over codes), and
-//! the V sum over a run of `f32` rows ([`axpy_tile`] straight off an exact
-//! page, [`axpy_codes_tile`] from a quantized page dequantized once into a
-//! tile). The weight products of the MX-activation, OWQ-weight schemes run
-//! on integer codes instead ([`matmul_codes`], spec
-//! [`matmul_codes_portable`]). The MX-OPAL encoders that make those codes
-//! run on three more such kernels: a row's bfloat16 image
-//! ([`bf16_image`]), each block's outlier and scale picks
+//! [`axpy_codes_tile`]) pick it at run time on [`crate::KernelPath`], run
+//! it in `simd.rs` and return the same bits. The attention walk over the
+//! paged KV cache uses the tile kernels, one call per (page, head) — per
+//! (page, head, shared-exponent block) on quantized pages — for every
+//! query row of a group: K scores of the query rows against a run of
+//! cached rows ([`dot_tile`] over exact `f32` rows, [`dot_codes_tile`]
+//! over codes), and the V sum over a run of `f32` rows ([`axpy_tile`]
+//! straight off an exact page, [`axpy_codes_tile`] from a quantized page
+//! dequantized once into a tile). The weight products of the
+//! MX-activation, OWQ-weight schemes run on integer codes instead
+//! ([`matmul_codes`], spec [`matmul_codes_portable`]). The MX-OPAL
+//! encoders that make those codes run on three more such kernels: a row's
+//! bfloat16 image ([`bf16_image`]), each block's outlier and scale picks
 //! ([`top_magnitudes`]) and the block shift into codes or values
 //! ([`shift_codes`], [`shift_values`]).
 
@@ -99,7 +99,7 @@ pub fn dot_tile<'a>(
     queries: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::available() {
+    if crate::KernelPath::detect().wide_dot {
         crate::simd::dot_rows(rows, stride, queries);
         return;
     }
@@ -194,7 +194,7 @@ pub fn dot_codes_tile<'a>(
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::codes_available() {
+    if crate::KernelPath::detect().wide_codes {
         crate::simd::dot_codes_tile(codes, stride, rows);
         return;
     }
@@ -250,7 +250,7 @@ pub fn axpy_codes_tile<'a>(
     fresh: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::codes_available() {
+    if crate::KernelPath::detect().wide_codes {
         crate::simd::axpy_codes_tile(codes, stride, steps, patch, tile, rows, fresh);
         return;
     }
@@ -306,7 +306,7 @@ pub fn axpy_tile<'a>(
     fresh: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::codes_available() {
+    if crate::KernelPath::detect().wide_codes {
         crate::simd::axpy_tile(tile, stride, rows, fresh);
         return;
     }
@@ -469,7 +469,7 @@ fn check_codes_shape(x: &CodeActs, w: &CodeWeights, out: &[f32]) {
 pub fn bf16_image(x: &[f32], out: &mut [Bf16]) {
     assert_eq!(x.len(), out.len(), "bf16_image length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::codes_available() {
+    if crate::KernelPath::detect().wide_codes {
         crate::simd::bf16_image(x, out);
         return;
     }
@@ -512,7 +512,7 @@ pub fn top_magnitudes(block: &[Bf16], keys: &mut [u32], top: &mut [usize]) {
     assert_eq!(keys.len(), block.len(), "key scratch length mismatch");
     assert!(top.len() <= block.len(), "cannot pick {} of {}", top.len(), block.len());
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::codes_available() {
+    if crate::KernelPath::detect().wide_codes {
         crate::simd::top_magnitudes(block, keys, top);
         return;
     }
@@ -559,7 +559,7 @@ pub(crate) fn key_index(key: u32) -> usize {
 pub fn shift_codes(bf: &[Bf16], scale: i32, bits: u32, rounding: Rounding, codes: &mut [i8]) {
     check_shift(bf.len(), codes.len(), bits);
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::codes_available() {
+    if crate::KernelPath::detect().wide_codes {
         crate::simd::shift_codes(bf, scale, bits, rounding, codes);
         return;
     }
@@ -590,7 +590,7 @@ pub(crate) fn shift_codes_portable(
 pub fn shift_values(bf: &[Bf16], scale: i32, bits: u32, rounding: Rounding, out: &mut [f32]) {
     check_shift(bf.len(), out.len(), bits);
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::codes_available() {
+    if crate::KernelPath::detect().wide_codes {
         crate::simd::shift_values(bf, scale, bits, rounding, out);
         return;
     }

@@ -94,6 +94,7 @@ use opal_numerics::{shift_quantize, Bf16, Rounding};
 
 use crate::codes::{CodeActs, CodeRow, CodeWeights, PANEL_WIDTH};
 use crate::ops::{check_tile_row, code_row_sum, key_index, magnitude_key, tile_width};
+use crate::KernelPath;
 
 /// Left-hand rows per full block: eight accumulators, the shared chunk and
 /// one product fit the sixteen `ymm` registers without spilling.
@@ -110,20 +111,12 @@ thread_local! {
     static PANEL: RefCell<[f64; PANEL_LEN]> = const { RefCell::new([0.0; PANEL_LEN]) };
 }
 
-/// Whether the wide GEMV / GEMM path runs on this CPU (cached by `std`
-/// after the first call). `bench_decode`'s `kernel_path()` restates this
-/// rule to label `BENCH_decode.json`, because the crate exposes no query:
-/// change the two together.
-pub(crate) fn available() -> bool {
-    is_x86_feature_detected!("avx") && is_x86_feature_detected!("fma")
-}
-
 /// `out[i] = ops::dot(row i of w, v)` for the `out.len()` rows of the flat
 /// row-major `w`. Returns `false`, writing nothing, when the CPU lacks AVX
 /// and FMA or `v` is empty (the portable loop's zero-width behaviour is
 /// kept).
 pub(crate) fn matvec(w: &[f32], v: &[f32], out: &mut [f32]) -> bool {
-    if v.is_empty() || !available() {
+    if v.is_empty() || !KernelPath::detect().wide_dot {
         return false;
     }
     assert_eq!(w.len(), out.len() * v.len(), "matrix size mismatch");
@@ -135,7 +128,7 @@ pub(crate) fn matvec(w: &[f32], v: &[f32], out: &mut [f32]) -> bool {
 /// `a` and `b` of row width `d > 0`, `n` the row count of `b`. Returns
 /// `false`, writing nothing, when the CPU lacks AVX and FMA.
 pub(crate) fn matmul_t(a: &[f32], b: &[f32], d: usize, out: &mut [f32]) -> bool {
-    if !available() {
+    if !KernelPath::detect().wide_dot {
         return false;
     }
     assert!(d > 0 && a.len().is_multiple_of(d) && b.len().is_multiple_of(d), "row width mismatch");
@@ -147,15 +140,15 @@ pub(crate) fn matmul_t(a: &[f32], b: &[f32], d: usize, out: &mut [f32]) -> bool 
 
 /// For every `(x, out)` of `lhs`, `out[j] = ops::dot(x, &rhs[j * stride..][..x.len()])`
 /// for `j` in `0..out.len()`: the one driver behind [`matvec`], [`matmul_t`]
-/// and [`crate::ops::dot_tile`] (the caller checks [`available`]; this
-/// asserts it).
+/// and [`crate::ops::dot_tile`] (the caller checks
+/// [`KernelPath::wide_dot`]; this asserts it).
 #[allow(unsafe_code)]
 pub(crate) fn dot_rows<'a>(
     rhs: &[f32],
     stride: usize,
     lhs: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
 ) {
-    assert!(available(), "the wide dot kernel needs AVX and FMA");
+    assert!(KernelPath::detect().wide_dot, "the wide dot kernel needs AVX and FMA");
     PANEL.with_borrow_mut(|panel| {
         // SAFETY: `dot_rows_avx`'s only requirement of its caller is the
         // `avx` and `fma` target features, asserted just above.
@@ -417,21 +410,15 @@ fn lanes(x: __m256d) -> [f64; 4] {
     ]
 }
 
-/// Whether the attention tile kernels ([`dot_codes_tile`], [`axpy_tile`],
-/// [`axpy_codes_tile`]) run their wide paths on this CPU.
-pub(crate) fn codes_available() -> bool {
-    is_x86_feature_detected!("avx2")
-}
-
 /// [`crate::ops::dot_codes_tile`] on a CPU with AVX2 (the caller checks
-/// [`codes_available`]; this asserts it).
+/// [`KernelPath::wide_codes`]; this asserts it).
 #[allow(unsafe_code)]
 pub(crate) fn dot_codes_tile<'a>(
     codes: &[i8],
     stride: usize,
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
 ) {
-    assert!(codes_available(), "dot_codes_tile's wide path needs AVX2");
+    assert!(KernelPath::detect().wide_codes, "dot_codes_tile's wide path needs AVX2");
     // SAFETY: `dot_codes_tile_avx2`'s only requirement of its caller is the
     // `avx2` target feature, asserted just above.
     unsafe { dot_codes_tile_avx2(codes, stride, rows.into_iter()) };
@@ -561,7 +548,7 @@ fn dot_codes_block<const Q: usize, const T: usize>(
 }
 
 /// [`crate::ops::axpy_codes_tile`] on a CPU with AVX2 (the caller checks
-/// [`codes_available`]; this asserts it).
+/// [`KernelPath::wide_codes`]; this asserts it).
 #[allow(unsafe_code)]
 pub(crate) fn axpy_codes_tile<'a>(
     codes: &[i8],
@@ -572,7 +559,7 @@ pub(crate) fn axpy_codes_tile<'a>(
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
     fresh: bool,
 ) {
-    assert!(codes_available(), "axpy_codes_tile's wide path needs AVX2");
+    assert!(KernelPath::detect().wide_codes, "axpy_codes_tile's wide path needs AVX2");
     let rows = rows.into_iter();
     // SAFETY: `axpy_codes_tile_avx2`'s only requirement of its caller is
     // the `avx2` target feature, asserted just above.
@@ -614,7 +601,7 @@ fn axpy_codes_tile_avx2<'a>(
 }
 
 /// [`crate::ops::axpy_tile`] on a CPU with AVX2 (the caller checks
-/// [`codes_available`]; this asserts it).
+/// [`KernelPath::wide_codes`]; this asserts it).
 #[allow(unsafe_code)]
 pub(crate) fn axpy_tile<'a>(
     tile: &[f32],
@@ -622,7 +609,7 @@ pub(crate) fn axpy_tile<'a>(
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
     fresh: bool,
 ) {
-    assert!(codes_available(), "axpy_tile's wide path needs AVX2");
+    assert!(KernelPath::detect().wide_codes, "axpy_tile's wide path needs AVX2");
     // SAFETY: `axpy_tile_avx2`'s only requirement of its caller is the
     // `avx2` target feature, asserted just above.
     unsafe { axpy_tile_avx2(tile, stride, rows.into_iter(), fresh) };
@@ -722,7 +709,8 @@ pub(crate) fn matmul_codes(x: &CodeActs, w: &CodeWeights, out: &mut [f32]) -> bo
     if !x.block().is_multiple_of(2) || pair_max > i32::from(i16::MAX) {
         return false;
     }
-    if !(available() && codes_available()) {
+    let path = KernelPath::detect();
+    if !(path.wide_dot && path.wide_codes) {
         return false;
     }
     debug_assert!(
@@ -890,10 +878,10 @@ fn widen_codes16(q: __m256i) -> [__m256d; 4] {
 }
 
 /// [`crate::ops::bf16_image`] on a CPU with AVX2 (the caller checks
-/// [`codes_available`] and the lengths; this asserts the first).
+/// [`KernelPath::wide_codes`] and the lengths; this asserts the first).
 #[allow(unsafe_code)]
 pub(crate) fn bf16_image(x: &[f32], out: &mut [Bf16]) {
-    assert!(codes_available(), "bf16_image's wide path needs AVX2");
+    assert!(KernelPath::detect().wide_codes, "bf16_image's wide path needs AVX2");
     // SAFETY: `bf16_image_avx2`'s only requirement of its caller is the
     // `avx2` target feature, asserted just above.
     unsafe { bf16_image_avx2(x, out) };
@@ -933,10 +921,10 @@ fn bf16_round8(v: __m256) -> __m256i {
 }
 
 /// [`crate::ops::top_magnitudes`] on a CPU with AVX2 (the caller checks
-/// [`codes_available`] and the shapes; this asserts the first).
+/// [`KernelPath::wide_codes`] and the shapes; this asserts the first).
 #[allow(unsafe_code)]
 pub(crate) fn top_magnitudes(block: &[Bf16], keys: &mut [u32], top: &mut [usize]) {
-    assert!(codes_available(), "top_magnitudes' wide path needs AVX2");
+    assert!(KernelPath::detect().wide_codes, "top_magnitudes' wide path needs AVX2");
     // SAFETY: `top_magnitudes_avx2`'s only requirement of its caller is the
     // `avx2` target feature, asserted just above.
     unsafe { top_magnitudes_avx2(block, keys, top) };
@@ -1005,7 +993,7 @@ fn max_lane(v: __m256i) -> u32 {
 }
 
 /// [`crate::ops::shift_codes`] on a CPU with AVX2 (the caller checks
-/// [`codes_available`], the lengths and `bits`; this asserts the first).
+/// [`KernelPath::wide_codes`], the lengths and `bits`; this asserts the first).
 #[allow(unsafe_code)]
 pub(crate) fn shift_codes(
     bf: &[Bf16],
@@ -1014,7 +1002,7 @@ pub(crate) fn shift_codes(
     rounding: Rounding,
     codes: &mut [i8],
 ) {
-    assert!(codes_available(), "shift_codes' wide path needs AVX2");
+    assert!(KernelPath::detect().wide_codes, "shift_codes' wide path needs AVX2");
     // SAFETY: `shift_codes_avx2`'s only requirement of its caller is the
     // `avx2` target feature, asserted just above.
     unsafe {
@@ -1048,7 +1036,7 @@ fn shift_codes_avx2<const NEAREST: bool>(bf: &[Bf16], scale: i32, bits: u32, cod
 }
 
 /// [`crate::ops::shift_values`] on a CPU with AVX2 (the caller checks
-/// [`codes_available`], the lengths and `bits`; this asserts the first).
+/// [`KernelPath::wide_codes`], the lengths and `bits`; this asserts the first).
 #[allow(unsafe_code)]
 pub(crate) fn shift_values(
     bf: &[Bf16],
@@ -1057,7 +1045,7 @@ pub(crate) fn shift_values(
     rounding: Rounding,
     out: &mut [f32],
 ) {
-    assert!(codes_available(), "shift_values' wide path needs AVX2");
+    assert!(KernelPath::detect().wide_codes, "shift_values' wide path needs AVX2");
     // SAFETY: `shift_values_avx2`'s only requirement of its caller is the
     // `avx2` target feature, asserted just above.
     unsafe {
