@@ -155,12 +155,14 @@ impl std::fmt::Display for RequestId {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum StepMode {
     /// Decide per step (the default): fan out across the persistent worker
-    /// pool only when the host has spare cores *and* every worker's chunk
-    /// carries enough per-token work to amortize the dispatch — otherwise
-    /// run the step on the caller's thread. This is what makes
-    /// `num_threads = 4` never slower than `num_threads = 1`: a tiny model,
-    /// a small batch, or a single-core host all fall back to the serial
-    /// path instead of paying wake-ups that dwarf the work.
+    /// pool only when the host reports spare cores *and* every worker's
+    /// chunk carries enough weight MACs to amortize the dispatch —
+    /// otherwise run the step on the caller's thread. A tiny model, a
+    /// small batch or a single-core host therefore falls back to the
+    /// serial path instead of paying wake-ups that dwarf the work. The
+    /// gate counts cores, not idle ones: it cannot see another process
+    /// holding a core it counted, and there `num_threads = 4` can run
+    /// slower than `num_threads = 1`.
     #[default]
     Auto,
     /// Always fan out across the persistent pool when the batch has more
@@ -231,12 +233,14 @@ pub struct ServeConfig {
     /// Dispatch policy for multi-threaded steps; see [`StepMode`].
     pub step_mode: StepMode,
     /// Prompt positions the scheduler prefills per step, shared across the
-    /// batch (the per-step [`PrefillBudget`]). Admitted requests consume
-    /// their prompt incrementally in fused chunks of up to this many
-    /// positions, interleaved with decoding, so one long prompt can stall a
-    /// step by at most `prefill_chunk` extra forward passes instead of its
-    /// whole length. `usize::MAX` restores blocking admission (a prompt
-    /// prefills entirely in its first step). Must be at least 1; default 8.
+    /// batch and granted round-robin over the prefilling sequences (the
+    /// scan resumes just past the last grantee, so no prompt starves).
+    /// Admitted requests consume their prompt incrementally in fused chunks
+    /// of up to this many positions, interleaved with decoding, so one long
+    /// prompt can stall a step by at most `prefill_chunk` extra forward
+    /// passes instead of its whole length. `usize::MAX` restores blocking
+    /// admission (a prompt prefills entirely in its first step). Must be at
+    /// least 1; default 8.
     pub prefill_chunk: usize,
     /// Maximum requests waiting in the admission queue; a
     /// [`ServeEngine::submit`] beyond this is rejected with
@@ -373,41 +377,6 @@ impl Default for DegradedConfig {
     }
 }
 
-/// The per-step allowance of prompt positions the scheduler may prefill.
-///
-/// One budget of [`ServeConfig::prefill_chunk`] positions is minted per
-/// [`ServeEngine::step`] and handed out round-robin over the sequences
-/// still in their `Prefilling` phase — the scan resuming just past the last
-/// grantee, so a sequence that drained the budget this step goes last the
-/// next, however many decoding neighbours sit between the prefilling slots.
-/// This bounds the prompt work any single step performs (the decode
-/// stall a long prompt can inflict) while guaranteeing every queued prompt
-/// makes progress: intake is chunked and latency-bounded rather than
-/// blocking, in the spirit of sustained-throughput DAQ pipelines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PrefillBudget {
-    remaining: usize,
-}
-
-impl PrefillBudget {
-    /// A fresh budget of `limit` prompt positions.
-    pub fn new(limit: usize) -> Self {
-        PrefillBudget { remaining: limit }
-    }
-
-    /// Grants up to `want` positions, returning how many were granted.
-    pub fn take(&mut self, want: usize) -> usize {
-        let granted = want.min(self.remaining);
-        self.remaining -= granted;
-        granted
-    }
-
-    /// Positions still available this step.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-}
-
 /// Why a submission was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
@@ -528,31 +497,24 @@ pub struct StepSummary {
     pub accepted: usize,
 }
 
-/// Decoding progress carried across a preemption: everything needed to
-/// resume the request bit-identically once blocks are available again.
-struct Resume {
-    /// Tokens generated before the preemption (they re-prefill as part of
-    /// the prompt — bit-identical to having decoded them, per the golden
-    /// prefill-equivalence tests — and stay in the final report).
-    tokens: Vec<u32>,
-    /// The request-private sampler RNG, mid-stream.
-    rng: TensorRng,
-    preemptions: u32,
-    /// Prefix positions adopted from the cache before the preemption.
-    shared: usize,
-    /// Per-token sample steps recorded before the preemption (the timing
-    /// history survives; re-prefilled tokens keep their original steps).
-    token_steps: Vec<u64>,
-    /// Time to first token, if the first token predates the preemption.
-    ttft: Option<std::time::Duration>,
-}
-
-/// A request waiting for a batch slot.
-struct Queued {
+/// One request from submission to retirement. The ticket waits in the
+/// queue, rides in the batch inside an [`Active`], and goes back to the
+/// front of the queue on preemption carrying everything needed to resume
+/// bit-identically: its stream, its sampler's RNG mid-stream and its
+/// timing history.
+struct Ticket {
     id: RequestId,
-    prompt: Vec<u32>,
+    /// The committed stream: the prompt, then every generated token. A
+    /// resumed request re-prefills all of it (bit-identical to having
+    /// decoded it, per the golden prefill-equivalence tests), and the
+    /// n-gram draft looks up its proposals in it.
+    stream: Vec<u32>,
+    /// Prompt length: `stream[..prompt_len]` is the prompt.
+    prompt_len: usize,
     limit: usize,
-    sampling: SamplingParams,
+    sampler: Sampler,
+    /// The request-private sampler RNG.
+    rng: TensorRng,
     tenant: Option<String>,
     submitted_at: Instant,
     /// Scheduler step at submission — the anchor of the deadline TTL
@@ -561,38 +523,53 @@ struct Queued {
     /// TTL in scheduler steps from `submitted_step`, if the request set
     /// one.
     deadline: Option<u64>,
-    /// Present when this entry is a preempted sequence awaiting
-    /// re-admission rather than a fresh request.
-    resume: Option<Resume>,
     /// Times a younger cache-warm request was admitted past this one under
-    /// block pressure (see [`REORDER_STARVATION_BOUND`]).
+    /// block pressure (see [`REORDER_STARVATION_BOUND`]); reset when a
+    /// preemption re-queues it.
     bypassed: u32,
+    /// Step and queue wait of the latest admission; `None` while queued.
+    admitted: Option<(u64, std::time::Duration)>,
+    /// Scheduler step at which each generated token was sampled, parallel
+    /// to `stream[prompt_len..]` (re-prefilled tokens keep their steps).
+    token_steps: Vec<u64>,
+    /// Wall time from submission to the first sampled token.
+    ttft: Option<std::time::Duration>,
+    /// Times this request has been preempted so far.
+    preemptions: u32,
+    /// Prefill positions skipped via prefix sharing (cumulative across
+    /// re-admissions).
+    shared: usize,
 }
 
-impl Queued {
-    /// The final report of a request that leaves the queue at step `now`
-    /// without (re-)entering the batch, carrying whatever it generated
-    /// before a preemption. The caller drops the entry next.
+impl Ticket {
+    /// Tokens generated so far.
+    fn generated(&self) -> usize {
+        self.stream.len() - self.prompt_len
+    }
+
+    /// The final report of a request retiring at step `now`, from the
+    /// batch or from the queue (then its latest admission is `now`, and it
+    /// waited all its life). Takes the tokens with it: the caller drops
+    /// the ticket next.
     fn report(&mut self, finish: FinishReason, now: u64) -> Finished {
-        let resume = self.resume.take();
-        let (tokens, preemptions, shared, token_steps, ttft) = match resume {
-            Some(r) => (r.tokens, r.preemptions, r.shared, r.token_steps, r.ttft),
-            None => (Vec::new(), 0, 0, Vec::new(), None),
-        };
+        let latency = self.submitted_at.elapsed();
+        let (admitted_step, queue_wait) = self.admitted.unwrap_or((now, latency));
+        let mut tokens = std::mem::take(&mut self.stream);
+        tokens.drain(..self.prompt_len);
         Finished::new(RequestReport {
             id: self.id,
-            prompt_len: self.prompt.len(),
+            prompt_len: self.prompt_len,
             tokens,
             finish,
             tenant: self.tenant.take(),
-            admitted_step: now,
+            admitted_step,
             finished_step: now,
-            preemptions,
-            shared_prefill_tokens: shared,
-            queue_wait: self.submitted_at.elapsed(),
-            ttft,
-            token_steps,
-            latency: self.submitted_at.elapsed(),
+            preemptions: self.preemptions,
+            shared_prefill_tokens: self.shared,
+            queue_wait,
+            ttft: self.ttft,
+            token_steps: std::mem::take(&mut self.token_steps),
+            latency,
         })
     }
 }
@@ -650,34 +627,31 @@ pub fn step_workload(
     TokenWorkload::from_step(served, format, passes, verify)
 }
 
-/// A sequence currently in the batch. Each owns a private [`DecodeState`] —
-/// its position and KV block tables — plus its logits, token and sampler
-/// RNG state, so sequences are fully isolated and can be stepped in any
-/// grouping, from different threads. The forward-pass buffers belong to
-/// the stepping thread ([`Workspace`]), not to the sequence.
+/// A sequence currently in the batch: its [`Ticket`] plus what it holds
+/// only while resident — a private [`DecodeState`] (its position and KV
+/// block tables), its logits and its step bookkeeping — so sequences are
+/// fully isolated and can be stepped in any grouping, from different
+/// threads. The forward-pass buffers belong to the stepping thread
+/// ([`Workspace`]), not to the sequence.
 ///
 /// # Lifecycle
 ///
 /// An admitted sequence starts in the **`Prefilling` phase**
-/// (`prefilled < prompt.len()`): each step it consumes up to its granted
-/// share of the step's [`PrefillBudget`] as its rows of the step's fused
-/// prefill pass, generating nothing. The step whose grant
-/// covers the last prompt position computes the prompt logits and the
-/// sequence transitions to **`Decoding`** — sampling its first token in
+/// (`prefilled < prefill_end`): each step it consumes up to its granted
+/// share of the step's [`ServeConfig::prefill_chunk`] positions as its rows
+/// of the step's fused prefill pass, generating nothing. The step whose
+/// grant covers the last prefill position computes the logits and the
+/// sequence transitions to **`Decoding`** — sampling its next token in
 /// that same step, exactly as blocking admission would have — where it
 /// advances one token per step until it retires at its limit.
 pub(crate) struct Active {
-    id: RequestId,
+    ticket: Ticket,
     state: DecodeState,
     last_logits: Vec<f32>,
-    tokens: Vec<u32>,
-    /// The tokens to prefill: the original prompt plus — after a
-    /// preemption — the tokens generated before it (re-prefilling them is
-    /// bit-identical to having decoded them). `prefill[..prefilled]` is in
-    /// the KV cache.
-    prefill: Vec<u32>,
-    /// Original prompt length (`prefill[..prompt_len]`), for reporting.
-    prompt_len: usize,
+    /// The stream's length at admission: `ticket.stream[..prefill_end]` is
+    /// prefilled (the prompt, plus the tokens generated before a
+    /// preemption), `ticket.stream[..prefilled]` is in the KV cache.
+    prefill_end: usize,
     /// Prefill positions already in the KV cache (starts at the
     /// prefix-shared span, not zero, when blocks were adopted).
     prefilled: usize,
@@ -686,24 +660,6 @@ pub(crate) struct Active {
     grant: usize,
     /// Per-step activity record for post-join accounting.
     work: SeqStepWork,
-    limit: usize,
-    sampler: Sampler,
-    rng: TensorRng,
-    tenant: Option<String>,
-    submitted_at: Instant,
-    /// Time spent in the admission queue (submission → batch slot).
-    queue_wait: std::time::Duration,
-    /// Scheduler step at which each generated token was sampled (parallel
-    /// to `tokens`; survives preemption via [`Resume`]).
-    token_steps: Vec<u64>,
-    /// Wall time from submission to the first sampled token.
-    ttft: Option<std::time::Duration>,
-    admitted_step: u64,
-    /// Times this request has been preempted so far.
-    preemptions: u32,
-    /// Prefill positions skipped via prefix sharing (cumulative across
-    /// re-admissions).
-    shared: usize,
     /// Full prompt blocks already published into the prefix trie (the
     /// registration watermark — steady-state steps publish nothing and do
     /// no trie work for this sequence).
@@ -715,10 +671,6 @@ pub(crate) struct Active {
     /// node adopted-then-diverged or inherited from a retired twin can be
     /// evicted, and ids are never reused, so a dead anchor is detectable.
     trie_parent: usize,
-    /// Scheduler step at submission (the deadline TTL anchor).
-    submitted_step: u64,
-    /// TTL in scheduler steps from `submitted_step`, if set.
-    deadline: Option<u64>,
     /// Set by [`advance_chunk`]'s quarantine when this sequence's step
     /// panicked: the caught panic message. The scheduler quarantines the
     /// sequence — retires it with `FinishReason::Failed` and returns its
@@ -731,9 +683,9 @@ pub(crate) struct Active {
     /// whichever thread runs it.
     panic_next: bool,
     /// Speculative-decoding state when [`ServeConfig::spec`] is set: the
-    /// reusable draft/verify buffers. Dropped on preemption (never carried
-    /// in [`Resume`]) and rebuilt at re-admission; the n-gram draft reads
-    /// only the committed stream, so resumption stays output-identical.
+    /// reusable draft/verify buffers. Dropped on preemption and rebuilt at
+    /// re-admission; the n-gram draft reads only the committed stream, so
+    /// resumption stays output-identical.
     spec: Option<Box<SpecState>>,
 }
 
@@ -755,27 +707,7 @@ struct SpecState {
 impl Active {
     /// Whether this sequence is still consuming its prompt.
     fn prefilling(&self) -> bool {
-        self.prefilled < self.prefill.len()
-    }
-
-    /// The final report of a sequence leaving the batch at `finished_step`.
-    /// Takes the tokens with it: the caller drops the sequence next.
-    fn report(&mut self, finish: FinishReason, finished_step: u64) -> Finished {
-        Finished::new(RequestReport {
-            id: self.id,
-            prompt_len: self.prompt_len,
-            tokens: std::mem::take(&mut self.tokens),
-            finish,
-            tenant: self.tenant.take(),
-            admitted_step: self.admitted_step,
-            finished_step,
-            preemptions: self.preemptions,
-            shared_prefill_tokens: self.shared,
-            queue_wait: self.queue_wait,
-            ttft: self.ttft,
-            token_steps: std::mem::take(&mut self.token_steps),
-            latency: self.submitted_at.elapsed(),
-        })
+        self.prefilled < self.prefill_end
     }
 }
 
@@ -795,9 +727,10 @@ impl Active {
 /// stretches when it was not (a shared host: no gate fixes that). 1.6M MACs
 /// is two proxy rows per worker: the first fan-out at batch 4 there (eight
 /// for four workers), leaving out the batches where the gain is inside the
-/// host's noise, which is what keeps `num_threads = N` never slower than 1;
-/// the tiny test config (≈30k MACs/token) stays serial at any batch a test
-/// uses.
+/// host's noise; the tiny test config (≈30k MACs/token) stays serial at
+/// any batch a test uses. The gate sees cores and MACs, not load: a core
+/// another process holds still counts, which is how `bench_decode` read
+/// `optimized-4t` at 0.51–0.74× `optimized-1t` on that host.
 const FANOUT_MIN_MACS_PER_WORKER: u64 = 1_600_000;
 
 /// Hardware threads of this host, asked once per process:
@@ -822,7 +755,7 @@ fn approx_macs_per_token(config: &opal_model::ModelConfig) -> u64 {
 /// step will fire — a pure function of pre-fan-out scheduler state, so
 /// chunk cuts stay deterministic.
 fn seq_units(seq: &Active) -> u64 {
-    let samples = seq.prefilled + seq.grant >= seq.prefill.len();
+    let samples = seq.prefilled + seq.grant >= seq.prefill_end;
     let spec_rows = match &seq.spec {
         Some(spec) if samples && !seq.prefilling() => spec.k as u64,
         _ => 0,
@@ -987,7 +920,7 @@ fn begin_step(seq: &mut Active) {
         // cleared first so the quarantined sequence is never re-armed.
         seq.panic_next = false;
         // tidy: allow(panic) -- deliberate fault injection; the step harness catches it
-        panic!("injected chaos fault: worker panic stepping {}", seq.id);
+        panic!("injected chaos fault: worker panic stepping {}", seq.ticket.id);
     }
     // Only prefilling sequences are granted anything, never past the prompt;
     // zero means another sequence drained this step's budget.
@@ -1004,10 +937,10 @@ fn begin_step(seq: &mut Active) {
 fn prefill_rows(seq: &mut Active) -> RowGroup<'_> {
     let w = seq.work;
     let tokens: &[u32] = match seq.failed {
-        None => &seq.prefill[w.prefill_start..w.prefill_start + w.prefilled],
+        None => &seq.ticket.stream[w.prefill_start..w.prefill_start + w.prefilled],
         Some(_) => &[],
     };
-    let logits = if seq.prefilled == seq.prefill.len() {
+    let logits = if seq.prefilled == seq.prefill_end {
         LogitsOut::Last(&mut seq.last_logits)
     } else {
         LogitsOut::None
@@ -1019,12 +952,12 @@ fn prefill_rows(seq: &mut Active) -> RowGroup<'_> {
 /// verify feed with every row's logits, or the token just sampled, or
 /// nothing (still prefilling, at its limit, or quarantined).
 fn decode_rows(seq: &mut Active) -> RowGroup<'_> {
-    let Active { state, tokens, last_logits, spec, work, failed, .. } = seq;
+    let Active { state, ticket, last_logits, spec, work, failed, .. } = seq;
     let (tokens, logits) = match spec.as_deref_mut() {
         _ if failed.is_some() => (&[][..], LogitsOut::None),
         Some(spec) if work.verify_rows > 0 => (&spec.verify[..], LogitsOut::All(&mut spec.logits)),
         _ if work.decode_context.is_some() => {
-            (&tokens[tokens.len() - 1..], LogitsOut::Last(last_logits))
+            (&ticket.stream[ticket.stream.len() - 1..], LogitsOut::Last(last_logits))
         }
         _ => (&[][..], LogitsOut::None),
     };
@@ -1046,18 +979,18 @@ fn sample(seq: &mut Active) {
     if seq.prefilling() {
         return;
     }
-    let t0 = seq.sampler.pick(&seq.last_logits, &mut seq.rng);
-    // tidy: allow(alloc) -- `tokens` reserves its generation limit at admission
-    seq.tokens.push(t0);
-    seq.work.sampled = true;
-    if seq.tokens.len() >= seq.limit {
+    let Active { ticket, last_logits, spec, work, state, .. } = seq;
+    let t0 = ticket.sampler.pick(last_logits, &mut ticket.rng);
+    // tidy: allow(alloc) -- the stream reserves its generation limit at admission
+    ticket.stream.push(t0);
+    work.sampled = true;
+    if ticket.generated() >= ticket.limit {
         return;
     }
-    let Active { spec, prefill, tokens, work, limit, state, .. } = seq;
     if let (Some(spec), 0) = (spec, work.prefilled) {
-        let k_eff = spec.k.min(*limit - tokens.len());
+        let k_eff = spec.k.min(ticket.limit - ticket.generated());
         spec.proposals.clear();
-        ngram_propose(prefill, tokens, k_eff, &mut spec.proposals);
+        ngram_propose(&ticket.stream, k_eff, &mut spec.proposals);
         // An n-gram miss proposes nothing: plain decode for this step.
         if !spec.proposals.is_empty() {
             spec.verify.clear();
@@ -1094,18 +1027,19 @@ fn sample(seq: &mut Active) {
 ///   wrong draft just wastes its verify row.
 fn commit(seq: &mut Active) {
     let (Some(spec), true) = (seq.spec.as_deref_mut(), seq.work.verify_rows > 0) else { return };
+    let ticket = &mut seq.ticket;
     // Row `i` holds the logits after `t0, d1..di`.
     let mut accepted = 0;
     while accepted < spec.proposals.len() {
         // tidy: allow(alloc) -- TensorRng is a fixed-size value; cloning stays on the stack
-        let mut trial = seq.rng.clone();
-        let pick = seq.sampler.pick(spec.logits.row(accepted), &mut trial);
+        let mut trial = ticket.rng.clone();
+        let pick = ticket.sampler.pick(spec.logits.row(accepted), &mut trial);
         if pick != spec.proposals[accepted] {
             break;
         }
-        seq.rng = trial;
-        // tidy: allow(alloc) -- `tokens` reserves its generation limit at admission
-        seq.tokens.push(pick);
+        ticket.rng = trial;
+        // tidy: allow(alloc) -- the stream reserves its generation limit at admission
+        ticket.stream.push(pick);
         accepted += 1;
     }
     seq.work.accepted = accepted;
@@ -1120,43 +1054,17 @@ fn commit(seq: &mut Active) {
 /// earlier occurrence of the committed stream's current suffix, preferring
 /// a bigram match over a unigram one. O(context) backward scan per step,
 /// no allocation; an empty result falls back to plain decode.
-fn ngram_propose(prefill: &[u32], tokens: &[u32], k_eff: usize, proposals: &mut Vec<u32>) {
-    let p = prefill.len();
-    let n = p + tokens.len();
-    let at = |i: usize| -> u32 {
-        if i < p {
-            prefill[i]
-        } else {
-            tokens[i - p]
-        }
-    };
+fn ngram_propose(stream: &[u32], k_eff: usize, proposals: &mut Vec<u32>) {
+    let n = stream.len();
     if n < 2 {
         return;
     }
-    let last = at(n - 1);
-    let mut hit = None;
-    if n >= 3 {
-        let prev = at(n - 2);
-        for i in (1..n - 1).rev() {
-            if at(i) == last && at(i - 1) == prev {
-                hit = Some(i);
-                break;
-            }
-        }
-    }
-    if hit.is_none() {
-        for i in (0..n - 1).rev() {
-            if at(i) == last {
-                hit = Some(i);
-                break;
-            }
-        }
-    }
-    let Some(hit) = hit else { return };
-    for j in hit + 1..n.min(hit + 1 + k_eff) {
-        // tidy: allow(alloc) -- within the `k` capacity reserved in SpecState
-        proposals.push(at(j));
-    }
+    let (prev, last) = (stream[n - 2], stream[n - 1]);
+    // A bigram ending at `i` needs `i >= 1`; a unigram hit may sit at 0.
+    let earlier = &stream[..n - 1];
+    let bigram = earlier.windows(2).rposition(|w| w[0] == prev && w[1] == last).map(|j| j + 1);
+    let Some(hit) = bigram.or_else(|| earlier.iter().rposition(|&t| t == last)) else { return };
+    proposals.extend_from_slice(&stream[hit + 1..n.min(hit + 1 + k_eff)]);
 }
 
 /// The batched serving engine.
@@ -1192,7 +1100,7 @@ pub struct ServeEngine<'m> {
     kv_pool: Arc<BlockPool>,
     /// The exact-match prefix cache over full KV blocks.
     trie: PrefixTrie,
-    pending: VecDeque<Queued>,
+    pending: VecDeque<Ticket>,
     active: Vec<Active>,
     finished: Vec<Finished>,
     /// Realized per-sequence schedule of the most recent step (batch
@@ -1207,7 +1115,7 @@ pub struct ServeEngine<'m> {
     peak_batch: usize,
     energy_j: f64,
     /// Rotates which `Prefilling` sequence gets first claim on each step's
-    /// [`PrefillBudget`] (the round-robin fairness policy).
+    /// prefill positions (the round-robin fairness policy).
     prefill_cursor: usize,
     /// Draft proposals verified (successful or not) and accepted, across
     /// the engine lifetime; the speculation win is `accepted / drafted`.
@@ -1421,7 +1329,7 @@ impl<'m> ServeEngine<'m> {
     /// order, then queued requests in queue order. Useful for harnesses
     /// injecting cancellation storms against live traffic.
     pub fn in_flight(&self) -> Vec<RequestId> {
-        self.active.iter().map(|s| s.id).chain(self.pending.iter().map(|q| q.id)).collect()
+        self.active.iter().map(|s| &s.ticket).chain(&self.pending).map(|t| t.id).collect()
     }
 
     /// Enqueues a request generating the configured default
@@ -1494,23 +1402,18 @@ impl<'m> ServeEngine<'m> {
             return Err(ServeError::TokenOutOfRange { token: bad, vocab });
         }
         let limit = limit.min(self.config.max_tokens);
-        // Worst-case lifetime residency running alone: one block per layer
-        // per `block_size` cached positions (prompt plus all but the last
-        // generated token), plus one block per layer of copy-on-write
-        // headroom. If even that exceeds the pool, no amount of eviction or
-        // preemption could ever let this request finish — reject it now
-        // rather than deadlock the scheduler later.
-        // Speculation appends up to `k` transient verify rows past the last
-        // committed position before rolling back; size the feasibility bound
+        // Worst-case lifetime residency running alone: every cached
+        // position (prompt plus all but the last generated token) plus one
+        // copy-on-write block per layer of headroom. If even that exceeds
+        // the pool, no amount of eviction or preemption could ever let this
+        // request finish — reject it now rather than deadlock the scheduler
+        // later. Speculation appends up to `k` transient verify rows past
+        // the last committed position before rolling back; size the bound
         // for that peak so a lone speculative sequence can always progress.
         let spec_rows = self.config.spec.map_or(0, |s| s.k);
         let positions =
             request.prompt.len().saturating_add(limit).saturating_add(spec_rows).saturating_sub(1);
-        let required = self
-            .model
-            .config()
-            .n_layers
-            .saturating_mul(positions.div_ceil(self.config.block_size).saturating_add(1));
+        let required = self.span_blocks(0, positions, true);
         if required > self.config.max_blocks {
             return Err(ServeError::InsufficientBlocks {
                 required,
@@ -1524,17 +1427,23 @@ impl<'m> ServeEngine<'m> {
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.pending.push_back(Queued {
+        self.pending.push_back(Ticket {
             id,
-            prompt: request.prompt,
+            prompt_len: request.prompt.len(),
+            stream: request.prompt,
             limit,
-            sampling: request.sampling,
+            sampler: request.sampling.sampler,
+            rng: TensorRng::seed(request.sampling.seed),
             tenant: request.tenant,
             submitted_at: crate::clock::now(),
             submitted_step: self.steps,
             deadline: request.deadline_steps,
-            resume: None,
             bypassed: 0,
+            admitted: None,
+            token_steps: Vec::new(),
+            ttft: None,
+            preemptions: 0,
+            shared: 0,
         });
         Ok(id)
     }
@@ -1556,7 +1465,7 @@ impl<'m> ServeEngine<'m> {
     ///
     /// Admission stays O(prompt blocks) per request and never runs a
     /// forward pass: the prompt is consumed incrementally by later steps
-    /// under the per-step [`PrefillBudget`].
+    /// under the per-step [`ServeConfig::prefill_chunk`].
     pub fn admit(&mut self) -> usize {
         let nl = self.model.config().n_layers;
         let bs = self.config.block_size;
@@ -1567,30 +1476,15 @@ impl<'m> ServeEngine<'m> {
         // cannot actually hold — and preemption would thrash it back out.
         let mut planned = 0usize;
         while self.active.len() < self.effective_max_batch() {
-            let Some(q) = self.pending.front() else { break };
-            // The prefill target: the prompt, plus — when resuming a
-            // preempted request — the tokens generated before preemption.
-            // Only the (rare) resumed case materializes the concatenation;
-            // a fresh request is probed through its queued prompt directly.
-            let resumed_target: Option<Vec<u32>> = q.resume.as_ref().map(|r| {
-                let mut t = q.prompt.clone();
-                t.extend_from_slice(&r.tokens);
-                t
-            });
-            let target: &[u32] = resumed_target.as_deref().unwrap_or(&q.prompt);
-            // Probe the prefix cache; cap the shared span one short of the
-            // target so the final position always computes its logits.
-            let matched =
-                if self.config.prefix_sharing { self.trie.lookup(target, bs) } else { Vec::new() };
-            let shared_len = (matched.len() * bs).min(target.len() - 1);
-            let shared_blocks = shared_len.div_ceil(bs);
-            // Block gate: first prefill chunk (new blocks past the shared
-            // span, plus a copy-on-write of a partial shared tail) and one
-            // decode round of headroom.
-            let first_chunk = self.config.prefill_chunk.min(target.len() - shared_len);
-            let new_blocks = (shared_len + first_chunk).div_ceil(bs) - shared_blocks;
-            let cow = usize::from(!shared_len.is_multiple_of(bs));
-            let need = nl * (new_blocks + cow + 1);
+            let Some(t) = self.pending.front() else { break };
+            // Probe the prefix cache with the whole stream: a resumed
+            // request re-prefills its generated tokens too.
+            let matched = if self.config.prefix_sharing {
+                self.trie.lookup(&t.stream, bs)
+            } else {
+                Vec::new()
+            };
+            let (shared_len, need) = self.admission_need(matched.len(), t.stream.len());
             if self.planning_free() < planned.saturating_add(need) {
                 // With admissions already planned this pass, the pool is
                 // merely spoken for, not under pressure: stop here and let
@@ -1610,7 +1504,7 @@ impl<'m> ServeEngine<'m> {
                 // has reached [`REORDER_STARVATION_BOUND`], so cold
                 // requests are delayed by at most that many admissions.
                 if self.config.prefix_sharing {
-                    if let Some(idx) = self.find_warm_fit(nl, bs) {
+                    if let Some(idx) = self.find_warm_fit() {
                         for e in self.pending.iter_mut().take(idx) {
                             e.bypassed += 1;
                         }
@@ -1622,23 +1516,9 @@ impl<'m> ServeEngine<'m> {
                 }
                 break;
             }
-            let Some(q) = self.pending.pop_front() else { break };
-            let prompt_len = q.prompt.len();
-            let prefill = resumed_target.unwrap_or(q.prompt);
-            let (tokens, rng, preemptions, shared_before, token_steps, ttft) = match q.resume {
-                Some(r) => (r.tokens, r.rng, r.preemptions, r.shared, r.token_steps, r.ttft),
-                // Capacity is only a hint: effectively-unbounded limits
-                // (long-running residents) must not reserve absurd buffers.
-                None => (
-                    Vec::with_capacity(q.limit.min(4096)),
-                    TensorRng::seed(q.sampling.seed),
-                    0,
-                    0,
-                    Vec::with_capacity(q.limit.min(4096)),
-                    None,
-                ),
-            };
+            let Some(mut ticket) = self.pending.pop_front() else { break };
             let mut state = self.model.begin_decode_paged(&self.kv_pool);
+            let shared_blocks = shared_len.div_ceil(bs);
             if shared_len > 0 {
                 let prefix: Vec<Vec<Arc<KvBlock>>> = (0..nl)
                     .map(|l| {
@@ -1651,38 +1531,30 @@ impl<'m> ServeEngine<'m> {
                 state.adopt_shared_prefix(prefix, shared_len);
                 self.shared_tokens += shared_len as u64;
             }
+            ticket.admitted = Some((self.steps, ticket.submitted_at.elapsed()));
+            ticket.shared += shared_len;
+            // Capacity is only a hint: effectively-unbounded limits
+            // (long-running residents) must not reserve absurd buffers.
+            let room = (ticket.limit - ticket.generated()).min(4096);
+            ticket.stream.reserve_exact(room);
+            ticket.token_steps.reserve_exact(room);
             // Fully-adopted blocks are already published; anchor the
             // registration watermark at the last of them.
             let full_adopted = shared_len / bs;
             self.active.push(Active {
-                id: q.id,
+                prefill_end: ticket.stream.len(),
+                ticket,
                 state,
                 last_logits: vec![0.0; self.model.config().vocab],
-                tokens,
-                prompt_len,
-                prefill,
                 prefilled: shared_len,
                 grant: 0,
                 work: SeqStepWork::default(),
-                limit: q.limit,
-                sampler: q.sampling.sampler,
-                rng,
-                tenant: q.tenant,
-                submitted_at: q.submitted_at,
-                queue_wait: q.submitted_at.elapsed(),
-                token_steps,
-                ttft,
-                admitted_step: self.steps,
-                preemptions,
-                shared: shared_before + shared_len,
                 registered_blocks: full_adopted,
                 trie_parent: if full_adopted > 0 {
                     matched[full_adopted - 1]
                 } else {
                     PrefixTrie::ROOT
                 },
-                submitted_step: q.submitted_step,
-                deadline: q.deadline,
                 failed: None,
                 panic_next: false,
                 spec: self.new_spec_state(),
@@ -1708,7 +1580,8 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Runs one scheduler step: admit what fits, hand out the step's
-    /// [`PrefillBudget`] round-robin over `Prefilling` sequences, then
+    /// [`ServeConfig::prefill_chunk`] positions round-robin over
+    /// `Prefilling` sequences, then
     /// advance every active sequence (`advance_chunk`) — a granted
     /// prefill chunk for prefilling sequences, one sampled token (per the
     /// request's [`SamplingParams`], greedy by default) for decoding ones,
@@ -1804,7 +1677,7 @@ impl<'m> ServeEngine<'m> {
                 if seq.failed.take().is_none() {
                     return true;
                 }
-                failed.push(seq.report(FinishReason::Failed, failed_step));
+                failed.push(seq.ticket.report(FinishReason::Failed, failed_step));
                 false
             });
             summary.failed = failed.len();
@@ -1829,16 +1702,16 @@ impl<'m> ServeEngine<'m> {
         let now_step = self.steps;
         self.last_work.clear();
         for seq in &mut self.active {
-            let w = seq.work;
+            let (w, t) = (seq.work, &mut seq.ticket);
             if w.sampled {
                 // Accepted draft tokens commit in the same step as the
                 // sampled token; each gets its own stamp so `token_steps`
-                // stays parallel to `tokens` (resume depends on that).
+                // stays parallel to the generated tokens.
                 for _ in 0..1 + w.accepted {
-                    seq.token_steps.push(now_step);
+                    t.token_steps.push(now_step);
                 }
-                if seq.ttft.is_none() {
-                    seq.ttft = Some(seq.submitted_at.elapsed());
+                if t.ttft.is_none() {
+                    t.ttft = Some(t.submitted_at.elapsed());
                 }
             }
             self.last_work.push(w);
@@ -1861,10 +1734,10 @@ impl<'m> ServeEngine<'m> {
         let steps = self.steps;
         let mut retired = Vec::new();
         self.active.retain_mut(|seq| {
-            if seq.tokens.len() < seq.limit {
+            if seq.ticket.generated() < seq.ticket.limit {
                 return true;
             }
-            retired.push(seq.report(FinishReason::Limit, steps));
+            retired.push(seq.ticket.report(FinishReason::Limit, steps));
             false
         });
         summary.finished = retired.len();
@@ -1896,22 +1769,17 @@ impl<'m> ServeEngine<'m> {
     fn expire_deadlines(&mut self, summary: &mut StepSummary) {
         let now = self.steps;
         let mut expired = Vec::new();
-        self.pending.retain_mut(|q| {
-            let Some(deadline) = q.deadline else { return true };
-            if now.saturating_sub(q.submitted_step) < deadline {
-                return true;
+        let mut expire = |t: &mut Ticket| {
+            let Some(deadline) = t.deadline else { return false };
+            if now.saturating_sub(t.submitted_step) < deadline {
+                return false;
             }
-            expired.push(q.report(FinishReason::DeadlineExceeded, now));
-            false
-        });
-        self.active.retain_mut(|seq| {
-            let Some(deadline) = seq.deadline else { return true };
-            if now.saturating_sub(seq.submitted_step) < deadline {
-                return true;
-            }
-            expired.push(seq.report(FinishReason::DeadlineExceeded, now));
-            false // the sequence drops here, releasing its blocks
-        });
+            expired.push(t.report(FinishReason::DeadlineExceeded, now));
+            true
+        };
+        self.pending.retain_mut(|t| !expire(t));
+        // An expired sequence drops here, releasing its blocks.
+        self.active.retain_mut(|seq| !expire(&mut seq.ticket));
         summary.expired = expired.len();
         self.deadline_exceeded_total += expired.len() as u64;
         self.finished.append(&mut expired);
@@ -1967,8 +1835,8 @@ impl<'m> ServeEngine<'m> {
             self.degraded_steps_total += 1;
             let mut shed = Vec::new();
             while self.pending.len() > cfg.shed_queue {
-                let Some(mut q) = self.pending.pop_back() else { break };
-                shed.push(q.report(FinishReason::Shed, now));
+                let Some(mut t) = self.pending.pop_back() else { break };
+                shed.push(t.report(FinishReason::Shed, now));
             }
             summary.shed = shed.len();
             self.shed_total += shed.len() as u64;
@@ -2005,39 +1873,56 @@ impl<'m> ServeEngine<'m> {
         self.kv_pool.free_blocks().saturating_sub(self.fault_pressure)
     }
 
+    /// KV blocks, across all layers, that writing `rows` positions into a
+    /// table holding `pos` takes from the pool: the fresh blocks the span
+    /// reaches into, plus — when `cow` — one copy-on-write of a shared
+    /// partial tail per layer. The one block rule: submission feasibility,
+    /// the admission gate and the step planner all count with it.
+    fn span_blocks(&self, pos: usize, rows: usize, cow: bool) -> usize {
+        let bs = self.config.block_size;
+        let fresh = pos.saturating_add(rows).div_ceil(bs) - pos.div_ceil(bs);
+        self.model.config().n_layers.saturating_mul(fresh.saturating_add(usize::from(cow)))
+    }
+
+    /// Whether `seq`'s next append copies a shared partial tail block.
+    fn tail_cow(&self, seq: &Active) -> bool {
+        !seq.state.pos().is_multiple_of(self.config.block_size) && seq.state.tail_block_shared()
+    }
+
+    /// The admission gate for a stream of `len` tokens whose first
+    /// `matched` blocks are resident in the prefix trie: the span it
+    /// adopts, capped one short of `len` so the final position always
+    /// computes its logits, and the blocks it must find free — its first
+    /// prefill chunk past that span (with a copy-on-write of a partial
+    /// shared tail) plus one block per layer of decode headroom.
+    fn admission_need(&self, matched: usize, len: usize) -> (usize, usize) {
+        let bs = self.config.block_size;
+        let shared = (matched * bs).min(len - 1);
+        let first_chunk = self.config.prefill_chunk.min(len - shared);
+        let need = self.span_blocks(shared, first_chunk, !shared.is_multiple_of(bs));
+        (shared, need + self.model.config().n_layers)
+    }
+
     /// Scans the admission queue behind its (unadmittable) front for the
     /// earliest request whose prompt prefix is already resident in the
-    /// prefix trie *and* whose first-chunk block need fits the pool right
-    /// now — the candidate [`ServeEngine::admit`]'s trie-aware reordering
-    /// moves to the front. Probing is read-only (no LRU touches), the
-    /// earliest qualifying request wins (deterministic arrival-order
-    /// tie-break), and the scan never passes a request already bypassed
+    /// prefix trie *and* whose [`Self::admission_need`] fits the pool
+    /// right now — the candidate [`ServeEngine::admit`]'s trie-aware
+    /// reordering moves to the front, guaranteed to admit on the next
+    /// iteration. Probing is read-only (no LRU touches), the earliest
+    /// qualifying request wins (deterministic arrival-order tie-break),
+    /// and the scan never passes a request already bypassed
     /// [`REORDER_STARVATION_BOUND`] times.
-    fn find_warm_fit(&self, nl: usize, bs: usize) -> Option<usize> {
-        if self.pending.front().is_none_or(|q| q.bypassed >= REORDER_STARVATION_BOUND) {
+    fn find_warm_fit(&self) -> Option<usize> {
+        if self.pending.front().is_none_or(|t| t.bypassed >= REORDER_STARVATION_BOUND) {
             return None;
         }
-        for (i, q) in self.pending.iter().enumerate().skip(1) {
-            let resumed_target: Option<Vec<u32>> = q.resume.as_ref().map(|r| {
-                let mut t = q.prompt.clone();
-                t.extend_from_slice(&r.tokens);
-                t
-            });
-            let target: &[u32] = resumed_target.as_deref().unwrap_or(&q.prompt);
-            let matched_blocks = self.trie.probe(target, bs);
-            let shared_len = (matched_blocks * bs).min(target.len() - 1);
-            if shared_len > 0 {
-                // Same arithmetic as the admission gate, so a returned
-                // candidate is guaranteed to admit on the next iteration.
-                let shared_blocks = shared_len.div_ceil(bs);
-                let first_chunk = self.config.prefill_chunk.min(target.len() - shared_len);
-                let new_blocks = (shared_len + first_chunk).div_ceil(bs) - shared_blocks;
-                let cow = usize::from(!shared_len.is_multiple_of(bs));
-                if self.planning_free() >= nl * (new_blocks + cow + 1) {
-                    return Some(i);
-                }
+        for (i, t) in self.pending.iter().enumerate().skip(1) {
+            let matched = self.trie.probe(&t.stream, self.config.block_size);
+            let (shared, need) = self.admission_need(matched, t.stream.len());
+            if shared > 0 && self.planning_free() >= need {
+                return Some(i);
             }
-            if q.bypassed >= REORDER_STARVATION_BOUND {
+            if t.bypassed >= REORDER_STARVATION_BOUND {
                 break; // jumping past this request would starve it
             }
         }
@@ -2106,19 +1991,20 @@ impl<'m> ServeEngine<'m> {
             let mut new_cursor = None;
             if self.active.iter().any(Active::prefilling) {
                 new_cursor = Some(self.prefill_cursor.wrapping_add(1));
-                let mut budget = PrefillBudget::new(self.effective_prefill_chunk());
+                let mut budget = self.effective_prefill_chunk();
                 let start = self.prefill_cursor % batch;
                 let mut last_grantee = None;
                 for i in 0..batch {
-                    if budget.remaining() == 0 {
+                    if budget == 0 {
                         break;
                     }
                     let idx = (start + i) % batch;
                     if !self.active[idx].prefilling() {
                         continue;
                     }
-                    let want = self.affordable_grant(&self.active[idx], block_budget);
-                    let granted = budget.take(want);
+                    let granted =
+                        self.affordable_grant(&self.active[idx], block_budget).min(budget);
+                    budget -= granted;
                     let cost = self.grant_block_cost(&self.active[idx], granted);
                     debug_assert!(cost <= block_budget, "grant exceeded its block budget");
                     block_budget -= cost;
@@ -2152,73 +2038,69 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Blocks a decoding sequence's forward pass will allocate this step:
-    /// new blocks the appended rows open plus a copy-on-write of a shared
-    /// tail, all × layers; zero when the sequence retires at its limit
-    /// without another forward pass.
+    /// Blocks a decoding sequence's forward pass will allocate this step
+    /// ([`Self::span_blocks`] of its appended rows); zero when the
+    /// sequence retires at its limit without another forward pass.
     ///
     /// With speculation on, a verify pass appends up to `1 + k` rows before
     /// rolling back, so the reservation covers that transient peak. The row
-    /// count computed here matches `speculative_advance`'s `k_eff` exactly
-    /// (this method is only consulted for sequences already decoding at
-    /// planning time, which is the same gate the advance uses), and an
-    /// n-gram draft that proposes fewer rows merely under-uses the
-    /// reservation — never exceeds it.
+    /// count computed here matches [`sample`]'s `k_eff` exactly (this
+    /// method is only consulted for sequences already decoding at planning
+    /// time, which is the same gate `sample` uses), and an n-gram draft
+    /// that proposes fewer rows merely under-uses the reservation — never
+    /// exceeds it.
     fn decode_block_need(&self, seq: &Active) -> usize {
-        if seq.tokens.len() + 1 >= seq.limit {
+        let (generated, limit) = (seq.ticket.generated(), seq.ticket.limit);
+        if generated + 1 >= limit {
             return 0;
         }
         let rows = match &seq.spec {
-            // `tokens.len() + 1` mirrors the post-push count the advance
-            // sees when it computes `k_eff`.
-            Some(spec) => 1 + spec.k.min(seq.limit - seq.tokens.len() - 1),
+            // `generated + 1` mirrors the post-push count `sample` sees
+            // when it computes `k_eff`.
+            Some(spec) => 1 + spec.k.min(limit - generated - 1),
             None => 1,
         };
-        let bs = self.config.block_size;
-        let pos = seq.state.pos();
-        let new_blocks = (pos + rows).div_ceil(bs) - pos.div_ceil(bs);
-        let cow = usize::from(!pos.is_multiple_of(bs) && seq.state.tail_block_shared());
-        self.model.config().n_layers * (new_blocks + cow)
+        self.span_blocks(seq.state.pos(), rows, self.tail_cow(seq))
     }
 
-    /// Blocks a prefill grant of `granted` positions will allocate: new
-    /// blocks the span opens (including the same-step first decode forward
-    /// when the grant completes the prompt), plus a copy-on-write of a
-    /// shared partial tail — all × layers.
+    /// Blocks a prefill grant of `granted` positions will allocate
+    /// ([`Self::span_blocks`]), including the same-step first decode
+    /// forward when the grant completes the prefill.
     fn grant_block_cost(&self, seq: &Active, granted: usize) -> usize {
         if granted == 0 {
             return 0;
         }
-        let bs = self.config.block_size;
-        let pos = seq.prefilled;
-        let completes = pos + granted == seq.prefill.len();
-        let extra = usize::from(completes && seq.tokens.len() + 1 < seq.limit);
-        let new_blocks =
-            (pos + granted + extra).div_ceil(bs).saturating_sub(seq.state.blocks_per_layer());
-        let cow = usize::from(!pos.is_multiple_of(bs) && seq.state.tail_block_shared());
-        self.model.config().n_layers * (new_blocks + cow)
+        debug_assert_eq!(
+            seq.state.pos(),
+            seq.prefilled,
+            "a prefilling sequence caches its prefill"
+        );
+        let completes = seq.prefilled + granted == seq.prefill_end;
+        let extra = usize::from(completes && seq.ticket.generated() + 1 < seq.ticket.limit);
+        self.span_blocks(seq.state.pos(), granted + extra, self.tail_cow(seq))
     }
 
     /// The largest prefill grant for `seq` whose [`Self::grant_block_cost`]
-    /// fits in `block_budget`, capped at the sequence's remaining prompt.
+    /// fits in `block_budget`, capped at the sequence's remaining prefill:
+    /// [`Self::span_blocks`] inverted.
     fn affordable_grant(&self, seq: &Active, block_budget: usize) -> usize {
-        let remaining = seq.prefill.len() - seq.prefilled;
+        let remaining = seq.prefill_end - seq.prefilled;
         if self.grant_block_cost(seq, remaining) <= block_budget {
             return remaining;
         }
         let bs = self.config.block_size;
-        let nl = self.model.config().n_layers;
-        let pos = seq.prefilled;
-        let per_layer = block_budget / nl;
-        let cow = usize::from(!pos.is_multiple_of(bs) && seq.state.tail_block_shared());
-        let Some(new_blocks) = per_layer.checked_sub(cow) else { return 0 };
-        // Fill the affordable blocks to their last row; the whole prompt
+        let pos = seq.state.pos();
+        let per_layer = block_budget / self.model.config().n_layers;
+        let Some(fresh) = per_layer.checked_sub(usize::from(self.tail_cow(seq))) else {
+            return 0;
+        };
+        // Fill the affordable blocks to their last row; the whole prefill
         // did not fit, so no completion forward pass rides on this grant —
         // unless only the completion's extra row overflowed, in which case
         // stop one position short and complete next step.
-        let max_positions = ((seq.state.blocks_per_layer() + new_blocks) * bs).saturating_sub(pos);
+        let max_positions = (pos.div_ceil(bs) + fresh) * bs - pos;
         if max_positions >= remaining {
-            remaining.saturating_sub(1)
+            remaining - 1
         } else {
             max_positions
         }
@@ -2226,11 +2108,11 @@ impl<'m> ServeEngine<'m> {
 
     /// Preempts the youngest sequence (the most recently admitted — the
     /// tail of the admission-ordered batch): its `DecodeState` is dropped,
-    /// returning every block nobody else maps to the pool, and the request
-    /// re-queues at the *front* of the admission queue carrying its
-    /// generated tokens and sampler RNG. On re-admission it re-prefills
-    /// prompt + generated tokens — bit-identical to having decoded them —
-    /// and resumes sampling exactly where it left off, so preemption never
+    /// returning every block nobody else maps to the pool, and its ticket
+    /// re-queues at the *front* of the admission queue, stream and sampler
+    /// RNG included. On re-admission it re-prefills the stream — prompt
+    /// plus generated tokens, bit-identical to having decoded them — and
+    /// resumes sampling exactly where it left off, so preemption never
     /// changes output, only timing.
     ///
     /// # Panics
@@ -2248,27 +2130,11 @@ impl<'m> ServeEngine<'m> {
         self.preemptions += 1;
         summary.preempted += 1;
         self.recent_preempts.push_back(self.steps);
-        let mut prompt = seq.prefill;
-        prompt.truncate(seq.prompt_len);
-        self.pending.push_front(Queued {
-            id: seq.id,
-            prompt,
-            limit: seq.limit,
-            sampling: SamplingParams { sampler: seq.sampler, seed: 0 },
-            tenant: seq.tenant,
-            submitted_at: seq.submitted_at,
-            submitted_step: seq.submitted_step,
-            deadline: seq.deadline,
-            resume: Some(Resume {
-                tokens: seq.tokens,
-                rng: seq.rng,
-                preemptions: seq.preemptions + 1,
-                shared: seq.shared,
-                token_steps: seq.token_steps,
-                ttft: seq.ttft,
-            }),
-            bypassed: 0,
-        });
+        let mut ticket = seq.ticket;
+        ticket.preemptions += 1;
+        ticket.admitted = None;
+        ticket.bypassed = 0;
+        self.pending.push_front(ticket);
         // `seq.state` drops here, releasing its blocks.
     }
 
@@ -2291,7 +2157,7 @@ impl<'m> ServeEngine<'m> {
         let bs = self.config.block_size;
         let nl = self.model.config().n_layers;
         for seq in &mut self.active {
-            let full = seq.prefilled.min(seq.prefill.len()) / bs;
+            let full = seq.prefilled / bs;
             if seq.registered_blocks >= full {
                 continue;
             }
@@ -2301,7 +2167,7 @@ impl<'m> ServeEngine<'m> {
             }
             while seq.registered_blocks < full {
                 let b = seq.registered_blocks;
-                let tokens = &seq.prefill[b * bs..(b + 1) * bs];
+                let tokens = &seq.ticket.stream[b * bs..(b + 1) * bs];
                 seq.trie_parent = self.trie.insert_or_touch(seq.trie_parent, tokens, || {
                     (0..nl).map(|l| seq.state.block(l, b)).collect()
                 });
@@ -2318,14 +2184,14 @@ impl<'m> ServeEngine<'m> {
     /// finished.
     pub fn cancel(&mut self, id: RequestId) -> bool {
         let now = self.steps;
-        if let Some(i) = self.pending.iter().position(|q| q.id == id) {
-            let Some(mut q) = self.pending.remove(i) else { return false };
-            self.finished.push(q.report(FinishReason::Cancelled, now));
+        if let Some(i) = self.pending.iter().position(|t| t.id == id) {
+            let Some(mut t) = self.pending.remove(i) else { return false };
+            self.finished.push(t.report(FinishReason::Cancelled, now));
             return true;
         }
-        if let Some(i) = self.active.iter().position(|s| s.id == id) {
+        if let Some(i) = self.active.iter().position(|s| s.ticket.id == id) {
             let mut seq = self.active.remove(i);
-            self.finished.push(seq.report(FinishReason::Cancelled, now));
+            self.finished.push(seq.ticket.report(FinishReason::Cancelled, now));
             return true; // `seq.state` dropped: its blocks are free again
         }
         false
@@ -2352,26 +2218,14 @@ impl<'m> ServeEngine<'m> {
         // position, plus one per sequence that will sample (a prefill
         // position costs the same layer sweep as a decoded token).
         let units: u64 = self.active.iter().map(seq_units).sum();
-        self.planned_threads_for(self.active.len(), units)
+        self.planned_threads(self.active.len(), units)
     }
 
-    /// The number of threads (caller included) a decode step would use with
-    /// `batch` active sequences, after [`StepMode::Auto`]'s core and
-    /// per-worker-work gates.
-    ///
-    /// Exposed so operators and benchmarks can tell whether a
-    /// configuration actually fans out on this host — e.g. on a single-core
-    /// machine every `Auto` configuration resolves to `1`, making
-    /// `num_threads = 4` the *same execution* as `num_threads = 1` rather
-    /// than a slower one.
-    pub fn planned_threads(&self, batch: usize) -> usize {
-        self.planned_threads_for(batch, batch as u64)
-    }
-
-    /// [`ServeEngine::planned_threads`] with an explicit work estimate:
-    /// `units` decode-equivalent forward passes across the step (each
-    /// granted prefill position counts as one).
-    fn planned_threads_for(&self, batch: usize, units: u64) -> usize {
+    /// The threads (caller included) a step over `batch` sequences
+    /// carrying `units` decode-equivalent forward passes (each granted
+    /// prefill position counts as one) would use, after
+    /// [`StepMode::Auto`]'s core and per-worker-work gates.
+    fn planned_threads(&self, batch: usize, units: u64) -> usize {
         let cap = self.config.num_threads.min(batch);
         match self.config.step_mode {
             StepMode::ForcePool => cap,
@@ -2483,7 +2337,7 @@ impl<'m> ServeEngine<'m> {
                     violations.push(format!(
                         "{}: layer {layer} maps {mapped} blocks for {} positions \
                          (expected {expected} at block_size {bs})",
-                        seq.id,
+                        seq.ticket.id,
                         seq.state.pos()
                     ));
                 }
@@ -2620,7 +2474,7 @@ mod tests {
         let m = model();
         let plan = |threads: usize, step_mode: StepMode, batch: usize| {
             let cfg = ServeConfig { num_threads: threads, step_mode, ..ServeConfig::default() };
-            ServeEngine::new(&m, cfg).planned_threads(batch)
+            ServeEngine::new(&m, cfg).planned_threads(batch, batch as u64)
         };
         // The force mode caps only by batch size.
         assert_eq!(plan(4, StepMode::ForcePool, 16), 4);
@@ -2639,7 +2493,7 @@ mod tests {
             Model::new(ModelConfig::llama2_7b().proxy(128, 4, 192), QuantScheme::bf16(), 11)
                 .expect("valid scheme");
         let cfg = ServeConfig { num_threads: 4, ..ServeConfig::default() };
-        assert_eq!(ServeEngine::new(&proxy, cfg).planned_threads(16), 4.min(cores));
+        assert_eq!(ServeEngine::new(&proxy, cfg).planned_threads(16, 16), 4.min(cores));
     }
 
     #[test]
@@ -2676,7 +2530,7 @@ mod tests {
                     assert_eq!(victim.state.pos(), 4);
                     let full = Arc::new(BlockPool::new(4, m.config().d_model, m.config().n_layers));
                     let mut state = m.begin_decode_paged(&full);
-                    m.prefill_chunk(&mut state, &[6, 7, 8, victim.tokens[0]]);
+                    m.prefill_chunk(&mut state, &victim.ticket.stream[..4]);
                     assert_eq!(full.free_blocks(), 0);
                     victim.state = state;
                 }
@@ -2838,11 +2692,6 @@ mod tests {
 
     #[test]
     fn prefill_budget_grants_round_robin() {
-        let mut b = PrefillBudget::new(4);
-        assert_eq!(b.take(3), 3);
-        assert_eq!(b.remaining(), 1);
-        assert_eq!(b.take(5), 1);
-        assert_eq!(b.take(2), 0);
         // Two equally long prompts sharing one budget finish their prefill
         // within one step of each other — neither starves.
         let m = model();
@@ -3011,6 +2860,107 @@ mod tests {
         let report = e.run();
         assert_eq!(report.request(id).unwrap().finish, crate::FinishReason::Limit);
         assert!(!e.cancel(id), "finished requests cannot be cancelled");
+    }
+
+    #[test]
+    fn ngram_drafts_over_the_committed_stream_after_a_resume() {
+        // A resumed sequence re-prefills prompt ++ generated. Its drafts
+        // must read that stream once: reading the generated tokens twice
+        // (prompt ++ T ++ T ++ new) finds the junction bigram of the two
+        // copies of T, which the committed stream never held.
+        let m = model();
+        let k = 3;
+        let mut e = ServeEngine::new(
+            &m,
+            ServeConfig {
+                max_batch: 2,
+                max_tokens: 32,
+                block_size: 4,
+                spec: Some(SpecConfig { draft: DraftSource::NGram, k }),
+                ..ServeConfig::default()
+            },
+        );
+        e.submit(&[15, 1, 1, 9, 3, 8]).unwrap();
+        let victim = e.submit(&[4, 11, 6, 3, 3, 0]).unwrap();
+        e.step();
+        e.step();
+        e.preempt_youngest(&mut StepSummary::default());
+        assert_eq!(e.in_flight()[1], victim, "the youngest went back to the queue");
+        let (mut checked, mut drafted) = (0, 0);
+        while !e.is_idle() {
+            let decoding = |e: &ServeEngine| {
+                e.active.iter().find(|s| s.ticket.id == victim && !s.prefilling()).map(|s| {
+                    assert_eq!(s.ticket.preemptions, 1);
+                    s.ticket.stream.clone()
+                })
+            };
+            let before = decoding(&e);
+            e.step();
+            let (Some(mut stream), Some(seq)) =
+                (before, e.active.iter().find(|s| s.ticket.id == victim))
+            else {
+                continue;
+            };
+            // The draft ran on the stream plus this step's sampled token.
+            stream.push(seq.ticket.stream[stream.len()]);
+            let k_eff = k.min(seq.ticket.limit - (stream.len() - seq.ticket.prompt_len));
+            let mut want = Vec::new();
+            ngram_propose(&stream, k_eff, &mut want);
+            let spec = seq.spec.as_deref().expect("speculation is on");
+            assert_eq!(spec.proposals, want, "draft after {} tokens", stream.len());
+            checked += 1;
+            drafted += usize::from(!want.is_empty());
+        }
+        assert!(checked >= 10 && drafted >= 5, "{checked} steps checked, {drafted} drafted");
+    }
+
+    #[test]
+    fn span_blocks_matches_the_pool() {
+        // The planner's block rule against what appends really take: a
+        // table holding `pos` positions appends `rows`, either alone or
+        // with its tail adopted from a donor (the append then copies it).
+        // Two layers as narrow as they come: block counts depend only on
+        // positions and layers, and the grid runs ~50k appended rows.
+        let narrow =
+            ModelConfig { d_model: 8, n_heads: 1, d_ff: 16, vocab: 16, ..ModelConfig::tiny() };
+        let m = Model::new(narrow, QuantScheme::bf16(), 11).expect("valid scheme");
+        let nl = m.config().n_layers;
+        for bs in [1usize, 3, 16] {
+            let e = ServeEngine::new(&m, ServeConfig { block_size: bs, ..ServeConfig::default() });
+            let pool = e.kv_pool();
+            let tokens: Vec<u32> = (0..5 * bs as u32).map(|t| (t * 7) % 16).collect();
+            for pos in 0..3 * bs {
+                let mut donor = m.begin_decode_paged(pool);
+                if pos > 0 {
+                    m.prefill_chunk(&mut donor, &tokens[..pos]);
+                }
+                for shared in [false, true] {
+                    for rows in 1..=2 * bs {
+                        let mut adopter;
+                        let seq = if shared && pos > 0 {
+                            adopter = m.begin_decode_paged(pool);
+                            let prefix = (0..nl)
+                                .map(|l| (0..pos.div_ceil(bs)).map(|b| donor.block(l, b)).collect())
+                                .collect();
+                            adopter.adopt_shared_prefix(prefix, pos);
+                            &mut adopter
+                        } else {
+                            &mut donor
+                        };
+                        let cow = !pos.is_multiple_of(bs) && seq.tail_block_shared();
+                        assert_eq!(cow, shared && !pos.is_multiple_of(bs));
+                        let before = pool.in_use();
+                        m.prefill_chunk(seq, &tokens[pos..pos + rows]);
+                        assert_eq!(
+                            pool.in_use() - before,
+                            e.span_blocks(pos, rows, cow),
+                            "block_size {bs}, pos {pos}, rows {rows}, shared {shared}"
+                        );
+                        seq.truncate(pos);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! youngest sequence — resuming it later with bit-identical output —
 //! instead of erroring. Admission itself is *chunked and fairness-aware*:
 //! a freshly admitted request consumes its prompt in fused multi-token
-//! chunks under a per-step [`PrefillBudget`]
-//! ([`ServeConfig::prefill_chunk`], granted round-robin between prompts),
-//! so a long prompt bounds — rather than monopolizes — every step it shares
-//! with decoding neighbours.
+//! chunks under a per-step budget of [`ServeConfig::prefill_chunk`]
+//! positions, granted round-robin between prompts, so a long prompt
+//! bounds — rather than monopolizes — every step it shares with decoding
+//! neighbours.
 //!
 //! This crate layers that scheduler on top of
 //! [`opal_model::Model::decode_step`] and the fused
@@ -66,9 +66,9 @@ mod report;
 mod trie;
 
 pub use engine::{
-    step_workload, AuditReport, DegradedConfig, DraftSource, PrefillBudget, Request, RequestId,
-    SamplingParams, SeqStepWork, ServeConfig, ServeEngine, ServeError, SpecConfig, StepMode,
-    StepSummary, REORDER_STARVATION_BOUND,
+    step_workload, AuditReport, DegradedConfig, DraftSource, Request, RequestId, SamplingParams,
+    SeqStepWork, ServeConfig, ServeEngine, ServeError, SpecConfig, StepMode, StepSummary,
+    REORDER_STARVATION_BOUND,
 };
 pub use opal_model::{AdoptError, KvScheme};
 pub use report::{FinishReason, RejectionCounts, RequestReport, ServeReport};

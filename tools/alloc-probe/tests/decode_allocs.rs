@@ -41,7 +41,10 @@
 use opal_alloc_probe::{allocations, probe_lock, thread_allocations, CountingAlloc};
 use opal_hw::accelerator::{Accelerator, AcceleratorKind};
 use opal_model::{Model, ModelConfig, QuantScheme};
-use opal_serve::{DraftSource, KvScheme, ServeConfig, ServeEngine, SpecConfig, StepMode};
+use opal_serve::faults::FaultKind;
+use opal_serve::{
+    DraftSource, KvScheme, SeqStepWork, ServeConfig, ServeEngine, SpecConfig, StepMode,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -50,6 +53,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const MEASURED_STEPS: std::ops::RangeInclusive<u64> = 13..=23;
 const PROMPT_LEN: usize = 8;
 const LIMIT: usize = 40;
+/// Rows per KV block in the speculative probes.
+const BLOCK_SIZE: usize = 16;
 
 fn engine_for(model: &Model, batch: usize, mode: StepMode, threads: usize) -> ServeEngine<'_> {
     engine_for_kv(model, batch, mode, threads, KvScheme::Exact)
@@ -271,23 +276,81 @@ fn accelerator_attached_speculative_decode_is_allocation_free() {
 fn assert_zero_alloc_speculative(kv_scheme: KvScheme, accelerator: bool) {
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 7).expect("probe model");
-    let block_size = 16;
+    let mut engine = speculative_engine(&model, kv_scheme);
+    if accelerator {
+        engine = attach(engine);
+    }
+    let measured = measure_speculative(&mut engine);
+    let counts: Vec<u64> = measured.iter().map(|(n, _)| *n).collect();
+    let drafted = measured.iter().filter(|(_, work)| work.iter().any(|w| w.drafted > 0)).count();
+    let rolled_back =
+        measured.iter().filter(|(_, work)| work.iter().any(|w| w.accepted < w.drafted)).count();
+    assert!(drafted >= 4, "only {drafted} measured steps drafted ({counts:?})");
+    assert!(rolled_back >= 1, "no measured step rolled a rejected tail back ({counts:?})");
+    if cfg!(not(debug_assertions)) {
+        assert_eq!(
+            counts.iter().sum::<u64>(),
+            0,
+            "steady-state speculative decode allocated (per measured step: {counts:?})"
+        );
+    }
+}
+
+/// A sequence preempted mid-decode and resumed is as allocation-free as
+/// one that never left: once it has re-prefilled its stream (prompt plus
+/// the tokens it generated before), its speculative decode steps allocate
+/// nothing. A `BlockPressure` fault hides the whole pool from one step's
+/// planner; the first such step that needs a fresh block preempts the
+/// younger of two sequences, and the step after re-admits it and
+/// re-prefills it whole. The steps from there on are measured as in the
+/// speculative probes, and the resumed sequence must draft in at least
+/// four of them.
+#[test]
+fn resumed_speculative_decode_steady_state_is_allocation_free() {
+    let _serial = probe_lock();
+    let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 7).expect("probe model");
+    let mut engine = speculative_engine(&model, KvScheme::Exact);
+    for _ in 0..4 {
+        engine.step();
+    }
+    // The fault only bites a step that needs a fresh block.
+    let preempted = (0..LIMIT).any(|_| {
+        engine.inject_fault(FaultKind::BlockPressure { blocks: usize::MAX });
+        engine.step().preempted == 1
+    });
+    assert!(preempted, "the fault never preempted the younger sequence");
+    let resumed = engine.step();
+    assert_eq!((resumed.admitted, engine.prefilling_len()), (1, 0), "not re-prefilled whole");
+    let measured = measure_speculative(&mut engine);
+    let counts: Vec<u64> = measured.iter().map(|(n, _)| *n).collect();
+    // The resumed sequence rejoined at the tail of the batch.
+    let drafted = measured.iter().filter(|(_, work)| work[1].drafted > 0).count();
+    assert!(drafted >= 4, "the resumed sequence drafted in {drafted} measured steps ({counts:?})");
+    if cfg!(not(debug_assertions)) {
+        assert_eq!(
+            counts.iter().sum::<u64>(),
+            0,
+            "resumed speculative decode allocated (per measured step: {counts:?})"
+        );
+    }
+}
+
+/// Two speculative sequences over looping prompts (n-gram k = 2, 16-row
+/// blocks, whole prompts prefilled in their admission step).
+fn speculative_engine(model: &Model, kv_scheme: KvScheme) -> ServeEngine<'_> {
     let config = ServeConfig {
         max_batch: 2,
         max_tokens: LIMIT,
         num_threads: 1,
         step_mode: StepMode::ForcePool,
         prefill_chunk: usize::MAX,
-        block_size,
+        block_size: BLOCK_SIZE,
         prefix_sharing: false,
         kv_scheme,
         spec: Some(SpecConfig { draft: DraftSource::NGram, k: 2 }),
         ..ServeConfig::default()
     };
-    let mut engine = ServeEngine::new(&model, config);
-    if accelerator {
-        engine = attach(engine);
-    }
+    let mut engine = ServeEngine::new(model, config);
     let vocab = model.config().vocab as u32;
     for i in 0..2usize {
         // A looping motif gives the n-gram draft something to find.
@@ -295,18 +358,26 @@ fn assert_zero_alloc_speculative(kv_scheme: KvScheme, accelerator: bool) {
             (0..PROMPT_LEN).map(|p| ((i * 53 + (p % 3) * 19) as u32) % vocab).collect();
         engine.submit_with_limit(&prompt, LIMIT).expect("probe submit");
     }
+    engine
+}
+
+/// Steps `engine` until a request retires and returns every measured
+/// step's allocation count with its records: all steps but those that
+/// took a fresh block or widened the decode pass (see
+/// [`speculative_decode_steady_state_is_allocation_free`]).
+fn measure_speculative(engine: &mut ServeEngine<'_>) -> Vec<(u64, Vec<SeqStepWork>)> {
     // Positions `[start, start + rows)` written into a table holding
     // `start` positions take a fresh block iff the block count grows.
     let took_block = |start: usize, rows: usize| {
-        (start + rows).div_ceil(block_size) > start.div_ceil(block_size)
+        (start + rows).div_ceil(BLOCK_SIZE) > start.div_ceil(BLOCK_SIZE)
     };
-    let (mut counts, mut drafted, mut rolled_back, mut widest) = (Vec::new(), 0, 0, 0);
+    let (mut measured, mut widest) = (Vec::new(), 0);
     loop {
         let before = thread_allocations();
         let summary = engine.step();
         let after = thread_allocations();
         if summary.finished > 0 {
-            break;
+            return measured;
         }
         let work = engine.last_step_work();
         let fresh = work.iter().any(|w| {
@@ -318,21 +389,9 @@ fn assert_zero_alloc_speculative(kv_scheme: KvScheme, accelerator: bool) {
             work.iter().map(|w| w.verify_rows + usize::from(w.decode_context.is_some())).sum();
         let wider = rows > widest;
         widest = widest.max(rows);
-        if fresh || wider {
-            continue;
+        if !fresh && !wider {
+            measured.push((after - before, work.to_vec()));
         }
-        counts.push(after - before);
-        drafted += usize::from(summary.drafted > 0);
-        rolled_back += usize::from(work.iter().any(|w| w.accepted < w.drafted));
-    }
-    assert!(drafted >= 4, "only {drafted} measured steps drafted ({counts:?})");
-    assert!(rolled_back >= 1, "no measured step rolled a rejected tail back ({counts:?})");
-    if cfg!(not(debug_assertions)) {
-        assert_eq!(
-            counts.iter().sum::<u64>(),
-            0,
-            "steady-state speculative decode allocated (per measured step: {counts:?})"
-        );
     }
 }
 
