@@ -243,18 +243,21 @@ fn alternate(
     (giga / kernel_s, giga / baseline_s)
 }
 
-/// Rate of `ops::dot_codes_tile` (one query row against 16 cached code
-/// rows at d = 128, a page of the served proxy's one head) over sixteen
-/// per-row `ops::dot_codes` calls on the same rows, alternating.
+/// Rate of `ops::dot_codes_tile` (one site-quantized query row — codes
+/// at one power-of-two step, so its sums are exact in `f32` — against 16
+/// cached code rows at d = 128, a page of the served proxy's one head)
+/// over sixteen per-row `ops::dot_codes` calls on the same rows,
+/// alternating.
 fn dot_codes_tile_over_per_row(budget_s: f64) -> f64 {
     let (d, n) = (128usize, 16usize);
-    let q: Vec<f32> = (0..d).map(|j| ((j * 29 % 31) as f32 - 15.0) * 0.07).collect();
+    let q: Vec<f32> = (0..d).map(|j| ((j * 29 % 31) as f32 - 15.0) * 0.0625).collect();
     let codes: Vec<i8> = (0..n * d).map(|j| ((j * 37 + 11) % 255) as i8).collect();
-    let (mut tile, mut per_row) = (vec![0.0f32; n], vec![0.0f32; n]);
+    let (mut tile, mut per_row) = (vec![0.0f64; n], vec![0.0f64; n]);
+    let exact = ops::ExactInF32::check([&q[..]]);
     let (tile_rate, per_row_rate) = alternate(
         n * d,
         budget_s,
-        || ops::dot_codes_tile(black_box(&codes), d, [(black_box(&q[..]), &mut tile[..])]),
+        || ops::dot_codes_tile(black_box(&codes), d, [(black_box(&q[..]), &mut tile[..])], exact),
         || {
             for (o, row) in per_row.iter_mut().zip(black_box(&codes).chunks_exact(d)) {
                 *o = ops::dot_codes(black_box(&q), row);

@@ -19,9 +19,9 @@ use opal_tensor::ops;
 use opal_tensor::{CodeWeights, Matrix};
 
 use crate::config::{Arch, ModelConfig};
-use crate::kv::{AdoptError, BlockPool, KvBlock, PageScratch, PagedKv};
+use crate::kv::{AdoptError, BlockPool, KvBlock, KvScheme, PageScratch, PagedKv};
 use crate::mx_codes::{ActCodec, MxActs};
-use crate::scheme::{QuantScheme, SoftmaxKind, WeightScheme};
+use crate::scheme::{ActFormat, QuantScheme, SoftmaxKind, WeightScheme};
 use crate::weights::{generate_weights, LayerWeights, ModelWeights};
 
 /// Query rows of one group that share a visit of the paged KV cache: the
@@ -704,13 +704,48 @@ impl Model {
         &self.outlier_channels
     }
 
+    /// The page format this model caches K/V in when `requested`: the one
+    /// place [`KvScheme::Exact`] is resolved. Exact means lossless in the
+    /// K/V site's own format, because every K and V row is rounded by the
+    /// site quantizer before it is cached:
+    ///
+    /// - MX-OPAL activation sites → `MxOpal { bits: high_bits, qblock:
+    ///   block_size, outliers }`;
+    /// - MXINT sites → `MxInt { bits: high_bits, qblock: block_size }`;
+    /// - bf16 and MinMax sites keep `f32` pages ([`KvScheme::Exact`]).
+    ///
+    /// The page encoder is the site quantizer (same constructor, same
+    /// rounding), so such pages hold exactly the values the model computed,
+    /// about 3.5× smaller than `f32` rows at 7 bits. A lossy scheme is
+    /// returned as asked. [`Model::begin_decode`] and `opal-serve`'s engine
+    /// build their pools from this; a pool built directly from
+    /// [`KvScheme::Exact`] stores `f32` rows.
+    pub fn kv_scheme(&self, requested: KvScheme) -> KvScheme {
+        match (requested, &self.scheme.acts) {
+            (KvScheme::Exact, Some(acts)) => match acts.format {
+                ActFormat::MxOpal => KvScheme::MxOpal {
+                    bits: acts.high_bits,
+                    qblock: acts.block_size,
+                    outliers: acts.outliers,
+                },
+                ActFormat::MxInt => {
+                    KvScheme::MxInt { bits: acts.high_bits, qblock: acts.block_size }
+                }
+                ActFormat::MinMax => KvScheme::Exact,
+            },
+            (requested, _) => requested,
+        }
+    }
+
     /// Starts a fresh decoding session over a private, unbounded
-    /// [`BlockPool`] (block size [`BlockPool::DEFAULT_BLOCK_SIZE`]).
+    /// [`BlockPool`] (block size [`BlockPool::DEFAULT_BLOCK_SIZE`]) in the
+    /// model's exact page format ([`Model::kv_scheme`]).
     pub fn begin_decode(&self) -> DecodeState {
-        let pool = Arc::new(BlockPool::new(
+        let pool = Arc::new(BlockPool::with_scheme(
             BlockPool::DEFAULT_BLOCK_SIZE,
             self.config.d_model,
             usize::MAX,
+            self.kv_scheme(KvScheme::Exact),
         ));
         self.begin_decode_paged(&pool)
     }
@@ -1000,7 +1035,7 @@ impl Model {
             ws.scores.resize(attn, 0.0);
             ws.weights.resize(attn, 0.0);
         }
-        ws.page.fit(block, dh, QUERY_TILE);
+        ws.page.fit(block, (n_heads, dh), QUERY_TILE);
 
         for_each_group(seqs, &group, |row0, g| {
             for (r, &t) in g.tokens.iter().enumerate() {
@@ -1051,9 +1086,9 @@ impl Model {
                     let (ks, vs) = (&ws.ks.as_slice()[from..to], &ws.vs.as_slice()[from..to]);
                     if kv.quantized() {
                         // Quantized KV: the page encoder *is* the
-                        // cache-side quantizer, so the post-RoPE rows go in
-                        // raw and the scheme's codes come back out on the
-                        // walk.
+                        // cache-side quantizer (on site pages, the K/V
+                        // site's own), so the post-RoPE rows go in raw and
+                        // the scheme's codes come back out on the walk.
                         kv.append_rows_quant(l, p, seg, ks, vs, &mut ws.quant);
                     } else {
                         let (k_dst, v_dst) = kv.rows_mut(l, p, seg);

@@ -19,7 +19,8 @@
 //!
 //! Pages come in two storage formats, fixed per pool by a [`KvScheme`]:
 //!
-//! * **Exact** — `f32` rows, bit-identical to the pre-paged cache, and
+//! * **`f32`** ([`KvScheme::Exact`] as built) — `f32` rows, bit-identical
+//!   to the pre-paged cache, and
 //! * **quantized** — MX-OPAL or MXINT pages holding packed `i8` codes with
 //!   per-quant-block shared exponents (plus bf16 outlier slots for
 //!   MX-OPAL). Rows are encoded once at append time with the
@@ -28,6 +29,13 @@
 //!   with one power-of-two scale multiply per shared-exponent block
 //!   ([`opal_tensor::ops::dot_codes`]), and V aggregation dequantizes on
 //!   the walk.
+//!
+//! A model whose K/V sites are MX-OPAL or MXINT already rounds every K and
+//! V row to that format before caching it, so its exact cache *is* a
+//! quantized pool in the site's own format ([`crate::Model::kv_scheme`]):
+//! the page encoder is the site quantizer, the pages hold exactly the
+//! values the model computed, and the walk scores and sums them bitwise as
+//! the `f32` walk does (see `PagedKv::scores_into`).
 //!
 //! Two methods know the page formats (`PagedKv::scores_into`,
 //! `PagedKv::weighted_values_into`), and both take a group of query rows.
@@ -61,12 +69,19 @@ use std::sync::{Arc, Mutex};
 /// The scheme is fixed at pool construction: every page the pool hands out
 /// has the same layout, and blocks are only shareable between sequences on
 /// the same pool (see [`AdoptError::SchemeMismatch`]). `Exact` is the
-/// default and keeps decode bit-identical to the unquantized cache;
-/// the quantized schemes trade bounded accuracy for ~3.5× smaller pages,
-/// which a bounded pool converts directly into more resident sequences.
+/// default and keeps decode bit-identical to the unquantized cache; a
+/// model resolves it to the K/V site's own format
+/// ([`crate::Model::kv_scheme`]), which `Model::begin_decode` and
+/// `opal-serve`'s engine build their pools in. The other presets trade
+/// bounded accuracy for ~3.5× smaller pages than `f32` rows, which a
+/// bounded pool converts directly into more resident sequences.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KvScheme {
-    /// Full-precision `f32` rows.
+    /// Lossless in the K/V site's format: the values the model computed,
+    /// bit for bit. [`crate::Model::kv_scheme`] resolves it to the site's
+    /// own codes — `MxOpal`/`MxInt` at `high_bits` over the site's blocks —
+    /// or, for bf16 and MinMax sites, `f32` rows; a [`BlockPool`] built
+    /// straight from it stores `f32` rows.
     #[default]
     Exact,
     /// MX-OPAL pages: `bits`-bit integer codes over shared-exponent blocks
@@ -103,7 +118,7 @@ fn code_slots(bits: u32, width: usize) -> usize {
 }
 
 impl KvScheme {
-    /// The default exact (`f32`) scheme.
+    /// The default exact scheme (see [`KvScheme::Exact`]).
     pub fn exact() -> Self {
         KvScheme::Exact
     }
@@ -619,15 +634,15 @@ impl QuantRow<'_> {
     /// one [`ops::dot_codes`] over each overlapping shared-exponent block's
     /// codes (unpacked first on a nibble-packed row) and one power-of-two
     /// scale multiply, plus exact bf16 outlier terms, all summed in `f64`
-    /// in a fixed order (ascending blocks, then slot order).
+    /// from `-0.0` in a fixed order (ascending blocks, then slot order).
     fn dot_range(&self, q: &[f32], start: usize) -> f32 {
         let end = start + q.len();
         debug_assert!(end <= self.width, "column range out of row");
-        let mut acc = 0.0f64;
+        let mut acc = -0.0f64;
         for (qb, lo, hi) in segments(start, end, self.qblock) {
             let step = step_size(i32::from(self.scales[qb]), self.bits);
             let codes: Vec<i8> = (lo..hi).map(|e| self.code(e)).collect();
-            acc += f64::from(step) * f64::from(ops::dot_codes(&q[lo - start..hi - start], &codes));
+            acc += f64::from(step) * ops::dot_codes(&q[lo - start..hi - start], &codes);
             let so = qb * self.nout;
             for slot in so..so + usize::from(self.out_len[qb]) {
                 let idx = qb * self.qblock + usize::from(self.out_idx[slot]);
@@ -703,9 +718,17 @@ impl Drop for KvBlock {
 /// walk writes them.
 #[derive(Debug, Default)]
 pub(crate) struct PageScratch {
-    /// A quantized page's V steps for one head segment, then its rows
-    /// dequantized to `f32`: `block_size × (1 + head_dim)`.
+    /// A quantized page's rows of one head segment decoded to `f32`, for a
+    /// group of query rows: `block_size × head_dim`.
     tile: Vec<f32>,
+    /// A quantized page's power-of-two steps of one segment, per row.
+    steps: Vec<f32>,
+    /// The code sums of one segment, per (query row, cached row):
+    /// `query rows × block_size`.
+    sums: Vec<f64>,
+    /// Per head, whether the group's query rows sum exactly in `f32`
+    /// ([`ops::ExactInF32`]), checked once a walk: `n_heads`.
+    exact: Vec<ops::ExactInF32>,
     /// The `f64` q·k sum of each (query row, cached row) carried across the
     /// shared-exponent blocks a head straddles: `query rows × block_size`.
     carry: Vec<f64>,
@@ -716,9 +739,17 @@ pub(crate) struct PageScratch {
 
 impl PageScratch {
     /// Grows the buffers for walks of up to `query_rows` query rows over
-    /// pages of `block_size` rows and heads `head_dim` wide.
-    pub(crate) fn fit(&mut self, block_size: usize, head_dim: usize, query_rows: usize) {
-        grow(&mut self.tile, block_size * (1 + head_dim), 0.0);
+    /// pages of `block_size` rows and `n_heads` heads `head_dim` wide.
+    pub(crate) fn fit(
+        &mut self,
+        block_size: usize,
+        (n_heads, head_dim): (usize, usize),
+        query_rows: usize,
+    ) {
+        grow(&mut self.exact, n_heads, ops::ExactInF32::check(std::iter::empty()));
+        grow(&mut self.tile, block_size * head_dim, 0.0);
+        grow(&mut self.steps, block_size, 0.0);
+        grow(&mut self.sums, query_rows * block_size, 0.0);
         grow(&mut self.carry, query_rows * block_size, 0.0);
         grow(&mut self.unpacked, block_size * head_dim, 0);
     }
@@ -945,7 +976,12 @@ impl PagedKv {
     /// in `scratch` and rounded once at the head's end. Bitwise that is one
     /// `ops::dot` per (query row, cached row, head) on exact pages, and the
     /// per-row `QuantRow::dot_range` the tests hold the walk to on quantized
-    /// ones.
+    /// ones — which is `ops::dot` over the decoded rows whenever `dot`'s
+    /// `f64` partial sums are exact, as on every site-format page
+    /// (`opal_tensor`'s `tests/kv_exactness.rs`). A head's code sums take
+    /// exact `f32` lanes when [`ops::ExactInF32`] passes the group's query
+    /// rows on it (checked once per call), `dot`'s `f64` lanes otherwise:
+    /// the same bits.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scores_into(
         &self,
@@ -964,10 +1000,15 @@ impl PagedKv {
         debug_assert!(m > 0 && qs.len() == m * w && out.len() == m * n_heads * len, "score shape");
         let queries = || qs.chunks_exact(w);
         let quant = self.quant_geometry();
-        let PageScratch { carry, unpacked, .. } = scratch;
-        let carry = &mut carry[..m * bs];
+        let PageScratch { exact, steps, sums, carry, unpacked, .. } = scratch;
+        let (sums, carry) = (&mut sums[..m * bs], &mut carry[..m * bs]);
+        if quant.is_some() {
+            for (h, exact) in exact[..n_heads].iter_mut().enumerate() {
+                *exact = ops::ExactInF32::check(queries().map(|q| &q[h * dh..(h + 1) * dh]));
+            }
+        }
         for (t0, rows, block) in self.pages(layer, len) {
-            for h in 0..n_heads {
+            for (h, &exact) in exact[..n_heads].iter().enumerate() {
                 let (lo, hi) = (h * dh, (h + 1) * dh);
                 let at = h * len + t0;
                 let (PageStore::Quant(page), Some((bits, qblock, nout, qpr))) = (&block.k, quant)
@@ -984,26 +1025,33 @@ impl PagedKv {
                 };
                 let (codes, stride) = page.code_rows(bits, w, (lo, hi), rows, unpacked);
                 for (qb, s0, s1) in segments(lo, hi, qblock) {
-                    let outs = out.chunks_exact_mut(n_heads * len).map(|o| &mut o[at..at + rows]);
+                    let outs = sums.chunks_exact_mut(bs).map(|o| &mut o[..rows]);
                     let q_rows = queries().map(|q| &q[s0..s1]);
-                    ops::dot_codes_tile(&codes[s0 - lo..], stride, q_rows.zip(outs));
+                    ops::dot_codes_tile(&codes[s0 - lo..], stride, q_rows.zip(outs), exact);
+                    let steps = &mut steps[..rows];
+                    for (r, step) in steps.iter_mut().enumerate() {
+                        *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
+                    }
                     // Head lane `j` is block lane `j - base` (wrapping): one
                     // unsigned compare keeps a slot to this segment's columns.
                     let base = (qb * qblock).wrapping_sub(lo);
                     let (first, last) = (s0 == lo, s1 == hi);
                     let groups = queries().zip(out.chunks_exact_mut(n_heads * len));
-                    for ((q, out), carry) in groups.zip(carry.chunks_exact_mut(bs)) {
+                    let groups = groups.zip(sums.chunks_exact(bs).zip(carry.chunks_exact_mut(bs)));
+                    for ((q, out), (sums, carry)) in groups {
                         let (q, scores) = (&q[lo..hi], &mut out[at..at + rows]);
-                        let meta =
-                            page.scales.chunks_exact(qpr).zip(page.out_len.chunks_exact(qpr));
-                        let sums = scores.iter_mut().zip(carry.iter_mut());
-                        for (r, ((score, carry), (scales, out_len))) in sums.zip(meta).enumerate() {
-                            let step = f64::from(step_size(i32::from(scales[qb]), bits));
+                        let rows = scores.iter_mut().zip(carry.iter_mut());
+                        let rows = rows.zip(sums.iter().zip(&*steps));
+                        for (r, ((score, carry), (&sum, &step))) in rows.enumerate() {
+                            // The block's code sum at its power-of-two step
+                            // (exact), after what earlier segments carried.
+                            let mut acc = f64::from(step) * sum;
+                            if !first {
+                                acc += *carry;
+                            }
                             let so = (r * qpr + qb) * nout;
-                            let live = so + usize::from(out_len[qb]);
+                            let live = so + usize::from(page.out_len[r * qpr + qb]);
                             let slots = page.out_idx[so..live].iter().zip(&page.out_val[so..live]);
-                            let mut acc = if first { 0.0f64 } else { *carry };
-                            acc += step * f64::from(*score);
                             for (&idx, val) in slots {
                                 let j = base.wrapping_add(usize::from(idx));
                                 if j < dh {
@@ -1050,15 +1098,14 @@ impl PagedKv {
         scratch: &mut PageScratch,
         ctx: &mut [f32],
     ) {
-        let (w, bs) = (self.pool.width(), self.pool.block_size());
+        let w = self.pool.width();
         let dh = w / n_heads;
         let m = ctx.len() / w;
         let len = pos0 + m;
         debug_assert!(m > 0 && ctx.len() == m * w && weights.len() == m * n_heads * len, "shape");
         let queries = || weights.chunks_exact(n_heads * len);
         let quant = self.quant_geometry();
-        let PageScratch { tile, unpacked, .. } = scratch;
-        let (steps, tile) = tile.split_at_mut(bs);
+        let PageScratch { tile, steps, unpacked, .. } = scratch;
         for (t0, rows, block) in self.pages(layer, len) {
             for h in 0..n_heads {
                 let (lo, hi) = (h * dh, (h + 1) * dh);
@@ -1352,6 +1399,12 @@ mod tests {
                     let (mut k, mut v) = (test_row(w, pos as u32), test_row(w, 1000 + pos as u32));
                     k[pos * 5 % w] *= 30.0;
                     v[pos * 11 % w] *= -30.0;
+                    if pos == 7 {
+                        // Two small values and zeros: on an MX-OPAL page,
+                        // outliers over an all-zero block.
+                        v.fill(0.0);
+                        (v[3], v[w - 2]) = (1.0e-3, -2.0e-3);
+                    }
                     if scheme.quantized() {
                         kv.append_rows_quant(0, pos, 1, &k, &v, &mut enc);
                     } else {
@@ -1386,8 +1439,10 @@ mod tests {
                     let mut scores = vec![f32::NAN; m * n_heads * len];
                     // Stale scratch: the walk writes before it reads.
                     let mut scratch = PageScratch::default();
-                    scratch.fit(bs, dh, m);
+                    scratch.fit(bs, (n_heads, dh), m);
                     scratch.tile.fill(f32::NAN);
+                    scratch.steps.fill(f32::NAN);
+                    scratch.sums.fill(f64::NAN);
                     scratch.carry.fill(f64::NAN);
                     scratch.unpacked.fill(0x55);
                     kv.scores_into(0, pos0, &qs, n_heads, 0.25, &mut scratch, &mut scores);

@@ -325,11 +325,10 @@ fn replay_inner(
     let mut step_macs: Vec<f64> = Vec::new();
     let mut batch_sum = 0usize;
     let mut opal_fmt = DataFormat::opal_w4a47();
-    if config.kv_scheme.quantized() {
-        // Quantized KV pages shrink predicted cache traffic: charge the
-        // roofline the scheme's packed bits instead of activation bits.
-        opal_fmt.kv_bits = config.kv_scheme.bits_per_element(model.config().d_model);
-    }
+    // Charge the roofline the bits the engine's pages hold: its pool's
+    // resolved scheme (an exact pool on an OPAL model stores the K/V
+    // site's codes).
+    opal_fmt.kv_bits = engine.kv_pool().scheme().bits_per_element(model.config().d_model);
     let mut total_workload = TokenWorkload::zero();
 
     let mut vstep: u64 = 0;

@@ -253,22 +253,28 @@ pub struct ServeConfig {
     pub block_size: usize,
     /// Hard bound on KV blocks across the whole engine — every layer of
     /// every resident sequence plus the prefix cache; total KV memory is
-    /// `max_blocks × 2 ×` [`KvScheme::page_bytes`] for the configured
-    /// [`ServeConfig::kv_scheme`] (`block_size × d_model × 2` floats per
-    /// block when exact). When the pool runs dry the scheduler evicts
+    /// `max_blocks × 2 ×` [`KvScheme::page_bytes`] for the pool's resolved
+    /// scheme (`ServeEngine::kv_pool().scheme()`: under
+    /// [`KvScheme::Exact`], the K/V site's own format — 7-bit MX-OPAL codes
+    /// on a W4A4/7 model, `block_size × d_model × 2` floats on a bf16 one).
+    /// When the pool runs dry the scheduler evicts
     /// unused prefix-cache blocks, shrinks prefill grants, and finally
     /// preempts the youngest sequence (its blocks are freed and it
     /// re-queues to re-prefill later) instead of erroring. Default
     /// `usize::MAX` (unbounded).
     pub max_blocks: usize,
-    /// Storage format of the KV-cache pages (see [`KvScheme`]). The
-    /// default [`KvScheme::Exact`] keeps decode bit-identical to the
-    /// unpaged cache; [`KvScheme::mxopal`] / [`KvScheme::mxint`] store
-    /// packed shared-exponent codes instead — ~3.5× smaller pages, so a
-    /// bounded pool holds ~3.5× more resident tokens — and attention runs
-    /// in the quantized domain (bit-deterministic, accuracy-bounded
-    /// against the exact cache). Prefix sharing works identically in
-    /// either mode, but blocks never cross schemes.
+    /// Storage format of the KV-cache pages (see [`KvScheme`]), resolved
+    /// against the model when the engine builds its pool
+    /// (`Model::kv_scheme`; [`ServeEngine::kv_pool`]'s `scheme()` is the
+    /// result). The default [`KvScheme::Exact`] keeps decode bit-identical
+    /// to the unpaged cache, in the K/V site's own format: on an MX-OPAL or
+    /// MXINT model that is the site's codes (~3.5× smaller than `f32`
+    /// rows), on bf16 and MinMax models `f32` rows. [`KvScheme::mxopal`] /
+    /// [`KvScheme::mxint`] store packed shared-exponent codes of their own
+    /// — ~3.5× smaller than `f32` pages — and attention runs in the
+    /// quantized domain (bit-deterministic, accuracy-bounded against the
+    /// exact cache). Prefix sharing works identically in either mode, but
+    /// blocks never cross schemes.
     pub kv_scheme: KvScheme,
     /// Exact-prefix KV sharing: requests whose token prefix matches blocks
     /// already resident adopt them read-only and skip that span's prefill.
@@ -1170,7 +1176,7 @@ impl<'m> ServeEngine<'m> {
             config.block_size,
             model.config().d_model,
             config.max_blocks,
-            config.kv_scheme,
+            model.kv_scheme(config.kv_scheme),
         ));
         ServeEngine {
             model,
@@ -1268,9 +1274,11 @@ impl<'m> ServeEngine<'m> {
         self.kv_pool.capacity()
     }
 
-    /// The engine's KV block pool. Harnesses clone the `Arc` to check for
-    /// leaked blocks after the engine itself has been dropped (a drained
-    /// and dropped engine must leave `in_use() == 0`).
+    /// The engine's KV block pool. Its `scheme()` is the resolved page
+    /// format ([`ServeConfig::kv_scheme`] through `Model::kv_scheme`), what
+    /// KV pricing and byte accounting read. Harnesses clone the `Arc` to
+    /// check for leaked blocks after the engine itself has been dropped (a
+    /// drained and dropped engine must leave `in_use() == 0`).
     pub fn kv_pool(&self) -> &Arc<BlockPool> {
         &self.kv_pool
     }
@@ -1720,7 +1728,7 @@ impl<'m> ServeEngine<'m> {
         // independent of thread scheduling.
         if let Some(acc) = &self.accelerator {
             let mut format = acc.kind().format();
-            format.kv_bits = self.config.kv_scheme.bits_per_element(self.model.config().d_model);
+            format.kv_bits = self.kv_pool.scheme().bits_per_element(self.model.config().d_model);
             let wl = self.last_step_workload(&format);
             let latency_s = workload_latency(&wl, &format, &Platform::reference()).total_s();
             self.energy_j += acc.energy(&wl, latency_s).total_j();

@@ -229,6 +229,28 @@ fn quantized_pages_shrink_pool_bytes_per_token() {
     assert!(q4 < q8, "mxopal4 pages: {q4} B/token, not below mxopal's {q8}");
 }
 
+/// `KvScheme::Exact` builds the pool in the K/V site's own format: the
+/// codes the site quantizer made on the served W4A4/7 proxy (1176 B a
+/// token, as `mxopal()`'s pages), `f32` rows on the bf16 one (4096 B).
+#[test]
+fn exact_pools_hold_the_kv_sites_format() {
+    let site7 = KvScheme::MxOpal { bits: 7, qblock: 128, outliers: 4 };
+    for (scheme, site, bytes) in [
+        (OperatingPoint::W4A47.scheme(), site7, 1176.0),
+        (QuantScheme::bf16(), KvScheme::Exact, 4096.0),
+    ] {
+        let name = scheme.name.clone();
+        let model = Model::new(ModelConfig::llama2_7b().proxy(128, 4, 192), scheme, 21)
+            .expect("proxy model");
+        let config = ServeConfig { block_size: BLOCK, ..ServeConfig::default() };
+        assert_eq!(config.kv_scheme, KvScheme::Exact);
+        let engine = ServeEngine::new(&model, config);
+        let pool = engine.kv_pool();
+        assert_eq!(pool.scheme(), site, "{name}");
+        assert_eq!(pool_bytes_per_token(model.config(), pool.scheme()), bytes, "{name}");
+    }
+}
+
 /// Peak resident sequences while a `max_blocks`-bounded pool drains 24
 /// cache-cold requests (40-token prompts, 24 new tokens). Submissions
 /// interleave with steps, so each admission sees the blocks earlier

@@ -4,7 +4,7 @@
 //! The engine's `energy_j` must be exactly the per-step sum of that path
 //! over `last_step_work()`, and the paper's cost orderings must come out of
 //! it: a batch shares a step's weight stream and leakage, MX-OPAL KV pages
-//! stream fewer bytes than exact ones, and a fused verify pass buys several
+//! stream fewer bytes than `f32` ones, and a fused verify pass buys several
 //! tokens with one weight stream — at least 1.5x the modeled tok/s of plain
 //! decode at batch 1 and 4 on the served proxy.
 
@@ -62,10 +62,12 @@ fn assert_energy_is_the_per_step_sum(model: &Model, kv_scheme: KvScheme) {
         ..ServeConfig::default()
     };
     let acc = accelerator();
-    let mut format = acc.kind().format();
-    format.kv_bits = kv_scheme.bits_per_element(model.config().d_model);
-
     let mut engine = ServeEngine::new(model, config).with_accelerator(acc.clone());
+    // Priced at the bits the pool's pages hold: its resolved scheme (the
+    // K/V site's codes for `Exact` on this MX-OPAL model).
+    let mut format = acc.kind().format();
+    format.kv_bits = engine.kv_pool().scheme().bits_per_element(model.config().d_model);
+
     for p in prompts(4, 12, model.config().vocab) {
         engine.submit_with_limit(&p, 10).expect("valid prompt");
     }
@@ -100,7 +102,10 @@ fn batch_16_costs_less_per_token_than_batch_1() {
 
 #[test]
 fn mxopal_kv_pages_cost_less_than_exact_at_long_context() {
-    let model = tiny();
+    // MinMax activation sites keep `f32` pages under `KvScheme::Exact`; on
+    // an MX-OPAL model `Exact` already stores the site's codes, as many
+    // bytes as `mxopal()`'s.
+    let model = Model::new(ModelConfig::tiny(), QuantScheme::minmax_w4a47(), 7).expect("tiny");
     let vocab = model.config().vocab;
     let saving = |prompt_len: usize| {
         let set = prompts(1, prompt_len, vocab);

@@ -9,9 +9,10 @@
 //! (page, head, shared-exponent block) on quantized pages — for every
 //! query row of a group: K scores of the query rows against a run of
 //! cached rows ([`dot_tile`] over exact `f32` rows, [`dot_codes_tile`]
-//! over codes), and the V sum over a run of `f32` rows ([`axpy_tile`]
-//! straight off an exact page, [`axpy_codes_tile`] from a quantized page
-//! dequantized once into a tile). The weight products of the
+//! over codes on [`dot`]'s `f64` lanes, or exact `f32` lanes when
+//! [`ExactInF32`] allows), and the V sum over a run of `f32` rows
+//! ([`axpy_tile`] straight off an exact page, [`axpy_codes_tile`] from a
+//! quantized page dequantized once into a tile). The weight products of the
 //! MX-activation, OWQ-weight schemes run on integer codes instead
 //! ([`matmul_codes`], spec [`matmul_codes_portable`]). The MX-OPAL
 //! encoders that make those codes run on three more such kernels: a row's
@@ -119,71 +120,109 @@ pub(crate) fn dot_tile_portable<'a>(
     }
 }
 
-/// Dot product of an `f32` query segment against integer quantization
-/// codes — the code-domain inner loop of quantized KV attention. The
-/// caller multiplies the result by the block's shared power-of-two step,
-/// so one shared-exponent block costs one scale multiply no matter how
-/// long it is.
+/// [`dot`]'s lane schedule over an `f32` query segment and integer
+/// quantization codes, unrounded: four `f64` accumulators from `-0.0`,
+/// element `i` into lane `i % 4` over `chunks_exact(4)`, the sub-4 tail
+/// into lane 0, result `(a0 + a1) + (a2 + a3)` *without* the final cast —
+/// the code-domain inner loop of quantized KV attention. The caller
+/// multiplies the result by the block's shared power-of-two step and adds
+/// the block's outlier terms, so one shared-exponent block costs one scale
+/// multiply however long it is.
 ///
-/// Shaped for the vectorizer rather than for [`dot`]'s `f64` pipeline:
-/// sixteen independent `f32` lanes over `chunks_exact(16)`, with the
-/// `i8 → f32` widening inside the lane loop. `i8 → f32` and the `f32`
-/// multiply-add both map onto full-width SIMD (`i8 → f64` does not, and
-/// measures ~2.5x slower), which is what lets this path beat
-/// dequantize-then-[`dot`] instead of merely matching it. Accumulating in
-/// `f32` reorders rounding relative to an `f64` reference, but a
-/// shared-exponent block is at most a few hundred elements and the caller
-/// sums *blocks* in `f64` — the quantized-page tests cross-check against
-/// dequantize-then-[`dot`] at a pinned tolerance. The result is
-/// deterministic for fixed inputs (fixed lane assignment and association
-/// order), which is all the quantized-KV bit-determinism contract needs.
+/// A page row whose values are `code · step` is [`dot`]'s row scaled by a
+/// power of two, and `f64` rounding commutes with that scaling (a product
+/// of an `f32` and an `i8` code is exact and lies far inside `f64`'s
+/// exponent range), so `(step · dot_codes(q, codes)) as f32` is bitwise
+/// `dot(q, row)` on a row without outliers, whatever the magnitudes. An
+/// MX-OPAL row adds its bf16 outliers after the lanes instead of inside
+/// them, which is the same number whenever `dot`'s `f64` partial sums are
+/// exact: on site-quantized rows every term is a product of two values of
+/// at most eight significant bits, and `tests/kv_exactness.rs` finds no
+/// difference for outliers up to 2^40 above their block on either side.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-// Inlined across crates on purpose: the block walk calls this with a
-// qblock-derived length, and letting the call site see it folds the
-// remainder loop and roughly halves the measured cost.
 #[inline]
-pub fn dot_codes(a: &[f32], codes: &[i8]) -> f32 {
+pub fn dot_codes(a: &[f32], codes: &[i8]) -> f64 {
     assert_eq!(a.len(), codes.len(), "dot_codes length mismatch");
-    let mut acc = [-0.0f32; 16];
-    let mut ac = a.chunks_exact(16);
-    let mut cc = codes.chunks_exact(16);
-    for (a16, c16) in ac.by_ref().zip(cc.by_ref()) {
-        for k in 0..16 {
-            acc[k] += a16[k] * f32::from(c16[k]);
+    let mut acc = [-0.0f64; 4];
+    let (a4, a_tail) = a.as_chunks::<4>();
+    let (c4, c_tail) = codes.as_chunks::<4>();
+    for (a4, c4) in a4.iter().zip(c4) {
+        for k in 0..4 {
+            acc[k] += f64::from(a4[k]) * f64::from(c4[k]);
         }
     }
-    // In-order lane reduction: a fixed summation order (deterministic),
-    // and — unlike an explicit pairwise tree, which bolts specific lane
-    // groupings onto the loop above and makes LLVM shuffle every vector —
-    // one that leaves the accumulator layout entirely to the vectorizer.
-    // The tree variant measures ~2x slower for exactly that reason.
-    let mut s = -0.0f32;
-    for &lane in &acc {
-        s += lane;
+    for (&x, &c) in a_tail.iter().zip(c_tail) {
+        acc[0] += f64::from(x) * f64::from(c);
     }
-    for (&x, &c) in ac.remainder().iter().zip(cc.remainder()) {
-        s += x * f32::from(c);
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// Whether every sum of products of a group of query rows with `i8` codes
+/// is exact in `f32`, in any order — checked once per group for the many
+/// [`dot_codes_tile`] calls it meets (a walk's query rows against every
+/// page), which take exact `f32` lanes when it holds.
+///
+/// For one row `q`, with `u` the largest power of two dividing every
+/// element, each product `q_i · c_i` is an integer multiple of `u`, and so
+/// is every partial sum, of magnitude at most `128 · Σ|q_i|`. The check
+/// asks `128 · Σ|q_i| ≤ 2^23 · u` (one bit of margin for the `f64` sum of
+/// magnitudes), so that every such multiple fits `f32`'s 24-bit
+/// significand; a column range of a row that passes passes too. A query
+/// the site quantizer made (seven-bit codes at one step, bf16 outliers up
+/// to about 2^7 above the block's largest code) passes; a NaN, an infinity
+/// or a wider spread fails.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExactInF32(bool);
+
+impl ExactInF32 {
+    /// The verdict for `rows` (every row must pass).
+    pub fn check<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> Self {
+        ExactInF32(rows.into_iter().all(sums_exactly_in_f32))
     }
-    s
+}
+
+/// [`ExactInF32`] of one row.
+pub(crate) fn sums_exactly_in_f32(q: &[f32]) -> bool {
+    // Eight magnitude sums, so the adds pipeline instead of forming one
+    // chain through the row.
+    let (mut magnitude, mut low) = ([0.0f64; 8], i32::MAX);
+    for (i, &x) in q.iter().enumerate() {
+        let bits = x.to_bits() & 0x7FFF_FFFF;
+        let (exponent, mantissa) = ((bits >> 23) as i32, bits & 0x7F_FFFF);
+        if exponent == 0xFF {
+            return false;
+        }
+        // The lowest set bit's weight: a subnormal's mantissa counts from
+        // 2^-149, a normal one's (with its hidden bit) from 2^(e - 150); a
+        // zero has none.
+        let hidden = if exponent == 0 { 0 } else { 0x80_0000 };
+        let lsb = exponent.max(1) - 150 + (mantissa | hidden).trailing_zeros() as i32;
+        low = low.min(if bits == 0 { i32::MAX } else { lsb });
+        magnitude[i % 8] += f64::from(f32::from_bits(bits));
+    }
+    let magnitude: f64 = magnitude.iter().sum();
+    low == i32::MAX || magnitude * 128.0 <= (2.0f64).powi(23 + low)
 }
 
 /// A tile of [`dot_codes`]: for every query row `(q, out)` of `rows`,
 /// `out[t] = dot_codes(q, &codes[t * stride..t * stride + q.len()])` for
 /// `t` in `0..out.len()` — the K scores of several query rows against a
 /// run of cached code rows in one call (`stride` is the code row pitch, so
-/// a head's columns of a page are the slice from the head's first column).
+/// a head's columns of a page are the slice from the head's first column):
+/// the quantized-page twin of [`dot_tile`].
 ///
-/// Every pair keeps [`dot_codes`]'s lane schedule exactly (sixteen `f32`
-/// lanes from `-0.0`, an unfused multiply then add, the in-order lane sum,
-/// then the sub-16 remainder), so each element is bitwise the per-pair call.
-/// The portable loop is that call per pair: the spec, the test oracle and
-/// the path on CPUs without AVX2. On x86-64 with AVX2 (detected at run
-/// time) the tile is walked in blocks of two query rows × two code rows or
-/// one × four: each code chunk is converted once per block and four pairs'
-/// chains are in flight, instead of one chain per cached row.
+/// Every element is bitwise the per-pair [`dot_codes`]. The portable loop
+/// is that call per pair: the spec, the test oracle and the path for
+/// query rows whose sums may round in `f32`. A group of query rows whose
+/// sums are exact in `f32` (`exact`, checked by [`ExactInF32::check`] on
+/// these rows or on rows they are column ranges of: a site-quantized
+/// query) runs, on x86-64 with AVX2 and FMA (detected at run time), on
+/// eight `f32` lanes per code row, eight code rows at a time, with fused
+/// multiply-adds: every partial sum is then exact, so it reaches the same
+/// exact sum as the `f64` lanes.
 ///
 /// # Panics
 ///
@@ -191,13 +230,15 @@ pub fn dot_codes(a: &[f32], codes: &[i8]) -> f32 {
 pub fn dot_codes_tile<'a>(
     codes: &[i8],
     stride: usize,
-    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f64])>,
+    exact: ExactInF32,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::KernelPath::detect().wide_codes {
+    if exact.0 && crate::KernelPath::detect().wide_dot && crate::KernelPath::detect().wide_codes {
         crate::simd::dot_codes_tile(codes, stride, rows);
         return;
     }
+    let _ = exact;
     dot_codes_tile_portable(codes, stride, rows);
 }
 
@@ -205,7 +246,7 @@ pub fn dot_codes_tile<'a>(
 pub(crate) fn dot_codes_tile_portable<'a>(
     codes: &[i8],
     stride: usize,
-    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f64])>,
 ) {
     for (q, out) in rows {
         for (t, o) in out.iter_mut().enumerate() {
@@ -922,10 +963,18 @@ mod tests {
                 for n in 0..=TILE_CODE_ROWS {
                     let what = format!("{m} x {n} x {width}");
                     let q_rows = || qs.chunks(stride).map(|q| &q[..width]);
-                    let (mut got, mut want) = (vec![SENTINEL; m * n], vec![SENTINEL; m * n]);
-                    dot_codes_tile(codes, stride, q_rows().zip(got.chunks_mut(n.max(1))));
+                    let (mut got, mut want) = (vec![7.0f64; m * n], vec![7.0f64; m * n]);
+                    let exact = ExactInF32::check(q_rows());
+                    dot_codes_tile(codes, stride, q_rows().zip(got.chunks_mut(n.max(1))), exact);
                     dot_codes_tile_portable(codes, stride, q_rows().zip(want.chunks_mut(n.max(1))));
-                    first_difference(&format!("dot_codes_tile {what}"), &got, &want)?;
+                    if let Some(i) =
+                        got.iter().zip(&want).position(|(g, w)| g.to_bits() != w.to_bits())
+                    {
+                        return Err(format!(
+                            "dot_codes_tile {what}: element {i} is {:e}, portable {:e}",
+                            got[i], want[i]
+                        ));
+                    }
 
                     let steps: Vec<f32> = (0..n)
                         .map(|t| [0.0078125, 2.0f32.powi(-149), 0.3, 2.0f32.powi(100)][t % 4])
@@ -1028,6 +1077,13 @@ mod tests {
             codes in proptest::collection::vec(-128i8..=127, TILE_CODE_ROWS * 133),
         ) {
             let outcome = tiles_against_portable(&values, &codes);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+            // Site-like queries (seven-bit codes at one step), whose sums
+            // the wide code tile takes on its exact `f32` lanes.
+            let site: Vec<f32> =
+                values.iter().map(|v| ((v.to_bits() % 127) as i32 - 63) as f32 * 0.03125).collect();
+            proptest::prop_assert!(ExactInF32::check([&site[..130]]) == ExactInF32(true));
+            let outcome = tiles_against_portable(&site, &codes);
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
         }
 

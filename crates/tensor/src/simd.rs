@@ -28,12 +28,13 @@
 //! on every other CPU, a CPU with AVX but no FMA included.
 //!
 //! **The attention tile kernels** (AVX2): [`crate::ops::dot_codes_tile`]
-//! as blocks of two query rows × two code rows or one × four (each code
-//! chunk converted once per block, four `dot_codes` chains in flight, their
-//! in-order lane sums interleaved), and [`crate::ops::axpy_tile`] with each
-//! context held in registers, 64 lanes at a time, across a page's rows —
-//! behind [`crate::ops::axpy_codes_tile`] after it dequantizes a page eight
-//! codes at a time. Each performs the portable loop's operations per
+//! for query rows whose sums are exact in `f32` (AVX2 + FMA: eight code
+//! rows at a time on `f32` lanes with fused multiply-adds — every partial
+//! sum is exact, so any order gives the one sum the portable `f64` lanes
+//! reach), and [`crate::ops::axpy_tile`] with each context held in
+//! registers, 64 lanes at a time, across a page's rows — behind
+//! [`crate::ops::axpy_codes_tile`] after it dequantizes a page eight codes
+//! at a time. The V kernels perform the portable loop's operations per
 //! element in its order, none fused.
 //!
 //! **The W×A integer product** (AVX2 + FMA): [`crate::ops::matmul_codes`]
@@ -77,7 +78,7 @@ use std::arch::x86_64::{
     _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi16_epi32,
     _mm256_cvtepi32_pd, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_cvtepu16_epi32,
     _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_extractf128_pd,
-    _mm256_extracti128_si256, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_loadu_ps,
+    _mm256_extracti128_si256, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
     _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_min_ps,
     _mm256_mul_pd, _mm256_mul_ps, _mm256_or_si256, _mm256_packs_epi32, _mm256_packus_epi32,
     _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps,
@@ -93,7 +94,9 @@ use opal_numerics::shift::step_size;
 use opal_numerics::{shift_quantize, Bf16, Rounding};
 
 use crate::codes::{CodeActs, CodeRow, CodeWeights, PANEL_WIDTH};
-use crate::ops::{check_tile_row, code_row_sum, key_index, magnitude_key, tile_width};
+use crate::ops::{
+    check_tile_row, code_row_sum, key_index, magnitude_key, sums_exactly_in_f32, tile_width,
+};
 use crate::KernelPath;
 
 /// Left-hand rows per full block: eight accumulators, the shared chunk and
@@ -242,10 +245,11 @@ fn widen_rows<'p, const R: usize>(
     (body.as_chunks::<R>().0, x_tails)
 }
 
-/// The `C` right-hand rows from row `j`, each `d` wide.
+/// The `C` right-hand rows (`f32` rows or code rows) from row `j`, each
+/// `d` wide.
 #[inline]
-fn rhs_rows<const C: usize>(rhs: &[f32], stride: usize, j: usize, d: usize) -> [&[f32]; C] {
-    let mut rows: [&[f32]; C] = [&[]; C];
+fn rhs_rows<T, const C: usize>(rhs: &[T], stride: usize, j: usize, d: usize) -> [&[T]; C] {
+    let mut rows: [&[T]; C] = [&[]; C];
     for (c, row) in rows.iter_mut().enumerate() {
         let at = (j + c) * stride;
         *row = &rhs[at..at + d];
@@ -270,12 +274,12 @@ fn by_rhs_rows<const R: usize, const C: usize>(
     let n = outs[0].len();
     let mut j = 0;
     while j + C <= n {
-        let ws = rhs_rows::<C>(rhs, stride, j, d);
+        let ws = rhs_rows::<_, C>(rhs, stride, j, d);
         tile::<R, C>(x4, x_tails, ws, |r, c, x| outs[r][j + c] = x);
         j += C;
     }
     if j < n {
-        let ws = rhs_rows::<1>(rhs, stride, j, d);
+        let ws = rhs_rows::<_, 1>(rhs, stride, j, d);
         tile::<R, 1>(x4, x_tails, ws, |r, _, x| outs[r][j] = x);
     }
 }
@@ -289,19 +293,19 @@ fn lone_row(x: &[f32], rhs: &[f32], stride: usize, out: &mut [f32]) {
     let d = x.len();
     let mut j = 0;
     while j + BLOCK <= out.len() {
-        row_tile::<BLOCK>(x, rhs_rows::<BLOCK>(rhs, stride, j, d), |c, v| out[j + c] = v);
+        row_tile::<BLOCK>(x, rhs_rows::<_, BLOCK>(rhs, stride, j, d), |c, v| out[j + c] = v);
         j += BLOCK;
     }
     let left = out.len() - j;
     let mut store = |c: usize, v: f32| out[j + c] = v;
     match left {
-        1 => row_tile::<1>(x, rhs_rows::<1>(rhs, stride, j, d), &mut store),
-        2 => row_tile::<2>(x, rhs_rows::<2>(rhs, stride, j, d), &mut store),
-        3 => row_tile::<3>(x, rhs_rows::<3>(rhs, stride, j, d), &mut store),
-        4 => row_tile::<4>(x, rhs_rows::<4>(rhs, stride, j, d), &mut store),
-        5 => row_tile::<5>(x, rhs_rows::<5>(rhs, stride, j, d), &mut store),
-        6 => row_tile::<6>(x, rhs_rows::<6>(rhs, stride, j, d), &mut store),
-        7 => row_tile::<7>(x, rhs_rows::<7>(rhs, stride, j, d), &mut store),
+        1 => row_tile::<1>(x, rhs_rows::<_, 1>(rhs, stride, j, d), &mut store),
+        2 => row_tile::<2>(x, rhs_rows::<_, 2>(rhs, stride, j, d), &mut store),
+        3 => row_tile::<3>(x, rhs_rows::<_, 3>(rhs, stride, j, d), &mut store),
+        4 => row_tile::<4>(x, rhs_rows::<_, 4>(rhs, stride, j, d), &mut store),
+        5 => row_tile::<5>(x, rhs_rows::<_, 5>(rhs, stride, j, d), &mut store),
+        6 => row_tile::<6>(x, rhs_rows::<_, 6>(rhs, stride, j, d), &mut store),
+        7 => row_tile::<7>(x, rhs_rows::<_, 7>(rhs, stride, j, d), &mut store),
         _ => {}
     }
 }
@@ -410,138 +414,74 @@ fn lanes(x: __m256d) -> [f64; 4] {
     ]
 }
 
-/// [`crate::ops::dot_codes_tile`] on a CPU with AVX2 (the caller checks
-/// [`KernelPath::wide_codes`]; this asserts it).
+/// [`crate::ops::dot_codes_tile`] on a CPU with AVX2 and FMA, for query
+/// rows whose sums are exact in `f32` (the caller checks [`KernelPath`] and
+/// `ops::ExactInF32`; this asserts the first): each through
+/// [`exact_code_rows`].
 #[allow(unsafe_code)]
 pub(crate) fn dot_codes_tile<'a>(
     codes: &[i8],
     stride: usize,
-    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f64])>,
 ) {
-    assert!(KernelPath::detect().wide_codes, "dot_codes_tile's wide path needs AVX2");
-    // SAFETY: `dot_codes_tile_avx2`'s only requirement of its caller is the
-    // `avx2` target feature, asserted just above.
-    unsafe { dot_codes_tile_avx2(codes, stride, rows.into_iter()) };
-}
-
-/// Query rows two at a time while the next row has the same shape, each
-/// pair against two code rows per block; a lone query row against four.
-#[target_feature(enable = "avx2")]
-fn dot_codes_tile_avx2<'a>(
-    codes: &[i8],
-    stride: usize,
-    mut rows: impl Iterator<Item = (&'a [f32], &'a mut [f32])>,
-) {
-    let mut next = rows.next();
-    while let Some((qa, oa)) = next.take() {
-        next = rows.next();
-        let n = oa.len();
-        if let Some((qb, ob)) = next.take_if(|(qb, ob)| qb.len() == qa.len() && ob.len() == n) {
-            let mut outs = [oa, ob];
-            let mut t = 0;
-            while t + 2 <= n {
-                dot_codes_run::<2, 2>(codes, stride, [qa, qb], &mut outs, t);
-                t += 2;
-            }
-            if t < n {
-                dot_codes_run::<2, 1>(codes, stride, [qa, qb], &mut outs, t);
-            }
-            next = rows.next();
-        } else {
-            let mut outs = [oa];
-            let mut t = 0;
-            while t + 4 <= n {
-                dot_codes_run::<1, 4>(codes, stride, [qa], &mut outs, t);
-                t += 4;
-            }
-            match n - t {
-                1 => dot_codes_run::<1, 1>(codes, stride, [qa], &mut outs, t),
-                2 => dot_codes_run::<1, 2>(codes, stride, [qa], &mut outs, t),
-                3 => dot_codes_run::<1, 3>(codes, stride, [qa], &mut outs, t),
-                _ => {}
-            }
-        }
+    let path = KernelPath::detect();
+    assert!(path.wide_dot && path.wide_codes, "dot_codes_tile's wide path needs AVX2 and FMA");
+    for (q, out) in rows {
+        debug_assert!(sums_exactly_in_f32(q), "a query row checked exact in f32 is not");
+        // SAFETY: `exact_code_rows`'s only requirement of its caller is the
+        // `avx2` and `fma` target features, asserted just above.
+        unsafe { exact_code_rows(q, codes, stride, out) };
     }
 }
 
-/// `outs[i][t + k] = dot_codes(qs[i], code row t + k)` for `k < T`.
+/// `out[t] = ops::dot_codes(q, code row t)` for a query row whose every
+/// sum against codes is exact in `f32` (`ops::ExactInF32`): eight
+/// code rows at a time, eight codes a chunk, on `f32` lanes with fused
+/// multiply-adds. Every product and partial sum is exact, so this order
+/// gives the one exact sum, which `dot_codes`'s `f64` lanes also reach.
+#[target_feature(enable = "avx2,fma")]
+fn exact_code_rows(q: &[f32], codes: &[i8], stride: usize, out: &mut [f64]) {
+    let d = q.len();
+    let mut t = 0;
+    while t + 8 <= out.len() {
+        let sums = exact_code_tile::<8>(q, rhs_rows::<_, 8>(codes, stride, t, d));
+        for (o, s) in out[t..t + 8].iter_mut().zip(sums) {
+            *o = f64::from(s);
+        }
+        t += 8;
+    }
+    for (t, o) in (t..).zip(&mut out[t..]) {
+        *o = f64::from(exact_code_tile::<1>(q, rhs_rows::<_, 1>(codes, stride, t, d))[0]);
+    }
+}
+
+/// `Σ q · codes[c]` for `C` code rows on eight `f32` lanes each (see
+/// [`exact_code_rows`]).
 #[inline]
-#[target_feature(enable = "avx2")]
-fn dot_codes_run<const Q: usize, const T: usize>(
-    codes: &[i8],
-    stride: usize,
-    qs: [&[f32]; Q],
-    outs: &mut [&mut [f32]; Q],
-    t: usize,
-) {
-    let width = qs[0].len();
-    let mut rows: [&[i8]; T] = [&[]; T];
-    for (k, row) in rows.iter_mut().enumerate() {
-        let at = (t + k) * stride;
-        *row = &codes[at..at + width];
+#[target_feature(enable = "avx2,fma")]
+fn exact_code_tile<const C: usize>(q: &[f32], codes: [&[i8]; C]) -> [f32; C] {
+    let (q8, q_tail) = q.as_chunks::<8>();
+    let n8 = q8.len();
+    let mut c8: [&[[i8; 8]]; C] = [&[]; C];
+    for (c8, c) in c8.iter_mut().zip(&codes) {
+        *c8 = &c.as_chunks::<8>().0[..n8];
     }
-    let sums = dot_codes_block::<Q, T>(qs, rows);
-    for (out, sums) in outs.iter_mut().zip(&sums) {
-        out[t..t + T].copy_from_slice(sums);
-    }
-}
-
-/// `dot_codes(qs[i], codes[t])` for the `Q × T` pairs of equal-width rows:
-/// each code chunk is converted once and used by every query row, the
-/// pairs' sixteen-lane accumulators advance together, and their in-order
-/// lane sums run interleaved, one chain per pair.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn dot_codes_block<const Q: usize, const T: usize>(
-    qs: [&[f32]; Q],
-    codes: [&[i8]; T],
-) -> [[f32; T]; Q] {
-    let width = qs[0].len();
-    let n16 = width / 16;
-    let mut q16: [&[[f32; 16]]; Q] = [&[]; Q];
-    for (q16, q) in q16.iter_mut().zip(&qs) {
-        *q16 = &q.as_chunks::<16>().0[..n16];
-    }
-    let mut c16: [&[[i8; 16]]; T] = [&[]; T];
-    for (c16, c) in c16.iter_mut().zip(&codes) {
-        *c16 = &c.as_chunks::<16>().0[..n16];
-    }
-
-    let mut acc = [[[_mm256_set1_ps(-0.0); 2]; T]; Q];
-    for c in 0..n16 {
-        let mut k = [[_mm256_setzero_ps(); 2]; T];
-        for (k, c16) in k.iter_mut().zip(&c16) {
-            *k = codes16_ps(&c16[c]);
-        }
-        for (acc, q16) in acc.iter_mut().zip(&q16) {
-            let x = load16(&q16[c]);
-            for (acc, k) in acc.iter_mut().zip(&k) {
-                acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(x[0], k[0]));
-                acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(x[1], k[1]));
-            }
+    // From `-0.0`, as `dot_codes`'s lanes: an exact sum of zeros is `-0.0`
+    // only when every term is, in any order.
+    let mut acc = [_mm256_set1_ps(-0.0); C];
+    for i in 0..n8 {
+        let x = load8(&q8[i]);
+        for c in 0..C {
+            acc[c] = _mm256_fmadd_ps(codes8_ps(&c8[c][i]), x, acc[c]);
         }
     }
-
-    let mut lanes = [[[0.0f32; 16]; T]; Q];
-    for (lanes, acc) in lanes.iter_mut().zip(&acc) {
-        for (lanes, &acc) in lanes.iter_mut().zip(acc) {
-            store16(lanes, acc);
-        }
-    }
-    let mut sums = [[-0.0f32; T]; Q];
-    for k in 0..16 {
-        for (sums, lanes) in sums.iter_mut().zip(&lanes) {
-            for (s, lanes) in sums.iter_mut().zip(lanes) {
-                *s += lanes[k];
-            }
-        }
-    }
-    let tail = n16 * 16;
-    for (sums, q) in sums.iter_mut().zip(&qs) {
-        for (s, c) in sums.iter_mut().zip(&codes) {
-            for (&x, &code) in q[tail..].iter().zip(&c[tail..]) {
-                *s += x * f32::from(code);
-            }
+    let mut sums = [0.0f32; C];
+    for ((s, &acc), row) in sums.iter_mut().zip(&acc).zip(&codes) {
+        let mut lanes = [0.0f32; 8];
+        store8(&mut lanes, acc);
+        *s = lanes.iter().fold(-0.0, |s, &x| s + x);
+        for (&x, &code) in q_tail.iter().zip(&row[n8 * 8..]) {
+            *s += x * f32::from(code);
         }
     }
     sums
@@ -1181,15 +1121,6 @@ fn load16(x: &[f32; 16]) -> [__m256; 2] {
     [load8(&x8[0]), load8(&x8[1])]
 }
 
-/// Sixteen `f32` into an array reference, lowest eight first.
-#[inline]
-#[target_feature(enable = "avx")]
-fn store16(x: &mut [f32; 16], v: [__m256; 2]) {
-    let (x8, _) = x.as_chunks_mut::<8>();
-    store8(&mut x8[0], v[0]);
-    store8(&mut x8[1], v[1]);
-}
-
 /// Eight codes, sign-extended and converted to `f32` (exact).
 #[inline]
 #[allow(unsafe_code)]
@@ -1199,14 +1130,6 @@ fn codes8_ps(c: &[i8; 8]) -> __m256 {
     // are in bounds; it has no alignment requirement.
     let raw: __m128i = unsafe { _mm_loadl_epi64(c.as_ptr().cast()) };
     _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw))
-}
-
-/// Sixteen codes as [`codes8_ps`] does eight, lowest eight first.
-#[inline]
-#[target_feature(enable = "avx2")]
-fn codes16_ps(c: &[i8; 16]) -> [__m256; 2] {
-    let (c8, _) = c.as_chunks::<8>();
-    [codes8_ps(&c8[0]), codes8_ps(&c8[1])]
 }
 
 /// Eight bfloat16 values from an array reference, as eight `u16`.

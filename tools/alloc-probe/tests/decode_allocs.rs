@@ -40,7 +40,7 @@
 
 use opal_alloc_probe::{allocations, probe_lock, thread_allocations, CountingAlloc};
 use opal_hw::accelerator::{Accelerator, AcceleratorKind};
-use opal_model::{Model, ModelConfig, QuantScheme};
+use opal_model::{ActFormat, Model, ModelConfig, QuantScheme};
 use opal_serve::faults::FaultKind;
 use opal_serve::{
     DraftSource, KvScheme, SeqStepWork, ServeConfig, ServeEngine, SpecConfig, StepMode,
@@ -111,6 +111,18 @@ fn attach(engine: ServeEngine<'_>) -> ServeEngine<'_> {
     engine.with_accelerator(Accelerator::new(AcceleratorKind::OpalW4A47))
 }
 
+/// The engine's pool is in the format `kv` resolves to on `model`: for
+/// `KvScheme::Exact` on an MX-OPAL model, the K/V site's own codes, so the
+/// probe covers code appends and the code walk, not `f32` rows.
+fn assert_site_pages(model: &Model, engine: &ServeEngine<'_>, kv: KvScheme) {
+    let pool = engine.kv_pool().scheme();
+    assert_eq!(pool, model.kv_scheme(kv), "the engine's pool is not the resolved scheme");
+    let mx_opal = model.scheme().acts.is_some_and(|a| a.format == ActFormat::MxOpal);
+    if kv == KvScheme::Exact && mx_opal {
+        assert!(pool.quantized(), "exact pages on an MX-OPAL model are not site codes");
+    }
+}
+
 fn assert_zero_alloc_decode(scheme: QuantScheme, batch: usize, mode: StepMode) {
     assert_zero_alloc_decode_kv(scheme, KvScheme::Exact, batch, mode, false);
 }
@@ -130,6 +142,7 @@ fn assert_zero_alloc_decode_kv(
     let _serial = probe_lock();
     let model = Model::new(ModelConfig::tiny(), scheme, 7).expect("probe model");
     let mut engine = engine_for_kv(&model, batch, mode, 1, kv);
+    assert_site_pages(&model, &engine, kv);
     if accelerator {
         engine = attach(engine);
     }
@@ -259,24 +272,33 @@ fn multithreaded_pool_dispatch_allocations_are_bounded() {
 /// that rolled a rejected tail back, and their allocations sum to zero.
 #[test]
 fn speculative_decode_steady_state_is_allocation_free() {
-    assert_zero_alloc_speculative(KvScheme::Exact, false);
+    assert_zero_alloc_speculative(QuantScheme::bf16(), KvScheme::Exact, false);
 }
 
 #[test]
 fn kv_mxopal_speculative_decode_steady_state_is_allocation_free() {
-    assert_zero_alloc_speculative(KvScheme::mxopal(), false);
+    assert_zero_alloc_speculative(QuantScheme::bf16(), KvScheme::mxopal(), false);
+}
+
+/// The `spec_lowbatch_closed` shape: W4A4/7 with exact KV, which is the
+/// K/V site's codes — verify passes append codes, the walk reads them and
+/// a rejected tail rolls them back.
+#[test]
+fn site_pages_speculative_decode_steady_state_is_allocation_free() {
+    assert_zero_alloc_speculative(QuantScheme::mxopal_w4a47(), KvScheme::Exact, false);
 }
 
 /// Fused verify passes are priced too.
 #[test]
 fn accelerator_attached_speculative_decode_is_allocation_free() {
-    assert_zero_alloc_speculative(KvScheme::mxopal(), true);
+    assert_zero_alloc_speculative(QuantScheme::bf16(), KvScheme::mxopal(), true);
 }
 
-fn assert_zero_alloc_speculative(kv_scheme: KvScheme, accelerator: bool) {
+fn assert_zero_alloc_speculative(scheme: QuantScheme, kv_scheme: KvScheme, accelerator: bool) {
     let _serial = probe_lock();
-    let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 7).expect("probe model");
+    let model = Model::new(ModelConfig::tiny(), scheme, 7).expect("probe model");
     let mut engine = speculative_engine(&model, kv_scheme);
+    assert_site_pages(&model, &engine, kv_scheme);
     if accelerator {
         engine = attach(engine);
     }
@@ -423,6 +445,7 @@ fn assert_zero_alloc_mixed_steps(scheme: QuantScheme, kv_scheme: KvScheme, accel
         ..ServeConfig::default()
     };
     let mut engine = ServeEngine::new(&model, config);
+    assert_site_pages(&model, &engine, kv_scheme);
     if accelerator {
         engine = attach(engine);
     }
