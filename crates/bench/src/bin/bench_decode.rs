@@ -11,7 +11,9 @@
 //!   `matmul_t_into` with 8 and 4 rows at least 1.3x as many `matvec_into`
 //!   calls; `Log2Softmax::probs_into` within 1.8x `ops::softmax_into` at
 //!   n = 1024; where AVX2 runs, `ops::dot_codes_tile` at least 1.4x sixteen
-//!   per-row `ops::dot_codes` calls on a 16 x 128 page.
+//!   per-row `ops::dot_codes` calls on a 16 x 128 page; on a query whose
+//!   sums may round in `f32` (the tile's portable path), at least 0.15x
+//!   `ops::dot_tile` on the same page as `f32` rows.
 //! - **Results**: prefill and decode tok/s of `seed-sequential`,
 //!   `optimized-1t`, `optimized-4t` (`StepMode::Auto`) and `pool-4t`
 //!   (forced pool dispatch) per model x scheme x batch, and the headline
@@ -268,6 +270,29 @@ fn dot_codes_tile_over_per_row(budget_s: f64) -> f64 {
     tile_rate / per_row_rate
 }
 
+/// Rate of `ops::dot_codes_tile` for a query row whose sums may round in
+/// `f32` (not site-quantized: the bf16 or MinMax models' queries on lossy
+/// code pages, or any query on a host without AVX2 and FMA) — the portable
+/// `f64` loop, one `ops::dot_codes` per code row — over `ops::dot_tile` on
+/// the same 16 x 128 page as `f32` rows, alternating.
+fn portable_code_tile_over_f32_tile(budget_s: f64) -> f64 {
+    let (d, n) = (128usize, 16usize);
+    let q: Vec<f32> = (0..d).map(|j| ((j * 29 % 31) as f32 - 15.0) * 0.07).collect();
+    let codes: Vec<i8> = (0..n * d).map(|j| ((j * 37 + 11) % 255) as i8).collect();
+    let rows: Vec<f32> = codes.iter().map(|&c| f32::from(c)).collect();
+    let (mut sums, mut scores) = (vec![0.0f64; n], vec![0.0f32; n]);
+    let exact = ops::ExactInF32::check([&q[..]]);
+    assert!(exact == ops::ExactInF32::check([&[f32::NAN][..]]), "the query must not be exact");
+    let (code_rate, f32_rate) = alternate(
+        n * d,
+        budget_s,
+        || ops::dot_codes_tile(black_box(&codes), d, [(black_box(&q[..]), &mut sums[..])], exact),
+        || ops::dot_tile(black_box(&rows), d, [(black_box(&q[..]), &mut scores[..])]),
+    );
+    assert!(sums.iter().zip(&scores).all(|(&s, &x)| s as f32 == x));
+    code_rate / f32_rate
+}
+
 /// The proxy's `d_ff x d_model` (344x128) projection and `rows` activation
 /// rows against it.
 fn projection(rows: usize) -> (Matrix, Matrix) {
@@ -468,6 +493,17 @@ fn main() {
          d=128 (got {code_tile_over_rows:.2}x): the cached rows' chains are not interleaved"
     );
 
+    let portable_over_f32 = portable_code_tile_over_f32_tile(budget_s);
+    println!(
+        "ops::dot_codes_tile 16x128, portable path: {portable_over_f32:.2}x ops::dot_tile on f32 \
+         rows"
+    );
+    assert!(
+        portable_over_f32 >= 0.15,
+        "ops::dot_codes_tile's portable path must run at least 0.15x ops::dot_tile on the same \
+         16x128 page as f32 rows (got {portable_over_f32:.2}x)"
+    );
+
     // The tiny unit-test config plus a mid-size Llama proxy (the accuracy
     // benches' stand-in for Llama2-7B) where per-token compute dominates
     // scheduler overhead.
@@ -586,6 +622,7 @@ fn main() {
          \"matrix_kernels\": [\n{}\n  ],\n  \"gemm_over_gemv_344x128\": {{ {} }},\n  \
          \"log2_softmax_over_exact_n1024\": {log2_over_exact:.3},\n  \
          \"dot_codes_tile_over_per_row_16x128\": {code_tile_over_rows:.3},\n  \
+         \"dot_codes_tile_portable_over_dot_tile_16x128\": {portable_over_f32:.3},\n  \
          \"batch16_speedups\": [\n{}\n  ],\n  \"batch16_over_batch1_1t\": \
          {batch16_over_batch1:.3},\n  \"results\": [\n{}\n  ]\n}}\n",
         kernel_json.join(",\n"),

@@ -717,9 +717,10 @@ impl Model {
     /// The page encoder is the site quantizer (same constructor, same
     /// rounding), so such pages hold exactly the values the model computed,
     /// about 3.5× smaller than `f32` rows at 7 bits. A lossy scheme is
-    /// returned as asked. [`Model::begin_decode`] and `opal-serve`'s engine
-    /// build their pools from this; a pool built directly from
-    /// [`KvScheme::Exact`] stores `f32` rows.
+    /// returned as asked. Every pool of the workspace's own is built from
+    /// this, through [`Model::kv_pool`]; a pool built directly from
+    /// [`KvScheme::Exact`] ([`BlockPool::with_scheme`]) stores `f32` rows,
+    /// which is how tests force them.
     pub fn kv_scheme(&self, requested: KvScheme) -> KvScheme {
         match (requested, &self.scheme.acts) {
             (KvScheme::Exact, Some(acts)) => match acts.format {
@@ -737,17 +738,26 @@ impl Model {
         }
     }
 
+    /// A [`BlockPool`] for this model's K/V rows: up to `max_blocks` pages
+    /// of `block_size` rows, `d_model` wide, in [`Model::kv_scheme`] of
+    /// `requested` — so [`KvScheme::Exact`] holds the K/V site's own codes.
+    /// [`Model::begin_decode`] and `opal-serve`'s engine build their pools
+    /// here.
+    ///
+    /// # Panics
+    ///
+    /// As [`BlockPool::with_scheme`].
+    pub fn kv_pool(&self, block_size: usize, max_blocks: usize, requested: KvScheme) -> BlockPool {
+        let scheme = self.kv_scheme(requested);
+        BlockPool::with_scheme(block_size, self.config.d_model, max_blocks, scheme)
+    }
+
     /// Starts a fresh decoding session over a private, unbounded
     /// [`BlockPool`] (block size [`BlockPool::DEFAULT_BLOCK_SIZE`]) in the
-    /// model's exact page format ([`Model::kv_scheme`]).
+    /// model's exact page format ([`Model::kv_pool`]).
     pub fn begin_decode(&self) -> DecodeState {
-        let pool = Arc::new(BlockPool::with_scheme(
-            BlockPool::DEFAULT_BLOCK_SIZE,
-            self.config.d_model,
-            usize::MAX,
-            self.kv_scheme(KvScheme::Exact),
-        ));
-        self.begin_decode_paged(&pool)
+        let pool = self.kv_pool(BlockPool::DEFAULT_BLOCK_SIZE, usize::MAX, KvScheme::Exact);
+        self.begin_decode_paged(&Arc::new(pool))
     }
 
     /// Starts a fresh decoding session whose KV blocks come from `pool` —

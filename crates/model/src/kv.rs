@@ -271,7 +271,10 @@ impl BlockPool {
         Self::with_scheme(block_size, width, max_blocks, KvScheme::Exact)
     }
 
-    /// As [`BlockPool::new`] with an explicit page storage scheme.
+    /// As [`BlockPool::new`] with an explicit page storage scheme, stored
+    /// as given: [`KvScheme::Exact`] is `f32` rows here. A pool for a
+    /// model's K/V comes from [`crate::Model::kv_pool`], which resolves
+    /// `Exact` to the K/V site's own format.
     ///
     /// # Panics
     ///
@@ -584,6 +587,94 @@ fn unpack_nibbles(row: &[i8], lo: usize, out: &mut [i8]) {
 fn segments(lo: usize, hi: usize, qblock: usize) -> impl Iterator<Item = (usize, usize, usize)> {
     (lo / qblock..=(hi - 1) / qblock)
         .map(move |qb| (qb, lo.max(qb * qblock), hi.min((qb + 1) * qblock)))
+}
+
+/// Query rows whose K scores [`Segment::finish_scores`] completes together.
+const QUERY_GROUP: usize = 8;
+
+/// One shared-exponent block's part of a head on a quantized page: the
+/// page, the block, and where the segment's lanes sit.
+struct Segment<'a> {
+    page: &'a QuantPage,
+    /// The shared-exponent block, the blocks per row and the outlier slots
+    /// per block.
+    qb: usize,
+    qpr: usize,
+    nout: usize,
+    /// Lane `j` is block lane `j - base` (wrapping): one unsigned compare
+    /// keeps a slot to the lanes.
+    base: usize,
+}
+
+impl Segment<'_> {
+    /// Calls `f(j, value)` for each live outlier slot of cached row `r`, in
+    /// slot order, whose lane `j` lies below `width`.
+    #[inline]
+    fn row_outliers(&self, r: usize, width: usize, mut f: impl FnMut(usize, Bf16)) {
+        let at = r * self.qpr + self.qb;
+        let so = at * self.nout;
+        let live = so + usize::from(self.page.out_len[at]);
+        for s in so..live {
+            let j = self.base.wrapping_add(usize::from(self.page.out_idx[s]));
+            if j < width {
+                f(j, self.page.out_val[s]);
+            }
+        }
+    }
+
+    /// Finishes the K scores of `M` query rows (`qs`, rows of `width`, the
+    /// head at columns `lo..hi`, lanes counted from `lo`) over the
+    /// segment's `steps.len()` cached rows, from their code sums (`sums`,
+    /// one run of `pitch` per query row): per cached row, each query row's
+    /// sum at the row's power-of-two step (exact), after what earlier
+    /// segments left in `carry` (same layout) unless the segment is the
+    /// head's `first`, then the row's live outlier terms in slot order, all
+    /// in `f64`. The head's `last` segment rounds once and multiplies by
+    /// `scale` into `out` (query row `i`'s scores at `i * out_pitch + at`),
+    /// the others leave the sum in `carry`. The `M` sums stay in registers
+    /// across a row's slots, and each slot is decoded once for all of them.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn finish_scores<const M: usize>(
+        &self,
+        (first, last, scale): (bool, bool, f32),
+        qs: &[f32],
+        (lo, hi, width): (usize, usize, usize),
+        steps: &[f32],
+        sums: &[f64],
+        pitch: usize,
+        carry: &mut [f64],
+        out: &mut [f32],
+        (out_pitch, at): (usize, usize),
+    ) {
+        let mut q: [&[f32]; M] = [&[]; M];
+        for (i, q) in q.iter_mut().enumerate() {
+            *q = &qs[i * width + lo..i * width + hi];
+        }
+        for (r, &step) in steps.iter().enumerate() {
+            let step = f64::from(step);
+            let mut acc = [0.0f64; M];
+            for (i, acc) in acc.iter_mut().enumerate() {
+                *acc = step * sums[i * pitch + r];
+                if !first {
+                    *acc += carry[i * pitch + r];
+                }
+            }
+            self.row_outliers(r, hi - lo, |j, val| {
+                let val = f64::from(val.to_f32());
+                for (acc, q) in acc.iter_mut().zip(&q) {
+                    *acc += f64::from(q[j]) * val;
+                }
+            });
+            for (i, &acc) in acc.iter().enumerate() {
+                if last {
+                    out[i * out_pitch + at + r] = acc as f32 * scale;
+                } else {
+                    carry[i * pitch + r] = acc;
+                }
+            }
+        }
+    }
 }
 
 /// A borrowed view of one quantized KV row and the per-row arithmetic the
@@ -973,7 +1064,9 @@ impl PagedKv {
     /// unpacked once per visit into `scratch`. Each (query row, cached row)
     /// sum then meets its segment's power-of-two step and the segment's
     /// exact bf16 outlier terms in `f64`, carried across the head's segments
-    /// in `scratch` and rounded once at the head's end. Bitwise that is one
+    /// in `scratch` and rounded once at the head's end — per cached row for
+    /// up to eight query rows at once, each outlier slot decoded once for
+    /// them (`Segment::finish_scores`). Bitwise that is one
     /// `ops::dot` per (query row, cached row, head) on exact pages, and the
     /// per-row `QuantRow::dot_range` the tests hold the walk to on quantized
     /// ones — which is `ops::dot` over the decoded rows whenever `dot`'s
@@ -1032,38 +1125,30 @@ impl PagedKv {
                     for (r, step) in steps.iter_mut().enumerate() {
                         *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
                     }
-                    // Head lane `j` is block lane `j - base` (wrapping): one
-                    // unsigned compare keeps a slot to this segment's columns.
                     let base = (qb * qblock).wrapping_sub(lo);
-                    let (first, last) = (s0 == lo, s1 == hi);
-                    let groups = queries().zip(out.chunks_exact_mut(n_heads * len));
-                    let groups = groups.zip(sums.chunks_exact(bs).zip(carry.chunks_exact_mut(bs)));
-                    for ((q, out), (sums, carry)) in groups {
-                        let (q, scores) = (&q[lo..hi], &mut out[at..at + rows]);
-                        let rows = scores.iter_mut().zip(carry.iter_mut());
-                        let rows = rows.zip(sums.iter().zip(&*steps));
-                        for (r, ((score, carry), (&sum, &step))) in rows.enumerate() {
-                            // The block's code sum at its power-of-two step
-                            // (exact), after what earlier segments carried.
-                            let mut acc = f64::from(step) * sum;
-                            if !first {
-                                acc += *carry;
-                            }
-                            let so = (r * qpr + qb) * nout;
-                            let live = so + usize::from(page.out_len[r * qpr + qb]);
-                            let slots = page.out_idx[so..live].iter().zip(&page.out_val[so..live]);
-                            for (&idx, val) in slots {
-                                let j = base.wrapping_add(usize::from(idx));
-                                if j < dh {
-                                    acc += f64::from(q[j]) * f64::from(val.to_f32());
+                    let segment = Segment { page, qb, qpr, nout, base };
+                    let ends = (s0 == lo, s1 == hi, scale);
+                    let (cols, steps, outs) = ((lo, hi, w), &*steps, (n_heads * len, at));
+                    // Up to eight query rows at a time: their sums stay in
+                    // registers while each slot is decoded once for all.
+                    let mut i = 0;
+                    while i < m {
+                        let run = (m - i).min(QUERY_GROUP);
+                        let sums = &sums[i * bs..];
+                        let (carry, out) = (&mut carry[i * bs..], &mut out[i * n_heads * len..]);
+                        let qs = &qs[i * w..];
+                        macro_rules! finish {
+                            ($($rows:literal)*) => {
+                                match run {
+                                    $($rows => segment.finish_scores::<$rows>(
+                                        ends, qs, cols, steps, sums, bs, carry, out, outs,
+                                    ),)*
+                                    _ => unreachable!("a query group holds 1..=8 rows"),
                                 }
-                            }
-                            if last {
-                                *score = acc as f32 * scale;
-                            } else {
-                                *carry = acc;
-                            }
+                            };
                         }
+                        finish!(1 2 3 4 5 6 7 8);
+                        i += run;
                     }
                 }
             }
@@ -1125,33 +1210,18 @@ impl PagedKv {
                     for (r, step) in steps.iter_mut().enumerate() {
                         *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
                     }
-                    // Each live slot of the row's block that falls in this
-                    // segment writes its bf16 value over its lane, where the
-                    // code is 0. Segment lane `j` is block lane `j - base`
-                    // (wrapping), so one unsigned compare keeps the slots of
-                    // this segment's columns.
+                    let base = (qb * qblock).wrapping_sub(s0);
+                    let segment = Segment { page, qb, qpr, nout, base };
+                    let codes = &codes[s0 - lo..];
+                    // The rows are dequantized once for every query row;
+                    // each live slot writes its bf16 value over its lane,
+                    // where the code is 0.
                     let patch = |tile: &mut [f32]| {
-                        if nout == 0 {
-                            return;
-                        }
-                        let slots = page
-                            .out_idx
-                            .chunks_exact(qpr * nout)
-                            .zip(page.out_val.chunks_exact(qpr * nout));
-                        let rows =
-                            tile.chunks_exact_mut(n).zip(slots.zip(page.out_len.chunks_exact(qpr)));
-                        let (so, base) = (qb * nout, (qb * qblock).wrapping_sub(s0));
-                        for (x, ((idx, val), live)) in rows {
-                            let live = so + usize::from(live[qb]);
-                            for (&idx, val) in idx[so..live].iter().zip(&val[so..live]) {
-                                let j = base.wrapping_add(usize::from(idx));
-                                if j < n {
-                                    x[j] = val.to_f32();
-                                }
-                            }
+                        for r in 0..rows {
+                            segment.row_outliers(r, n, |j, value| tile[r * n + j] = value.to_f32());
                         }
                     };
-                    let (codes, tile) = (&codes[s0 - lo..], &mut tile[..rows * n]);
+                    let tile = &mut tile[..rows * n];
                     let rows_of = queries()
                         .map(|weights| &weights[at..at + rows])
                         .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[s0..s1]));

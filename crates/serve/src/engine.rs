@@ -1172,12 +1172,8 @@ impl<'m> ServeEngine<'m> {
             assert!(degraded.batch_pct <= 100, "degraded.batch_pct must be at most 100");
             assert!(degraded.prefill_pct <= 100, "degraded.prefill_pct must be at most 100");
         }
-        let kv_pool = Arc::new(BlockPool::with_scheme(
-            config.block_size,
-            model.config().d_model,
-            config.max_blocks,
-            model.kv_scheme(config.kv_scheme),
-        ));
+        let kv_pool =
+            Arc::new(model.kv_pool(config.block_size, config.max_blocks, config.kv_scheme));
         ServeEngine {
             model,
             accelerator: None,

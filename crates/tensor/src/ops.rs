@@ -220,9 +220,13 @@ pub(crate) fn sums_exactly_in_f32(q: &[f32]) -> bool {
 /// sums are exact in `f32` (`exact`, checked by [`ExactInF32::check`] on
 /// these rows or on rows they are column ranges of: a site-quantized
 /// query) runs, on x86-64 with AVX2 and FMA (detected at run time), on
-/// eight `f32` lanes per code row, eight code rows at a time, with fused
-/// multiply-adds: every partial sum is then exact, so it reaches the same
-/// exact sum as the `f64` lanes.
+/// eight `f32` lanes per (query row, code row) with fused multiply-adds,
+/// up to eight query rows of one shape at a time in register tiles (one
+/// against eight code rows, five against two, ...), each code chunk
+/// converted once for all of them: every partial sum is then exact, so it
+/// reaches the same exact sum as the `f64` lanes. The portable loop runs at
+/// about a quarter of [`dot_tile`]'s rate on the same rows as `f32`
+/// (`bench_decode` prints the ratio).
 ///
 /// # Panics
 ///

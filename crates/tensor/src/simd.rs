@@ -28,14 +28,15 @@
 //! on every other CPU, a CPU with AVX but no FMA included.
 //!
 //! **The attention tile kernels** (AVX2): [`crate::ops::dot_codes_tile`]
-//! for query rows whose sums are exact in `f32` (AVX2 + FMA: eight code
-//! rows at a time on `f32` lanes with fused multiply-adds — every partial
-//! sum is exact, so any order gives the one sum the portable `f64` lanes
-//! reach), and [`crate::ops::axpy_tile`] with each context held in
-//! registers, 64 lanes at a time, across a page's rows — behind
-//! [`crate::ops::axpy_codes_tile`] after it dequantizes a page eight codes
-//! at a time. The V kernels perform the portable loop's operations per
-//! element in its order, none fused.
+//! for query rows whose sums are exact in `f32` (AVX2 + FMA: up to eight
+//! query rows of one shape a block, against the code rows in register
+//! tiles on `f32` lanes with fused multiply-adds, each code chunk converted
+//! once for the block — every partial sum is exact, so any order gives the
+//! one sum the portable `f64` lanes reach), and [`crate::ops::axpy_tile`]
+//! with each context held in registers, 64 lanes at a time, across a
+//! page's rows — behind [`crate::ops::axpy_codes_tile`] after it
+//! dequantizes a page eight codes at a time. The V kernels perform the
+//! portable loop's operations per element in its order, none fused.
 //!
 //! **The W×A integer product** (AVX2 + FMA): [`crate::ops::matmul_codes`]
 //! up to four activation rows at a time against each 16-channel panel of
@@ -74,19 +75,21 @@
 use std::arch::x86_64::{
     __m128, __m128i, __m256, __m256d, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_pd,
     _mm256_add_ps, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
-    _mm256_castpd256_pd128, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128,
-    _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi16_epi32,
-    _mm256_cvtepi32_pd, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_cvtepu16_epi32,
-    _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_extractf128_pd,
-    _mm256_extracti128_si256, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
-    _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_min_ps,
-    _mm256_mul_pd, _mm256_mul_ps, _mm256_or_si256, _mm256_packs_epi32, _mm256_packus_epi32,
-    _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps,
-    _mm256_setr_epi32, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_setzero_si256,
-    _mm256_sign_epi32, _mm256_slli_epi32, _mm256_srli_epi16, _mm256_srli_epi32, _mm256_storeu_ps,
-    _mm256_storeu_si256, _mm256_sub_epi32, _mm256_zeroupper, _mm_cvtsd_f64, _mm_cvtsi128_si32,
-    _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_max_epi32, _mm_packs_epi16,
-    _mm_shuffle_epi32, _mm_storeu_ps, _mm_storeu_si128, _mm_unpackhi_pd, _CMP_UNORD_Q,
+    _mm256_castpd256_pd128, _mm256_castps256_ps128, _mm256_castps_si256, _mm256_castsi256_ps,
+    _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32,
+    _mm256_cvtepi16_epi32, _mm256_cvtepi32_pd, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
+    _mm256_cvtepu16_epi32, _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_cvttps_epi32,
+    _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_extracti128_si256, _mm256_fmadd_pd,
+    _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maddubs_epi16,
+    _mm256_max_epi32, _mm256_min_epi32, _mm256_min_ps, _mm256_mul_pd, _mm256_mul_ps,
+    _mm256_or_si256, _mm256_packs_epi32, _mm256_packus_epi32, _mm256_permute4x64_epi64,
+    _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps, _mm256_setr_epi32,
+    _mm256_setzero_pd, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_sign_epi32,
+    _mm256_slli_epi32, _mm256_srli_epi16, _mm256_srli_epi32, _mm256_storeu_ps, _mm256_storeu_si256,
+    _mm256_sub_epi32, _mm256_zeroupper, _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtsi128_si32,
+    _mm_cvtss_f32, _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_max_epi32, _mm_movehdup_ps,
+    _mm_movehl_ps, _mm_packs_epi16, _mm_shuffle_epi32, _mm_storeu_ps, _mm_storeu_si128,
+    _mm_unpackhi_pd, _CMP_UNORD_Q,
 };
 use std::cell::RefCell;
 
@@ -416,7 +419,7 @@ fn lanes(x: __m256d) -> [f64; 4] {
 
 /// [`crate::ops::dot_codes_tile`] on a CPU with AVX2 and FMA, for query
 /// rows whose sums are exact in `f32` (the caller checks [`KernelPath`] and
-/// `ops::ExactInF32`; this asserts the first): each through
+/// `ops::ExactInF32`; this asserts the first): through
 /// [`exact_code_rows`].
 #[allow(unsafe_code)]
 pub(crate) fn dot_codes_tile<'a>(
@@ -426,65 +429,159 @@ pub(crate) fn dot_codes_tile<'a>(
 ) {
     let path = KernelPath::detect();
     assert!(path.wide_dot && path.wide_codes, "dot_codes_tile's wide path needs AVX2 and FMA");
-    for (q, out) in rows {
-        debug_assert!(sums_exactly_in_f32(q), "a query row checked exact in f32 is not");
-        // SAFETY: `exact_code_rows`'s only requirement of its caller is the
-        // `avx2` and `fma` target features, asserted just above.
-        unsafe { exact_code_rows(q, codes, stride, out) };
-    }
+    // SAFETY: `exact_code_rows`'s only requirement of its caller is the
+    // `avx2` and `fma` target features, asserted just above.
+    unsafe { exact_code_rows(codes, stride, rows.into_iter()) };
 }
 
-/// `out[t] = ops::dot_codes(q, code row t)` for a query row whose every
-/// sum against codes is exact in `f32` (`ops::ExactInF32`): eight
-/// code rows at a time, eight codes a chunk, on `f32` lanes with fused
-/// multiply-adds. Every product and partial sum is exact, so this order
-/// gives the one exact sum, which `dot_codes`'s `f64` lanes also reach.
+/// `out[t] = ops::dot_codes(q, code row t)` for every `(q, out)` of `rows`,
+/// each `q` a query row whose every sum against codes is exact in `f32`
+/// (`ops::ExactInF32`): query rows a block at a time — up to eight of one
+/// shape, as [`dot_rows_avx`] groups them — against the code rows in
+/// register tiles ([`code_tile`]) on `f32` lanes with fused multiply-adds,
+/// each code chunk converted once for the whole block. Every product and
+/// partial sum is exact, so this order gives the one exact sum, which
+/// `dot_codes`'s `f64` lanes also reach.
 #[target_feature(enable = "avx2,fma")]
-fn exact_code_rows(q: &[f32], codes: &[i8], stride: usize, out: &mut [f64]) {
-    let d = q.len();
-    let mut t = 0;
-    while t + 8 <= out.len() {
-        let sums = exact_code_tile::<8>(q, rhs_rows::<_, 8>(codes, stride, t, d));
-        for (o, s) in out[t..t + 8].iter_mut().zip(sums) {
-            *o = f64::from(s);
+fn exact_code_rows<'a>(
+    codes: &[i8],
+    stride: usize,
+    mut rows: impl Iterator<Item = (&'a [f32], &'a mut [f64])>,
+) {
+    let mut next = rows.next();
+    while let Some((q, out)) = next.take() {
+        let (d, n) = (q.len(), out.len());
+        let mut qs: [&[f32]; BLOCK] = [&[]; BLOCK];
+        let mut outs: [&mut [f64]; BLOCK] = Default::default();
+        (qs[0], outs[0]) = (q, out);
+        let mut k = 1;
+        next = rows.next();
+        while k < BLOCK {
+            let Some((q, out)) = next.take_if(|(q, o)| q.len() == d && o.len() == n) else {
+                break;
+            };
+            (qs[k], outs[k]) = (q, out);
+            k += 1;
+            next = rows.next();
         }
-        t += 8;
-    }
-    for (t, o) in (t..).zip(&mut out[t..]) {
-        *o = f64::from(exact_code_tile::<1>(q, rhs_rows::<_, 1>(codes, stride, t, d))[0]);
+        for q in &qs[..k] {
+            debug_assert!(sums_exactly_in_f32(q), "a query row checked exact in f32 is not");
+        }
+        let (qs, outs) = (&qs[..k], &mut outs[..k]);
+        // The `R × C` accumulators, the `C` converted code chunks and one
+        // query chunk fit the sixteen `ymm` registers.
+        match k {
+            8 => by_code_rows::<8, 1>(qs, codes, stride, outs),
+            7 => {
+                let (head, tail) = outs.split_at_mut(4);
+                by_code_rows::<4, 3>(&qs[..4], codes, stride, head);
+                by_code_rows::<3, 3>(&qs[4..], codes, stride, tail);
+            }
+            6 => by_code_rows::<6, 2>(qs, codes, stride, outs),
+            5 => by_code_rows::<5, 2>(qs, codes, stride, outs),
+            4 => by_code_rows::<4, 3>(qs, codes, stride, outs),
+            3 => by_code_rows::<3, 3>(qs, codes, stride, outs),
+            2 => by_code_rows::<2, 4>(qs, codes, stride, outs),
+            _ => by_code_rows::<1, 8>(qs, codes, stride, outs),
+        }
     }
 }
 
-/// `Σ q · codes[c]` for `C` code rows on eight `f32` lanes each (see
-/// [`exact_code_rows`]).
+/// `outs[r][t] = ops::dot_codes(qs[r], code row t)` for a block of `R`
+/// equal-width query rows against the code rows `C` at a time, the rows
+/// left over one at a time.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-fn exact_code_tile<const C: usize>(q: &[f32], codes: [&[i8]; C]) -> [f32; C] {
-    let (q8, q_tail) = q.as_chunks::<8>();
-    let n8 = q8.len();
+fn by_code_rows<const R: usize, const C: usize>(
+    qs: &[&[f32]],
+    codes: &[i8],
+    stride: usize,
+    outs: &mut [&mut [f64]],
+) {
+    let d = qs[0].len();
+    let n = outs[0].len();
+    let mut x: [&[f32]; R] = [&[]; R];
+    x.copy_from_slice(&qs[..R]);
+    let mut t = 0;
+    while t + C <= n {
+        let sums = code_tile::<R, C>(x, rhs_rows::<_, C>(codes, stride, t, d));
+        for (out, sums) in outs.iter_mut().zip(sums) {
+            for (o, s) in out[t..t + C].iter_mut().zip(sums) {
+                *o = f64::from(s);
+            }
+        }
+        t += C;
+    }
+    for t in t..n {
+        let sums = code_tile::<R, 1>(x, rhs_rows::<_, 1>(codes, stride, t, d));
+        for (out, [s]) in outs.iter_mut().zip(sums) {
+            out[t] = f64::from(s);
+        }
+    }
+}
+
+/// `Σ qs[r] · codes[c]` for the `R × C` pairs on eight `f32` lanes each
+/// (see [`exact_code_rows`]): per 8-chunk, each code chunk is converted
+/// once and each query chunk loaded once; the lanes are then summed in a
+/// tree, which is exact like every other order.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+fn code_tile<const R: usize, const C: usize>(qs: [&[f32]; R], codes: [&[i8]; C]) -> [[f32; C]; R] {
+    let n8 = qs[0].len() / 8;
+    // Plain loops and sub-slices of one length, so that the chunk loop
+    // indexes without bounds checks.
+    let mut q8: [&[[f32; 8]]; R] = [&[]; R];
+    for (q8, q) in q8.iter_mut().zip(&qs) {
+        *q8 = &q.as_chunks::<8>().0[..n8];
+    }
     let mut c8: [&[[i8; 8]]; C] = [&[]; C];
     for (c8, c) in c8.iter_mut().zip(&codes) {
         *c8 = &c.as_chunks::<8>().0[..n8];
     }
     // From `-0.0`, as `dot_codes`'s lanes: an exact sum of zeros is `-0.0`
     // only when every term is, in any order.
-    let mut acc = [_mm256_set1_ps(-0.0); C];
+    let mut acc = [[_mm256_set1_ps(-0.0); C]; R];
     for i in 0..n8 {
-        let x = load8(&q8[i]);
-        for c in 0..C {
-            acc[c] = _mm256_fmadd_ps(codes8_ps(&c8[c][i]), x, acc[c]);
+        if R == 1 {
+            // One query row: each code chunk is used once, so it is
+            // converted where it is used rather than held.
+            let x = load8(&q8[0][i]);
+            for k in 0..C {
+                acc[0][k] = _mm256_fmadd_ps(codes8_ps(&c8[k][i]), x, acc[0][k]);
+            }
+            continue;
+        }
+        let mut cv = [_mm256_setzero_ps(); C];
+        for k in 0..C {
+            cv[k] = codes8_ps(&c8[k][i]);
+        }
+        for r in 0..R {
+            let x = load8(&q8[r][i]);
+            for k in 0..C {
+                acc[r][k] = _mm256_fmadd_ps(cv[k], x, acc[r][k]);
+            }
         }
     }
-    let mut sums = [0.0f32; C];
-    for ((s, &acc), row) in sums.iter_mut().zip(&acc).zip(&codes) {
-        let mut lanes = [0.0f32; 8];
-        store8(&mut lanes, acc);
-        *s = lanes.iter().fold(-0.0, |s, &x| s + x);
-        for (&x, &code) in q_tail.iter().zip(&row[n8 * 8..]) {
-            *s += x * f32::from(code);
+    let mut sums = [[0.0f32; C]; R];
+    for r in 0..R {
+        for k in 0..C {
+            let mut s = lane_sum(acc[r][k]);
+            for (&x, &code) in qs[r][n8 * 8..].iter().zip(&codes[k][n8 * 8..]) {
+                s += x * f32::from(code);
+            }
+            sums[r][k] = s;
         }
     }
     sums
+}
+
+/// The sum of the eight lanes of `v`, halves first.
+#[inline]
+#[target_feature(enable = "avx")]
+fn lane_sum(v: __m256) -> f32 {
+    let s = _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
+    let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)))
 }
 
 /// [`crate::ops::axpy_codes_tile`] on a CPU with AVX2 (the caller checks
