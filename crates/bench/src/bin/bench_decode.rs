@@ -422,7 +422,7 @@ fn main() {
     // L0 kernel floor: `ops::dot` against the seed-style dot, same process,
     // alternating slices. Every number below is measured on top of this
     // kernel, so a slow one fails here, by name, before anything else runs.
-    opal_bench::header("Kernel floor (GMAC/s, hot in L1)");
+    println!("\n== Kernel floor (GMAC/s, hot in L1) ==");
     let mut kernel_json = Vec::new();
     for d in [128usize, 512, 4096] {
         let k = kernel_rates(d, budget_s);
@@ -521,7 +521,7 @@ fn main() {
         bench_case(case, new_tokens, seed, &mut rows);
     }
 
-    opal_bench::header("Decode throughput (tokens/sec)");
+    println!("\n== Decode throughput (tokens/sec) ==");
     println!(
         "{:<18} {:<14} {:<16} {:>5} {:>8} {:>14} {:>14}",
         "model", "scheme", "engine", "batch", "threads", "prefill tok/s", "decode tok/s"

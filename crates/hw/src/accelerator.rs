@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn energy_per_token_is_pinned() {
         // `total_j()` bits of the single-token case, per design × model ×
-        // context; the fig/table binaries and the Fig. 8 tests read these.
+        // context; the Fig. 8 tests read these.
         use AcceleratorKind::*;
         let pinned: [(AcceleratorKind, [[u64; 2]; 3]); 4] = [
             (

@@ -39,24 +39,25 @@ impl GemmKernel {
     }
 
     /// Effective-bandwidth derating: narrow 4-bit loads with on-the-fly
-    /// dequantization do not stream at full bus efficiency.
+    /// dequantization to FP16 do not stream at full bus efficiency. The
+    /// iGEMM unpacks to INT8 with shifts only; its efficiency is the one
+    /// value calibrated to Fig. 1 (the Llama2-70B W4A8 bar, 4.0×).
     fn bw_efficiency(&self) -> f64 {
         match self {
             GemmKernel::Hgemm16 => 0.85,
             GemmKernel::HgemmW4 => 0.55,
-            GemmKernel::IgemmW4A8 => 0.70,
+            GemmKernel::IgemmW4A8 => 0.90,
         }
     }
 
-    /// Output-tile width of the kernel. Dequantizing kernels use wider
-    /// tiles to amortize the unpack stage, so a skinny GEMM exposes fewer
-    /// concurrent tiles — the effect that erases the W4A16 win on the
-    /// smallest model in Fig. 1.
+    /// Output-tile width of the kernel. Kernels that unpack 4-bit weights
+    /// use wider tiles to amortize the unpack stage, so a skinny GEMM
+    /// exposes fewer concurrent tiles — the effect that erases most of the
+    /// W4 win on the smaller models in Fig. 1.
     fn tile_n(&self) -> f64 {
         match self {
             GemmKernel::Hgemm16 => 128.0,
-            GemmKernel::HgemmW4 => 256.0,
-            GemmKernel::IgemmW4A8 => 128.0,
+            GemmKernel::HgemmW4 | GemmKernel::IgemmW4A8 => 256.0,
         }
     }
 }

@@ -2,11 +2,12 @@
 //! Table 1 and Table 2.
 //!
 //! We have no WikiText-2/C4 text nor real checkpoints, so perplexity is
-//! measured *teacher-student style* (DESIGN.md §2): the full-precision model
-//! generates an evaluation token stream, and every quantized variant is
-//! scored by its cross-entropy on that same stream. The BF16 row plays the
-//! paper's baseline role; quantization noise raises cross-entropy exactly as
-//! it raises WikiText-2 perplexity in the paper.
+//! measured *teacher-student style* (see the module doc of
+//! `tests/paper_claims.rs`): the full-precision model generates an
+//! evaluation token stream, and every quantized variant is scored by its
+//! cross-entropy on that same stream. The BF16 row plays the paper's
+//! baseline role; quantization noise raises cross-entropy exactly as it
+//! raises WikiText-2 perplexity in the paper.
 
 use opal_tensor::ops;
 use opal_tensor::rng::TensorRng;

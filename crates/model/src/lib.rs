@@ -10,9 +10,9 @@
 //! * OWQ weight calibration/quantization at model build,
 //! * exchangeable exact / log2-based softmax,
 //! * a KV-cache generation loop (the paper targets single-batch generation),
-//! * the perplexity and multiple-choice evaluation proxies used to
-//!   regenerate Table 1 and Table 2 (see `DESIGN.md` for the substitution
-//!   argument).
+//! * the perplexity and multiple-choice evaluation proxies behind Table 1
+//!   and Table 2 (the module doc of `tests/paper_claims.rs` gives the
+//!   substitution argument).
 //!
 //! # Example
 //!

@@ -200,8 +200,8 @@ impl QuantScheme {
         Self::with_acts("W3A3/5 (MX-OPAL)", 3, ActFormat::MxOpal, 3, 5)
     }
 
-    /// `W4A4/7 (MXINT)`: plain microscaling ablation (not a Table 1 row,
-    /// used by the ablation benches).
+    /// `W4A4/7 (MXINT)`: plain microscaling without preserved outliers (not a
+    /// Table 1 row).
     pub fn mxint_w4a47() -> Self {
         Self::with_acts("W4A4/7 (MXINT)", 4, ActFormat::MxInt, 4, 7)
     }
@@ -211,21 +211,6 @@ impl QuantScheme {
         self.softmax = SoftmaxKind::Log2 { bits };
         self.name = format!("{} +log2sm", self.name);
         self
-    }
-
-    /// All Table 1 rows in presentation order.
-    pub fn table1_rows() -> Vec<QuantScheme> {
-        vec![
-            Self::bf16(),
-            Self::owq_w4a16(),
-            Self::minmax_w4a7(),
-            Self::mxopal_w4a7(),
-            Self::minmax_w4a47(),
-            Self::mxopal_w4a47(),
-            Self::owq_w3a16(),
-            Self::minmax_w3a35(),
-            Self::mxopal_w3a35(),
-        ]
     }
 }
 
@@ -251,7 +236,17 @@ mod tests {
 
     #[test]
     fn quantizers_construct() {
-        for s in QuantScheme::table1_rows() {
+        for s in [
+            QuantScheme::bf16(),
+            QuantScheme::owq_w4a16(),
+            QuantScheme::minmax_w4a7(),
+            QuantScheme::mxopal_w4a7(),
+            QuantScheme::minmax_w4a47(),
+            QuantScheme::mxopal_w4a47(),
+            QuantScheme::owq_w3a16(),
+            QuantScheme::minmax_w3a35(),
+            QuantScheme::mxopal_w3a35(),
+        ] {
             if let Some(a) = s.acts {
                 a.low_quantizer().unwrap();
                 a.high_quantizer().unwrap();

@@ -1,11 +1,12 @@
 //! Synthetic model weights with channel-persistent activation outliers.
 //!
-//! We have no access to Llama2/OPT checkpoints (see DESIGN.md §2); instead
-//! the generator below produces a deterministic random transformer whose
-//! activations reproduce the statistical property every LLM quantization
-//! paper is built around: a small, fixed set of hidden channels carries
-//! activation magnitudes tens of times larger than the rest, consistently
-//! across tokens and layers (LLM.int8(), OWQ, and §1 of the OPAL paper).
+//! We have no access to Llama2/OPT checkpoints (see the module doc of
+//! `tests/paper_claims.rs`); instead the generator below produces a
+//! deterministic random transformer whose activations reproduce the
+//! statistical property every LLM quantization paper is built around: a
+//! small, fixed set of hidden channels carries activation magnitudes tens
+//! of times larger than the rest, consistently across tokens and layers
+//! (LLM.int8(), OWQ, and §1 of the OPAL paper).
 //!
 //! The mechanism: the per-channel norm gains of the *same* channel subset
 //! are amplified in every decoder block, so every post-LayerNorm activation

@@ -1,6 +1,5 @@
 //! Quantization-error analysis helpers behind Fig. 3 and Fig. 4.
 
-use opal_numerics::Rounding;
 use opal_tensor::stats::mse;
 
 use crate::{MinMaxQuantizer, MxIntQuantizer, MxOpalQuantizer, QuantError, Quantizer};
@@ -33,8 +32,8 @@ pub struct RelativeMseRow {
 ///
 /// Uses round-to-nearest shifts (one extra adder in hardware), which is
 /// what reproduces the paper's "n = 4 reaches MinMax parity" observation;
-/// see [`relative_mse_row_with_rounding`] to study the bare truncating
-/// shifter of Fig. 2(b).
+/// with the bare truncating shifter of Fig. 2(b) (`with_rounding` on the
+/// quantizers) n = 4 reads about 3× MinMax's error.
 ///
 /// # Errors
 ///
@@ -46,30 +45,12 @@ pub fn relative_mse_row(
     block: usize,
     outlier_counts: &[usize],
 ) -> Result<RelativeMseRow, QuantError> {
-    relative_mse_row_with_rounding(label, x, bits, block, outlier_counts, Rounding::NearestEven)
-}
-
-/// As [`relative_mse_row`] with an explicit shift-rounding mode for the
-/// microscaling formats (MinMax always uses its FP divide-and-round path).
-///
-/// # Errors
-///
-/// Propagates configuration errors from the underlying quantizers.
-pub fn relative_mse_row_with_rounding(
-    label: &str,
-    x: &[f32],
-    bits: u32,
-    block: usize,
-    outlier_counts: &[usize],
-    rounding: Rounding,
-) -> Result<RelativeMseRow, QuantError> {
     let minmax = MinMaxQuantizer::new(bits, block)?;
-    let mxint = MxIntQuantizer::with_rounding(bits, block, rounding)?;
     let base = quantization_mse(&minmax, x).max(f64::MIN_POSITIVE);
-    let mxint_rel = quantization_mse(&mxint, x) / base;
+    let mxint_rel = quantization_mse(&MxIntQuantizer::new(bits, block)?, x) / base;
     let mut mxopal_rel = Vec::with_capacity(outlier_counts.len());
     for &n in outlier_counts {
-        let q = MxOpalQuantizer::with_rounding(bits, block, n, rounding)?;
+        let q = MxOpalQuantizer::new(bits, block, n)?;
         mxopal_rel.push(quantization_mse(&q, x) / base);
     }
     Ok(RelativeMseRow { label: label.to_owned(), minmax_mse: base, mxint_rel, mxopal_rel })

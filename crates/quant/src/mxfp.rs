@@ -4,8 +4,9 @@
 //! both integer elements (MXINT, §2.2 of the paper) and small
 //! *floating-point* elements sharing the same per-block power-of-two scale.
 //! The paper evaluates only the INT variants; this module adds the FP
-//! variants so the format space can be compared head-to-head
-//! (`ablation_formats` bench) — an extension beyond the paper.
+//! variants so the format space can be compared head-to-head through the
+//! common [`Quantizer`] trait — an extension beyond the paper, with no claim
+//! of the paper to check.
 //!
 //! Element encodings follow the OCP MX v1.0 concrete formats:
 //!

@@ -9,7 +9,7 @@
 //! reduces to shift-and-accumulate (Fig. 5(e)).
 //!
 //! This crate provides the exact reference, the bit-exact Eq. (3) datapath,
-//! and the error metrics used for the "<0.4 PPL" claim.
+//! and the KL divergence the "<0.4 PPL" claim is measured with.
 //!
 //! # Example
 //!

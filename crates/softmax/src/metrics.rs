@@ -1,4 +1,6 @@
-//! Error metrics for softmax approximations.
+//! The divergence between two next-token or attention distributions:
+//! softmax approximations against the exact softmax, and quantized models
+//! against their BF16 teacher (the perplexity costs of `tests/paper_claims.rs`).
 
 /// Kullback–Leibler divergence `KL(p ‖ q)` in nats between an exact
 /// probability vector `p` and an (unnormalized) approximation `q`, which is
@@ -24,22 +26,6 @@ pub fn kl_divergence(p: &[f32], q: &[f32]) -> f64 {
     kl.max(0.0)
 }
 
-/// Total variation distance `½ Σ |p_i − q_i|` after normalizing `q`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or `q` sums to zero.
-pub fn total_variation(p: &[f32], q: &[f32]) -> f64 {
-    assert_eq!(p.len(), q.len(), "length mismatch");
-    let qsum: f64 = q.iter().map(|&v| f64::from(v)).sum();
-    assert!(qsum > 0.0, "approximation has no mass");
-    0.5 * p
-        .iter()
-        .zip(q)
-        .map(|(&pi, &qi)| (f64::from(pi) - f64::from(qi) / qsum).abs())
-        .sum::<f64>()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,14 +46,6 @@ mod tests {
         // log2 quantization bounds each log-ratio by ~ln(2)/2 + mantissa
         // slack; the divergence stays well under a nat.
         assert!(kl < 0.25, "kl {kl}");
-    }
-
-    #[test]
-    fn tv_distance_bounds() {
-        let p = exact_softmax(&[0.0, 0.0]);
-        let q = [1.0f32, 0.0];
-        let tv = total_variation(&p, &q);
-        assert!((tv - 0.5).abs() < 1e-6);
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn main() -> Result<(), QuantError> {
     let teacher = Model::new(config.clone(), QuantScheme::bf16(), 1234)?;
 
     // A deterministic "document" sampled from the teacher itself (our
-    // WikiText-2 stand-in; see DESIGN.md §2).
+    // WikiText-2 stand-in; see tests/paper_claims.rs).
     let stream = eval::sample_stream(&teacher, 128, 99);
 
     println!("{:<22} {:>10} {:>8}", "scheme", "PPL", "ΔPPL");

@@ -9,7 +9,7 @@ use opal::{ModelConfig, OpalPipeline, OperatingPoint, QuantError};
 
 fn main() -> Result<(), QuantError> {
     // A runnable proxy of Llama2-7B (same architecture family and outlier
-    // statistics at a laptop-friendly width; see DESIGN.md §2).
+    // statistics at a laptop-friendly width; see tests/paper_claims.rs).
     let config = ModelConfig::llama2_7b().proxy(96, 3, 128);
     println!("model: {} (d={}, {} layers)", config.name, config.d_model, config.n_layers);
 
