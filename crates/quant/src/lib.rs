@@ -39,7 +39,6 @@
 pub mod analysis;
 mod error;
 mod minmax;
-pub mod mxfp;
 mod mxint;
 mod mxopal;
 pub mod overhead;
@@ -62,7 +61,7 @@ pub trait Quantizer {
     /// staging any intermediate state in a caller-owned [`EncodeScratch`].
     ///
     /// This is the one entry point the decode loop calls, a row at a time:
-    /// block-local formats (MinMax, MXFP, MXINT) ignore the workspace and
+    /// block-local formats (MinMax, MXINT) ignore the workspace and
     /// are allocation-free by construction; the tensor-global MX-OPAL
     /// encoder stages its per-block plans in `scratch`, whose buffers grow
     /// to the largest row seen and then carry capacity, never state.

@@ -97,9 +97,8 @@
 //!   `softmax_power_ratio_matches_paper`.
 //! - §5.2, 1.98 s a token for Llama2-70B on OPAL: `crates/hw/src/performance.rs`
 //!   `llama70b_latency_near_paper_anchor` (2.058 s).
-//! - With no number of the paper to compare, so not asserted here: the
-//!   MXFP element formats (`opal_quant::mxfp`), sweeps of n and k beyond
-//!   Fig. 4 and Eq. (1), the W3A3/5 core's size (`core.rs`
+//! - With no number of the paper to compare, so not asserted here: sweeps
+//!   of n and k beyond Fig. 4 and Eq. (1), the W3A3/5 core's size (`core.rs`
 //!   `w3a35_core_is_smaller`), and the context and bandwidth sweeps of the
 //!   energy and latency models.
 //!
