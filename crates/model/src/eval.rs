@@ -102,11 +102,7 @@ pub fn multiple_choice(teacher: &Model, student: &Model, questions: usize, seed:
         let prompt: Vec<u32> = (0..prompt_len).map(|_| rng.index(vocab) as u32).collect();
 
         // Teacher's verdict on the next token.
-        let mut state = teacher.begin_decode();
-        let mut logits = Vec::new();
-        for &t in &prompt {
-            logits = teacher.decode_step(&mut state, t);
-        }
+        let logits = teacher.prefill(&mut teacher.begin_decode(), &prompt);
         let good = ops::argmax(&logits).unwrap_or(0);
         let bad = logits
             .iter()
@@ -121,11 +117,7 @@ pub fn multiple_choice(teacher: &Model, student: &Model, questions: usize, seed:
         asked += 1;
 
         // Student's verdict: which option does it assign more likelihood?
-        let mut s_state = student.begin_decode();
-        let mut s_logits = Vec::new();
-        for &t in &prompt {
-            s_logits = student.decode_step(&mut s_state, t);
-        }
+        let s_logits = student.prefill(&mut student.begin_decode(), &prompt);
         if s_logits[good] >= s_logits[bad] {
             correct += 1;
         }

@@ -340,9 +340,8 @@ pub struct Workspace {
     scores: Vec<f32>,
     /// Their attention weights, laid out like `scores`.
     weights: Vec<f32>,
-    /// The paged-KV walk's scratch: the V tile, the K sums carried across
-    /// the blocks a head straddles, and a nibble-packed page's codes
-    /// unpacked one per byte.
+    /// The paged-KV walk's scratch: the V tile and the K sums carried
+    /// across the blocks a head straddles.
     page: PageScratch,
     /// Final-norm outputs of the rows that want logits, `wanted × d_model`.
     hn: Matrix,
@@ -466,13 +465,10 @@ impl DecodeState {
         self.try_adopt_shared_prefix(prefix, len).expect("incompatible shared prefix");
     }
 
-    /// As [`DecodeState::adopt_shared_prefix`], but returns a typed error
-    /// when the donor blocks are incompatible with this sequence's pool:
-    /// [`AdoptError::SchemeMismatch`] when their page format differs (an
-    /// exact walk cannot read packed codes and vice versa — checked first,
-    /// so mixed-scheme sharing is rejected even across pools), and
-    /// [`AdoptError::ForeignPool`] when they belong to a different
-    /// [`BlockPool`] instance.
+    /// As [`DecodeState::adopt_shared_prefix`], but returns
+    /// [`AdoptError::ForeignPool`] when the donor blocks belong to a
+    /// different [`BlockPool`] instance (a pool has one page format, so
+    /// this covers donors of another format too).
     ///
     /// # Errors
     ///
@@ -493,16 +489,10 @@ impl DecodeState {
         assert!(len > 0, "empty shared prefix");
         assert_eq!(prefix.len(), self.kv.layers.len(), "layer count mismatch");
         let blocks = len.div_ceil(self.kv.pool.block_size());
-        let ours = self.kv.pool.scheme();
         for table in &prefix {
             assert_eq!(table.len(), blocks, "prefix blocks must cover exactly len positions");
-            for b in table {
-                if b.scheme() != ours {
-                    return Err(AdoptError::SchemeMismatch { ours, theirs: b.scheme() });
-                }
-                if !b.from_pool(&self.kv.pool) {
-                    return Err(AdoptError::ForeignPool);
-                }
+            if !table.iter().all(|b| b.from_pool(&self.kv.pool)) {
+                return Err(AdoptError::ForeignPool);
             }
         }
         self.kv.layers = prefix;
@@ -1799,7 +1789,8 @@ mod tests {
                 1..=5,
             ),
         ) {
-            let kv = [KvScheme::Exact, KvScheme::mxopal(), KvScheme::mxopal4()][kv_ix];
+            let low_bits = KvScheme::MxOpal { bits: 4, qblock: 32, outliers: 2 };
+            let kv = [KvScheme::Exact, KvScheme::mxopal(), low_bits][kv_ix];
             let bs = [1usize, 3, 16][bs_ix];
             let outcome = grouping_case(&grouping_models()[scheme_ix], kv, bs, &shapes);
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());

@@ -21,14 +21,14 @@
 //!
 //! * **`f32`** ([`KvScheme::Exact`] as built) — `f32` rows, bit-identical
 //!   to the pre-paged cache, and
-//! * **quantized** — MX-OPAL or MXINT pages holding packed `i8` codes with
-//!   per-quant-block shared exponents (plus bf16 outlier slots for
-//!   MX-OPAL). Rows are encoded once at append time with the
-//!   allocation-free `opal-quant` row encoders, and attention walks them in
-//!   the quantized domain: the q·k inner product runs over integer codes
-//!   with one power-of-two scale multiply per shared-exponent block
-//!   ([`opal_tensor::ops::dot_codes`]), and V aggregation dequantizes on
-//!   the walk.
+//! * **quantized** — MX-OPAL or MXINT pages holding one `i8` per code,
+//!   whatever the code width, with per-quant-block shared exponents (plus
+//!   bf16 outlier slots for MX-OPAL). Rows are encoded once at append
+//!   time with the allocation-free `opal-quant` row encoders, and attention
+//!   walks them in the quantized domain: the q·k inner product runs over
+//!   integer codes with one power-of-two scale multiply per shared-exponent
+//!   block ([`opal_tensor::ops::dot_codes`]), and V aggregation dequantizes
+//!   on the walk.
 //!
 //! A model whose K/V sites are MX-OPAL or MXINT already rounds every K and
 //! V row to that format before caching it, so its exact cache *is* a
@@ -47,12 +47,11 @@
 //! ([`opal_tensor::ops::axpy_tile`] straight off an exact page,
 //! [`opal_tensor::ops::axpy_codes_tile`] from a quantized page dequantized
 //! once into an `f32` tile). A head that straddles shared-exponent blocks
-//! takes one tile call per block it touches, and a nibble-packed page's
-//! codes are unpacked into a byte tile once per visit, so the same byte
-//! tiles serve every quantized format. Bitwise, this is one `ops::dot` (or
-//! quantized dot) and one scaled add per (query row, cached row, head).
-//! Copy-on-write clones packed codes exactly like it clones `f32` rows, so
-//! prefix sharing is format-agnostic.
+//! takes one tile call per block it touches, straight off the page's code
+//! rows. Bitwise, this is one `ops::dot` (or quantized dot) and one scaled
+//! add per (query row, cached row, head). Copy-on-write clones codes
+//! exactly like it clones `f32` rows, so prefix sharing is
+//! format-agnostic.
 //!
 //! Dropping the last `Arc` to a block returns its storage to the pool's
 //! free list, so releasing a sequence (retirement, cancellation, or a
@@ -68,7 +67,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// The scheme is fixed at pool construction: every page the pool hands out
 /// has the same layout, and blocks are only shareable between sequences on
-/// the same pool (see [`AdoptError::SchemeMismatch`]). `Exact` is the
+/// the same pool (see [`AdoptError::ForeignPool`]). `Exact` is the
 /// default and keeps decode bit-identical to the unquantized cache; a
 /// model resolves it to the K/V site's own format
 /// ([`crate::Model::kv_scheme`]), which `Model::begin_decode` and
@@ -88,8 +87,7 @@ pub enum KvScheme {
     /// of `qblock` elements, with the top `outliers` magnitudes per block
     /// preserved exactly in bf16 side slots.
     MxOpal {
-        /// Code width in bits (2..=8; codes at 5..=8 bits occupy one `i8`
-        /// slot each, codes at `<= 4` bits are nibble-packed two per byte).
+        /// Code width in bits (2..=8), one `i8` per code.
         bits: u32,
         /// Elements per shared-exponent block.
         qblock: usize,
@@ -99,66 +97,24 @@ pub enum KvScheme {
     /// MXINT pages: `bits`-bit integer codes over shared-exponent blocks of
     /// `qblock` elements, no outlier slots.
     MxInt {
-        /// Code width in bits (2..=8; codes at 5..=8 bits occupy one `i8`
-        /// slot each, codes at `<= 4` bits are nibble-packed two per byte).
+        /// Code width in bits (2..=8), one `i8` per code.
         bits: u32,
         /// Elements per shared-exponent block.
         qblock: usize,
     },
 }
 
-/// `i8` storage slots behind one row of `width` codes: nibble-packed pages
-/// (`bits <= 4`) hold two codes per byte, wider codes one per byte.
-fn code_slots(bits: u32, width: usize) -> usize {
-    if bits <= 4 {
-        width.div_ceil(2)
-    } else {
-        width
-    }
-}
-
 impl KvScheme {
-    /// The default exact scheme (see [`KvScheme::Exact`]).
-    pub fn exact() -> Self {
-        KvScheme::Exact
-    }
-
     /// The preset MX-OPAL KV scheme: 8-bit codes, 128-element blocks, 4
     /// bf16 outliers per block (~9.2 stored bits per element).
     pub fn mxopal() -> Self {
         KvScheme::MxOpal { bits: 8, qblock: 128, outliers: 4 }
     }
 
-    /// The preset MXINT KV scheme: 8-bit codes, 32-element blocks (~8.8
-    /// stored bits per element).
-    pub fn mxint() -> Self {
-        KvScheme::MxInt { bits: 8, qblock: 32 }
-    }
-
-    /// The preset 4-bit MX-OPAL KV scheme: 4-bit codes nibble-packed two
-    /// per byte, 32-element blocks, 2 bf16 outliers per block (~6.75
-    /// stored bits per element at `width = 128`) — roughly 1.4× smaller
-    /// pages than [`KvScheme::mxopal`] and ~4.7× smaller than `Exact`.
-    pub fn mxopal4() -> Self {
-        KvScheme::MxOpal { bits: 4, qblock: 32, outliers: 2 }
-    }
-
-    /// Whether pages under this scheme store packed codes rather than
+    /// Whether pages under this scheme store integer codes rather than
     /// `f32` rows.
     pub fn quantized(&self) -> bool {
         !matches!(self, KvScheme::Exact)
-    }
-
-    /// Short stable name for reports and bench output (nibble-packed
-    /// variants are named separately so byte-budget tables stay legible).
-    pub fn name(&self) -> &'static str {
-        match self {
-            KvScheme::Exact => "exact",
-            KvScheme::MxOpal { bits: 0..=4, .. } => "mxopal4",
-            KvScheme::MxOpal { .. } => "mxopal",
-            KvScheme::MxInt { bits: 0..=4, .. } => "mxint4",
-            KvScheme::MxInt { .. } => "mxint",
-        }
     }
 
     /// Bytes of storage behind one K *or* V page of `block_size` rows ×
@@ -167,16 +123,15 @@ impl KvScheme {
     pub fn page_bytes(&self, block_size: usize, width: usize) -> usize {
         match *self {
             KvScheme::Exact => block_size * width * std::mem::size_of::<f32>(),
-            KvScheme::MxOpal { bits, qblock, outliers } => {
+            KvScheme::MxOpal { qblock, outliers, .. } => {
                 let qpr = width.div_ceil(qblock);
-                // i8 slot per code (nibble-packed below 5 bits); i16 scale
-                // + u8 outlier count per quant block; (u16 index, bf16
-                // value) per outlier slot.
-                block_size * (code_slots(bits, width) + qpr * 3 + qpr * outliers * 4)
+                // i8 per code; i16 scale + u8 outlier count per quant
+                // block; (u16 index, bf16 value) per outlier slot.
+                block_size * (width + qpr * 3 + qpr * outliers * 4)
             }
-            KvScheme::MxInt { bits, qblock } => {
+            KvScheme::MxInt { qblock, .. } => {
                 let qpr = width.div_ceil(qblock);
-                block_size * (code_slots(bits, width) + qpr * 3)
+                block_size * (width + qpr * 3)
             }
         }
     }
@@ -193,26 +148,15 @@ impl KvScheme {
 /// [`DecodeState::try_adopt_shared_prefix`]: crate::DecodeState::try_adopt_shared_prefix
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdoptError {
-    /// The donor blocks store a different page format than the adopting
-    /// sequence's pool — an exact walk cannot read packed codes and vice
-    /// versa, so sharing across schemes is rejected up front.
-    SchemeMismatch {
-        /// Scheme of the adopting sequence's pool.
-        ours: KvScheme,
-        /// Scheme of the donor block's pool.
-        theirs: KvScheme,
-    },
     /// The donor blocks belong to a different [`BlockPool`] instance, so
-    /// their storage would escape this pool's accounting.
+    /// their storage would escape this pool's accounting. A pool has one
+    /// page format, so this also rejects every block of another format.
     ForeignPool,
 }
 
 impl std::fmt::Display for AdoptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AdoptError::SchemeMismatch { ours, theirs } => {
-                write!(f, "cannot adopt {} KV pages into a {} cache", theirs.name(), ours.name())
-            }
             AdoptError::ForeignPool => write!(f, "shared block from a foreign pool"),
         }
     }
@@ -370,12 +314,11 @@ impl BlockPool {
                 (PageStore::Exact(vec![0.0; cap]), PageStore::Exact(vec![0.0; cap]))
             }
             _ => {
-                let (bits, _, nout) = self.quant_params();
-                let qpr = self.qblocks_per_row();
-                let cw = code_slots(bits, self.width);
+                let (_, _, nout) = self.quant_params();
+                let (w, qpr) = (self.width, self.qblocks_per_row());
                 (
-                    PageStore::Quant(QuantPage::zeroed(self.block_size, cw, qpr, nout)),
-                    PageStore::Quant(QuantPage::zeroed(self.block_size, cw, qpr, nout)),
+                    PageStore::Quant(QuantPage::zeroed(self.block_size, w, qpr, nout)),
+                    PageStore::Quant(QuantPage::zeroed(self.block_size, w, qpr, nout)),
                 )
             }
         }
@@ -413,7 +356,7 @@ impl BlockPool {
     }
 }
 
-/// One page's backing storage: `f32` rows or packed quantized rows.
+/// One page's backing storage: `f32` rows or quantized code rows.
 #[derive(Debug)]
 enum PageStore {
     Exact(Vec<f32>),
@@ -436,7 +379,7 @@ impl PageStore {
         }
     }
 
-    /// The packed rows of a quantized page.
+    /// The code rows of a quantized page.
     #[cfg(test)]
     fn quant(&self) -> &QuantPage {
         match self {
@@ -454,22 +397,13 @@ impl PageStore {
 
     /// Copies the first `rows` rows of `src` into `self` (copy-on-write
     /// body; both pages come from the same pool, hence the same layout).
-    /// `cw` is the `i8` code stride per quantized row (`code_slots`).
-    fn copy_rows_from(
-        &mut self,
-        src: &PageStore,
-        rows: usize,
-        w: usize,
-        cw: usize,
-        qpr: usize,
-        nout: usize,
-    ) {
+    fn copy_rows_from(&mut self, src: &PageStore, rows: usize, w: usize, qpr: usize, nout: usize) {
         match (self, src) {
             (PageStore::Exact(dst), PageStore::Exact(s)) => {
                 dst[..rows * w].copy_from_slice(&s[..rows * w]);
             }
             (PageStore::Quant(dst), PageStore::Quant(s)) => {
-                dst.codes[..rows * cw].copy_from_slice(&s.codes[..rows * cw]);
+                dst.codes[..rows * w].copy_from_slice(&s.codes[..rows * w]);
                 dst.scales[..rows * qpr].copy_from_slice(&s.scales[..rows * qpr]);
                 dst.out_len[..rows * qpr].copy_from_slice(&s.out_len[..rows * qpr]);
                 let slots = rows * qpr * nout;
@@ -481,11 +415,10 @@ impl PageStore {
     }
 }
 
-/// Packed storage for one quantized page: `block_size` rows of `width`
-/// elements, each row split into `qpr` shared-exponent blocks.
+/// Storage for one quantized page: `block_size` rows of `width` elements,
+/// each row split into `qpr` shared-exponent blocks.
 ///
-/// Layout per row: `code_slots(bits, width)` `i8` code slots (one code per
-/// slot, or two nibble-packed codes per byte below 5 bits), `qpr` effective
+/// Layout per row: `width` `i8` codes (one per element), `qpr` effective
 /// `i16` scales (the post-clamp shared exponents the codes were quantized
 /// against; `0` for an all-zero block, whose codes are all `0`), and — for
 /// MX-OPAL — `qpr × nout` fixed outlier slots of `(u16 in-block index,
@@ -502,40 +435,14 @@ struct QuantPage {
 }
 
 impl QuantPage {
-    /// `cw` is the `i8` code stride per row ([`code_slots`]).
-    fn zeroed(rows: usize, cw: usize, qpr: usize, nout: usize) -> Self {
+    fn zeroed(rows: usize, width: usize, qpr: usize, nout: usize) -> Self {
         QuantPage {
-            codes: vec![0; rows * cw],
+            codes: vec![0; rows * width],
             scales: vec![0; rows * qpr],
             out_idx: vec![0; rows * qpr * nout],
             out_val: vec![Bf16::default(); rows * qpr * nout],
             out_len: vec![0; rows * qpr],
         }
-    }
-
-    /// Columns `lo..hi` of the page's first `rows` code rows, one code per
-    /// `i8`, and their row pitch: the page's own slots (pitch `width`) when
-    /// codes are 5..=8 bits, or on a nibble-packed page the codes unpacked
-    /// once into `stage` (pitch `hi - lo`), so that the byte tiles of `ops`
-    /// serve both.
-    fn code_rows<'a>(
-        &'a self,
-        bits: u32,
-        width: usize,
-        (lo, hi): (usize, usize),
-        rows: usize,
-        stage: &'a mut [i8],
-    ) -> (&'a [i8], usize) {
-        if bits > 4 {
-            return (&self.codes[lo..], width);
-        }
-        let n = hi - lo;
-        let stage = &mut stage[..rows * n];
-        let packed = self.codes.chunks_exact(code_slots(bits, width));
-        for (codes, row) in stage.chunks_exact_mut(n).zip(packed) {
-            unpack_nibbles(row, lo, codes);
-        }
-        (stage, n)
     }
 
     /// Row `row` of the page as a borrowed [`QuantRow`] view.
@@ -549,9 +456,8 @@ impl QuantPage {
         bits: u32,
         qblock: usize,
     ) -> QuantRow<'_> {
-        let cw = code_slots(bits, w);
         QuantRow {
-            codes: &self.codes[row * cw..(row + 1) * cw],
+            codes: &self.codes[row * w..(row + 1) * w],
             scales: &self.scales[row * qpr..(row + 1) * qpr],
             out_idx: &self.out_idx[row * qpr * nout..(row + 1) * qpr * nout],
             out_val: &self.out_val[row * qpr * nout..(row + 1) * qpr * nout],
@@ -561,24 +467,6 @@ impl QuantPage {
             qblock,
             nout,
         }
-    }
-}
-
-/// Writes the sign-extended codes `lo..lo + out.len()` of a nibble-packed
-/// row into `out`, one per `i8` (even elements sit in the low nibble, odd
-/// ones in the high nibble).
-fn unpack_nibbles(row: &[i8], lo: usize, out: &mut [i8]) {
-    let skip = (lo % 2).min(out.len());
-    if skip == 1 {
-        out[0] = row[lo / 2] >> 4;
-    }
-    let bytes = &row[(lo + skip) / 2..];
-    let (pairs, tail) = out[skip..].as_chunks_mut::<2>();
-    for (pair, &byte) in pairs.iter_mut().zip(bytes) {
-        *pair = [(byte << 4) >> 4, byte >> 4];
-    }
-    if let [last] = tail {
-        *last = (bytes[pairs.len()] << 4) >> 4;
     }
 }
 
@@ -687,7 +575,6 @@ struct QuantRow<'a> {
     out_idx: &'a [u16],
     out_val: &'a [Bf16],
     out_len: &'a [u8],
-    /// Logical elements per row (`codes` holds `code_slots(bits, width)`).
     width: usize,
     bits: u32,
     qblock: usize,
@@ -696,44 +583,19 @@ struct QuantRow<'a> {
 
 #[cfg(test)]
 impl QuantRow<'_> {
-    /// Whether this row stores two nibble-packed codes per byte.
-    fn packed(&self) -> bool {
-        self.bits <= 4
-    }
-
-    /// The sign-extended code of element `e` of a nibble-packed row (even
-    /// elements in the low nibble, odd in the high nibble).
-    fn packed_code(&self, e: usize) -> i8 {
-        let byte = self.codes[e / 2] as u8;
-        if e.is_multiple_of(2) {
-            ((byte << 4) as i8) >> 4
-        } else {
-            (byte as i8) >> 4
-        }
-    }
-
-    /// The code of element `e`, whatever the row's packing.
-    fn code(&self, e: usize) -> i8 {
-        if self.packed() {
-            self.packed_code(e)
-        } else {
-            self.codes[e]
-        }
-    }
-
     /// q·k over columns `start..start + q.len()` in the quantized domain:
     /// one [`ops::dot_codes`] over each overlapping shared-exponent block's
-    /// codes (unpacked first on a nibble-packed row) and one power-of-two
-    /// scale multiply, plus exact bf16 outlier terms, all summed in `f64`
-    /// from `-0.0` in a fixed order (ascending blocks, then slot order).
+    /// codes and one power-of-two scale multiply, plus exact bf16 outlier
+    /// terms, all summed in `f64` from `-0.0` in a fixed order (ascending
+    /// blocks, then slot order).
     fn dot_range(&self, q: &[f32], start: usize) -> f32 {
         let end = start + q.len();
         debug_assert!(end <= self.width, "column range out of row");
         let mut acc = -0.0f64;
         for (qb, lo, hi) in segments(start, end, self.qblock) {
             let step = step_size(i32::from(self.scales[qb]), self.bits);
-            let codes: Vec<i8> = (lo..hi).map(|e| self.code(e)).collect();
-            acc += f64::from(step) * ops::dot_codes(&q[lo - start..hi - start], &codes);
+            let codes = &self.codes[lo..hi];
+            acc += f64::from(step) * ops::dot_codes(&q[lo - start..hi - start], codes);
             let so = qb * self.nout;
             for slot in so..so + usize::from(self.out_len[qb]) {
                 let idx = qb * self.qblock + usize::from(self.out_idx[slot]);
@@ -754,8 +616,8 @@ impl QuantRow<'_> {
         debug_assert!(end <= self.width, "column range out of row");
         for (qb, lo, hi) in segments(start, end, self.qblock) {
             let step = step_size(i32::from(self.scales[qb]), self.bits);
-            for (c, e) in ctx[lo - start..hi - start].iter_mut().zip(lo..hi) {
-                *c += w * (f32::from(self.code(e)) * step);
+            for (c, &code) in ctx[lo - start..hi - start].iter_mut().zip(&self.codes[lo..hi]) {
+                *c += w * (f32::from(code) * step);
             }
             let so = qb * self.nout;
             for slot in so..so + usize::from(self.out_len[qb]) {
@@ -785,11 +647,6 @@ impl KvBlock {
     /// Whether this block came from `pool`.
     pub fn from_pool(&self, pool: &Arc<BlockPool>) -> bool {
         Arc::ptr_eq(&self.pool, pool)
-    }
-
-    /// The page storage scheme of this block's pool.
-    pub fn scheme(&self) -> KvScheme {
-        self.pool.scheme
     }
 }
 
@@ -823,9 +680,6 @@ pub(crate) struct PageScratch {
     /// The `f64` q·k sum of each (query row, cached row) carried across the
     /// shared-exponent blocks a head straddles: `query rows × block_size`.
     carry: Vec<f64>,
-    /// A nibble-packed page's codes of one head, one per `i8`:
-    /// `block_size × head_dim`.
-    unpacked: Vec<i8>,
 }
 
 impl PageScratch {
@@ -842,7 +696,6 @@ impl PageScratch {
         grow(&mut self.steps, block_size, 0.0);
         grow(&mut self.sums, query_rows * block_size, 0.0);
         grow(&mut self.carry, query_rows * block_size, 0.0);
-        grow(&mut self.unpacked, block_size * head_dim, 0);
     }
 }
 
@@ -865,15 +718,11 @@ pub(crate) struct PagedKv {
     pub(crate) pool: Arc<BlockPool>,
     /// `layers[l]` is layer `l`'s block table.
     pub(crate) layers: Vec<Vec<Arc<KvBlock>>>,
-    /// Reusable `i8` staging row for nibble-packed appends: the row
-    /// encoders emit one code per slot, which is then packed two-per-byte
-    /// into the page. Grows to `width` once and is reused thereafter.
-    stage: Vec<i8>,
 }
 
 impl PagedKv {
     pub(crate) fn new(pool: Arc<BlockPool>, n_layers: usize) -> Self {
-        PagedKv { pool, layers: (0..n_layers).map(|_| Vec::new()).collect(), stage: Vec::new() }
+        PagedKv { pool, layers: (0..n_layers).map(|_| Vec::new()).collect() }
     }
 
     /// Drops every cached row at position `>= len`, returning now-unused
@@ -918,20 +767,17 @@ impl PagedKv {
             // filled so far into a fresh block and divert this sequence's
             // table to it; the shared original stays untouched.
             let w = self.pool.width();
-            let (cw, qpr, nout) = match self.pool.scheme {
-                KvScheme::Exact => (0, 0, 0),
-                _ => {
-                    let (bits, _, nout) = self.pool.quant_params();
-                    (code_slots(bits, w), self.pool.qblocks_per_row(), nout)
-                }
+            let (qpr, nout) = match self.pool.scheme {
+                KvScheme::Exact => (0, 0),
+                _ => (self.pool.qblocks_per_row(), self.pool.quant_params().2),
             };
             // tidy: allow(alloc) -- copy-on-write provisioning, amortized
             let mut fresh = self.pool.alloc();
             {
                 // tidy: allow(panic) -- alloc() returns a fresh Arc with refcount 1
                 let fb = Arc::get_mut(&mut fresh).expect("freshly allocated block is unshared");
-                fb.k.copy_rows_from(&table[bi].k, rows_filled, w, cw, qpr, nout);
-                fb.v.copy_rows_from(&table[bi].v, rows_filled, w, cw, qpr, nout);
+                fb.k.copy_rows_from(&table[bi].k, rows_filled, w, qpr, nout);
+                fb.v.copy_rows_from(&table[bi].v, rows_filled, w, qpr, nout);
             }
             table[bi] = fresh;
         }
@@ -976,29 +822,18 @@ impl PagedKv {
         let r = pos % bs;
         debug_assert!(n > 0 && r + n <= bs, "row span must stay inside one block");
         debug_assert!(k_src.len() == n * w && v_src.len() == n * w, "source row shape mismatch");
-        let (bits, _, nout) = self.pool.quant_params();
+        let (_, _, nout) = self.pool.quant_params();
         let qpr = self.pool.qblocks_per_row();
-        let cw = code_slots(bits, w);
-        let packed = bits <= 4;
         let codec = self.pool.codec;
         let bi = self.provision(layer, pos, r);
-        if packed && self.stage.len() < w {
-            // tidy: allow(alloc) -- one-time staging-row growth per sequence
-            self.stage.resize(w, 0);
-        }
-        let PagedKv { layers, stage, .. } = self;
         // tidy: allow(panic) -- provision() just made the tail block exclusive
-        let block = Arc::get_mut(&mut layers[layer][bi]).expect("tail block made exclusive");
+        let block = Arc::get_mut(&mut self.layers[layer][bi]).expect("tail block made exclusive");
         for (page, src) in [(&mut block.k, k_src), (&mut block.v, v_src)] {
             let page = page.quant_mut();
             for i in 0..n {
-                let (e0, e1) = ((r + i) * cw, (r + i + 1) * cw);
+                let codes = &mut page.codes[(r + i) * w..(r + i + 1) * w];
                 let (q0, q1) = ((r + i) * qpr, (r + i + 1) * qpr);
                 let (s0, s1) = (q0 * nout, q1 * nout);
-                // Nibble-packed pages stage one code per slot, then pack
-                // two-per-byte below.
-                let codes: &mut [i8] =
-                    if packed { &mut stage[..w] } else { &mut page.codes[e0..e1] };
                 match codec {
                     Some(Codec::Opal(q)) => q.encode_row_scratch(
                         &src[i * w..(i + 1) * w],
@@ -1013,13 +848,6 @@ impl PagedKv {
                         q.encode_row(&src[i * w..(i + 1) * w], codes, &mut page.scales[q0..q1])
                     }
                     None => unreachable!("append_rows_quant on an exact pool"),
-                }
-                if packed {
-                    for (slot, pair) in page.codes[e0..e1].iter_mut().zip(stage[..w].chunks(2)) {
-                        let lo = pair[0] as u8 & 0x0F;
-                        let hi = (pair.get(1).copied().unwrap_or(0) as u8) << 4;
-                        *slot = (lo | hi) as i8;
-                    }
                 }
             }
         }
@@ -1060,13 +888,12 @@ impl PagedKv {
     /// scale. A quantized page takes one [`ops::dot_codes_tile`] per (head,
     /// segment), a segment being the part of the head inside one
     /// shared-exponent block (one, unless the head straddles blocks), over
-    /// the page's codes or, on a nibble-packed page, over the head's codes
-    /// unpacked once per visit into `scratch`. Each (query row, cached row)
-    /// sum then meets its segment's power-of-two step and the segment's
-    /// exact bf16 outlier terms in `f64`, carried across the head's segments
-    /// in `scratch` and rounded once at the head's end — per cached row for
-    /// up to eight query rows at once, each outlier slot decoded once for
-    /// them (`Segment::finish_scores`). Bitwise that is one
+    /// the page's codes. Each (query row, cached row) sum then meets its
+    /// segment's power-of-two step and the segment's exact bf16 outlier
+    /// terms in `f64`, carried across the head's segments in `scratch` and
+    /// rounded once at the head's end — per cached row for up to eight
+    /// query rows at once, each outlier slot decoded once for them
+    /// (`Segment::finish_scores`). Bitwise that is one
     /// `ops::dot` per (query row, cached row, head) on exact pages, and the
     /// per-row `QuantRow::dot_range` the tests hold the walk to on quantized
     /// ones — which is `ops::dot` over the decoded rows whenever `dot`'s
@@ -1093,7 +920,7 @@ impl PagedKv {
         debug_assert!(m > 0 && qs.len() == m * w && out.len() == m * n_heads * len, "score shape");
         let queries = || qs.chunks_exact(w);
         let quant = self.quant_geometry();
-        let PageScratch { exact, steps, sums, carry, unpacked, .. } = scratch;
+        let PageScratch { exact, steps, sums, carry, .. } = scratch;
         let (sums, carry) = (&mut sums[..m * bs], &mut carry[..m * bs]);
         if quant.is_some() {
             for (h, exact) in exact[..n_heads].iter_mut().enumerate() {
@@ -1116,11 +943,10 @@ impl PagedKv {
                     }
                     continue;
                 };
-                let (codes, stride) = page.code_rows(bits, w, (lo, hi), rows, unpacked);
                 for (qb, s0, s1) in segments(lo, hi, qblock) {
                     let outs = sums.chunks_exact_mut(bs).map(|o| &mut o[..rows]);
                     let q_rows = queries().map(|q| &q[s0..s1]);
-                    ops::dot_codes_tile(&codes[s0 - lo..], stride, q_rows.zip(outs), exact);
+                    ops::dot_codes_tile(&page.codes[s0..], w, q_rows.zip(outs), exact);
                     let steps = &mut steps[..rows];
                     for (r, step) in steps.iter_mut().enumerate() {
                         *step = step_size(i32::from(page.scales[r * qpr + qb]), bits);
@@ -1167,13 +993,11 @@ impl PagedKv {
     /// The counterpart of [`PagedKv::scores_into`], on the same walk, the
     /// first page writing each context: per head one [`ops::axpy_tile`]
     /// straight off an exact page's rows, or per (head, segment) one
-    /// [`ops::axpy_codes_tile`] that dequantizes the segment's codes (the
-    /// page's own, or on a nibble-packed page the head's, unpacked once per
-    /// visit into `scratch`) by their rows' steps into `scratch`'s tile,
-    /// with their outliers written over their lanes, first. Each context
-    /// element belongs to one segment and sees the same addends in the same
-    /// order as under the per-row `QuantRow::axpy_range`, so the walk is
-    /// bitwise it.
+    /// [`ops::axpy_codes_tile`] that dequantizes the segment's codes by
+    /// their rows' steps into `scratch`'s tile, with their outliers written
+    /// over their lanes, first. Each context element belongs to one segment
+    /// and sees the same addends in the same order as under the per-row
+    /// `QuantRow::axpy_range`, so the walk is bitwise it.
     pub(crate) fn weighted_values_into(
         &self,
         layer: usize,
@@ -1190,7 +1014,7 @@ impl PagedKv {
         debug_assert!(m > 0 && ctx.len() == m * w && weights.len() == m * n_heads * len, "shape");
         let queries = || weights.chunks_exact(n_heads * len);
         let quant = self.quant_geometry();
-        let PageScratch { tile, steps, unpacked, .. } = scratch;
+        let PageScratch { tile, steps, .. } = scratch;
         for (t0, rows, block) in self.pages(layer, len) {
             for h in 0..n_heads {
                 let (lo, hi) = (h * dh, (h + 1) * dh);
@@ -1203,7 +1027,6 @@ impl PagedKv {
                     ops::axpy_tile(&block.v.exact()[lo..], w, rows_of, t0 == 0);
                     continue;
                 };
-                let (codes, stride) = page.code_rows(bits, w, (lo, hi), rows, unpacked);
                 for (qb, s0, s1) in segments(lo, hi, qblock) {
                     let n = s1 - s0;
                     let steps = &mut steps[..rows];
@@ -1212,7 +1035,6 @@ impl PagedKv {
                     }
                     let base = (qb * qblock).wrapping_sub(s0);
                     let segment = Segment { page, qb, qpr, nout, base };
-                    let codes = &codes[s0 - lo..];
                     // The rows are dequantized once for every query row;
                     // each live slot writes its bf16 value over its lane,
                     // where the code is 0.
@@ -1225,7 +1047,8 @@ impl PagedKv {
                     let rows_of = queries()
                         .map(|weights| &weights[at..at + rows])
                         .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[s0..s1]));
-                    ops::axpy_codes_tile(codes, stride, steps, patch, tile, rows_of, t0 == 0);
+                    let codes = &page.codes[s0..];
+                    ops::axpy_codes_tile(codes, w, steps, patch, tile, rows_of, t0 == 0);
                 }
             }
         }
@@ -1393,14 +1216,14 @@ mod tests {
                     let mut onehot = vec![0.0f32; w];
                     onehot[j] = 1.0;
                     let got = qrow.dot_range(&onehot, 0);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{} col {j}", scheme.name());
+                    assert_eq!(got.to_bits(), want.to_bits(), "{scheme:?} col {j}");
                 }
                 // axpy_range with weight 1 into a zero context dequantizes
                 // the whole row.
                 let mut ctx = vec![0.0f32; w];
                 qrow.axpy_range(1.0, 0, &mut ctx);
                 for (j, (&got, &want)) in ctx.iter().zip(&reference).enumerate() {
-                    assert!((got - want).abs() < 1e-6, "{} col {j}", scheme.name());
+                    assert!((got - want).abs() < 1e-6, "{scheme:?} col {j}");
                 }
             }
         }
@@ -1435,28 +1258,30 @@ mod tests {
         // over its own causal prefix, the context written from `+0.0`:
         // every page format on the one page walk — exact pages, heads that
         // fit their shared-exponent blocks (the served proxy's one 128-wide
-        // head under `mxopal()` included), heads that straddle blocks (that
-        // head under `mxint()`'s 32-wide blocks; `qblock` 8 under 12-wide
-        // heads), heads that share a block, and nibble-packed pages (heads
-        // at odd columns of an odd-width row included) — pages of one row,
-        // groups that start and end inside pages and cross page edges, and
-        // weights that are exactly zero.
+        // head under `mxopal()` and MXINT-4/7's site pages included), heads
+        // that straddle blocks (that head under 32-wide blocks; `qblock` 8
+        // under 12-wide heads), heads that share a block, and codes of 4
+        // bits or fewer (heads at odd columns of an odd-width row included)
+        // — pages of one row, groups that start and end inside pages and
+        // cross page edges, and weights that are exactly zero.
+        let mxint_site = KvScheme::MxInt { bits: 7, qblock: 128 };
+        let low_bits = KvScheme::MxOpal { bits: 4, qblock: 32, outliers: 2 };
         let straddling = KvScheme::MxOpal { bits: 8, qblock: 8, outliers: 2 };
         let shared_block = KvScheme::MxOpal { bits: 6, qblock: 16, outliers: 3 };
-        let packed_odd = KvScheme::MxOpal { bits: 4, qblock: 8, outliers: 2 };
-        let packed_int = KvScheme::MxInt { bits: 3, qblock: 16 };
+        let low_odd = KvScheme::MxOpal { bits: 4, qblock: 8, outliers: 2 };
+        let low_int = KvScheme::MxInt { bits: 3, qblock: 16 };
         for (w, n_heads, scheme) in [
             (128usize, 4usize, KvScheme::Exact),
             (128, 1, KvScheme::Exact),
             (128, 4, KvScheme::mxopal()),
-            (128, 4, KvScheme::mxint()),
-            (128, 4, KvScheme::mxopal4()),
+            (128, 4, mxint_site),
+            (128, 4, low_bits),
             (128, 1, KvScheme::mxopal()),
-            (128, 1, KvScheme::mxint()),
+            (128, 1, KvScheme::MxInt { bits: 8, qblock: 32 }),
             (24, 2, straddling),
             (24, 3, shared_block),
-            (27, 3, packed_odd),
-            (24, 2, packed_int),
+            (27, 3, low_odd),
+            (24, 2, low_int),
         ] {
             let dh = w / n_heads;
             for bs in [1usize, 3, 16] {
@@ -1485,7 +1310,7 @@ mod tests {
                 }
                 // The V tile *writes* an outlier over its lane, which the
                 // per-row walk *adds* to: the same bits only because the
-                // encoder leaves code 0 under every live slot, packed or not.
+                // encoder leaves code 0 under every live slot.
                 if scheme.quantized() {
                     for row in (0..40).flat_map(|pos| [qrow(&kv, pos, false), qrow(&kv, pos, true)])
                     {
@@ -1494,7 +1319,7 @@ mod tests {
                                 &row.out_idx[qb * row.nout..qb * row.nout + usize::from(live)]
                             {
                                 let lane = qb * row.qblock + usize::from(idx);
-                                assert_eq!(row.code(lane), 0, "{}: outlier lane", scheme.name());
+                                assert_eq!(row.codes[lane], 0, "{scheme:?}: outlier lane");
                             }
                         }
                     }
@@ -1502,8 +1327,7 @@ mod tests {
                 for (pos0, m) in
                     [(0usize, 1usize), (4, 1), (36, 1), (0, 2), (14, 2), (15, 5), (0, 9), (28, 9)]
                 {
-                    let what =
-                        format!("{} w {w} heads {n_heads} bs {bs} at {pos0} x {m}", scheme.name());
+                    let what = format!("{scheme:?} w {w} heads {n_heads} bs {bs} at {pos0} x {m}");
                     let len = pos0 + m;
                     let qs: Vec<f32> = (0..m).flat_map(|i| test_row(w, 77 + i as u32)).collect();
                     let mut scores = vec![f32::NAN; m * n_heads * len];
@@ -1514,7 +1338,6 @@ mod tests {
                     scratch.steps.fill(f32::NAN);
                     scratch.sums.fill(f64::NAN);
                     scratch.carry.fill(f64::NAN);
-                    scratch.unpacked.fill(0x55);
                     kv.scores_into(0, pos0, &qs, n_heads, 0.25, &mut scratch, &mut scores);
                     let weights: Vec<f32> = (0..m * n_heads * len)
                         .map(|x| match (x % len, x / (n_heads * len)) {
@@ -1586,26 +1409,9 @@ mod tests {
         kv.append_rows_quant(0, 1, 1, &r1, &r1, &mut enc);
         assert!(!Arc::ptr_eq(&donor, &kv.layers[0][0]), "table must divert to the copy");
         assert_eq!(donor.k.quant().codes, donor_codes, "donor codes must be untouched");
-        // Row 0 of the copy matches the donor's row 0 (4-bit pages pack
-        // two codes per byte, so the row stride is w / 2).
-        let cw = code_slots(4, w);
-        assert_eq!(&kv.layers[0][0].k.quant().codes[..cw], &donor_codes[..cw]);
+        // Row 0 of the copy matches the donor's row 0.
+        assert_eq!(&kv.layers[0][0].k.quant().codes[..w], &donor_codes[..w]);
         assert_eq!(p.in_use(), 2);
-    }
-
-    #[test]
-    fn packed_pages_halve_code_storage() {
-        let w = 128;
-        let four = KvScheme::mxopal4();
-        let eight = KvScheme::mxopal();
-        assert!(four.page_bytes(16, w) < eight.page_bytes(16, w));
-        // 64 code bytes + 4 qblocks × (3 metadata + 2 outliers × 4) bytes.
-        assert_eq!(four.page_bytes(1, w), 64 + 4 * 3 + 4 * 2 * 4);
-        assert_eq!(four.name(), "mxopal4");
-        assert_eq!(KvScheme::MxInt { bits: 4, qblock: 8 }.name(), "mxint4");
-        // The preset validates: a pool constructs without panicking.
-        let _ = quant_pool(four, 2, w);
-        assert!(four.bits_per_element(w) < 7.0, "{}", four.bits_per_element(w));
     }
 
     #[test]
@@ -1650,7 +1456,7 @@ mod tests {
 
     #[test]
     fn packed_append_spanning_blocks_roundtrips() {
-        // Multi-row appends + packed storage + odd width (straggler nibble).
+        // Multi-row appends of 4-bit codes, odd width.
         let w = 9;
         let scheme = KvScheme::MxInt { bits: 4, qblock: 4 };
         let p = quant_pool(scheme, 4, w);

@@ -162,17 +162,24 @@ fn shared_prefix_is_bit_identical_and_copy_on_write() {
 /// Quantized KV pages trade bits for capacity, so their logits are *not*
 /// compared against the exact cache — the contract is determinism with
 /// themselves: every prefill chunking and block size must walk the same
-/// packed codes in the same order and produce identical bits.
+/// codes in the same order and produce identical bits. MXINT-4/7's site
+/// pages run here too, through the model's resolved pool.
 #[test]
 fn quantized_kv_decode_is_bit_deterministic_across_chunkings() {
     let prompt: Vec<u32> = (0..11u32).map(|i| (i * 19 + 2) % 64).collect();
-    for kv in [KvScheme::mxopal(), KvScheme::mxint(), KvScheme::mxopal4()] {
-        let model = Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 42).expect("valid scheme");
-        let d = model.config().d_model;
+    let low_bits = KvScheme::MxOpal { bits: 4, qblock: 32, outliers: 2 };
+    for (scheme, kv) in [
+        (QuantScheme::bf16(), KvScheme::mxopal()),
+        (QuantScheme::mxint_w4a47(), KvScheme::Exact),
+        (QuantScheme::bf16(), low_bits),
+    ] {
+        let model = Model::new(ModelConfig::tiny(), scheme, 42).expect("valid scheme");
         let vocab = model.config().vocab;
+        let kv = model.kv_scheme(kv);
+        assert!(kv.quantized(), "{kv:?}");
 
         // Reference run: default block size, whole-prompt prefill.
-        let pool = Arc::new(BlockPool::with_scheme(16, d, usize::MAX, kv));
+        let pool = Arc::new(model.kv_pool(16, usize::MAX, kv));
         let mut ref_state = model.begin_decode_paged(&pool);
         let mut ref_logits = vec![0.0f32; vocab];
         model.prefill_into(&mut ref_state, &prompt, &mut ref_logits);
@@ -185,7 +192,7 @@ fn quantized_kv_decode_is_bit_deterministic_across_chunkings() {
         }
 
         for (block_size, chunk) in [(16usize, 1usize), (16, 3), (3, 1), (3, 16), (5, 4)] {
-            let pool = Arc::new(BlockPool::with_scheme(block_size, d, usize::MAX, kv));
+            let pool = Arc::new(model.kv_pool(block_size, usize::MAX, kv));
             let mut state = model.begin_decode_paged(&pool);
             let mut logits = vec![0.0f32; vocab];
             for piece in prompt.chunks(chunk) {
@@ -193,16 +200,14 @@ fn quantized_kv_decode_is_bit_deterministic_across_chunkings() {
             }
             assert!(
                 logits.iter().zip(&ref_stream[0]).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{} bs={block_size} chunk={chunk}: prompt logits diverged",
-                kv.name()
+                "{kv:?} bs={block_size} chunk={chunk}: prompt logits diverged"
             );
             let mut token = ops::argmax(&logits).unwrap_or(0) as u32;
             for (step, reference) in ref_stream[1..].iter().enumerate() {
                 model.decode_step_into(&mut state, token, &mut logits);
                 assert!(
                     logits.iter().zip(reference).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{} bs={block_size} chunk={chunk}: decode diverged at step {step}",
-                    kv.name()
+                    "{kv:?} bs={block_size} chunk={chunk}: decode diverged at step {step}"
                 );
                 token = ops::argmax(&logits).unwrap_or(0) as u32;
             }
@@ -211,7 +216,7 @@ fn quantized_kv_decode_is_bit_deterministic_across_chunkings() {
 }
 
 /// Copy-on-write must hold on quantized pages too: a sharer's divergent
-/// write into an adopted partial block copies the packed codes, and the
+/// write into an adopted partial block copies the codes, and the
 /// donor's continued decode stays bit-equal to a from-scratch replay.
 #[test]
 fn quantized_shared_prefix_cow_leaves_donor_unaffected() {
@@ -274,8 +279,9 @@ fn quantized_shared_prefix_cow_leaves_donor_unaffected() {
 }
 
 /// A quantized cache must refuse to adopt exact pages and vice versa —
-/// typed error, state unchanged — and same-scheme blocks from a foreign
-/// pool are rejected too.
+/// typed error, state unchanged. A pool has one page format, so blocks of
+/// another format come from another pool: `ForeignPool` rejects them, as
+/// it rejects same-scheme blocks from a foreign pool.
 #[test]
 fn mixed_scheme_adoption_is_rejected_both_ways() {
     let block_size = 4;
@@ -300,7 +306,7 @@ fn mixed_scheme_adoption_is_rejected_both_ways() {
     let mut adopter = model.begin_decode_paged(&pool_quant);
     assert_eq!(
         adopter.try_adopt_shared_prefix(table(&exact_donor), prompt.len()),
-        Err(AdoptError::SchemeMismatch { ours: quant, theirs: KvScheme::Exact })
+        Err(AdoptError::ForeignPool)
     );
     assert_eq!(adopter.pos(), 0, "failed adoption must leave the state untouched");
 
@@ -308,7 +314,7 @@ fn mixed_scheme_adoption_is_rejected_both_ways() {
     let mut adopter = model.begin_decode_paged(&pool_exact);
     assert_eq!(
         adopter.try_adopt_shared_prefix(table(&quant_donor), prompt.len()),
-        Err(AdoptError::SchemeMismatch { ours: KvScheme::Exact, theirs: quant })
+        Err(AdoptError::ForeignPool)
     );
     assert_eq!(adopter.pos(), 0);
 

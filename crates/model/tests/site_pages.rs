@@ -1,9 +1,10 @@
 //! `KvScheme::Exact` on a model with MX activation sites caches K and V in
 //! the site's own format: the codes the K/V site quantizer made, not their
 //! `f32` images. That must not move a bit: the served proxies under
-//! W4A4/7, W3A3/5 and MXINT-4/7 give the same logits over a 200-token
-//! prompt and 64 greedy steps on their resolved pages as on forced `f32`
-//! pages (a pool built straight from `KvScheme::Exact`).
+//! W4A4/7, W3A3/5 and MXINT-4/7, and the §4.1 inverted placements A7/4
+//! and A5/3 (4- and 3-bit K/V codes), give the same logits over a
+//! 200-token prompt and 64 greedy steps on their resolved pages as on
+//! forced `f32` pages (a pool built straight from `KvScheme::Exact`).
 
 use std::sync::Arc;
 
@@ -28,6 +29,16 @@ fn greedy_logits(model: &Model, mut state: DecodeState) -> Vec<Vec<f32>> {
     all
 }
 
+/// W4A4/7 with the activation widths swapped to `low`/`high` bits, as
+/// `tests/paper_claims.rs::mixed_precision_placement` builds it.
+fn placement(low: u32, high: u32) -> QuantScheme {
+    let mut scheme = QuantScheme::mxopal_w4a47();
+    let acts = scheme.acts.as_mut().expect("MX-OPAL activations");
+    (acts.low_bits, acts.high_bits) = (low, high);
+    scheme.name = format!("W4A{low}/{high}");
+    scheme
+}
+
 #[test]
 fn exact_resolves_to_site_pages_with_the_logits_of_f32_pages() {
     for (scheme, site) in [
@@ -40,6 +51,8 @@ fn exact_resolves_to_site_pages_with_the_logits_of_f32_pages() {
             KvScheme::MxOpal { bits: 5, qblock: 128, outliers: 4 },
         ),
         (QuantScheme::mxint_w4a47(), KvScheme::MxInt { bits: 7, qblock: 128 }),
+        (placement(7, 4), KvScheme::MxOpal { bits: 4, qblock: 128, outliers: 4 }),
+        (placement(5, 3), KvScheme::MxOpal { bits: 3, qblock: 128, outliers: 4 }),
     ] {
         let name = scheme.name.clone();
         let model = proxy(scheme);

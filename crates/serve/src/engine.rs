@@ -269,12 +269,12 @@ pub struct ServeConfig {
     /// result). The default [`KvScheme::Exact`] keeps decode bit-identical
     /// to the unpaged cache, in the K/V site's own format: on an MX-OPAL or
     /// MXINT model that is the site's codes (~3.5× smaller than `f32`
-    /// rows), on bf16 and MinMax models `f32` rows. [`KvScheme::mxopal`] /
-    /// [`KvScheme::mxint`] store packed shared-exponent codes of their own
-    /// — ~3.5× smaller than `f32` pages — and attention runs in the
-    /// quantized domain (bit-deterministic, accuracy-bounded against the
-    /// exact cache). Prefix sharing works identically in either mode, but
-    /// blocks never cross schemes.
+    /// rows), on bf16 and MinMax models `f32` rows. [`KvScheme::mxopal`]
+    /// stores shared-exponent codes of its own — ~3.5× smaller than `f32`
+    /// pages — and attention runs in the quantized domain
+    /// (bit-deterministic, accuracy-bounded against the exact cache).
+    /// Prefix sharing works identically in either mode, but blocks never
+    /// leave their pool.
     pub kv_scheme: KvScheme,
     /// Exact-prefix KV sharing: requests whose token prefix matches blocks
     /// already resident adopt them read-only and skip that span's prefill.

@@ -35,16 +35,18 @@ const MODES: [StepMode; 2] = [StepMode::Auto, StepMode::ForcePool];
 /// must reproduce the single-threaded uncontended run bit-for-bit, and a
 /// pool small enough to force preemption must resume every sequence onto
 /// re-encoded pages without changing a token — including a
-/// temperature-sampled request whose RNG crosses the preemption.
+/// temperature-sampled request whose RNG crosses the preemption. The pages
+/// are `mxopal()`'s on the W4A4/7 model and MXINT-4/7's own site pages.
 #[test]
 fn quantized_kv_is_deterministic_across_modes_threads_and_preemption() {
     let p = pipeline();
+    let mxint = Model::new(ModelConfig::tiny(), QuantScheme::mxint_w4a47(), 42).expect("valid");
     let prompts: Vec<Vec<u32>> =
         (0..4u32).map(|i| (0..8).map(|j| (i * 17 + j * 3 + 1) % 64).collect()).collect();
     let n = 6;
     let sampled = SamplingParams { sampler: Sampler::Temperature(1.0), seed: 7 };
 
-    let run = |kv: KvScheme, max_blocks: usize, mode: StepMode, threads: usize| {
+    let run = |model: &Model, kv: KvScheme, max_blocks: usize, mode: StepMode, threads: usize| {
         let config = ServeConfig {
             max_batch: 4,
             max_tokens: n,
@@ -55,7 +57,7 @@ fn quantized_kv_is_deterministic_across_modes_threads_and_preemption() {
             kv_scheme: kv,
             ..ServeConfig::default()
         };
-        let mut engine = ServeEngine::new(p.student(), config);
+        let mut engine = ServeEngine::new(model, config);
         let mut ids = Vec::new();
         for (i, pr) in prompts.iter().enumerate() {
             let mut req = Request::new(pr).with_limit(n);
@@ -70,31 +72,29 @@ fn quantized_kv_is_deterministic_across_modes_threads_and_preemption() {
         (tokens, report.preemptions)
     };
 
-    for kv in [KvScheme::mxopal(), KvScheme::mxint()] {
-        let (reference, baseline_preemptions) = run(kv, usize::MAX, StepMode::Auto, 1);
+    for (model, kv) in [(p.student(), KvScheme::mxopal()), (&mxint, KvScheme::Exact)] {
+        let kv = model.kv_scheme(kv);
+        assert!(kv.quantized(), "{kv:?}");
+        let (reference, baseline_preemptions) = run(model, kv, usize::MAX, StepMode::Auto, 1);
         assert_eq!(baseline_preemptions, 0, "an unbounded pool must never preempt");
         for tokens in &reference {
             assert_eq!(tokens.len(), n);
         }
         for mode in MODES {
             for threads in [1usize, 4] {
-                let (uncontended, _) = run(kv, usize::MAX, mode, threads);
+                let (uncontended, _) = run(model, kv, usize::MAX, mode, threads);
                 assert_eq!(
-                    uncontended,
-                    reference,
-                    "{} {mode:?} threads={threads} diverged uncontended",
-                    kv.name()
+                    uncontended, reference,
+                    "{kv:?} {mode:?} threads={threads} diverged uncontended"
                 );
                 // 12 blocks can hold barely more than one sequence's worst
                 // case (same block geometry as the exact cache), so
                 // concurrent progress forces preempt→resume cycles.
-                let (pressured, preemptions) = run(kv, 12, mode, threads);
+                let (pressured, preemptions) = run(model, kv, 12, mode, threads);
                 assert!(preemptions > 0, "a 12-block pool must preempt under this load");
                 assert_eq!(
-                    pressured,
-                    reference,
-                    "{} {mode:?} threads={threads}: preemption changed quantized output",
-                    kv.name()
+                    pressured, reference,
+                    "{kv:?} {mode:?} threads={threads}: preemption changed quantized output"
                 );
             }
         }
@@ -224,9 +224,7 @@ fn quantized_pages_shrink_pool_bytes_per_token() {
     let config = ModelConfig::llama2_7b().proxy(128, 4, 192);
     let exact = pool_bytes_per_token(&config, KvScheme::Exact);
     let q8 = pool_bytes_per_token(&config, KvScheme::mxopal());
-    let q4 = pool_bytes_per_token(&config, KvScheme::mxopal4());
     assert!(exact / q8 >= 3.0, "mxopal pages: {q8} B/token against {exact} exact");
-    assert!(q4 < q8, "mxopal4 pages: {q4} B/token, not below mxopal's {q8}");
 }
 
 /// `KvScheme::Exact` builds the pool in the K/V site's own format: the
@@ -278,16 +276,15 @@ fn peak_resident(model: &Model, kv_scheme: KvScheme, max_blocks: usize) -> usize
 
 /// One KV byte budget, translated into each scheme's block bound. A
 /// request takes 4 blocks a layer (64 positions), so the exact cache parks
-/// 3 sequences where the same bytes hold 3.5x the 8-bit blocks and ~4.7x
-/// the 4-bit ones. The three drains run on their own threads (they are
-/// slow unoptimized).
+/// 3 sequences where the same bytes hold 3.5x the 8-bit blocks. The two
+/// drains run on their own threads (they are slow unoptimized).
 #[test]
 fn quantized_pages_hold_more_sequences_at_one_byte_budget() {
     let model = &proxy();
     let (n_layers, d) = (model.config().n_layers, model.config().d_model);
     let budget_bytes = n_layers * 12 * 2 * KvScheme::Exact.page_bytes(BLOCK, d);
-    let [exact, q8, q4] = std::thread::scope(|s| {
-        [KvScheme::Exact, KvScheme::mxopal(), KvScheme::mxopal4()]
+    let [exact, q8] = std::thread::scope(|s| {
+        [KvScheme::Exact, KvScheme::mxopal()]
             .map(|scheme| {
                 let max_blocks = budget_bytes / (2 * scheme.page_bytes(BLOCK, d));
                 s.spawn(move || peak_resident(model, scheme, max_blocks))
@@ -296,7 +293,6 @@ fn quantized_pages_hold_more_sequences_at_one_byte_budget() {
     });
     assert!(exact > 0, "the exact cache held no sequence");
     assert!(q8 >= 2 * exact, "mxopal: {q8} resident against {exact} exact");
-    assert!(q4 >= 4 * exact, "mxopal4: {q4} resident against {exact} exact");
 }
 
 /// Share of greedy picks on `scheme`'s pages that equal the exact cache's,
@@ -332,6 +328,4 @@ fn quantized_pages_keep_greedy_agreement() {
     let model = proxy();
     let q8 = greedy_agreement(&model, KvScheme::mxopal());
     assert_eq!(q8, 1.0, "mxopal pages changed a greedy pick");
-    let q4 = greedy_agreement(&model, KvScheme::mxopal4());
-    assert!(q4 >= 0.85, "mxopal4 greedy agreement {q4}");
 }

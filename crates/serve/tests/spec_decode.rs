@@ -92,7 +92,8 @@ fn spec_output_is_bit_identical_across_sources_depths_and_schemes() {
     let m = model();
     let ps = prompts(3);
     let limit = 10;
-    for scheme in [KvScheme::Exact, KvScheme::mxopal(), KvScheme::mxopal4()] {
+    let low_bits = KvScheme::MxOpal { bits: 4, qblock: 32, outliers: 2 };
+    for scheme in [KvScheme::Exact, KvScheme::mxopal(), low_bits] {
         let base = ServeConfig {
             max_batch: 3,
             max_tokens: limit,
@@ -230,7 +231,8 @@ proptest! {
         seed in 0u32..50,
     ) {
         let m = model();
-        let scheme = [KvScheme::Exact, KvScheme::mxopal(), KvScheme::mxopal4()][scheme_ix];
+        let low_bits = KvScheme::MxOpal { bits: 4, qblock: 32, outliers: 2 };
+        let scheme = [KvScheme::Exact, KvScheme::mxopal(), low_bits][scheme_ix];
         let ps: Vec<Vec<u32>> = (0..3u32)
             .map(|i| (0..6).map(|j| (seed + i * 29 + j * 5) % 64).collect())
             .collect();

@@ -117,9 +117,9 @@ fn attach(engine: ServeEngine<'_>) -> ServeEngine<'_> {
 fn assert_site_pages(model: &Model, engine: &ServeEngine<'_>, kv: KvScheme) {
     let pool = engine.kv_pool().scheme();
     assert_eq!(pool, model.kv_scheme(kv), "the engine's pool is not the resolved scheme");
-    let mx_opal = model.scheme().acts.is_some_and(|a| a.format == ActFormat::MxOpal);
-    if kv == KvScheme::Exact && mx_opal {
-        assert!(pool.quantized(), "exact pages on an MX-OPAL model are not site codes");
+    let mx = model.scheme().acts.is_some_and(|a| a.format != ActFormat::MinMax);
+    if kv == KvScheme::Exact && mx {
+        assert!(pool.quantized(), "exact pages on an MX-OPAL/MXINT model are not site codes");
     }
 }
 
@@ -202,21 +202,10 @@ fn kv_mxopal_batch16_pool_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn kv_mxopal4_batch16_pool_steady_state_is_allocation_free() {
-    assert_zero_alloc_decode_kv(
-        QuantScheme::bf16(),
-        KvScheme::mxopal4(),
-        16,
-        StepMode::ForcePool,
-        false,
-    );
-}
-
-#[test]
 fn kv_mxint_batch16_pool_steady_state_is_allocation_free() {
     assert_zero_alloc_decode_kv(
-        QuantScheme::mxopal_w4a47(),
-        KvScheme::mxint(),
+        QuantScheme::mxint_w4a47(),
+        KvScheme::Exact,
         16,
         StepMode::ForcePool,
         false,
