@@ -43,7 +43,6 @@ mod mxint;
 mod mxopal;
 pub mod overhead;
 mod owq;
-pub mod packing;
 
 pub use error::QuantError;
 pub use minmax::MinMaxQuantizer;

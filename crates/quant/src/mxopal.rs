@@ -113,24 +113,6 @@ pub struct MxOpalTensor {
 }
 
 impl MxOpalTensor {
-    /// Reassembles a tensor from its parts (used by the wire decoder in
-    /// [`crate::packing`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the blocks' element counts do not sum to `len`.
-    pub fn from_parts(
-        global_scale: i32,
-        blocks: Vec<MxOpalBlock>,
-        bits: u32,
-        block_size: usize,
-        len: usize,
-    ) -> Self {
-        let total: usize = blocks.iter().map(|b| b.elements.len()).sum();
-        assert_eq!(total, len, "block contents must cover the tensor");
-        MxOpalTensor { global_scale, blocks, bits, block_size, len }
-    }
-
     /// Decodes the tensor back to real values.
     pub fn dequantize(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.len);

@@ -102,31 +102,6 @@ pub struct RequestReport {
     pub latency: Duration,
 }
 
-impl RequestReport {
-    /// Scheduler steps spent in the batch: the chunked-prefill steps of the
-    /// `Prefilling` phase plus one step per generated token (with blocking
-    /// admission — `prefill_chunk = usize::MAX` — this equals the generated
-    /// token count).
-    pub fn decode_steps(&self) -> u64 {
-        self.finished_step - self.admitted_step
-    }
-
-    /// Scheduler steps from submission (the step count when the request
-    /// entered the queue is not recorded, so this anchors at the step of
-    /// first admission) to the first token: `token_steps[0] −
-    /// admitted_step`, or `None` before the first token. In a step-clocked
-    /// harness the caller anchors at its own submit step instead.
-    pub fn steps_to_first_token(&self) -> Option<u64> {
-        self.token_steps.first().map(|&s| s.saturating_sub(self.admitted_step))
-    }
-
-    /// Inter-token gaps in scheduler steps (`token_steps` consecutive
-    /// differences): empty for zero or one generated token.
-    pub fn inter_token_step_gaps(&self) -> Vec<u64> {
-        self.token_steps.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-}
-
 /// A retired request as the engine keeps it until it is reported: the
 /// report without its `tokens` and `token_steps`, which are held as LEB128
 /// bytes — the tokens as they are, the steps as deltas (each step less the

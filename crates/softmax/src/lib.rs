@@ -26,11 +26,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod base2;
 mod log2;
 pub mod metrics;
 
-pub use base2::Softermax;
 pub use log2::Log2Softmax;
 
 use opal_tensor::Matrix;
