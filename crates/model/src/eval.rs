@@ -69,21 +69,31 @@ pub struct McResult {
     pub questions: usize,
 }
 
-/// Zero-shot multiple-choice accuracy proxy (the ARC/PIQA substitute).
+/// Zero-shot multiple-choice accuracy proxy (the ARC/PIQA substitute), one
+/// [`McResult`] per student, in order.
 ///
 /// Each "question" is a random prompt plus two candidate continuations: the
 /// teacher's greedy continuation (the "correct" answer) and a *near-miss*
-/// decoy built from the teacher's second-choice tokens. The student picks
+/// decoy built from the teacher's second-choice tokens. A student picks
 /// the continuation with the higher average log-likelihood — the standard
 /// zero-shot MC scoring — and accuracy is agreement with the correct
 /// choice. Because the two candidates are close in teacher likelihood
 /// (like plausible-but-wrong ARC/PIQA answer options), quantization noise
 /// flips a fraction of the decisions, mirroring the Table 2 degradations.
 ///
+/// The questions depend only on the teacher and `seed`, so the teacher
+/// runs once per attempted prompt for every student, and each student's
+/// result is the one it would get scored alone.
+///
 /// # Panics
 ///
 /// Panics if `questions == 0`.
-pub fn multiple_choice(teacher: &Model, student: &Model, questions: usize, seed: u64) -> McResult {
+pub fn multiple_choice(
+    teacher: &Model,
+    students: &[&Model],
+    questions: usize,
+    seed: u64,
+) -> Vec<McResult> {
     assert!(questions > 0, "need at least one question");
     let vocab = teacher.config().vocab;
     let prompt_len = 12;
@@ -93,7 +103,7 @@ pub fn multiple_choice(teacher: &Model, student: &Model, questions: usize, seed:
     // robust to quantization noise and carry no signal.
     let max_margin_nats = 1.0f32;
     let mut rng = TensorRng::seed(seed ^ 0xA5A5_5A5A);
-    let mut correct = 0usize;
+    let mut correct = vec![0usize; students.len()];
     let mut asked = 0usize;
     let mut attempts = 0usize;
 
@@ -116,15 +126,20 @@ pub fn multiple_choice(teacher: &Model, student: &Model, questions: usize, seed:
         }
         asked += 1;
 
-        // Student's verdict: which option does it assign more likelihood?
-        let s_logits = student.prefill(&mut student.begin_decode(), &prompt);
-        if s_logits[good] >= s_logits[bad] {
-            correct += 1;
+        // Each student's verdict: which option does it assign more likelihood?
+        for (student, correct) in students.iter().zip(&mut correct) {
+            let s_logits = student.prefill(&mut student.begin_decode(), &prompt);
+            if s_logits[good] >= s_logits[bad] {
+                *correct += 1;
+            }
         }
     }
 
     assert!(asked > 0, "no close-margin questions found — vocabulary too peaked");
-    McResult { accuracy: correct as f64 / asked as f64, questions: asked }
+    correct
+        .into_iter()
+        .map(|c| McResult { accuracy: c as f64 / asked as f64, questions: asked })
+        .collect()
 }
 
 #[cfg(test)]
@@ -170,7 +185,7 @@ mod tests {
     #[test]
     fn teacher_answers_its_own_questions() {
         let t = teacher();
-        let r = multiple_choice(&t, &t, 10, 5);
+        let r = multiple_choice(&t, &[&t], 10, 5)[0];
         assert!(r.accuracy >= 0.9, "teacher self-accuracy {}", r.accuracy);
         assert_eq!(r.questions, 10);
     }

@@ -69,9 +69,8 @@ fn multiple_choice_accuracy_orders_with_precision() {
     let strong = Model::new(config.clone(), QuantScheme::mxopal_w4a47(), 55).expect("valid");
     let weak = Model::new(config.clone(), QuantScheme::minmax_w3a35(), 55).expect("valid");
 
-    let acc_teacher = eval::multiple_choice(&teacher, &teacher, 16, 3).accuracy;
-    let acc_strong = eval::multiple_choice(&teacher, &strong, 16, 3).accuracy;
-    let acc_weak = eval::multiple_choice(&teacher, &weak, 16, 3).accuracy;
+    let acc = eval::multiple_choice(&teacher, &[&teacher, &strong, &weak], 16, 3);
+    let [acc_teacher, acc_strong, acc_weak] = [0, 1, 2].map(|i| acc[i].accuracy);
 
     assert!(acc_teacher >= 0.9);
     assert!(acc_strong >= acc_weak - 0.13, "strong {acc_strong} vs weak {acc_weak}");
