@@ -2,7 +2,8 @@
 //! KV cache with memory-aware preemption.
 //!
 //! A step plans first (deadlines, degraded mode, admission, the block
-//! budget and prefill grants: `plan_step`), then runs the model side in
+//! budget and prefill grants: `plan_step`, whose arithmetic is the pure
+//! functions of [`crate::planner`]), then runs the model side in
 //! [`advance_chunk`] — every sequence's rows of the step fused into one
 //! prefill pass and one decode pass of `Model::forward_rows`, so the weight
 //! stack streams once per pass, not once per sequence — and accounts,
@@ -23,6 +24,7 @@ use opal_tensor::rng::TensorRng;
 use opal_tensor::Matrix;
 
 use crate::faults::FaultKind;
+use crate::planner::{self, BlockRule, Queued, SeqPlan};
 use crate::pool::WorkerPool;
 use crate::report::{FinishReason, Finished, RejectionCounts, RequestReport, ServeReport};
 use crate::trie::PrefixTrie;
@@ -203,15 +205,6 @@ pub struct SpecConfig {
     /// rejected tail, so per-step KV reservations grow by the same bound.
     pub k: usize,
 }
-
-/// Upper bound on how many times one queued request can be bypassed by
-/// [`ServeEngine::admit`]'s trie-aware reordering. Under block pressure a
-/// cache-warm request may be admitted ahead of colder ones submitted
-/// earlier; every jumped request counts the bypass, and the reorder scan
-/// refuses to pass a request that has reached this count — so a cold
-/// request is delayed by at most this many out-of-order admissions before
-/// the queue falls back to strict arrival order.
-pub const REORDER_STARVATION_BOUND: u32 = 4;
 
 /// Scheduler limits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -530,7 +523,7 @@ struct Ticket {
     /// one.
     deadline: Option<u64>,
     /// Times a younger cache-warm request was admitted past this one under
-    /// block pressure (see [`REORDER_STARVATION_BOUND`]); reset when a
+    /// block pressure (see [`crate::REORDER_STARVATION_BOUND`]); reset when a
     /// preemption re-queues it.
     bypassed: u32,
     /// Step and queue wait of the latest admission; `None` while queued.
@@ -714,6 +707,19 @@ impl Active {
     /// Whether this sequence is still consuming its prompt.
     fn prefilling(&self) -> bool {
         self.prefilled < self.prefill_end
+    }
+
+    /// The numbers the planner reads off this sequence.
+    fn plan(&self) -> SeqPlan {
+        debug_assert!(!self.prefilling() || self.state.pos() == self.prefilled);
+        SeqPlan {
+            pos: self.state.pos(),
+            prefill_left: self.prefill_end - self.prefilled,
+            left: self.ticket.limit - self.ticket.generated(),
+            spec_k: self.spec.as_ref().map_or(0, |spec| spec.k),
+            tail_shared: self.state.tail_block_shared(),
+            grant: 0,
+        }
     }
 }
 
@@ -975,12 +981,9 @@ fn decode_rows(seq: &mut Active) -> RowGroup<'_> {
 /// forward pass, its next logits would be discarded — leaves its feed for
 /// the decode pass (see [`decode_rows`]).
 ///
-/// Speculation is for pure-decode steps only. The prompt-completion step's
-/// decode row was reserved by `grant_block_cost`, while `decode_block_need`
-/// reserves the speculative rows only for sequences already decoding at
-/// planning time — this gate must match that reservation exactly.
-/// (Speculation is output-invariant, so the gate can only shift throughput,
-/// never tokens.)
+/// Speculation is for pure-decode steps only: `BlockRule::decode_need`
+/// reserves speculative rows only for sequences decoding at planning time,
+/// and this gate must match that reservation exactly.
 fn sample(seq: &mut Active) {
     if seq.prefilling() {
         return;
@@ -1123,6 +1126,8 @@ pub struct ServeEngine<'m> {
     /// Rotates which `Prefilling` sequence gets first claim on each step's
     /// prefill positions (the round-robin fairness policy).
     prefill_cursor: usize,
+    /// The batch as the planner sees it (rebuilt per plan, capacity kept).
+    plans: Vec<SeqPlan>,
     /// Draft proposals verified (successful or not) and accepted, across
     /// the engine lifetime; the speculation win is `accepted / drafted`.
     drafted_total: u64,
@@ -1195,6 +1200,7 @@ impl<'m> ServeEngine<'m> {
             peak_batch: 0,
             energy_j: 0.0,
             prefill_cursor: 0,
+            plans: Vec::new(),
             drafted_total: 0,
             accepted_total: 0,
             started_at: None,
@@ -1417,7 +1423,7 @@ impl<'m> ServeEngine<'m> {
         let spec_rows = self.config.spec.map_or(0, |s| s.k);
         let positions =
             request.prompt.len().saturating_add(limit).saturating_add(spec_rows).saturating_sub(1);
-        let required = self.span_blocks(0, positions, true);
+        let required = self.block_rule().span_blocks(0, positions, true);
         if required > self.config.max_blocks {
             return Err(ServeError::InsufficientBlocks {
                 required,
@@ -1452,8 +1458,8 @@ impl<'m> ServeEngine<'m> {
         Ok(id)
     }
 
-    /// Admits queued requests into free batch slots. Returns the number
-    /// admitted. Called automatically by [`step`](Self::step).
+    /// Admits queued requests into the step's `slots` batch slots at the
+    /// start of a [`step`](Self::step). Returns the number admitted.
     ///
     /// Admission is memory-aware and prefix-shared:
     ///
@@ -1463,23 +1469,25 @@ impl<'m> ServeEngine<'m> {
     ///   is capped at one position short of the prompt so the final
     ///   position's logits are always computed.
     /// * A request only enters the batch when the pool can cover its first
-    ///   prefill chunk plus one decode round of headroom; otherwise unused
-    ///   prefix-cache blocks are evicted, and if that is not enough the
-    ///   request waits — admission never triggers preemption by itself.
+    ///   prefill chunk plus one decode round of headroom
+    ///   ([`BlockRule::admission_need`]); otherwise unused prefix-cache
+    ///   blocks are evicted, then a younger cache-warm request that fits may
+    ///   go first ([`BlockRule::warm_fit`]), and if neither helps the queue
+    ///   waits — admission never triggers preemption by itself.
     ///
     /// Admission stays O(prompt blocks) per request and never runs a
     /// forward pass: the prompt is consumed incrementally by later steps
     /// under the per-step [`ServeConfig::prefill_chunk`].
-    pub fn admit(&mut self) -> usize {
-        let nl = self.model.config().n_layers;
-        let bs = self.config.block_size;
+    fn admit(&mut self, slots: usize) -> usize {
+        let rule = self.block_rule();
+        let (nl, bs) = (rule.n_layers, rule.block_size);
         let mut admitted = 0;
         // Blocks promised to requests admitted earlier in this same pass.
         // Their prefills only allocate later in the step, so the raw free
         // count alone would let one pass admit an entire backlog the pool
         // cannot actually hold — and preemption would thrash it back out.
         let mut planned = 0usize;
-        while self.active.len() < self.effective_max_batch() {
+        while self.active.len() < slots {
             let Some(t) = self.pending.front() else { break };
             // Probe the prefix cache with the whole stream: a resumed
             // request re-prefills its generated tokens too.
@@ -1488,8 +1496,10 @@ impl<'m> ServeEngine<'m> {
             } else {
                 Vec::new()
             };
-            let (shared_len, need) = self.admission_need(matched.len(), t.stream.len());
-            if self.planning_free() < planned.saturating_add(need) {
+            let chunk = self.config.prefill_chunk;
+            let (shared_len, need) = rule.admission_need(matched.len(), t.stream.len(), chunk);
+            let free = self.planning_free();
+            if free < planned.saturating_add(need) {
                 // With admissions already planned this pass, the pool is
                 // merely spoken for, not under pressure: stop here and let
                 // the next step re-evaluate against real allocations.
@@ -1503,22 +1513,23 @@ impl<'m> ServeEngine<'m> {
                 // nothing more can be evicted. A younger request whose
                 // prompt prefix is already resident needs fewer fresh
                 // blocks — admit it first rather than stalling the whole
-                // queue behind a cache-cold head. Every jumped request
-                // counts the bypass, and the scan never passes one that
-                // has reached [`REORDER_STARVATION_BOUND`], so cold
-                // requests are delayed by at most that many admissions.
-                if self.config.prefix_sharing {
-                    if let Some(idx) = self.find_warm_fit() {
-                        for e in self.pending.iter_mut().take(idx) {
-                            e.bypassed += 1;
-                        }
-                        if let Some(warm) = self.pending.remove(idx) {
-                            self.pending.push_front(warm);
-                            continue; // the loop re-enters and admits it
-                        }
-                    }
+                // queue behind a cache-cold head. Probing is read-only (no
+                // LRU touches), and every jumped request counts the bypass.
+                let behind = self.pending.iter().skip(1).map(|q| Queued {
+                    bypassed: q.bypassed,
+                    matched: self.trie.probe(&q.stream, bs),
+                    len: q.stream.len(),
+                });
+                let sharing = self.config.prefix_sharing;
+                let warm = sharing.then(|| rule.warm_fit(chunk, free, t.bypassed, behind));
+                let Some(idx) = warm.flatten() else { break };
+                for e in self.pending.iter_mut().take(idx) {
+                    e.bypassed += 1;
                 }
-                break;
+                if let Some(warm) = self.pending.remove(idx) {
+                    self.pending.push_front(warm);
+                }
+                continue; // the loop re-enters and admits it
             }
             let Some(mut ticket) = self.pending.pop_front() else { break };
             let mut state = self.model.begin_decode_paged(&self.kv_pool);
@@ -1616,15 +1627,14 @@ impl<'m> ServeEngine<'m> {
         // consume the batch slot a live one is waiting for.
         self.expire_deadlines(&mut summary);
         self.update_degraded(&mut summary);
-        summary.admitted = self.admit();
+        let (slots, prefill_budget) = planner::step_limits(&self.config, self.degraded_now);
+        summary.admitted = self.admit(slots);
         if self.active.is_empty() && !self.pending.is_empty() && self.fault_pressure > 0 {
             // An injected pressure fault must never wedge an empty engine
-            // with a runnable queue (the idle path would re-arm it and
-            // block admission forever): the simulated shortfall yields —
-            // exactly where a real allocator would have recovered — and
-            // admission retries without it.
-            self.fault_pressure = 0;
-            summary.admitted += self.admit();
+            // (the idle path would re-arm it forever). Admission evicted all
+            // it could, so the ladder's next rung releases the pressure.
+            self.reclaim(&mut summary);
+            summary.admitted += self.admit(slots);
         }
         if self.active.is_empty() {
             // Nothing ran: re-arm the consumed faults for the next
@@ -1646,7 +1656,7 @@ impl<'m> ServeEngine<'m> {
             self.started_at = Some(crate::clock::now());
         }
 
-        self.plan_step(&mut summary);
+        self.plan_step(prefill_budget, &mut summary);
 
         let model = self.model;
         let workers = self.plan_workers();
@@ -1849,282 +1859,64 @@ impl<'m> ServeEngine<'m> {
         summary.degraded = self.degraded_now;
     }
 
-    /// Batch slots available this step: the configured `max_batch`, shrunk
-    /// while degraded.
-    fn effective_max_batch(&self) -> usize {
-        match (self.degraded_now, self.config.degraded) {
-            (true, Some(cfg)) => {
-                (self.config.max_batch.saturating_mul(cfg.batch_pct as usize) / 100).max(1)
-            }
-            _ => self.config.max_batch,
-        }
-    }
-
-    /// Prefill positions minted per step: the configured `prefill_chunk`,
-    /// shrunk while degraded (blocking admission stays blocking).
-    fn effective_prefill_chunk(&self) -> usize {
-        match (self.degraded_now, self.config.degraded) {
-            (true, Some(cfg)) if self.config.prefill_chunk != usize::MAX => {
-                (self.config.prefill_chunk.saturating_mul(cfg.prefill_pct as usize) / 100).max(1)
-            }
-            _ => self.config.prefill_chunk,
-        }
-    }
-
     /// Free blocks the planner may spend this step: the pool's real free
     /// count minus any injected pressure fault.
     fn planning_free(&self) -> usize {
         self.kv_pool.free_blocks().saturating_sub(self.fault_pressure)
     }
 
-    /// KV blocks, across all layers, that writing `rows` positions into a
-    /// table holding `pos` takes from the pool: the fresh blocks the span
-    /// reaches into, plus — when `cow` — one copy-on-write of a shared
-    /// partial tail per layer. The one block rule: submission feasibility,
-    /// the admission gate and the step planner all count with it.
-    fn span_blocks(&self, pos: usize, rows: usize, cow: bool) -> usize {
-        let bs = self.config.block_size;
-        let fresh = pos.saturating_add(rows).div_ceil(bs) - pos.div_ceil(bs);
-        self.model.config().n_layers.saturating_mul(fresh.saturating_add(usize::from(cow)))
+    /// The geometry every block count of this engine depends on.
+    fn block_rule(&self) -> BlockRule {
+        BlockRule { block_size: self.config.block_size, n_layers: self.model.config().n_layers }
     }
 
-    /// Whether `seq`'s next append copies a shared partial tail block.
-    fn tail_cow(&self, seq: &Active) -> bool {
-        !seq.state.pos().is_multiple_of(self.config.block_size) && seq.state.tail_block_shared()
-    }
-
-    /// The admission gate for a stream of `len` tokens whose first
-    /// `matched` blocks are resident in the prefix trie: the span it
-    /// adopts, capped one short of `len` so the final position always
-    /// computes its logits, and the blocks it must find free — its first
-    /// prefill chunk past that span (with a copy-on-write of a partial
-    /// shared tail) plus one block per layer of decode headroom.
-    fn admission_need(&self, matched: usize, len: usize) -> (usize, usize) {
-        let bs = self.config.block_size;
-        let shared = (matched * bs).min(len - 1);
-        let first_chunk = self.config.prefill_chunk.min(len - shared);
-        let need = self.span_blocks(shared, first_chunk, !shared.is_multiple_of(bs));
-        (shared, need + self.model.config().n_layers)
-    }
-
-    /// Scans the admission queue behind its (unadmittable) front for the
-    /// earliest request whose prompt prefix is already resident in the
-    /// prefix trie *and* whose [`Self::admission_need`] fits the pool
-    /// right now — the candidate [`ServeEngine::admit`]'s trie-aware
-    /// reordering moves to the front, guaranteed to admit on the next
-    /// iteration. Probing is read-only (no LRU touches), the earliest
-    /// qualifying request wins (deterministic arrival-order tie-break),
-    /// and the scan never passes a request already bypassed
-    /// [`REORDER_STARVATION_BOUND`] times.
-    fn find_warm_fit(&self) -> Option<usize> {
-        if self.pending.front().is_none_or(|t| t.bypassed >= REORDER_STARVATION_BOUND) {
-            return None;
-        }
-        for (i, t) in self.pending.iter().enumerate().skip(1) {
-            let matched = self.trie.probe(&t.stream, self.config.block_size);
-            let (shared, need) = self.admission_need(matched, t.stream.len());
-            if shared > 0 && self.planning_free() >= need {
-                return Some(i);
-            }
-            if t.bypassed >= REORDER_STARVATION_BOUND {
-                break; // jumping past this request would starve it
-            }
-        }
-        None
-    }
-
-    /// Plans this step's memory use: fixes every sequence's prefill grant
-    /// so the forthcoming appends — decode rows, granted prefill rows, and
+    /// Plans this step's memory use: fixes every sequence's share of the
+    /// step's `budget` of prefill positions so the forthcoming appends — decode rows, granted prefill rows, and
     /// any copy-on-write of a shared tail block — are guaranteed to fit the
-    /// pool before any worker runs. Under pressure the scheduler reclaims
-    /// memory in escalating order:
-    ///
-    /// 1. **evict** least-recently-used prefix-cache blocks nobody maps,
-    /// 2. **shrink** prefill grants (prompt intake is elastic; decode
-    ///    progress is not), and finally
-    /// 3. **preempt** the youngest sequence — drop its blocks, push it to
-    ///    the front of the admission queue to re-prefill later — repeating
-    ///    until the step can make progress.
-    ///
-    /// Every decision is a pure function of scheduler state (block counts,
-    /// refcounts, the trie's LRU clock), so planning is deterministic and
-    /// independent of thread count or wall time.
-    fn plan_step(&mut self, summary: &mut StepSummary) {
+    /// pool before any worker runs ([`planner::plan_grants`]). Until a plan
+    /// fits, the engine [`reclaim`](Self::reclaim)s one rung and plans
+    /// again. Every input is scheduler state (block counts, refcounts, the
+    /// trie's LRU clock), so planning is deterministic.
+    fn plan_step(&mut self, budget: usize, summary: &mut StepSummary) {
+        let rule = self.block_rule();
         loop {
-            // Inelastic first: rows decoding sequences will append this
-            // step. If they don't fit, reclaim until they do — a decoding
-            // sequence never stalls, it either advances or is preempted.
-            let decode_need = loop {
-                let need: usize = self
-                    .active
-                    .iter()
-                    .filter(|s| !s.prefilling())
-                    .map(|s| self.decode_block_need(s))
-                    .sum();
-                if need <= self.planning_free() {
-                    break need;
+            self.plans.clear();
+            self.plans.extend(self.active.iter().map(Active::plan));
+            let free = self.planning_free();
+            if let Some(cursor) =
+                planner::plan_grants(rule, &mut self.plans, free, budget, self.prefill_cursor)
+            {
+                for (seq, plan) in self.active.iter_mut().zip(&self.plans) {
+                    seq.grant = plan.grant;
                 }
-                if self.trie.evict_lru_leaf() > 0 {
-                    continue;
-                }
-                // An injected pressure fault must never wedge a lone
-                // sequence the admission check guaranteed can run: the
-                // simulated shortfall yields once real reclamation is
-                // exhausted, exactly where a real allocator would have
-                // recovered.
-                if self.fault_pressure > 0 && self.active.len() <= 1 {
-                    self.fault_pressure = 0;
-                    continue;
-                }
-                self.preempt_youngest(summary);
-            };
-            let mut block_budget = self.planning_free() - decode_need;
-
-            // Hand out this step's prefill budget. The scan starts at the
-            // rotating cursor and the cursor advances to just past the last
-            // sequence that received a grant, so a prompt that drained the
-            // budget goes last next step — round-robin over the
-            // *prefilling* sequences, regardless of how many decoding
-            // neighbours sit between them in the slot order. Each grant is
-            // additionally capped by the blocks still affordable after the
-            // decode reservation.
-            for seq in &mut self.active {
-                seq.grant = 0;
-            }
-            let batch = self.active.len();
-            let mut new_cursor = None;
-            if self.active.iter().any(Active::prefilling) {
-                new_cursor = Some(self.prefill_cursor.wrapping_add(1));
-                let mut budget = self.effective_prefill_chunk();
-                let start = self.prefill_cursor % batch;
-                let mut last_grantee = None;
-                for i in 0..batch {
-                    if budget == 0 {
-                        break;
-                    }
-                    let idx = (start + i) % batch;
-                    if !self.active[idx].prefilling() {
-                        continue;
-                    }
-                    let granted =
-                        self.affordable_grant(&self.active[idx], block_budget).min(budget);
-                    budget -= granted;
-                    let cost = self.grant_block_cost(&self.active[idx], granted);
-                    debug_assert!(cost <= block_budget, "grant exceeded its block budget");
-                    block_budget -= cost;
-                    self.active[idx].grant = granted;
-                    if granted > 0 {
-                        last_grantee = Some(idx);
-                    }
-                }
-                if let Some(idx) = last_grantee {
-                    new_cursor = Some(idx + 1);
-                }
-            }
-
-            // Progress check: every decoding sequence advances (its blocks
-            // are reserved), so the step can only wedge when the whole
-            // batch is prefilling with zero grants. Reclaim and replan.
-            let progress = self.active.iter().any(|s| !s.prefilling() || s.grant > 0);
-            if progress {
-                if let Some(cursor) = new_cursor {
-                    self.prefill_cursor = cursor;
-                }
+                self.prefill_cursor = cursor;
                 return;
             }
-            if self.trie.evict_lru_leaf() == 0 {
-                if self.fault_pressure > 0 && self.active.len() <= 1 {
-                    self.fault_pressure = 0; // see the decode-need relief above
-                } else {
-                    self.preempt_youngest(summary);
-                }
-            }
+            self.reclaim(summary);
         }
     }
 
-    /// Blocks a decoding sequence's forward pass will allocate this step
-    /// ([`Self::span_blocks`] of its appended rows); zero when the
-    /// sequence retires at its limit without another forward pass.
+    /// Frees memory for a plan that came up short, one rung per call:
     ///
-    /// With speculation on, a verify pass appends up to `1 + k` rows before
-    /// rolling back, so the reservation covers that transient peak. The row
-    /// count computed here matches [`sample`]'s `k_eff` exactly (this
-    /// method is only consulted for sequences already decoding at planning
-    /// time, which is the same gate `sample` uses), and an n-gram draft
-    /// that proposes fewer rows merely under-uses the reservation — never
-    /// exceeds it.
-    fn decode_block_need(&self, seq: &Active) -> usize {
-        let (generated, limit) = (seq.ticket.generated(), seq.ticket.limit);
-        if generated + 1 >= limit {
-            return 0;
+    /// 1. **evict** the least-recently-used prefix-cache leaf nobody maps;
+    /// 2. else **relieve**: with at most one sequence resident, drop the
+    ///    step's injected pressure fault — the simulated shortfall yields
+    ///    where a real allocator would have recovered;
+    /// 3. else **preempt** the youngest sequence, the batch's tail: its
+    ///    blocks go back to the pool and its ticket, stream and sampler RNG
+    ///    included, to the *front* of the queue. Re-admitted, it re-prefills
+    ///    the stream (bit-identical to having decoded it) and resumes
+    ///    sampling where it left off: preemption changes timing, never
+    ///    output. Reaching it with one sequence left panics: the submission
+    ///    check ([`ServeError::InsufficientBlocks`]) lets a lone one advance.
+    fn reclaim(&mut self, summary: &mut StepSummary) {
+        if self.trie.evict_lru_leaf() > 0 {
+            return;
         }
-        let rows = match &seq.spec {
-            // `generated + 1` mirrors the post-push count `sample` sees
-            // when it computes `k_eff`.
-            Some(spec) => 1 + spec.k.min(limit - generated - 1),
-            None => 1,
-        };
-        self.span_blocks(seq.state.pos(), rows, self.tail_cow(seq))
-    }
-
-    /// Blocks a prefill grant of `granted` positions will allocate
-    /// ([`Self::span_blocks`]), including the same-step first decode
-    /// forward when the grant completes the prefill.
-    fn grant_block_cost(&self, seq: &Active, granted: usize) -> usize {
-        if granted == 0 {
-            return 0;
+        if self.fault_pressure > 0 && self.active.len() <= 1 {
+            self.fault_pressure = 0;
+            return;
         }
-        debug_assert_eq!(
-            seq.state.pos(),
-            seq.prefilled,
-            "a prefilling sequence caches its prefill"
-        );
-        let completes = seq.prefilled + granted == seq.prefill_end;
-        let extra = usize::from(completes && seq.ticket.generated() + 1 < seq.ticket.limit);
-        self.span_blocks(seq.state.pos(), granted + extra, self.tail_cow(seq))
-    }
-
-    /// The largest prefill grant for `seq` whose [`Self::grant_block_cost`]
-    /// fits in `block_budget`, capped at the sequence's remaining prefill:
-    /// [`Self::span_blocks`] inverted.
-    fn affordable_grant(&self, seq: &Active, block_budget: usize) -> usize {
-        let remaining = seq.prefill_end - seq.prefilled;
-        if self.grant_block_cost(seq, remaining) <= block_budget {
-            return remaining;
-        }
-        let bs = self.config.block_size;
-        let pos = seq.state.pos();
-        let per_layer = block_budget / self.model.config().n_layers;
-        let Some(fresh) = per_layer.checked_sub(usize::from(self.tail_cow(seq))) else {
-            return 0;
-        };
-        // Fill the affordable blocks to their last row; the whole prefill
-        // did not fit, so no completion forward pass rides on this grant —
-        // unless only the completion's extra row overflowed, in which case
-        // stop one position short and complete next step.
-        let max_positions = (pos.div_ceil(bs) + fresh) * bs - pos;
-        if max_positions >= remaining {
-            remaining - 1
-        } else {
-            max_positions
-        }
-    }
-
-    /// Preempts the youngest sequence (the most recently admitted — the
-    /// tail of the admission-ordered batch): its `DecodeState` is dropped,
-    /// returning every block nobody else maps to the pool, and its ticket
-    /// re-queues at the *front* of the admission queue, stream and sampler
-    /// RNG included. On re-admission it re-prefills the stream — prompt
-    /// plus generated tokens, bit-identical to having decoded them — and
-    /// resumes sampling exactly where it left off, so preemption never
-    /// changes output, only timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty — the submission-time
-    /// [`ServeError::InsufficientBlocks`] check guarantees a lone sequence
-    /// can always advance, so the scheduler never preempts the last one.
-    fn preempt_youngest(&mut self, summary: &mut StepSummary) {
         assert!(
             self.active.len() > 1,
             "KV pool cannot make progress with a single resident sequence; \
@@ -2888,7 +2680,9 @@ mod tests {
         let victim = e.submit(&[4, 11, 6, 3, 3, 0]).unwrap();
         e.step();
         e.step();
-        e.preempt_youngest(&mut StepSummary::default());
+        // Nothing is evictable (both tables map their cached prompt
+        // blocks) and no pressure is injected: the ladder preempts.
+        e.reclaim(&mut StepSummary::default());
         assert_eq!(e.in_flight()[1], victim, "the youngest went back to the queue");
         let (mut checked, mut drafted) = (0, 0);
         while !e.is_idle() {
@@ -2931,7 +2725,7 @@ mod tests {
         let nl = m.config().n_layers;
         for bs in [1usize, 3, 16] {
             let e = ServeEngine::new(&m, ServeConfig { block_size: bs, ..ServeConfig::default() });
-            let pool = e.kv_pool();
+            let (pool, rule) = (e.kv_pool(), e.block_rule());
             let tokens: Vec<u32> = (0..5 * bs as u32).map(|t| (t * 7) % 16).collect();
             for pos in 0..3 * bs {
                 let mut donor = m.begin_decode_paged(pool);
@@ -2957,7 +2751,7 @@ mod tests {
                         m.prefill_chunk(seq, &tokens[pos..pos + rows]);
                         assert_eq!(
                             pool.in_use() - before,
-                            e.span_blocks(pos, rows, cow),
+                            rule.span_blocks(pos, rows, cow),
                             "block_size {bs}, pos {pos}, rows {rows}, shared {shared}"
                         );
                         seq.truncate(pos);

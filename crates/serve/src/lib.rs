@@ -30,6 +30,11 @@
 //! aggregate energy figure alongside throughput, per-request latency and
 //! queue wait.
 //!
+//! Modules: `engine` holds the batch, admission and the step; `planner`
+//! its block arithmetic as pure functions (what fits, what a step grants);
+//! `trie` the prefix cache; `pool` the worker threads; `report` the
+//! reports; [`faults`] fault injection; [`clock`] the clock.
+//!
 //! # Example
 //!
 //! ```
@@ -56,6 +61,7 @@
 pub mod clock;
 mod engine;
 pub mod faults;
+mod planner;
 // The worker pool hands `&Model` / `&mut [Active]` borrows to long-lived
 // threads through raw pointers; the module documents the dispatch protocol
 // that makes this sound and is the only place in the workspace allowed to
@@ -68,7 +74,7 @@ mod trie;
 pub use engine::{
     step_workload, AuditReport, DegradedConfig, DraftSource, Request, RequestId, SamplingParams,
     SeqStepWork, ServeConfig, ServeEngine, ServeError, SpecConfig, StepMode, StepSummary,
-    REORDER_STARVATION_BOUND,
 };
 pub use opal_model::{AdoptError, KvScheme};
+pub use planner::REORDER_STARVATION_BOUND;
 pub use report::{FinishReason, RejectionCounts, RequestReport, ServeReport};
