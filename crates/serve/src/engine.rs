@@ -1871,12 +1871,13 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Plans this step's memory use: fixes every sequence's share of the
-    /// step's `budget` of prefill positions so the forthcoming appends — decode rows, granted prefill rows, and
-    /// any copy-on-write of a shared tail block — are guaranteed to fit the
-    /// pool before any worker runs ([`planner::plan_grants`]). Until a plan
-    /// fits, the engine [`reclaim`](Self::reclaim)s one rung and plans
-    /// again. Every input is scheduler state (block counts, refcounts, the
-    /// trie's LRU clock), so planning is deterministic.
+    /// step's `budget` of prefill positions so the forthcoming appends —
+    /// decode rows, granted prefill rows, and any copy-on-write of a shared
+    /// tail block — are guaranteed to fit the pool before any worker runs
+    /// ([`planner::plan_grants`]). Until a plan fits, the engine
+    /// [`reclaim`](Self::reclaim)s one rung and plans again. Every input is
+    /// scheduler state (block counts, refcounts, the trie's LRU clock), so
+    /// planning is deterministic.
     fn plan_step(&mut self, budget: usize, summary: &mut StepSummary) {
         let rule = self.block_rule();
         loop {
