@@ -61,16 +61,6 @@ pub enum AcceleratorKind {
 }
 
 impl AcceleratorKind {
-    /// All four designs in the Fig. 8 presentation order.
-    pub fn fig8_order() -> [AcceleratorKind; 4] {
-        [
-            AcceleratorKind::OpalW3A35,
-            AcceleratorKind::OpalW4A47,
-            AcceleratorKind::Owq,
-            AcceleratorKind::Bf16,
-        ]
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -155,11 +145,6 @@ impl Accelerator {
     /// Creates an accelerator with the default 65 nm technology model.
     pub fn new(kind: AcceleratorKind) -> Self {
         Accelerator { kind, tech: Tech::cmos65() }
-    }
-
-    /// Creates an accelerator with an explicit technology model.
-    pub fn with_tech(kind: AcceleratorKind, tech: Tech) -> Self {
-        Accelerator { kind, tech }
     }
 
     /// The design point.

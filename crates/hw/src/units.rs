@@ -176,11 +176,6 @@ impl DataDistributor {
     pub fn power_mw(&self) -> f64 {
         63.20 / 8.0
     }
-
-    /// Energy to route one element.
-    pub fn route_energy_pj(&self, tech: &Tech) -> f64 {
-        tech.distribute_elem_pj
-    }
 }
 
 /// The log2-based softmax unit (Fig. 6(c); Table 3 row).

@@ -27,12 +27,6 @@ pub fn omem(k: usize, n: usize, b: u32) -> f64 {
     num / den
 }
 
-/// The paper's Fig. 4 OMEM tables as `(n, OMEM)` rows for a given `b`,
-/// `k = 128`.
-pub fn fig4_omem_rows(b: u32) -> Vec<(usize, f64)> {
-    [1usize, 2, 4, 8].iter().map(|&n| (n, omem(128, n, b))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,7 +24,9 @@ use std::collections::BTreeMap;
 use opal_hw::workload::{DataFormat, TokenWorkload};
 use opal_model::Model;
 use opal_serve::faults::{FaultKind, RetryPolicy};
-use opal_serve::{FinishReason, Request, RequestId, ServeConfig, ServeEngine, ServeError};
+use opal_serve::{
+    step_workload, FinishReason, Request, RequestId, ServeConfig, ServeEngine, ServeError,
+};
 
 use crate::roofline::{
     gpu_decode_step_s, host_macs, opal_reference_s, HostCalibration, RooflineCheck,
@@ -422,7 +424,7 @@ fn replay_inner(
         let dt = t0.elapsed().as_secs_f64();
         if engine.steps() > before {
             stalls = 0;
-            let step = engine.last_step_workload(&opal_fmt);
+            let step = step_workload(model.config(), &opal_fmt, engine.last_step_work());
             step_virtual.push(vstep);
             step_secs.push(dt);
             step_macs.push(host_macs(&step));

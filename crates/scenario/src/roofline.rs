@@ -25,7 +25,7 @@ use opal_hw::performance::{workload_latency, Platform};
 use opal_hw::roofline::{GemmKernel, GpuModel};
 use opal_hw::workload::{DataFormat, TokenWorkload};
 use opal_model::{Model, ModelConfig};
-use opal_serve::{ServeConfig, ServeEngine};
+use opal_serve::{step_workload, ServeConfig, ServeEngine};
 
 /// Default multiplicative tolerance of the cross-check: measured per-step
 /// time must sit within `[predicted / 2, predicted × 2]`.
@@ -109,7 +109,7 @@ fn measure_decode(model: &Model, config: &ServeConfig, batch: usize) -> (f64, f6
         // Keep only full-batch pure-decode steps: every sequence sampled,
         // none prefilled — the steady state the affine model describes.
         if work.len() == batch && work.iter().all(|w| w.prefilled == 0 && w.sampled) {
-            macs.push(host_macs(&engine.last_step_workload(&DataFormat::bf16())));
+            macs.push(host_macs(&step_workload(model.config(), &DataFormat::bf16(), work)));
             secs.push(dt);
         }
     }

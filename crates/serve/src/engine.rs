@@ -3,449 +3,32 @@
 //!
 //! A step plans first (deadlines, degraded mode, admission, the block
 //! budget and prefill grants: `plan_step`, whose arithmetic is the pure
-//! functions of [`crate::planner`]), then runs the model side in
-//! [`advance_chunk`] — every sequence's rows of the step fused into one
+//! functions of [`crate::planner`]), then runs the model side through
+//! `Threads::advance` — every sequence's rows of the step fused into one
 //! prefill pass and one decode pass of `Model::forward_rows`, so the weight
 //! stack streams once per pass, not once per sequence — and accounts,
 //! publishes prefixes and retires afterwards, in batch order.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::mem;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use opal_hw::accelerator::Accelerator;
 use opal_hw::performance::{workload_latency, Platform};
-use opal_hw::workload::{DataFormat, TokenWorkload};
-use opal_model::kv::{BlockPool, KvBlock, KvScheme};
-use opal_model::sampling::Sampler;
-use opal_model::{DecodeState, LogitsOut, Model, ModelConfig, RowGroup, Workspace};
-use opal_tensor::rng::TensorRng;
-use opal_tensor::Matrix;
+use opal_model::kv::{BlockPool, KvBlock};
+use opal_model::Model;
 
-use crate::faults::FaultKind;
+use crate::audit::{self, AuditReport};
+use crate::config::ServeConfig;
+use crate::degraded::{self, Degraded};
+use crate::faults::{ArmedFaults, FaultKind};
 use crate::planner::{self, BlockRule, Queued, SeqPlan};
-use crate::pool::WorkerPool;
 use crate::report::{FinishReason, Finished, RejectionCounts, RequestReport, ServeReport};
+use crate::request::{Request, RequestId, ServeError, Ticket};
+use crate::sequence::{step_workload, Active, SeqStepWork};
+use crate::threads::Threads;
 use crate::trie::PrefixTrie;
-
-/// Per-request decoding policy: which [`Sampler`] picks each token, and the
-/// seed of the request-private RNG driving it.
-///
-/// The RNG is owned by the request, so a request's output depends only on
-/// its prompt, sampler and seed — never on batch composition, admission
-/// timing or thread count.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SamplingParams {
-    /// The decoding policy (greedy by default).
-    pub sampler: Sampler,
-    /// Seed of the request-private RNG (unused by greedy).
-    pub seed: u64,
-}
-
-impl Default for SamplingParams {
-    fn default() -> Self {
-        SamplingParams { sampler: Sampler::Greedy, seed: 0 }
-    }
-}
-
-/// A request specification: prompt plus per-request decoding options.
-///
-/// # Example
-///
-/// ```
-/// use opal_model::sampling::Sampler;
-/// use opal_serve::{Request, SamplingParams};
-///
-/// let req = Request::new(&[1, 2, 3])
-///     .with_limit(8)
-///     .with_sampling(SamplingParams { sampler: Sampler::TopK(4), seed: 7 });
-/// assert_eq!(req.prompt(), &[1, 2, 3]);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct Request {
-    prompt: Vec<u32>,
-    max_new_tokens: Option<usize>,
-    sampling: SamplingParams,
-    tenant: Option<String>,
-    deadline_steps: Option<u64>,
-}
-
-impl Request {
-    /// A greedy request generating the engine's default token budget.
-    pub fn new(prompt: &[u32]) -> Self {
-        Request {
-            prompt: prompt.to_vec(),
-            max_new_tokens: None,
-            sampling: SamplingParams::default(),
-            tenant: None,
-            deadline_steps: None,
-        }
-    }
-
-    /// Caps generation at `max_new_tokens` (clamped to the engine's
-    /// [`ServeConfig::max_tokens`] on submission).
-    #[must_use]
-    pub fn with_limit(mut self, max_new_tokens: usize) -> Self {
-        self.max_new_tokens = Some(max_new_tokens);
-        self
-    }
-
-    /// Sets the decoding policy.
-    #[must_use]
-    pub fn with_sampling(mut self, sampling: SamplingParams) -> Self {
-        self.sampling = sampling;
-        self
-    }
-
-    /// Tags the request with a tenant label. The tag is carried verbatim
-    /// into the final [`RequestReport`](crate::RequestReport), where
-    /// multi-tenant harnesses aggregate per-tenant token shares (fairness
-    /// metrics); the scheduler itself treats every tenant identically.
-    #[must_use]
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
-        self
-    }
-
-    /// Gives the request a time-to-live of `deadline_steps` scheduler
-    /// steps, measured from submission. A request that has not retired
-    /// within its TTL — whether still queued, prefilling, or mid-decode —
-    /// is expired at the start of the next step with
-    /// [`FinishReason::DeadlineExceeded`](crate::FinishReason::DeadlineExceeded)
-    /// and its KV blocks are freed immediately. The TTL survives
-    /// preemption: re-queued time still counts against it. Measured in
-    /// steps, not wall time, so expiry is deterministic under replay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deadline_steps` is zero (such a request could never run).
-    #[must_use]
-    pub fn with_deadline(mut self, deadline_steps: u64) -> Self {
-        assert!(deadline_steps > 0, "deadline must allow at least one step");
-        self.deadline_steps = Some(deadline_steps);
-        self
-    }
-
-    /// The prompt tokens.
-    pub fn prompt(&self) -> &[u32] {
-        &self.prompt
-    }
-
-    /// The tenant tag, if one was set.
-    pub fn tenant(&self) -> Option<&str> {
-        self.tenant.as_deref()
-    }
-
-    /// The TTL in scheduler steps, if one was set.
-    pub fn deadline_steps(&self) -> Option<u64> {
-        self.deadline_steps
-    }
-}
-
-/// Opaque handle identifying a submitted request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RequestId(pub(crate) u64);
-
-impl std::fmt::Display for RequestId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "req#{}", self.0)
-    }
-}
-
-/// How a multi-threaded decode step is dispatched.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum StepMode {
-    /// Decide per step (the default): fan out across the persistent worker
-    /// pool only when the host reports spare cores *and* every worker's
-    /// chunk carries enough weight MACs to amortize the dispatch —
-    /// otherwise run the step on the caller's thread. A tiny model, a
-    /// small batch or a single-core host therefore falls back to the
-    /// serial path instead of paying wake-ups that dwarf the work. The
-    /// gate counts cores, not idle ones: it cannot see another process
-    /// holding a core it counted, and there `num_threads = 4` can run
-    /// slower than `num_threads = 1`.
-    #[default]
-    Auto,
-    /// Always fan out across the persistent pool when the batch has more
-    /// than one sequence, regardless of cores or model size. Used by tests
-    /// and benches to exercise the pool machinery deterministically (output
-    /// is identical to every other mode either way).
-    ForcePool,
-}
-
-/// Where speculative draft tokens come from (see [`SpecConfig`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DraftSource {
-    /// Model-free n-gram lookup: propose the tokens that followed the most
-    /// recent earlier occurrence of the sequence's current suffix (bigram
-    /// match preferred, unigram fallback). Costs no forward passes at all,
-    /// so any accepted token is pure profit; acceptance is high exactly
-    /// when greedy decode revisits its own context (repetitive or
-    /// templated streams).
-    NGram,
-}
-
-/// Speculative-decoding policy ([`ServeConfig::spec`]): a cheap draft
-/// proposes up to `k` tokens per sequence per pure-decode step, and the
-/// served model verifies all of them plus the step's sampled token in one
-/// fused multi-row pass, accepting the longest prefix the request's own
-/// sampler reproduces and rolling the rejected tail back by truncating
-/// the sequence's block tables.
-///
-/// Output — token streams and finish reasons — is bit-identical to
-/// non-speculative decoding for every sampler (greedy and
-/// seeded-stochastic alike); only the steps-per-token ratio changes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpecConfig {
-    /// The draft proposal source.
-    pub draft: DraftSource,
-    /// Maximum tokens drafted per sequence per step (must be at least 1).
-    /// Each step verifies at most `k + 1` positions and rolls back the
-    /// rejected tail, so per-step KV reservations grow by the same bound.
-    pub k: usize,
-}
-
-/// Scheduler limits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeConfig {
-    /// Maximum number of sequences decoded concurrently. Requests beyond
-    /// this wait in the admission queue and join as slots free up.
-    pub max_batch: usize,
-    /// Default number of tokens generated per request (a request-level
-    /// override via [`ServeEngine::submit_with_limit`] is clamped to this).
-    pub max_tokens: usize,
-    /// Worker threads for the batch decode step. `1` (the default) steps
-    /// the whole batch on the caller's thread, its rows fused into shared
-    /// forward passes; larger values split the active batch across the
-    /// engine's persistent worker pool (subject to [`StepMode`]), each
-    /// thread fusing its own chunk. Output is identical for every thread
-    /// count — each sequence owns its state, which rows share a pass is
-    /// invisible in the output, and results are committed in batch order.
-    pub num_threads: usize,
-    /// Dispatch policy for multi-threaded steps; see [`StepMode`].
-    pub step_mode: StepMode,
-    /// Prompt positions the scheduler prefills per step, shared across the
-    /// batch and granted round-robin over the prefilling sequences (the
-    /// scan resumes just past the last grantee, so no prompt starves).
-    /// Admitted requests consume their prompt incrementally in fused chunks
-    /// of up to this many positions, interleaved with decoding, so one long
-    /// prompt can stall a step by at most `prefill_chunk` extra forward
-    /// passes instead of its whole length. `usize::MAX` restores blocking
-    /// admission (a prompt prefills entirely in its first step). Must be at
-    /// least 1; default 8.
-    pub prefill_chunk: usize,
-    /// Maximum requests waiting in the admission queue; a
-    /// [`ServeEngine::submit`] beyond this is rejected with
-    /// [`ServeError::QueueFull`] instead of growing `pending` without
-    /// bound. Must be at least 1; default `usize::MAX` (unbounded).
-    pub max_queue: usize,
-    /// Positions per KV cache page: the granularity of allocation and of
-    /// prefix sharing (only full blocks enter the prefix trie). Must be at
-    /// least 1; default 16.
-    pub block_size: usize,
-    /// Hard bound on KV blocks across the whole engine — every layer of
-    /// every resident sequence plus the prefix cache; total KV memory is
-    /// `max_blocks × 2 ×` [`KvScheme::page_bytes`] for the pool's resolved
-    /// scheme (`ServeEngine::kv_pool().scheme()`: under
-    /// [`KvScheme::Exact`], the K/V site's own format — 7-bit MX-OPAL codes
-    /// on a W4A4/7 model, `block_size × d_model × 2` floats on a bf16 one).
-    /// When the pool runs dry the scheduler evicts
-    /// unused prefix-cache blocks, shrinks prefill grants, and finally
-    /// preempts the youngest sequence (its blocks are freed and it
-    /// re-queues to re-prefill later) instead of erroring. Default
-    /// `usize::MAX` (unbounded).
-    pub max_blocks: usize,
-    /// Storage format of the KV-cache pages (see [`KvScheme`]), resolved
-    /// against the model when the engine builds its pool
-    /// (`Model::kv_scheme`; [`ServeEngine::kv_pool`]'s `scheme()` is the
-    /// result). The default [`KvScheme::Exact`] keeps decode bit-identical
-    /// to the unpaged cache, in the K/V site's own format: on an MX-OPAL or
-    /// MXINT model that is the site's codes (~3.5× smaller than `f32`
-    /// rows), on bf16 and MinMax models `f32` rows. [`KvScheme::mxopal`]
-    /// stores shared-exponent codes of its own — ~3.5× smaller than `f32`
-    /// pages — and attention runs in the quantized domain
-    /// (bit-deterministic, accuracy-bounded against the exact cache).
-    /// Prefix sharing works identically in either mode, but blocks never
-    /// leave their pool.
-    pub kv_scheme: KvScheme,
-    /// Exact-prefix KV sharing: requests whose token prefix matches blocks
-    /// already resident adopt them read-only and skip that span's prefill.
-    /// Output is bit-identical either way (shared rows are exactly the
-    /// rows the request would have computed); disable to trade the
-    /// admission speedup for zero cross-request block aliasing. Default
-    /// `true`.
-    pub prefix_sharing: bool,
-    /// Degraded-mode policy: when set, the engine watches pool pressure
-    /// and the recent preemption rate, and under stress shrinks its
-    /// admission and prefill budgets (and optionally sheds queued load)
-    /// until the pressure clears — protecting in-flight work instead of
-    /// thrashing. `None` (the default) disables the mode entirely; the
-    /// scheduler behaves exactly as before.
-    pub degraded: Option<DegradedConfig>,
-    /// Speculative decoding ([`SpecConfig`]): when set, pure-decode steps
-    /// draft up to `spec.k` tokens per sequence and verify them together
-    /// with the step's sampled token in one fused multi-row pass, emitting
-    /// every accepted token in a single step. Rejected tails roll back by
-    /// truncating the sequence's block tables, so the served KV cache is
-    /// always exactly what non-speculative decode would hold. `None` (the
-    /// default) decodes one token per step.
-    pub spec: Option<SpecConfig>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            max_batch: 8,
-            max_tokens: 32,
-            num_threads: 1,
-            step_mode: StepMode::Auto,
-            prefill_chunk: 8,
-            max_queue: usize::MAX,
-            block_size: 16,
-            max_blocks: usize::MAX,
-            kv_scheme: KvScheme::Exact,
-            prefix_sharing: true,
-            degraded: None,
-            spec: None,
-        }
-    }
-}
-
-/// Thresholds and hysteresis of the engine's degraded mode
-/// ([`ServeConfig::degraded`]).
-///
-/// The engine **enters** degraded mode when KV-pool pressure (allocated
-/// blocks — plus any injected pressure fault — as a percentage of
-/// [`ServeConfig::max_blocks`]) reaches [`enter_pressure_pct`], or when at
-/// least [`preempt_threshold`] preemptions happened within the last
-/// [`preempt_window`] steps. While degraded it admits into a batch of
-/// `max_batch × batch_pct / 100` slots, mints a per-step prefill budget of
-/// `prefill_chunk × prefill_pct / 100` positions, and sheds the
-/// youngest-queued requests down to [`shed_queue`] entries
-/// ([`FinishReason::Shed`](crate::FinishReason::Shed)). It **exits** only
-/// after [`cooldown_steps`] consecutive healthy steps (pressure at or
-/// below [`exit_pressure_pct`] and zero preemptions in the window) — the
-/// hysteresis that stops the mode from flapping at the threshold.
-///
-/// All fields are integers and every decision is a pure function of
-/// scheduler state, so degraded-mode transitions replay deterministically.
-///
-/// [`enter_pressure_pct`]: DegradedConfig::enter_pressure_pct
-/// [`exit_pressure_pct`]: DegradedConfig::exit_pressure_pct
-/// [`preempt_threshold`]: DegradedConfig::preempt_threshold
-/// [`preempt_window`]: DegradedConfig::preempt_window
-/// [`cooldown_steps`]: DegradedConfig::cooldown_steps
-/// [`shed_queue`]: DegradedConfig::shed_queue
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DegradedConfig {
-    /// Pool-pressure percentage at which the engine enters degraded mode.
-    pub enter_pressure_pct: u32,
-    /// Pool-pressure percentage at or below which a step counts as healthy.
-    pub exit_pressure_pct: u32,
-    /// Width, in steps, of the sliding window over recent preemptions.
-    pub preempt_window: u64,
-    /// Preemptions within the window that trigger degraded mode.
-    pub preempt_threshold: usize,
-    /// Consecutive healthy steps required to exit (the hysteresis).
-    pub cooldown_steps: u64,
-    /// Percentage of `max_batch` admitted while degraded (min 1 slot; at
-    /// most 100 — the mode shrinks the batch, never grows it).
-    pub batch_pct: u32,
-    /// Percentage of `prefill_chunk` minted per step while degraded
-    /// (min 1 position; at most 100).
-    pub prefill_pct: u32,
-    /// Queue length the shedder trims the admission queue down to while
-    /// degraded, youngest first. `usize::MAX` (the default) disables
-    /// shedding.
-    pub shed_queue: usize,
-}
-
-impl Default for DegradedConfig {
-    fn default() -> Self {
-        DegradedConfig {
-            enter_pressure_pct: 85,
-            exit_pressure_pct: 60,
-            preempt_window: 16,
-            preempt_threshold: 4,
-            cooldown_steps: 8,
-            batch_pct: 50,
-            prefill_pct: 50,
-            shed_queue: usize::MAX,
-        }
-    }
-}
-
-/// Why a submission was rejected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ServeError {
-    /// The prompt was empty.
-    EmptyPrompt,
-    /// A prompt token is outside the model's vocabulary.
-    TokenOutOfRange {
-        /// The offending token id.
-        token: u32,
-        /// The model's vocabulary size.
-        vocab: usize,
-    },
-    /// A per-request token limit of zero was requested.
-    ZeroTokenLimit,
-    /// The request's [`SamplingParams`] are invalid (non-positive or
-    /// non-finite temperature, `k == 0`, `p` outside `(0, 1]`).
-    ///
-    /// Caught at submission: letting such a request into the batch would
-    /// panic inside [`opal_model::sampling::Sampler::pick`] mid-step, on a
-    /// worker thread, taking every other in-flight sequence down with it.
-    InvalidSampling {
-        /// What is wrong with the parameters.
-        reason: &'static str,
-    },
-    /// The admission queue already holds [`ServeConfig::max_queue`]
-    /// requests. Backpressure for callers: retry after draining some steps
-    /// instead of letting `pending` grow without bound.
-    QueueFull {
-        /// The configured queue bound that was hit.
-        max_queue: usize,
-    },
-    /// The request could never fit the KV block pool even running alone
-    /// with the prefix cache fully evicted: its worst-case lifetime
-    /// residency (prompt plus token limit, plus one copy-on-write block
-    /// per layer of headroom) exceeds [`ServeConfig::max_blocks`].
-    /// Admitting it would deadlock the memory-aware scheduler, so it is
-    /// rejected at submission.
-    InsufficientBlocks {
-        /// Worst-case blocks the request needs to complete.
-        required: usize,
-        /// The configured pool bound.
-        max_blocks: usize,
-    },
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::EmptyPrompt => write!(f, "empty prompt"),
-            ServeError::TokenOutOfRange { token, vocab } => {
-                write!(f, "token {token} outside vocabulary of {vocab}")
-            }
-            ServeError::ZeroTokenLimit => write!(f, "token limit must be at least 1"),
-            ServeError::InvalidSampling { reason } => {
-                write!(f, "invalid sampling parameters: {reason}")
-            }
-            ServeError::QueueFull { max_queue } => {
-                write!(f, "admission queue full ({max_queue} requests)")
-            }
-            ServeError::InsufficientBlocks { required, max_blocks } => {
-                write!(
-                    f,
-                    "request needs up to {required} KV blocks but the pool holds {max_blocks}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
 
 /// What one call to [`ServeEngine::step`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -496,597 +79,17 @@ pub struct StepSummary {
     pub accepted: usize,
 }
 
-/// One request from submission to retirement. The ticket waits in the
-/// queue, rides in the batch inside an [`Active`], and goes back to the
-/// front of the queue on preemption carrying everything needed to resume
-/// bit-identically: its stream, its sampler's RNG mid-stream and its
-/// timing history.
-struct Ticket {
-    id: RequestId,
-    /// The committed stream: the prompt, then every generated token. A
-    /// resumed request re-prefills all of it (bit-identical to having
-    /// decoded it, per the golden prefill-equivalence tests), and the
-    /// n-gram draft looks up its proposals in it.
-    stream: Vec<u32>,
-    /// Prompt length: `stream[..prompt_len]` is the prompt.
-    prompt_len: usize,
-    limit: usize,
-    sampler: Sampler,
-    /// The request-private sampler RNG.
-    rng: TensorRng,
-    tenant: Option<String>,
-    submitted_at: Instant,
-    /// Scheduler step at submission — the anchor of the deadline TTL
-    /// (preserved across preemptions, so re-queued time keeps counting).
-    submitted_step: u64,
-    /// TTL in scheduler steps from `submitted_step`, if the request set
-    /// one.
-    deadline: Option<u64>,
-    /// Times a younger cache-warm request was admitted past this one under
-    /// block pressure (see [`crate::REORDER_STARVATION_BOUND`]); reset when a
-    /// preemption re-queues it.
-    bypassed: u32,
-    /// Step and queue wait of the latest admission; `None` while queued.
-    admitted: Option<(u64, std::time::Duration)>,
-    /// Scheduler step at which each generated token was sampled, parallel
-    /// to `stream[prompt_len..]` (re-prefilled tokens keep their steps).
-    token_steps: Vec<u64>,
-    /// Wall time from submission to the first sampled token.
-    ttft: Option<std::time::Duration>,
-    /// Times this request has been preempted so far.
-    preemptions: u32,
-    /// Prefill positions skipped via prefix sharing (cumulative across
-    /// re-admissions).
-    shared: usize,
-}
-
-impl Ticket {
-    /// Tokens generated so far.
-    fn generated(&self) -> usize {
-        self.stream.len() - self.prompt_len
-    }
-
-    /// The final report of a request retiring at step `now`, from the
-    /// batch or from the queue (then its latest admission is `now`, and it
-    /// waited all its life). Takes the tokens with it: the caller drops
-    /// the ticket next.
-    fn report(&mut self, finish: FinishReason, now: u64) -> Finished {
-        let latency = self.submitted_at.elapsed();
-        let (admitted_step, queue_wait) = self.admitted.unwrap_or((now, latency));
-        let mut tokens = std::mem::take(&mut self.stream);
-        tokens.drain(..self.prompt_len);
-        Finished::new(RequestReport {
-            id: self.id,
-            prompt_len: self.prompt_len,
-            tokens,
-            finish,
-            tenant: self.tenant.take(),
-            admitted_step,
-            finished_step: now,
-            preemptions: self.preemptions,
-            shared_prefill_tokens: self.shared,
-            queue_wait,
-            ttft: self.ttft,
-            token_steps: std::mem::take(&mut self.token_steps),
-            latency,
-        })
-    }
-}
-
-/// What one sequence did during the most recent [`ServeEngine::step`] —
-/// the realized schedule, exported via [`ServeEngine::last_step_work`].
-/// [`step_workload`] prices a step's records on the modeled platform, for
-/// the engine's own energy account and for load harnesses alike, so no
-/// caller re-derives scheduler decisions. Written by the thread that
-/// stepped the sequence (`advance_chunk`) and read back by the
-/// scheduler's post-join accounting (energy, throughput counters) in batch
-/// order, so the bookkeeping is independent of thread scheduling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SeqStepWork {
-    /// Cache position before this step's prefill slice.
-    pub prefill_start: usize,
-    /// Prompt positions consumed this step (each one fused layer sweep at
-    /// contexts `prefill_start + 1 ..= prefill_start + prefilled`).
-    pub prefilled: usize,
-    /// Whether a token was sampled this step.
-    pub sampled: bool,
-    /// Context length (cached positions) of this step's decode forward
-    /// pass, or `None` when no decode pass ran (still prefilling, the
-    /// sequence retired at its limit and its next logits were never
-    /// needed, or a fused verify pass replaced the decode pass — see
-    /// [`SeqStepWork::verify_rows`]).
-    pub decode_context: Option<usize>,
-    /// Draft tokens proposed and verified for this sequence this step.
-    pub drafted: usize,
-    /// Drafted tokens accepted (tokens emitted beyond the sampled one).
-    pub accepted: usize,
-    /// Context length before the fused verify pass, when one ran.
-    pub verify_start: usize,
-    /// Rows the fused verify pass computed — one fused layer sweep over
-    /// contexts `verify_start + 1 ..= verify_start + verify_rows`, exactly
-    /// like a prefill chunk. Zero when no verify pass ran.
-    pub verify_rows: usize,
-}
-
-/// Prices one step's realized schedule on `served`'s config: each prefill
-/// position and decode row is one pass at its context, each fused verify
-/// pass goes through `TokenWorkload::from_verify` (its rows, rolled-back
-/// ones included, stream the cache once), and the weights stream once per
-/// step. The engine's energy account and every harness that prices a step
-/// call this.
-pub fn step_workload(
-    served: &ModelConfig,
-    format: &DataFormat,
-    work: &[SeqStepWork],
-) -> TokenWorkload {
-    let passes = work.iter().flat_map(|w| {
-        (w.prefill_start + 1..=w.prefill_start + w.prefilled).chain(w.decode_context)
-    });
-    let verify = work.iter().filter(|w| w.verify_rows > 0).map(|w| (w.verify_start, w.verify_rows));
-    TokenWorkload::from_step(served, format, passes, verify)
-}
-
-/// A sequence currently in the batch: its [`Ticket`] plus what it holds
-/// only while resident — a private [`DecodeState`] (its position and KV
-/// block tables), its logits and its step bookkeeping — so sequences are
-/// fully isolated and can be stepped in any grouping, from different
-/// threads. The forward-pass buffers belong to the stepping thread
-/// ([`Workspace`]), not to the sequence.
-///
-/// # Lifecycle
-///
-/// An admitted sequence starts in the **`Prefilling` phase**
-/// (`prefilled < prefill_end`): each step it consumes up to its granted
-/// share of the step's [`ServeConfig::prefill_chunk`] positions as its rows
-/// of the step's fused prefill pass, generating nothing. The step whose
-/// grant covers the last prefill position computes the logits and the
-/// sequence transitions to **`Decoding`** — sampling its next token in
-/// that same step, exactly as blocking admission would have — where it
-/// advances one token per step until it retires at its limit.
-pub(crate) struct Active {
-    ticket: Ticket,
-    state: DecodeState,
-    last_logits: Vec<f32>,
-    /// The stream's length at admission: `ticket.stream[..prefill_end]` is
-    /// prefilled (the prompt, plus the tokens generated before a
-    /// preemption), `ticket.stream[..prefilled]` is in the KV cache.
-    prefill_end: usize,
-    /// Prefill positions already in the KV cache (starts at the
-    /// prefix-shared span, not zero, when blocks were adopted).
-    prefilled: usize,
-    /// Prefill positions this step's scheduler granted (consumed and reset
-    /// by [`advance_chunk`]).
-    grant: usize,
-    /// Per-step activity record for post-join accounting.
-    work: SeqStepWork,
-    /// Full prompt blocks already published into the prefix trie (the
-    /// registration watermark — steady-state steps publish nothing and do
-    /// no trie work for this sequence).
-    registered_blocks: usize,
-    /// Trie node of the last published block (`PrefixTrie::ROOT` before
-    /// the first), so registration appends without re-walking the path.
-    /// Verified live before use: a published node is normally pinned by
-    /// this sequence's own table (shared `Arc`s) or by its children, but a
-    /// node adopted-then-diverged or inherited from a retired twin can be
-    /// evicted, and ids are never reused, so a dead anchor is detectable.
-    trie_parent: usize,
-    /// Set by [`advance_chunk`]'s quarantine when this sequence's step
-    /// panicked: the caught panic message. The scheduler quarantines the
-    /// sequence — retires it with `FinishReason::Failed` and returns its
-    /// blocks — before publishing anything or stepping it again (its KV
-    /// writes may be half-finished, so its blocks must never enter the
-    /// prefix trie).
-    failed: Option<String>,
-    /// Armed by an injected [`FaultKind::WorkerPanic`]: the next
-    /// [`advance_chunk`] over this sequence panics on its behalf, on
-    /// whichever thread runs it.
-    panic_next: bool,
-    /// Speculative-decoding state when [`ServeConfig::spec`] is set: the
-    /// reusable draft/verify buffers. Dropped on preemption and rebuilt at
-    /// re-admission; the n-gram draft reads only the committed stream, so
-    /// resumption stays output-identical.
-    spec: Option<Box<SpecState>>,
-}
-
-/// Per-sequence speculative-decoding state: the reusable buffers of the
-/// draft/verify loop. Everything here is scratch — none of it influences
-/// output, only how many tokens each step emits.
-struct SpecState {
-    /// Maximum tokens drafted per step ([`SpecConfig::k`]).
-    k: usize,
-    /// Draft tokens proposed this step (reused).
-    proposals: Vec<u32>,
-    /// Verify-row token buffer `[t0, d1..dk]` (reused).
-    verify: Vec<u32>,
-    /// Logits of the fused verify pass, one row per verify token
-    /// (pre-grown to `k + 1` rows; reused).
-    logits: Matrix,
-}
-
-impl Active {
-    /// Whether this sequence is still consuming its prompt.
-    fn prefilling(&self) -> bool {
-        self.prefilled < self.prefill_end
-    }
-
-    /// The numbers the planner reads off this sequence.
-    fn plan(&self) -> SeqPlan {
-        debug_assert!(!self.prefilling() || self.state.pos() == self.prefilled);
-        SeqPlan {
-            pos: self.state.pos(),
-            prefill_left: self.prefill_end - self.prefilled,
-            left: self.ticket.limit - self.ticket.generated(),
-            spec_k: self.spec.as_ref().map_or(0, |spec| spec.k),
-            tail_shared: self.state.tail_block_shared(),
-            grant: 0,
-        }
-    }
-}
-
-/// Minimum weight work (multiply-accumulates) a worker's chunk must carry
-/// for [`StepMode::Auto`] to hand it to a pool thread instead of running it
-/// inline.
-///
-/// A chunk's rows share one pass over the weights, so splitting a batch
-/// buys less than it did when every sequence streamed the stack itself: two
-/// half-batches stream it twice, in parallel, and what is saved is half the
-/// rows' arithmetic. On the `llama7b-proxy128` config (815k MACs/token by
-/// `approx_macs_per_token`; bf16, 2 vCPUs) a fused serial step costs about
-/// 50 µs of stream plus 105 µs per row, a dispatch a few µs. Forced
-/// two-thread dispatch over serial, alternating drains: 1.12–1.19× at batch
-/// 2–3, 1.5–1.8× at 4, 1.2–1.4× at 5–6, 1.4–1.5× at 8, 1.5–1.8× at 16 while
-/// the second vCPU was ours; 0.8–1.0× at every batch up to 8 in the
-/// stretches when it was not (a shared host: no gate fixes that). 1.6M MACs
-/// is two proxy rows per worker: the first fan-out at batch 4 there (eight
-/// for four workers), leaving out the batches where the gain is inside the
-/// host's noise; the tiny test config (≈30k MACs/token) stays serial at
-/// any batch a test uses. The gate sees cores and MACs, not load: a core
-/// another process holds still counts, which is how `bench_decode` read
-/// `optimized-4t` at 0.51–0.74× `optimized-1t` on that host.
-const FANOUT_MIN_MACS_PER_WORKER: u64 = 1_600_000;
-
-/// Hardware threads of this host, asked once per process:
-/// `available_parallelism` reads the cgroup quota files on Linux (~18 µs
-/// and four allocations a call), and [`StepMode::Auto`] consults it on
-/// every step.
-fn host_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Matvec multiply-accumulates per decoded token: the decoder stack's
-/// weight MACs (identical to its parameter count) plus the unembedding row.
-fn approx_macs_per_token(config: &opal_model::ModelConfig) -> u64 {
-    config.decoder_params() + (config.d_model * config.vocab) as u64
-}
-
-/// Decode-equivalent forward passes this sequence will run this step: its
-/// granted prefill positions (each one layer sweep of the fused chunk)
-/// plus one if it will sample (a prefill position costs about as much as a
-/// decoded token), plus up to `k` fused verify rows when a speculative
-/// step will fire — a pure function of pre-fan-out scheduler state, so
-/// chunk cuts stay deterministic.
-fn seq_units(seq: &Active) -> u64 {
-    let samples = seq.prefilled + seq.grant >= seq.prefill_end;
-    let spec_rows = match &seq.spec {
-        Some(spec) if samples && !seq.prefilling() => spec.k as u64,
-        _ => 0,
-    };
-    seq.grant as u64 + u64::from(samples) + spec_rows
-}
-
-/// Exclusive end indices (all but the last) cutting `units` into `chunks`
-/// contiguous groups of near-equal sum, each with at least one element.
-fn balanced_cuts(units: &[u64], chunks: usize) -> Vec<usize> {
-    let n = units.len();
-    let chunks = chunks.clamp(1, n.max(1));
-    let total: u64 = units.iter().sum();
-    let mut cuts = Vec::with_capacity(chunks.saturating_sub(1));
-    let mut acc = 0u64;
-    let mut end = 0usize;
-    for k in 1..chunks {
-        let target = total * k as u64 / chunks as u64;
-        // Leave at least one element for each group still to cut.
-        let max_end = n - (chunks - k);
-        let min_end = end + 1;
-        while end < max_end && (end < min_end || acc + units[end] <= target) {
-            acc += units[end];
-            end += 1;
-        }
-        cuts.push(end);
-    }
-    cuts
-}
-
-/// Cuts the active batch into at most `workers` contiguous chunks weighted
-/// by per-sequence work ([`seq_units`]), not by sequence count: a sequence
-/// carrying a large prefill grant would otherwise turn its equal-count
-/// chunk into the step's straggler, idling the threads the work-based
-/// fan-out plan just justified. Cut placement is a pure function of
-/// scheduler state fixed before the fan-out, so dispatch stays
-/// deterministic (and chunk shape never affects output — sequences are
-/// independent and accounting runs post-join in batch order).
-fn split_by_work(seqs: &mut [Active], workers: usize) -> Vec<&mut [Active]> {
-    let units: Vec<u64> = seqs.iter().map(seq_units).collect();
-    let cuts = balanced_cuts(&units, workers);
-    let mut chunks = Vec::with_capacity(cuts.len() + 1);
-    let mut rest = seqs;
-    let mut prev = 0usize;
-    for &cut in &cuts {
-        let (chunk, tail) = rest.split_at_mut(cut - prev);
-        chunks.push(chunk);
-        rest = tail;
-        prev = cut;
-    }
-    chunks.push(rest);
-    chunks
-}
-
-/// Advances every sequence of `chunk` by one step: the model side of
-/// [`ServeEngine::step`] for the sequences one thread owns (the whole batch
-/// on the serial path, one [`split_by_work`] slice per worker otherwise),
-/// with the [`Workspace`] that thread owns. All the chunk's rows of a kind
-/// go through the model in **one** [`Model::forward_rows`] pass, so the
-/// weight stack streams once per pass instead of once per sequence:
-///
-/// 0. *Faults and grants* ([`begin_step`]), per sequence.
-/// 1. *Prefill pass*: every granted prompt slice is a group
-///    ([`prefill_rows`]).
-/// 2. *Sample* ([`sample`]): every sequence holding fresh logits —
-///    decoding already, or its prompt just completed, exactly as blocking
-///    admission would have sampled it — picks its token and leaves its
-///    feed, `[t0]` or a verify `[t0, d1..dk]`, unless that was its last.
-/// 3. *Decode pass*: all feeds in one pass ([`decode_rows`]).
-/// 4. *Commit* ([`commit`]): acceptance and rollback per verify.
-///
-/// A pure-decode step makes one pass, a step that completes a prompt two.
-/// Everything a sequence does is fixed by scheduler state decided before
-/// the fan-out (`grant`) and by its own tokens, and which rows share a pass
-/// is invisible in the output (`Model::forward_rows`' contract), so tokens,
-/// `token_steps` and [`SeqStepWork`] are independent of batch composition,
-/// thread count and dispatch mode.
-///
-/// Panic quarantine: phases 0, 2 and 4 run each sequence under its own
-/// `catch_unwind` ([`guarded`]); a fused pass runs under one
-/// ([`fused_pass`]) and falls back to one pass per sequence when it
-/// unwinds. Either way the panicking sequence ends the step with
-/// [`Active::failed`] set and nobody else notices.
-pub(crate) fn advance_chunk(model: &Model, chunk: &mut [Active], ws: &mut Workspace) {
-    for seq in chunk.iter_mut() {
-        seq.work = SeqStepWork::default();
-        guarded(seq, begin_step);
-    }
-    fused_pass(model, chunk, ws, prefill_rows);
-    for seq in chunk.iter_mut() {
-        guarded(seq, sample);
-    }
-    fused_pass(model, chunk, ws, decode_rows);
-    for seq in chunk.iter_mut() {
-        guarded(seq, commit);
-    }
-}
-
-/// Runs `f` on a live sequence behind `catch_unwind`: the per-sequence
-/// panic quarantine. A panic — a model invariant tripping on corrupt
-/// state, or an injected chaos fault — is caught here, on the thread that
-/// ran the sequence, and recorded in [`Active::failed`]; the scheduler
-/// retires the sequence with `FinishReason::Failed` after the join. A
-/// sequence already quarantined is never touched again.
-///
-/// The `AssertUnwindSafe` is sound for the same reason preemption is: a
-/// quarantined sequence is *dropped*, never observed again — its possibly
-/// half-written `DecodeState` is released to the pool without its contents
-/// ever being read (the quarantine runs before `register_prefixes`, so
-/// poisoned blocks cannot leak into the prefix cache either).
-fn guarded(seq: &mut Active, f: impl FnOnce(&mut Active)) {
-    if seq.failed.is_some() {
-        return;
-    }
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(seq))) {
-        seq.failed = Some(panic_message(payload.as_ref()));
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "sequence step panicked with a non-string payload".to_owned())
-}
-
-/// One [`Model::forward_rows`] pass over the rows `rows` describes for
-/// each sequence of the chunk, under one `catch_unwind`. When the pass
-/// unwinds — one sequence's KV append hit a dry pool, say — nobody's
-/// position has moved (`forward_rows` advances them last), so every
-/// sequence is truncated back to it, dropping whatever rows the pass had
-/// appended, and re-run alone under its own guard: whoever panics again is
-/// quarantined, and the survivors are bit-identical to a step in which the
-/// victim never took part, because a pass is a pure function of tokens,
-/// cached rows below `pos` and weights, and `truncate` is the rollback
-/// speculation already relies on.
-fn fused_pass(
-    model: &Model,
-    chunk: &mut [Active],
-    ws: &mut Workspace,
-    rows: for<'a> fn(&'a mut Active) -> RowGroup<'a>,
-) {
-    // The workspace holds nothing across passes, so one that unwound is as
-    // good as new.
-    if catch_unwind(AssertUnwindSafe(|| model.forward_rows(chunk, rows, ws, None))).is_ok() {
-        return;
-    }
-    for seq in chunk {
-        let before = seq.state.pos();
-        seq.state.truncate(before);
-        guarded(seq, |seq| model.forward_rows(std::slice::from_mut(seq), rows, ws, None));
-    }
-}
-
-/// Phase 0 for one sequence: fires an armed chaos fault, then turns the
-/// scheduler's grant into this step's prompt slice.
-fn begin_step(seq: &mut Active) {
-    if seq.panic_next {
-        // Deterministic chaos: fire the injected fault inside the
-        // sequence's step, on whatever thread is running it. The flag is
-        // cleared first so the quarantined sequence is never re-armed.
-        seq.panic_next = false;
-        // tidy: allow(panic) -- deliberate fault injection; the step harness catches it
-        panic!("injected chaos fault: worker panic stepping {}", seq.ticket.id);
-    }
-    // Only prefilling sequences are granted anything, never past the prompt;
-    // zero means another sequence drained this step's budget.
-    let grant = std::mem::take(&mut seq.grant);
-    if grant > 0 {
-        seq.work.prefill_start = seq.prefilled;
-        seq.work.prefilled = grant;
-        seq.prefilled += grant;
-    }
-}
-
-/// A sequence's rows in the prefill pass: this step's prompt slice, the
-/// last row wanting logits iff the slice completes the prompt.
-fn prefill_rows(seq: &mut Active) -> RowGroup<'_> {
-    let w = seq.work;
-    let tokens: &[u32] = match seq.failed {
-        None => &seq.ticket.stream[w.prefill_start..w.prefill_start + w.prefilled],
-        Some(_) => &[],
-    };
-    let logits = if seq.prefilled == seq.prefill_end {
-        LogitsOut::Last(&mut seq.last_logits)
-    } else {
-        LogitsOut::None
-    };
-    RowGroup { state: &mut seq.state, tokens, logits }
-}
-
-/// A sequence's rows in the decode pass, as [`sample`] left them: the
-/// verify feed with every row's logits, or the token just sampled, or
-/// nothing (still prefilling, at its limit, or quarantined).
-fn decode_rows(seq: &mut Active) -> RowGroup<'_> {
-    let Active { state, ticket, last_logits, spec, work, failed, .. } = seq;
-    let (tokens, logits) = match spec.as_deref_mut() {
-        _ if failed.is_some() => (&[][..], LogitsOut::None),
-        Some(spec) if work.verify_rows > 0 => (&spec.verify[..], LogitsOut::All(&mut spec.logits)),
-        _ if work.decode_context.is_some() => {
-            (&ticket.stream[ticket.stream.len() - 1..], LogitsOut::Last(last_logits))
-        }
-        _ => (&[][..], LogitsOut::None),
-    };
-    RowGroup { state, tokens, logits }
-}
-
-/// Phase 2 for one sequence: samples from the logits it holds, then —
-/// unless it just hit its limit, in which case it retires without another
-/// forward pass, its next logits would be discarded — leaves its feed for
-/// the decode pass (see [`decode_rows`]).
-///
-/// Speculation is for pure-decode steps only: `BlockRule::decode_need`
-/// reserves speculative rows only for sequences decoding at planning time,
-/// and this gate must match that reservation exactly.
-fn sample(seq: &mut Active) {
-    if seq.prefilling() {
-        return;
-    }
-    let Active { ticket, last_logits, spec, work, state, .. } = seq;
-    let t0 = ticket.sampler.pick(last_logits, &mut ticket.rng);
-    // tidy: allow(alloc) -- the stream reserves its generation limit at admission
-    ticket.stream.push(t0);
-    work.sampled = true;
-    if ticket.generated() >= ticket.limit {
-        return;
-    }
-    if let (Some(spec), 0) = (spec, work.prefilled) {
-        let k_eff = spec.k.min(ticket.limit - ticket.generated());
-        spec.proposals.clear();
-        ngram_propose(&ticket.stream, k_eff, &mut spec.proposals);
-        // An n-gram miss proposes nothing: plain decode for this step.
-        if !spec.proposals.is_empty() {
-            spec.verify.clear();
-            // tidy: allow(alloc) -- within the `k + 1` capacity reserved in SpecState
-            spec.verify.push(t0);
-            spec.verify.extend_from_slice(&spec.proposals);
-            work.verify_start = state.pos();
-            work.verify_rows = spec.verify.len();
-            work.drafted = spec.proposals.len();
-            return;
-        }
-    }
-    work.decode_context = Some(state.pos() + 1);
-}
-
-/// Phase 4 for one sequence whose feed was a verify `[t0, d1..dk]`:
-/// accepts the longest proposal prefix the request's own sampler
-/// reproduces and rolls the rejected tail back by truncating the
-/// sequence's block tables.
-///
-/// Bit-identity with plain decode holds by construction:
-///
-/// * Verify-row logits are bit-identical to sequential decode rows
-///   (`Model::forward_rows`' contract, pinned by the model's golden and
-///   grouping tests): row `i` is exactly the `last_logits` a plain run
-///   would hold after emitting `t0, d1..di`.
-/// * Each acceptance test runs the *real* sampler on a clone of the
-///   request RNG. A match commits the clone — the RNG advances exactly as
-///   the plain run's pick would have — while a mismatch discards it, so
-///   the next step's pick re-runs the same decision from the same state
-///   and emits the token the plain run would have emitted: the correction
-///   token costs no extra forward pass.
-/// * Proposals can only shift *when* tokens are emitted, never *what*: a
-///   wrong draft just wastes its verify row.
-fn commit(seq: &mut Active) {
-    let (Some(spec), true) = (seq.spec.as_deref_mut(), seq.work.verify_rows > 0) else { return };
-    let ticket = &mut seq.ticket;
-    // Row `i` holds the logits after `t0, d1..di`.
-    let mut accepted = 0;
-    while accepted < spec.proposals.len() {
-        // tidy: allow(alloc) -- TensorRng is a fixed-size value; cloning stays on the stack
-        let mut trial = ticket.rng.clone();
-        let pick = ticket.sampler.pick(spec.logits.row(accepted), &mut trial);
-        if pick != spec.proposals[accepted] {
-            break;
-        }
-        ticket.rng = trial;
-        // tidy: allow(alloc) -- the stream reserves its generation limit at admission
-        ticket.stream.push(pick);
-        accepted += 1;
-    }
-    seq.work.accepted = accepted;
-    // The next step samples from the logits after the last committed
-    // token — exactly row `accepted`.
-    seq.last_logits.copy_from_slice(spec.logits.row(accepted));
-    // Roll back the rejected tail: keep `t0` plus the accepted rows.
-    seq.state.truncate(seq.work.verify_start + 1 + accepted);
-}
-
-/// Model-free draft: proposes the tokens that followed the most recent
-/// earlier occurrence of the committed stream's current suffix, preferring
-/// a bigram match over a unigram one. O(context) backward scan per step,
-/// no allocation; an empty result falls back to plain decode.
-fn ngram_propose(stream: &[u32], k_eff: usize, proposals: &mut Vec<u32>) {
-    let n = stream.len();
-    if n < 2 {
-        return;
-    }
-    let (prev, last) = (stream[n - 2], stream[n - 1]);
-    // A bigram ending at `i` needs `i >= 1`; a unigram hit may sit at 0.
-    let earlier = &stream[..n - 1];
-    let bigram = earlier.windows(2).rposition(|w| w[0] == prev && w[1] == last).map(|j| j + 1);
-    let Some(hit) = bigram.or_else(|| earlier.iter().rposition(|&t| t == last)) else { return };
-    proposals.extend_from_slice(&stream[hit + 1..n.min(hit + 1 + k_eff)]);
-}
-
 /// The batched serving engine.
 ///
 /// Drives a borrowed [`Model`] for up to [`ServeConfig::max_batch`]
 /// concurrent sequences. The model itself is immutable during decoding
-/// (all mutable state lives in the per-request [`DecodeState`]s), which is
+/// (all mutable state lives in the per-request [`DecodeState`](opal_model::DecodeState)s), which is
 /// what makes mid-stream admission safe: admitting or retiring a sequence
 /// cannot touch any other sequence's KV cache.
 ///
 /// Decoding defaults to greedy (argmax), matching the single-sequence
 /// `OpalPipeline::generate` loop token-for-token at batch size one; each
-/// request may carry its own [`SamplingParams`] for temperature / top-k /
+/// request may carry its own [`SamplingParams`](crate::SamplingParams) for temperature / top-k /
 /// top-p serving. With [`ServeConfig::num_threads`] > 1 the decode step
 /// fans out across the engine's persistent worker pool, one chunk of
 /// sequences per worker; the pool is spawned lazily by the first step that
@@ -1096,14 +99,11 @@ pub struct ServeEngine<'m> {
     model: &'m Model,
     accelerator: Option<Accelerator>,
     config: ServeConfig,
-    /// Lazily-spawned persistent decode workers. Declared before `active`:
-    /// fields drop in declaration order, so the pool joins its threads
-    /// (which may be finishing a chunk if the engine is dropped during an
-    /// unwinding step) while the sequences they borrow are still alive.
-    pool: Option<WorkerPool>,
-    /// Forward-pass buffers of the stepping thread (each pool worker owns
-    /// its own): sized by the largest step seen, shared by every sequence.
-    workspace: Workspace,
+    /// The threads that step the batch. Declared before `active`: fields
+    /// drop in declaration order, so the pool joins its threads (which may
+    /// be finishing a chunk if the engine is dropped during an unwinding
+    /// step) while the sequences they borrow are still alive.
+    threads: Threads,
     /// The engine-wide KV block pool: every sequence's block tables and the
     /// prefix cache allocate from it, bounded by [`ServeConfig::max_blocks`].
     kv_pool: Arc<BlockPool>,
@@ -1133,29 +133,8 @@ pub struct ServeEngine<'m> {
     drafted_total: u64,
     accepted_total: u64,
     started_at: Option<Instant>,
-    /// Injected worker-panic faults waiting for the next non-idle step
-    /// (victim ranks, reduced modulo the batch at firing time).
-    armed_panics: Vec<usize>,
-    /// Injected allocation-pressure blocks waiting for the next non-idle
-    /// step.
-    armed_pressure: usize,
-    /// Injected latency-spike steps waiting for the next non-idle step.
-    armed_spikes: u64,
-    /// Free blocks hidden from this step's planner (consumed from
-    /// `armed_pressure`; cleared when the step completes, or early when it
-    /// would wedge a lone sequence).
-    fault_pressure: usize,
-    /// Whether the engine is currently in degraded mode.
-    degraded_now: bool,
-    /// Consecutive healthy steps while degraded (the exit hysteresis).
-    healthy_streak: u64,
-    /// Steps of recent preemptions, pruned to the degraded-mode window.
-    recent_preempts: VecDeque<u64>,
-    deadline_exceeded_total: u64,
-    failed_total: u64,
-    shed_total: u64,
-    degraded_steps_total: u64,
-    mode_transitions: u64,
+    faults: ArmedFaults,
+    degraded: Degraded,
     rejections: RejectionCounts,
 }
 
@@ -1163,28 +142,14 @@ impl<'m> ServeEngine<'m> {
     /// Creates an engine over `model` with the given scheduler limits and
     /// no energy accounting.
     pub fn new(model: &'m Model, config: ServeConfig) -> Self {
-        assert!(config.max_batch > 0, "max_batch must be at least 1");
-        assert!(config.max_tokens > 0, "max_tokens must be at least 1");
-        assert!(config.num_threads > 0, "num_threads must be at least 1");
-        assert!(config.prefill_chunk > 0, "prefill_chunk must be at least 1");
-        assert!(config.max_queue > 0, "max_queue must be at least 1");
-        assert!(config.block_size > 0, "block_size must be at least 1");
-        assert!(config.max_blocks > 0, "max_blocks must be at least 1");
-        if let Some(spec) = &config.spec {
-            assert!(spec.k >= 1, "spec.k must be at least 1");
-        }
-        if let Some(degraded) = &config.degraded {
-            assert!(degraded.batch_pct <= 100, "degraded.batch_pct must be at most 100");
-            assert!(degraded.prefill_pct <= 100, "degraded.prefill_pct must be at most 100");
-        }
+        config.validate();
         let kv_pool =
             Arc::new(model.kv_pool(config.block_size, config.max_blocks, config.kv_scheme));
         ServeEngine {
             model,
             accelerator: None,
             config,
-            pool: None,
-            workspace: Workspace::new(),
+            threads: Threads::default(),
             kv_pool,
             trie: PrefixTrie::new(),
             pending: VecDeque::new(),
@@ -1204,42 +169,22 @@ impl<'m> ServeEngine<'m> {
             drafted_total: 0,
             accepted_total: 0,
             started_at: None,
-            armed_panics: Vec::new(),
-            armed_pressure: 0,
-            armed_spikes: 0,
-            fault_pressure: 0,
-            degraded_now: false,
-            healthy_streak: 0,
-            recent_preempts: VecDeque::new(),
-            deadline_exceeded_total: 0,
-            failed_total: 0,
-            shed_total: 0,
-            degraded_steps_total: 0,
-            mode_transitions: 0,
+            faults: ArmedFaults::default(),
+            degraded: Degraded::default(),
             rejections: RejectionCounts::default(),
         }
     }
 
     /// Attaches an accelerator model; every step the engine runs is then
     /// charged the accelerator's energy for its [`step_workload`], in the
-    /// accelerator's format with the KV pages' stored bits
-    /// ([`ServeConfig::kv_scheme`]), leaking over that workload's modeled
-    /// latency on [`Platform::reference`], accumulating into
-    /// [`ServeReport::energy_j`].
+    /// accelerator's format with the bits of the pages the pool stores
+    /// (`kv_pool().scheme()`, the resolved format: ~9.2 bits on an OPAL
+    /// model's site pages), leaking over that workload's modeled latency on
+    /// [`Platform::reference`], accumulating into [`ServeReport::energy_j`].
     #[must_use]
     pub fn with_accelerator(mut self, accelerator: Accelerator) -> Self {
         self.accelerator = Some(accelerator);
         self
-    }
-
-    /// The scheduler limits.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// The model being served.
-    pub fn model(&self) -> &Model {
-        self.model
     }
 
     /// Requests waiting for a batch slot.
@@ -1259,28 +204,14 @@ impl<'m> ServeEngine<'m> {
         self.active.iter().filter(|s| s.prefilling()).count()
     }
 
-    /// KV blocks currently allocated from the engine's pool (block tables
-    /// of resident sequences plus the prefix cache; a block shared by many
-    /// sequences counts once).
-    pub fn kv_blocks_in_use(&self) -> usize {
-        self.kv_pool.in_use()
-    }
-
-    /// High-water mark of [`ServeEngine::kv_blocks_in_use`].
-    pub fn kv_blocks_peak(&self) -> usize {
-        self.kv_pool.peak()
-    }
-
-    /// The configured pool bound ([`ServeConfig::max_blocks`]).
-    pub fn kv_blocks_capacity(&self) -> usize {
-        self.kv_pool.capacity()
-    }
-
-    /// The engine's KV block pool. Its `scheme()` is the resolved page
-    /// format ([`ServeConfig::kv_scheme`] through `Model::kv_scheme`), what
-    /// KV pricing and byte accounting read. Harnesses clone the `Arc` to
-    /// check for leaked blocks after the engine itself has been dropped (a
-    /// drained and dropped engine must leave `in_use() == 0`).
+    /// The engine's KV block pool, which every resident block table and the
+    /// prefix cache allocate from: `in_use()` counts a block shared by many
+    /// sequences once, `capacity()` is [`ServeConfig::max_blocks`]. Its
+    /// `scheme()` is the resolved page format ([`ServeConfig::kv_scheme`]
+    /// through `Model::kv_scheme`), what KV pricing and byte accounting
+    /// read. Harnesses clone the `Arc` to check for leaked blocks after the
+    /// engine itself has been dropped (a drained and dropped engine must
+    /// leave `in_use() == 0`).
     pub fn kv_pool(&self) -> &Arc<BlockPool> {
         &self.kv_pool
     }
@@ -1288,7 +219,7 @@ impl<'m> ServeEngine<'m> {
     /// Whether the engine is currently running in degraded mode (see
     /// [`ServeConfig::degraded`]).
     pub fn degraded(&self) -> bool {
-        self.degraded_now
+        self.degraded.on
     }
 
     /// Arms a fault to fire at the next non-idle [`step`](Self::step):
@@ -1298,15 +229,7 @@ impl<'m> ServeEngine<'m> {
     /// injected while the engine is idle stay armed until work arrives —
     /// injection is deterministic in engine steps, never in wall time.
     pub fn inject_fault(&mut self, fault: FaultKind) {
-        match fault {
-            FaultKind::WorkerPanic { victim_rank } => self.armed_panics.push(victim_rank),
-            FaultKind::BlockPressure { blocks } => {
-                self.armed_pressure = self.armed_pressure.saturating_add(blocks);
-            }
-            FaultKind::LatencySpike { extra_steps } => {
-                self.armed_spikes = self.armed_spikes.saturating_add(extra_steps);
-            }
-        }
+        self.faults.arm(fault);
     }
 
     /// Full KV blocks resident in the prefix cache.
@@ -1327,12 +250,6 @@ impl<'m> ServeEngine<'m> {
     /// retired at the end of that step.
     pub fn last_step_work(&self) -> &[SeqStepWork] {
         &self.last_work
-    }
-
-    /// [`step_workload`] of the most recent non-idle [`step`](Self::step)
-    /// in `format`, on this engine's model.
-    pub fn last_step_workload(&self, format: &DataFormat) -> TokenWorkload {
-        step_workload(self.model.config(), format, &self.last_work)
     }
 
     /// Ids of every request still in flight: active sequences in batch
@@ -1372,7 +289,7 @@ impl<'m> ServeEngine<'m> {
     }
 
     /// Enqueues a full [`Request`] — prompt, token limit and per-request
-    /// [`SamplingParams`]. Greedy sampling reproduces [`submit`](Self::submit)
+    /// [`SamplingParams`](crate::SamplingParams). Greedy sampling reproduces [`submit`](Self::submit)
     /// exactly; other samplers draw from a request-private seeded RNG, so
     /// output is independent of batch composition and thread count.
     ///
@@ -1385,15 +302,11 @@ impl<'m> ServeEngine<'m> {
     /// must not exist), and invalid sampling parameters (which would panic
     /// mid-step on a worker thread instead of failing at the API boundary).
     pub fn submit_request(&mut self, request: Request) -> Result<RequestId, ServeError> {
-        let result = self.submit_request_inner(request);
-        if let Err(e) = &result {
-            match e {
-                ServeError::QueueFull { .. } => self.rejections.queue_full += 1,
-                ServeError::InsufficientBlocks { .. } => self.rejections.insufficient_blocks += 1,
-                _ => self.rejections.invalid += 1,
-            }
-        }
-        result
+        self.submit_request_inner(request).inspect_err(|e| match e {
+            ServeError::QueueFull { .. } => self.rejections.queue_full += 1,
+            ServeError::InsufficientBlocks { .. } => self.rejections.insufficient_blocks += 1,
+            _ => self.rejections.invalid += 1,
+        })
     }
 
     fn submit_request_inner(&mut self, request: Request) -> Result<RequestId, ServeError> {
@@ -1437,24 +350,7 @@ impl<'m> ServeEngine<'m> {
         }
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.pending.push_back(Ticket {
-            id,
-            prompt_len: request.prompt.len(),
-            stream: request.prompt,
-            limit,
-            sampler: request.sampling.sampler,
-            rng: TensorRng::seed(request.sampling.seed),
-            tenant: request.tenant,
-            submitted_at: crate::clock::now(),
-            submitted_step: self.steps,
-            deadline: request.deadline_steps,
-            bypassed: 0,
-            admitted: None,
-            token_steps: Vec::new(),
-            ttft: None,
-            preemptions: 0,
-            shared: 0,
-        });
+        self.pending.push_back(Ticket::new(id, request, limit, self.steps));
         Ok(id)
     }
 
@@ -1555,25 +451,10 @@ impl<'m> ServeEngine<'m> {
             ticket.token_steps.reserve_exact(room);
             // Fully-adopted blocks are already published; anchor the
             // registration watermark at the last of them.
-            let full_adopted = shared_len / bs;
-            self.active.push(Active {
-                prefill_end: ticket.stream.len(),
-                ticket,
-                state,
-                last_logits: vec![0.0; self.model.config().vocab],
-                prefilled: shared_len,
-                grant: 0,
-                work: SeqStepWork::default(),
-                registered_blocks: full_adopted,
-                trie_parent: if full_adopted > 0 {
-                    matched[full_adopted - 1]
-                } else {
-                    PrefixTrie::ROOT
-                },
-                failed: None,
-                panic_next: false,
-                spec: self.new_spec_state(),
-            });
+            let full = shared_len / bs;
+            let anchor = if full > 0 { matched[full - 1] } else { PrefixTrie::ROOT };
+            let (spec_k, vocab) = (self.config.spec.map(|s| s.k), self.model.config().vocab);
+            self.active.push(Active::new(ticket, state, shared_len, (full, anchor), spec_k, vocab));
             admitted += 1;
             planned += need;
         }
@@ -1581,55 +462,38 @@ impl<'m> ServeEngine<'m> {
         admitted
     }
 
-    /// Builds the per-sequence speculation state for a newly-admitted (or
-    /// re-admitted) sequence, or `None` when speculation is off.
-    fn new_spec_state(&self) -> Option<Box<SpecState>> {
-        let spec = self.config.spec?;
-        let vocab = self.model.config().vocab;
-        Some(Box::new(SpecState {
-            k: spec.k,
-            proposals: Vec::with_capacity(spec.k),
-            verify: Vec::with_capacity(spec.k + 1),
-            logits: Matrix::zeros(spec.k + 1, vocab),
-        }))
-    }
-
     /// Runs one scheduler step: admit what fits, hand out the step's
     /// [`ServeConfig::prefill_chunk`] positions round-robin over
-    /// `Prefilling` sequences, then
-    /// advance every active sequence (`advance_chunk`) — a granted
-    /// prefill chunk for prefilling sequences, one sampled token (per the
-    /// request's [`SamplingParams`], greedy by default) for decoding ones,
-    /// all their rows sharing one pass over the weights per phase — and
-    /// finally retire sequences that hit their limit. A step with nothing
-    /// to do is a no-op.
+    /// `Prefilling` sequences, then advance every active sequence — a
+    /// granted prefill chunk for prefilling sequences, one sampled token
+    /// (per the request's [`SamplingParams`](crate::SamplingParams), greedy
+    /// by default) for decoding ones, all their rows sharing one pass over
+    /// the weights per phase — and finally retire sequences that hit their
+    /// limit. A step with nothing to do is a no-op.
     ///
     /// With [`ServeConfig::num_threads`] > 1 the active batch is split into
     /// contiguous chunks stepped by the engine's persistent worker pool
-    /// (spawned lazily by the first step that fans out; [`StepMode::Auto`]
-    /// keeps small steps on the caller's thread entirely), each thread
-    /// fusing the rows of its own chunk. The model is shared immutably;
-    /// every mutable structure is owned by exactly one sequence (KV cache,
-    /// sampler RNG, logits) or one thread (the forward-pass workspace), the
-    /// work each worker performs is fixed by scheduler state decided before
-    /// the fan-out, and energy accounting and retirement run after the join
-    /// in batch order — so results are deterministic and identical to
-    /// `num_threads == 1` under every [`StepMode`].
+    /// (see [`StepMode`](crate::StepMode)), each thread fusing the rows of
+    /// its own chunk. The model is shared immutably; every mutable
+    /// structure is owned by exactly one sequence (KV cache, sampler RNG,
+    /// logits) or one thread (the forward-pass workspace), the work each
+    /// worker performs is fixed by scheduler state decided before the
+    /// fan-out, and energy accounting and retirement run after the join in
+    /// batch order — so results are identical for every thread count.
     pub fn step(&mut self) -> StepSummary {
         let mut summary = StepSummary::default();
-        // Consume armed faults first: pressure shapes this step's planning
-        // and admission, panics mark their victims after admission.
-        let pending_panics = std::mem::take(&mut self.armed_panics);
-        self.fault_pressure = std::mem::take(&mut self.armed_pressure);
-        let spike = std::mem::take(&mut self.armed_spikes);
+        // Take the armed panics and spikes; armed pressure stays in place,
+        // where it shapes this step's planning and admission.
+        let (panics, spikes) =
+            (mem::take(&mut self.faults.panics), mem::take(&mut self.faults.spikes));
 
         // Deadlines before admission: an expired queued request must not
         // consume the batch slot a live one is waiting for.
         self.expire_deadlines(&mut summary);
         self.update_degraded(&mut summary);
-        let (slots, prefill_budget) = planner::step_limits(&self.config, self.degraded_now);
+        let (slots, prefill_budget) = planner::step_limits(&self.config, self.degraded.on);
         summary.admitted = self.admit(slots);
-        if self.active.is_empty() && !self.pending.is_empty() && self.fault_pressure > 0 {
+        if self.active.is_empty() && !self.pending.is_empty() && self.faults.pressure > 0 {
             // An injected pressure fault must never wedge an empty engine
             // (the idle path would re-arm it forever). Admission evicted all
             // it could, so the ladder's next rung releases the pressure.
@@ -1637,18 +501,15 @@ impl<'m> ServeEngine<'m> {
             summary.admitted += self.admit(slots);
         }
         if self.active.is_empty() {
-            // Nothing ran: re-arm the consumed faults for the next
-            // non-idle step (fault firing is defined in engine steps).
-            self.armed_panics = pending_panics;
-            self.armed_pressure = self.fault_pressure;
-            self.armed_spikes = spike;
-            self.fault_pressure = 0;
+            // Nothing ran: put the faults back for the next non-idle step
+            // (fault firing is defined in engine steps).
+            (self.faults.panics, self.faults.spikes) = (panics, spikes);
             summary.blocks_in_use = self.kv_pool.in_use();
             summary.blocks_peak = self.kv_pool.peak();
             return summary;
         }
-        summary.latency_spike_steps = spike;
-        for rank in pending_panics {
+        summary.latency_spike_steps = spikes;
+        for rank in panics {
             let victim = rank % self.active.len();
             self.active[victim].panic_next = true;
         }
@@ -1658,65 +519,26 @@ impl<'m> ServeEngine<'m> {
 
         self.plan_step(prefill_budget, &mut summary);
 
-        let model = self.model;
-        let workers = self.plan_workers();
-        if workers <= 1 {
-            advance_chunk(model, &mut self.active, &mut self.workspace);
-        } else {
-            // Pool size is fixed at first fan-out: `ForcePool` may use
-            // every configured thread, but `Auto` never plans beyond
-            // the host's cores — don't park threads that can never
-            // receive work (num_threads = 16 on a 4-core box would
-            // otherwise idle 12 stacks for the engine's lifetime).
-            let size = match self.config.step_mode {
-                StepMode::Auto => self.config.num_threads.min(host_cores()) - 1,
-                StepMode::ForcePool => self.config.num_threads - 1,
-            };
-            let pool = self.pool.get_or_insert_with(|| WorkerPool::new(size));
-            // Never cut more chunks than pool + caller.
-            let workers = workers.min(pool.len() + 1);
-            let chunks = split_by_work(&mut self.active, workers).into_iter();
-            pool.step_chunks(model, chunks, &mut self.workspace);
-        }
+        self.threads.advance(self.model, &self.config, &mut self.active);
+        self.steps += 1;
 
         // Quarantine: retire every sequence whose step panicked *before*
         // any accounting or prefix publication — its KV writes may be
         // half-finished, so its work is not counted and its blocks must
         // never enter the prefix trie. Dropping the sequence returns every
         // block nobody else maps; all other sequences continue untouched.
-        if self.active.iter().any(|s| s.failed.is_some()) {
-            let failed_step = self.steps + 1;
-            let mut failed = Vec::new();
-            self.active.retain_mut(|seq| {
-                if seq.failed.take().is_none() {
-                    return true;
-                }
-                failed.push(seq.ticket.report(FinishReason::Failed, failed_step));
-                false
-            });
-            summary.failed = failed.len();
-            self.failed_total += failed.len() as u64;
-            self.finished.append(&mut failed);
-        }
+        summary.failed = self.retire(FinishReason::Failed, |s| s.failed);
 
-        for seq in &self.active {
-            summary.prefilled += seq.work.prefilled;
-            summary.generated += usize::from(seq.work.sampled) + seq.work.accepted;
-            summary.drafted += seq.work.drafted;
-            summary.accepted += seq.work.accepted;
-        }
-        self.prefill_tokens += summary.prefilled as u64;
-        self.generated_tokens += summary.generated as u64;
-        self.drafted_total += summary.drafted as u64;
-        self.accepted_total += summary.accepted as u64;
-        self.steps += 1;
-
-        // Stamp per-token timing and capture the realized schedule before
-        // retirement removes finished sequences from the batch.
+        // Count the work, stamp per-token timing and capture the realized
+        // schedule before retirement removes finished sequences.
         let now_step = self.steps;
         self.last_work.clear();
         for seq in &mut self.active {
             let (w, t) = (seq.work, &mut seq.ticket);
+            summary.prefilled += w.prefilled;
+            summary.generated += usize::from(w.sampled) + w.accepted;
+            summary.drafted += w.drafted;
+            summary.accepted += w.accepted;
             if w.sampled {
                 // Accepted draft tokens commit in the same step as the
                 // sampled token; each gets its own stamp so `token_steps`
@@ -1730,12 +552,16 @@ impl<'m> ServeEngine<'m> {
             }
             self.last_work.push(w);
         }
+        self.prefill_tokens += summary.prefilled as u64;
+        self.generated_tokens += summary.generated as u64;
+        self.drafted_total += summary.drafted as u64;
+        self.accepted_total += summary.accepted as u64;
         // Post-join, from the batch-order records, so the f64 account is
         // independent of thread scheduling.
         if let Some(acc) = &self.accelerator {
             let mut format = acc.kind().format();
             format.kv_bits = self.kv_pool.scheme().bits_per_element(self.model.config().d_model);
-            let wl = self.last_step_workload(&format);
+            let wl = step_workload(self.model.config(), &format, &self.last_work);
             let latency_s = workload_latency(&wl, &format, &Platform::reference()).total_s();
             self.energy_j += acc.energy(&wl, latency_s).total_j();
         }
@@ -1745,21 +571,12 @@ impl<'m> ServeEngine<'m> {
         // in its first decode step leaves its prefix behind for followers.
         self.register_prefixes();
 
-        let steps = self.steps;
-        let mut retired = Vec::new();
-        self.active.retain_mut(|seq| {
-            if seq.ticket.generated() < seq.ticket.limit {
-                return true;
-            }
-            retired.push(seq.ticket.report(FinishReason::Limit, steps));
-            false
-        });
-        summary.finished = retired.len();
-        self.finished.append(&mut retired);
+        summary.finished =
+            self.retire(FinishReason::Limit, |s| s.ticket.generated() >= s.ticket.limit);
         summary.blocks_in_use = self.kv_pool.in_use();
         summary.blocks_peak = self.kv_pool.peak();
         // Injected pressure lasts exactly one planned step.
-        self.fault_pressure = 0;
+        self.faults.pressure = 0;
         // Debug builds cross-check the memory-accounting invariants after
         // every step; release builds leave this to the harness cadence.
         #[cfg(debug_assertions)]
@@ -1782,87 +599,64 @@ impl<'m> ServeEngine<'m> {
     /// (blocks are freed exactly once on every path).
     fn expire_deadlines(&mut self, summary: &mut StepSummary) {
         let now = self.steps;
-        let mut expired = Vec::new();
-        let mut expire = |t: &mut Ticket| {
-            let Some(deadline) = t.deadline else { return false };
-            if now.saturating_sub(t.submitted_step) < deadline {
-                return false;
+        let due = move |t: &Ticket| t.expires.is_some_and(|step| now >= step);
+        let before = self.finished.len();
+        let finished = &mut self.finished;
+        self.pending.retain_mut(|t| {
+            let expired = due(t);
+            if expired {
+                finished.push(t.report(FinishReason::DeadlineExceeded, now));
             }
-            expired.push(t.report(FinishReason::DeadlineExceeded, now));
-            true
-        };
-        self.pending.retain_mut(|t| !expire(t));
-        // An expired sequence drops here, releasing its blocks.
-        self.active.retain_mut(|seq| !expire(&mut seq.ticket));
-        summary.expired = expired.len();
-        self.deadline_exceeded_total += expired.len() as u64;
-        self.finished.append(&mut expired);
+            !expired
+        });
+        self.retire(FinishReason::DeadlineExceeded, |s| due(&s.ticket));
+        summary.expired = self.finished.len() - before;
     }
 
-    /// Pool pressure as a percentage of capacity, counting injected
-    /// pressure faults as real allocations (a simulated shortfall must
-    /// look like one to the degraded-mode policy too). Zero for an
-    /// unbounded pool.
-    fn pool_pressure_pct(&self) -> u32 {
-        let capacity = self.kv_pool.capacity();
-        if capacity == usize::MAX {
-            return 0;
-        }
-        let used = self.kv_pool.in_use().saturating_add(self.fault_pressure).min(capacity);
-        ((used as u128 * 100) / capacity as u128) as u32
+    /// Retires every batch sequence `leaves` picks, with `finish` at the
+    /// current step; a retired sequence drops here, releasing its blocks.
+    /// Returns how many left.
+    fn retire(
+        &mut self,
+        finish: FinishReason,
+        mut leaves: impl FnMut(&mut Active) -> bool,
+    ) -> usize {
+        let (finished, now) = (&mut self.finished, self.steps);
+        let before = finished.len();
+        self.active.retain_mut(|seq| {
+            let leaving = leaves(seq);
+            if leaving {
+                finished.push(seq.ticket.report(finish, now));
+            }
+            !leaving
+        });
+        finished.len() - before
     }
 
-    /// Updates the degraded-mode state machine (see [`DegradedConfig`])
-    /// and, while degraded, sheds youngest-queued load down to the
-    /// configured bound. Runs before admission so a mode entered this step
-    /// already shapes this step's batch.
+    /// Moves the degraded-mode state machine (see `DegradedConfig`) and,
+    /// while degraded, sheds youngest-queued load down to the configured
+    /// bound. Runs before admission so a mode entered this step already
+    /// shapes this step's batch.
     fn update_degraded(&mut self, summary: &mut StepSummary) {
         let Some(cfg) = self.config.degraded else { return };
-        let now = self.steps;
-        while self
-            .recent_preempts
-            .front()
-            .is_some_and(|&s| now.saturating_sub(s) > cfg.preempt_window)
-        {
-            self.recent_preempts.pop_front();
-        }
-        let pressure = self.pool_pressure_pct();
-        let preempts = self.recent_preempts.len();
-        if !self.degraded_now {
-            if pressure >= cfg.enter_pressure_pct || preempts >= cfg.preempt_threshold.max(1) {
-                self.degraded_now = true;
-                self.mode_transitions += 1;
-                self.healthy_streak = 0;
-            }
-        } else {
-            if pressure <= cfg.exit_pressure_pct && preempts == 0 {
-                self.healthy_streak += 1;
-            } else {
-                self.healthy_streak = 0;
-            }
-            if self.healthy_streak >= cfg.cooldown_steps.max(1) {
-                self.degraded_now = false;
-                self.mode_transitions += 1;
-            }
-        }
-        if self.degraded_now {
-            self.degraded_steps_total += 1;
+        let pool = &self.kv_pool;
+        let pressure = degraded::pressure_pct(pool.in_use(), self.faults.pressure, pool.capacity());
+        summary.degraded = self.degraded.update(&cfg, self.steps, pressure);
+        if summary.degraded {
             let mut shed = Vec::new();
             while self.pending.len() > cfg.shed_queue {
                 let Some(mut t) = self.pending.pop_back() else { break };
-                shed.push(t.report(FinishReason::Shed, now));
+                shed.push(t.report(FinishReason::Shed, self.steps));
             }
             summary.shed = shed.len();
-            self.shed_total += shed.len() as u64;
             self.finished.append(&mut shed);
         }
-        summary.degraded = self.degraded_now;
     }
 
     /// Free blocks the planner may spend this step: the pool's real free
     /// count minus any injected pressure fault.
     fn planning_free(&self) -> usize {
-        self.kv_pool.free_blocks().saturating_sub(self.fault_pressure)
+        self.kv_pool.free_blocks().saturating_sub(self.faults.pressure)
     }
 
     /// The geometry every block count of this engine depends on.
@@ -1914,8 +708,8 @@ impl<'m> ServeEngine<'m> {
         if self.trie.evict_lru_leaf() > 0 {
             return;
         }
-        if self.fault_pressure > 0 && self.active.len() <= 1 {
-            self.fault_pressure = 0;
+        if self.faults.pressure > 0 && self.active.len() <= 1 {
+            self.faults.pressure = 0;
             return;
         }
         assert!(
@@ -1926,7 +720,9 @@ impl<'m> ServeEngine<'m> {
         let Some(seq) = self.active.pop() else { return };
         self.preemptions += 1;
         summary.preempted += 1;
-        self.recent_preempts.push_back(self.steps);
+        if self.config.degraded.is_some() {
+            self.degraded.preempted(self.steps);
+        }
         let mut ticket = seq.ticket;
         ticket.preemptions += 1;
         ticket.admitted = None;
@@ -1980,61 +776,12 @@ impl<'m> ServeEngine<'m> {
     /// Returns `false` when the id is unknown or the request already
     /// finished.
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        let now = self.steps;
         if let Some(i) = self.pending.iter().position(|t| t.id == id) {
             let Some(mut t) = self.pending.remove(i) else { return false };
-            self.finished.push(t.report(FinishReason::Cancelled, now));
+            self.finished.push(t.report(FinishReason::Cancelled, self.steps));
             return true;
         }
-        if let Some(i) = self.active.iter().position(|s| s.ticket.id == id) {
-            let mut seq = self.active.remove(i);
-            self.finished.push(seq.ticket.report(FinishReason::Cancelled, now));
-            return true; // `seq.state` dropped: its blocks are free again
-        }
-        false
-    }
-
-    /// How many threads (caller included) this step should use.
-    ///
-    /// [`StepMode::ForcePool`] caps only by batch size. [`StepMode::Auto`]
-    /// additionally refuses to fan out beyond what can pay for itself:
-    ///
-    /// * **Cores.** More workers than hardware threads never increases
-    ///   throughput — they time-slice one another and add context-switch
-    ///   overhead on top (the `optimized-4t` < `optimized-1t` regression in
-    ///   the PR-2 `BENCH_decode.json`, measured on a single-core host).
-    /// * **Work.** Each worker's chunk must carry enough arithmetic to
-    ///   amortize the dispatch (a channel send plus a thread wake-up, a few
-    ///   µs): estimated as matvec MACs per token, a chunk below
-    ///   [`FANOUT_MIN_MACS_PER_WORKER`] runs on the caller's thread
-    ///   instead. The attention scan's seq-length term is deliberately
-    ///   ignored — it only grows the true work, so the gate errs toward
-    ///   serial.
-    fn plan_workers(&self) -> usize {
-        // Work this step ≈ one decode-equivalent pass per granted prefill
-        // position, plus one per sequence that will sample (a prefill
-        // position costs the same layer sweep as a decoded token).
-        let units: u64 = self.active.iter().map(seq_units).sum();
-        self.planned_threads(self.active.len(), units)
-    }
-
-    /// The threads (caller included) a step over `batch` sequences
-    /// carrying `units` decode-equivalent forward passes (each granted
-    /// prefill position counts as one) would use, after
-    /// [`StepMode::Auto`]'s core and per-worker-work gates.
-    fn planned_threads(&self, batch: usize, units: u64) -> usize {
-        let cap = self.config.num_threads.min(batch);
-        match self.config.step_mode {
-            StepMode::ForcePool => cap,
-            StepMode::Auto => {
-                let cap = cap.min(host_cores());
-                if cap <= 1 {
-                    return 1;
-                }
-                let total_macs = approx_macs_per_token(self.model.config()).saturating_mul(units);
-                cap.min((total_macs / FANOUT_MIN_MACS_PER_WORKER).max(1) as usize)
-            }
-        }
+        self.retire(FinishReason::Cancelled, |s| s.ticket.id == id) > 0
     }
 
     /// Whether any request is still queued or decoding.
@@ -2060,9 +807,10 @@ impl<'m> ServeEngine<'m> {
     /// Snapshot of the statistics so far (useful between manual
     /// [`step`](Self::step) calls; `elapsed` is the caller's measured wall
     /// time for throughput).
-    pub fn report(&self, elapsed: std::time::Duration) -> ServeReport {
+    pub fn report(&self, elapsed: Duration) -> ServeReport {
         let mut requests: Vec<RequestReport> = self.finished.iter().map(Finished::report).collect();
         requests.sort_by_key(|r| r.id);
+        let count = |why| requests.iter().filter(|r| r.finish == why).count() as u64;
         let total = self.prefill_tokens + self.generated_tokens;
         let secs = elapsed.as_secs_f64();
         ServeReport {
@@ -2075,11 +823,11 @@ impl<'m> ServeEngine<'m> {
             peak_batch: self.peak_batch,
             blocks_peak: self.kv_pool.peak(),
             preemptions: self.preemptions,
-            deadline_exceeded: self.deadline_exceeded_total,
-            failed: self.failed_total,
-            shed: self.shed_total,
-            degraded_steps: self.degraded_steps_total,
-            mode_transitions: self.mode_transitions,
+            deadline_exceeded: count(FinishReason::DeadlineExceeded),
+            failed: count(FinishReason::Failed),
+            shed: count(FinishReason::Shed),
+            degraded_steps: self.degraded.steps,
+            mode_transitions: self.degraded.transitions,
             rejections: self.rejections,
             elapsed,
             tokens_per_sec: if secs > 0.0 { total as f64 / secs } else { 0.0 },
@@ -2107,92 +855,8 @@ impl<'m> ServeEngine<'m> {
     /// point: debug builds run it after every step, harnesses every N
     /// steps and after churn tests.
     pub fn audit(&self) -> AuditReport {
-        struct Refs {
-            table: usize,
-            trie: usize,
-            strong: usize,
-        }
-        let mut seen: std::collections::HashMap<*const KvBlock, Refs> =
-            std::collections::HashMap::new();
-        let mut violations = Vec::new();
-        let bs = self.config.block_size;
-        let nl = self.model.config().n_layers;
-        for seq in &self.active {
-            let mut per_layer = vec![0usize; nl];
-            seq.state.with_blocks(|layer, block| {
-                per_layer[layer] += 1;
-                let entry = seen.entry(Arc::as_ptr(block)).or_insert(Refs {
-                    table: 0,
-                    trie: 0,
-                    strong: Arc::strong_count(block),
-                });
-                entry.table += 1;
-            });
-            let expected = seq.state.pos().div_ceil(bs);
-            for (layer, &mapped) in per_layer.iter().enumerate() {
-                if mapped != expected {
-                    violations.push(format!(
-                        "{}: layer {layer} maps {mapped} blocks for {} positions \
-                         (expected {expected} at block_size {bs})",
-                        seq.ticket.id,
-                        seq.state.pos()
-                    ));
-                }
-            }
-        }
-        self.trie.for_each_block(|block| {
-            let entry = seen.entry(Arc::as_ptr(block)).or_insert(Refs {
-                table: 0,
-                trie: 0,
-                strong: Arc::strong_count(block),
-            });
-            entry.trie += 1;
-        });
-        let (mut table_refs, mut trie_refs) = (0, 0);
-        for (ptr, refs) in &seen {
-            table_refs += refs.table;
-            trie_refs += refs.trie;
-            if refs.strong != refs.table + refs.trie {
-                violations.push(format!(
-                    "block {ptr:?}: strong_count {} != {} table refs + {} trie refs",
-                    refs.strong, refs.table, refs.trie
-                ));
-            }
-        }
-        let pool_in_use = self.kv_pool.in_use();
-        if seen.len() != pool_in_use {
-            violations.push(format!(
-                "pool reports {pool_in_use} blocks in use but {} are reachable \
-                 from tables and trie",
-                seen.len()
-            ));
-        }
-        AuditReport { pool_in_use, live_blocks: seen.len(), table_refs, trie_refs, violations }
-    }
-}
-
-/// Result of [`ServeEngine::audit`]: the reconciliation of pool
-/// accounting, block tables, and prefix-trie refcounts.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AuditReport {
-    /// Blocks the pool believes are allocated.
-    pub pool_in_use: usize,
-    /// Distinct blocks reachable from active tables and the trie.
-    pub live_blocks: usize,
-    /// Total block-table references across active sequences (a shared
-    /// block counts once per mapping sequence).
-    pub table_refs: usize,
-    /// Total prefix-trie references (one per node per layer).
-    pub trie_refs: usize,
-    /// Human-readable descriptions of every violated invariant; empty for
-    /// a consistent engine.
-    pub violations: Vec<String>,
-}
-
-impl AuditReport {
-    /// Whether every invariant held.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
+        let tables = self.active.iter().map(|s| (s.ticket.id, &s.state));
+        audit::audit(tables, &self.trie, &self.kv_pool, self.model.config().n_layers)
     }
 }
 
@@ -2211,8 +875,13 @@ impl std::fmt::Debug for ServeEngine<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use opal_model::sampling::Sampler;
     use opal_model::{ModelConfig, QuantScheme};
+
+    use super::*;
+    use crate::config::{DraftSource, SpecConfig, StepMode};
+    use crate::request::SamplingParams;
+    use crate::sequence::ngram_propose;
 
     fn model() -> Model {
         Model::new(ModelConfig::tiny(), QuantScheme::bf16(), 11).expect("valid scheme")
@@ -2264,33 +933,6 @@ mod tests {
         let report = e.run();
         assert_eq!(report.request(a).unwrap().tokens.len(), 2);
         assert_eq!(report.request(b).unwrap().tokens.len(), 5);
-    }
-
-    #[test]
-    fn planned_threads_respects_gates() {
-        let m = model();
-        let plan = |threads: usize, step_mode: StepMode, batch: usize| {
-            let cfg = ServeConfig { num_threads: threads, step_mode, ..ServeConfig::default() };
-            ServeEngine::new(&m, cfg).planned_threads(batch, batch as u64)
-        };
-        // The force mode caps only by batch size.
-        assert_eq!(plan(4, StepMode::ForcePool, 16), 4);
-        assert_eq!(plan(4, StepMode::ForcePool, 2), 2);
-        assert_eq!(plan(4, StepMode::ForcePool, 1), 1);
-        // Auto never exceeds cores or the force-mode cap, and the tiny test
-        // model never carries enough per-token work to fan out at all.
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        for batch in [1usize, 4, 16] {
-            let p = plan(4, StepMode::Auto, batch);
-            assert!(p <= cores.min(4).min(batch));
-            assert_eq!(p, 1, "tiny model steps must stay on the caller thread");
-        }
-        // A model the size of the bench proxy fans out wherever cores allow.
-        let proxy =
-            Model::new(ModelConfig::llama2_7b().proxy(128, 4, 192), QuantScheme::bf16(), 11)
-                .expect("valid scheme");
-        let cfg = ServeConfig { num_threads: 4, ..ServeConfig::default() };
-        assert_eq!(ServeEngine::new(&proxy, cfg).planned_threads(16, 16), 4.min(cores));
     }
 
     #[test]
@@ -2568,20 +1210,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_cuts_weight_chunks_by_work() {
-        // Uniform work: same boundaries as equal-count chunking.
-        assert_eq!(balanced_cuts(&[1; 16], 4), vec![4, 8, 12]);
-        // One heavy sequence (a big prefill grant) gets its own chunk
-        // instead of dragging three decoders along as the straggler.
-        assert_eq!(balanced_cuts(&[8, 1, 1, 1], 2), vec![1]);
-        assert_eq!(balanced_cuts(&[1, 1, 1, 8], 2), vec![3]);
-        // Every group keeps at least one element, even with zero work.
-        assert_eq!(balanced_cuts(&[0, 0, 0], 3), vec![1, 2]);
-        assert_eq!(balanced_cuts(&[5, 5], 4), vec![1]);
-        assert_eq!(balanced_cuts(&[3], 1), Vec::<usize>::new());
-    }
-
-    #[test]
     fn queue_wait_is_recorded_per_request() {
         let m = model();
         let mut e = ServeEngine::new(
@@ -2641,7 +1269,7 @@ mod tests {
         assert_eq!(report.preemptions, 0);
         // The drained engine keeps only the prefix cache (one full block
         // of the 3-token prompt per layer at block_size 2).
-        assert_eq!(e.kv_blocks_in_use(), 2);
+        assert_eq!(e.kv_pool().in_use(), 2);
         assert_eq!(e.prefix_cache_len(), 1);
     }
 

@@ -61,6 +61,35 @@ pub enum FaultKind {
     },
 }
 
+/// Injected faults waiting for the next non-idle step
+/// ([`ServeEngine::inject_fault`]); several of a kind stack.
+#[derive(Debug, Default)]
+pub(crate) struct ArmedFaults {
+    /// Worker-panic victim ranks, reduced modulo the batch at firing time.
+    pub(crate) panics: Vec<usize>,
+    /// Free blocks hidden from the planner. They stay armed through idle
+    /// steps; the step that fires them hides them until it completes, or
+    /// releases them early where they would wedge a lone sequence.
+    pub(crate) pressure: usize,
+    /// Latency-spike steps.
+    pub(crate) spikes: u64,
+}
+
+impl ArmedFaults {
+    /// Arms `fault`.
+    pub(crate) fn arm(&mut self, fault: FaultKind) {
+        match fault {
+            FaultKind::WorkerPanic { victim_rank } => self.panics.push(victim_rank),
+            FaultKind::BlockPressure { blocks } => {
+                self.pressure = self.pressure.saturating_add(blocks)
+            }
+            FaultKind::LatencySpike { extra_steps } => {
+                self.spikes = self.spikes.saturating_add(extra_steps)
+            }
+        }
+    }
+}
+
 /// A fault scheduled at a virtual step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultEvent {

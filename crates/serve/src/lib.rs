@@ -19,21 +19,22 @@
 //! bounds — rather than monopolizes — every step it shares with decoding
 //! neighbours.
 //!
-//! This crate layers that scheduler on top of
-//! [`opal_model::Model::decode_step`] and the fused
-//! [`opal_model::Model::prefill_chunk`], the same APIs the single-sequence
-//! generation loop uses — all paths share one decoder code path, so a batch
-//! of one is token-identical to `OpalPipeline::generate` for every chunk
-//! size. Energy is accounted per step through the
+//! The scheduler drives [`opal_model::Model::forward_rows`], fusing every
+//! sequence's rows of a step into one pass; the single-sequence generation
+//! loop's `decode_step` / `prefill_chunk` are one-group passes of the same
+//! core, so a batch of one is token-identical to `OpalPipeline::generate`
+//! for every chunk size. Energy is accounted per step through the
 //! [`opal_hw::accelerator::Accelerator`] analytical model ([`step_workload`]
 //! prices the step's realized schedule), giving each [`ServeReport`] an
 //! aggregate energy figure alongside throughput, per-request latency and
 //! queue wait.
 //!
-//! Modules: `engine` holds the batch, admission and the step; `planner`
-//! its block arithmetic as pure functions (what fits, what a step grants);
-//! `trie` the prefix cache; `pool` the worker threads; `report` the
-//! reports; [`faults`] fault injection; [`clock`] the clock.
+//! Modules: `engine` holds the queue, the batch and the step; `planner` its
+//! block arithmetic as pure functions; `sequence` the model side of a step;
+//! `threads` its fan-out over the `pool` workers; `degraded` the degraded
+//! mode; `audit` the KV auditor; `trie` the prefix cache; `config`,
+//! `request` and `report` the public types; [`faults`] fault injection;
+//! [`clock`] the clock.
 //!
 //! # Example
 //!
@@ -58,7 +59,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod audit;
 pub mod clock;
+mod config;
+mod degraded;
 mod engine;
 pub mod faults;
 mod planner;
@@ -69,12 +73,16 @@ mod planner;
 #[allow(unsafe_code)]
 mod pool;
 mod report;
+mod request;
+mod sequence;
+mod threads;
 mod trie;
 
-pub use engine::{
-    step_workload, AuditReport, DegradedConfig, DraftSource, Request, RequestId, SamplingParams,
-    SeqStepWork, ServeConfig, ServeEngine, ServeError, SpecConfig, StepMode, StepSummary,
-};
+pub use audit::AuditReport;
+pub use config::{DegradedConfig, DraftSource, ServeConfig, SpecConfig, StepMode};
+pub use engine::{ServeEngine, StepSummary};
 pub use opal_model::{AdoptError, KvScheme};
 pub use planner::REORDER_STARVATION_BOUND;
 pub use report::{FinishReason, RejectionCounts, RequestReport, ServeReport};
+pub use request::{Request, RequestId, SamplingParams, ServeError};
+pub use sequence::{step_workload, SeqStepWork};

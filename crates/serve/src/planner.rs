@@ -7,7 +7,7 @@
 //! a lone sequence's injected pressure, else preempt the youngest) and
 //! plans again.
 
-use crate::engine::ServeConfig;
+use crate::config::ServeConfig;
 
 /// Upper bound on how many times one queued request can be bypassed by
 /// the admission queue's trie-aware reordering. Under block pressure a

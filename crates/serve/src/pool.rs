@@ -37,7 +37,7 @@ type Ack = (usize, Result<(), Box<dyn std::any::Any + Send>>);
 
 use opal_model::{Model, Workspace};
 
-use crate::engine::{advance_chunk, Active};
+use crate::sequence::{advance_chunk, Active};
 
 /// How long the dispatcher waits for an acknowledgement before checking
 /// whether a worker it is waiting on has died. Purely a liveness poll:

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use crate::engine::RequestId;
+use crate::request::RequestId;
 
 /// Why a request left the engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -46,17 +46,17 @@ fn storm_survivors_are_bit_identical_and_blocks_return() {
     in_flight.sort_unstable();
     assert!(in_flight.len() >= 4, "storm needs a populated engine");
     let victims: Vec<RequestId> = in_flight.iter().copied().step_by(2).collect();
-    let blocks_before = engine.kv_blocks_in_use();
+    let blocks_before = engine.kv_pool().in_use();
     for &v in &victims {
         assert!(engine.cancel(v), "cancel of in-flight {v} must succeed");
     }
     assert!(
-        engine.kv_blocks_in_use() < blocks_before,
+        engine.kv_pool().in_use() < blocks_before,
         "cancelling {} of {} in-flight requests must free private blocks ({} -> {})",
         victims.len(),
         in_flight.len(),
         blocks_before,
-        engine.kv_blocks_in_use()
+        engine.kv_pool().in_use()
     );
     let report = engine.run();
 
@@ -67,7 +67,7 @@ fn storm_survivors_are_bit_identical_and_blocks_return() {
     }
 
     // After drain only the prefix cache may hold blocks.
-    assert_eq!(engine.kv_blocks_in_use(), engine.prefix_cache_len() * n_layers);
+    assert_eq!(engine.kv_pool().in_use(), engine.prefix_cache_len() * n_layers);
 
     // Uncontended reference: only the survivors, unbounded pool, no storm.
     let survivors: Vec<usize> =
@@ -107,5 +107,5 @@ fn storm_on_queued_requests_releases_them_without_steps() {
         assert_eq!(r.finish, FinishReason::Cancelled);
         assert!(r.tokens.is_empty(), "never-admitted request generated tokens");
     }
-    assert_eq!(engine.kv_blocks_in_use(), engine.prefix_cache_len() * m.config().n_layers);
+    assert_eq!(engine.kv_pool().in_use(), engine.prefix_cache_len() * m.config().n_layers);
 }

@@ -70,7 +70,7 @@ proptest! {
         let mut engine = ServeEngine::new(&m, config);
         for &(op, a, b) in &ops {
             apply(&mut engine, vocab, op, a, b);
-            prop_assert!(engine.kv_blocks_in_use() <= config.max_blocks, "pool bound violated");
+            prop_assert!(engine.kv_pool().in_use() <= config.max_blocks, "pool bound violated");
         }
         let mid = engine.audit();
         prop_assert!(mid.is_clean(), "audit violations mid-churn: {:#?}", mid.violations);
@@ -81,11 +81,11 @@ proptest! {
             prop_assert!(guard < 100_000, "drain failed to make progress");
         }
         prop_assert_eq!(
-            engine.kv_blocks_in_use(),
+            engine.kv_pool().in_use(),
             engine.prefix_cache_len() * n_layers,
             "non-cache blocks leaked after drain"
         );
-        prop_assert!(engine.kv_blocks_peak() <= config.max_blocks);
+        prop_assert!(engine.kv_pool().peak() <= config.max_blocks);
         let audit = engine.audit();
         prop_assert!(audit.is_clean(), "audit violations after drain: {:#?}", audit.violations);
     }

@@ -54,7 +54,7 @@ fn quarantine_case(step_mode: StepMode, num_threads: usize) {
         }
         let report = engine.run();
         assert_eq!(
-            engine.kv_blocks_in_use(),
+            engine.kv_pool().in_use(),
             engine.prefix_cache_len() * n_layers,
             "non-cache blocks leaked after drain"
         );
@@ -281,7 +281,7 @@ fn decoding_deadline_truncates_generation_and_frees_blocks() {
         r.tokens.len()
     );
     assert_eq!(
-        engine.kv_blocks_in_use(),
+        engine.kv_pool().in_use(),
         engine.prefix_cache_len() * n_layers,
         "expired request must free its private blocks"
     );
@@ -341,7 +341,7 @@ fn preempted_then_expired_reports_deadline_and_frees_once() {
     );
     assert!(report.preemptions > 0);
     assert_eq!(
-        engine.kv_blocks_in_use(),
+        engine.kv_pool().in_use(),
         engine.prefix_cache_len() * n_layers,
         "blocks must be freed exactly once across preemption and expiry"
     );

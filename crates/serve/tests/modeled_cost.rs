@@ -205,12 +205,12 @@ fn spec_drain(model: &Model, batch: usize, spec: Option<SpecConfig>) -> SpecDrai
     let (mut generated, mut modeled_decode_s) = (0usize, 0.0f64);
     while !engine.is_idle() {
         generated += engine.step().generated;
-        let step = engine.last_step_workload(&format);
+        let step = step_workload(model.config(), &format, engine.last_step_work());
         modeled_decode_s += workload_latency(&step, &format, &platform).total_s();
     }
     let audit = engine.audit();
     assert!(audit.violations.is_empty(), "audit violations: {:?}", audit.violations);
-    assert_eq!(engine.kv_blocks_in_use(), 0, "a drained engine still holds KV blocks");
+    assert_eq!(engine.kv_pool().in_use(), 0, "a drained engine still holds KV blocks");
     let report = engine.report(std::time::Duration::from_secs(1));
     let tokens =
         ids.iter().map(|id| report.request(*id).expect("finished").tokens.clone()).collect();

@@ -219,7 +219,7 @@ fn cancel_aborts_and_releases_blocks() {
     assert!(!engine.cancel(a), "a cancelled request is gone");
     assert_eq!(engine.active_len(), 1);
     assert_eq!(engine.pending_len(), 0);
-    let survivor_blocks = engine.kv_blocks_in_use();
+    let survivor_blocks = engine.kv_pool().in_use();
     let expected = p.student().config().n_layers * 5usize.div_ceil(4);
     assert!(
         survivor_blocks <= expected + p.student().config().n_layers,
@@ -236,7 +236,7 @@ fn cancel_aborts_and_releases_blocks() {
     let rb = report.request(b).expect("reported");
     assert_eq!(rb.finish, FinishReason::Limit);
     assert_eq!(rb.tokens, p.generate(&[9, 8, 7], 16), "survivor must be unperturbed");
-    assert_eq!(engine.kv_blocks_in_use(), 0, "a drained engine holds no blocks");
+    assert_eq!(engine.kv_pool().in_use(), 0, "a drained engine holds no blocks");
 }
 
 /// A request whose worst-case residency cannot fit the pool even alone is

@@ -407,20 +407,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "shape mismatch");
-        Matrix {
-            data: self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).collect(),
-            rows: self.rows,
-            cols: self.cols,
-        }
-    }
-
     /// Scales every element by `s`.
     pub fn scale(&self, s: f32) -> Matrix {
         self.map(|x| x * s)
@@ -438,36 +424,6 @@ impl Matrix {
             rows: end - start,
             cols: self.cols,
         }
-    }
-
-    /// Vertical slice: columns `[start, end)` as a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or reversed.
-    pub fn cols_range(&self, start: usize, end: usize) -> Matrix {
-        assert!(start <= end && end <= self.cols, "bad col range {start}..{end}");
-        let width = end - start;
-        let mut data = Vec::with_capacity(self.rows * width);
-        for r in 0..self.rows {
-            data.extend_from_slice(&self.data[r * self.cols + start..r * self.cols + end]);
-        }
-        Matrix { data, rows: self.rows, cols: width }
-    }
-
-    /// Concatenates `self` and `rhs` along columns (`[self | rhs]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    pub fn hcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "row count mismatch");
-        let mut data = Vec::with_capacity(self.len() + rhs.len());
-        for r in 0..self.rows {
-            data.extend_from_slice(self.row(r));
-            data.extend_from_slice(rhs.row(r));
-        }
-        Matrix { data, rows: self.rows, cols: self.cols + rhs.cols }
     }
 
     /// Appends the rows of `rhs` below `self`.
@@ -870,9 +826,6 @@ pub(crate) mod tests {
         let top = m.rows_range(0, 2);
         let bottom = m.rows_range(2, 4);
         assert_eq!(top.vcat(&bottom), m);
-        let left = m.cols_range(0, 2);
-        let right = m.cols_range(2, 4);
-        assert_eq!(left.hcat(&right), m);
     }
 
     #[test]
@@ -887,7 +840,6 @@ pub(crate) mod tests {
         let m = Matrix::from_rows(&[&[1.0, -2.0]]);
         assert_eq!(m.map(f32::abs).as_slice(), &[1.0, 2.0]);
         assert_eq!(m.add(&m).as_slice(), &[2.0, -4.0]);
-        assert_eq!(m.hadamard(&m).as_slice(), &[1.0, 4.0]);
         assert_eq!(m.scale(-1.0).as_slice(), &[-1.0, 2.0]);
     }
 

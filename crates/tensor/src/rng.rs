@@ -133,11 +133,6 @@ impl TensorRng {
         v
     }
 
-    /// Direct access to the underlying RNG for ad-hoc sampling.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
     /// Samples from any `rand` distribution.
     pub fn sample<T, D: Distribution<T>>(&mut self, dist: &D) -> T {
         dist.sample(&mut self.rng)

@@ -56,9 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nKV pool: {} blocks resident (prefix cache), peak {} of {}, \
          {} prompt tokens prefix-shared, {} preemptions",
-        engine.kv_blocks_in_use(),
-        engine.kv_blocks_peak(),
-        match engine.kv_blocks_capacity() {
+        engine.kv_pool().in_use(),
+        engine.kv_pool().peak(),
+        match engine.kv_pool().capacity() {
             usize::MAX => "unbounded".to_owned(),
             cap => cap.to_string(),
         },
