@@ -9,7 +9,10 @@
 //!   128 / 512 / 4096, `matvec_into` (344x128) and `matmul_t_into` (8 rows)
 //!   at least 2x a seed-style product of the same shape; on the wide path
 //!   `matmul_t_into` with 8 and 4 rows at least 1.3x as many `matvec_into`
-//!   calls; `Log2Softmax::probs_into` within 1.8x `ops::softmax_into` at
+//!   calls; on the wide path `matmul_t_into` over bf16 weights (1 and 8
+//!   rows) at least 0.6x the same product over the same values as `f32`
+//!   (the 16-bit lanes are widened in registers; the portable loop would
+//!   read far below); `Log2Softmax::probs_into` within 1.8x `ops::softmax_into` at
 //!   n = 1024; where AVX2 runs, `ops::dot_codes_tile` at least 1.4x sixteen
 //!   per-row `ops::dot_codes` calls on a 16 x 128 page; on a query whose
 //!   sums may round in `f32` (the tile's portable path), at least 0.15x
@@ -30,6 +33,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use opal_model::{Model, ModelConfig, QuantScheme};
+use opal_numerics::Bf16;
 use opal_scenario::{assert_json_wellformed, kernel_rates};
 use opal_serve::{ServeConfig, ServeEngine, StepMode};
 use opal_softmax::Log2Softmax;
@@ -324,6 +328,27 @@ fn gemm_over_gemv(rows: usize, budget_s: f64) -> f64 {
     gemm_rate / gemv_rate
 }
 
+/// Rate of `matmul_t_into` with `rows` activation rows against the proxy's
+/// projection stored as bf16 (`Matrix<Bf16>`, a bf16 model's weight form)
+/// over the same product against the same values as `f32`, alternating
+/// call by call. Both run the same register tiles, the bf16 one loading
+/// half the weight bytes and widening each lane in registers; the outputs
+/// are bit-identical.
+fn bf16_weights_over_f32(rows: usize, budget_s: f64) -> f64 {
+    let (w, x) = projection(rows);
+    let w16 = w.transpose().transpose_with(Bf16::from_f32);
+    let w32 = w.map(|v| Bf16::from_f32(v).to_f32());
+    let (mut out16, mut out32) = (Matrix::zeros(rows, w.rows()), Matrix::zeros(rows, w.rows()));
+    let (bf16_rate, f32_rate) = alternate(
+        rows * w.rows() * w.cols(),
+        budget_s,
+        || black_box(&x).matmul_t_into(black_box(&w16), &mut out16),
+        || black_box(&x).matmul_t_into(black_box(&w32), &mut out32),
+    );
+    assert!(out16.as_slice().iter().zip(out32.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()));
+    bf16_rate / f32_rate
+}
+
 /// Time of `Log2Softmax::probs_into` over `ops::softmax_into` on one
 /// 1024-wide score row (the width of `longctx_kvq_closed`'s last step).
 /// The shift softmax is an exponent subtract and a mantissa compare on top
@@ -475,6 +500,22 @@ fn main() {
              longer widening its activation block once and sharing each weight chunk"
         );
     }
+    // bf16-weight tripwire: the bf16 model's GEMV (one row) and GEMM (eight)
+    // on the wide path run the f32 tiles with widened weight lanes. The
+    // floor is loose; a bf16 product that fell back to the portable loop
+    // (one `ops::dot` per element) would read well under it.
+    let mut bf16_json = Vec::new();
+    for rows in [1usize, 8] {
+        let (ratio, floor) = (bf16_weights_over_f32(rows, budget_s), 0.6);
+        println!("matmul_t_into r{rows} x 344x128, bf16 weights: {ratio:.2}x the same f32 weights");
+        bf16_json.push(format!("\"r{rows}\": {ratio:.3}"));
+        assert!(
+            !path.wide_dot || ratio >= floor,
+            "matmul_t_into with {rows} activation rows over bf16 weights must run at least \
+             {floor}x the same product over f32 weights (got {ratio:.2}x): the bf16 lanes are \
+             not taking the register tile"
+        );
+    }
     let log2_over_exact = log2_softmax_over_exact(budget_s);
     println!("Log2Softmax::probs_into n=1024: {log2_over_exact:.2}x the time of ops::softmax_into");
     assert!(
@@ -620,6 +661,7 @@ fn main() {
          \"scheme\": \"bf16\", \"speedup\": {headline:.3} }},\n  \
          \"kernels\": [\n{}\n  ],\n  \"kernel_path\": \"{kernel_path}\",\n  \
          \"matrix_kernels\": [\n{}\n  ],\n  \"gemm_over_gemv_344x128\": {{ {} }},\n  \
+         \"bf16_weights_over_f32_344x128\": {{ {} }},\n  \
          \"log2_softmax_over_exact_n1024\": {log2_over_exact:.3},\n  \
          \"dot_codes_tile_over_per_row_16x128\": {code_tile_over_rows:.3},\n  \
          \"dot_codes_tile_portable_over_dot_tile_16x128\": {portable_over_f32:.3},\n  \
@@ -628,6 +670,7 @@ fn main() {
         kernel_json.join(",\n"),
         matrix_kernel_json.join(",\n"),
         gemm_json.join(", "),
+        bf16_json.join(", "),
         speedup_json.join(",\n"),
         results_json.join(",\n"),
     );

@@ -13,6 +13,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use opal_numerics::Bf16;
 use opal_quant::{EncodeScratch, QuantError, Quantizer};
 use opal_softmax::Log2Softmax;
 use opal_tensor::ops;
@@ -151,8 +152,15 @@ impl Recorder for ActivationCapture {
 #[derive(Clone)]
 pub(crate) enum LayerWeight {
     /// Dense `f32`, stored transposed (`d_out × d_in`) so a token step is a
-    /// matvec: bf16 weights, and OWQ weights under `f32` activations.
+    /// matvec: OWQ weights under `f32` activations, dequantized to values
+    /// that are not bfloat16-exact, and the raw weights of OWQ's
+    /// calibration pass.
     Dense(Matrix),
+    /// Dense bfloat16, stored transposed: the bf16 scheme's weights as the
+    /// 16-bit values they are, half the bytes of [`LayerWeight::Dense`].
+    /// [`Matrix::matmul_t_into`] widens them, exactly, so the products are
+    /// those of their `f32` images.
+    Bf16(Matrix<Bf16>),
     /// OWQ codes, multiplied with MX activation codes on the INT datapath
     /// ([`ops::matmul_codes`]).
     Codes(CodeWeights),
@@ -164,6 +172,7 @@ impl LayerWeight {
     fn heap_bytes(&self) -> usize {
         match self {
             LayerWeight::Dense(m) => m.len() * size_of::<f32>(),
+            LayerWeight::Bf16(m) => m.len() * size_of::<Bf16>(),
             LayerWeight::Codes(c) => c.heap_bytes(),
         }
     }
@@ -174,6 +183,7 @@ impl LayerWeight {
 fn project(w: &LayerWeight, dense: &Matrix, mx: &MxActs, out: &mut Matrix) {
     match w {
         LayerWeight::Dense(m) => dense.matmul_t_into(m, out),
+        LayerWeight::Bf16(m) => dense.matmul_t_into(m, out),
         LayerWeight::Codes(c) => ops::matmul_codes(&mx.codes, c, out.as_mut_slice()),
     }
 }
@@ -702,17 +712,22 @@ impl Model {
     /// - MX-OPAL activation sites → `MxOpal { bits: high_bits, qblock:
     ///   block_size, outliers }`;
     /// - MXINT sites → `MxInt { bits: high_bits, qblock: block_size }`;
-    /// - bf16 and MinMax sites keep `f32` pages ([`KvScheme::Exact`]).
+    /// - bfloat16 sites (`acts: None`: the bf16 scheme and OWQ W4A16 /
+    ///   W3A16) → [`KvScheme::Bf16`];
+    /// - MinMax sites keep `f32` pages ([`KvScheme::Exact`]): their values
+    ///   are not bfloat16-exact.
     ///
     /// The page encoder is the site quantizer (same constructor, same
-    /// rounding), so such pages hold exactly the values the model computed,
-    /// about 3.5× smaller than `f32` rows at 7 bits. A lossy scheme is
-    /// returned as asked. Every pool of the workspace's own is built from
-    /// this, through [`Model::kv_pool`]; a pool built directly from
-    /// [`KvScheme::Exact`] ([`BlockPool::with_scheme`]) stores `f32` rows,
-    /// which is how tests force them.
+    /// rounding), so such pages hold exactly the values the model computed:
+    /// about 3.5× smaller than `f32` rows at 7 bits, half their size in
+    /// bfloat16. A lossy scheme is returned as asked. Every pool of the
+    /// workspace's own is built from this, through [`Model::kv_pool`]; a
+    /// pool built directly from [`KvScheme::Exact`]
+    /// ([`BlockPool::with_scheme`]) stores `f32` rows, which is how tests
+    /// force them.
     pub fn kv_scheme(&self, requested: KvScheme) -> KvScheme {
         match (requested, &self.scheme.acts) {
+            (KvScheme::Exact, None) => KvScheme::Bf16,
             (KvScheme::Exact, Some(acts)) => match acts.format {
                 ActFormat::MxOpal => KvScheme::MxOpal {
                     bits: acts.high_bits,
@@ -1084,16 +1099,17 @@ impl Model {
                     let seg = (bs - p % bs).min(rows - off);
                     let (from, to) = ((row0 + off) * d, (row0 + off + seg) * d);
                     let (ks, vs) = (&ws.ks.as_slice()[from..to], &ws.vs.as_slice()[from..to]);
-                    if kv.quantized() {
-                        // Quantized KV: the page encoder *is* the
-                        // cache-side quantizer (on site pages, the K/V
-                        // site's own), so the post-RoPE rows go in raw and
-                        // the scheme's codes come back out on the walk.
-                        kv.append_rows_quant(l, p, seg, ks, vs, &mut ws.quant);
-                    } else {
+                    if kv.f32_rows() {
                         let (k_dst, v_dst) = kv.rows_mut(l, p, seg);
                         self.quant_high_flat(ks, d, k_dst, &mut ws.quant);
                         self.quant_high_flat(vs, d, v_dst, &mut ws.quant);
+                    } else {
+                        // bfloat16 or quantized pages: the page encoder
+                        // *is* the cache-side quantizer (on site pages, the
+                        // K/V site's own: the bf16 round trip, or the MX
+                        // codes), so the post-RoPE rows go in raw and the
+                        // values come back out on the walk.
+                        kv.append_rows(l, p, seg, ks, vs, &mut ws.quant);
                     }
                     off += seg;
                 }
@@ -1395,10 +1411,6 @@ fn bf16_roundtrip_into(x: &[f32], out: &mut [f32]) {
     }
 }
 
-fn bf16_matrix(m: &Matrix) -> Matrix {
-    m.map(|v| opal_numerics::Bf16::from_f32(v).to_f32())
-}
-
 fn process_identity(raw: &ModelWeights) -> Vec<ReadyLayer> {
     let dense = |m: &Matrix| LayerWeight::Dense(m.transpose());
     raw.layers
@@ -1420,7 +1432,7 @@ fn process_identity(raw: &ModelWeights) -> Vec<ReadyLayer> {
 }
 
 fn process_bf16(raw: &ModelWeights) -> Vec<ReadyLayer> {
-    let dense = |m: &Matrix| LayerWeight::Dense(bf16_matrix(m).transpose());
+    let dense = |m: &Matrix| LayerWeight::Bf16(m.transpose_with(Bf16::from_f32));
     raw.layers
         .iter()
         .map(|l| ReadyLayer {
@@ -1811,7 +1823,8 @@ mod tests {
 
     /// The served proxy under W4A4/7 holds its decoder layers as OWQ codes:
     /// a byte per weight plus the per-channel grids and bfloat16 rows, under
-    /// a mebibyte where the dequantized `f32` matrices took 3.02 MiB.
+    /// a mebibyte where the dequantized `f32` matrices took 3.02 MiB; under
+    /// bf16, the bfloat16 matrices take 1.51 MiB.
     #[test]
     fn served_proxy_holds_at_most_a_mebibyte_of_layer_weights() {
         let bytes = proxy_model().layer_weight_bytes();
@@ -1819,7 +1832,7 @@ mod tests {
         let bf16 = Model::new(proxy_model().config().clone(), QuantScheme::bf16(), 7)
             .expect("valid scheme")
             .layer_weight_bytes();
-        assert_eq!(bf16, 4 * (4 * 128 * 128 + 3 * 128 * 344) * 4, "the f32 matrices");
+        assert_eq!(bf16, 4 * (4 * 128 * 128 + 3 * 128 * 344) * 2, "the bf16 matrices");
     }
 
     /// Groupings at the served geometry: starts that cross pages, a group of
@@ -1829,6 +1842,19 @@ mod tests {
     fn proxy_groupings_are_bitwise_each_sequence_alone() {
         let shapes = [(40, 33, 2, 11), (15, 9, 2, 5), (31, 1, 1, 3), (0, 17, 1, 8), (7, 0, 0, 2)];
         let outcome = grouping_case(proxy_model(), KvScheme::mxopal(), 16, &shapes);
+        assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+
+    /// The same groupings on the bf16 proxy over its own bf16 pages: the
+    /// bf16-weight GEMM at every row count, and the bf16 K and V walks for
+    /// query tiles of one to eight rows.
+    #[test]
+    fn proxy_bf16_groupings_are_bitwise_each_sequence_alone() {
+        let config = ModelConfig::llama2_7b().proxy(128, 4, 192);
+        let model = Model::new(config, QuantScheme::bf16(), 7).expect("valid scheme");
+        assert_eq!(model.kv_scheme(KvScheme::Exact), KvScheme::Bf16);
+        let shapes = [(40, 33, 2, 11), (15, 9, 2, 5), (31, 1, 1, 3), (0, 17, 1, 8), (7, 0, 0, 2)];
+        let outcome = grouping_case(&model, KvScheme::Bf16, 16, &shapes);
         assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 

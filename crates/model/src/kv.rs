@@ -17,10 +17,13 @@
 //!   prefix trie) clones the filled rows into a fresh block first —
 //!   [`Arc::get_mut`] is the entire aliasing proof, no `unsafe` anywhere.
 //!
-//! Pages come in two storage formats, fixed per pool by a [`KvScheme`]:
+//! Pages come in three storage formats, fixed per pool by a [`KvScheme`]:
 //!
 //! * **`f32`** ([`KvScheme::Exact`] as built) — `f32` rows, bit-identical
-//!   to the pre-paged cache, and
+//!   to the pre-paged cache,
+//! * **bfloat16** ([`KvScheme::Bf16`]) — the 16 bits of each value of a
+//!   model whose K/V sites round to bfloat16, read as the `f32` each widens
+//!   to (exact), and
 //! * **quantized** — MX-OPAL or MXINT pages holding one `i8` per code,
 //!   whatever the code width, with per-quant-block shared exponents (plus
 //!   bf16 outlier slots for MX-OPAL). Rows are encoded once at append
@@ -35,16 +38,19 @@
 //! quantized pool in the site's own format ([`crate::Model::kv_scheme`]):
 //! the page encoder is the site quantizer, the pages hold exactly the
 //! values the model computed, and the walk scores and sums them bitwise as
-//! the `f32` walk does (see `PagedKv::scores_into`).
+//! the `f32` walk does (see `PagedKv::scores_into`). A model whose K/V
+//! sites are bfloat16 caches the bfloat16 values themselves, half the bytes
+//! of their `f32` images and the same numbers on the walk.
 //!
 //! Two methods know the page formats (`PagedKv::scores_into`,
 //! `PagedKv::weighted_values_into`), and both take a group of query rows.
 //! Every format shares one walk: page by page, one visit per (page, head)
 //! serving every query row of the group. K scores are a tile of the page's
 //! rows against the group's query rows ([`opal_tensor::ops::dot_tile`] over
-//! exact rows, [`opal_tensor::ops::dot_codes_tile`] over codes); the V sum
-//! keeps each context in registers across the page's rows
-//! ([`opal_tensor::ops::axpy_tile`] straight off an exact page,
+//! `f32` or bfloat16 rows, [`opal_tensor::ops::dot_codes_tile`] over codes);
+//! the V sum keeps each context in registers across the page's rows
+//! ([`opal_tensor::ops::axpy_tile`] straight off an `f32` or bfloat16
+//! page, bfloat16 rows widened in registers,
 //! [`opal_tensor::ops::axpy_codes_tile`] from a quantized page dequantized
 //! once into an `f32` tile). A head that straddles shared-exponent blocks
 //! takes one tile call per block it touches, straight off the page's code
@@ -70,19 +76,27 @@ use std::sync::{Arc, Mutex};
 /// the same pool (see [`AdoptError::ForeignPool`]). `Exact` is the
 /// default and keeps decode bit-identical to the unquantized cache; a
 /// model resolves it to the K/V site's own format
-/// ([`crate::Model::kv_scheme`]), which `Model::begin_decode` and
-/// `opal-serve`'s engine build their pools in. The other presets trade
+/// ([`crate::Model::kv_scheme`]: `Bf16` pages for bfloat16 sites, the
+/// site's codes for MX sites), which `Model::begin_decode` and
+/// `opal-serve`'s engine build their pools in. The lossy presets trade
 /// bounded accuracy for ~3.5× smaller pages than `f32` rows, which a
 /// bounded pool converts directly into more resident sequences.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KvScheme {
     /// Lossless in the K/V site's format: the values the model computed,
     /// bit for bit. [`crate::Model::kv_scheme`] resolves it to the site's
-    /// own codes — `MxOpal`/`MxInt` at `high_bits` over the site's blocks —
-    /// or, for bf16 and MinMax sites, `f32` rows; a [`BlockPool`] built
-    /// straight from it stores `f32` rows.
+    /// own format — `MxOpal`/`MxInt` codes at `high_bits` over the site's
+    /// blocks, `Bf16` pages for bfloat16 sites — or, for MinMax sites,
+    /// `f32` rows; a [`BlockPool`] built straight from it stores `f32`
+    /// rows, the forced reference the other formats are tested against.
     #[default]
     Exact,
+    /// bfloat16 pages: each K/V element stored as its 16 bits and read as
+    /// the `f32` it widens to. Lossless on a model whose K/V sites round to
+    /// bfloat16 (the bf16 and W4A16/W3A16 schemes, which
+    /// [`crate::Model::kv_scheme`] resolves `Exact` to): 16 stored bits per
+    /// element, half an `f32` page.
+    Bf16,
     /// MX-OPAL pages: `bits`-bit integer codes over shared-exponent blocks
     /// of `qblock` elements, with the top `outliers` magnitudes per block
     /// preserved exactly in bf16 side slots.
@@ -112,9 +126,9 @@ impl KvScheme {
     }
 
     /// Whether pages under this scheme store integer codes rather than
-    /// `f32` rows.
+    /// `f32` or bfloat16 values.
     pub fn quantized(&self) -> bool {
-        !matches!(self, KvScheme::Exact)
+        !matches!(self, KvScheme::Exact | KvScheme::Bf16)
     }
 
     /// Bytes of storage behind one K *or* V page of `block_size` rows ×
@@ -123,6 +137,7 @@ impl KvScheme {
     pub fn page_bytes(&self, block_size: usize, width: usize) -> usize {
         match *self {
             KvScheme::Exact => block_size * width * std::mem::size_of::<f32>(),
+            KvScheme::Bf16 => block_size * width * std::mem::size_of::<Bf16>(),
             KvScheme::MxOpal { qblock, outliers, .. } => {
                 let qpr = width.div_ceil(qblock);
                 // i8 per code; i16 scale + u8 outlier count per quant
@@ -234,7 +249,7 @@ impl BlockPool {
         assert!(block_size > 0, "block_size must be at least 1");
         assert!(width > 0, "row width must be at least 1");
         let codec = match scheme {
-            KvScheme::Exact => None,
+            KvScheme::Exact | KvScheme::Bf16 => None,
             KvScheme::MxOpal { bits, qblock, outliers } => {
                 let q = MxOpalQuantizer::new(bits, qblock, outliers);
                 // tidy: allow(panic) -- pool construction validates the scheme once
@@ -296,7 +311,7 @@ impl BlockPool {
         match self.scheme {
             KvScheme::MxOpal { bits, qblock, outliers } => (bits, qblock, outliers),
             KvScheme::MxInt { bits, qblock } => (bits, qblock, 0),
-            KvScheme::Exact => unreachable!("quant_params on an exact pool"),
+            KvScheme::Exact | KvScheme::Bf16 => unreachable!("quant_params on a dense pool"),
         }
     }
 
@@ -312,6 +327,10 @@ impl BlockPool {
             KvScheme::Exact => {
                 let cap = self.block_size * self.width;
                 (PageStore::Exact(vec![0.0; cap]), PageStore::Exact(vec![0.0; cap]))
+            }
+            KvScheme::Bf16 => {
+                let cap = self.block_size * self.width;
+                (PageStore::Bf16(vec![Bf16::ZERO; cap]), PageStore::Bf16(vec![Bf16::ZERO; cap]))
             }
             _ => {
                 let (_, _, nout) = self.quant_params();
@@ -356,26 +375,29 @@ impl BlockPool {
     }
 }
 
-/// One page's backing storage: `f32` rows or quantized code rows.
+/// One page's backing storage: `f32` rows, bfloat16 rows or quantized
+/// code rows.
 #[derive(Debug)]
 enum PageStore {
     Exact(Vec<f32>),
+    Bf16(Vec<Bf16>),
     Quant(QuantPage),
 }
 
 impl PageStore {
     /// The `f32` rows of an exact page.
+    #[cfg(test)]
     fn exact(&self) -> &[f32] {
         match self {
             PageStore::Exact(rows) => rows,
-            PageStore::Quant(_) => unreachable!("exact row access on a quantized page"),
+            _ => unreachable!("f32 row access on another page format"),
         }
     }
 
     fn exact_mut(&mut self) -> &mut [f32] {
         match self {
             PageStore::Exact(rows) => rows,
-            PageStore::Quant(_) => unreachable!("exact row access on a quantized page"),
+            _ => unreachable!("f32 row access on another page format"),
         }
     }
 
@@ -384,14 +406,38 @@ impl PageStore {
     fn quant(&self) -> &QuantPage {
         match self {
             PageStore::Quant(page) => page,
-            PageStore::Exact(_) => unreachable!("quantized row access on an exact page"),
+            _ => unreachable!("quantized row access on a dense page"),
         }
     }
 
-    fn quant_mut(&mut self) -> &mut QuantPage {
+    /// [`ops::dot_tile`] over a dense page's rows (`f32` or bfloat16) from
+    /// column `lo`, `stride` apart.
+    fn dot_tile<'a>(
+        &self,
+        lo: usize,
+        stride: usize,
+        queries: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+    ) {
         match self {
-            PageStore::Quant(page) => page,
-            PageStore::Exact(_) => unreachable!("quantized row access on an exact page"),
+            PageStore::Exact(rows) => ops::dot_tile(&rows[lo..], stride, queries),
+            PageStore::Bf16(rows) => ops::dot_tile(&rows[lo..], stride, queries),
+            PageStore::Quant(_) => unreachable!("dense tile on a quantized page"),
+        }
+    }
+
+    /// [`ops::axpy_tile`] over a dense page's rows (`f32` or bfloat16) from
+    /// column `lo`, `stride` apart.
+    fn axpy_tile<'a>(
+        &self,
+        lo: usize,
+        stride: usize,
+        rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
+        fresh: bool,
+    ) {
+        match self {
+            PageStore::Exact(page) => ops::axpy_tile(&page[lo..], stride, rows, fresh),
+            PageStore::Bf16(page) => ops::axpy_tile(&page[lo..], stride, rows, fresh),
+            PageStore::Quant(_) => unreachable!("dense tile on a quantized page"),
         }
     }
 
@@ -400,6 +446,9 @@ impl PageStore {
     fn copy_rows_from(&mut self, src: &PageStore, rows: usize, w: usize, qpr: usize, nout: usize) {
         match (self, src) {
             (PageStore::Exact(dst), PageStore::Exact(s)) => {
+                dst[..rows * w].copy_from_slice(&s[..rows * w]);
+            }
+            (PageStore::Bf16(dst), PageStore::Bf16(s)) => {
                 dst[..rows * w].copy_from_slice(&s[..rows * w]);
             }
             (PageStore::Quant(dst), PageStore::Quant(s)) => {
@@ -739,22 +788,25 @@ impl PagedKv {
         }
     }
 
-    /// Whether this cache stores quantized pages.
-    pub(crate) fn quantized(&self) -> bool {
-        self.pool.scheme.quantized()
+    /// Whether this cache stores `f32` rows, which the model writes itself
+    /// ([`PagedKv::rows_mut`]); every other format encodes the rows it is
+    /// given ([`PagedKv::append_rows`]).
+    pub(crate) fn f32_rows(&self) -> bool {
+        self.pool.scheme == KvScheme::Exact
     }
 
     /// Makes `layers[layer]` cover position `pos` with an exclusively
     /// owned tail block: allocates on first touch and copy-on-writes a
     /// shared tail (cloning the `rows_filled` rows written so far), then
     /// returns the block index. Shared paging/CoW body of [`rows_mut`]
-    /// and [`append_rows_quant`].
+    /// and [`append_rows`].
     ///
     /// [`rows_mut`]: PagedKv::rows_mut
-    /// [`append_rows_quant`]: PagedKv::append_rows_quant
+    /// [`append_rows`]: PagedKv::append_rows
     fn provision(&mut self, layer: usize, pos: usize, rows_filled: usize) -> usize {
         let bs = self.pool.block_size();
         let bi = pos / bs;
+        let (nout, qpr) = self.quant_geometry().map_or((0, 0), |(_, _, nout, qpr)| (nout, qpr));
         let table = &mut self.layers[layer];
         debug_assert!(bi <= table.len(), "append must be contiguous");
         if bi == table.len() {
@@ -767,10 +819,6 @@ impl PagedKv {
             // filled so far into a fresh block and divert this sequence's
             // table to it; the shared original stays untouched.
             let w = self.pool.width();
-            let (qpr, nout) = match self.pool.scheme {
-                KvScheme::Exact => (0, 0),
-                _ => (self.pool.qblocks_per_row(), self.pool.quant_params().2),
-            };
             // tidy: allow(alloc) -- copy-on-write provisioning, amortized
             let mut fresh = self.pool.alloc();
             {
@@ -785,7 +833,7 @@ impl PagedKv {
     }
 
     /// Writable K/V row spans for positions `pos..pos + n` of `layer` in
-    /// an exact pool, allocating the block on first touch and
+    /// an `f32` pool, allocating the block on first touch and
     /// copy-on-writing it when it is shared. The span must not cross a
     /// block boundary (callers split chunks into per-block segments).
     pub(crate) fn rows_mut(
@@ -805,10 +853,13 @@ impl PagedKv {
     }
 
     /// Encodes rows `pos..pos + n` of `layer` from the `f32` sources
-    /// `k_src`/`v_src` (each `n × width`) into the quantized tail page,
-    /// with the same first-touch allocation and copy-on-write rules as
-    /// [`PagedKv::rows_mut`]. The span must not cross a block boundary.
-    pub(crate) fn append_rows_quant(
+    /// `k_src`/`v_src` (each `n × width`) into the tail page of a bfloat16
+    /// or quantized pool — each element rounded to bfloat16
+    /// ([`ops::bf16_image`], `Bf16::from_f32` on every lane), or each row
+    /// encoded by the pool's codec — with the same first-touch allocation
+    /// and copy-on-write rules as [`PagedKv::rows_mut`]. The span must not
+    /// cross a block boundary.
+    pub(crate) fn append_rows(
         &mut self,
         layer: usize,
         pos: usize,
@@ -822,14 +873,20 @@ impl PagedKv {
         let r = pos % bs;
         debug_assert!(n > 0 && r + n <= bs, "row span must stay inside one block");
         debug_assert!(k_src.len() == n * w && v_src.len() == n * w, "source row shape mismatch");
-        let (_, _, nout) = self.pool.quant_params();
-        let qpr = self.pool.qblocks_per_row();
+        let (nout, qpr) = self.quant_geometry().map_or((0, 0), |(_, _, nout, qpr)| (nout, qpr));
         let codec = self.pool.codec;
         let bi = self.provision(layer, pos, r);
         // tidy: allow(panic) -- provision() just made the tail block exclusive
         let block = Arc::get_mut(&mut self.layers[layer][bi]).expect("tail block made exclusive");
         for (page, src) in [(&mut block.k, k_src), (&mut block.v, v_src)] {
-            let page = page.quant_mut();
+            let page = match page {
+                PageStore::Bf16(rows) => {
+                    ops::bf16_image(src, &mut rows[r * w..(r + n) * w]);
+                    continue;
+                }
+                PageStore::Quant(page) => page,
+                PageStore::Exact(_) => unreachable!("append_rows on an f32 pool"),
+            };
             for i in 0..n {
                 let codes = &mut page.codes[(r + i) * w..(r + i + 1) * w];
                 let (q0, q1) = ((r + i) * qpr, (r + i + 1) * qpr);
@@ -847,7 +904,7 @@ impl PagedKv {
                     Some(Codec::Int(q)) => {
                         q.encode_row(&src[i * w..(i + 1) * w], codes, &mut page.scales[q0..q1])
                     }
-                    None => unreachable!("append_rows_quant on an exact pool"),
+                    None => unreachable!("a quantized pool without a codec"),
                 }
             }
         }
@@ -865,9 +922,9 @@ impl PagedKv {
     }
 
     /// `(bits, qblock, outlier slots per qblock, qblocks per row)` of a
-    /// quantized pool, `None` for an exact one.
+    /// quantized pool, `None` for a dense (`f32` or bfloat16) one.
     fn quant_geometry(&self) -> Option<(u32, usize, usize, usize)> {
-        self.quantized().then(|| {
+        self.pool.scheme.quantized().then(|| {
             let (bits, qblock, nout) = self.pool.quant_params();
             (bits, qblock, nout, self.pool.qblocks_per_row())
         })
@@ -884,17 +941,18 @@ impl PagedKv {
     /// must be fitted to the pool's geometry and at least `m` query rows.
     ///
     /// One walk for every page format: **page by page, every query row per
-    /// visit**. An exact page takes one [`ops::dot_tile`] per head, then the
-    /// scale. A quantized page takes one [`ops::dot_codes_tile`] per (head,
-    /// segment), a segment being the part of the head inside one
-    /// shared-exponent block (one, unless the head straddles blocks), over
-    /// the page's codes. Each (query row, cached row) sum then meets its
+    /// visit**. A dense page (`f32` or bfloat16 rows) takes one
+    /// [`ops::dot_tile`] per head, then the scale. A quantized page takes
+    /// one [`ops::dot_codes_tile`] per (head, segment), a segment being the
+    /// part of the head inside one shared-exponent block (one, unless the
+    /// head straddles blocks), over the page's codes. Each (query row,
+    /// cached row) sum then meets its
     /// segment's power-of-two step and the segment's exact bf16 outlier
     /// terms in `f64`, carried across the head's segments in `scratch` and
     /// rounded once at the head's end — per cached row for up to eight
     /// query rows at once, each outlier slot decoded once for them
     /// (`Segment::finish_scores`). Bitwise that is one
-    /// `ops::dot` per (query row, cached row, head) on exact pages, and the
+    /// `ops::dot` per (query row, cached row, head) on dense pages, and the
     /// per-row `QuantRow::dot_range` the tests hold the walk to on quantized
     /// ones — which is `ops::dot` over the decoded rows whenever `dot`'s
     /// `f64` partial sums are exact, as on every site-format page
@@ -935,7 +993,7 @@ impl PagedKv {
                 else {
                     let outs = out.chunks_exact_mut(n_heads * len).map(|o| &mut o[at..at + rows]);
                     let q_rows = queries().map(|q| &q[lo..hi]);
-                    ops::dot_tile(&block.k.exact()[lo..], w, q_rows.zip(outs));
+                    block.k.dot_tile(lo, w, q_rows.zip(outs));
                     for out in out.chunks_exact_mut(n_heads * len) {
                         for score in &mut out[at..at + rows] {
                             *score *= scale;
@@ -992,7 +1050,8 @@ impl PagedKv {
     ///
     /// The counterpart of [`PagedKv::scores_into`], on the same walk, the
     /// first page writing each context: per head one [`ops::axpy_tile`]
-    /// straight off an exact page's rows, or per (head, segment) one
+    /// straight off a dense page's rows (a bfloat16 page's widened in
+    /// registers, never decoded into `scratch`), or per (head, segment) one
     /// [`ops::axpy_codes_tile`] that dequantizes the segment's codes by
     /// their rows' steps into `scratch`'s tile, with their outliers written
     /// over their lanes, first. Each context element belongs to one segment
@@ -1024,7 +1083,7 @@ impl PagedKv {
                     let rows_of = queries()
                         .map(|weights| &weights[at..at + rows])
                         .zip(ctx.chunks_exact_mut(w).map(|c| &mut c[lo..hi]));
-                    ops::axpy_tile(&block.v.exact()[lo..], w, rows_of, t0 == 0);
+                    block.v.axpy_tile(lo, w, rows_of, t0 == 0);
                     continue;
                 };
                 for (qb, s0, s1) in segments(lo, hi, qblock) {
@@ -1055,7 +1114,8 @@ impl PagedKv {
     }
 
     /// Everything the cache stores for position `pos` of `layer`, K then V,
-    /// as one word list: the `f32` bit patterns of an exact row, or a
+    /// as one word list: the `f32` bit patterns of a dense row (a bfloat16
+    /// row's widened, so it images as the `f32` row of its values), or a
     /// quantized row's codes, scales and live outlier slots (slots past a
     /// block's live count are recycled-page garbage by design). Equal
     /// images are bit-equal rows.
@@ -1065,9 +1125,16 @@ impl PagedKv {
         let (block, r) = (&self.layers[layer][pos / bs], pos % bs);
         let mut image = Vec::new();
         for page in [&block.k, &block.v] {
-            if !self.quantized() {
-                image.extend(page.exact()[r * w..(r + 1) * w].iter().map(|x| x.to_bits()));
-                continue;
+            match page {
+                PageStore::Exact(rows) => {
+                    image.extend(rows[r * w..(r + 1) * w].iter().map(|x| x.to_bits()));
+                    continue;
+                }
+                PageStore::Bf16(rows) => {
+                    image.extend(rows[r * w..(r + 1) * w].iter().map(|x| x.to_f32().to_bits()));
+                    continue;
+                }
+                PageStore::Quant(_) => {}
             }
             let (bits, qblock, nout) = self.pool.quant_params();
             let row = page.quant().row(r, w, self.pool.qblocks_per_row(), nout, bits, qblock);
@@ -1180,6 +1247,19 @@ mod tests {
         &kv.layers[0][pos / bs].k.exact()[pos % bs * w..(pos % bs + 1) * w]
     }
 
+    /// The cached K (or V) row at `pos` of layer 0 of a dense pool, as the
+    /// `f32` values it holds (a bfloat16 row widened).
+    fn dense_row(kv: &PagedKv, pos: usize, value: bool) -> Vec<f32> {
+        let (bs, w) = (kv.pool.block_size(), kv.pool.width());
+        let block = &kv.layers[0][pos / bs];
+        let at = pos % bs * w..(pos % bs + 1) * w;
+        match if value { &block.v } else { &block.k } {
+            PageStore::Exact(rows) => rows[at].to_vec(),
+            PageStore::Bf16(rows) => rows[at].iter().map(|x| x.to_f32()).collect(),
+            PageStore::Quant(_) => unreachable!("a dense row of a quantized page"),
+        }
+    }
+
     #[test]
     fn quant_walk_matches_reference_decode() {
         let w = 20;
@@ -1194,7 +1274,7 @@ mod tests {
             let mut enc = EncodeScratch::new();
             let rows: Vec<Vec<f32>> = (0..5).map(|i| test_row(w, i)).collect();
             for (i, row) in rows.iter().enumerate() {
-                kv.append_rows_quant(0, i, 1, row, row, &mut enc);
+                kv.append_rows(0, i, 1, row, row, &mut enc);
             }
             // Reference: the fused quantize-dequantize of each row.
             for (i, row) in rows.iter().enumerate() {
@@ -1209,7 +1289,7 @@ mod tests {
                         let q = MxIntQuantizer::new(bits, qblock).unwrap();
                         q.quantize_dequantize_scratch(row, &mut reference, &mut enc);
                     }
-                    KvScheme::Exact => unreachable!(),
+                    KvScheme::Exact | KvScheme::Bf16 => unreachable!(),
                 }
                 // dot_range against a one-hot query reads back one element.
                 for (j, &want) in reference.iter().enumerate() {
@@ -1237,7 +1317,7 @@ mod tests {
         let mut kv = PagedKv::new(Arc::clone(&p), 1);
         let mut enc = EncodeScratch::new();
         let row = test_row(w, 7);
-        kv.append_rows_quant(0, 0, 1, &row, &row, &mut enc);
+        kv.append_rows(0, 0, 1, &row, &row, &mut enc);
         let q = MxOpalQuantizer::new(4, 8, 2).unwrap();
         let mut reference = vec![0.0f32; w];
         q.quantize_dequantize_scratch(&row, &mut reference, &mut enc);
@@ -1256,7 +1336,9 @@ mod tests {
         // against one `ops::dot` or `dot_range` (and one scaled add or
         // `axpy_range`) per (query row, cached row, head), each query row
         // over its own causal prefix, the context written from `+0.0`:
-        // every page format on the one page walk — exact pages, heads that
+        // every page format on the one page walk — `f32` pages, bfloat16
+        // pages (against their rows widened; heads at odd columns of an
+        // odd-width row too), heads that
         // fit their shared-exponent blocks (the served proxy's one 128-wide
         // head under `mxopal()` and MXINT-4/7's site pages included), heads
         // that straddle blocks (that head under 32-wide blocks; `qblock` 8
@@ -1273,6 +1355,9 @@ mod tests {
         for (w, n_heads, scheme) in [
             (128usize, 4usize, KvScheme::Exact),
             (128, 1, KvScheme::Exact),
+            (128, 4, KvScheme::Bf16),
+            (128, 1, KvScheme::Bf16),
+            (27, 3, KvScheme::Bf16),
             (128, 4, KvScheme::mxopal()),
             (128, 4, mxint_site),
             (128, 4, low_bits),
@@ -1300,12 +1385,12 @@ mod tests {
                         v.fill(0.0);
                         (v[3], v[w - 2]) = (1.0e-3, -2.0e-3);
                     }
-                    if scheme.quantized() {
-                        kv.append_rows_quant(0, pos, 1, &k, &v, &mut enc);
-                    } else {
+                    if kv.f32_rows() {
                         let (k_dst, v_dst) = kv.rows_mut(0, pos, 1);
                         k_dst.copy_from_slice(&k);
                         v_dst.copy_from_slice(&v);
+                    } else {
+                        kv.append_rows(0, pos, 1, &k, &v, &mut enc);
                     }
                 }
                 // The V tile *writes* an outlier over its lane, which the
@@ -1366,15 +1451,14 @@ mod tests {
                                     }
                                     qrow(&kv, t, false).dot_range(q, lo) * 0.25
                                 } else {
-                                    let (bi, r) = (t / bs, t % bs);
-                                    let v_row = &kv.layers[0][bi].v.exact()[r * w..(r + 1) * w];
+                                    let v_row = dense_row(&kv, t, true);
                                     for (c, &vv) in want_ctx[lo..hi].iter_mut().zip(&v_row[lo..hi])
                                     {
                                         if wt != 0.0 {
                                             *c += wt * vv;
                                         }
                                     }
-                                    ops::dot(q, &exact_k_row(&kv, t)[lo..hi]) * 0.25
+                                    ops::dot(q, &dense_row(&kv, t, false)[lo..hi]) * 0.25
                                 };
                                 let got = scores[x];
                                 assert_eq!(
@@ -1401,12 +1485,12 @@ mod tests {
         let mut kv = PagedKv::new(Arc::clone(&p), 1);
         let mut enc = EncodeScratch::new();
         let r0 = test_row(w, 1);
-        kv.append_rows_quant(0, 0, 1, &r0, &r0, &mut enc);
+        kv.append_rows(0, 0, 1, &r0, &r0, &mut enc);
         // Share the partial block, then append: must copy-on-write.
         let donor = kv.layers[0][0].clone();
         let donor_codes = donor.k.quant().codes.clone();
         let r1 = test_row(w, 2);
-        kv.append_rows_quant(0, 1, 1, &r1, &r1, &mut enc);
+        kv.append_rows(0, 1, 1, &r1, &r1, &mut enc);
         assert!(!Arc::ptr_eq(&donor, &kv.layers[0][0]), "table must divert to the copy");
         assert_eq!(donor.k.quant().codes, donor_codes, "donor codes must be untouched");
         // Row 0 of the copy matches the donor's row 0.
@@ -1464,8 +1548,8 @@ mod tests {
         let mut enc = EncodeScratch::new();
         let rows: Vec<Vec<f32>> = (0..6).map(|i| test_row(w, 100 + i)).collect();
         let flat: Vec<f32> = rows.iter().flatten().copied().collect();
-        kv.append_rows_quant(0, 0, 4, &flat[..4 * w], &flat[..4 * w], &mut enc);
-        kv.append_rows_quant(0, 4, 2, &flat[4 * w..], &flat[4 * w..], &mut enc);
+        kv.append_rows(0, 0, 4, &flat[..4 * w], &flat[..4 * w], &mut enc);
+        kv.append_rows(0, 4, 2, &flat[4 * w..], &flat[4 * w..], &mut enc);
         let q = MxIntQuantizer::new(4, 4).unwrap();
         for (i, row) in rows.iter().enumerate() {
             let mut reference = vec![0.0f32; w];

@@ -24,8 +24,7 @@
 //! both give the same codes and the same numbers. Every other scheme keeps
 //! the seed's `f32` round trip and its sequential matvec.
 
-use opal_tensor::Matrix;
-use opal_tensor::{ops, CodeActs};
+use opal_tensor::{ops, CodeActs, Lane, Matrix};
 
 use crate::infer::{LayerWeight, Model, Recorder, Site};
 
@@ -33,11 +32,14 @@ use crate::infer::{LayerWeight, Model, Recorder, Site};
 /// latency-chained `f64` sum per output element (`Iterator::sum`), a fresh
 /// `Vec` per call. [`Matrix::matvec`] has since moved to a pipelined
 /// 4-accumulator reduction; the baseline must keep the original kernel.
-pub(crate) fn seed_matvec(m: &Matrix, v: &[f32]) -> Vec<f32> {
+/// A bf16 model's weights are stored as bfloat16 and widened here, which
+/// is exact: the seed's `f32` weights held those same values.
+pub(crate) fn seed_matvec<T: Lane>(m: &Matrix<T>, v: &[f32]) -> Vec<f32> {
     assert_eq!(v.len(), m.cols(), "vector length mismatch");
     m.iter_rows()
         .map(|row| {
-            row.iter().zip(v).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum::<f64>() as f32
+            row.iter().zip(v).map(|(&a, &b)| f64::from(a.to_f32()) * f64::from(b)).sum::<f64>()
+                as f32
         })
         .collect()
 }
@@ -67,6 +69,7 @@ impl Model {
 fn reference_product(w: &LayerWeight, x: &Operand) -> Vec<f32> {
     match (w, x) {
         (LayerWeight::Dense(m), Operand::Dense(x)) => seed_matvec(m, x),
+        (LayerWeight::Bf16(m), Operand::Dense(x)) => seed_matvec(m, x),
         (LayerWeight::Codes(c), Operand::Codes(x)) => {
             let mut out = vec![0.0; c.d_out()];
             ops::matmul_codes_portable(x, c, &mut out);

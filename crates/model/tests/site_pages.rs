@@ -1,10 +1,11 @@
 //! `KvScheme::Exact` on a model with MX activation sites caches K and V in
 //! the site's own format: the codes the K/V site quantizer made, not their
-//! `f32` images. That must not move a bit: the served proxies under
-//! W4A4/7, W3A3/5 and MXINT-4/7, and the §4.1 inverted placements A7/4
-//! and A5/3 (4- and 3-bit K/V codes), give the same logits over a
-//! 200-token prompt and 64 greedy steps on their resolved pages as on
-//! forced `f32` pages (a pool built straight from `KvScheme::Exact`).
+//! `f32` images; on a model whose K/V sites round to bf16 (bf16, OWQ
+//! W4A16), the bf16 values. That must not move a bit: the served proxies
+//! under W4A4/7, W3A3/5 and MXINT-4/7, the §4.1 inverted placements A7/4
+//! and A5/3 (4- and 3-bit K/V codes), bf16 and W4A16 give the same logits
+//! over a 200-token prompt and 64 greedy steps on their resolved pages as
+//! on forced `f32` pages (a pool built straight from `KvScheme::Exact`).
 
 use std::sync::Arc;
 
@@ -53,6 +54,8 @@ fn exact_resolves_to_site_pages_with_the_logits_of_f32_pages() {
         (QuantScheme::mxint_w4a47(), KvScheme::MxInt { bits: 7, qblock: 128 }),
         (placement(7, 4), KvScheme::MxOpal { bits: 4, qblock: 128, outliers: 4 }),
         (placement(5, 3), KvScheme::MxOpal { bits: 3, qblock: 128, outliers: 4 }),
+        (QuantScheme::bf16(), KvScheme::Bf16),
+        (QuantScheme::owq_w4a16(), KvScheme::Bf16),
     ] {
         let name = scheme.name.clone();
         let model = proxy(scheme);
@@ -70,12 +73,9 @@ fn exact_resolves_to_site_pages_with_the_logits_of_f32_pages() {
 }
 
 #[test]
-fn bf16_and_minmax_sites_keep_f32_pages() {
-    for scheme in [QuantScheme::bf16(), QuantScheme::owq_w4a16(), QuantScheme::minmax_w4a47()] {
-        let name = scheme.name.clone();
-        let model = proxy(scheme);
-        assert_eq!(model.kv_scheme(KvScheme::Exact), KvScheme::Exact, "{name}");
-    }
+fn minmax_sites_keep_f32_pages() {
+    let minmax = proxy(QuantScheme::minmax_w4a47());
+    assert_eq!(minmax.kv_scheme(KvScheme::Exact), KvScheme::Exact);
     // A lossy scheme is kept as asked.
     let opal = proxy(QuantScheme::mxopal_w4a47());
     assert_eq!(opal.kv_scheme(KvScheme::mxopal()), KvScheme::mxopal());

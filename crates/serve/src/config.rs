@@ -100,7 +100,8 @@ pub struct ServeConfig {
     /// `max_blocks × 2 ×` [`KvScheme::page_bytes`] for the pool's resolved
     /// scheme (`ServeEngine::kv_pool().scheme()`: under
     /// [`KvScheme::Exact`], the K/V site's own format — 7-bit MX-OPAL codes
-    /// on a W4A4/7 model, `block_size × d_model × 2` floats on a bf16 one).
+    /// on a W4A4/7 model, `block_size × d_model × 2` bfloat16 values
+    /// ([`KvScheme::Bf16`]) on a bf16 one).
     /// When the pool runs dry the scheduler evicts
     /// unused prefix-cache blocks, shrinks prefill grants, and finally
     /// preempts the youngest sequence (its blocks are freed and it
@@ -113,7 +114,9 @@ pub struct ServeConfig {
     /// `scheme()` is the result). The default [`KvScheme::Exact`] keeps decode bit-identical
     /// to the unpaged cache, in the K/V site's own format: on an MX-OPAL or
     /// MXINT model that is the site's codes (~3.5× smaller than `f32`
-    /// rows), on bf16 and MinMax models `f32` rows. [`KvScheme::mxopal`]
+    /// rows), on bf16 and W4A16/W3A16 models bf16 pages
+    /// ([`KvScheme::Bf16`], half an `f32` row), on MinMax models `f32`
+    /// rows. [`KvScheme::mxopal`]
     /// stores shared-exponent codes of its own — ~3.5× smaller than `f32`
     /// pages — and attention runs in the quantized domain
     /// (bit-deterministic, accuracy-bounded against the exact cache).

@@ -179,7 +179,8 @@ impl<'m> ServeEngine<'m> {
     /// charged the accelerator's energy for its [`step_workload`], in the
     /// accelerator's format with the bits of the pages the pool stores
     /// (`kv_pool().scheme()`, the resolved format: ~9.2 bits on an OPAL
-    /// model's site pages), leaking over that workload's modeled latency on
+    /// model's site pages, 16 on a bf16 or W4A16 model's bf16 pages, 32 on
+    /// `f32` pages), leaking over that workload's modeled latency on
     /// [`Platform::reference`], accumulating into [`ServeReport::energy_j`].
     #[must_use]
     pub fn with_accelerator(mut self, accelerator: Accelerator) -> Self {

@@ -229,13 +229,14 @@ fn quantized_pages_shrink_pool_bytes_per_token() {
 
 /// `KvScheme::Exact` builds the pool in the K/V site's own format: the
 /// codes the site quantizer made on the served W4A4/7 proxy (1176 B a
-/// token, as `mxopal()`'s pages), `f32` rows on the bf16 one (4096 B).
+/// token, as `mxopal()`'s pages), bf16 pages on the bf16 one (2048 B, half
+/// the 4096 B of `f32` rows).
 #[test]
 fn exact_pools_hold_the_kv_sites_format() {
     let site7 = KvScheme::MxOpal { bits: 7, qblock: 128, outliers: 4 };
     for (scheme, site, bytes) in [
         (OperatingPoint::W4A47.scheme(), site7, 1176.0),
-        (QuantScheme::bf16(), KvScheme::Exact, 4096.0),
+        (QuantScheme::bf16(), KvScheme::Bf16, 2048.0),
     ] {
         let name = scheme.name.clone();
         let model = Model::new(ModelConfig::llama2_7b().proxy(128, 4, 192), scheme, 21)

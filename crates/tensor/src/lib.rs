@@ -6,12 +6,13 @@
 //! position embedding) plus deterministic random initialization and the
 //! statistics helpers used by the quantization-error analyses (Fig. 3/4).
 //!
-//! Everything is plain `f32` — quantized execution is modelled by *quantize →
-//! dequantize → f32 compute*, which is numerically identical to integer
-//! compute followed by a single rescale (see
-//! `opal_numerics::convert::acc_to_f32`) and is the standard methodology for
-//! quantization accuracy studies (the paper itself uses QPyTorch's simulated
-//! BFP).
+//! Arithmetic is plain `f32` (a bfloat16 weight or cached row is stored as
+//! its 16 bits and read as the `f32` it widens to, see [`Lane`]) —
+//! quantized execution is modelled by *quantize → dequantize → f32
+//! compute*, which is numerically identical to integer compute followed by
+//! a single rescale (see `opal_numerics::convert::acc_to_f32`) and is the
+//! standard methodology for quantization accuracy studies (the paper itself
+//! uses QPyTorch's simulated BFP).
 //!
 //! # Example
 //!
@@ -23,7 +24,7 @@
 //! assert_eq!(a.matmul(&b).as_slice(), a.as_slice());
 //! ```
 
-// `deny`, not `forbid`: the feature-boundary calls and the code kernels'
+// `deny`, not `forbid`: the feature-boundary calls and the wide kernels'
 // vector load / store helpers in `simd.rs` carry the crate's only
 // `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
@@ -39,6 +40,68 @@ pub mod stats;
 
 pub use codes::{CodeActs, CodeRowMut, CodeWeights};
 pub use matrix::Matrix;
+
+use opal_numerics::Bf16;
+
+/// An element type the dense kernels store and read as `f32`: `f32`
+/// itself, or a bfloat16 value, whose widening to `f32` is exact. The
+/// weight operand of [`Matrix::matmul_t_into`] and the cached rows of
+/// [`ops::dot_tile`] and [`ops::axpy_tile`] are either; the portable loops
+/// widen each element and run the `f32` spec, and the wide ones widen
+/// lanes in registers (a bfloat16 lane is the high half of its `f32`).
+/// Sealed: the wide kernels know both types.
+pub trait Lane: Copy + PartialEq + Send + Sync + 'static + sealed::Sealed {
+    /// The value as `f32` (exact).
+    fn to_f32(self) -> f32;
+}
+
+impl Lane for f32 {
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        self
+    }
+}
+
+impl Lane for Bf16 {
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        Bf16::to_f32(self)
+    }
+}
+
+mod sealed {
+    use opal_numerics::Bf16;
+
+    /// A fixed-size run of [`super::Lane`] elements as the type it is, so
+    /// that a wide kernel generic over the lane type picks its widening
+    /// per instantiation (the match folds away).
+    #[cfg(target_arch = "x86_64")]
+    pub enum Chunk<'a, const N: usize> {
+        F32(&'a [f32; N]),
+        Bf16(&'a [Bf16; N]),
+    }
+
+    pub trait Sealed: Sized {
+        #[cfg(target_arch = "x86_64")]
+        fn chunk<const N: usize>(c: &[Self; N]) -> Chunk<'_, N>;
+    }
+
+    impl Sealed for f32 {
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        fn chunk<const N: usize>(c: &[f32; N]) -> Chunk<'_, N> {
+            Chunk::F32(c)
+        }
+    }
+
+    impl Sealed for Bf16 {
+        #[cfg(target_arch = "x86_64")]
+        #[inline(always)]
+        fn chunk<const N: usize>(c: &[Bf16; N]) -> Chunk<'_, N> {
+            Chunk::Bf16(c)
+        }
+    }
+}
 
 /// The inner loops this CPU takes in the kernels that pick one at run time
 /// (`Matrix::matvec_into` / `matmul_t_into`, [`ops::dot_tile`], the code

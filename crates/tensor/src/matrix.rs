@@ -1,12 +1,18 @@
-//! Row-major dense `f32` matrix.
+//! Row-major dense matrix: `f32`, or bfloat16 weights read as `f32`.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// A dense row-major `f32` matrix.
+use crate::Lane;
+
+/// A dense row-major matrix, of `f32` unless said otherwise.
 ///
 /// This is the single tensor type of the workspace: vectors are `1 × n` or
 /// `n × 1` matrices, activations for a token sequence are `seq_len × d_model`.
+/// A `Matrix<Bf16>` is a weight matrix stored as the bfloat16 values it
+/// holds (half the bytes of their `f32` images), built by
+/// [`Matrix::transpose_with`] and multiplied by [`Matrix::matmul_t_into`],
+/// which reads each element as the `f32` it widens to ([`Lane`]).
 ///
 /// # Example
 ///
@@ -18,10 +24,58 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m.row(1), &[3.0, 4.0, 5.0]);
 /// ```
 #[derive(Clone, PartialEq)]
-pub struct Matrix {
-    data: Vec<f32>,
+pub struct Matrix<T = f32> {
+    data: Vec<T>,
     rows: usize,
     cols: usize,
+}
+
+impl<T: Lane> Matrix<T> {
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Total number of elements.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Returns `true` if the matrix has no elements.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// The underlying row-major buffer.
+    #[inline]
+    pub fn as_slice(&self) -> &[T] {
+        &self.data
+    }
+
+    /// Borrows row `r` as a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows`.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[T] {
+        assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Iterates over rows as slices.
+    pub fn iter_rows(&self) -> impl Iterator<Item = &[T]> {
+        self.data.chunks_exact(self.cols.max(1))
+    }
 }
 
 impl Matrix {
@@ -76,36 +130,6 @@ impl Matrix {
         Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Total number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Returns `true` if the matrix has no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The underlying row-major buffer.
-    #[inline]
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
     /// Mutable access to the underlying row-major buffer.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
@@ -115,17 +139,6 @@ impl Matrix {
     /// Consumes the matrix, returning its buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
-    }
-
-    /// Borrows row `r` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= rows`.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[f32] {
-        assert!(r < self.rows, "row {r} out of bounds ({})", self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Mutably borrows row `r`.
@@ -145,29 +158,27 @@ impl Matrix {
         self.data.chunks_exact(self.cols).map(|row| row[c]).collect()
     }
 
-    /// Iterates over rows as slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Matrix transpose.
     ///
     /// Iterates in write-major order: each output row (one input column) is
     /// filled left to right, so every store is sequential and only the
     /// strided loads pay for the layout change.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        if self.rows == 0 || self.cols == 0 {
-            return out;
-        }
-        for (c, out_row) in out.data.chunks_exact_mut(self.rows).enumerate() {
-            let mut src = c;
-            for o in out_row.iter_mut() {
-                *o = self.data[src];
-                src += self.cols;
+        self.transpose_with(|x| x)
+    }
+
+    /// The transpose with `f` applied to every element, in the same order
+    /// as [`Matrix::transpose`]: `w.transpose_with(Bf16::from_f32)` is a
+    /// weight matrix stored transposed as the bfloat16 values it rounds to,
+    /// without an `f32` copy in between.
+    pub fn transpose_with<U>(&self, mut f: impl FnMut(f32) -> U) -> Matrix<U> {
+        let mut data = Vec::with_capacity(self.data.len());
+        if self.rows > 0 {
+            for c in 0..self.cols {
+                data.extend(self.data[c..].iter().step_by(self.cols).map(|&x| f(x)));
             }
         }
-        out
+        Matrix { data, rows: self.cols, cols: self.rows }
     }
 
     /// Inner GEMM update `acc[j] += a * b_row[j]`, unrolled 4-wide — the
@@ -283,11 +294,19 @@ impl Matrix {
     /// `rhs.matvec_into(self.row(i), ..)` — the single-token projection this
     /// GEMM replaces.
     ///
+    /// `rhs` may hold bfloat16 values (`Matrix<Bf16>`, a bf16 model's
+    /// weights): every element is then the product with `rhs` widened to
+    /// `f32`, which is exact, so the output is bitwise that of the `f32`
+    /// matrix of the same values. The portable loop widens each element;
+    /// the wide one loads four 16-bit lanes where it loaded four `f32`,
+    /// zero-extends them and shifts them into the high half of each `f32`
+    /// lane, and runs the same tiles on half the weight bytes.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols != rhs.cols` or `out` is not
     /// `self.rows × rhs.rows`.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub fn matmul_t_into<T: Lane>(&self, rhs: &Matrix<T>, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.cols,
             "dimension mismatch: {}x{} · ({}x{})ᵀ",
@@ -312,16 +331,16 @@ impl Matrix {
     }
 
     /// The loop of [`Matrix::matmul_t_into`] as portable code, one
-    /// [`crate::ops::dot`] per output element: the spec the wide path is
-    /// tested against, and the path on CPUs without it. Shapes are the
-    /// caller's to check.
-    pub(crate) fn matmul_t_portable(&self, rhs: &Matrix, out: &mut Matrix) {
+    /// [`crate::ops::dot`] per output element (of the widened `rhs` row):
+    /// the spec the wide path is tested against, and the path on CPUs
+    /// without it. Shapes are the caller's to check.
+    pub(crate) fn matmul_t_portable<T: Lane>(&self, rhs: &Matrix<T>, out: &mut Matrix) {
         let width = self.cols.max(1);
         for (j, b_row) in rhs.data.chunks_exact(rhs.cols.max(1)).enumerate() {
             for (a_row, out_row) in
                 self.data.chunks_exact(width).zip(out.data.chunks_exact_mut(rhs.rows))
             {
-                out_row[j] = crate::ops::dot(a_row, b_row);
+                out_row[j] = crate::ops::dot_widened(a_row, b_row);
             }
         }
     }
@@ -467,13 +486,14 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl fmt::Debug for Matrix {
+impl<T: Lane> fmt::Debug for Matrix<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         let show = self.rows.min(6);
         for r in 0..show {
             let row = self.row(r);
-            let head: Vec<String> = row.iter().take(8).map(|v| format!("{v:.4}")).collect();
+            let head: Vec<String> =
+                row.iter().take(8).map(|v| format!("{:.4}", v.to_f32())).collect();
             writeln!(f, "  [{}{}]", head.join(", "), if self.cols > 8 { ", …" } else { "" })?;
         }
         if self.rows > show {
@@ -486,6 +506,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use opal_numerics::Bf16;
     use proptest::prelude::*;
 
     #[test]
@@ -636,6 +657,13 @@ pub(crate) mod tests {
         }
     }
 
+    /// Whether two outputs are the same bits, any NaN counting as every
+    /// NaN: where two NaN operands meet, x86 keeps whichever comes first,
+    /// and a register tile may meet them in another order than the loop.
+    pub(crate) fn same_bits_or_nans(got: f32, want: f32) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
     /// The first element whose bit pattern differs, as a failure message.
     fn same_bits(
         kernel: &str,
@@ -644,7 +672,7 @@ pub(crate) mod tests {
         got: &[f32],
         want: &[f32],
     ) -> Result<(), String> {
-        match got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits()) {
+        match got.iter().zip(want).position(|(&g, &w)| !same_bits_or_nans(g, w)) {
             None => Ok(()),
             Some(i) => Err(format!(
                 "{kernel} {rows}x{width}: element {i} is {:e}, portable {:e}",
@@ -653,21 +681,29 @@ pub(crate) mod tests {
         }
     }
 
+    /// A `rows × cols` matrix of any lane type over `data`.
+    fn lanes<T: Lane>(rows: usize, cols: usize, data: &[T]) -> Matrix<T> {
+        Matrix { data: data[..rows * cols].to_vec(), rows, cols }
+    }
+
     /// Runs the dispatching `matvec_into` / `matmul_t_into` and the portable
     /// loops over every shape drawn from the front of the two value pools
-    /// and compares bit patterns. Outputs start from a sentinel, so an
-    /// element one side skips shows as a difference.
-    fn dispatch_against_portable(a_pool: &[f32], b_pool: &[f32]) -> Result<(), String> {
+    /// and compares bit patterns, with the weight (`rhs`) operand of the
+    /// pool's lane type (`matvec_into` takes its vector widened). Outputs
+    /// start from a sentinel, so an element one side skips shows as a
+    /// difference.
+    fn dispatch_against_portable<T: Lane>(a_pool: &[f32], b_pool: &[T]) -> Result<(), String> {
         const SENTINEL: f32 = 7.0;
         note_if_only_portable();
         for width in kernel_widths() {
-            let b = Matrix::from_vec(RHS_ROWS, width, b_pool[..RHS_ROWS * width].to_vec());
+            let b = lanes(RHS_ROWS, width, b_pool);
+            let v: Vec<f32> = b.row(0).iter().map(|x| x.to_f32()).collect();
             for rows in 0..=MAX_ROWS {
                 let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
 
                 let (mut got, mut want) = (vec![SENTINEL; rows], vec![SENTINEL; rows]);
-                a.matvec_into(b.row(0), &mut got);
-                a.matvec_portable(b.row(0), &mut want);
+                a.matvec_into(&v, &mut got);
+                a.matvec_portable(&v, &mut want);
                 same_bits("matvec", rows, width, &got, &want)?;
 
                 let mut got = Matrix::from_vec(rows, RHS_ROWS, vec![SENTINEL; rows * RHS_ROWS]);
@@ -684,8 +720,7 @@ pub(crate) mod tests {
             }
         }
         for width in TALL_RHS_WIDTHS {
-            let b =
-                Matrix::from_vec(TALL_RHS_ROWS, width, b_pool[..TALL_RHS_ROWS * width].to_vec());
+            let b = lanes(TALL_RHS_ROWS, width, b_pool);
             for rows in LONE_ROWS {
                 let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
                 let mut got = Matrix::from_vec(rows, b.rows(), vec![SENTINEL; rows * b.rows()]);
@@ -697,7 +732,7 @@ pub(crate) mod tests {
         }
         for width in kernel_widths().filter(|&w| w > 0) {
             for n in 1..=LEFTOVER_RHS_ROWS {
-                let b = Matrix::from_vec(n, width, b_pool[..n * width].to_vec());
+                let b = lanes(n, width, b_pool);
                 for rows in LEFTOVER_ROWS {
                     let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
                     let mut got = Matrix::from_vec(rows, n, vec![SENTINEL; rows * n]);
@@ -710,7 +745,7 @@ pub(crate) mod tests {
             }
         }
         for width in WIDE_WIDTHS {
-            let b = Matrix::from_vec(RHS_ROWS, width, b_pool[..RHS_ROWS * width].to_vec());
+            let b = lanes(RHS_ROWS, width, b_pool);
             for rows in WIDE_ROWS {
                 let a = Matrix::from_vec(rows, width, a_pool[..rows * width].to_vec());
                 let mut got = Matrix::from_vec(rows, RHS_ROWS, vec![SENTINEL; rows * RHS_ROWS]);
@@ -777,6 +812,30 @@ pub(crate) mod tests {
         })
     }
 
+    /// A pool of bfloat16 operands: [`value_pool`]'s values rounded to
+    /// bfloat16 (ladder values exactly; edge values to signed zeros,
+    /// subnormals and infinities among others), with none, a few (one lane
+    /// in 256) or many (one in 32) lanes replaced by a value the widening
+    /// must carry bit for bit: a signed zero, the smallest subnormal of
+    /// either sign, an infinity of either sign, or a NaN (quiet or
+    /// signalling, either sign).
+    pub(crate) fn bf16_pool(len: usize) -> impl Strategy<Value = Vec<Bf16>> {
+        let picks = proptest::collection::vec((0usize..256, 0usize..9), len);
+        (value_pool(len), 0usize..3, picks).prop_map(|(values, density, picks)| {
+            const SPECIAL: [u16; 9] =
+                [0x0000, 0x8000, 0x0001, 0x8001, 0x7F80, 0xFF80, 0x7FC0, 0xFFC1, 0x7F81];
+            let every = [0, 1, 8][density];
+            values
+                .iter()
+                .zip(picks)
+                .map(|(&v, (pick, special))| match pick < every {
+                    true => Bf16::from_bits(SPECIAL[special]),
+                    false => Bf16::from_f32(v),
+                })
+                .collect()
+        })
+    }
+
     proptest! {
         // Each case walks all 3282 shapes, so a few cases go a long way.
         #![proptest_config(ProptestConfig::with_cases(16))]
@@ -784,6 +843,19 @@ pub(crate) mod tests {
         fn dispatch_is_bitwise_the_portable_loops(
             a_pool in value_pool(A_POOL),
             b_pool in value_pool(B_POOL),
+        ) {
+            let outcome = dispatch_against_portable(&a_pool, &b_pool);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        /// The same shapes with bfloat16 weights: the `matmul_t_into` and
+        /// `ops::dot_tile` instantiations that widen 16-bit lanes in
+        /// registers against the portable loops, which widen each element
+        /// and run the `f32` spec.
+        #[test]
+        fn bf16_dispatch_is_bitwise_the_portable_loops(
+            a_pool in value_pool(A_POOL),
+            b_pool in bf16_pool(B_POOL),
         ) {
             let outcome = dispatch_against_portable(&a_pool, &b_pool);
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());

@@ -8,11 +8,11 @@
 //! paged KV cache uses the tile kernels, one call per (page, head) — per
 //! (page, head, shared-exponent block) on quantized pages — for every
 //! query row of a group: K scores of the query rows against a run of
-//! cached rows ([`dot_tile`] over exact `f32` rows, [`dot_codes_tile`]
+//! cached rows ([`dot_tile`] over `f32` or bfloat16 rows, [`dot_codes_tile`]
 //! over codes on [`dot`]'s `f64` lanes, or exact `f32` lanes when
-//! [`ExactInF32`] allows), and the V sum over a run of `f32` rows
-//! ([`axpy_tile`] straight off an exact page, [`axpy_codes_tile`] from a
-//! quantized page dequantized once into a tile). The weight products of the
+//! [`ExactInF32`] allows), and the V sum over a run of rows ([`axpy_tile`]
+//! straight off an `f32` or bfloat16 page, [`axpy_codes_tile`] from a
+//! quantized page dequantized once into an `f32` tile). The weight products of the
 //! MX-activation, OWQ-weight schemes run on integer codes instead
 //! ([`matmul_codes`], spec [`matmul_codes_portable`]). The MX-OPAL
 //! encoders that make those codes run on three more such kernels: a row's
@@ -24,7 +24,7 @@ use opal_numerics::shift::step_size;
 use opal_numerics::{shift_quantize, Bf16, Rounding};
 
 use crate::codes::{CodeActs, CodeRow, CodeWeights};
-use crate::Matrix;
+use crate::{Lane, Matrix};
 
 /// Dot product of two equal-length slices, accumulated in `f64`.
 ///
@@ -54,6 +54,18 @@ use crate::Matrix;
 ///
 /// Panics if the slices differ in length.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    dot_widened(a, b)
+}
+
+/// [`dot`] of `a` and `b` widened to `f32` element by element (exact for
+/// bfloat16 `b`): the one body of the schedule, so a bfloat16 weight row or
+/// cached row meets the same spec as its `f32` image.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub(crate) fn dot_widened<T: Lane>(a: &[f32], b: &[T]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     // Start at -0.0, matching `Iterator::sum::<f64>()` (which folds from
     // -0.0 so an all-negative-zero sum keeps its sign) — the seed decoder
@@ -65,28 +77,30 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     let mut ac = a.chunks_exact(4);
     let mut bc = b.chunks_exact(4);
     for (a4, b4) in ac.by_ref().zip(bc.by_ref()) {
-        acc0 += f64::from(a4[0]) * f64::from(b4[0]);
-        acc1 += f64::from(a4[1]) * f64::from(b4[1]);
-        acc2 += f64::from(a4[2]) * f64::from(b4[2]);
-        acc3 += f64::from(a4[3]) * f64::from(b4[3]);
+        acc0 += f64::from(a4[0]) * f64::from(b4[0].to_f32());
+        acc1 += f64::from(a4[1]) * f64::from(b4[1].to_f32());
+        acc2 += f64::from(a4[2]) * f64::from(b4[2].to_f32());
+        acc3 += f64::from(a4[3]) * f64::from(b4[3].to_f32());
     }
     for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
-        acc0 += f64::from(x) * f64::from(y);
+        acc0 += f64::from(x) * f64::from(y.to_f32());
     }
     ((acc0 + acc1) + (acc2 + acc3)) as f32
 }
 
 /// A tile of [`dot`]: for every query row `(q, out)` of `queries`,
 /// `out[t] = dot(q, &rows[t * stride..t * stride + q.len()])` for `t` in
-/// `0..out.len()` — the exact-page twin of [`dot_codes_tile`]: the K scores
-/// of several query rows against a run of cached `f32` rows in one call
-/// (`stride` is the row pitch, so a head's columns of a page are the slice
-/// from the head's first column).
+/// `0..out.len()` — the dense-page twin of [`dot_codes_tile`]: the K scores
+/// of several query rows against a run of cached `f32` or bfloat16 rows in
+/// one call (`stride` is the row pitch, so a head's columns of a page are
+/// the slice from the head's first column). A bfloat16 row is read as the
+/// `f32` it widens to (exact).
 ///
-/// Every element is bitwise the per-pair [`dot`]. The portable loop is that
-/// call per pair: the spec, the test oracle and the path on CPUs without
-/// the wide one. On x86-64 with AVX and FMA (detected at run time) this is
-/// the register tile behind [`Matrix::matmul_t_into`]: up to eight query
+/// Every element is bitwise the per-pair [`dot`] of the widened row. The
+/// portable loop is that call per pair: the spec, the test oracle and the
+/// path on CPUs without the wide one. On x86-64 with AVX and FMA (detected
+/// at run time) this is the register tile behind [`Matrix::matmul_t_into`],
+/// in the same instantiation for the same row type: up to eight query
 /// rows of one shape are widened to `f64` once and share each converted
 /// chunk of a cached row, and a lone query row takes eight cached rows per
 /// block, as the GEMV does — eight `dot` chains in flight instead of one.
@@ -94,8 +108,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// # Panics
 ///
 /// Panics if a cached row runs past `rows`.
-pub fn dot_tile<'a>(
-    rows: &[f32],
+pub fn dot_tile<'a, T: Lane>(
+    rows: &[T],
     stride: usize,
     queries: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
 ) {
@@ -108,14 +122,14 @@ pub fn dot_tile<'a>(
 }
 
 /// The loop of [`dot_tile`] as portable code.
-pub(crate) fn dot_tile_portable<'a>(
-    rows: &[f32],
+pub(crate) fn dot_tile_portable<'a, T: Lane>(
+    rows: &[T],
     stride: usize,
     queries: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
 ) {
     for (q, out) in queries {
         for (t, o) in out.iter_mut().enumerate() {
-            *o = dot(q, &rows[t * stride..t * stride + q.len()]);
+            *o = dot_widened(q, &rows[t * stride..t * stride + q.len()]);
         }
     }
 }
@@ -326,26 +340,30 @@ pub(crate) fn axpy_codes_tile_portable<'a>(
     axpy_tile_portable(tile, width, rows, fresh);
 }
 
-/// The attention-weighted sum of a run of `f32` rows: for every query row
-/// `(weights, ctx)` of `rows`, `ctx[j] += weights[t] * tile[t * stride + j]`
-/// for `j` in `0..ctx.len()`, `t` ascending over `weights`, a weight that
-/// is exactly zero skipped. With `fresh` the context starts from `+0.0`
-/// instead of from what `ctx` holds: the first page of a walk writes, the
-/// others accumulate. `stride` is the row pitch, so a head's columns of an
-/// exact V page are the slice from the head's first column.
+/// The attention-weighted sum of a run of `f32` or bfloat16 rows: for
+/// every query row `(weights, ctx)` of `rows`,
+/// `ctx[j] += weights[t] * tile[t * stride + j]` for `j` in
+/// `0..ctx.len()`, `t` ascending over `weights`, a weight that is exactly
+/// zero skipped, a bfloat16 element read as the `f32` it widens to
+/// (exact). With `fresh` the context starts from `+0.0` instead of from
+/// what `ctx` holds: the first page of a walk writes, the others
+/// accumulate. `stride` is the row pitch, so a head's columns of a dense V
+/// page are the slice from the head's first column.
 ///
 /// Each element sees an unfused multiply then add per row, in row order, on
 /// every path: the portable loop is the spec, the test oracle and the path
 /// on CPUs without AVX2; on x86-64 with AVX2 (detected at run time) each
 /// context stays in registers across the run, 64 lanes at a time, instead
-/// of a load and a store per row. This is the accumulate half of
-/// [`axpy_codes_tile`], and on an exact page the whole V sum.
+/// of a load and a store per row, and bfloat16 rows are widened in those
+/// registers as they are loaded. This is the accumulate half of
+/// [`axpy_codes_tile`], and on a dense page (`f32` or bfloat16) the whole
+/// V sum.
 ///
 /// # Panics
 ///
 /// Panics if a row a nonzero weight selects runs past `tile`.
-pub fn axpy_tile<'a>(
-    tile: &[f32],
+pub fn axpy_tile<'a, T: Lane>(
+    tile: &[T],
     stride: usize,
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
     fresh: bool,
@@ -359,8 +377,8 @@ pub fn axpy_tile<'a>(
 }
 
 /// The loop of [`axpy_tile`] as portable code.
-pub(crate) fn axpy_tile_portable<'a>(
-    tile: &[f32],
+pub(crate) fn axpy_tile_portable<'a, T: Lane>(
+    tile: &[T],
     stride: usize,
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
     fresh: bool,
@@ -378,7 +396,7 @@ pub(crate) fn axpy_tile_portable<'a>(
                 continue;
             }
             for (c, &x) in ctx.iter_mut().zip(&tile[t * stride..t * stride + width]) {
-                *c += w * x;
+                *c += w * x.to_f32();
             }
         }
     }
@@ -947,8 +965,11 @@ mod tests {
             .filter(move |&j| j < width)
     }
 
+    /// The first element whose bits differ (any NaN counting as every NaN,
+    /// see `same_bits_or_nans`), as a failure message.
     fn first_difference(what: &str, got: &[f32], want: &[f32]) -> Result<(), String> {
-        match got.iter().zip(want).position(|(g, w)| g.to_bits() != w.to_bits()) {
+        let same = crate::matrix::tests::same_bits_or_nans;
+        match got.iter().zip(want).position(|(&g, &w)| !same(g, w)) {
             None => Ok(()),
             Some(i) => Err(format!("{what}: element {i} is {:e}, portable {:e}", got[i], want[i])),
         }
@@ -1033,10 +1054,11 @@ mod tests {
 
     /// [`dot_tile`] and [`axpy_tile`] against their portable loops over
     /// every shape: query rows and weights from `values`, the cached rows
-    /// from `cached` at a pitch wider than the row, as a head's columns of
-    /// an exact page are. Outputs start from a sentinel, so an element one
-    /// side skips shows.
-    fn exact_tiles_against_portable(values: &[f32], cached: &[f32]) -> Result<(), String> {
+    /// (`f32` or bfloat16) from `cached` at a pitch wider than the row, as a
+    /// head's columns of a dense page are. Widths up to 40 leave every tail
+    /// of the 4-lane `dot` chunks and the 8-lane V chunks. Outputs start
+    /// from a sentinel, so an element one side skips shows.
+    fn exact_tiles_against_portable<T: Lane>(values: &[f32], cached: &[T]) -> Result<(), String> {
         const SENTINEL: f32 = 7.0;
         for width in (0..=40).chain([128]) {
             let stride = tile_stride(width);
@@ -1096,6 +1118,17 @@ mod tests {
         fn exact_tile_dispatch_is_bitwise_the_portable_loops(
             values in crate::matrix::tests::value_pool(TILE_POOL),
             cached in crate::matrix::tests::value_pool(TILE_CODE_ROWS * 133),
+        ) {
+            let outcome = exact_tiles_against_portable(&values, &cached);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        // The same shapes over bfloat16 rows: `dot_tile` on the
+        // bfloat16-rhs register tile and `axpy_tile` widening in registers.
+        #[test]
+        fn bf16_tile_dispatch_is_bitwise_the_portable_loops(
+            values in crate::matrix::tests::value_pool(TILE_POOL),
+            cached in crate::matrix::tests::bf16_pool(TILE_CODE_ROWS * 133),
         ) {
             let outcome = exact_tiles_against_portable(&values, &cached);
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());

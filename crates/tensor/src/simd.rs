@@ -25,7 +25,11 @@
 //! significant bits and an exponent well inside `f64`'s range, so the `f64`
 //! multiply is exact and the one rounding of `fma(a, b, acc)` is the add's
 //! rounding. The portable loops stay the spec, the test oracle and the path
-//! on every other CPU, a CPU with AVX but no FMA included.
+//! on every other CPU, a CPU with AVX but no FMA included. The right-hand
+//! rows are `f32` or bfloat16 ([`Lane`]), one instantiation each: a
+//! bfloat16 chunk is loaded as four 16-bit lanes and interleaved above
+//! zeros into the `f32` it is, then converted like an `f32` chunk — the
+//! bf16 model's weights and K pages take the same tiles at half the bytes.
 //!
 //! **The attention tile kernels** (AVX2): [`crate::ops::dot_codes_tile`]
 //! for query rows whose sums are exact in `f32` (AVX2 + FMA: up to eight
@@ -34,7 +38,8 @@
 //! once for the block — every partial sum is exact, so any order gives the
 //! one sum the portable `f64` lanes reach), and [`crate::ops::axpy_tile`]
 //! with each context held in registers, 64 lanes at a time, across a
-//! page's rows — behind [`crate::ops::axpy_codes_tile`] after it
+//! page's rows (a bfloat16 page's eight lanes at a time widened in those
+//! registers by one byte shuffle) — behind [`crate::ops::axpy_codes_tile`] after it
 //! dequantizes a page eight codes at a time. The V kernels perform the
 //! portable loop's operations per element in its order, none fused.
 //!
@@ -69,27 +74,29 @@
 //! A `#[target_feature]` fn calls value-taking intrinsics safely, so the
 //! `unsafe` operations are two kinds only: calling such a fn from ordinary
 //! code, once per driver behind the runtime detection; and the vector loads
-//! and stores of the helpers at the end of this file (and `widen4`), each
-//! through a pointer taken from a fixed-size array reference.
+//! and stores of the helpers at the end of this file (and `widen4`,
+//! `widen_bf16x4`), each through a pointer taken from a fixed-size array
+//! reference.
 
 use std::arch::x86_64::{
     __m128, __m128i, __m256, __m256d, __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_pd,
     _mm256_add_ps, _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8,
-    _mm256_castpd256_pd128, _mm256_castps256_ps128, _mm256_castps_si256, _mm256_castsi256_ps,
-    _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32,
-    _mm256_cvtepi16_epi32, _mm256_cvtepi32_pd, _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32,
-    _mm256_cvtepu16_epi32, _mm256_cvtpd_ps, _mm256_cvtps_pd, _mm256_cvttps_epi32,
-    _mm256_extractf128_pd, _mm256_extractf128_ps, _mm256_extracti128_si256, _mm256_fmadd_pd,
-    _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maddubs_epi16,
-    _mm256_max_epi32, _mm256_min_epi32, _mm256_min_ps, _mm256_mul_pd, _mm256_mul_ps,
-    _mm256_or_si256, _mm256_packs_epi32, _mm256_packus_epi32, _mm256_permute4x64_epi64,
-    _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps, _mm256_setr_epi32,
-    _mm256_setzero_pd, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_sign_epi32,
-    _mm256_slli_epi32, _mm256_srli_epi16, _mm256_srli_epi32, _mm256_storeu_ps, _mm256_storeu_si256,
-    _mm256_sub_epi32, _mm256_zeroupper, _mm_add_ps, _mm_add_ss, _mm_cvtsd_f64, _mm_cvtsi128_si32,
+    _mm256_broadcastsi128_si256, _mm256_castpd256_pd128, _mm256_castps256_ps128,
+    _mm256_castps_si256, _mm256_castsi256_ps, _mm256_castsi256_si128, _mm256_cmp_ps,
+    _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi16_epi32, _mm256_cvtepi32_pd,
+    _mm256_cvtepi32_ps, _mm256_cvtepi8_epi32, _mm256_cvtepu16_epi32, _mm256_cvtpd_ps,
+    _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_extractf128_pd, _mm256_extractf128_ps,
+    _mm256_extracti128_si256, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_loadu_pd, _mm256_loadu_ps,
+    _mm256_loadu_si256, _mm256_maddubs_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_min_ps,
+    _mm256_mul_pd, _mm256_mul_ps, _mm256_or_si256, _mm256_packs_epi32, _mm256_packus_epi32,
+    _mm256_permute4x64_epi64, _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_pd, _mm256_set1_ps,
+    _mm256_setr_epi32, _mm256_setr_epi8, _mm256_setzero_pd, _mm256_setzero_ps,
+    _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_sign_epi32, _mm256_slli_epi32,
+    _mm256_srli_epi16, _mm256_srli_epi32, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32,
+    _mm256_zeroupper, _mm_add_ps, _mm_add_ss, _mm_castsi128_ps, _mm_cvtsd_f64, _mm_cvtsi128_si32,
     _mm_cvtss_f32, _mm_loadl_epi64, _mm_loadu_ps, _mm_loadu_si128, _mm_max_epi32, _mm_movehdup_ps,
-    _mm_movehl_ps, _mm_packs_epi16, _mm_shuffle_epi32, _mm_storeu_ps, _mm_storeu_si128,
-    _mm_unpackhi_pd, _CMP_UNORD_Q,
+    _mm_movehl_ps, _mm_packs_epi16, _mm_setzero_si128, _mm_shuffle_epi32, _mm_storeu_ps,
+    _mm_storeu_si128, _mm_unpackhi_pd, _mm_unpacklo_epi16, _CMP_UNORD_Q,
 };
 use std::cell::RefCell;
 
@@ -100,7 +107,8 @@ use crate::codes::{CodeActs, CodeRow, CodeWeights, PANEL_WIDTH};
 use crate::ops::{
     check_tile_row, code_row_sum, key_index, magnitude_key, sums_exactly_in_f32, tile_width,
 };
-use crate::KernelPath;
+use crate::sealed::Chunk;
+use crate::{KernelPath, Lane};
 
 /// Left-hand rows per full block: eight accumulators, the shared chunk and
 /// one product fit the sixteen `ymm` registers without spilling.
@@ -131,9 +139,10 @@ pub(crate) fn matvec(w: &[f32], v: &[f32], out: &mut [f32]) -> bool {
 }
 
 /// `out[i * n + j] = ops::dot(row i of a, row j of b)` for flat row-major
-/// `a` and `b` of row width `d > 0`, `n` the row count of `b`. Returns
-/// `false`, writing nothing, when the CPU lacks AVX and FMA.
-pub(crate) fn matmul_t(a: &[f32], b: &[f32], d: usize, out: &mut [f32]) -> bool {
+/// `a` and `b` of row width `d > 0`, `n` the row count of `b` (`b` widened
+/// to `f32`). Returns `false`, writing nothing, when the CPU lacks AVX and
+/// FMA.
+pub(crate) fn matmul_t<T: Lane>(a: &[f32], b: &[T], d: usize, out: &mut [f32]) -> bool {
     if !KernelPath::detect().wide_dot {
         return false;
     }
@@ -145,12 +154,13 @@ pub(crate) fn matmul_t(a: &[f32], b: &[f32], d: usize, out: &mut [f32]) -> bool 
 }
 
 /// For every `(x, out)` of `lhs`, `out[j] = ops::dot(x, &rhs[j * stride..][..x.len()])`
-/// for `j` in `0..out.len()`: the one driver behind [`matvec`], [`matmul_t`]
-/// and [`crate::ops::dot_tile`] (the caller checks
-/// [`KernelPath::wide_dot`]; this asserts it).
+/// for `j` in `0..out.len()`, the right-hand rows widened to `f32`: the one
+/// driver behind [`matvec`], [`matmul_t`] and [`crate::ops::dot_tile`] (the
+/// caller checks [`KernelPath::wide_dot`]; this asserts it), one
+/// instantiation per right-hand lane type.
 #[allow(unsafe_code)]
-pub(crate) fn dot_rows<'a>(
-    rhs: &[f32],
+pub(crate) fn dot_rows<'a, T: Lane>(
+    rhs: &[T],
     stride: usize,
     lhs: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
 ) {
@@ -170,8 +180,8 @@ pub(crate) fn dot_rows<'a>(
 /// row by row through [`lone_row`], so that at least eight chains are in
 /// flight whatever the block's height.
 #[target_feature(enable = "avx,fma")]
-fn dot_rows_avx<'a>(
-    rhs: &[f32],
+fn dot_rows_avx<'a, T: Lane>(
+    rhs: &[T],
     stride: usize,
     mut lhs: impl Iterator<Item = (&'a [f32], &'a mut [f32])>,
     panel: &mut [f64; PANEL_LEN],
@@ -195,17 +205,17 @@ fn dot_rows_avx<'a>(
         }
         let (xs, outs) = (&xs[..k], &mut outs[..k]);
         match k {
-            8 => by_rhs_rows::<8, 1>(xs, panel, rhs, stride, outs),
+            8 => by_rhs_rows::<8, 1, _>(xs, panel, rhs, stride, outs),
             // Seven rows against two would want seventeen registers.
             7 => {
                 let (head, tail) = outs.split_at_mut(4);
-                by_rhs_rows::<4, 2>(&xs[..4], panel, rhs, stride, head);
-                by_rhs_rows::<3, 2>(&xs[4..], panel, rhs, stride, tail);
+                by_rhs_rows::<4, 2, _>(&xs[..4], panel, rhs, stride, head);
+                by_rhs_rows::<3, 2, _>(&xs[4..], panel, rhs, stride, tail);
             }
-            6 => by_rhs_rows::<6, 2>(xs, panel, rhs, stride, outs),
-            5 => by_rhs_rows::<5, 2>(xs, panel, rhs, stride, outs),
-            4 => by_rhs_rows::<4, 2>(xs, panel, rhs, stride, outs),
-            3 => by_rhs_rows::<3, 2>(xs, panel, rhs, stride, outs),
+            6 => by_rhs_rows::<6, 2, _>(xs, panel, rhs, stride, outs),
+            5 => by_rhs_rows::<5, 2, _>(xs, panel, rhs, stride, outs),
+            4 => by_rhs_rows::<4, 2, _>(xs, panel, rhs, stride, outs),
+            3 => by_rhs_rows::<3, 2, _>(xs, panel, rhs, stride, outs),
             _ => {
                 for (x, out) in xs.iter().zip(outs) {
                     lone_row(x, rhs, stride, out);
@@ -265,10 +275,10 @@ fn rhs_rows<T, const C: usize>(rhs: &[T], stride: usize, j: usize, d: usize) -> 
 /// an odd last row goes alone.
 #[inline]
 #[target_feature(enable = "avx,fma")]
-fn by_rhs_rows<const R: usize, const C: usize>(
+fn by_rhs_rows<const R: usize, const C: usize, T: Lane>(
     xs: &[&[f32]],
     panel: &mut [f64],
-    rhs: &[f32],
+    rhs: &[T],
     stride: usize,
     outs: &mut [&mut [f32]],
 ) {
@@ -278,12 +288,12 @@ fn by_rhs_rows<const R: usize, const C: usize>(
     let mut j = 0;
     while j + C <= n {
         let ws = rhs_rows::<_, C>(rhs, stride, j, d);
-        tile::<R, C>(x4, x_tails, ws, |r, c, x| outs[r][j + c] = x);
+        tile::<R, C, _>(x4, x_tails, ws, |r, c, x| outs[r][j + c] = x);
         j += C;
     }
     if j < n {
         let ws = rhs_rows::<_, 1>(rhs, stride, j, d);
-        tile::<R, 1>(x4, x_tails, ws, |r, _, x| outs[r][j] = x);
+        tile::<R, 1, _>(x4, x_tails, ws, |r, _, x| outs[r][j] = x);
     }
 }
 
@@ -292,23 +302,23 @@ fn by_rhs_rows<const R: usize, const C: usize>(
 /// tile.
 #[inline]
 #[target_feature(enable = "avx,fma")]
-fn lone_row(x: &[f32], rhs: &[f32], stride: usize, out: &mut [f32]) {
+fn lone_row<T: Lane>(x: &[f32], rhs: &[T], stride: usize, out: &mut [f32]) {
     let d = x.len();
     let mut j = 0;
     while j + BLOCK <= out.len() {
-        row_tile::<BLOCK>(x, rhs_rows::<_, BLOCK>(rhs, stride, j, d), |c, v| out[j + c] = v);
+        row_tile::<BLOCK, _>(x, rhs_rows::<_, BLOCK>(rhs, stride, j, d), |c, v| out[j + c] = v);
         j += BLOCK;
     }
     let left = out.len() - j;
     let mut store = |c: usize, v: f32| out[j + c] = v;
     match left {
-        1 => row_tile::<1>(x, rhs_rows::<_, 1>(rhs, stride, j, d), &mut store),
-        2 => row_tile::<2>(x, rhs_rows::<_, 2>(rhs, stride, j, d), &mut store),
-        3 => row_tile::<3>(x, rhs_rows::<_, 3>(rhs, stride, j, d), &mut store),
-        4 => row_tile::<4>(x, rhs_rows::<_, 4>(rhs, stride, j, d), &mut store),
-        5 => row_tile::<5>(x, rhs_rows::<_, 5>(rhs, stride, j, d), &mut store),
-        6 => row_tile::<6>(x, rhs_rows::<_, 6>(rhs, stride, j, d), &mut store),
-        7 => row_tile::<7>(x, rhs_rows::<_, 7>(rhs, stride, j, d), &mut store),
+        1 => row_tile::<1, _>(x, rhs_rows::<_, 1>(rhs, stride, j, d), &mut store),
+        2 => row_tile::<2, _>(x, rhs_rows::<_, 2>(rhs, stride, j, d), &mut store),
+        3 => row_tile::<3, _>(x, rhs_rows::<_, 3>(rhs, stride, j, d), &mut store),
+        4 => row_tile::<4, _>(x, rhs_rows::<_, 4>(rhs, stride, j, d), &mut store),
+        5 => row_tile::<5, _>(x, rhs_rows::<_, 5>(rhs, stride, j, d), &mut store),
+        6 => row_tile::<6, _>(x, rhs_rows::<_, 6>(rhs, stride, j, d), &mut store),
+        7 => row_tile::<7, _>(x, rhs_rows::<_, 7>(rhs, stride, j, d), &mut store),
         _ => {}
     }
 }
@@ -318,10 +328,10 @@ fn lone_row(x: &[f32], rhs: &[f32], stride: usize, out: &mut [f32]) {
 /// the `C` accumulators advance together.
 #[inline]
 #[target_feature(enable = "avx,fma")]
-fn row_tile<const C: usize>(x: &[f32], ws: [&[f32]; C], mut store: impl FnMut(usize, f32)) {
+fn row_tile<const C: usize, T: Lane>(x: &[f32], ws: [&[T]; C], mut store: impl FnMut(usize, f32)) {
     let (x4, x_tail) = x.as_chunks::<4>();
     let n4 = x4.len();
-    let mut w4: [&[[f32; 4]]; C] = [&[]; C];
+    let mut w4: [&[[T; 4]]; C] = [&[]; C];
     for (w4, w) in w4.iter_mut().zip(&ws) {
         *w4 = &w.as_chunks::<4>().0[..n4];
     }
@@ -332,14 +342,14 @@ fn row_tile<const C: usize>(x: &[f32], ws: [&[f32]; C], mut store: impl FnMut(us
         let x = widen4(&x4[c]);
         for k in 0..C {
             // `acc + w · x` with one rounding: the product is exact in f64.
-            acc[k] = _mm256_fmadd_pd(widen4(&w4[k][c]), x, acc[k]);
+            acc[k] = _mm256_fmadd_pd(widen_lanes4(&w4[k][c]), x, acc[k]);
         }
     }
     let tail = n4 * 4;
     for (c, (&acc, w)) in acc.iter().zip(&ws).enumerate() {
         let [mut l0, l1, l2, l3] = lanes(acc);
         for (&w, &x) in w[tail..].iter().zip(x_tail) {
-            l0 += f64::from(w) * f64::from(x);
+            l0 += f64::from(w.to_f32()) * f64::from(x);
         }
         store(c, ((l0 + l1) + (l2 + l3)) as f32);
     }
@@ -351,17 +361,17 @@ fn row_tile<const C: usize>(x: &[f32], ws: [&[f32]; C], mut store: impl FnMut(us
 /// once, and the `R × C` accumulators advance together.
 #[inline]
 #[target_feature(enable = "avx,fma")]
-fn tile<const R: usize, const C: usize>(
+fn tile<const R: usize, const C: usize, T: Lane>(
     x4: &[[[f64; 4]; R]],
     x_tails: [&[f64]; R],
-    ws: [&[f32]; C],
+    ws: [&[T]; C],
     mut store: impl FnMut(usize, usize, f32),
 ) {
     let n4 = x4.len();
     // Plain loops, not `array::from_fn`: a closure handed to a generic `std`
     // fn keeps this fn's target feature while the `std` fn has none, which
     // stops the inliner and leaves a call per row.
-    let mut w4: [&[[f32; 4]]; C] = [&[]; C];
+    let mut w4: [&[[T; 4]]; C] = [&[]; C];
     for (w4, w) in w4.iter_mut().zip(&ws) {
         // Same length as `x4` by construction; saying so here lets the
         // chunk loop index without bounds checks.
@@ -371,7 +381,7 @@ fn tile<const R: usize, const C: usize>(
     for c in 0..n4 {
         let mut w = [_mm256_setzero_pd(); C];
         for k in 0..C {
-            w[k] = widen4(&w4[k][c]);
+            w[k] = widen_lanes4(&w4[k][c]);
         }
         for r in 0..R {
             let x = load4(&x4[c][r]);
@@ -387,10 +397,21 @@ fn tile<const R: usize, const C: usize>(
         for (c, (&acc, w)) in acc.iter().zip(&ws).enumerate() {
             let [mut l0, l1, l2, l3] = lanes(acc);
             for (&w, &x) in w[tail..].iter().zip(*x_tail) {
-                l0 += f64::from(w) * x;
+                l0 += f64::from(w.to_f32()) * x;
             }
             store(r, c, ((l0 + l1) + (l2 + l3)) as f32);
         }
+    }
+}
+
+/// Four right-hand lanes widened to `f64` (exact): [`widen4`] or
+/// [`widen_bf16x4`], picked per instantiation.
+#[inline]
+#[target_feature(enable = "avx")]
+fn widen_lanes4<T: Lane>(x: &[T; 4]) -> __m256d {
+    match T::chunk(x) {
+        Chunk::F32(x) => widen4(x),
+        Chunk::Bf16(x) => widen_bf16x4(x),
     }
 }
 
@@ -402,6 +423,22 @@ fn widen4(x: &[f32; 4]) -> __m256d {
     // SAFETY: `x` is a `&[f32; 4]`, so the 16 bytes the unaligned load
     // reads are in bounds.
     _mm256_cvtps_pd(unsafe { _mm_loadu_ps(x.as_ptr()) })
+}
+
+/// Four bfloat16 values from an array reference, widened to `f64` (exact):
+/// each 16-bit lane interleaved above a zero one, which puts it in the high
+/// half of a 32-bit lane — the `f32` a bfloat16 value is — then converted
+/// as [`widen4`]. One shuffle: a zero-extension and a shift would be two,
+/// and the shift takes an FMA port.
+#[inline]
+#[allow(unsafe_code)]
+#[target_feature(enable = "avx")]
+fn widen_bf16x4(x: &[Bf16; 4]) -> __m256d {
+    // SAFETY: `x` is a `&[Bf16; 4]` and `Bf16` is a `repr(transparent)`
+    // `u16`, so the 8 bytes `_mm_loadl_epi64` reads are in bounds; it has
+    // no alignment requirement.
+    let raw: __m128i = unsafe { _mm_loadl_epi64(x.as_ptr().cast()) };
+    _mm256_cvtps_pd(_mm_castsi128_ps(_mm_unpacklo_epi16(_mm_setzero_si128(), raw)))
 }
 
 /// The four `f64` lanes of `x`, lowest first.
@@ -640,8 +677,8 @@ fn axpy_codes_tile_avx2<'a>(
 /// [`crate::ops::axpy_tile`] on a CPU with AVX2 (the caller checks
 /// [`KernelPath::wide_codes`]; this asserts it).
 #[allow(unsafe_code)]
-pub(crate) fn axpy_tile<'a>(
-    tile: &[f32],
+pub(crate) fn axpy_tile<'a, T: Lane>(
+    tile: &[T],
     stride: usize,
     rows: impl IntoIterator<Item = (&'a [f32], &'a mut [f32])>,
     fresh: bool,
@@ -653,11 +690,12 @@ pub(crate) fn axpy_tile<'a>(
 }
 
 /// Walks each query row's context in groups of up to 64 lanes held in
-/// registers across all the tile's rows.
+/// registers across all the tile's rows, widening bfloat16 rows as they
+/// are loaded.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn axpy_tile_avx2<'a>(
-    tile: &[f32],
+fn axpy_tile_avx2<'a, T: Lane>(
+    tile: &[T],
     stride: usize,
     rows: impl Iterator<Item = (&'a [f32], &'a mut [f32])>,
     fresh: bool,
@@ -666,17 +704,17 @@ fn axpy_tile_avx2<'a>(
         let (ctx8, ctx_tail) = ctx.as_chunks_mut::<8>();
         let (groups, rest) = ctx8.as_chunks_mut::<8>();
         for (g, lanes) in groups.iter_mut().enumerate() {
-            accumulate::<8>(weights, tile, stride, g * 64, lanes, fresh);
+            accumulate::<8, _>(weights, tile, stride, g * 64, lanes, fresh);
         }
         let col = groups.len() * 64;
         match rest.len() {
-            1 => accumulate::<1>(weights, tile, stride, col, rest, fresh),
-            2 => accumulate::<2>(weights, tile, stride, col, rest, fresh),
-            3 => accumulate::<3>(weights, tile, stride, col, rest, fresh),
-            4 => accumulate::<4>(weights, tile, stride, col, rest, fresh),
-            5 => accumulate::<5>(weights, tile, stride, col, rest, fresh),
-            6 => accumulate::<6>(weights, tile, stride, col, rest, fresh),
-            7 => accumulate::<7>(weights, tile, stride, col, rest, fresh),
+            1 => accumulate::<1, _>(weights, tile, stride, col, rest, fresh),
+            2 => accumulate::<2, _>(weights, tile, stride, col, rest, fresh),
+            3 => accumulate::<3, _>(weights, tile, stride, col, rest, fresh),
+            4 => accumulate::<4, _>(weights, tile, stride, col, rest, fresh),
+            5 => accumulate::<5, _>(weights, tile, stride, col, rest, fresh),
+            6 => accumulate::<6, _>(weights, tile, stride, col, rest, fresh),
+            7 => accumulate::<7, _>(weights, tile, stride, col, rest, fresh),
             _ => {}
         }
         let col = col + rest.len() * 8;
@@ -686,7 +724,7 @@ fn axpy_tile_avx2<'a>(
             }
             for (t, &w) in weights.iter().enumerate() {
                 if w != 0.0 {
-                    *c += w * tile[t * stride + j];
+                    *c += w * tile[t * stride + j].to_f32();
                 }
             }
         }
@@ -698,9 +736,9 @@ fn axpy_tile_avx2<'a>(
 /// weights skipped, starting from `+0.0` when `fresh`.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn accumulate<const K: usize>(
+fn accumulate<const K: usize, T: Lane>(
     weights: &[f32],
-    tile: &[f32],
+    tile: &[T],
     stride: usize,
     col: usize,
     lanes: &mut [[f32; 8]],
@@ -721,7 +759,7 @@ fn accumulate<const K: usize>(
         let at = t * stride + col;
         let (row, _) = tile[at..at + K * 8].as_chunks::<8>();
         for (acc, x) in acc.iter_mut().zip(row) {
-            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(wv, load8(x)));
+            *acc = _mm256_add_ps(*acc, _mm256_mul_ps(wv, load_lanes8(x)));
         }
     }
     for (x, &acc) in lanes.iter_mut().zip(&acc) {
@@ -1177,6 +1215,33 @@ fn load8(x: &[f32; 8]) -> __m256 {
     // SAFETY: `x` is a `&[f32; 8]`, so the 32 bytes the unaligned load
     // reads are in bounds.
     unsafe { _mm256_loadu_ps(x.as_ptr()) }
+}
+
+/// Eight lanes as `f32` (exact): [`load8`] or [`widen_bf16x8`], picked per
+/// instantiation.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load_lanes8<T: Lane>(x: &[T; 8]) -> __m256 {
+    match T::chunk(x) {
+        Chunk::F32(x) => load8(x),
+        Chunk::Bf16(x) => widen_bf16x8(x),
+    }
+}
+
+/// Eight bfloat16 values as `f32` (exact): the sixteen bytes broadcast to
+/// both halves (a load, no shuffle), then one byte shuffle that moves
+/// lanes 0-3 (low half) and 4-7 (high half) into the high half of each
+/// 32-bit lane over zeros.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn widen_bf16x8(x: &[Bf16; 8]) -> __m256 {
+    let z = -128i8;
+    let high_halves = _mm256_setr_epi8(
+        z, z, 0, 1, z, z, 2, 3, z, z, 4, 5, z, z, 6, 7, //
+        z, z, 8, 9, z, z, 10, 11, z, z, 12, 13, z, z, 14, 15,
+    );
+    let both = _mm256_broadcastsi128_si256(load_bf16x8(x));
+    _mm256_castsi256_ps(_mm256_shuffle_epi8(both, high_halves))
 }
 
 /// Eight `f32` into an array reference.

@@ -112,14 +112,18 @@ fn attach(engine: ServeEngine<'_>) -> ServeEngine<'_> {
 }
 
 /// The engine's pool is in the format `kv` resolves to on `model`: for
-/// `KvScheme::Exact` on an MX-OPAL model, the K/V site's own codes, so the
-/// probe covers code appends and the code walk, not `f32` rows.
+/// `KvScheme::Exact` on an MX-OPAL model, the K/V site's own codes, and on
+/// a bf16 model (no activation quantizer), bf16 pages, so the probe covers
+/// code or bf16 appends and their walks, not `f32` rows.
 fn assert_site_pages(model: &Model, engine: &ServeEngine<'_>, kv: KvScheme) {
     let pool = engine.kv_pool().scheme();
     assert_eq!(pool, model.kv_scheme(kv), "the engine's pool is not the resolved scheme");
     let mx = model.scheme().acts.is_some_and(|a| a.format != ActFormat::MinMax);
     if kv == KvScheme::Exact && mx {
         assert!(pool.quantized(), "exact pages on an MX-OPAL/MXINT model are not site codes");
+    }
+    if kv == KvScheme::Exact && model.scheme().acts.is_none() {
+        assert_eq!(pool, KvScheme::Bf16, "exact pages on a bf16 model are not bf16 pages");
     }
 }
 
